@@ -162,7 +162,7 @@ def _cmd_gen(args) -> int:
 def _cmd_eval(args) -> int:
     est = load_trajectory(args.est)
     gt = load_trajectory(args.gt)
-    result = evaluate(est.samples, gt.samples, AlignmentMode(args.align), args.max_dt)
+    result = evaluate(est, gt, AlignmentMode(args.align), args.max_dt)
     payload = result.stats.to_dict()
     payload["n_dropped"] = result.n_dropped
     print(json.dumps(payload, sort_keys=True, indent=2))

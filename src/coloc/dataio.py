@@ -17,7 +17,9 @@ everything downstream of this module speaks ENU only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -32,8 +34,8 @@ from .geometry import (
     Pose,
     Quaternion,
     body_frame,
-    ned_to_enu,
-    quat_yaw,
+    ned_to_enu_arrays,
+    normalize_quaternions,
 )
 
 HEADER_COLUMNS = ("t", "x", "y", "z", "qx", "qy", "qz", "qw")
@@ -43,40 +45,80 @@ QUAT_NORM_TOLERANCE = 1e-6
 TRAJECTORY_KINDS = ("straight", "circle", "figure-eight", "waypoint-spline")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryLog:
-    """A time-ordered series of world->body poses for one agent."""
+    """A time-ordered series of world->body poses for one agent.
+
+    The poses are three read-only arrays: stamps ``t`` (N,), translations
+    ``p`` (N, 3) and unit quaternions ``q`` (N, 4, scalar-last), normalized
+    as :class:`Quaternion` would.  :attr:`samples` holds the same poses as
+    :class:`Pose` objects, built on first request; iterating a log goes
+    through it.
+    """
 
     agent: Agent
     convention: str
-    samples: tuple[Pose, ...]
-    metadata: dict[str, str]
+    t: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.convention not in ("NED", "ENU"):
             raise DataError(f"unknown convention {self.convention!r}")
-        object.__setattr__(self, "samples", tuple(self.samples))
-        child = body_frame(self.agent)
-        prev_t = None
-        for i, pose in enumerate(self.samples):
-            if pose.parent_frame != WORLD or pose.child_frame != child:
-                raise DataError(
-                    f"sample {i}: expected {WORLD}->{child}, got {pose.parent_frame}->{pose.child_frame}"
-                )
-            if prev_t is not None and pose.timestamp <= prev_t:
-                raise DataError(f"sample {i}: timestamp {pose.timestamp} not strictly increasing")
-            prev_t = pose.timestamp
+        t, p, q = (np.array(a, dtype=float) for a in (self.t, self.p, self.q))
+        n = len(t) if t.ndim == 1 else -1
+        if (t.shape, p.shape, q.shape) != ((n,), (n, 3), (n, 4)):
+            raise DataError(f"expected t (N,), p (N, 3) and q (N, 4), got {t.shape}, {p.shape}, {q.shape}")
+        if not (np.isfinite(t).all() and np.isfinite(p).all()):
+            raise DataError("stamps and translations must be finite")
+        if n and t.min() < 0.0:
+            raise DataError(f"timestamp {t.min()} is negative")
+        steps = np.flatnonzero(np.diff(t) <= 0.0)
+        if steps.size:
+            i = int(steps[0]) + 1
+            raise DataError(f"sample {i}: timestamp {t[i]} not strictly increasing")
+        try:
+            q = normalize_quaternions(q)
+        except ValueError as exc:
+            raise DataError(str(exc)) from exc
+        for name, a in (("t", t), ("p", p), ("q", q)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.t)
 
-    def timestamps(self) -> np.ndarray:
-        return np.array([p.timestamp for p in self.samples])
+    def __iter__(self):
+        return iter(self.samples)
+
+    @cached_property
+    def samples(self) -> tuple[Pose, ...]:
+        return self.poses()
+
+    def poses(self, rows=slice(None)) -> tuple[Pose, ...]:
+        """The poses at ``rows`` (an index array or slice; all by default).
+
+        Once :attr:`samples` exists these are its objects; before, only the
+        requested rows are built.
+        """
+        samples = self.__dict__.get("samples")
+        if samples is not None:
+            if isinstance(rows, slice):
+                return samples[rows]
+            return tuple(samples[i] for i in np.asarray(rows).tolist())
+        child = body_frame(self.agent)
+        x, y, z, w = self.q[rows].T.tolist()
+        # rows of read-only arrays from a validated log: trusted construction
+        return tuple(
+            Pose._trusted(t, p, Quaternion(qx, qy, qz, qw), WORLD, child)
+            for t, p, qx, qy, qz, qw in zip(self.t[rows].tolist(), self.p[rows], x, y, z, w)
+        )
 
     def duration(self) -> float:
-        if len(self.samples) < 2:
+        if len(self) < 2:
             return 0.0
-        return self.samples[-1].timestamp - self.samples[0].timestamp
+        return float(self.t[-1] - self.t[0])
 
 
 @dataclass(frozen=True)
@@ -103,6 +145,125 @@ def _parse_metadata_line(line: str, lineno: int, path: Path) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
+def _read_preamble(lines: list[str], path: Path) -> tuple[dict[str, str], int, int]:
+    """Metadata comments and the header: (metadata, column count, header line number)."""
+    metadata: dict[str, str] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, value = _parse_metadata_line(line, lineno, path)
+            metadata[key] = value
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if tuple(fields[: len(HEADER_COLUMNS)]) != HEADER_COLUMNS:
+            raise DataError(
+                f"{path}:{lineno}: header must start with {','.join(HEADER_COLUMNS)}, got {line!r}"
+            )
+        return metadata, len(fields), lineno
+    raise DataError(f"{path}: no header line found")
+
+
+def _float_error(field: str) -> ValueError | None:
+    try:
+        float(field.strip())
+    except ValueError as exc:
+        return exc
+    return None
+
+
+_PARSE_CHUNK = 4096  # data lines parsed at once
+
+
+def _first_columns(lines: list[str], n_cols: int) -> list[list[str]]:
+    """The first eight fields of every line, one list of strings per column."""
+    fields = ",".join(lines).split(",") if lines else []
+    return [fields[c :: n_cols] for c in range(len(HEADER_COLUMNS))]
+
+
+def _read_rows(body: list[str], first_lineno: int, n_cols: int, path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Line numbers (N,) and the first eight fields as floats (N, 8) of the data lines.
+
+    Blank lines are skipped.  A comment, a line with the wrong number of
+    columns, an unparseable number or a non-finite value is an error; of
+    several, the one on the earliest line is reported.
+    """
+    linenos = np.arange(first_lineno, first_lineno + len(body))
+    width_ok = np.fromiter(map(str.count, body, repeat(",")), np.intp, len(body)) == n_cols - 1
+    odd = np.flatnonzero(~width_ok).tolist()
+    blank = np.zeros(len(body), bool)
+    blank[[k for k in odd if not body[k].strip()]] = True
+    comment = np.zeros(len(body), bool)
+    if any("#" in line for line in body):
+        comment[:] = [line.lstrip().startswith("#") for line in body]
+    rows = np.flatnonzero(width_ok & ~comment)
+    lines = body if len(rows) == len(body) else [body[k] for k in rows.tolist()]
+    values = np.empty((len(rows), len(HEADER_COLUMNS)))
+    try:
+        # chunk by chunk, which bounds the number of field strings alive at once
+        for lo in range(0, len(lines), _PARSE_CHUNK):
+            columns = _first_columns(lines[lo : lo + _PARSE_CHUNK], n_cols)
+            values[lo : lo + len(columns[0])] = np.array(
+                [np.fromiter(map(float, col), float, len(col)) for col in columns]
+            ).T
+        unparsed = np.zeros(len(rows), bool)
+    except ValueError:
+        # error path: each field's parse error, None where it parses
+        columns = _first_columns(lines, n_cols)
+        errors = [[_float_error(f) for f in col] for col in columns]
+        unparsed = np.array([[e is not None for e in errs] for errs in errors]).T.any(axis=1)
+        values = np.array(
+            [[math.nan if e else float(f) for f, e in zip(col, errs)] for col, errs in zip(columns, errors)]
+        ).T
+    nonfinite = ~unparsed & ~np.isfinite(values).all(axis=1)
+
+    faults = []  # (line number, message) of the first fault of each kind
+    if comment.any():
+        k = int(np.argmax(comment))
+        faults.append((linenos[k], "comments are only allowed before the header"))
+    wrong = ~width_ok & ~blank & ~comment
+    if wrong.any():
+        k = int(np.argmax(wrong))
+        faults.append((linenos[k], f"expected {n_cols} columns, got {body[k].count(',') + 1}"))
+    if unparsed.any():
+        r = int(np.argmax(unparsed))
+        exc = next(errs[r] for errs in errors if errs[r] is not None)
+        faults.append((linenos[rows[r]], f"unparseable number: {exc}"))
+    if nonfinite.any():
+        faults.append((linenos[rows[int(np.argmax(nonfinite))]], "non-finite field"))
+    if faults:
+        lineno, message = min(faults)
+        raise DataError(f"{path}:{lineno}: {message}")
+    return linenos[rows], values
+
+
+def _check_rows(linenos: np.ndarray, t: np.ndarray, q: np.ndarray, path: Path) -> None:
+    """Per-sample checks on parsed rows: unit quaternion, increasing and non-negative stamps.
+
+    Of several faults the one on the earliest row is reported, and on one
+    row the quaternion comes before the stamp order and the stamp sign.
+    """
+    off_unit = np.abs(np.linalg.norm(q, axis=1) - 1.0) > QUAT_NORM_TOLERANCE
+    not_after = np.zeros(len(t), bool)
+    not_after[1:] = t[1:] <= t[:-1]
+    negative = t < 0.0
+    faulty = off_unit | not_after | negative
+    if not faulty.any():
+        return
+    k = int(np.argmax(faulty))
+    lineno, stamp = int(linenos[k]), float(t[k])
+    if off_unit[k]:
+        norm = float(np.linalg.norm(q[k]))
+        raise DataError(f"{path}:{lineno}: quaternion norm {norm:.8f} is off unit beyond 1e-6")
+    if not_after[k]:
+        raise DataError(
+            f"{path}: row {k + 1} (line {lineno}): timestamp {stamp} does not increase "
+            f"past row {k}'s {float(t[k - 1])}"
+        )
+    raise DataError(f"{path}:{lineno}: timestamp must be finite and non-negative, got {stamp}")
+
+
 def load_trajectory(path) -> TrajectoryLog:
     """Read one trajectory CSV; validate; convert NED inputs to ENU."""
     path = Path(path)
@@ -110,39 +271,12 @@ def load_trajectory(path) -> TrajectoryLog:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
-    metadata: dict[str, str] = {}
-    rows: list[tuple[int, list[float]]] = []
-    n_cols = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if n_cols is not None:
-                raise DataError(f"{path}:{lineno}: comments are only allowed before the header")
-            key, value = _parse_metadata_line(line, lineno, path)
-            metadata[key] = value
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if n_cols is None:
-            if tuple(fields[: len(HEADER_COLUMNS)]) != HEADER_COLUMNS:
-                raise DataError(
-                    f"{path}:{lineno}: header must start with {','.join(HEADER_COLUMNS)}, got {line!r}"
-                )
-            n_cols = len(fields)
-            continue
-        if len(fields) != n_cols:
-            raise DataError(f"{path}:{lineno}: expected {n_cols} columns, got {len(fields)}")
-        try:
-            values = [float(f) for f in fields[: len(HEADER_COLUMNS)]]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: unparseable number: {exc}") from exc
-        if not all(math.isfinite(v) for v in values):
-            raise DataError(f"{path}:{lineno}: non-finite field")
-        rows.append((lineno, values))
-    if n_cols is None:
-        raise DataError(f"{path}: no header line found")
+    lines = text.splitlines()
+    metadata, n_cols, header_lineno = _read_preamble(lines, path)
+    linenos, values = _read_rows(lines[header_lineno:], header_lineno + 1, n_cols, path)
 
     agent_name = metadata.pop("agent", "adas")
     try:
@@ -153,38 +287,25 @@ def load_trajectory(path) -> TrajectoryLog:
     if convention not in ("NED", "ENU"):
         raise DataError(f"{path}: unknown convention {convention!r}")
 
-    child = body_frame(agent)
-    samples: list[Pose] = []
-    prev_t = None
-    prev_row = None
-    for row_idx, (lineno, v) in enumerate(rows, start=1):
-        t = v[0]
-        quat = np.array(v[4:8])
-        norm = float(np.linalg.norm(quat))
-        if abs(norm - 1.0) > QUAT_NORM_TOLERANCE:
-            raise DataError(f"{path}:{lineno}: quaternion norm {norm:.8f} is off unit beyond 1e-6")
-        if prev_t is not None and t <= prev_t:
-            raise DataError(
-                f"{path}: row {row_idx} (line {lineno}): timestamp {t} does not increase "
-                f"past row {prev_row}'s {prev_t}"
-            )
-        try:
-            pose = Pose(t, np.array(v[1:4]), Quaternion.from_array(quat), WORLD, child)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        samples.append(pose)
-        prev_t, prev_row = t, row_idx
-
+    t, p, q = values[:, 0], values[:, 1:4], values[:, 4:8]
+    _check_rows(linenos, t, q, path)
+    q = normalize_quaternions(q)
     if convention == "NED":
-        samples = [ned_to_enu(p) for p in samples]
-    return TrajectoryLog(agent, "ENU", samples, metadata)
+        p, q = ned_to_enu_arrays(p, q)
+    return TrajectoryLog(agent, "ENU", t, p, q, metadata)
 
 
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
 
-def _write_lines(path, lines: list[str]) -> None:
+def write_table(path, comments: Sequence[str], columns: Sequence[str], values) -> None:
+    """A CSV of float rows: ``#`` comment lines, the header, each value as ``repr(float)``."""
+    values = np.asarray(values, dtype=float).reshape(-1, len(columns))
+    lines = [f"#{c}" for c in comments] + [",".join(columns)]
+    if len(values):
+        row = ",".join(["%r"] * len(columns))
+        lines.append("\n".join([row] * len(values)) % tuple(values.ravel().tolist()))
     path = Path(path)
     try:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -194,27 +315,19 @@ def _write_lines(path, lines: list[str]) -> None:
 
 def export_trajectory(log: TrajectoryLog, path) -> None:
     """Write a log in the canonical CSV format; loading it back is lossless."""
-    lines = [f"#agent={log.agent.value}", f"#convention={log.convention}"]
-    for key in sorted(log.metadata):
-        lines.append(f"#{key}={log.metadata[key]}")
-    lines.append(",".join(HEADER_COLUMNS))
-    for p in log.samples:
-        q = p.rotation
-        fields = (p.timestamp, *p.translation, q.x, q.y, q.z, q.w)
-        lines.append(",".join(repr(float(v)) for v in fields))
-    _write_lines(path, lines)
+    comments = [f"agent={log.agent.value}", f"convention={log.convention}"]
+    comments += [f"{key}={log.metadata[key]}" for key in sorted(log.metadata)]
+    write_table(path, comments, HEADER_COLUMNS, np.column_stack([log.t, log.p, log.q]))
 
 
 def export_estimates(states: Sequence[StateEstimate], path, agent: Agent = Agent.ADAS) -> None:
     """Write filter output with per-axis 1-sigma columns for x, y, z and yaw."""
-    lines = [f"#agent={agent.value}", "#convention=ENU"]
-    lines.append(",".join(ESTIMATE_COLUMNS))
+    rows = []
     for s in states:
         q = Quaternion.from_euler(*s.x[3:6])
         sd = np.sqrt(np.maximum(np.diag(s.P)[[0, 1, 2, 5]], 0.0))
-        fields = (s.timestamp, *s.x[0:3], q.x, q.y, q.z, q.w, *sd)
-        lines.append(",".join(repr(float(v)) for v in fields))
-    _write_lines(path, lines)
+        rows.append((s.timestamp, *s.x[0:3], q.x, q.y, q.z, q.w, *sd))
+    write_table(path, [f"agent={agent.value}", "convention=ENU"], ESTIMATE_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +338,9 @@ def _shift_log(log: TrajectoryLog, offset: float) -> TrajectoryLog:
     if offset == 0.0:
         return log
     try:
-        shifted = tuple(replace(p, timestamp=p.timestamp + offset) for p in log.samples)
-    except ValueError as exc:
+        return replace(log, t=log.t + offset)
+    except DataError as exc:
         raise DataError(f"clock shift by {offset} s produced an invalid timestamp: {exc}") from exc
-    return replace(log, samples=shifted)
 
 
 def synchronize(a: TrajectoryLog, b: TrajectoryLog, spec: SyncSpec) -> tuple[TrajectoryLog, TrajectoryLog]:
@@ -262,22 +374,11 @@ def nearest_in_time(ref_ts: np.ndarray, query_ts: np.ndarray) -> np.ndarray:
 class _PlanarPath:
     """Arc-length parametrized planar curve with tangent headings."""
 
-    def pose_at(self, s: float):  # -> (x, y, yaw)
-        raise NotImplementedError
-
     def poses_at(self, s: np.ndarray):  # -> (x[], y[], yaw[])
-        xs = np.empty(len(s))
-        ys = np.empty(len(s))
-        yaws = np.empty(len(s))
-        for k, sk in enumerate(s):
-            xs[k], ys[k], yaws[k] = self.pose_at(float(sk))
-        return xs, ys, yaws
+        raise NotImplementedError
 
 
 class _StraightPath(_PlanarPath):
-    def pose_at(self, s):
-        return s, 0.0, 0.0
-
     def poses_at(self, s):
         s = np.asarray(s, dtype=float)
         return s.copy(), np.zeros(len(s)), np.zeros(len(s))
@@ -286,12 +387,6 @@ class _StraightPath(_PlanarPath):
 class _CirclePath(_PlanarPath):
     def __init__(self, radius: float):
         self.radius = radius
-
-    def pose_at(self, s):
-        theta = s / self.radius
-        x = self.radius * math.sin(theta)
-        y = self.radius * (1.0 - math.cos(theta))
-        return x, y, theta
 
     def poses_at(self, s):
         theta = np.asarray(s, dtype=float) / self.radius
@@ -313,10 +408,6 @@ class _SampledPath(_PlanarPath):
         self._dxy = dxy_du
         self.length = float(self._s[-1])
         self._closed = closed
-
-    def pose_at(self, s):
-        x, y, yaw = self.poses_at(np.array([s]))
-        return float(x[0]), float(y[0]), float(yaw[0])
 
     def poses_at(self, s):
         s = np.asarray(s, dtype=float)
@@ -408,15 +499,12 @@ def generate_synthetic(
     path = _build_path(kind, duration * speed, gap, seed)
 
     def make_log(agent: Agent, lead: float) -> TrajectoryLog:
-        child = body_frame(agent)
-        t_arr = np.arange(n) / rate
-        xs, ys, yaws = path.poses_at(speed * t_arr + lead)
-        # rows of a fresh array from a validated path: trusted construction
-        translations = np.column_stack([xs, ys, np.zeros(n)])
-        samples = [
-            Pose._trusted(t, p, quat_yaw(yaw), WORLD, child)
-            for t, p, yaw in zip(t_arr.tolist(), translations, yaws.tolist())
-        ]
+        t = np.arange(n) / rate
+        xs, ys, yaws = path.poses_at(speed * t + lead)
+        zeros = np.zeros(n)
+        # quat_yaw of every heading; the log normalizes as Quaternion() would
+        half = 0.5 * yaws
+        q = np.column_stack([zeros, zeros, np.sin(half), np.cos(half)])
         metadata = {
             "kind": kind,
             "rate": repr(float(rate)),
@@ -425,6 +513,6 @@ def generate_synthetic(
             "gap": repr(float(gap)),
             "seed": repr(int(seed)),
         }
-        return TrajectoryLog(agent, "ENU", tuple(samples), metadata)
+        return TrajectoryLog(agent, "ENU", t, np.column_stack([xs, ys, zeros]), q, metadata)
 
     return make_log(Agent.SMART, gap), make_log(Agent.ADAS, 0.0)

@@ -527,7 +527,11 @@ def _differential_kernel(
 ) -> tuple[list[float], np.ndarray]:
     """Velocity pseudo-measurement update; pose covariances propagate as (R0 + R1) / dt^2."""
     z, dt = _velocity_measurement(prev, cur)
-    r_vel = (prev.r6 + cur.r6) / (dt * dt)
+    dt2 = dt * dt
+    # checked before the division, which would otherwise warn on a degenerate dt
+    if not (all(map(math.isfinite, z)) and dt2 > 0.0 and math.isfinite(1.0 / dt2)):
+        raise NumericError("measurement contains non-finite values")
+    r_vel = (prev.r6 + cur.r6) / dt2
     return _update_kernel(x, P, TWIST_BLOCK.start, z, r_vel, False)
 
 
@@ -613,8 +617,6 @@ class EkfNode:
         self._started = False
         # the last odometry pose in world coordinates
         self._prev: _OdometryPose | None = None
-        # its body frame, kept only for _prev_odometry
-        self._prev_child: Frame | None = None
 
     @property
     def state(self) -> StateEstimate:
@@ -626,20 +628,6 @@ class EkfNode:
     @state.setter
     def state(self, s: StateEstimate) -> None:
         self._x, self._P, self._t, self._state = s.x, s.P, s.timestamp, s
-
-    @property
-    def _prev_odometry(self) -> MeasurementEvent | None:
-        """The last odometry event, in the world frame: the next differential pair's start.
-
-        Nothing in the package reads this; it rebuilds, from the bare values
-        the node keeps, the event an existing test of the differential chain
-        inspects, and can go once that test checks public behaviour instead.
-        """
-        if self._prev is None:
-            return None
-        t, p, q, r6, source = self._prev
-        pose = Pose._trusted(t, np.array(p), Quaternion(*q), WORLD, self._prev_child)
-        return MeasurementEvent(t, MeasurementKind.ODOMETRY_DIFFERENTIAL, pose, r6=r6, source=source)
 
     def _commit(self, t: float, x: list[float], P: np.ndarray) -> None:
         self._x, self._P = _finish(x, P)
@@ -729,7 +717,6 @@ class EkfNode:
             if P is not self._P:
                 self._commit(event.timestamp, x, P)
             self._prev = cur
-            self._prev_child = local_to_body.child_frame
         else:
             self._check_frame(event.pose)
             self._update_pose(event)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import nearest_in_time
+from .dataio import TrajectoryLog, nearest_in_time, write_table
 from .errors import DataError, NumericError
 from .geometry import (
     Pose,
@@ -77,23 +77,39 @@ class Association:
     n_dropped: int
 
 
-def associate(est: Sequence[Pose], gt: Sequence[Pose], max_dt: float = DEFAULT_MAX_DT) -> Association:
+Track = Sequence[Pose] | TrajectoryLog
+
+
+def _stamps(track: Track) -> np.ndarray:
+    if isinstance(track, TrajectoryLog):
+        return track.t
+    return np.array([p.timestamp for p in track])
+
+
+def _poses_at(track: Track, rows: np.ndarray) -> Sequence[Pose]:
+    if isinstance(track, TrajectoryLog):
+        return track.poses(rows)
+    return [track[i] for i in rows.tolist()]
+
+
+def associate(est: Track, gt: Track, max_dt: float = DEFAULT_MAX_DT) -> Association:
     """Pair every estimate with the nearest ground-truth sample within max_dt.
 
+    Either side may be a pose sequence or a :class:`TrajectoryLog`.
     Estimates without a close enough ground-truth sample are dropped and
     counted; an empty result is an error because no metric can follow.
     """
     if not (math.isfinite(max_dt) and max_dt > 0.0):
         raise ValueError(f"max_dt must be > 0, got {max_dt}")
-    est_ts = np.array([p.timestamp for p in est])
-    gt_ts = np.array([p.timestamp for p in gt])
+    est_ts = _stamps(est)
+    gt_ts = _stamps(gt)
     if np.any(np.diff(est_ts) < 0) or np.any(np.diff(gt_ts) < 0):
         raise DataError("associate requires time-ordered inputs")
     pairs: tuple[tuple[Pose, Pose], ...] = ()
     if len(gt_ts) > 0 and len(est_ts) > 0:
         best = nearest_in_time(gt_ts, est_ts)
         kept = np.flatnonzero(np.abs(gt_ts[best] - est_ts) <= max_dt)
-        pairs = tuple((est[k], gt[i]) for k, i in zip(kept.tolist(), best[kept].tolist()))
+        pairs = tuple(zip(_poses_at(est, kept), _poses_at(gt, best[kept])))
     if not pairs:
         raise DataError("association produced no pairs: disjoint time ranges or max_dt too small")
     return Association(pairs, len(est_ts) - len(pairs))
@@ -257,8 +273,8 @@ class EvaluationResult:
 
 
 def evaluate(
-    est: Sequence[Pose],
-    gt: Sequence[Pose],
+    est: Track,
+    gt: Track,
     mode: AlignmentMode = AlignmentMode.SE3,
     max_dt: float = DEFAULT_MAX_DT,
 ) -> EvaluationResult:
@@ -275,10 +291,12 @@ def evaluate(
 
 def export_error_series(stats: ErrorStats, path) -> None:
     """Per-sample error series as CSV for external plotting."""
-    lines = ["t,e_trans_m,e_rot_deg"]
-    for t, et, er in zip(stats.timestamps, stats.translation.per_sample, stats.orientation.per_sample):
-        lines.append(f"{t!r},{et!r},{er!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(
+        path,
+        [],
+        ("t", "e_trans_m", "e_rot_deg"),
+        np.column_stack([stats.timestamps, stats.translation.per_sample, stats.orientation.per_sample]),
+    )
 
 
 def export_stats_json(stats: ErrorStats, path, with_series: bool = False) -> None:

@@ -416,9 +416,6 @@ class Pose:
         T[:3, 3] = self.translation
         return T
 
-    def with_timestamp(self, timestamp: float) -> "Pose":
-        return replace(self, timestamp=timestamp)
-
 
 def compose(a: Pose, b: Pose) -> Pose:
     """Chain two poses: the result maps b's child frame into a's parent frame."""
@@ -457,9 +454,19 @@ def relative_pose(world_smart: Pose, world_adas: Pose) -> Pose:
 
 
 # World-axis permutation NED -> ENU (n,e,d) -> (e,n,-d): 180 degrees about (1,1,0)/sqrt(2).
-_Q_WORLD_NED_TO_ENU = Quaternion(math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0)
+_Q_WORLD_NED_TO_ENU = Quaternion(math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0).as_array()
 # Body-axis convention swap forward-right-down -> forward-left-up: 180 degrees about x.
-_Q_BODY_FRD_TO_FLU = Quaternion(1.0, 0.0, 0.0, 0.0)
+_Q_BODY_FRD_TO_FLU = Quaternion(1.0, 0.0, 0.0, 0.0).as_array()
+_NED_TO_ENU_AXES = [1, 0, 2]
+_NED_TO_ENU_SIGNS = np.array([1.0, 1.0, -1.0])
+
+
+def ned_to_enu_arrays(t: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`ned_to_enu` of the poses (t, q), row by row."""
+    return (
+        t[..., _NED_TO_ENU_AXES] * _NED_TO_ENU_SIGNS,
+        multiply_quaternions(multiply_quaternions(_Q_WORLD_NED_TO_ENU, q), _Q_BODY_FRD_TO_FLU),
+    )
 
 
 def ned_to_enu(p: Pose) -> Pose:
@@ -470,12 +477,8 @@ def ned_to_enu(p: Pose) -> Pose:
     with an ENU yaw of +90 degrees.  The mapping is an involution: applying it
     twice returns the input.
     """
-    n, e, d = p.translation
-    return replace(
-        p,
-        translation=np.array([e, n, -d]),
-        rotation=_Q_WORLD_NED_TO_ENU * p.rotation * _Q_BODY_FRD_TO_FLU,
-    )
+    t, q = ned_to_enu_arrays(p.translation, p.rotation.as_array())
+    return replace(p, translation=t, rotation=Quaternion(*q.tolist()))
 
 
 enu_to_ned = ned_to_enu  # the axis swap is its own inverse

@@ -19,6 +19,7 @@ import gc
 import hashlib
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -36,6 +37,7 @@ from .dataio import (
     generate_synthetic,
     load_trajectory,
     synchronize,
+    write_table,
 )
 from .ekf import (
     EkfNode,
@@ -56,12 +58,13 @@ from .geometry import (
     Agent,
     Pose,
     Quaternion,
+    body_frame,
     compose_arrays,
     invert,
     pose_arrays,
 )
 from .noise import NoiseSpec, RandomStream, perturb_pose
-from .perception import PerceptionConfig, rate_limit, simulate_perception
+from .perception import PerceptionConfig, rate_limit_indices, simulate_perception
 
 RAW_ODOMETRY_SOURCE = "adas/raw-odometry"
 
@@ -78,6 +81,13 @@ SMOOTHED_GAMMA_FLOOR = 0.1
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _check_number(value, name: str, kind: type = numbers.Real) -> None:
+    """A real (or, with ``kind=numbers.Integral``, whole) number that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Parameters for generated ground truth (see dataio.generate_synthetic)."""
@@ -89,6 +99,13 @@ class SyntheticSpec:
     gap: float = 5.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.kind, str):
+            raise ValueError(f"kind must be a string, got {self.kind!r}")
+        for name in ("duration", "rate", "speed", "gap"):
+            _check_number(getattr(self, name), name)
+        _check_number(self.seed, "seed", numbers.Integral)
+
 
 @dataclass(frozen=True)
 class InputConfig:
@@ -99,6 +116,10 @@ class InputConfig:
     synthetic: SyntheticSpec | None = None
 
     def __post_init__(self) -> None:
+        for name in ("smart_csv", "adas_csv"):
+            path = getattr(self, name)
+            if path is not None and not isinstance(path, str):
+                raise ValueError(f"{name} must be a path string, got {path!r}")
         has_csv = self.smart_csv is not None or self.adas_csv is not None
         if has_csv and (self.smart_csv is None or self.adas_csv is None):
             raise ValueError("csv input needs both smart_csv and adas_csv")
@@ -135,6 +156,8 @@ class EkfSettings:
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
         for name in ("smoothed_sigma_trans", "smoothed_gamma_deg"):
             v = getattr(self, name)
+            if v is not None:
+                _check_number(v, name)
             if v is not None and not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0 when set, got {v}")
 
@@ -250,6 +273,26 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
+def _section(d: dict, key: str, allowed: set[str]) -> dict:
+    """The JSON object d[key] with only the allowed keys; {} when absent or null."""
+    value = d.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"config section {key!r} must be a JSON object, got {type(value).__name__}")
+    _require_keys(value, allowed, key)
+    return value
+
+
+def _float(d: dict, key: str, default: float | None, context: str) -> float | None:
+    """d[key] (or the default) as a float; null only where the default is None."""
+    value = d.get(key, default)
+    if value is None and default is None:
+        return None
+    _check_number(value, f"{context}.{key}")
+    return float(value)
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict):
         raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
@@ -262,69 +305,77 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     if "input" not in d:
         raise ValueError("config requires an 'input' section")
 
-    inp_d = d["input"]
-    _require_keys(inp_d, {"smart_csv", "adas_csv", "synthetic"}, "input")
-    if "synthetic" in inp_d and inp_d["synthetic"] is not None:
-        syn_d = inp_d["synthetic"]
-        _require_keys(syn_d, {"kind", "duration", "rate", "speed", "gap", "seed"}, "synthetic")
+    inp_d = _section(d, "input", {"smart_csv", "adas_csv", "synthetic"})
+    if inp_d.get("synthetic") is not None:
+        syn_d = _section(inp_d, "synthetic", {"kind", "duration", "rate", "speed", "gap", "seed"})
         inp = InputConfig(synthetic=SyntheticSpec(**syn_d))
     else:
         inp = InputConfig(smart_csv=inp_d.get("smart_csv"), adas_csv=inp_d.get("adas_csv"))
 
     sync = None
     if d.get("sync") is not None:
-        sync_d = d["sync"]
-        _require_keys(sync_d, {"offset_seconds", "reference"}, "sync")
-        sync = SyncSpec(float(sync_d["offset_seconds"]), Agent(sync_d["reference"]))
+        sync_d = _section(d, "sync", {"offset_seconds", "reference"})
+        if set(sync_d) != {"offset_seconds", "reference"}:
+            raise ValueError("sync needs both offset_seconds and reference")
+        sync = SyncSpec(_float(sync_d, "offset_seconds", 0.0, "sync"), Agent(sync_d["reference"]))
 
-    raw_d = d.get("raw_noise", {})
-    _require_keys(raw_d, {"sigma_trans", "gamma_yaw"}, "raw_noise")
-    raw = NoiseSpec(float(raw_d.get("sigma_trans", 0.0)), float(raw_d.get("gamma_yaw", 0.0)))
+    raw_d = _section(d, "raw_noise", {"sigma_trans", "gamma_yaw"})
+    raw = NoiseSpec(_float(raw_d, "sigma_trans", 0.0, "raw_noise"), _float(raw_d, "gamma_yaw", 0.0, "raw_noise"))
 
-    per_d = d.get("perception", {})
-    _require_keys(per_d, {"sigma_trans", "gamma_yaw", "gate_threshold", "output_rate"}, "perception")
-    rate_value = per_d.get("output_rate")
+    per_d = _section(d, "perception", {"sigma_trans", "gamma_yaw", "gate_threshold", "output_rate"})
     perception = PerceptionConfig(
-        NoiseSpec(float(per_d.get("sigma_trans", 0.0)), float(per_d.get("gamma_yaw", 0.0))),
-        gate_threshold=float(per_d.get("gate_threshold", 0.1)),
-        output_rate=None if rate_value is None else float(rate_value),
+        NoiseSpec(_float(per_d, "sigma_trans", 0.0, "perception"), _float(per_d, "gamma_yaw", 0.0, "perception")),
+        gate_threshold=_float(per_d, "gate_threshold", 0.1, "perception"),
+        output_rate=_float(per_d, "output_rate", None, "perception"),
     )
 
-    ekf_d = d.get("ekf", {})
-    _require_keys(
-        ekf_d,
+    ekf_d = _section(
+        d,
+        "ekf",
         {"node1_q_scale", "node2_q_scale", "smoothed_sigma_trans", "smoothed_gamma_deg",
          "perception_r6_scale", "pose_variance", "derivative_variance", "max_predict_dt",
          "predict_substep"},
-        "ekf",
     )
     ekf = EkfSettings(**ekf_d)
 
-    eval_d = d.get("eval", {})
-    _require_keys(eval_d, {"alignment", "max_dt"}, "eval")
+    eval_d = _section(d, "eval", {"alignment", "max_dt"})
     eval_cfg = EvalSettings(
         alignment=AlignmentMode(eval_d.get("alignment", "se3")),
-        max_dt=float(eval_d.get("max_dt", 0.02)),
+        max_dt=_float(eval_d, "max_dt", 0.02, "eval"),
     )
 
     sweep = None
     if d.get("sweep") is not None:
-        sweep_d = d["sweep"]
-        _require_keys(sweep_d, {"sigma_grid", "gamma_grid"}, "sweep")
-        sweep = SweepGrid(tuple(sweep_d["sigma_grid"]), tuple(sweep_d["gamma_grid"]))
+        sweep_d = _section(d, "sweep", {"sigma_grid", "gamma_grid"})
+        grids = []
+        for key in ("sigma_grid", "gamma_grid"):
+            values = sweep_d.get(key)
+            if not isinstance(values, list):
+                raise ValueError(f"sweep.{key} must be a list of numbers, got {values!r}")
+            for v in values:
+                _check_number(v, f"sweep.{key} entry")
+            grids.append(tuple(values))
+        sweep = SweepGrid(*grids)
 
-    raw_rate = d.get("raw_rate")
+    seeds = d.get("seeds", [0])
+    if not isinstance(seeds, list):
+        raise ValueError(f"seeds must be a list of integers, got {seeds!r}")
+    for s in seeds:
+        _check_number(s, "seeds entry", numbers.Integral)
+    output_dir = d.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ValueError(f"output_dir must be a path string, got {output_dir!r}")
     return ExperimentConfig(
         input=inp,
         sync=sync,
         raw_noise=raw,
         perception=perception,
-        raw_rate=None if raw_rate is None else float(raw_rate),
+        raw_rate=_float(d, "raw_rate", None, "config"),
         ekf=ekf,
         eval=eval_cfg,
-        seeds=tuple(d.get("seeds", (0,))),
+        seeds=tuple(seeds),
         sweep=sweep,
-        output_dir=d.get("output_dir"),
+        output_dir=output_dir,
     )
 
 
@@ -333,6 +384,8 @@ def load_config(path) -> ExperimentConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"config {path} is not UTF-8 text: {exc}") from exc
     try:
         d = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -402,27 +455,27 @@ def _simulate_raw_odometry(
     adas: TrajectoryLog, cfg: ExperimentConfig, stream: RandomStream
 ) -> tuple[Pose, list[MeasurementEvent]]:
     """Noisy local-frame follower poses, the input to filter node 1."""
-    gt = adas.samples
-    start = gt[0]
+    (start,) = adas.poses([0])
     world_to_local = Pose(start.timestamp, start.translation, start.rotation, WORLD, LOCAL)
     local_from_world = invert(world_to_local)
-    samples: Sequence[Pose] = gt
+    rows = slice(None)
     if cfg.raw_rate is not None:
-        samples = rate_limit(gt, cfg.raw_rate)
+        rows = rate_limit_indices(adas.t.tolist(), cfg.raw_rate)
     # compose(local_from_world, pose) then perturb_pose, for all samples at once
     local = compose_arrays(
-        local_from_world.translation, local_from_world.rotation.as_array(), *pose_arrays(samples)
+        local_from_world.translation, local_from_world.rotation.as_array(), adas.p[rows], adas.q[rows]
     )
     t, q = perturb_pose(local, cfg.raw_noise, stream.derive("raw-odometry"))
+    child = body_frame(adas.agent)
     events = [
         MeasurementEvent(
-            pose.timestamp,
+            stamp,
             MeasurementKind.ODOMETRY_DIFFERENTIAL,
-            Pose._trusted(pose.timestamp, tk, Quaternion(*qk), LOCAL, pose.child_frame),
+            Pose._trusted(stamp, tk, Quaternion(*qk), LOCAL, child),
             r6=None,
             source=RAW_ODOMETRY_SOURCE,
         )
-        for pose, tk, qk in zip(samples, t, q.tolist())
+        for stamp, tk, qk in zip(adas.t[rows].tolist(), t, q.tolist())
     ]
     return world_to_local, events
 
@@ -554,13 +607,13 @@ def execute_run(
             world_to_local, odometry_events = _simulate_raw_odometry(adas, cfg, stream)
         with _stage("simulate-perception"):
             perception_events = simulate_perception(
-                smart.samples, adas.samples, cfg.perception, stream.derive("perception")
+                smart, adas, cfg.perception, stream.derive("perception")
             )
             if cfg.ekf.perception_r6_scale != 1.0:
                 perception_events = _scaled_r6(perception_events, cfg.ekf.perception_r6_scale)
 
         with _stage("filter"):
-            node1_cfg, node2_cfg = _node_configs(cfg, world_to_local, adas.samples[0])
+            node1_cfg, node2_cfg = _node_configs(cfg, world_to_local, adas.poses([0])[0])
             # Node 1 never sees perception, so one pass serves both variants.
             node1 = EkfNode(node1_cfg)
             smoothed = [(ev, node1.node1_step(ev)) for ev in odometry_events]
@@ -572,14 +625,13 @@ def execute_run(
                 n_rejected += baseline_node.rejected_count
 
         with _stage("evaluate"):
-            gt_poses = list(adas.samples)
             fused_stats = evaluate(
-                [r.pose for r in fused_records], gt_poses, cfg.eval.alignment, cfg.eval.max_dt
+                [r.pose for r in fused_records], adas, cfg.eval.alignment, cfg.eval.max_dt
             ).stats
             baseline_stats = None
             if with_baseline:
                 baseline_stats = evaluate(
-                    [r.pose for r in baseline_records], gt_poses, cfg.eval.alignment, cfg.eval.max_dt
+                    [r.pose for r in baseline_records], adas, cfg.eval.alignment, cfg.eval.max_dt
                 ).stats
 
         return RunArtifacts(
@@ -867,12 +919,9 @@ def format_table(report: RunReport) -> str:
 
 def write_estimate_csv(records: Sequence[EstimateRecord], path) -> None:
     """Estimate trajectory with 1-sigma columns, loadable as a trajectory CSV."""
-    lines = ["#agent=adas", "#convention=ENU", ",".join(ESTIMATE_COLUMNS)]
-    for r in records:
-        q = r.pose.rotation
-        fields = (r.pose.timestamp, *r.pose.translation, q.x, q.y, q.z, q.w, *r.sd)
-        lines.append(",".join(repr(float(v)) for v in fields))
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+    t, q = pose_arrays([r.pose for r in records])
+    stamps = [r.pose.timestamp for r in records]
+    sd = np.array([r.sd for r in records], dtype=float).reshape(-1, 4)
+    write_table(
+        path, ["agent=adas", "convention=ENU"], ESTIMATE_COLUMNS, np.column_stack([stamps, t, q, sd])
+    )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -92,7 +92,7 @@ def _inside_gate(gap, threshold: float):
 
 
 def pair_streams(
-    smart_poses: Sequence[Pose], adas_poses: Sequence[Pose], gate_threshold: float
+    smart_poses: Iterable[Pose], adas_poses: Iterable[Pose], gate_threshold: float
 ) -> list[PairedSample]:
     """Nearest-in-time pairing, then gating.
 
@@ -100,6 +100,8 @@ def pair_streams(
     the pair survives only if it passes :func:`gate_pair`.  Both inputs must
     be time-ordered.
     """
+    # tuples index fast, whatever iterable (a trajectory log, say) came in
+    smart_poses, adas_poses = tuple(smart_poses), tuple(adas_poses)
     smart_ts = np.array([p.timestamp for p in smart_poses])
     adas_ts = np.array([p.timestamp for p in adas_poses])
     if np.any(np.diff(smart_ts) < 0) or np.any(np.diff(adas_ts) < 0):
@@ -148,29 +150,34 @@ def make_measurement(pair, cfg: PerceptionConfig, rng: RandomStream):
     ]
 
 
-def rate_limit(events: Iterable, target_hz: float):
-    """Deterministic decimation of a time-ordered stream to at most target_hz.
+def rate_limit_indices(stamps: Iterable[float], target_hz: float) -> list[int]:
+    """Deterministic decimation of time-ordered stamps to at most target_hz.
 
-    The first event always passes; afterwards an event passes iff its
-    timestamp is at least one period (minus a 1e-9 slack for floating-point
-    timestamps) after the last emitted one.
+    The first stamp always passes; afterwards a stamp passes iff it is at
+    least one period (minus a 1e-9 slack for floating-point timestamps)
+    after the last one that passed.  Returns the indices that pass.
     """
     if not (math.isfinite(target_hz) and target_hz > 0.0):
         raise ValueError(f"target_hz must be > 0, got {target_hz}")
     period = 1.0 / target_hz
     out = []
     last = None
-    for ev in events:
-        t = ev.timestamp
+    for i, t in enumerate(stamps):
         if last is None or t >= last + period - RATE_EPSILON:
-            out.append(ev)
+            out.append(i)
             last = t
     return out
 
 
+def rate_limit(events: Iterable, target_hz: float):
+    """The events of a time-ordered stream that :func:`rate_limit_indices` lets pass."""
+    events = list(events)
+    return [events[i] for i in rate_limit_indices((ev.timestamp for ev in events), target_hz)]
+
+
 def simulate_perception(
-    smart_poses: Sequence[Pose],
-    adas_poses: Sequence[Pose],
+    smart_poses: Iterable[Pose],
+    adas_poses: Iterable[Pose],
     cfg: PerceptionConfig,
     rng: RandomStream,
 ) -> list[MeasurementEvent]:

@@ -106,6 +106,33 @@ class TestRun:
         path.write_text("{oops", encoding="utf-8")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_DATA
 
+    def test_non_utf8_config_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"input": {"synthetic": {}}}\xff')
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        assert "not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"input": 5}, "'input' must be a JSON object"),
+            ({"input": {"synthetic": {"duration": "abc"}}}, "duration must be a number"),
+            ({"input": {"synthetic": {}}, "seeds": 3}, "seeds must be a list"),
+            ({"input": {"synthetic": {}}, "seeds": [1, "2"]}, "seeds entry must be an integer"),
+            ({"input": {"synthetic": {}}, "ekf": [1]}, "'ekf' must be a JSON object"),
+            ({"input": {"synthetic": {}}, "raw_noise": {"sigma_trans": None}}, "sigma_trans must be a number"),
+            ({"input": {"synthetic": {}}, "sync": {"offset_seconds": 1.0}}, "sync needs both"),
+            ({"input": {"synthetic": {}}, "sweep": {"sigma_grid": 0.3}}, "sigma_grid must be a list"),
+            ({"input": {"smart_csv": 5, "adas_csv": "a.csv"}}, "smart_csv must be a path string"),
+        ],
+    )
+    def test_malformed_config_is_usage_error_without_traceback(self, tmp_path, capsys, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 # ---------------------------------------------------------------------------
 # sweep
@@ -193,6 +220,25 @@ class TestEval:
         _, adas_path = gen_pair(tmp_path)
         rc = main(["eval", "--est", str(tmp_path / "none.csv"), "--gt", str(adas_path)])
         assert rc == EXIT_DATA
+
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
+        _, adas_path = gen_pair(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(adas_path.read_bytes().replace(b"qw\n", b"qw\n\xff", 1))
+        rc = main(["eval", "--est", str(bad), "--gt", str(adas_path)])
+        assert rc == EXIT_DATA
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_builds_no_pose_objects_for_whole_logs(self, tmp_path, monkeypatch):
+        from coloc.dataio import TrajectoryLog
+
+        _, adas_path = gen_pair(tmp_path)
+
+        def no_samples(log):
+            raise AssertionError("samples built")
+
+        monkeypatch.setattr(TrajectoryLog, "samples", property(no_samples))
+        assert main(["eval", "--est", str(adas_path), "--gt", str(adas_path)]) == EXIT_OK
 
 
 # ---------------------------------------------------------------------------

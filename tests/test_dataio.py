@@ -26,17 +26,23 @@ from coloc.errors import DataError
 from coloc.geometry import (
     BODY_ADAS,
     BODY_SMART,
-    LOCAL,
     WORLD,
     Agent,
     Pose,
     Quaternion,
+    pose_arrays,
     quat_yaw,
     relative_pose,
     rotation_geodesic,
 )
 
 RNG = np.random.default_rng(31337)
+
+
+def log_of(agent, poses, metadata=None):
+    """A log holding the given poses' stamps, translations and quaternions."""
+    p, q = pose_arrays(poses)
+    return TrajectoryLog(agent, "ENU", [x.timestamp for x in poses], p, q, metadata or {})
 
 
 def write(tmp_path, name, text):
@@ -172,24 +178,73 @@ class TestLoadTrajectory:
 
 class TestTrajectoryLogType:
     def test_frame_validation(self):
-        bad = Pose(0.0, np.zeros(3), Quaternion.identity(), LOCAL, BODY_ADAS)
-        with pytest.raises(DataError, match="expected"):
-            TrajectoryLog(Agent.ADAS, "ENU", (bad,), {})
+        # frames are not stored: every pose maps the agent's body into the world
+        log = TrajectoryLog(Agent.ADAS, "ENU", [0.0], np.zeros((1, 3)), [[0.0, 0.0, 0.0, 1.0]], {})
+        assert (log.samples[0].parent_frame, log.samples[0].child_frame) == (WORLD, BODY_ADAS)
 
     def test_agent_frame_cross_check(self):
-        smart_sample = Pose(0.0, np.zeros(3), Quaternion.identity(), WORLD, BODY_SMART)
-        with pytest.raises(DataError):
-            TrajectoryLog(Agent.ADAS, "ENU", (smart_sample,), {})
+        log = TrajectoryLog(Agent.SMART, "ENU", [0.0], np.zeros((1, 3)), [[0.0, 0.0, 0.0, 1.0]], {})
+        assert log.samples[0].child_frame == BODY_SMART
 
     def test_bad_convention(self):
         with pytest.raises(DataError):
-            TrajectoryLog(Agent.ADAS, "XYZ", (), {})
+            TrajectoryLog(Agent.ADAS, "XYZ", [], np.empty((0, 3)), np.empty((0, 4)), {})
 
     def test_duration(self):
         samples = tuple(
             Pose(t, np.zeros(3), Quaternion.identity(), WORLD, BODY_ADAS) for t in (1.0, 2.0, 4.5)
         )
-        assert TrajectoryLog(Agent.ADAS, "ENU", samples, {}).duration() == 3.5
+        assert log_of(Agent.ADAS, samples).duration() == 3.5
+
+    @pytest.mark.parametrize(
+        "t, p, q, match",
+        [
+            ([0.0, 1.0], np.zeros((2, 2)), np.tile([0.0, 0.0, 0.0, 1.0], (2, 1)), "expected"),
+            ([[0.0, 1.0]], np.zeros((2, 3)), np.tile([0.0, 0.0, 0.0, 1.0], (2, 1)), "expected"),
+            ([0.0, 1.0], np.zeros((2, 3)), np.zeros((2, 4)), "norm"),
+            ([0.0, math.nan], np.zeros((2, 3)), np.tile([0.0, 0.0, 0.0, 1.0], (2, 1)), "finite"),
+            ([0.0, 1.0], [[0.0, 0.0, 0.0], [math.inf, 0.0, 0.0]], np.tile([0.0, 0.0, 0.0, 1.0], (2, 1)), "finite"),
+            ([-1.0, 1.0], np.zeros((2, 3)), np.tile([0.0, 0.0, 0.0, 1.0], (2, 1)), "negative"),
+            ([1.0, 1.0], np.zeros((2, 3)), np.tile([0.0, 0.0, 0.0, 1.0], (2, 1)), "sample 1"),
+        ],
+    )
+    def test_array_validation(self, t, p, q, match):
+        with pytest.raises(DataError, match=match):
+            TrajectoryLog(Agent.ADAS, "ENU", t, p, q, {})
+
+    def test_arrays_are_read_only_copies_with_normalized_quaternions(self):
+        t, p, q = np.array([0.0, 0.5]), np.ones((2, 3)), np.array([[0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 1.0, 1.0]])
+        log = TrajectoryLog(Agent.ADAS, "ENU", t, p, q, {})
+        t[0] = 9.0
+        assert log.t[0] == 0.0
+        assert not (log.t.flags.writeable or log.p.flags.writeable or log.q.flags.writeable)
+        assert log.q.tolist() == [
+            list(Quaternion(0.0, 0.0, 0.0, 2.0).as_array()),
+            list(Quaternion(0.0, 0.0, 1.0, 1.0).as_array()),
+        ]
+
+    def test_samples_are_built_once_on_request(self):
+        _, adas = generate_synthetic("circle", 2.0, 10.0, 1.0)
+        assert "samples" not in vars(adas)
+        first = adas.samples
+        assert adas.samples is first and len(first) == len(adas) == 20
+        assert all(a is b for a, b in zip(adas, first))
+        for k, pose in enumerate(first):
+            assert pose.timestamp == adas.t[k]
+            assert pose.translation.tolist() == adas.p[k].tolist()
+            assert pose.rotation.as_array().tolist() == adas.q[k].tolist()
+
+    def test_poses_at_rows_equal_samples(self):
+        _, adas = generate_synthetic("circle", 2.0, 10.0, 1.0)
+        picked = adas.poses(np.array([0, 7, 19]))
+        assert "samples" not in vars(adas)
+        for pose, k in zip(picked, (0, 7, 19)):
+            assert pose.timestamp == adas.samples[k].timestamp
+            assert np.array_equal(pose.translation, adas.samples[k].translation)
+            assert pose.rotation == adas.samples[k].rotation
+        # once the samples exist, their objects are reused
+        assert all(a is b for a, b in zip(adas.poses([7, 19]), (adas.samples[7], adas.samples[19])))
+        assert adas.poses(slice(2, 5)) == adas.samples[2:5]
 
 
 class TestExport:
@@ -200,7 +255,7 @@ class TestExport:
             t += float(RNG.uniform(0.001, 0.1))
             q = Quaternion.from_array(RNG.normal(size=4))
             samples.append(Pose(t, RNG.normal(size=3) * 100, q, WORLD, BODY_ADAS))
-        return TrajectoryLog(Agent.ADAS, "ENU", tuple(samples), {"source": "rng"})
+        return log_of(Agent.ADAS, samples, {"source": "rng"})
 
     def test_round_trip_is_exact(self, tmp_path):
         log = self.random_log()
@@ -216,7 +271,7 @@ class TestExport:
             assert a.rotation.as_array().tolist() == b.rotation.as_array().tolist()
 
     def test_empty_log_header_only(self, tmp_path):
-        log = TrajectoryLog(Agent.SMART, "ENU", (), {})
+        log = TrajectoryLog(Agent.SMART, "ENU", [], np.empty((0, 3)), np.empty((0, 4)), {})
         path = tmp_path / "empty.csv"
         export_trajectory(log, path)
         lines = path.read_text().splitlines()
@@ -255,23 +310,19 @@ class TestExport:
 
 class TestSynchronize:
     def make_logs(self, skew):
-        smart = TrajectoryLog(
+        smart = log_of(
             Agent.SMART,
-            "ENU",
-            tuple(
+            [
                 Pose(k * 0.1 + skew, np.zeros(3), Quaternion.identity(), WORLD, BODY_SMART)
                 for k in range(20)
-            ),
-            {},
+            ],
         )
-        adas = TrajectoryLog(
+        adas = log_of(
             Agent.ADAS,
-            "ENU",
-            tuple(
+            [
                 Pose(k * 0.1, np.array([1.0, 0, 0]), Quaternion.identity(), WORLD, BODY_ADAS)
                 for k in range(20)
-            ),
-            {},
+            ],
         )
         return smart, adas
 
@@ -379,7 +430,7 @@ class TestGenerateSynthetic:
 
     def test_timestamps_regular_from_zero(self):
         _, adas = generate_synthetic("straight", 2.0, 50.0, 1.0)
-        ts = adas.timestamps()
+        ts = adas.t
         assert ts[0] == 0.0
         np.testing.assert_allclose(np.diff(ts), 0.02, atol=1e-12)
 

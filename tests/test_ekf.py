@@ -646,14 +646,28 @@ class TestNode2:
             node.node2_step(local_event(0.0, [0.0, 0.0, 0.0]))
 
     def test_differential_chain_uses_world_composition(self):
+        # two odometry steps fuse the velocity between the world poses
+        # world_to_local o local_to_body, as update_differential does
+        from coloc.geometry import compose
+
         cfg = node2_config()
         node = EkfNode(cfg)
-        l2b_0 = Pose.identity(0.0, LOCAL, BODY_ADAS)
-        node.node2_step(local_event(0.0, [0.0, 0.0, 0.0]), l2b_0)
-        assert node._prev_odometry is not None
-        expect = cfg.world_to_local
-        np.testing.assert_allclose(node._prev_odometry.pose.translation, expect.translation, atol=1e-12)
-        assert node._prev_odometry.pose.parent_frame == WORLD
+        r6 = cfg.default_r6[ODO]
+        l2b = [
+            Pose.identity(0.0, LOCAL, BODY_ADAS),
+            Pose(0.1, np.array([0.4, 0.1, 0.0]), quat_yaw(0.05), LOCAL, BODY_ADAS),
+        ]
+        for pose in l2b:
+            node.node2_step(local_event(pose.timestamp, [0.0, 0.0, 0.0]), pose)
+        prev, cur = (
+            MeasurementEvent(p.timestamp, ODO, compose(cfg.world_to_local, p), r6=r6, source="adas/raw")
+            for p in l2b
+        )
+        assert prev.pose.parent_frame == WORLD
+        expected = update_differential(predict(cfg.initial_state, ProcessModel(cfg.q), 0.1), prev, cur)
+        assert node.state.timestamp == expected.timestamp
+        np.testing.assert_allclose(node.state.x, expected.x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(node.state.P, expected.P, rtol=1e-12, atol=1e-12)
 
 
 class TestTwoStageLocalizer:
@@ -788,7 +802,7 @@ class TestNodeErrorContracts:
         # a subnormal time step turns a 1 m move into an infinite velocity
         a = local_event(0.0, [0.0, 0.0, 0.0], r6=r6)
         b = local_event(5e-324, [1.0, 0.0, 0.0], r6=r6)
-        with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite"):
+        with pytest.raises(NumericError, match="non-finite"):
             update_differential(s, a, b)
 
     def test_clock_lands_on_event_time_after_substeps(self):

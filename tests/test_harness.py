@@ -304,7 +304,7 @@ class TestExecuteRun:
 
     def test_too_short_ground_truth_rejected(self, tmp_path):
         smart, adas = generate_synthetic("figure-eight", 6.0, 10.0, 8.0)
-        short = replace(adas, samples=adas.samples[:1])
+        short = replace(adas, t=adas.t[:1], p=adas.p[:1], q=adas.q[:1])
         smart_path, adas_path = tmp_path / "smart.csv", tmp_path / "adas.csv"
         export_trajectory(smart, smart_path)
         export_trajectory(short, adas_path)
@@ -324,6 +324,39 @@ class TestExecuteRun:
         # the CSV round trip is lossless, so the pipelines see identical inputs
         assert art_csv.fused == art_syn.fused
         assert art_csv.baseline == art_syn.baseline
+
+
+class TestPoseObjectsOnlyForPerception:
+    """The run path reads the logs' arrays; only perception turns whole logs into poses."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from coloc import harness
+        from coloc.dataio import TrajectoryLog
+
+        built = []
+        samples = TrajectoryLog.samples
+
+        def counted(log):
+            built.append(log)
+            return samples.func(log)
+
+        monkeypatch.setattr(TrajectoryLog, "samples", property(counted))
+        monkeypatch.setattr(harness, "simulate_perception", lambda *args: [])
+        return built
+
+    def test_execute_run(self, built):
+        execute_run(noisy_config(raw_rate=10.0), 0)
+        assert built == []
+
+    def test_run_sweep(self, built):
+        run_sweep(noisy_config(seeds=(0, 1), sweep=SweepGrid((0.3,), (10.0,))))
+        assert built == []
+
+    def test_csv_ground_truth(self, built, tmp_path):
+        smart_path, adas_path = write_gt_pair(tmp_path)
+        run_report(ExperimentConfig(input=InputConfig(smart_csv=str(smart_path), adas_csv=str(adas_path))))
+        assert built == []
 
 
 # ---------------------------------------------------------------------------
