@@ -721,33 +721,3 @@ class EkfNode:
             self._check_frame(event.pose)
             self._update_pose(event)
         return self.state
-
-
-class TwoStageLocalizer:
-    """Node 1 and node 2 chained: raw odometry in, world-frame estimate out."""
-
-    def __init__(self, node1_config: FilterNodeConfig, node2_config: FilterNodeConfig) -> None:
-        if node1_config.node_id is not NodeId.NODE1 or node2_config.node_id is not NodeId.NODE2:
-            raise ValueError("configs must be for node 1 and node 2 respectively")
-        self.node1 = EkfNode(node1_config)
-        self.node2 = EkfNode(node2_config)
-
-    def process_odometry(self, event: MeasurementEvent) -> StateEstimate:
-        """Feed one raw local-frame odometry event through both nodes."""
-        local_to_body = self.node1.node1_step(event)
-        return self.node2.node2_step(event, local_to_body)
-
-    def process_perception(self, event: MeasurementEvent) -> StateEstimate:
-        """Feed one world-frame perception event into node 2."""
-        return self.node2.node2_step(event)
-
-    @property
-    def state(self) -> StateEstimate:
-        return self.node2.state
-
-    def pose_estimate(self) -> Pose:
-        return self.node2.pose_estimate()
-
-    @property
-    def rejected_count(self) -> int:
-        return self.node1.rejected_count + self.node2.rejected_count

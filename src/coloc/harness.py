@@ -23,9 +23,10 @@ import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -99,13 +100,6 @@ class SyntheticSpec:
     gap: float = 5.0
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, str):
-            raise ValueError(f"kind must be a string, got {self.kind!r}")
-        for name in ("duration", "rate", "speed", "gap"):
-            _check_number(getattr(self, name), name)
-        _check_number(self.seed, "seed", numbers.Integral)
-
 
 @dataclass(frozen=True)
 class InputConfig:
@@ -116,10 +110,6 @@ class InputConfig:
     synthetic: SyntheticSpec | None = None
 
     def __post_init__(self) -> None:
-        for name in ("smart_csv", "adas_csv"):
-            path = getattr(self, name)
-            if path is not None and not isinstance(path, str):
-                raise ValueError(f"{name} must be a path string, got {path!r}")
         has_csv = self.smart_csv is not None or self.adas_csv is not None
         if has_csv and (self.smart_csv is None or self.adas_csv is None):
             raise ValueError("csv input needs both smart_csv and adas_csv")
@@ -156,8 +146,6 @@ class EkfSettings:
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
         for name in ("smoothed_sigma_trans", "smoothed_gamma_deg"):
             v = getattr(self, name)
-            if v is not None:
-                _check_number(v, name)
             if v is not None and not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0 when set, got {v}")
 
@@ -189,6 +177,15 @@ class SweepGrid:
         for v in (*self.sigma_grid, *self.gamma_grid):
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"grid values must be finite and >= 0, got {v}")
+        for name in ("sigma_grid", "gamma_grid"):
+            # cell directory names and table headers print grid values with :g,
+            # and the table finds cells by value, where -0.0 == 0.0 (+ 0.0 maps
+            # -0.0 to 0.0)
+            grid = getattr(self, name)
+            if len({f"{v + 0.0:g}" for v in grid}) < len(grid):
+                raise ValueError(
+                    f"{name} values must differ in their first 6 significant digits, got {list(grid)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -217,166 +214,119 @@ class ExperimentConfig:
 
 
 # --- JSON round trip -------------------------------------------------------
+#
+# The JSON document mirrors the config dataclasses: one object per section,
+# keyed by field names, read and written by walking the fields and their
+# annotations.  Two layout rules keep the document flat: the perception
+# section holds its noise fields inline, and the input section writes only
+# the source it uses.
 
-def _require_keys(d: dict, allowed: set[str], context: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ValueError(f"unknown {context} keys: {sorted(unknown)}")
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    inp: dict = {}
-    if cfg.input.synthetic is not None:
-        s = cfg.input.synthetic
-        inp["synthetic"] = {
-            "kind": s.kind,
-            "duration": s.duration,
-            "rate": s.rate,
-            "speed": s.speed,
-            "gap": s.gap,
-            "seed": s.seed,
-        }
-    else:
-        inp["smart_csv"] = cfg.input.smart_csv
-        inp["adas_csv"] = cfg.input.adas_csv
-    out = {
-        "input": inp,
-        "sync": None
-        if cfg.sync is None
-        else {"offset_seconds": cfg.sync.offset_seconds, "reference": cfg.sync.reference.value},
-        "raw_noise": {"sigma_trans": cfg.raw_noise.sigma_trans, "gamma_yaw": cfg.raw_noise.gamma_yaw},
-        "perception": {
-            "sigma_trans": cfg.perception.noise.sigma_trans,
-            "gamma_yaw": cfg.perception.noise.gamma_yaw,
-            "gate_threshold": cfg.perception.gate_threshold,
-            "output_rate": cfg.perception.output_rate,
-        },
-        "raw_rate": cfg.raw_rate,
-        "ekf": {
-            "node1_q_scale": cfg.ekf.node1_q_scale,
-            "node2_q_scale": cfg.ekf.node2_q_scale,
-            "smoothed_sigma_trans": cfg.ekf.smoothed_sigma_trans,
-            "smoothed_gamma_deg": cfg.ekf.smoothed_gamma_deg,
-            "perception_r6_scale": cfg.ekf.perception_r6_scale,
-            "pose_variance": cfg.ekf.pose_variance,
-            "derivative_variance": cfg.ekf.derivative_variance,
-            "max_predict_dt": cfg.ekf.max_predict_dt,
-            "predict_substep": cfg.ekf.predict_substep,
-        },
-        "eval": {"alignment": cfg.eval.alignment.value, "max_dt": cfg.eval.max_dt},
-        "seeds": list(cfg.seeds),
-        "sweep": None
-        if cfg.sweep is None
-        else {"sigma_grid": list(cfg.sweep.sigma_grid), "gamma_grid": list(cfg.sweep.gamma_grid)},
-        "output_dir": cfg.output_dir,
-    }
-    return out
+_INLINE = {(PerceptionConfig, "noise")}
+_SET_FIELDS_ONLY = {InputConfig}
 
 
-def _section(d: dict, key: str, allowed: set[str]) -> dict:
-    """The JSON object d[key] with only the allowed keys; {} when absent or null."""
-    value = d.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ValueError(f"config section {key!r} must be a JSON object, got {type(value).__name__}")
-    _require_keys(value, allowed, key)
+def _to_json(value):
+    if is_dataclass(value):
+        out = {}
+        for f in fields(value):
+            v = getattr(value, f.name)
+            if (type(value), f.name) in _INLINE:
+                out.update(_to_json(v))
+            elif v is not None or type(value) not in _SET_FIELDS_ONLY:
+                out[f.name] = _to_json(v)
+        return out
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
     return value
 
 
-def _float(d: dict, key: str, default: float | None, context: str) -> float | None:
-    """d[key] (or the default) as a float; null only where the default is None."""
-    value = d.get(key, default)
-    if value is None and default is None:
-        return None
-    _check_number(value, f"{context}.{key}")
-    return float(value)
+def config_to_dict(cfg: ExperimentConfig) -> dict:
+    return _to_json(cfg)
+
+
+def _keys(cls) -> set[str]:
+    """The JSON keys of a section that holds a ``cls``."""
+    hints = get_type_hints(cls)
+    return set().union(
+        *(_keys(hints[f.name]) if (cls, f.name) in _INLINE else {f.name} for f in fields(cls))
+    )
+
+
+def _default(f):
+    if f.default_factory is not MISSING:
+        return f.default_factory()
+    return f.default
+
+
+def _read_value(tp, value, path: str, default=None):
+    """A JSON value as annotation ``tp``; null only where ``tp`` allows None.
+
+    A section takes the keys it leaves out from ``default``, the field's
+    default, when that is a config object (see _read_section).
+    """
+    args = get_args(tp)
+    if type(None) in args:
+        if value is None:
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+    if is_dataclass(tp):
+        return _read_section(tp, value, path, default if is_dataclass(default) else None)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{path} must be a list, got {value!r}")
+        return tuple(_read_value(get_args(tp)[0], v, f"{path} entry") for v in value)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        for member in tp:
+            if member.value == value:
+                return member
+        raise ValueError(f"{path} must be one of {[m.value for m in tp]}, got {value!r}")
+    if tp is float:
+        _check_number(value, path)
+        return float(value)
+    if tp is int:
+        _check_number(value, path, numbers.Integral)
+        return value
+    if tp is str:
+        if not isinstance(value, str):
+            raise ValueError(f"{path} must be a string, got {value!r}")
+        return value
+    raise TypeError(f"no JSON reader for {tp!r} ({path})")
+
+
+def _read_section(cls, d, path: str, base=None):
+    """A JSON object as a ``cls``.
+
+    An absent key takes the field's value in ``base`` when given, else the
+    field default; a null whole section counts as absent.
+    """
+    where = path or "config"
+    if not isinstance(d, dict):
+        raise ValueError(f"{where!r} must be a JSON object, got {type(d).__name__}")
+    unknown = set(d) - _keys(cls)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        tp = hints[f.name]
+        key = f"{path}.{f.name}" if path else f.name
+        default = _default(f) if base is None else getattr(base, f.name)
+        if (cls, f.name) in _INLINE:
+            own = {k: v for k, v in d.items() if k in _keys(tp)}
+            kwargs[f.name] = _read_section(tp, own, path, default)
+        elif f.name in d and not (d[f.name] is None and is_dataclass(tp)):
+            kwargs[f.name] = _read_value(tp, d[f.name], key, default)
+        elif default is MISSING:
+            raise ValueError(f"{key} is required")
+        else:
+            kwargs[f.name] = default
+    return cls(**kwargs)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    if not isinstance(d, dict):
-        raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
-    _require_keys(
-        d,
-        {"input", "sync", "raw_noise", "perception", "raw_rate", "ekf", "eval", "seeds",
-         "sweep", "output_dir"},
-        "config",
-    )
-    if "input" not in d:
-        raise ValueError("config requires an 'input' section")
-
-    inp_d = _section(d, "input", {"smart_csv", "adas_csv", "synthetic"})
-    if inp_d.get("synthetic") is not None:
-        syn_d = _section(inp_d, "synthetic", {"kind", "duration", "rate", "speed", "gap", "seed"})
-        inp = InputConfig(synthetic=SyntheticSpec(**syn_d))
-    else:
-        inp = InputConfig(smart_csv=inp_d.get("smart_csv"), adas_csv=inp_d.get("adas_csv"))
-
-    sync = None
-    if d.get("sync") is not None:
-        sync_d = _section(d, "sync", {"offset_seconds", "reference"})
-        if set(sync_d) != {"offset_seconds", "reference"}:
-            raise ValueError("sync needs both offset_seconds and reference")
-        sync = SyncSpec(_float(sync_d, "offset_seconds", 0.0, "sync"), Agent(sync_d["reference"]))
-
-    raw_d = _section(d, "raw_noise", {"sigma_trans", "gamma_yaw"})
-    raw = NoiseSpec(_float(raw_d, "sigma_trans", 0.0, "raw_noise"), _float(raw_d, "gamma_yaw", 0.0, "raw_noise"))
-
-    per_d = _section(d, "perception", {"sigma_trans", "gamma_yaw", "gate_threshold", "output_rate"})
-    perception = PerceptionConfig(
-        NoiseSpec(_float(per_d, "sigma_trans", 0.0, "perception"), _float(per_d, "gamma_yaw", 0.0, "perception")),
-        gate_threshold=_float(per_d, "gate_threshold", 0.1, "perception"),
-        output_rate=_float(per_d, "output_rate", None, "perception"),
-    )
-
-    ekf_d = _section(
-        d,
-        "ekf",
-        {"node1_q_scale", "node2_q_scale", "smoothed_sigma_trans", "smoothed_gamma_deg",
-         "perception_r6_scale", "pose_variance", "derivative_variance", "max_predict_dt",
-         "predict_substep"},
-    )
-    ekf = EkfSettings(**ekf_d)
-
-    eval_d = _section(d, "eval", {"alignment", "max_dt"})
-    eval_cfg = EvalSettings(
-        alignment=AlignmentMode(eval_d.get("alignment", "se3")),
-        max_dt=_float(eval_d, "max_dt", 0.02, "eval"),
-    )
-
-    sweep = None
-    if d.get("sweep") is not None:
-        sweep_d = _section(d, "sweep", {"sigma_grid", "gamma_grid"})
-        grids = []
-        for key in ("sigma_grid", "gamma_grid"):
-            values = sweep_d.get(key)
-            if not isinstance(values, list):
-                raise ValueError(f"sweep.{key} must be a list of numbers, got {values!r}")
-            for v in values:
-                _check_number(v, f"sweep.{key} entry")
-            grids.append(tuple(values))
-        sweep = SweepGrid(*grids)
-
-    seeds = d.get("seeds", [0])
-    if not isinstance(seeds, list):
-        raise ValueError(f"seeds must be a list of integers, got {seeds!r}")
-    for s in seeds:
-        _check_number(s, "seeds entry", numbers.Integral)
-    output_dir = d.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ValueError(f"output_dir must be a path string, got {output_dir!r}")
-    return ExperimentConfig(
-        input=inp,
-        sync=sync,
-        raw_noise=raw,
-        perception=perception,
-        raw_rate=_float(d, "raw_rate", None, "config"),
-        ekf=ekf,
-        eval=eval_cfg,
-        seeds=tuple(seeds),
-        sweep=sweep,
-        output_dir=output_dir,
-    )
+    return _read_section(ExperimentConfig, d, "")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -645,16 +595,6 @@ def execute_run(
         )
 
 
-def run_single(
-    cfg: ExperimentConfig,
-    seed: int,
-    ground_truth: tuple[TrajectoryLog, TrajectoryLog] | None = None,
-) -> tuple[ErrorStats, ErrorStats]:
-    """Fused and odometry-only error statistics for one seed."""
-    art = execute_run(cfg, seed, ground_truth)
-    return art.fused, art.baseline
-
-
 # ---------------------------------------------------------------------------
 # Sweeps and reports
 # ---------------------------------------------------------------------------
@@ -827,7 +767,8 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
         ground_truth = _load_ground_truth(cfg)
         outcomes = [_run_cell_task((c, s, ground_truth)) for c, s in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all max_workers processes on its first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             outcomes = list(pool.map(_run_cell_task, [(c, s, None) for c, s in tasks]))
 
     cells = []

@@ -41,15 +41,12 @@ class NoiseSpec:
 
     sigma_trans: float
     gamma_yaw: float
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma_trans) and self.sigma_trans >= 0.0):
             raise ValueError(f"sigma_trans must be finite and >= 0, got {self.sigma_trans}")
         if not (math.isfinite(self.gamma_yaw) and self.gamma_yaw >= 0.0):
             raise ValueError(f"gamma_yaw must be finite and >= 0, got {self.gamma_yaw}")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {type(self.seed).__name__}")
 
     @property
     def gamma_yaw_rad(self) -> float:

@@ -121,9 +121,9 @@ class TestRun:
             ({"input": {"synthetic": {}}, "seeds": [1, "2"]}, "seeds entry must be an integer"),
             ({"input": {"synthetic": {}}, "ekf": [1]}, "'ekf' must be a JSON object"),
             ({"input": {"synthetic": {}}, "raw_noise": {"sigma_trans": None}}, "sigma_trans must be a number"),
-            ({"input": {"synthetic": {}}, "sync": {"offset_seconds": 1.0}}, "sync needs both"),
+            ({"input": {"synthetic": {}}, "sync": {"offset_seconds": 1.0}}, "sync.reference is required"),
             ({"input": {"synthetic": {}}, "sweep": {"sigma_grid": 0.3}}, "sigma_grid must be a list"),
-            ({"input": {"smart_csv": 5, "adas_csv": "a.csv"}}, "smart_csv must be a path string"),
+            ({"input": {"smart_csv": 5, "adas_csv": "a.csv"}}, "smart_csv must be a string"),
         ],
     )
     def test_malformed_config_is_usage_error_without_traceback(self, tmp_path, capsys, config, message):
@@ -158,6 +158,15 @@ class TestSweep:
         report = json.loads((out / "report.json").read_text())
         cell = json.loads((out / "sigma=0.3_gamma=10" / "cell.json").read_text())
         assert cell in report["cells"]
+
+    @pytest.mark.parametrize("sigmas", [[0.3, 0.3], [0.3, 0.3000001], [0.0, -0.0]])
+    def test_grid_values_that_print_alike_are_usage_errors(self, tmp_path, capsys, sigmas):
+        # cell directories and table columns are named by the values under :g
+        cfg = write_config(tmp_path, sweep={"sigma_grid": sigmas, "gamma_grid": [10.0]})
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: sigma_grid values")
+        assert not (tmp_path / "s").exists()
 
     def test_grid_required(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -30,7 +30,6 @@ from coloc.ekf import (
     NodeId,
     ProcessModel,
     StateEstimate,
-    TwoStageLocalizer,
     default_process_noise,
     differential_velocity,
     measurement_covariance,
@@ -598,7 +597,7 @@ class TestNode1:
     def test_stationary_noise_is_smoothed(self):
         from coloc.noise import perturb_translation
 
-        spec = NoiseSpec(2.5, 0.0, seed=3)
+        spec = NoiseSpec(2.5, 0.0)
         rng = RandomStream(3)
         node = EkfNode(node1_config())
         noises, errors = [], []
@@ -671,39 +670,32 @@ class TestNode2:
 
 
 class TestTwoStageLocalizer:
+    """Node 1 and node 2 chained as the harness wires them."""
+
     def test_noiseless_run_tracks_ground_truth(self):
         w2l = Pose(0.0, np.array([100.0, 50.0, 0.0]), quat_yaw(1.0), WORLD, LOCAL)
         spec0 = NoiseSpec(0.0, 0.0)
-        n1 = node1_config(default_r6={ODO: measurement_covariance(spec0)})
-        n2 = node2_config(
-            world_to_local=w2l,
-            default_r6={
-                ODO: measurement_covariance(spec0),
-                PER: measurement_covariance(spec0),
-            },
+        node1 = EkfNode(node1_config(default_r6={ODO: measurement_covariance(spec0)}))
+        node2 = EkfNode(
+            node2_config(
+                world_to_local=w2l,
+                default_r6={
+                    ODO: measurement_covariance(spec0),
+                    PER: measurement_covariance(spec0),
+                },
+            )
         )
-        loc = TwoStageLocalizer(n1, n2)
         dt, speed = 0.01, 3.0
         state = None
         for k in range(800):
             t = k * dt
-            state = loc.process_odometry(local_event(t, [speed * t, 0.0, 0.0]))
+            event = local_event(t, [speed * t, 0.0, 0.0])
+            state = node2.node2_step(event, node1.node1_step(event))
         truth_local = Pose(t, np.array([speed * t, 0.0, 0.0]), Quaternion.identity(), LOCAL, BODY_ADAS)
         from coloc.geometry import compose
 
         truth_world = compose(w2l, truth_local)
         assert np.linalg.norm(state.x[POS] - truth_world.translation) < 1e-3
-
-    def test_wrong_node_ids_rejected(self):
-        with pytest.raises(ValueError):
-            TwoStageLocalizer(node2_config(), node2_config())
-
-    def test_rejected_count_aggregates(self):
-        loc = TwoStageLocalizer(node1_config(), node2_config())
-        loc.process_odometry(local_event(1.0, [0.0, 0.0, 0.0]))
-        with pytest.raises(OutOfOrderError):
-            loc.process_odometry(local_event(0.2, [0.0, 0.0, 0.0]))
-        assert loc.rejected_count == 1
 
 
 class TestNodeRunsThePublicKernels:

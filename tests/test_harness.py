@@ -8,11 +8,15 @@ against the source dataclasses field by field.
 """
 
 import json
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coloc import harness
 from coloc.dataio import SyncSpec, export_trajectory, generate_synthetic, load_trajectory
 from coloc.errors import DataError
 from coloc.evaluation import AlignmentMode
@@ -37,7 +41,6 @@ from coloc.harness import (
     load_config,
     report_json,
     run_report,
-    run_single,
     run_sweep,
     write_estimate_csv,
 )
@@ -108,6 +111,75 @@ def same_records(a, b) -> bool:
 # Config serialization
 # ---------------------------------------------------------------------------
 
+def config_fields(cls) -> set[tuple[str, str]]:
+    """(class, field) for every field of cls and of the config dataclasses it nests."""
+    out = set()
+    for name, tp in get_type_hints(cls).items():
+        out.add((cls.__name__, name))
+        for t in (tp, *get_args(tp)):
+            if is_dataclass(t):
+                out |= config_fields(t)
+    return out
+
+
+def written_fields(value, d: dict) -> set[tuple[str, str]]:
+    """(class, field) for every field of value found in its JSON section d.
+
+    A nested dataclass written inline counts when all its fields are in d.
+    """
+    found = set()
+    for f in fields(value):
+        v = getattr(value, f.name)
+        if f.name in d:
+            found.add((type(value).__name__, f.name))
+            if is_dataclass(v):
+                found |= written_fields(v, d[f.name])
+        elif is_dataclass(v):
+            inner = written_fields(v, d)
+            found |= inner
+            if {(type(v).__name__, g.name) for g in fields(v)} <= inner:
+                found.add((type(value).__name__, f.name))
+    return found
+
+
+_NONNEG = st.floats(0.0, 1e3)
+_POSITIVE = st.floats(1e-9, 1e9)
+_ANY = st.floats(-1e9, 1e9)
+
+
+def _optional(strategy):
+    return st.none() | strategy
+
+
+_NOISE = st.builds(NoiseSpec, _NONNEG, _NONNEG)
+_GRID = st.lists(_NONNEG, min_size=1, max_size=4, unique_by=lambda v: f"{v + 0.0:g}").map(tuple)
+CONFIGS = st.builds(
+    ExperimentConfig,
+    input=st.builds(
+        InputConfig,
+        synthetic=st.builds(
+            SyntheticSpec, st.text(max_size=12), _ANY, _ANY, _ANY, _ANY, st.integers(0, 2**64 - 1)
+        ),
+    )
+    | st.builds(InputConfig, smart_csv=st.text(), adas_csv=st.text()),
+    sync=_optional(st.builds(SyncSpec, _ANY, st.sampled_from(Agent))),
+    raw_noise=_NOISE,
+    perception=st.builds(PerceptionConfig, _NOISE, _POSITIVE, _optional(_POSITIVE)),
+    raw_rate=_optional(_POSITIVE),
+    ekf=st.builds(
+        EkfSettings,
+        **{
+            f.name: _optional(_NONNEG) if f.name.startswith("smoothed_") else _POSITIVE
+            for f in fields(EkfSettings)
+        },
+    ),
+    eval=st.builds(EvalSettings, st.sampled_from(AlignmentMode), _POSITIVE),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4).map(tuple),
+    sweep=_optional(st.builds(SweepGrid, _GRID, _GRID)),
+    output_dir=_optional(st.text()),
+)
+
+
 class TestConfigRoundTrip:
     def test_defaults_round_trip(self):
         cfg = synthetic_config()
@@ -123,6 +195,50 @@ class TestConfigRoundTrip:
         assert back.input.smart_csv == "a.csv"
         assert back.input.adas_csv == "b.csv"
         assert back.input.synthetic is None
+
+    def test_every_config_field_is_written(self):
+        # Input writes only the source it uses, so the csv variant covers the rest.
+        csv = replace(full_config(), input=InputConfig(smart_csv="a.csv", adas_csv="b.csv"))
+        written = set().union(*(written_fields(c, config_to_dict(c)) for c in (full_config(), csv)))
+        assert written == config_fields(ExperimentConfig)
+
+    def test_unset_fields_are_written_as_null_except_input_sources(self):
+        d = config_to_dict(synthetic_config())
+        assert list(d["input"]) == ["synthetic"]
+        nulls = {
+            f"{section}.{key}" if section else key
+            for section, body in [("", d), *((k, v) for k, v in d.items() if isinstance(v, dict))]
+            for key, value in body.items()
+            if value is None
+        }
+        assert nulls == {
+            "sync", "raw_rate", "sweep", "output_dir", "perception.output_rate",
+            "ekf.smoothed_sigma_trans", "ekf.smoothed_gamma_deg",
+        }
+
+    @settings(max_examples=200, deadline=None)
+    @given(CONFIGS)
+    def test_generated_configs_round_trip_through_json(self, cfg):
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    def test_absent_keys_take_field_defaults(self):
+        cfg = config_from_dict({"input": {"synthetic": {}}, "perception": {"sigma_trans": 0.3}})
+        assert cfg == ExperimentConfig(
+            input=InputConfig(synthetic=SyntheticSpec()),
+            perception=PerceptionConfig(NoiseSpec(0.3, 0.0)),
+        )
+
+    def test_null_means_none_or_a_default_section(self):
+        d = {"input": {"synthetic": {}}, "sync": None, "ekf": None, "raw_rate": None}
+        assert config_from_dict(d) == ExperimentConfig(input=InputConfig(synthetic=SyntheticSpec()))
+        with pytest.raises(ValueError, match="seeds must be a list"):
+            config_from_dict({"input": {"synthetic": {}}, "seeds": None})
+
+    def test_integer_literals_in_float_fields_read_as_floats(self):
+        cfg = config_from_dict({"input": {"synthetic": {"duration": 60}}, "ekf": {"node1_q_scale": 2}})
+        assert type(cfg.input.synthetic.duration) is float
+        assert type(cfg.ekf.node1_q_scale) is float
+        assert '"duration": 60.0' in json.dumps(config_to_dict(cfg))
 
     def test_dict_is_json_serializable(self):
         text = json.dumps(config_to_dict(full_config()))
@@ -235,7 +351,8 @@ class TestExecuteRun:
         assert art.n_rejected == 0
 
     def test_fused_beats_baseline_under_raw_noise(self):
-        fused, baseline = run_single(noisy_config(), 7)
+        art = execute_run(noisy_config(), 7)
+        fused, baseline = art.fused, art.baseline
         assert fused.translation.rmse < 0.5 * baseline.translation.rmse
 
     def test_baseline_immune_to_perception_settings(self):
@@ -245,9 +362,7 @@ class TestExecuteRun:
         loud = replace(
             quiet, perception=PerceptionConfig(NoiseSpec(0.9, 15.0), output_rate=3.0)
         )
-        _, base_quiet = run_single(quiet, 7)
-        _, base_loud = run_single(loud, 7)
-        assert base_quiet == base_loud
+        assert execute_run(quiet, 7).baseline == execute_run(loud, 7).baseline
 
     def test_with_baseline_false_skips_the_second_pass(self):
         cfg = noisy_config()
@@ -452,6 +567,27 @@ class TestRunSweep:
     def test_workers_match_sequential_bytes(self):
         cfg = sweep_config()
         assert report_json(run_sweep(cfg, workers=2)) == report_json(run_sweep(cfg, workers=1))
+
+    def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        cfg = sweep_config()
+        assert report_json(run_sweep(cfg, workers=8)) == report_json(run_sweep(cfg, workers=1))
+        assert sizes == [2]
 
     def test_requires_grid(self):
         with pytest.raises(ValueError, match="sweep grid"):

@@ -172,7 +172,7 @@ class TestMakeMeasurement:
         assert ev.source == "smart/perception"
 
     def test_identity_leader_passes_noise_through_exactly(self):
-        cfg = PerceptionConfig(NoiseSpec(0.5, 0.0, seed=9))
+        cfg = PerceptionConfig(NoiseSpec(0.5, 0.0))
         rng = RandomStream(9)
         twin = RandomStream(9)
         sp = Pose(1.0, np.zeros(3), Quaternion.identity(), WORLD, BODY_SMART)
@@ -187,7 +187,7 @@ class TestMakeMeasurement:
     def test_rotated_leader_rotates_noise_into_world(self):
         # Injected x-noise lives in the leader frame; with the leader at yaw
         # 90 degrees it must surface as world y-error.
-        cfg = PerceptionConfig(NoiseSpec(0.5, 0.0, seed=4))
+        cfg = PerceptionConfig(NoiseSpec(0.5, 0.0))
         rng = RandomStream(4)
         twin = RandomStream(4)
         sp = smart_pose(1.0, [10.0, 20.0, 0.0], yaw=math.pi / 2)
