@@ -111,8 +111,8 @@ def _cmd_run(args) -> int:
     out = _prepare_dir(cfg.output_dir)
     report, artifacts = run_report(cfg)
     (out / "report.json").write_text(report_json(report), encoding="utf-8")
-    write_estimate_csv(artifacts.fused_records, out / "fused.csv")
-    write_estimate_csv(artifacts.baseline_records, out / "baseline.csv")
+    write_estimate_csv(artifacts.fused_estimates, artifacts.fused_sd, out / "fused.csv")
+    write_estimate_csv(artifacts.baseline_estimates, artifacts.baseline_sd, out / "baseline.csv")
     export_error_series(artifacts.fused, out / "errors.csv")
     fused = artifacts.fused.translation.rmse
     baseline = artifacts.baseline.translation.rmse

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .ekf import StateEstimate
+from .ekf import STATE_DIM, StateEstimate
 from .errors import DataError
 from .geometry import (
     WORLD,
@@ -34,8 +34,10 @@ from .geometry import (
     Pose,
     Quaternion,
     body_frame,
+    euler_to_quaternions,
     ned_to_enu_arrays,
     normalize_quaternions,
+    pose_arrays,
 )
 
 HEADER_COLUMNS = ("t", "x", "y", "z", "qx", "qy", "qz", "qw")
@@ -119,6 +121,23 @@ class TrajectoryLog:
         if len(self) < 2:
             return 0.0
         return float(self.t[-1] - self.t[0])
+
+
+Track = Sequence[Pose] | TrajectoryLog
+
+
+def track_arrays(track: Track) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stamps (N,), translations (N, 3) and quaternions (N, 4) of a log or a pose sequence."""
+    if isinstance(track, TrajectoryLog):
+        return track.t, track.p, track.q
+    return np.array([p.timestamp for p in track], dtype=float), *pose_arrays(track)
+
+
+def track_poses(track: Track, rows: np.ndarray) -> Sequence[Pose]:
+    """The poses of a log or a pose sequence at the index array ``rows``."""
+    if isinstance(track, TrajectoryLog):
+        return track.poses(rows)
+    return [track[i] for i in rows.tolist()]
 
 
 @dataclass(frozen=True)
@@ -320,14 +339,37 @@ def export_trajectory(log: TrajectoryLog, path) -> None:
     write_table(path, comments, HEADER_COLUMNS, np.column_stack([log.t, log.p, log.q]))
 
 
+def estimate_track(
+    t, x, variances, agent: Agent = Agent.ADAS
+) -> tuple[TrajectoryLog, np.ndarray]:
+    """Filter estimates as a world-frame log plus their 1-sigma on x, y, z and yaw.
+
+    ``t`` (N,) are the stamps, ``x`` (N, 15) the states and ``variances``
+    (N, 15) the covariance diagonals.  Returns the log and an (N, 4) 1-sigma
+    array; tiny negative rounding on a diagonal gives a 1-sigma of 0.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1, STATE_DIM)
+    d = np.asarray(variances, dtype=float).reshape(-1, STATE_DIM)[:, [0, 1, 2, 5]]
+    log = TrajectoryLog(agent, "ENU", t, x[:, 0:3], euler_to_quaternions(x[:, 3:6]))
+    return log, np.sqrt(np.where(d > 0.0, d, 0.0))
+
+
+def write_estimate_csv(track: TrajectoryLog, sd, path) -> None:
+    """An estimate log with its (N, 4) 1-sigma columns, loadable as a trajectory CSV."""
+    write_table(
+        path,
+        [f"agent={track.agent.value}", f"convention={track.convention}"],
+        ESTIMATE_COLUMNS,
+        np.column_stack([track.t, track.p, track.q, np.reshape(sd, (-1, 4))]),
+    )
+
+
 def export_estimates(states: Sequence[StateEstimate], path, agent: Agent = Agent.ADAS) -> None:
     """Write filter output with per-axis 1-sigma columns for x, y, z and yaw."""
-    rows = []
-    for s in states:
-        q = Quaternion.from_euler(*s.x[3:6])
-        sd = np.sqrt(np.maximum(np.diag(s.P)[[0, 1, 2, 5]], 0.0))
-        rows.append((s.timestamp, *s.x[0:3], q.x, q.y, q.z, q.w, *sd))
-    write_table(path, [f"agent={agent.value}", "convention=ENU"], ESTIMATE_COLUMNS, rows)
+    track, sd = estimate_track(
+        [s.timestamp for s in states], [s.x for s in states], [s.P.diagonal() for s in states], agent
+    )
+    write_estimate_csv(track, sd, path)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +531,10 @@ def generate_synthetic(
     Closed paths (circle, figure-eight) are sized so the follower completes
     exactly one circuit in ``duration`` seconds.
     """
+    if not all(map(math.isfinite, (duration, rate, speed, gap))):
+        raise ValueError(
+            f"duration, rate, speed and gap must be finite, got {duration}, {rate}, {speed}, {gap}"
+        )
     if not (duration > 0.0 and rate > 0.0 and speed > 0.0):
         raise ValueError(f"duration, rate, speed must all be > 0, got {duration}, {rate}, {speed}")
     if gap < 0.0:

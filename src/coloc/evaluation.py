@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .dataio import TrajectoryLog, nearest_in_time, write_table
+from .dataio import Track, nearest_in_time, track_arrays, track_poses, write_table
 from .errors import DataError, NumericError
 from .geometry import (
     Pose,
@@ -77,19 +76,41 @@ class Association:
     n_dropped: int
 
 
-Track = Sequence[Pose] | TrajectoryLog
+@dataclass(frozen=True)
+class AssociatedRows:
+    """Associated estimate and ground-truth poses as row arrays.
+
+    ``t`` (n,) holds the estimate stamps, ``est_p``/``gt_p`` (n, 3) and
+    ``est_q``/``gt_q`` (n, 4, scalar-last, unit) the paired poses.
+    :func:`align`, :func:`apply_alignment` and :func:`compute_errors` work
+    on these rows; a sequence of (estimate, ground truth) pose pairs is
+    converted into them first.
+    """
+
+    t: np.ndarray
+    est_p: np.ndarray
+    est_q: np.ndarray
+    gt_p: np.ndarray
+    gt_q: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
-def _stamps(track: Track) -> np.ndarray:
-    if isinstance(track, TrajectoryLog):
-        return track.t
-    return np.array([p.timestamp for p in track])
-
-
-def _poses_at(track: Track, rows: np.ndarray) -> Sequence[Pose]:
-    if isinstance(track, TrajectoryLog):
-        return track.poses(rows)
-    return [track[i] for i in rows.tolist()]
+def _matched_rows(
+    est_t: np.ndarray, gt_t: np.ndarray, max_dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the estimates with a ground-truth stamp within max_dt, and of that nearest stamp."""
+    if not (math.isfinite(max_dt) and max_dt > 0.0):
+        raise ValueError(f"max_dt must be > 0, got {max_dt}")
+    if np.any(np.diff(est_t) < 0) or np.any(np.diff(gt_t) < 0):
+        raise DataError("associate requires time-ordered inputs")
+    if len(gt_t) and len(est_t):
+        best = nearest_in_time(gt_t, est_t)
+        kept = np.flatnonzero(np.abs(gt_t[best] - est_t) <= max_dt)
+        if len(kept):
+            return kept, best[kept]
+    raise DataError("association produced no pairs: disjoint time ranges or max_dt too small")
 
 
 def associate(est: Track, gt: Track, max_dt: float = DEFAULT_MAX_DT) -> Association:
@@ -99,31 +120,24 @@ def associate(est: Track, gt: Track, max_dt: float = DEFAULT_MAX_DT) -> Associat
     Estimates without a close enough ground-truth sample are dropped and
     counted; an empty result is an error because no metric can follow.
     """
-    if not (math.isfinite(max_dt) and max_dt > 0.0):
-        raise ValueError(f"max_dt must be > 0, got {max_dt}")
-    est_ts = _stamps(est)
-    gt_ts = _stamps(gt)
-    if np.any(np.diff(est_ts) < 0) or np.any(np.diff(gt_ts) < 0):
-        raise DataError("associate requires time-ordered inputs")
-    pairs: tuple[tuple[Pose, Pose], ...] = ()
-    if len(gt_ts) > 0 and len(est_ts) > 0:
-        best = nearest_in_time(gt_ts, est_ts)
-        kept = np.flatnonzero(np.abs(gt_ts[best] - est_ts) <= max_dt)
-        pairs = tuple(zip(_poses_at(est, kept), _poses_at(gt, best[kept])))
-    if not pairs:
-        raise DataError("association produced no pairs: disjoint time ranges or max_dt too small")
-    return Association(pairs, len(est_ts) - len(pairs))
+    est_t = track_arrays(est)[0]
+    e, g = _matched_rows(est_t, track_arrays(gt)[0], max_dt)
+    return Association(tuple(zip(track_poses(est, e), track_poses(gt, g))), len(est_t) - len(e))
+
+
+def _as_rows(pairs) -> AssociatedRows:
+    if isinstance(pairs, AssociatedRows):
+        return pairs
+    est = [e for e, _ in pairs]
+    gt = [g for _, g in pairs]
+    return AssociatedRows(
+        np.array([e.timestamp for e in est], dtype=float), *pose_arrays(est), *pose_arrays(gt)
+    )
 
 
 # ---------------------------------------------------------------------------
 # Alignment
 # ---------------------------------------------------------------------------
-
-def _paired_points(pairs) -> tuple[np.ndarray, np.ndarray]:
-    est = np.array([p.translation for p, _ in pairs])
-    gt = np.array([g.translation for _, g in pairs])
-    return est, gt
-
 
 def _align_se3(est: np.ndarray, gt: np.ndarray) -> RigidTransform:
     """Scale-free Umeyama: R, t minimizing sum ||R est_i + t - gt_i||^2."""
@@ -156,26 +170,35 @@ def _align_yaw(est: np.ndarray, gt: np.ndarray) -> RigidTransform:
 
 
 def align(pairs, mode: AlignmentMode) -> RigidTransform:
-    """Least-squares rigid correction of the estimate onto ground truth."""
+    """Least-squares rigid correction of the estimate onto ground truth.
+
+    ``pairs`` is an :class:`AssociatedRows` or a sequence of (estimate,
+    ground truth) pose pairs.
+    """
     if mode is AlignmentMode.NONE:
         return RigidTransform.identity()
     if mode is AlignmentMode.SE3 and len(pairs) < 3:
         raise DataError(f"SE3 alignment needs >= 3 pairs, got {len(pairs)}")
     if mode is AlignmentMode.YAW_ONLY and len(pairs) < 2:
         raise DataError(f"yaw alignment needs >= 2 pairs, got {len(pairs)}")
-    est, gt = _paired_points(pairs)
+    rows = _as_rows(pairs)
     if mode is AlignmentMode.SE3:
-        return _align_se3(est, gt)
-    return _align_yaw(est, gt)
+        return _align_se3(rows.est_p, rows.gt_p)
+    return _align_yaw(rows.est_p, rows.gt_p)
 
 
 def apply_alignment(pairs, transform: RigidTransform):
-    """Transform the estimate side of every pair; ground truth is untouched."""
-    if not pairs:
-        return ()
-    t, q = compose_arrays(
-        transform.translation, transform.rotation.as_array(), *pose_arrays([e for e, _ in pairs])
-    )
+    """Transform the estimate side of every pair; ground truth is untouched.
+
+    :class:`AssociatedRows` give new rows; pose pairs give new pairs with
+    the same ground-truth objects.
+    """
+    if not len(pairs):
+        return pairs if isinstance(pairs, AssociatedRows) else ()
+    rows = _as_rows(pairs)
+    t, q = compose_arrays(transform.translation, transform.rotation.as_array(), rows.est_p, rows.est_q)
+    if pairs is rows:
+        return replace(rows, est_p=t, est_q=q)
     # rows of fresh arrays from validated poses and a validated transform
     return tuple(
         (Pose._trusted(e.timestamp, tk, Quaternion(*qk), e.parent_frame, e.child_frame), g)
@@ -252,16 +275,15 @@ class ErrorStats:
 
 
 def compute_errors(pairs) -> ErrorStats:
-    """Per-sample position and orientation errors over aligned pairs."""
-    if not pairs:
+    """Per-sample position and orientation errors over aligned pairs (rows or pose pairs)."""
+    if not len(pairs):
         raise DataError("cannot compute errors over zero pairs")
-    t_est, q_est = pose_arrays([e for e, _ in pairs])
-    t_gt, q_gt = pose_arrays([g for _, g in pairs])
+    rows = _as_rows(pairs)
     return ErrorStats(
-        translation=MetricSeries.from_samples(np.linalg.norm(t_est - t_gt, axis=1)),
-        orientation=MetricSeries.from_samples(np.degrees(geodesic_angles(q_est, q_gt))),
-        n_samples=len(pairs),
-        timestamps=tuple(e.timestamp for e, _ in pairs),
+        translation=MetricSeries.from_samples(np.linalg.norm(rows.est_p - rows.gt_p, axis=1)),
+        orientation=MetricSeries.from_samples(np.degrees(geodesic_angles(rows.est_q, rows.gt_q))),
+        n_samples=len(rows),
+        timestamps=tuple(rows.t.tolist()),
     )
 
 
@@ -278,11 +300,15 @@ def evaluate(
     mode: AlignmentMode = AlignmentMode.SE3,
     max_dt: float = DEFAULT_MAX_DT,
 ) -> EvaluationResult:
-    """associate -> align -> compute_errors, in one call."""
-    assoc = associate(est, gt, max_dt)
-    transform = align(assoc.pairs, mode)
-    aligned = apply_alignment(assoc.pairs, transform)
-    return EvaluationResult(compute_errors(aligned), transform, assoc.n_dropped)
+    """associate -> align -> compute_errors, in one call, on the tracks' row arrays."""
+    est_t, est_p, est_q = track_arrays(est)
+    gt_t, gt_p, gt_q = track_arrays(gt)
+    e, g = _matched_rows(est_t, gt_t, max_dt)
+    rows = AssociatedRows(est_t[e], est_p[e], est_q[e], gt_p[g], gt_q[g])
+    transform = align(rows, mode)
+    return EvaluationResult(
+        compute_errors(apply_alignment(rows, transform)), transform, len(est_t) - len(e)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -273,8 +273,9 @@ def wrap_angle(theta):
 # Array forms
 # ---------------------------------------------------------------------------
 #
-# Many-pose counterparts of Quaternion.__mul__, Quaternion.rotate and
-# rotation_geodesic over (n, 4) scalar-last quaternion and (n, 3) vector
+# Many-pose counterparts of Quaternion.__mul__, Quaternion.rotate,
+# Quaternion.from_euler and rotation_geodesic over (n, 4) scalar-last
+# quaternion and (n, 3) vector
 # arrays; a single row broadcasts against many.  They evaluate the same
 # expressions in the same order as the per-object code, so each row is
 # bit-identical to the per-object result.
@@ -353,6 +354,23 @@ def invert_arrays(t: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """:func:`invert` of the poses (t, q), row by row."""
     q_inv = conjugate_quaternions(q)
     return -rotate_vectors(q_inv, t), q_inv
+
+
+def euler_to_quaternions(angles: np.ndarray) -> np.ndarray:
+    """:meth:`Quaternion.from_euler` of every (roll, pitch, yaw) row of (n, 3) ``angles``."""
+    half = 0.5 * np.asarray(angles, dtype=float)
+    cr, cp, cy = np.moveaxis(np.cos(half), -1, 0)
+    sr, sp, sy = np.moveaxis(np.sin(half), -1, 0)
+    out = np.stack(
+        [
+            sr * cp * cy - cr * sp * sy,
+            cr * sp * cy + sr * cp * sy,
+            cr * cp * sy - sr * sp * cy,
+            cr * cp * cy + sr * sp * sy,
+        ],
+        axis=-1,
+    )
+    return normalize_quaternions(out)
 
 
 def geodesic_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -32,15 +32,16 @@ import numpy as np
 
 from ._version import __version__
 from .dataio import (
-    ESTIMATE_COLUMNS,
     SyncSpec,
     TrajectoryLog,
+    estimate_track,
     generate_synthetic,
     load_trajectory,
     synchronize,
-    write_table,
+    write_estimate_csv,  # re-exported beside the run results it writes
 )
 from .ekf import (
+    STATE_DIM,
     EkfNode,
     FilterNodeConfig,
     MeasurementEvent,
@@ -62,7 +63,6 @@ from .geometry import (
     body_frame,
     compose_arrays,
     invert,
-    pose_arrays,
 )
 from .noise import NoiseSpec, RandomStream, perturb_pose
 from .perception import PerceptionConfig, rate_limit_indices, simulate_perception
@@ -347,26 +347,22 @@ def load_config(path) -> ExperimentConfig:
 # Single run
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class EstimateRecord:
-    """World pose estimate plus 1-sigma on x, y, z and yaw."""
-
-    pose: Pose
-    sd: tuple[float, float, float, float]
-
-
 @dataclass(frozen=True)
 class RunArtifacts:
     """Everything a single run produces beyond the two headline stats.
 
-    The baseline fields are None/empty when the run skipped the
+    Each node-2 pass leaves its estimate after every odometry step as a
+    world-frame follower log and an (N, 4) 1-sigma array on x, y, z and
+    yaw.  The baseline fields are None when the run skipped the
     perception-off pass.
     """
 
     fused: ErrorStats
     baseline: ErrorStats | None
-    fused_records: tuple[EstimateRecord, ...]
-    baseline_records: tuple[EstimateRecord, ...]
+    fused_estimates: TrajectoryLog
+    fused_sd: np.ndarray
+    baseline_estimates: TrajectoryLog | None
+    baseline_sd: np.ndarray | None
     n_odometry: int
     n_perception: int
     n_rejected: int
@@ -430,24 +426,6 @@ def _simulate_raw_odometry(
     return world_to_local, events
 
 
-def _scaled_r6(events: list[MeasurementEvent], scale: float) -> list[MeasurementEvent]:
-    """The events with their covariance times ``scale``.
-
-    Events that carry the same covariance array share one scaled copy,
-    validated once by the first event that takes it.
-    """
-    first_with: dict[int, MeasurementEvent] = {}
-    out = []
-    for ev in events:
-        first = first_with.get(id(ev.r6))
-        if first is None:
-            first = first_with[id(ev.r6)] = replace(ev, r6=ev.r6 * scale)
-            out.append(first)
-        else:
-            out.append(replace(ev, r6=first.r6))
-    return out
-
-
 def _smoothed_odometry_spec(cfg: ExperimentConfig) -> NoiseSpec:
     sigma = cfg.ekf.smoothed_sigma_trans
     if sigma is None:
@@ -488,35 +466,29 @@ def _node_configs(
     return node1, node2
 
 
-def _record(node: EkfNode) -> EstimateRecord:
-    d = node.state.P.diagonal().tolist()
-    # 1-sigma on x, y, z and yaw; tiny negative rounding on the diagonal is 0
-    sd = tuple(math.sqrt(v) if v > 0.0 else 0.0 for v in (d[0], d[1], d[2], d[5]))
-    return EstimateRecord(node.pose_estimate(), sd)
-
-
 def _run_node2(
     node2_cfg: FilterNodeConfig,
     smoothed: list[tuple[MeasurementEvent, Pose]],
     perception_events: list[MeasurementEvent],
-) -> tuple[EkfNode, list[EstimateRecord]]:
-    """Drive node 2 over a time-merged event stream; odometry wins stamp ties."""
+) -> tuple[EkfNode, TrajectoryLog, np.ndarray]:
+    """Drive node 2 over a time-merged event stream; odometry wins stamp ties.
+
+    Returns the node, and its estimate after each odometry step as a log
+    and a 1-sigma array (see :func:`estimate_track`).
+    """
     node2 = EkfNode(node2_cfg)
-    records = []
-    i = j = 0
-    while i < len(smoothed) or j < len(perception_events):
-        take_odometry = j >= len(perception_events) or (
-            i < len(smoothed) and smoothed[i][0].timestamp <= perception_events[j].timestamp
-        )
-        if take_odometry:
-            event, local_to_body = smoothed[i]
-            i += 1
-            node2.node2_step(event, local_to_body)
-            records.append(_record(node2))
-        else:
+    n = len(smoothed)
+    t, x, variances = np.empty(n), np.empty((n, STATE_DIM)), np.empty((n, STATE_DIM))
+    j = 0
+    for k, (event, local_to_body) in enumerate(smoothed):
+        while j < len(perception_events) and perception_events[j].timestamp < event.timestamp:
             node2.node2_step(perception_events[j])
             j += 1
-    return node2, records
+        s = node2.node2_step(event, local_to_body)
+        t[k], x[k], variances[k] = s.timestamp, s.x, s.P.diagonal()
+    for event in perception_events[j:]:
+        node2.node2_step(event)
+    return node2, *estimate_track(t, x, variances)
 
 
 @contextmanager
@@ -524,7 +496,7 @@ def _collector_paused():
     """Pause Python's cyclic garbage collector for the duration of a run.
 
     A run allocates a few hundred thousand small objects that form no
-    reference cycles (poses, events, estimate records); reference counting
+    reference cycles (poses, events, filter states); reference counting
     frees every one of them.  With the collector on, its full passes rescan
     all live objects several times per run, about a tenth of the run time.
     """
@@ -557,38 +529,34 @@ def execute_run(
             world_to_local, odometry_events = _simulate_raw_odometry(adas, cfg, stream)
         with _stage("simulate-perception"):
             perception_events = simulate_perception(
-                smart, adas, cfg.perception, stream.derive("perception")
+                smart, adas, cfg.perception, stream.derive("perception"), cfg.ekf.perception_r6_scale
             )
-            if cfg.ekf.perception_r6_scale != 1.0:
-                perception_events = _scaled_r6(perception_events, cfg.ekf.perception_r6_scale)
 
         with _stage("filter"):
             node1_cfg, node2_cfg = _node_configs(cfg, world_to_local, adas.poses([0])[0])
             # Node 1 never sees perception, so one pass serves both variants.
             node1 = EkfNode(node1_cfg)
             smoothed = [(ev, node1.node1_step(ev)) for ev in odometry_events]
-            fused_node, fused_records = _run_node2(node2_cfg, smoothed, perception_events)
+            fused_node, fused, fused_sd = _run_node2(node2_cfg, smoothed, perception_events)
             n_rejected = node1.rejected_count + fused_node.rejected_count
-            baseline_records: list[EstimateRecord] = []
+            baseline = baseline_sd = None
             if with_baseline:
-                baseline_node, baseline_records = _run_node2(node2_cfg, smoothed, [])
+                baseline_node, baseline, baseline_sd = _run_node2(node2_cfg, smoothed, [])
                 n_rejected += baseline_node.rejected_count
 
         with _stage("evaluate"):
-            fused_stats = evaluate(
-                [r.pose for r in fused_records], adas, cfg.eval.alignment, cfg.eval.max_dt
-            ).stats
+            fused_stats = evaluate(fused, adas, cfg.eval.alignment, cfg.eval.max_dt).stats
             baseline_stats = None
             if with_baseline:
-                baseline_stats = evaluate(
-                    [r.pose for r in baseline_records], adas, cfg.eval.alignment, cfg.eval.max_dt
-                ).stats
+                baseline_stats = evaluate(baseline, adas, cfg.eval.alignment, cfg.eval.max_dt).stats
 
         return RunArtifacts(
             fused=fused_stats,
             baseline=baseline_stats,
-            fused_records=tuple(fused_records),
-            baseline_records=tuple(baseline_records),
+            fused_estimates=fused,
+            fused_sd=fused_sd,
+            baseline_estimates=baseline,
+            baseline_sd=baseline_sd,
             n_odometry=len(odometry_events),
             n_perception=len(perception_events),
             n_rejected=n_rejected,
@@ -856,13 +824,3 @@ def format_table(report: RunReport) -> str:
         lines.append(fmt_row("w/o perception", [cell_value(baseline, "baseline", key)]))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
-
-
-def write_estimate_csv(records: Sequence[EstimateRecord], path) -> None:
-    """Estimate trajectory with 1-sigma columns, loadable as a trajectory CSV."""
-    t, q = pose_arrays([r.pose for r in records])
-    stamps = [r.pose.timestamp for r in records]
-    sd = np.array([r.sd for r in records], dtype=float).reshape(-1, 4)
-    write_table(
-        path, ["agent=adas", "convention=ENU"], ESTIMATE_COLUMNS, np.column_stack([stamps, t, q, sd])
-    )

@@ -6,24 +6,30 @@ follower as seen from the leader is computed, planar noise is injected into
 that relative pose, and the result is composed back onto the leader's pose.
 The noise therefore enters in the leader's body frame, exactly where a real
 detector would err, and only then gets rotated out into the world.
+
+Pairing, gating and rate limiting work on the two streams' stamps and pick
+row indices; the picked rows are measured at once, on arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataio import nearest_in_time
-from .ekf import MeasurementEvent, MeasurementKind, measurement_covariance
+from .dataio import Track, TrajectoryLog, nearest_in_time, track_arrays, track_poses
+from .ekf import MeasurementEvent, MeasurementKind, _checked_r6, measurement_covariance
 from .errors import DataError
 from .geometry import (
     BODY_ADAS,
     BODY_SMART,
+    WORLD,
+    Frame,
     Pose,
     Quaternion,
+    body_frame,
     compose_arrays,
     invert_arrays,
     pose_arrays,
@@ -34,7 +40,6 @@ GATE_RELATIVE_MARGIN = 1e-9
 RATE_EPSILON = 1e-9
 
 PERCEPTION_SOURCE = "smart/perception"
-
 
 @dataclass(frozen=True)
 class PerceptionConfig:
@@ -91,8 +96,91 @@ def _inside_gate(gap, threshold: float):
     return gap < threshold * (1.0 - GATE_RELATIVE_MARGIN)
 
 
+@dataclass(frozen=True)
+class PairedRows:
+    """Gated leader/follower pose pairs as row arrays, the input of :func:`make_measurement`.
+
+    ``t`` (n,) holds the follower-side stamps, ``smart_p``/``adas_p`` (n, 3)
+    and ``smart_q``/``adas_q`` (n, 4, scalar-last, unit) the leader and
+    follower poses in their shared ``parent`` frame.
+    """
+
+    t: np.ndarray
+    smart_p: np.ndarray
+    smart_q: np.ndarray
+    adas_p: np.ndarray
+    adas_q: np.ndarray
+    parent: Frame = WORLD
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    @classmethod
+    def of_pairs(cls, pairs: Sequence[PairedSample]) -> "PairedRows":
+        """The rows of a non-empty sequence of pairs that share one parent frame."""
+        parents = {p.smart_pose.parent_frame for p in pairs}
+        if len(parents) != 1:
+            raise DataError("paired poses must share a parent frame")
+        return cls(
+            np.array([p.pair_time for p in pairs], dtype=float),
+            *pose_arrays([p.smart_pose for p in pairs]),
+            *pose_arrays([p.adas_pose for p in pairs]),
+            *parents,
+        )
+
+
+class _Stream(NamedTuple):
+    """One pose stream as arrays, and the log or pose tuple they came from."""
+
+    source: Track
+    t: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    parent: Frame | None  # None for an empty pose sequence
+
+
+def _stream(poses, body: Frame) -> _Stream:
+    """A log or pose sequence whose poses must all observe ``body`` from one parent frame.
+
+    A log's agent vouches for all its rows; a pose sequence is checked as a whole.
+    """
+    if isinstance(poses, TrajectoryLog):
+        if body_frame(poses.agent) != body:
+            raise DataError(f"expected poses of {body}, got a {poses.agent.value} log")
+        return _Stream(poses, *track_arrays(poses), WORLD)
+    poses = tuple(poses)
+    frames = {(p.parent_frame, p.child_frame) for p in poses}
+    if any(child != body for _, child in frames):
+        raise DataError(f"expected poses of {body}, got {sorted(str(c) for _, c in frames)}")
+    if len(frames) > 1:
+        raise DataError("paired poses must share a parent frame")
+    parent = next(iter(frames))[0] if frames else None
+    return _Stream(poses, *track_arrays(poses), parent)
+
+
+def _gated_rows(smart_poses, adas_poses, gate_threshold: float):
+    """Both streams, and the leader and follower rows of their gated pairs.
+
+    For every follower stamp the nearest leader stamp is found; the pair is
+    kept only if it passes :func:`gate_pair`.
+    """
+    smart, adas = _stream(smart_poses, BODY_SMART), _stream(adas_poses, BODY_ADAS)
+    if np.any(np.diff(smart.t) < 0) or np.any(np.diff(adas.t) < 0):
+        raise DataError("pose streams must be time-ordered")
+    if len(smart.t) == 0 or len(adas.t) == 0:
+        empty = np.zeros(0, dtype=np.intp)
+        return smart, adas, empty, empty
+    if smart.parent != adas.parent:
+        raise DataError("paired poses must share a parent frame")
+    best = nearest_in_time(smart.t, adas.t)
+    gated = np.flatnonzero(_inside_gate(np.abs(smart.t[best] - adas.t), gate_threshold))
+    return smart, adas, best[gated], gated
+
+
 def pair_streams(
-    smart_poses: Iterable[Pose], adas_poses: Iterable[Pose], gate_threshold: float
+    smart_poses: Iterable[Pose] | TrajectoryLog,
+    adas_poses: Iterable[Pose] | TrajectoryLog,
+    gate_threshold: float,
 ) -> list[PairedSample]:
     """Nearest-in-time pairing, then gating.
 
@@ -100,53 +188,50 @@ def pair_streams(
     the pair survives only if it passes :func:`gate_pair`.  Both inputs must
     be time-ordered.
     """
-    # tuples index fast, whatever iterable (a trajectory log, say) came in
-    smart_poses, adas_poses = tuple(smart_poses), tuple(adas_poses)
-    smart_ts = np.array([p.timestamp for p in smart_poses])
-    adas_ts = np.array([p.timestamp for p in adas_poses])
-    if np.any(np.diff(smart_ts) < 0) or np.any(np.diff(adas_ts) < 0):
-        raise DataError("pose streams must be time-ordered")
-    if len(smart_ts) == 0 or len(adas_ts) == 0:
-        return []
-    if not (np.isfinite(smart_ts).all() and np.isfinite(adas_ts).all()):
-        raise ValueError("timestamps must be finite")
-    best = nearest_in_time(smart_ts, adas_ts)
-    gated = np.flatnonzero(_inside_gate(np.abs(smart_ts[best] - adas_ts), gate_threshold))
-    return [
-        PairedSample(smart_poses[i], adas_poses[k], adas_poses[k].timestamp)
-        for k, i in zip(gated.tolist(), best[gated].tolist())
-    ]
+    smart, adas, i, k = _gated_rows(smart_poses, adas_poses, gate_threshold)
+    pairs = zip(track_poses(smart.source, i), track_poses(adas.source, k))
+    return [PairedSample(sp, ap, ap.timestamp) for sp, ap in pairs]
 
 
 def make_measurement(pair, cfg: PerceptionConfig, rng: RandomStream):
-    """One absolute follower-pose measurement from a gated pair.
+    """Absolute follower-pose measurements from gated pairs.
 
     relative pose -> planar noise in the leader frame -> recomposition onto
     the leader's world pose.  With zero noise this reproduces the follower's
     ground truth exactly (up to rounding).
 
-    ``pair`` may also be a sequence of pairs; their measurements are then
-    made at once, on arrays, and returned as a list, with the same noise
-    draws in the same order as one call per pair.
+    ``pair`` is a :class:`PairedRows`, and the result is the measured poses
+    as a ``(t, q)`` pair of (n, 3) translations and (n, 4) quaternions.
+    One :class:`PairedSample` gives one :class:`MeasurementEvent` and a
+    sequence of them a list of events, with the same noise draws in the
+    same order as one call per pair.
     """
     if isinstance(pair, PairedSample):
         return make_measurement([pair], cfg, rng)[0]
-    pairs = pair
-    if not pairs:
-        return []
-    t_smart, q_smart = pose_arrays([p.smart_pose for p in pairs])
-    rel = compose_arrays(*invert_arrays(t_smart, q_smart), *pose_arrays([p.adas_pose for p in pairs]))
-    t_world, q_world = compose_arrays(t_smart, q_smart, *perturb_pose(rel, cfg.noise, rng))
-    r6 = measurement_covariance(cfg.noise)
+    if not isinstance(pair, PairedRows):
+        if not pair:
+            return []
+        rows = PairedRows.of_pairs(pair)
+        t, q = make_measurement(rows, cfg, rng)
+        return _events(rows.t, t, q, rows.parent, measurement_covariance(cfg.noise))
+    rel = compose_arrays(*invert_arrays(pair.smart_p, pair.smart_q), pair.adas_p, pair.adas_q)
+    return compose_arrays(pair.smart_p, pair.smart_q, *perturb_pose(rel, cfg.noise, rng))
+
+
+def _events(
+    stamps: np.ndarray, t: np.ndarray, q: np.ndarray, parent: Frame, r6: np.ndarray
+) -> list[MeasurementEvent]:
+    """One perception event per measured pose row."""
+    # rows of fresh arrays from closed arithmetic on validated poses
     return [
         MeasurementEvent(
-            p.pair_time,
+            stamp,
             MeasurementKind.PERCEPTION_ABSOLUTE,
-            Pose._trusted(p.pair_time, t, Quaternion(*q), p.smart_pose.parent_frame, BODY_ADAS),
+            Pose._trusted(stamp, tk, Quaternion(*qk), parent, BODY_ADAS),
             r6=r6,
             source=PERCEPTION_SOURCE,
         )
-        for p, t, q in zip(pairs, t_world, q_world.tolist())
+        for stamp, tk, qk in zip(stamps.tolist(), t, q.tolist())
     ]
 
 
@@ -176,17 +261,24 @@ def rate_limit(events: Iterable, target_hz: float):
 
 
 def simulate_perception(
-    smart_poses: Iterable[Pose],
-    adas_poses: Iterable[Pose],
+    smart_poses: Iterable[Pose] | TrajectoryLog,
+    adas_poses: Iterable[Pose] | TrajectoryLog,
     cfg: PerceptionConfig,
     rng: RandomStream,
+    r6_scale: float = 1.0,
 ) -> list[MeasurementEvent]:
     """The full channel: pair, gate, rate-limit, then inject noise per pair.
 
     Noise is drawn only for emitted pairs, so the draw sequence depends on
-    the gate and rate settings but never on pairs that were dropped.
+    the gate and rate settings but never on pairs that were dropped.  The
+    events carry the channel covariance times ``r6_scale``.
     """
-    pairs = pair_streams(smart_poses, adas_poses, cfg.gate_threshold)
+    smart, adas, i, k = _gated_rows(smart_poses, adas_poses, cfg.gate_threshold)
     if cfg.output_rate is not None:
-        pairs = rate_limit(pairs, cfg.output_rate)
-    return make_measurement(pairs, cfg, rng)
+        keep = rate_limit_indices(adas.t[k].tolist(), cfg.output_rate)
+        i, k = i[keep], k[keep]
+    if len(k) == 0:
+        return []
+    rows = PairedRows(adas.t[k], smart.p[i], smart.q[i], adas.p[k], adas.q[k], smart.parent)
+    r6 = _checked_r6(measurement_covariance(cfg.noise) * r6_scale, "perception r6")
+    return _events(rows.t, *make_measurement(rows, cfg, rng), rows.parent, r6)

@@ -54,6 +54,14 @@ class TestGen:
         rc = main(["gen", "--duration", "-3", "--out", str(tmp_path / "x")])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--duration", "inf"), ("--rate", "inf"), ("--speed", "inf"), ("--gap", "nan"), ("--gap", "inf"),
+    ])
+    def test_non_finite_spec_is_usage_error(self, tmp_path, capsys, flag, value):
+        rc = main(["gen", flag, value, "--out", str(tmp_path / "x")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 # ---------------------------------------------------------------------------
 # run
@@ -124,6 +132,10 @@ class TestRun:
             ({"input": {"synthetic": {}}, "sync": {"offset_seconds": 1.0}}, "sync.reference is required"),
             ({"input": {"synthetic": {}}, "sweep": {"sigma_grid": 0.3}}, "sigma_grid must be a list"),
             ({"input": {"smart_csv": 5, "adas_csv": "a.csv"}}, "smart_csv must be a string"),
+            ({"input": {"synthetic": {"duration": float("inf")}}}, "must be finite"),
+            ({"input": {"synthetic": {"rate": float("inf")}}}, "must be finite"),
+            ({"input": {"synthetic": {"speed": float("inf")}}}, "must be finite"),
+            ({"input": {"synthetic": {"gap": float("nan")}}}, "must be finite"),
         ],
     )
     def test_malformed_config_is_usage_error_without_traceback(self, tmp_path, capsys, config, message):

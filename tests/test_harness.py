@@ -96,14 +96,12 @@ def write_gt_pair(tmp_path, duration=6.0, rate=10.0):
     return smart_path, adas_path
 
 
-def same_records(a, b) -> bool:
-    """Bitwise record-stream equality (Pose holds arrays, so == won't do)."""
-    return len(a) == len(b) and all(
-        ra.pose.timestamp == rb.pose.timestamp
-        and np.array_equal(ra.pose.translation, rb.pose.translation)
-        and ra.pose.rotation == rb.pose.rotation
-        and ra.sd == rb.sd
-        for ra, rb in zip(a, b)
+def same_estimates(a, b) -> bool:
+    """Bitwise equality of two runs' fused estimate tracks and 1-sigma arrays."""
+    ea, eb = a.fused_estimates, b.fused_estimates
+    return all(
+        np.array_equal(x, y)
+        for x, y in ((ea.t, eb.t), (ea.p, eb.p), (ea.q, eb.q), (a.fused_sd, b.fused_sd))
     )
 
 
@@ -336,7 +334,39 @@ class TestExecuteRun:
         b = execute_run(cfg, 11)
         assert a.fused == b.fused
         assert a.baseline == b.baseline
-        assert same_records(a.fused_records, b.fused_records)
+        assert same_estimates(a, b)
+
+    def test_estimates_match_per_step_node_state(self, monkeypatch):
+        # Reference: after every node-2 odometry step, the node's pose_estimate()
+        # and the square roots of its P diagonal (x, y, z, yaw; a non-positive
+        # variance gives 0), as each step's estimate was once recorded.
+        import math
+
+        from coloc.ekf import EkfNode, MeasurementKind
+
+        recorded: dict[int, list] = {}
+        step = EkfNode.node2_step
+
+        def recording(node, event, local_to_body=None):
+            out = step(node, event, local_to_body)
+            if event.kind is MeasurementKind.ODOMETRY_DIFFERENTIAL:
+                d = node.state.P.diagonal().tolist()
+                sd = [math.sqrt(v) if v > 0.0 else 0.0 for v in (d[0], d[1], d[2], d[5])]
+                recorded.setdefault(id(node), []).append((node.pose_estimate(), sd))
+            return out
+
+        monkeypatch.setattr(EkfNode, "node2_step", recording)
+        art = execute_run(replace(full_config(), sweep=None), 5)
+        fused, baseline = recorded.values()
+        for track, sd, records in (
+            (art.fused_estimates, art.fused_sd, fused),
+            (art.baseline_estimates, art.baseline_sd, baseline),
+        ):
+            assert track.agent is Agent.ADAS and track.convention == "ENU"
+            assert track.t.tolist() == [pose.timestamp for pose, _ in records]
+            assert track.p.tolist() == [pose.translation.tolist() for pose, _ in records]
+            assert track.q.tolist() == [pose.rotation.as_array().tolist() for pose, _ in records]
+            assert sd.tolist() == [s for _, s in records]
 
     def test_seed_changes_noisy_outcome(self):
         cfg = noisy_config()
@@ -369,7 +399,7 @@ class TestExecuteRun:
         both = execute_run(cfg, 7)
         only = execute_run(cfg, 7, with_baseline=False)
         assert only.baseline is None
-        assert only.baseline_records == ()
+        assert only.baseline_estimates is None and only.baseline_sd is None
         assert only.fused == both.fused
 
     def test_raw_rate_decimates_odometry(self):
@@ -442,7 +472,7 @@ class TestExecuteRun:
 
 
 class TestPoseObjectsOnlyForPerception:
-    """The run path reads the logs' arrays; only perception turns whole logs into poses."""
+    """The run path reads the logs' arrays: no stage, perception included, builds a log's poses."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -457,7 +487,6 @@ class TestPoseObjectsOnlyForPerception:
             return samples.func(log)
 
         monkeypatch.setattr(TrajectoryLog, "samples", property(counted))
-        monkeypatch.setattr(harness, "simulate_perception", lambda *args: [])
         return built
 
     def test_execute_run(self, built):
@@ -471,6 +500,18 @@ class TestPoseObjectsOnlyForPerception:
     def test_csv_ground_truth(self, built, tmp_path):
         smart_path, adas_path = write_gt_pair(tmp_path)
         run_report(ExperimentConfig(input=InputConfig(smart_csv=str(smart_path), adas_csv=str(adas_path))))
+        assert built == []
+
+    def test_coloc_eval(self, built, tmp_path):
+        from coloc.cli import main
+
+        smart_path, adas_path = write_gt_pair(tmp_path)
+        art = execute_run(
+            ExperimentConfig(input=InputConfig(smart_csv=str(smart_path), adas_csv=str(adas_path))), 0
+        )
+        write_estimate_csv(art.fused_estimates, art.fused_sd, tmp_path / "fused.csv")
+        argv = ["eval", "--est", str(tmp_path / "fused.csv"), "--gt", str(adas_path), "--align", "yaw"]
+        assert main(argv) == 0
         assert built == []
 
 
@@ -629,8 +670,8 @@ class TestRunReport:
         assert len(report.baseline_cell().results) == 2
         # estimates are recorded at the odometry cadence; perception updates
         # land in the state and show up at the next odometry step
-        assert len(artifacts.fused_records) == artifacts.n_odometry
-        assert len(artifacts.baseline_records) == artifacts.n_odometry
+        assert len(artifacts.fused_estimates) == len(artifacts.fused_sd) == artifacts.n_odometry
+        assert len(artifacts.baseline_estimates) == len(artifacts.baseline_sd) == artifacts.n_odometry
 
     def test_report_bytes_are_reproducible(self):
         cfg = noisy_config()
@@ -711,17 +752,16 @@ class TestWriteEstimateCsv:
     def test_round_trips_through_trajectory_loader(self, tmp_path):
         art = execute_run(noisy_config(), 3)
         path = tmp_path / "fused.csv"
-        write_estimate_csv(art.fused_records, path)
+        write_estimate_csv(art.fused_estimates, art.fused_sd, path)
         log = load_trajectory(path)
         assert log.agent is Agent.ADAS
-        assert len(log) == len(art.fused_records)
-        for loaded, rec in zip(log.samples, art.fused_records):
-            assert loaded.timestamp == rec.pose.timestamp
-            assert np.array_equal(loaded.translation, rec.pose.translation)
+        assert np.array_equal(log.t, art.fused_estimates.t)
+        assert np.array_equal(log.p, art.fused_estimates.p)
+        assert np.array_equal(log.q, art.fused_estimates.q)
 
     def test_sd_columns_present(self, tmp_path):
         art = execute_run(noisy_config(), 3)
         path = tmp_path / "fused.csv"
-        write_estimate_csv(art.fused_records, path)
+        write_estimate_csv(art.fused_estimates, art.fused_sd, path)
         header = [l for l in path.read_text().splitlines() if not l.startswith("#")][0]
         assert header.split(",")[-4:] == ["sx", "sy", "sz", "syaw"]

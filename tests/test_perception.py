@@ -11,9 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from coloc.dataio import SyncSpec, TrajectoryLog, generate_synthetic, synchronize
 from coloc.ekf import MeasurementKind, measurement_covariance
 from coloc.errors import DataError
 from coloc.geometry import (
+    Agent,
     BODY_ADAS,
     BODY_SMART,
     WORLD,
@@ -24,6 +26,7 @@ from coloc.geometry import (
 )
 from coloc.noise import NoiseSpec, RandomStream
 from coloc.perception import (
+    PairedRows,
     PairedSample,
     PerceptionConfig,
     gate_pair,
@@ -205,11 +208,15 @@ class TestMakeMeasurement:
         rng = RandomStream(123)
         sp = Pose(1.0, np.array([3.0, -8.0, 0.0]), Quaternion.identity(), WORLD, BODY_SMART)
         ap = adas_pose(1.0, [9.0, -2.0, 0.0], yaw=0.7)
-        pair = PairedSample(sp, ap, 1.0)
-        errs = np.empty((100_000, 3))
-        for i in range(errs.shape[0]):
-            ev = make_measurement(pair, cfg, rng)
-            errs[i] = ev.pose.translation - ap.translation
+        # the same pair 100 000 times, measured in one call
+        one = PairedRows.of_pairs([PairedSample(sp, ap, 1.0)])
+        n = 100_000
+        rows = PairedRows(
+            np.repeat(one.t, n),
+            *(np.repeat(a, n, axis=0) for a in (one.smart_p, one.smart_q, one.adas_p, one.adas_q)),
+        )
+        t, _ = make_measurement(rows, cfg, rng)
+        errs = t - ap.translation
         assert 0.98 * sigma <= errs[:, 0].std(ddof=1) <= 1.02 * sigma
         assert 0.98 * sigma <= errs[:, 1].std(ddof=1) <= 1.02 * sigma
         assert np.all(errs[:, 2] == 0.0)
@@ -320,6 +327,57 @@ class TestSimulatePerception:
             assert got.pose.rotation.as_array().tolist() == want.pose.rotation.as_array().tolist()
             assert (got.pose.parent_frame, got.pose.child_frame) == (want.pose.parent_frame, want.pose.child_frame)
             np.testing.assert_array_equal(got.r6, want.r6)
+
+
+class TestArrayChannelMatchesPairs:
+    """simulate_perception on logs picks rows and measures them on arrays; it
+    must emit what pair_streams, rate_limit and one make_measurement per pair
+    give, bit for bit."""
+
+    def logs(self, offset):
+        smart, adas = generate_synthetic("waypoint-spline", 6.0, 50.0, 8.0, seed=3)
+        # every third leader row, so pairs land at several stamp gaps
+        smart = TrajectoryLog(Agent.SMART, "ENU", smart.t[::3], smart.p[::3], smart.q[::3])
+        return synchronize(smart, adas, SyncSpec(offset, Agent.ADAS))
+
+    @pytest.mark.parametrize("offset, gate, rate, scale", [
+        (0.013, 0.02, 7.0, 1.0),
+        (0.0, 0.1, None, 2.5),
+        (0.031, 0.025, 20.0, 0.5),
+    ])
+    def test_events_equal_per_pair_measurements(self, offset, gate, rate, scale):
+        smart, adas = self.logs(offset)
+        cfg = PerceptionConfig(NoiseSpec(0.4, 6.0), gate_threshold=gate, output_rate=rate)
+        events = simulate_perception(smart, adas, cfg, RandomStream(8), r6_scale=scale)
+        pairs = pair_streams(list(smart), list(adas), gate)
+        assert 0 < len(pairs) <= len(adas)
+        if rate is not None:
+            pairs = rate_limit(pairs, rate)
+        twin = RandomStream(8)
+        expected = [make_measurement(pair, cfg, twin) for pair in pairs]
+        assert len(events) == len(expected) > 0
+        for got, want in zip(events, expected):
+            assert (got.timestamp, got.kind, got.source) == (want.timestamp, want.kind, want.source)
+            assert got.pose.timestamp == want.pose.timestamp
+            assert got.pose.translation.tolist() == want.pose.translation.tolist()
+            assert got.pose.rotation.as_array().tolist() == want.pose.rotation.as_array().tolist()
+            assert (got.pose.parent_frame, got.pose.child_frame) == (WORLD, BODY_ADAS)
+            assert got.r6.tolist() == (want.r6 * scale).tolist()
+            assert not got.r6.flags.writeable
+
+    def test_log_and_pose_inputs_pair_alike(self):
+        smart, adas = self.logs(0.013)
+        from_logs = pair_streams(smart, adas, 0.02)
+        from_poses = pair_streams(list(smart), list(adas), 0.02)
+        assert [(p.smart_pose.timestamp, p.pair_time) for p in from_logs] == [
+            (p.smart_pose.timestamp, p.pair_time) for p in from_poses
+        ]
+
+    def test_swapped_logs_rejected(self):
+        smart, adas = self.logs(0.0)
+        cfg = PerceptionConfig(NoiseSpec(0.0, 0.0))
+        with pytest.raises(DataError):
+            simulate_perception(adas, smart, cfg, RandomStream(0))
 
 
 class TestPerceptionConfig:
