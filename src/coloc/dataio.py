@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .ekf import STATE_DIM, StateEstimate
+from .ekf import STATE_DIM
 from .errors import DataError
 from .geometry import (
     WORLD,
@@ -37,7 +37,6 @@ from .geometry import (
     euler_to_quaternions,
     ned_to_enu_arrays,
     normalize_quaternions,
-    pose_arrays,
 )
 
 HEADER_COLUMNS = ("t", "x", "y", "z", "qx", "qy", "qz", "qw")
@@ -121,23 +120,6 @@ class TrajectoryLog:
         if len(self) < 2:
             return 0.0
         return float(self.t[-1] - self.t[0])
-
-
-Track = Sequence[Pose] | TrajectoryLog
-
-
-def track_arrays(track: Track) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stamps (N,), translations (N, 3) and quaternions (N, 4) of a log or a pose sequence."""
-    if isinstance(track, TrajectoryLog):
-        return track.t, track.p, track.q
-    return np.array([p.timestamp for p in track], dtype=float), *pose_arrays(track)
-
-
-def track_poses(track: Track, rows: np.ndarray) -> Sequence[Pose]:
-    """The poses of a log or a pose sequence at the index array ``rows``."""
-    if isinstance(track, TrajectoryLog):
-        return track.poses(rows)
-    return [track[i] for i in rows.tolist()]
 
 
 @dataclass(frozen=True)
@@ -362,14 +344,6 @@ def write_estimate_csv(track: TrajectoryLog, sd, path) -> None:
         ESTIMATE_COLUMNS,
         np.column_stack([track.t, track.p, track.q, np.reshape(sd, (-1, 4))]),
     )
-
-
-def export_estimates(states: Sequence[StateEstimate], path, agent: Agent = Agent.ADAS) -> None:
-    """Write filter output with per-axis 1-sigma columns for x, y, z and yaw."""
-    track, sd = estimate_track(
-        [s.timestamp for s in states], [s.x for s in states], [s.P.diagonal() for s in states], agent
-    )
-    write_estimate_csv(track, sd, path)
 
 
 # ---------------------------------------------------------------------------

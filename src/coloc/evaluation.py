@@ -17,16 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import Track, nearest_in_time, track_arrays, track_poses, write_table
+from .dataio import TrajectoryLog, nearest_in_time, write_table
 from .errors import DataError, NumericError
-from .geometry import (
-    Pose,
-    Quaternion,
-    compose_arrays,
-    geodesic_angles,
-    pose_arrays,
-    quat_yaw,
-)
+from .geometry import Quaternion, compose_arrays, geodesic_angles, quat_yaw
 
 DEFAULT_MAX_DT = 0.02
 _RANK_TOLERANCE = 1e-9
@@ -55,26 +48,6 @@ class RigidTransform:
     def identity(cls) -> "RigidTransform":
         return cls(Quaternion.identity(), np.zeros(3))
 
-    def apply_point(self, p) -> np.ndarray:
-        return self.rotation.rotate(p) + self.translation
-
-    def apply_pose(self, pose: Pose) -> Pose:
-        return Pose(
-            pose.timestamp,
-            self.apply_point(pose.translation),
-            self.rotation * pose.rotation,
-            pose.parent_frame,
-            pose.child_frame,
-        )
-
-
-@dataclass(frozen=True)
-class Association:
-    """Nearest-time pairing result: (estimate, ground truth) plus drop count."""
-
-    pairs: tuple[tuple[Pose, Pose], ...]
-    n_dropped: int
-
 
 @dataclass(frozen=True)
 class AssociatedRows:
@@ -83,8 +56,7 @@ class AssociatedRows:
     ``t`` (n,) holds the estimate stamps, ``est_p``/``gt_p`` (n, 3) and
     ``est_q``/``gt_q`` (n, 4, scalar-last, unit) the paired poses.
     :func:`align`, :func:`apply_alignment` and :func:`compute_errors` work
-    on these rows; a sequence of (estimate, ground truth) pose pairs is
-    converted into them first.
+    on these rows.
     """
 
     t: np.ndarray
@@ -97,42 +69,30 @@ class AssociatedRows:
         return len(self.t)
 
 
-def _matched_rows(
-    est_t: np.ndarray, gt_t: np.ndarray, max_dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the estimates with a ground-truth stamp within max_dt, and of that nearest stamp."""
-    if not (math.isfinite(max_dt) and max_dt > 0.0):
-        raise ValueError(f"max_dt must be > 0, got {max_dt}")
-    if np.any(np.diff(est_t) < 0) or np.any(np.diff(gt_t) < 0):
-        raise DataError("associate requires time-ordered inputs")
-    if len(gt_t) and len(est_t):
-        best = nearest_in_time(gt_t, est_t)
-        kept = np.flatnonzero(np.abs(gt_t[best] - est_t) <= max_dt)
-        if len(kept):
-            return kept, best[kept]
-    raise DataError("association produced no pairs: disjoint time ranges or max_dt too small")
+@dataclass(frozen=True)
+class Association:
+    """Nearest-time pairing result: the associated rows plus the drop count."""
+
+    pairs: AssociatedRows
+    n_dropped: int
 
 
-def associate(est: Track, gt: Track, max_dt: float = DEFAULT_MAX_DT) -> Association:
+def associate(est: TrajectoryLog, gt: TrajectoryLog, max_dt: float = DEFAULT_MAX_DT) -> Association:
     """Pair every estimate with the nearest ground-truth sample within max_dt.
 
-    Either side may be a pose sequence or a :class:`TrajectoryLog`.
     Estimates without a close enough ground-truth sample are dropped and
     counted; an empty result is an error because no metric can follow.
     """
-    est_t = track_arrays(est)[0]
-    e, g = _matched_rows(est_t, track_arrays(gt)[0], max_dt)
-    return Association(tuple(zip(track_poses(est, e), track_poses(gt, g))), len(est_t) - len(e))
-
-
-def _as_rows(pairs) -> AssociatedRows:
-    if isinstance(pairs, AssociatedRows):
-        return pairs
-    est = [e for e, _ in pairs]
-    gt = [g for _, g in pairs]
-    return AssociatedRows(
-        np.array([e.timestamp for e in est], dtype=float), *pose_arrays(est), *pose_arrays(gt)
-    )
+    if not (math.isfinite(max_dt) and max_dt > 0.0):
+        raise ValueError(f"max_dt must be > 0, got {max_dt}")
+    if len(gt) and len(est):
+        best = nearest_in_time(gt.t, est.t)
+        e = np.flatnonzero(np.abs(gt.t[best] - est.t) <= max_dt)
+        if len(e):
+            g = best[e]
+            rows = AssociatedRows(est.t[e], est.p[e], est.q[e], gt.p[g], gt.q[g])
+            return Association(rows, len(est) - len(e))
+    raise DataError("association produced no pairs: disjoint time ranges or max_dt too small")
 
 
 # ---------------------------------------------------------------------------
@@ -169,41 +129,23 @@ def _align_yaw(est: np.ndarray, gt: np.ndarray) -> RigidTransform:
     return RigidTransform(q, t)
 
 
-def align(pairs, mode: AlignmentMode) -> RigidTransform:
-    """Least-squares rigid correction of the estimate onto ground truth.
-
-    ``pairs`` is an :class:`AssociatedRows` or a sequence of (estimate,
-    ground truth) pose pairs.
-    """
+def align(rows: AssociatedRows, mode: AlignmentMode) -> RigidTransform:
+    """Least-squares rigid correction of the estimate onto ground truth."""
     if mode is AlignmentMode.NONE:
         return RigidTransform.identity()
-    if mode is AlignmentMode.SE3 and len(pairs) < 3:
-        raise DataError(f"SE3 alignment needs >= 3 pairs, got {len(pairs)}")
-    if mode is AlignmentMode.YAW_ONLY and len(pairs) < 2:
-        raise DataError(f"yaw alignment needs >= 2 pairs, got {len(pairs)}")
-    rows = _as_rows(pairs)
+    if mode is AlignmentMode.SE3 and len(rows) < 3:
+        raise DataError(f"SE3 alignment needs >= 3 pairs, got {len(rows)}")
+    if mode is AlignmentMode.YAW_ONLY and len(rows) < 2:
+        raise DataError(f"yaw alignment needs >= 2 pairs, got {len(rows)}")
     if mode is AlignmentMode.SE3:
         return _align_se3(rows.est_p, rows.gt_p)
     return _align_yaw(rows.est_p, rows.gt_p)
 
 
-def apply_alignment(pairs, transform: RigidTransform):
-    """Transform the estimate side of every pair; ground truth is untouched.
-
-    :class:`AssociatedRows` give new rows; pose pairs give new pairs with
-    the same ground-truth objects.
-    """
-    if not len(pairs):
-        return pairs if isinstance(pairs, AssociatedRows) else ()
-    rows = _as_rows(pairs)
+def apply_alignment(rows: AssociatedRows, transform: RigidTransform) -> AssociatedRows:
+    """The rows with ``transform`` applied to the estimate side; ground truth is untouched."""
     t, q = compose_arrays(transform.translation, transform.rotation.as_array(), rows.est_p, rows.est_q)
-    if pairs is rows:
-        return replace(rows, est_p=t, est_q=q)
-    # rows of fresh arrays from validated poses and a validated transform
-    return tuple(
-        (Pose._trusted(e.timestamp, tk, Quaternion(*qk), e.parent_frame, e.child_frame), g)
-        for (e, g), tk, qk in zip(pairs, t, q.tolist())
-    )
+    return replace(rows, est_p=t, est_q=q)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +216,10 @@ class ErrorStats:
         }
 
 
-def compute_errors(pairs) -> ErrorStats:
-    """Per-sample position and orientation errors over aligned pairs (rows or pose pairs)."""
-    if not len(pairs):
+def compute_errors(rows: AssociatedRows) -> ErrorStats:
+    """Per-sample position and orientation errors over aligned pairs."""
+    if not len(rows):
         raise DataError("cannot compute errors over zero pairs")
-    rows = _as_rows(pairs)
     return ErrorStats(
         translation=MetricSeries.from_samples(np.linalg.norm(rows.est_p - rows.gt_p, axis=1)),
         orientation=MetricSeries.from_samples(np.degrees(geodesic_angles(rows.est_q, rows.gt_q))),
@@ -295,19 +236,16 @@ class EvaluationResult:
 
 
 def evaluate(
-    est: Track,
-    gt: Track,
+    est: TrajectoryLog,
+    gt: TrajectoryLog,
     mode: AlignmentMode = AlignmentMode.SE3,
     max_dt: float = DEFAULT_MAX_DT,
 ) -> EvaluationResult:
-    """associate -> align -> compute_errors, in one call, on the tracks' row arrays."""
-    est_t, est_p, est_q = track_arrays(est)
-    gt_t, gt_p, gt_q = track_arrays(gt)
-    e, g = _matched_rows(est_t, gt_t, max_dt)
-    rows = AssociatedRows(est_t[e], est_p[e], est_q[e], gt_p[g], gt_q[g])
-    transform = align(rows, mode)
+    """associate -> align -> apply_alignment -> compute_errors, in one call."""
+    assoc = associate(est, gt, max_dt)
+    transform = align(assoc.pairs, mode)
     return EvaluationResult(
-        compute_errors(apply_alignment(rows, transform)), transform, len(est_t) - len(e)
+        compute_errors(apply_alignment(assoc.pairs, transform)), transform, assoc.n_dropped
     )
 
 

@@ -275,23 +275,15 @@ def wrap_angle(theta):
 #
 # Many-pose counterparts of Quaternion.__mul__, Quaternion.rotate,
 # Quaternion.from_euler and rotation_geodesic over (n, 4) scalar-last
-# quaternion and (n, 3) vector
-# arrays; a single row broadcasts against many.  They evaluate the same
-# expressions in the same order as the per-object code, so each row is
-# bit-identical to the per-object result.
-
-def pose_arrays(poses) -> tuple[np.ndarray, np.ndarray]:
-    """Translations (n, 3) and quaternions (n, 4) of a pose sequence."""
-    t = np.array([p.translation for p in poses], dtype=float).reshape(-1, 3)
-    q = np.array(
-        [(p.rotation.x, p.rotation.y, p.rotation.z, p.rotation.w) for p in poses], dtype=float
-    ).reshape(-1, 4)
-    return t, q
-
+# quaternion and (n, 3) vector arrays; a single row broadcasts against many,
+# and one pose is a one-row call.  They evaluate the same expressions in the
+# same order as the per-object code, so each row is bit-identical to the
+# per-object result, except that np.arctan2 in geodesic_angles may round
+# the last place differently from math.atan2.
 
 def normalize_quaternions(q: np.ndarray) -> np.ndarray:
     """What Quaternion construction does to its components, row by row."""
-    x, y, z, w = np.moveaxis(q, -1, 0)
+    x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     n = np.sqrt(x * x + y * y + z * z + w * w)
     if not (np.isfinite(n).all() and n.all()):
         bad = n[~(np.isfinite(n) & (n != 0.0))].flat[0]
@@ -312,35 +304,28 @@ def conjugate_quaternions(q: np.ndarray) -> np.ndarray:
 
 def multiply_quaternions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton products a * b, normalized as Quaternion() would."""
-    x1, y1, z1, w1 = np.moveaxis(a, -1, 0)
-    x2, y2, z2, w2 = np.moveaxis(b, -1, 0)
-    out = np.stack(
-        [
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        ],
-        axis=-1,
-    )
+    x1, y1, z1, w1 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    x2, y2, z2, w2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
+    out[..., 1] = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
+    out[..., 2] = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
+    out[..., 3] = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
     return normalize_quaternions(out)
 
 
 def rotate_vectors(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Vectors v rotated by quaternions q, as Quaternion.rotate computes it."""
-    x, y, z, w = np.moveaxis(q, -1, 0)
-    vx, vy, vz = np.moveaxis(v, -1, 0)
+    x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
     tx = 2.0 * (y * vz - z * vy)
     ty = 2.0 * (z * vx - x * vz)
     tz = 2.0 * (x * vy - y * vx)
-    return np.stack(
-        [
-            vx + w * tx + y * tz - z * ty,
-            vy + w * ty + z * tx - x * tz,
-            vz + w * tz + x * ty - y * tx,
-        ],
-        axis=-1,
-    )
+    out = np.empty(np.broadcast_shapes(q.shape[:-1], v.shape[:-1]) + (3,))
+    out[..., 0] = vx + w * tx + y * tz - z * ty
+    out[..., 1] = vy + w * ty + z * tx - x * tz
+    out[..., 2] = vz + w * tz + x * ty - y * tx
+    return out
 
 
 def compose_arrays(
@@ -359,23 +344,21 @@ def invert_arrays(t: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def euler_to_quaternions(angles: np.ndarray) -> np.ndarray:
     """:meth:`Quaternion.from_euler` of every (roll, pitch, yaw) row of (n, 3) ``angles``."""
     half = 0.5 * np.asarray(angles, dtype=float)
-    cr, cp, cy = np.moveaxis(np.cos(half), -1, 0)
-    sr, sp, sy = np.moveaxis(np.sin(half), -1, 0)
-    out = np.stack(
-        [
-            sr * cp * cy - cr * sp * sy,
-            cr * sp * cy + sr * cp * sy,
-            cr * cp * sy - sr * sp * cy,
-            cr * cp * cy + sr * sp * sy,
-        ],
-        axis=-1,
-    )
+    c, s = np.cos(half), np.sin(half)
+    cr, cp, cy = c[..., 0], c[..., 1], c[..., 2]
+    sr, sp, sy = s[..., 0], s[..., 1], s[..., 2]
+    out = np.empty(half.shape[:-1] + (4,))
+    out[..., 0] = sr * cp * cy - cr * sp * sy
+    out[..., 1] = cr * sp * cy + sr * cp * sy
+    out[..., 2] = cr * cp * sy - sr * sp * cy
+    out[..., 3] = cr * cp * cy + sr * sp * sy
     return normalize_quaternions(out)
 
 
 def geodesic_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """rotation_geodesic for every row pair, in radians."""
-    rx, ry, rz, rw = np.moveaxis(multiply_quaternions(conjugate_quaternions(a), b), -1, 0)
+    r = multiply_quaternions(conjugate_quaternions(a), b)
+    rx, ry, rz, rw = r[..., 0], r[..., 1], r[..., 2], r[..., 3]
     return 2.0 * np.arctan2(np.sqrt(rx * rx + ry * ry + rz * rz), np.abs(rw))
 
 

@@ -709,6 +709,13 @@ def _run_cell_task(args: tuple) -> tuple[tuple[SeedResult, ...], str | None]:
     return tuple(results), None
 
 
+def _baseline_cell(results: Sequence[SeedResult]) -> CellReport:
+    """The perception-off cell: the baseline side of every given seed result."""
+    return CellReport(
+        None, None, tuple(r.seed for r in results), tuple(replace(r, fused=None) for r in results)
+    )
+
+
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
     """Every (sigma, gamma) cell over derived seeds, plus the baseline cell.
 
@@ -739,18 +746,14 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             outcomes = list(pool.map(_run_cell_task, [(c, s, None) for c, s in tasks]))
 
-    cells = []
-    pooled: list[SeedResult] = []
-    for (sigma, gamma, run_seeds), (results, error) in zip(layout, outcomes):
-        cells.append(CellReport(sigma, gamma, run_seeds, results, error))
-        for r in results:
-            pooled.append(
-                SeedResult(r.seed, None, r.baseline, r.n_odometry, r.n_perception, r.n_rejected)
-            )
+    cells = [
+        CellReport(sigma, gamma, run_seeds, results, error)
+        for (sigma, gamma, run_seeds), (results, error) in zip(layout, outcomes)
+    ]
+    pooled = [r for results, _ in outcomes for r in results]
     if not pooled:
         raise DataError("every sweep cell failed; no baseline results to report")
-    baseline_cell = CellReport(None, None, tuple(r.seed for r in pooled), tuple(pooled))
-    cells.append(baseline_cell)
+    cells.append(_baseline_cell(pooled))
 
     expected = len(cfg.sweep.sigma_grid) * len(cfg.sweep.gamma_grid) + 1
     assert len(cells) == expected, f"cell count {len(cells)} != {expected}"
@@ -776,13 +779,8 @@ def run_report(cfg: ExperimentConfig) -> tuple[RunReport, RunArtifacts]:
     grid_cell = CellReport(
         cfg.perception.noise.sigma_trans, cfg.perception.noise.gamma_yaw, cfg.seeds, tuple(results)
     )
-    pooled = tuple(
-        SeedResult(r.seed, None, r.baseline, r.n_odometry, r.n_perception, r.n_rejected)
-        for r in results
-    )
-    baseline_cell = CellReport(None, None, cfg.seeds, pooled)
     report = RunReport(
-        config_to_dict(cfg), (grid_cell, baseline_cell), time.perf_counter() - t_start
+        config_to_dict(cfg), (grid_cell, _baseline_cell(results)), time.perf_counter() - t_start
     )
     return report, first_artifacts
 

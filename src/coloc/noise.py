@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, Quaternion, multiply_quaternions, normalize_quaternions
+from .geometry import multiply_quaternions, normalize_quaternions
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -97,33 +97,29 @@ class RandomStream:
         return self._generator(label).standard_normal(size)
 
 
-def perturb_translation(t, spec: NoiseSpec, rng: RandomStream) -> np.ndarray:
+def perturb_translation(t: np.ndarray, spec: NoiseSpec, rng: RandomStream) -> np.ndarray:
     """Add independent N(0, sigma_trans^2) noise to x and y; z is untouched.
 
-    ``t`` is one translation, shape (3,), or n of them, shape (n, 3).  The
-    standard normals are drawn unconditionally and scaled by sigma, so a
-    zero sigma still advances the stream identically and returns the input
-    values exactly.  n rows draw n values per channel in one call: the same
-    values, in the same order, as n single-row calls.
+    ``t`` is n translations, shape (n, 3).  The standard normals are drawn
+    unconditionally and scaled by sigma, so a zero sigma still advances the
+    stream identically and returns the input values exactly.  n rows draw n
+    values per channel in one call: the same values, in the same order, as
+    n one-row calls.
     """
     t = np.asarray(t, dtype=float)
-    n = len(t) if t.ndim == 2 else None
     out = t.copy()
-    out[..., 0] = t[..., 0] + spec.sigma_trans * rng.standard_normal("translation-x", n)
-    out[..., 1] = t[..., 1] + spec.sigma_trans * rng.standard_normal("translation-y", n)
+    out[:, 0] = t[:, 0] + spec.sigma_trans * rng.standard_normal("translation-x", len(t))
+    out[:, 1] = t[:, 1] + spec.sigma_trans * rng.standard_normal("translation-y", len(t))
     return out
 
 
-def perturb_yaw(q, spec: NoiseSpec, rng: RandomStream):
-    """Right-multiply q by a random rotation about the body z axis.
+def perturb_yaw(q: np.ndarray, spec: NoiseSpec, rng: RandomStream) -> np.ndarray:
+    """Right-multiply each row of q by a random rotation about the body z axis.
 
-    ``q`` is a :class:`Quaternion`, or n scalar-last quaternions as an
-    (n, 4) array, and the result has the same form.  The perturbation angle
-    is N(0, gamma_yaw^2) with gamma converted to radians; gamma_yaw = 0
-    returns q exactly.
+    ``q`` is n scalar-last quaternions, shape (n, 4).  The perturbation
+    angle is N(0, gamma_yaw^2) with gamma converted to radians;
+    gamma_yaw = 0 returns q exactly.
     """
-    if isinstance(q, Quaternion):
-        return Quaternion(*perturb_yaw(q.as_array()[None], spec, rng)[0].tolist())
     half = (0.5 * (spec.gamma_yaw_rad * rng.standard_normal("yaw", len(q)))).tolist()
     yaw = np.zeros((len(q), 4))
     # math.sin/cos per angle, as quat_yaw computes them
@@ -132,24 +128,15 @@ def perturb_yaw(q, spec: NoiseSpec, rng: RandomStream):
     return multiply_quaternions(q, normalize_quaternions(yaw))
 
 
-def perturb_pose(p, spec: NoiseSpec, rng: RandomStream):
+def perturb_pose(
+    p: tuple[np.ndarray, np.ndarray], spec: NoiseSpec, rng: RandomStream
+) -> tuple[np.ndarray, np.ndarray]:
     """Perturb translation and yaw through their independent channels.
 
-    ``p`` is one :class:`Pose`, or n poses as a ``(t, q)`` pair of (n, 3)
-    translations and (n, 4) scalar-last quaternions, and the result has the
-    same form.  Frames and timestamp are preserved; only x, y and heading
-    change.  n poses at once give the same results as n single-pose calls
-    in order.
+    ``p`` is n poses as a ``(t, q)`` pair of (n, 3) translations and (n, 4)
+    scalar-last quaternions, and so is the result; only x, y and heading
+    change.  n poses at once give the same results as n one-row calls in
+    order.
     """
-    if not isinstance(p, Pose):
-        t, q = p
-        return perturb_translation(t, spec, rng), perturb_yaw(q, spec, rng)
-    # frames and timestamp are those of an already validated pose and the
-    # perturbed components stay finite, so skip re-validation per sample
-    return Pose._trusted(
-        p.timestamp,
-        perturb_translation(p.translation, spec, rng),
-        perturb_yaw(p.rotation, spec, rng),
-        p.parent_frame,
-        p.child_frame,
-    )
+    t, q = p
+    return perturb_translation(t, spec, rng), perturb_yaw(q, spec, rng)

@@ -15,25 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .dataio import Track, TrajectoryLog, nearest_in_time, track_arrays, track_poses
+from .dataio import TrajectoryLog, nearest_in_time
 from .ekf import MeasurementEvent, MeasurementKind, _checked_r6, measurement_covariance
 from .errors import DataError
-from .geometry import (
-    BODY_ADAS,
-    BODY_SMART,
-    WORLD,
-    Frame,
-    Pose,
-    Quaternion,
-    body_frame,
-    compose_arrays,
-    invert_arrays,
-    pose_arrays,
-)
+from .geometry import BODY_ADAS, WORLD, Agent, Pose, Quaternion, compose_arrays, invert_arrays
 from .noise import NoiseSpec, RandomStream, perturb_pose
 
 GATE_RELATIVE_MARGIN = 1e-9
@@ -58,27 +47,6 @@ class PerceptionConfig:
             raise ValueError(f"output_rate must be > 0 when set, got {self.output_rate}")
 
 
-@dataclass(frozen=True, slots=True)
-class PairedSample:
-    """A gated leader/follower pose pair; pair_time is the follower-side stamp."""
-
-    smart_pose: Pose
-    adas_pose: Pose
-    pair_time: float
-
-    def __post_init__(self) -> None:
-        if self.smart_pose.child_frame != BODY_SMART:
-            raise DataError(f"smart_pose must observe the leader body, got {self.smart_pose.child_frame}")
-        if self.adas_pose.child_frame != BODY_ADAS:
-            raise DataError(f"adas_pose must observe the follower body, got {self.adas_pose.child_frame}")
-        if self.smart_pose.parent_frame != self.adas_pose.parent_frame:
-            raise DataError("paired poses must share a parent frame")
-
-    @property
-    def timestamp(self) -> float:
-        return self.pair_time
-
-
 def gate_pair(smart_t: float, adas_t: float, threshold: float) -> bool:
     """Strictly inside the gate: |smart_t - adas_t| < threshold.
 
@@ -98,11 +66,11 @@ def _inside_gate(gap, threshold: float):
 
 @dataclass(frozen=True)
 class PairedRows:
-    """Gated leader/follower pose pairs as row arrays, the input of :func:`make_measurement`.
+    """Gated leader/follower world poses as row arrays, the input of :func:`make_measurement`.
 
     ``t`` (n,) holds the follower-side stamps, ``smart_p``/``adas_p`` (n, 3)
     and ``smart_q``/``adas_q`` (n, 4, scalar-last, unit) the leader and
-    follower poses in their shared ``parent`` frame.
+    follower poses.  A single pair is a one-row instance.
     """
 
     t: np.ndarray
@@ -110,124 +78,58 @@ class PairedRows:
     smart_q: np.ndarray
     adas_p: np.ndarray
     adas_q: np.ndarray
-    parent: Frame = WORLD
 
     def __len__(self) -> int:
         return len(self.t)
 
-    @classmethod
-    def of_pairs(cls, pairs: Sequence[PairedSample]) -> "PairedRows":
-        """The rows of a non-empty sequence of pairs that share one parent frame."""
-        parents = {p.smart_pose.parent_frame for p in pairs}
-        if len(parents) != 1:
-            raise DataError("paired poses must share a parent frame")
-        return cls(
-            np.array([p.pair_time for p in pairs], dtype=float),
-            *pose_arrays([p.smart_pose for p in pairs]),
-            *pose_arrays([p.adas_pose for p in pairs]),
-            *parents,
+    def take(self, rows) -> "PairedRows":
+        """The pairs at ``rows`` (an index array or slice)."""
+        return PairedRows(
+            self.t[rows], self.smart_p[rows], self.smart_q[rows], self.adas_p[rows], self.adas_q[rows]
         )
 
 
-class _Stream(NamedTuple):
-    """One pose stream as arrays, and the log or pose tuple they came from."""
-
-    source: Track
-    t: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    parent: Frame | None  # None for an empty pose sequence
-
-
-def _stream(poses, body: Frame) -> _Stream:
-    """A log or pose sequence whose poses must all observe ``body`` from one parent frame.
-
-    A log's agent vouches for all its rows; a pose sequence is checked as a whole.
-    """
-    if isinstance(poses, TrajectoryLog):
-        if body_frame(poses.agent) != body:
-            raise DataError(f"expected poses of {body}, got a {poses.agent.value} log")
-        return _Stream(poses, *track_arrays(poses), WORLD)
-    poses = tuple(poses)
-    frames = {(p.parent_frame, p.child_frame) for p in poses}
-    if any(child != body for _, child in frames):
-        raise DataError(f"expected poses of {body}, got {sorted(str(c) for _, c in frames)}")
-    if len(frames) > 1:
-        raise DataError("paired poses must share a parent frame")
-    parent = next(iter(frames))[0] if frames else None
-    return _Stream(poses, *track_arrays(poses), parent)
-
-
-def _gated_rows(smart_poses, adas_poses, gate_threshold: float):
-    """Both streams, and the leader and follower rows of their gated pairs.
-
-    For every follower stamp the nearest leader stamp is found; the pair is
-    kept only if it passes :func:`gate_pair`.
-    """
-    smart, adas = _stream(smart_poses, BODY_SMART), _stream(adas_poses, BODY_ADAS)
-    if np.any(np.diff(smart.t) < 0) or np.any(np.diff(adas.t) < 0):
-        raise DataError("pose streams must be time-ordered")
-    if len(smart.t) == 0 or len(adas.t) == 0:
-        empty = np.zeros(0, dtype=np.intp)
-        return smart, adas, empty, empty
-    if smart.parent != adas.parent:
-        raise DataError("paired poses must share a parent frame")
-    best = nearest_in_time(smart.t, adas.t)
-    gated = np.flatnonzero(_inside_gate(np.abs(smart.t[best] - adas.t), gate_threshold))
-    return smart, adas, best[gated], gated
-
-
-def pair_streams(
-    smart_poses: Iterable[Pose] | TrajectoryLog,
-    adas_poses: Iterable[Pose] | TrajectoryLog,
-    gate_threshold: float,
-) -> list[PairedSample]:
+def pair_streams(smart: TrajectoryLog, adas: TrajectoryLog, gate_threshold: float) -> PairedRows:
     """Nearest-in-time pairing, then gating.
 
-    For every follower pose the closest leader pose by timestamp is selected;
-    the pair survives only if it passes :func:`gate_pair`.  Both inputs must
-    be time-ordered.
+    For every follower stamp the closest leader stamp is selected; the pair
+    survives only if it passes :func:`gate_pair`.
     """
-    smart, adas, i, k = _gated_rows(smart_poses, adas_poses, gate_threshold)
-    pairs = zip(track_poses(smart.source, i), track_poses(adas.source, k))
-    return [PairedSample(sp, ap, ap.timestamp) for sp, ap in pairs]
+    for log, agent in ((smart, Agent.SMART), (adas, Agent.ADAS)):
+        if log.agent is not agent:
+            raise DataError(f"expected a {agent.value} log, got a {log.agent.value} log")
+    if len(smart) and len(adas):
+        best = nearest_in_time(smart.t, adas.t)
+        k = np.flatnonzero(_inside_gate(np.abs(smart.t[best] - adas.t), gate_threshold))
+        i = best[k]
+    else:
+        i = k = np.zeros(0, dtype=np.intp)
+    return PairedRows(adas.t[k], smart.p[i], smart.q[i], adas.p[k], adas.q[k])
 
 
-def make_measurement(pair, cfg: PerceptionConfig, rng: RandomStream):
-    """Absolute follower-pose measurements from gated pairs.
+def make_measurement(
+    rows: PairedRows, cfg: PerceptionConfig, rng: RandomStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """Absolute follower-pose measurements of gated pairs.
 
     relative pose -> planar noise in the leader frame -> recomposition onto
     the leader's world pose.  With zero noise this reproduces the follower's
-    ground truth exactly (up to rounding).
-
-    ``pair`` is a :class:`PairedRows`, and the result is the measured poses
-    as a ``(t, q)`` pair of (n, 3) translations and (n, 4) quaternions.
-    One :class:`PairedSample` gives one :class:`MeasurementEvent` and a
-    sequence of them a list of events, with the same noise draws in the
-    same order as one call per pair.
+    ground truth exactly (up to rounding).  Returns the measured poses as
+    (n, 3) translations and (n, 4) quaternions; n rows draw the same noise,
+    in the same order, as n one-row calls.
     """
-    if isinstance(pair, PairedSample):
-        return make_measurement([pair], cfg, rng)[0]
-    if not isinstance(pair, PairedRows):
-        if not pair:
-            return []
-        rows = PairedRows.of_pairs(pair)
-        t, q = make_measurement(rows, cfg, rng)
-        return _events(rows.t, t, q, rows.parent, measurement_covariance(cfg.noise))
-    rel = compose_arrays(*invert_arrays(pair.smart_p, pair.smart_q), pair.adas_p, pair.adas_q)
-    return compose_arrays(pair.smart_p, pair.smart_q, *perturb_pose(rel, cfg.noise, rng))
+    rel = compose_arrays(*invert_arrays(rows.smart_p, rows.smart_q), rows.adas_p, rows.adas_q)
+    return compose_arrays(rows.smart_p, rows.smart_q, *perturb_pose(rel, cfg.noise, rng))
 
 
-def _events(
-    stamps: np.ndarray, t: np.ndarray, q: np.ndarray, parent: Frame, r6: np.ndarray
-) -> list[MeasurementEvent]:
+def _events(stamps: np.ndarray, t: np.ndarray, q: np.ndarray, r6: np.ndarray) -> list[MeasurementEvent]:
     """One perception event per measured pose row."""
     # rows of fresh arrays from closed arithmetic on validated poses
     return [
         MeasurementEvent(
             stamp,
             MeasurementKind.PERCEPTION_ABSOLUTE,
-            Pose._trusted(stamp, tk, Quaternion(*qk), parent, BODY_ADAS),
+            Pose._trusted(stamp, tk, Quaternion(*qk), WORLD, BODY_ADAS),
             r6=r6,
             source=PERCEPTION_SOURCE,
         )
@@ -254,15 +156,9 @@ def rate_limit_indices(stamps: Iterable[float], target_hz: float) -> list[int]:
     return out
 
 
-def rate_limit(events: Iterable, target_hz: float):
-    """The events of a time-ordered stream that :func:`rate_limit_indices` lets pass."""
-    events = list(events)
-    return [events[i] for i in rate_limit_indices((ev.timestamp for ev in events), target_hz)]
-
-
 def simulate_perception(
-    smart_poses: Iterable[Pose] | TrajectoryLog,
-    adas_poses: Iterable[Pose] | TrajectoryLog,
+    smart: TrajectoryLog,
+    adas: TrajectoryLog,
     cfg: PerceptionConfig,
     rng: RandomStream,
     r6_scale: float = 1.0,
@@ -273,12 +169,10 @@ def simulate_perception(
     the gate and rate settings but never on pairs that were dropped.  The
     events carry the channel covariance times ``r6_scale``.
     """
-    smart, adas, i, k = _gated_rows(smart_poses, adas_poses, cfg.gate_threshold)
+    rows = pair_streams(smart, adas, cfg.gate_threshold)
     if cfg.output_rate is not None:
-        keep = rate_limit_indices(adas.t[k].tolist(), cfg.output_rate)
-        i, k = i[keep], k[keep]
-    if len(k) == 0:
+        rows = rows.take(rate_limit_indices(rows.t.tolist(), cfg.output_rate))
+    if len(rows) == 0:
         return []
-    rows = PairedRows(adas.t[k], smart.p[i], smart.q[i], adas.p[k], adas.q[k], smart.parent)
     r6 = _checked_r6(measurement_covariance(cfg.noise) * r6_scale, "perception r6")
-    return _events(rows.t, *make_measurement(rows, cfg, rng), rows.parent, r6)
+    return _events(rows.t, *make_measurement(rows, cfg, rng), r6)

@@ -1,0 +1,38 @@
+"""Row-array inputs built from Pose objects, for tests written pose by pose.
+
+The pipeline stages take logs or row arrays only; these helpers turn the
+poses a test spells out into those forms.
+"""
+
+import numpy as np
+
+from coloc.dataio import TrajectoryLog
+from coloc.evaluation import AssociatedRows
+from coloc.geometry import BODY_SMART, Agent
+from coloc.perception import PairedRows
+
+
+def arrays_of(poses):
+    """Translations (n, 3) and scalar-last quaternions (n, 4) of a pose sequence."""
+    t = np.array([p.translation for p in poses], dtype=float).reshape(-1, 3)
+    q = np.array([p.rotation.as_array() for p in poses], dtype=float).reshape(-1, 4)
+    return t, q
+
+
+def log_of(poses, agent=None, metadata=None):
+    """An ENU log of world poses; the agent follows from the first pose's body frame."""
+    if agent is None:
+        agent = Agent.SMART if poses and poses[0].child_frame == BODY_SMART else Agent.ADAS
+    return TrajectoryLog(agent, "ENU", [p.timestamp for p in poses], *arrays_of(poses), metadata or {})
+
+
+def paired_rows(smart, adas):
+    """Leader and follower poses, pair by pair, stamped with the follower's stamps."""
+    return PairedRows(np.array([p.timestamp for p in adas], dtype=float), *arrays_of(smart), *arrays_of(adas))
+
+
+def associated_rows(pairs):
+    """(estimate, ground truth) pose pairs as rows stamped with the estimate stamps."""
+    est = [e for e, _ in pairs]
+    gt = [g for _, g in pairs]
+    return AssociatedRows(np.array([e.timestamp for e in est], dtype=float), *arrays_of(est), *arrays_of(gt))

@@ -53,7 +53,7 @@ from coloc.ekf import (
     update_absolute,
     update_differential,
 )
-from coloc.evaluation import AlignmentMode, align, compute_errors
+from coloc.evaluation import AlignmentMode, AssociatedRows, align, compute_errors
 from coloc.geometry import (
     BODY_ADAS,
     LOCAL,
@@ -468,13 +468,8 @@ def test_alignment_matches_brute_force_minimizer():
         t_true = rng.normal(0.0, 5.0, 3)
         gt_pts = est_pts @ R_true.T + t_true + rng.normal(0.0, 0.05, (ALIGN_POINTS, 3))
 
-        pairs = [
-            (
-                Pose(float(k), e, Quaternion.identity(), WORLD, BODY_ADAS),
-                Pose(float(k), g, Quaternion.identity(), WORLD, BODY_ADAS),
-            )
-            for k, (e, g) in enumerate(zip(est_pts, gt_pts))
-        ]
+        identity = np.tile([0.0, 0.0, 0.0, 1.0], (ALIGN_POINTS, 1))
+        pairs = AssociatedRows(np.arange(float(ALIGN_POINTS)), est_pts, identity, gt_pts, identity)
         ours = align(pairs, AlignmentMode.SE3)
         R_oracle, t_oracle = _brute_force_se3(est_pts, gt_pts, rotvec, t_true, rng)
 
@@ -575,8 +570,8 @@ def _check_gate_boundary(problems):
 def _check_perception_passthrough(problems):
     smart, adas = generate_synthetic("figure-eight", 4.0, 20.0, 8.0)
     events = simulate_perception(
-        smart.samples,
-        adas.samples,
+        smart,
+        adas,
         PerceptionConfig(NoiseSpec(0.0, 0.0)),
         RandomStream(7).derive("perception"),
     )
@@ -648,26 +643,26 @@ def test_invariant_suite():
 
 def test_error_metric_arithmetic_is_exact():
     problems = []
-    ident = Quaternion.identity()
-
-    def pair(t, est_xyz, gt_xyz):
-        return (
-            Pose(t, np.asarray(est_xyz, float), ident, WORLD, BODY_ADAS),
-            Pose(t, np.asarray(gt_xyz, float), ident, WORLD, BODY_ADAS),
+    ident = np.array([[0.0, 0.0, 0.0, 1.0]] * 2)
+    stats = compute_errors(
+        AssociatedRows(
+            np.array([0.0, 0.1]),
+            np.array([[0.0, 0.0, 0.0], [10.0, 5.0, 0.0]]),
+            ident,
+            np.array([[3.0, 0.0, 0.0], [10.0, 9.0, 0.0]]),
+            ident,
         )
-
-    stats = compute_errors([pair(0.0, [0, 0, 0], [3, 0, 0]), pair(0.1, [10, 5, 0], [10, 9, 0])])
+    )
     expected_rmse = math.sqrt(12.5)
     if stats.translation.rmse != expected_rmse:
         problems.append(f"rmse of a 3 m / 4 m pair is {stats.translation.rmse!r}, not sqrt(12.5)")
     if stats.translation.mean != 3.5:
         problems.append(f"mean of a 3 m / 4 m pair is {stats.translation.mean!r}, not 3.5")
 
-    same = [
-        Pose(0.1 * k, np.array([k * 1.0, -k * 2.0, 0.5]), quat_yaw(0.3 * k), WORLD, BODY_ADAS)
-        for k in range(5)
-    ]
-    zero = compute_errors(list(zip(same, same)))
+    t = 0.1 * np.arange(5)
+    p = np.array([[k * 1.0, -k * 2.0, 0.5] for k in range(5)])
+    q = np.array([quat_yaw(0.3 * k).as_array() for k in range(5)])
+    zero = compute_errors(AssociatedRows(t, p, q, p, q))
     for series_name, series in (("translation", zero.translation), ("orientation", zero.orientation)):
         for stat_name in ("rmse", "mean", "median", "max"):
             value = getattr(series, stat_name)

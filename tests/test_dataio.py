@@ -15,13 +15,13 @@ from coloc.dataio import (
     HEADER_COLUMNS,
     SyncSpec,
     TrajectoryLog,
-    export_estimates,
+    estimate_track,
     export_trajectory,
     generate_synthetic,
     load_trajectory,
     synchronize,
+    write_estimate_csv,
 )
-from coloc.ekf import StateEstimate
 from coloc.errors import DataError
 from coloc.geometry import (
     BODY_ADAS,
@@ -30,19 +30,14 @@ from coloc.geometry import (
     Agent,
     Pose,
     Quaternion,
-    pose_arrays,
     quat_yaw,
     relative_pose,
     rotation_geodesic,
 )
 
+from pose_rows import log_of
+
 RNG = np.random.default_rng(31337)
-
-
-def log_of(agent, poses, metadata=None):
-    """A log holding the given poses' stamps, translations and quaternions."""
-    p, q = pose_arrays(poses)
-    return TrajectoryLog(agent, "ENU", [x.timestamp for x in poses], p, q, metadata or {})
 
 
 def write(tmp_path, name, text):
@@ -194,7 +189,7 @@ class TestTrajectoryLogType:
         samples = tuple(
             Pose(t, np.zeros(3), Quaternion.identity(), WORLD, BODY_ADAS) for t in (1.0, 2.0, 4.5)
         )
-        assert log_of(Agent.ADAS, samples).duration() == 3.5
+        assert log_of(samples, Agent.ADAS).duration() == 3.5
 
     @pytest.mark.parametrize(
         "t, p, q, match",
@@ -255,7 +250,7 @@ class TestExport:
             t += float(RNG.uniform(0.001, 0.1))
             q = Quaternion.from_array(RNG.normal(size=4))
             samples.append(Pose(t, RNG.normal(size=3) * 100, q, WORLD, BODY_ADAS))
-        return log_of(Agent.ADAS, samples, {"source": "rng"})
+        return log_of(samples, Agent.ADAS, {"source": "rng"})
 
     def test_round_trip_is_exact(self, tmp_path):
         log = self.random_log()
@@ -286,15 +281,13 @@ class TestExport:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_estimate_export_columns_and_load(self, tmp_path):
-        states = []
-        for k in range(5):
-            x = np.zeros(15)
-            x[0:3] = [k, 2 * k, 0.0]
-            x[5] = 0.1 * k
-            P = np.diag(np.arange(1.0, 16.0))
-            states.append(StateEstimate(x, P, float(k)))
+        x = np.zeros((5, 15))
+        x[:, 0] = np.arange(5.0)
+        x[:, 1] = 2.0 * np.arange(5.0)
+        x[:, 5] = 0.1 * np.arange(5.0)
+        variances = np.tile(np.arange(1.0, 16.0), (5, 1))
         path = tmp_path / "est.csv"
-        export_estimates(states, path)
+        write_estimate_csv(*estimate_track(np.arange(5.0), x, variances), path)
         lines = path.read_text().splitlines()
         assert lines[2] == ",".join(ESTIMATE_COLUMNS)
         first = lines[3].split(",")
@@ -311,18 +304,18 @@ class TestExport:
 class TestSynchronize:
     def make_logs(self, skew):
         smart = log_of(
-            Agent.SMART,
             [
                 Pose(k * 0.1 + skew, np.zeros(3), Quaternion.identity(), WORLD, BODY_SMART)
                 for k in range(20)
             ],
+            Agent.SMART,
         )
         adas = log_of(
-            Agent.ADAS,
             [
                 Pose(k * 0.1, np.array([1.0, 0, 0]), Quaternion.identity(), WORLD, BODY_ADAS)
                 for k in range(20)
             ],
+            Agent.ADAS,
         )
         return smart, adas
 
@@ -342,10 +335,9 @@ class TestSynchronize:
         from coloc.perception import pair_streams
 
         smart, adas = self.make_logs(0.55)
-        assert pair_streams(smart.samples, adas.samples, 0.03) == []
+        assert len(pair_streams(smart, adas, 0.03)) == 0
         out_s, out_a = synchronize(smart, adas, SyncSpec(-0.55, Agent.ADAS))
-        pairs = pair_streams(out_s.samples, out_a.samples, 0.03)
-        assert len(pairs) == 20
+        assert len(pair_streams(out_s, out_a, 0.03)) == 20
 
     def test_same_agent_rejected(self):
         _, adas = self.make_logs(0.0)

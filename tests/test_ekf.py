@@ -601,8 +601,7 @@ class TestNode1:
         rng = RandomStream(3)
         node = EkfNode(node1_config())
         noises, errors = [], []
-        for k in range(1000):
-            t_noisy = perturb_translation(np.zeros(3), spec, rng)
+        for k, t_noisy in enumerate(perturb_translation(np.zeros((1000, 3)), spec, rng)):
             pose = node.node1_step(local_event(k * 0.005, t_noisy))
             if k > 100:  # after burn-in
                 noises.append(t_noisy[0])

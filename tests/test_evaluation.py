@@ -21,7 +21,6 @@ from scipy.spatial.transform import Rotation
 from coloc.errors import DataError, NumericError
 from coloc.evaluation import (
     AlignmentMode,
-    Association,
     ErrorStats,
     EvaluationResult,
     MetricSeries,
@@ -36,12 +35,16 @@ from coloc.evaluation import (
 )
 from coloc.geometry import (
     BODY_ADAS,
+    LOCAL,
     WORLD,
+    Agent,
     Pose,
     Quaternion,
+    compose,
     quat_yaw,
     rotation_geodesic,
 )
+from pose_rows import associated_rows, log_of
 
 
 # ---------------------------------------------------------------------------
@@ -117,29 +120,31 @@ class TestAssociate:
     def test_identical_grids_pair_everything(self):
         est = [world_pose(k * 0.1, (k, 0, 0)) for k in range(50)]
         gt = [world_pose(k * 0.1, (k, 1, 0)) for k in range(50)]
-        assoc = associate(est, gt)
+        assoc = associate(log_of(est), log_of(gt))
         assert assoc.n_dropped == 0
         assert len(assoc.pairs) == 50
-        for e, g in assoc.pairs:
-            assert e.timestamp == g.timestamp
-            assert g.translation[1] == 1.0
+        assert assoc.pairs.t.tolist() == [e.timestamp for e in est]
+        assert assoc.pairs.gt_p[:, 0].tolist() == assoc.pairs.est_p[:, 0].tolist()
+        assert np.all(assoc.pairs.gt_p[:, 1] == 1.0)
 
     def test_sparse_estimate_against_dense_truth(self):
         # 5 Hz estimates land on the 200 Hz truth grid exactly.
         gt = [world_pose(j / 200.0, (j, 0, 0)) for j in range(2001)]
         est = [world_pose(k / 5.0, (k, 0, 0)) for k in range(51)]
-        assoc = associate(est, gt)
+        assoc = associate(log_of(est), log_of(gt))
         assert assoc.n_dropped == 0
-        for e, g in assoc.pairs:
-            assert abs(e.timestamp - g.timestamp) <= 0.0025
+        # truth sample j sits at x = j, stamped j / 200
+        gt_t = assoc.pairs.gt_p[:, 0] / 200.0
+        assert np.all(np.abs(assoc.pairs.t - gt_t) <= 0.0025)
+        assert assoc.pairs.gt_p[:, 0].tolist() == (40.0 * assoc.pairs.est_p[:, 0]).tolist()
 
     def test_nearest_neighbor_matches_linear_scan(self):
         rng = np.random.default_rng(7)
         gt_ts = np.sort(rng.uniform(0.5, 30, 400))
         est_ts = np.sort(rng.uniform(0.0, 31, 90))
-        gt = [world_pose(t, (0, 0, 0)) for t in gt_ts]
+        gt = [world_pose(t, (j, 0, 0)) for j, t in enumerate(gt_ts)]
         est = [world_pose(t, (0, 0, 0)) for t in est_ts]
-        assoc = associate(est, gt, max_dt=0.05)
+        assoc = associate(log_of(est), log_of(gt), max_dt=0.05)
         expected = []
         for t in est_ts:
             deltas = np.abs(gt_ts - t)
@@ -148,14 +153,13 @@ class TestAssociate:
                 expected.append((t, gt_ts[j]))
         assert len(assoc.pairs) == len(expected)
         assert assoc.n_dropped == len(est_ts) - len(expected)
-        for (e, g), (te, tg) in zip(assoc.pairs, expected):
-            assert e.timestamp == te
-            assert g.timestamp == tg
+        assert assoc.pairs.t.tolist() == [te for te, _ in expected]
+        assert gt_ts[assoc.pairs.gt_p[:, 0].astype(int)].tolist() == [tg for _, tg in expected]
 
     def test_out_of_window_samples_are_dropped_and_counted(self):
         gt = [world_pose(k * 1.0, (0, 0, 0)) for k in range(5)]
         est = [world_pose(0.001, (0, 0, 0)), world_pose(0.5, (0, 0, 0)), world_pose(3.996, (0, 0, 0))]
-        assoc = associate(est, gt, max_dt=0.02)
+        assoc = associate(log_of(est), log_of(gt), max_dt=0.02)
         assert len(assoc.pairs) == 2
         assert assoc.n_dropped == 1
 
@@ -163,29 +167,30 @@ class TestAssociate:
         gt = [world_pose(k * 0.1, (0, 0, 0)) for k in range(10)]
         est = [world_pose(100.0 + k * 0.1, (0, 0, 0)) for k in range(10)]
         with pytest.raises(DataError):
-            associate(est, gt)
+            associate(log_of(est), log_of(gt))
 
     def test_empty_truth_raises(self):
-        est = [world_pose(0.0, (0, 0, 0))]
+        est = log_of([world_pose(0.0, (0, 0, 0))])
         with pytest.raises(DataError):
-            associate(est, [])
+            associate(est, log_of([], Agent.ADAS))
 
     def test_unordered_input_raises(self):
+        # a log holds strictly increasing stamps, so no unordered track reaches the association
         est = [world_pose(1.0, (0, 0, 0)), world_pose(0.5, (0, 0, 0))]
-        gt = [world_pose(0.9, (0, 0, 0))]
+        gt = log_of([world_pose(0.9, (0, 0, 0))])
         with pytest.raises(DataError):
-            associate(est, gt)
+            associate(log_of(est), gt)
 
     def test_bad_max_dt_rejected(self):
-        est = [world_pose(0.0, (0, 0, 0))]
+        est = log_of([world_pose(0.0, (0, 0, 0))])
         with pytest.raises(ValueError):
             associate(est, est, max_dt=0.0)
 
     def test_tie_prefers_earlier_sample(self):
         gt = [world_pose(0.0, (0, 0, 0)), world_pose(2.0, (1, 0, 0))]
         est = [world_pose(1.0, (0, 0, 0))]
-        assoc = associate(est, gt, max_dt=1.5)
-        assert assoc.pairs[0][1].timestamp == 0.0
+        assoc = associate(log_of(est), log_of(gt), max_dt=1.5)
+        assert assoc.pairs.gt_p[0].tolist() == [0.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +201,7 @@ class TestAlignSE3:
     def test_identical_trajectories_give_identity(self):
         rng = np.random.default_rng(11)
         gt = [random_world_pose(rng, float(k)) for k in range(8)]
-        tf = align(list(zip(gt, gt)), AlignmentMode.SE3)
+        tf = align(associated_rows(list(zip(gt, gt))), AlignmentMode.SE3)
         assert np.allclose(tf.translation, 0.0, atol=1e-12)
         assert rotation_geodesic(tf.rotation, Quaternion.identity()) < 1e-12
 
@@ -210,9 +215,9 @@ class TestAlignSE3:
             Pose(g.timestamp, q_d.rotate(g.translation) + shift, q_d * g.rotation, WORLD, BODY_ADAS)
             for g in gt
         ]
-        tf = align(list(zip(est, gt)), AlignmentMode.SE3)
-        for e, g in zip(est, gt):
-            assert np.allclose(tf.apply_point(e.translation), g.translation, atol=1e-9)
+        rows = associated_rows(list(zip(est, gt)))
+        tf = align(rows, AlignmentMode.SE3)
+        assert np.allclose(apply_alignment(rows, tf).est_p, rows.gt_p, atol=1e-9)
         expected_q = quat_yaw(math.radians(-30.0))
         assert rotation_geodesic(tf.rotation, expected_q) < 1e-9
         assert np.allclose(tf.translation, expected_q.rotate(-shift), atol=1e-9)
@@ -230,7 +235,7 @@ class TestAlignSE3:
                 for (_, g), p in zip(pairs, gt_pts)
             ]
             noisy_pairs = [(e, g) for (e, _), g in zip(pairs, gt_noisy)]
-            tf = align(noisy_pairs, AlignmentMode.SE3)
+            tf = align(associated_rows(noisy_pairs), AlignmentMode.SE3)
             R_o, t_o = brute_force_se3(est_pts, gt_pts, rng)
             ours = sse(est_pts, gt_pts, tf.rotation.rotation_matrix(), tf.translation)
             oracle = sse(est_pts, gt_pts, R_o, t_o)
@@ -247,7 +252,7 @@ class TestAlignSE3:
             for (e, g), p in zip(pairs, gt_pts)
         ]
         est_pts = np.array([e.translation for e, _ in pairs])
-        tf = align(pairs, AlignmentMode.SE3)
+        tf = align(associated_rows(pairs), AlignmentMode.SE3)
         R0 = tf.rotation.rotation_matrix()
         base = sse(est_pts, gt_pts, R0, tf.translation)
         for _ in range(100):
@@ -272,7 +277,7 @@ class TestAlignSE3:
             (Pose(e.timestamp, e.translation + rng.normal(0, 0.01, 3), e.rotation, WORLD, BODY_ADAS), g)
             for e, g in zip(est, gt)
         ]
-        tf = align(noisy, AlignmentMode.SE3)
+        tf = align(associated_rows(noisy), AlignmentMode.SE3)
         R = tf.rotation.rotation_matrix()
         assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-9)
         est_pts = np.array([e.translation for e, _ in noisy])
@@ -282,19 +287,19 @@ class TestAlignSE3:
     def test_collinear_points_raise(self):
         gt = [world_pose(float(k), (k * 1.0, 2.0 * k, 0)) for k in range(10)]
         with pytest.raises(NumericError):
-            align(list(zip(gt, gt)), AlignmentMode.SE3)
+            align(associated_rows(list(zip(gt, gt))), AlignmentMode.SE3)
 
     def test_too_few_pairs_raise(self):
         gt = [world_pose(0.0, (0, 0, 0)), world_pose(1.0, (1, 0, 0))]
         with pytest.raises(DataError):
-            align(list(zip(gt, gt)), AlignmentMode.SE3)
+            align(associated_rows(list(zip(gt, gt))), AlignmentMode.SE3)
 
 
 class TestAlignYawOnly:
     def test_rotation_is_pure_yaw(self):
         rng = np.random.default_rng(16)
         pairs = random_pair_set(rng, n=9)
-        tf = align(pairs, AlignmentMode.YAW_ONLY)
+        tf = align(associated_rows(pairs), AlignmentMode.YAW_ONLY)
         assert tf.rotation.x == 0.0
         assert tf.rotation.y == 0.0
 
@@ -307,9 +312,9 @@ class TestAlignYawOnly:
             Pose(g.timestamp, q_d.rotate(g.translation) + shift, q_d * g.rotation, WORLD, BODY_ADAS)
             for g in gt
         ]
-        tf = align(list(zip(est, gt)), AlignmentMode.YAW_ONLY)
-        for e, g in zip(est, gt):
-            assert np.allclose(tf.apply_point(e.translation), g.translation, atol=1e-9)
+        rows = associated_rows(list(zip(est, gt)))
+        tf = align(rows, AlignmentMode.YAW_ONLY)
+        assert np.allclose(apply_alignment(rows, tf).est_p, rows.gt_p, atol=1e-9)
 
     def test_matches_scalar_minimization(self):
         rng = np.random.default_rng(18)
@@ -321,7 +326,7 @@ class TestAlignYawOnly:
                 (e, Pose(g.timestamp, p, g.rotation, WORLD, BODY_ADAS))
                 for (e, g), p in zip(pairs, gt_pts)
             ]
-            tf = align(pairs, AlignmentMode.YAW_ONLY)
+            tf = align(associated_rows(pairs), AlignmentMode.YAW_ONLY)
             theta_oracle = brute_force_yaw(est_pts, gt_pts)
             theta_ours = 2.0 * math.atan2(tf.rotation.z, tf.rotation.w)
             assert rotation_geodesic(quat_yaw(theta_ours), quat_yaw(theta_oracle)) < 1e-6
@@ -329,41 +334,35 @@ class TestAlignYawOnly:
     def test_coincident_points_raise(self):
         gt = [world_pose(float(k), (1.0, 2.0, k * 1.0)) for k in range(5)]
         with pytest.raises(NumericError):
-            align(list(zip(gt, gt)), AlignmentMode.YAW_ONLY)
+            align(associated_rows(list(zip(gt, gt))), AlignmentMode.YAW_ONLY)
 
     def test_single_pair_raises(self):
         gt = [world_pose(0.0, (0, 0, 0))]
         with pytest.raises(DataError):
-            align(list(zip(gt, gt)), AlignmentMode.YAW_ONLY)
+            align(associated_rows(list(zip(gt, gt))), AlignmentMode.YAW_ONLY)
 
 
 class TestAlignNone:
     def test_identity_transform(self):
-        tf = align([], AlignmentMode.NONE)
+        tf = align(associated_rows([]), AlignmentMode.NONE)
         assert np.all(tf.translation == 0.0)
         assert tf.rotation.as_array().tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_apply_alignment_with_identity_preserves_poses(self):
         rng = np.random.default_rng(19)
-        pairs = random_pair_set(rng, n=4)
-        out = apply_alignment(pairs, RigidTransform.identity())
-        for (e0, g0), (e1, g1) in zip(pairs, out):
-            assert np.allclose(e0.translation, e1.translation, atol=1e-15)
-            assert g0 is g1
+        rows = associated_rows(random_pair_set(rng, n=4))
+        out = apply_alignment(rows, RigidTransform.identity())
+        assert np.allclose(out.est_p, rows.est_p, atol=1e-15)
+        assert out.t is rows.t
+        assert out.gt_p is rows.gt_p and out.gt_q is rows.gt_q
 
 
 class TestRigidTransform:
-    def test_apply_pose_preserves_frames_and_time(self):
-        tf = RigidTransform(quat_yaw(0.5), np.array([1.0, 0.0, 0.0]))
-        p = world_pose(3.5, (2, 0, 0))
-        out = tf.apply_pose(p)
-        assert out.timestamp == 3.5
-        assert out.parent_frame == WORLD
-        assert out.child_frame == BODY_ADAS
-
     def test_apply_point_rotates_then_translates(self):
         tf = RigidTransform(quat_yaw(math.pi / 2.0), np.array([10.0, 0.0, 0.0]))
-        assert np.allclose(tf.apply_point([1.0, 0.0, 0.0]), [10.0, 1.0, 0.0], atol=1e-12)
+        p = world_pose(0.0, (1, 0, 0))
+        out = apply_alignment(associated_rows([(p, p)]), tf)
+        assert np.allclose(out.est_p, [[10.0, 1.0, 0.0]], atol=1e-12)
 
     def test_bad_translation_rejected(self):
         with pytest.raises(ValueError):
@@ -378,7 +377,7 @@ class TestComputeErrors:
     def test_perfect_match_gives_zero_errors(self):
         rng = np.random.default_rng(20)
         gt = [random_world_pose(rng, float(k)) for k in range(5)]
-        stats = compute_errors(list(zip(gt, gt)))
+        stats = compute_errors(associated_rows(list(zip(gt, gt))))
         assert stats.translation.rmse == 0.0
         # geodesic of a unit quaternion with itself is zero up to rounding
         assert stats.orientation.max < 1e-12
@@ -388,7 +387,7 @@ class TestComputeErrors:
         # errors {3, 4} m: rmse = sqrt(12.5), mean = 3.5
         gt = [world_pose(0.0, (0, 0, 0)), world_pose(1.0, (0, 0, 0))]
         est = [world_pose(0.0, (3, 0, 0)), world_pose(1.0, (0, 4, 0))]
-        stats = compute_errors(list(zip(est, gt)))
+        stats = compute_errors(associated_rows(list(zip(est, gt))))
         assert stats.translation.rmse == pytest.approx(math.sqrt(12.5), abs=1e-12)
         assert stats.translation.mean == pytest.approx(3.5, abs=1e-12)
         assert stats.translation.median == pytest.approx(3.5, abs=1e-12)
@@ -399,7 +398,7 @@ class TestComputeErrors:
         q = quat_yaw(math.radians(10.0))
         gt = [world_pose(0.0, (0, 0, 0))] * 3
         est = [world_pose(0.0, (0, 0, 0), q)] * 3
-        stats = compute_errors(list(zip(est, gt)))
+        stats = compute_errors(associated_rows(list(zip(est, gt))))
         assert stats.orientation.rmse == pytest.approx(10.0, abs=1e-9)
         assert stats.orientation.mean == pytest.approx(10.0, abs=1e-9)
 
@@ -412,8 +411,8 @@ class TestComputeErrors:
                  Quaternion.from_array(-e.rotation.as_array()), WORLD, BODY_ADAS)
             for e in est
         ]
-        a = compute_errors(list(zip(est, gt)))
-        b = compute_errors(list(zip(flipped, gt)))
+        a = compute_errors(associated_rows(list(zip(est, gt))))
+        b = compute_errors(associated_rows(list(zip(flipped, gt))))
         assert a.orientation.per_sample == b.orientation.per_sample
         assert a.translation.per_sample == b.translation.per_sample
 
@@ -422,14 +421,14 @@ class TestComputeErrors:
         for _ in range(20):
             gt = [random_world_pose(rng, float(k)) for k in range(15)]
             est = [random_world_pose(rng, float(k)) for k in range(15)]
-            stats = compute_errors(list(zip(est, gt)))
+            stats = compute_errors(associated_rows(list(zip(est, gt))))
             assert stats.translation.rmse >= stats.translation.mean - 1e-12
             assert stats.orientation.rmse >= stats.orientation.mean - 1e-12
             assert stats.translation.max >= stats.translation.median
 
     def test_empty_pairs_raise(self):
         with pytest.raises(DataError):
-            compute_errors([])
+            compute_errors(associated_rows([]))
 
     def test_metric_series_validation(self):
         with pytest.raises(ValueError):
@@ -447,7 +446,7 @@ class TestComputeErrors:
     def test_timestamps_come_from_estimate(self):
         est = [world_pose(0.05, (1, 0, 0))]
         gt = [world_pose(0.0, (0, 0, 0))]
-        stats = compute_errors(list(zip(est, gt)))
+        stats = compute_errors(associated_rows(list(zip(est, gt))))
         assert stats.timestamps == (0.05,)
 
 
@@ -465,7 +464,7 @@ class TestEvaluatePipeline:
             Pose(g.timestamp, q_d.rotate(g.translation) + shift, q_d * g.rotation, WORLD, BODY_ADAS)
             for g in gt
         ]
-        result = evaluate(est, gt, AlignmentMode.SE3)
+        result = evaluate(log_of(est), log_of(gt), AlignmentMode.SE3)
         assert result.n_dropped == 0
         assert result.stats.translation.max < 1e-9
         assert result.stats.orientation.max < 1e-7
@@ -473,7 +472,7 @@ class TestEvaluatePipeline:
     def test_without_alignment_distortion_shows_up(self):
         gt = [world_pose(k * 0.1, (k * 0.1, 0, 0)) for k in range(30)]
         est = [world_pose(k * 0.1, (k * 0.1 + 1.0, 0, 0)) for k in range(30)]
-        result = evaluate(est, gt, AlignmentMode.NONE)
+        result = evaluate(log_of(est), log_of(gt), AlignmentMode.NONE)
         assert result.stats.translation.rmse == pytest.approx(1.0, abs=1e-12)
 
     def test_isometry_invariance_of_aligned_stats(self):
@@ -486,12 +485,14 @@ class TestEvaluatePipeline:
                  Quaternion.from_array(rng.normal(size=4)) * g.rotation, WORLD, BODY_ADAS)
             for g in gt
         ]
-        base = evaluate(est, gt, AlignmentMode.SE3).stats
+        base = evaluate(log_of(est), log_of(gt), AlignmentMode.SE3).stats
         q_c = Quaternion.from_array(rng.normal(size=4))
         t_c = rng.normal(0, 50, 3)
         move = lambda p: Pose(p.timestamp, q_c.rotate(p.translation) + t_c, q_c * p.rotation,
                               WORLD, BODY_ADAS)
-        moved = evaluate([move(p) for p in est], [move(p) for p in gt], AlignmentMode.SE3).stats
+        moved = evaluate(
+            log_of([move(p) for p in est]), log_of([move(p) for p in gt]), AlignmentMode.SE3
+        ).stats
         assert moved.translation.rmse == pytest.approx(base.translation.rmse, abs=1e-9)
         assert moved.translation.max == pytest.approx(base.translation.max, abs=1e-9)
         assert moved.orientation.rmse == pytest.approx(base.orientation.rmse, abs=1e-9)
@@ -499,7 +500,7 @@ class TestEvaluatePipeline:
 
     def test_result_structure(self):
         gt = [world_pose(k * 0.1, (math.sin(k), math.cos(k), 0)) for k in range(10)]
-        result = evaluate(gt, gt, AlignmentMode.NONE)
+        result = evaluate(log_of(gt), log_of(gt), AlignmentMode.NONE)
         assert isinstance(result, EvaluationResult)
         assert isinstance(result.alignment, RigidTransform)
         assert result.stats.n_samples == 10
@@ -513,7 +514,7 @@ class TestExport:
     def test_error_series_csv(self, tmp_path):
         gt = [world_pose(0.0, (0, 0, 0)), world_pose(0.5, (0, 0, 0))]
         est = [world_pose(0.0, (3, 0, 0)), world_pose(0.5, (0, 4, 0))]
-        stats = compute_errors(list(zip(est, gt)))
+        stats = compute_errors(associated_rows(list(zip(est, gt))))
         out = tmp_path / "errors.csv"
         export_error_series(stats, out)
         lines = out.read_text().strip().split("\n")
@@ -527,7 +528,7 @@ class TestExport:
     def test_stats_json_round_trip(self, tmp_path):
         gt = [world_pose(0.0, (0, 0, 0)), world_pose(1.0, (0, 0, 0))]
         est = [world_pose(0.0, (3, 0, 0)), world_pose(1.0, (0, 4, 0))]
-        stats = compute_errors(list(zip(est, gt)))
+        stats = compute_errors(associated_rows(list(zip(est, gt))))
         out = tmp_path / "stats.json"
         export_stats_json(stats, out, with_series=True)
         loaded = json.loads(out.read_text())
@@ -539,7 +540,7 @@ class TestExport:
 
     def test_dict_without_series_is_compact(self):
         gt = [world_pose(0.0, (0, 0, 0))]
-        stats = compute_errors(list(zip(gt, gt)))
+        stats = compute_errors(associated_rows(list(zip(gt, gt))))
         d = stats.to_dict()
         assert "per_sample" not in d["translation_m"]
         assert set(d) == {"n_samples", "translation_m", "orientation_deg"}
@@ -547,25 +548,26 @@ class TestExport:
 
 class TestArrayPathsMatchPerPair:
     """compute_errors and apply_alignment run on arrays; each pair must score
-    what the per-pose formulas give."""
+    what the pose-object formulas give."""
 
     def test_compute_errors_per_sample(self):
         rng = np.random.default_rng(31)
         pairs = [(random_world_pose(rng, 0.1 * k), random_world_pose(rng, 0.1 * k)) for k in range(200)]
-        stats = compute_errors(pairs)
+        stats = compute_errors(associated_rows(pairs))
         trans = [float(np.linalg.norm(e.translation - g.translation)) for e, g in pairs]
         rot = [math.degrees(rotation_geodesic(e.rotation, g.rotation)) for e, g in pairs]
         np.testing.assert_allclose(stats.translation.per_sample, trans, rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(stats.orientation.per_sample, rot, rtol=1e-14, atol=1e-14)
         assert stats.timestamps == tuple(e.timestamp for e, _ in pairs)
 
-    def test_apply_alignment_matches_apply_pose(self):
+    def test_apply_alignment_matches_compose(self):
         rng = np.random.default_rng(32)
         pairs = random_pair_set(rng, n=50)
         tf = RigidTransform(Quaternion.from_array(rng.normal(size=4)), rng.normal(size=3))
-        for (got, g), (e, g2) in zip(apply_alignment(pairs, tf), pairs):
-            want = tf.apply_pose(e)
-            assert g is g2
-            assert got.translation.tolist() == want.translation.tolist()
-            assert got.rotation.as_array().tolist() == want.rotation.as_array().tolist()
-            assert (got.timestamp, got.parent_frame, got.child_frame) == (want.timestamp, want.parent_frame, want.child_frame)
+        out = apply_alignment(associated_rows(pairs), tf)
+        # the correction as a pose that maps world coordinates into corrected ones
+        correction = Pose(0.0, tf.translation, tf.rotation, LOCAL, WORLD)
+        for (e, _), tk, qk in zip(pairs, out.est_p, out.est_q):
+            want = compose(correction, e)
+            assert tk.tolist() == want.translation.tolist()
+            assert qk.tolist() == want.rotation.as_array().tolist()

@@ -32,6 +32,7 @@ from coloc.geometry import (
     rotation_geodesic,
     wrap_angle,
 )
+from pose_rows import arrays_of
 
 RNG = np.random.default_rng(20240817)
 
@@ -441,20 +442,13 @@ class TestArrayForms:
     """The many-pose array functions reproduce the per-object results bit for bit."""
 
     def make(self, n=200):
-        from coloc.geometry import pose_arrays
-
         rng = np.random.default_rng(88)
         poses = [
             Pose(float(k), rng.normal(size=3) * 20, Quaternion.from_array(Rotation.random(rng=rng).as_quat()), WORLD, BODY_ADAS)
             for k in range(n)
         ]
-        t, q = pose_arrays(poses)
+        t, q = arrays_of(poses)
         return poses, t, q
-
-    def test_pose_arrays(self):
-        poses, t, q = self.make()
-        assert t.tolist() == [p.translation.tolist() for p in poses]
-        assert q.tolist() == [p.rotation.as_array().tolist() for p in poses]
 
     def test_product_rotation_and_conjugate(self):
         from coloc.geometry import conjugate_quaternions, multiply_quaternions, rotate_vectors

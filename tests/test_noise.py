@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from coloc.geometry import BODY_ADAS, BODY_SMART, Pose, Quaternion, quat_yaw, rotation_geodesic, wrap_angle
+from coloc.geometry import Quaternion, quat_yaw, rotation_geodesic, wrap_angle
 from coloc.noise import NoiseSpec, RandomStream, perturb_pose, perturb_translation, perturb_yaw
 
 N_MC = 100_000
@@ -98,59 +98,58 @@ class TestPerturbTranslation:
     def test_zero_sigma_exact_passthrough(self):
         spec = NoiseSpec(0.0, 10.0)
         rng = RandomStream(5)
-        t = np.array([1.25, -3.5, 7.0])
+        t = np.array([[1.25, -3.5, 7.0]])
         out = perturb_translation(t, spec, rng)
-        assert out[0] == t[0] and out[1] == t[1] and out[2] == t[2]
+        assert out.tolist() == t.tolist()
 
     def test_z_never_touched(self):
         spec = NoiseSpec(50.0, 0.0)
         rng = RandomStream(5)
-        for _ in range(100):
-            out = perturb_translation(np.array([0.0, 0.0, 5.0]), spec, rng)
-            assert out[2] == 5.0
+        out = perturb_translation(copies([0.0, 0.0, 5.0], 100), spec, rng)
+        assert np.all(out[:, 2] == 5.0)
 
     def test_noise_matches_twin_stream_exactly(self):
         spec = NoiseSpec(2.5, 0.0)
         rng, twin = twin_streams(seed=9)
-        t = np.array([10.0, 20.0, 30.0])
-        out = perturb_translation(t, spec, rng)
+        t = np.array([[10.0, 20.0, 30.0]])
+        ((x, y, z),) = perturb_translation(t, spec, rng)
         ex = twin.standard_normal("translation-x")
         ey = twin.standard_normal("translation-y")
-        assert out[0] == t[0] + 2.5 * ex
-        assert out[1] == t[1] + 2.5 * ey
-        assert out[2] == 30.0
+        assert x == t[0, 0] + 2.5 * ex
+        assert y == t[0, 1] + 2.5 * ey
+        assert z == 30.0
 
     def test_monte_carlo_std(self):
         spec = NoiseSpec(2.5, 0.0)
         rng = RandomStream(123)
-        t = np.zeros(3)
-        xs = np.array([perturb_translation(t, spec, rng)[0] for _ in range(N_MC)])
+        # N_MC translations in one call: the draws of N_MC one-row calls
+        xs = perturb_translation(copies(np.zeros(3)), spec, rng)[:, 0]
         assert 2.45 <= xs.std(ddof=1) <= 2.55
         # Mean within 3 standard errors of zero.
         assert abs(xs.mean()) <= 3 * 2.5 / math.sqrt(N_MC)
 
     def test_input_not_mutated(self):
-        t = np.array([1.0, 2.0, 3.0])
+        t = np.array([[1.0, 2.0, 3.0]])
         perturb_translation(t, NoiseSpec(1.0, 0.0), RandomStream(0))
-        assert t.tolist() == [1.0, 2.0, 3.0]
+        assert t.tolist() == [[1.0, 2.0, 3.0]]
 
 
 class TestPerturbYaw:
     def test_zero_gamma_exact_passthrough(self):
         spec = NoiseSpec(3.0, 0.0)
         rng = RandomStream(5)
-        q = Quaternion.from_euler(0.1, -0.2, 0.3)
+        q = Quaternion.from_euler(0.1, -0.2, 0.3).as_array()[None]
         out = perturb_yaw(q, spec, rng)
-        assert (out.x, out.y, out.z, out.w) == (q.x, q.y, q.z, q.w)
+        assert out.tolist() == q.tolist()
 
     def test_geodesic_equals_drawn_angle_for_pure_yaw(self):
         spec = NoiseSpec(0.0, 10.0)
         rng, twin = twin_streams(seed=4)
-        for k in range(50):
-            q = quat_yaw(0.1 * k - 2.0)
-            out = perturb_yaw(q, spec, rng)
+        qs = [quat_yaw(0.1 * k - 2.0) for k in range(50)]
+        out = perturb_yaw(np.array([q.as_array() for q in qs]), spec, rng)
+        for q, row in zip(qs, out):
             theta = spec.gamma_yaw_rad * twin.standard_normal("yaw")
-            assert abs(rotation_geodesic(q, out) - abs(wrap_angle(theta))) < 1e-9
+            assert abs(rotation_geodesic(q, Quaternion.from_array(row)) - abs(wrap_angle(theta))) < 1e-9
 
     def test_right_multiplication_ordering(self):
         # Body-frame perturbation: for a tilted pose the noise spins about the
@@ -158,7 +157,7 @@ class TestPerturbYaw:
         spec = NoiseSpec(0.0, 30.0)
         rng, twin = twin_streams(seed=77)
         q = Quaternion.from_euler(0.7, 0.3, -1.1)
-        out = perturb_yaw(q, spec, rng)
+        out = Quaternion.from_array(perturb_yaw(q.as_array()[None], spec, rng)[0])
         theta = spec.gamma_yaw_rad * twin.standard_normal("yaw")
         expect = q * quat_yaw(theta)
         np.testing.assert_allclose(out.canonical().as_array(), expect.canonical().as_array(), atol=1e-12)
@@ -169,16 +168,15 @@ class TestPerturbYaw:
         spec = NoiseSpec(0.0, 45.0)
         rng = RandomStream(2)
         q = Quaternion.from_euler(0.5, 0.4, 0.3)
-        for _ in range(100):
-            q2 = perturb_yaw(q, spec, rng)
-            assert math.isclose(q2.norm(), 1.0, abs_tol=1e-12)
+        out = perturb_yaw(copies(q.as_array(), 100), spec, rng)
+        np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0.0, atol=1e-12)
 
     def test_monte_carlo_std_degrees(self):
         spec = NoiseSpec(0.0, 10.0)
         rng = RandomStream(321)
         base = quat_yaw(0.4)
         base_yaw = 0.4
-        # N_MC perturbations in one call: the draws of N_MC single calls
+        # N_MC perturbations in one call: the draws of N_MC one-row calls
         out = perturb_yaw(copies(base.as_array()), spec, rng)
         deltas = wrap_angle(yaws(out) - base_yaw)
         std_deg = math.degrees(deltas.std(ddof=1))
@@ -188,57 +186,44 @@ class TestPerturbYaw:
 
 class TestPerturbPose:
     def make_pose(self):
-        return Pose(2.5, np.array([3.0, -1.0, 0.5]), Quaternion.from_euler(0.0, 0.0, 1.2), BODY_SMART, BODY_ADAS)
+        """One pose as a (t, q) pair of one-row arrays."""
+        return np.array([[3.0, -1.0, 0.5]]), Quaternion.from_euler(0.0, 0.0, 1.2).as_array()[None]
 
     def test_zero_noise_exact_passthrough(self):
-        p = self.make_pose()
-        out = perturb_pose(p, NoiseSpec(0.0, 0.0), RandomStream(0))
-        assert np.array_equal(out.translation, p.translation)
-        assert (out.rotation.x, out.rotation.y, out.rotation.z, out.rotation.w) == (
-            p.rotation.x,
-            p.rotation.y,
-            p.rotation.z,
-            p.rotation.w,
-        )
-
-    def test_metadata_preserved(self):
-        p = self.make_pose()
-        out = perturb_pose(p, NoiseSpec(1.0, 5.0), RandomStream(3))
-        assert out.timestamp == p.timestamp
-        assert out.parent_frame == p.parent_frame
-        assert out.child_frame == p.child_frame
+        t, q = self.make_pose()
+        out_t, out_q = perturb_pose((t, q), NoiseSpec(0.0, 0.0), RandomStream(0))
+        assert out_t.tolist() == t.tolist()
+        assert out_q.tolist() == q.tolist()
 
     def test_matches_channel_ops_exactly(self):
-        p = self.make_pose()
+        t, q = self.make_pose()
         spec = NoiseSpec(0.3, 15.0)
         rng, twin = twin_streams(seed=10)
-        out = perturb_pose(p, spec, rng)
-        t_expect = perturb_translation(p.translation, spec, twin)
-        q_expect = perturb_yaw(p.rotation, spec, twin)
-        assert np.array_equal(out.translation, t_expect)
-        assert out.rotation.as_array().tolist() == q_expect.as_array().tolist()
+        out_t, out_q = perturb_pose((t, q), spec, rng)
+        assert out_t.tolist() == perturb_translation(t, spec, twin).tolist()
+        assert out_q.tolist() == perturb_yaw(q, spec, twin).tolist()
 
     def test_monte_carlo_both_channels(self):
         # Statistics at one of the sweep operating points (0.3 m, 15 deg).
-        p = self.make_pose()
+        (p,), (q,) = self.make_pose()
         spec = NoiseSpec(0.3, 15.0)
         rng = RandomStream(999)
-        base_yaw = p.rotation.to_euler()[2]
-        # N_MC perturbations in one call: the draws of N_MC single calls
-        t, q = perturb_pose((copies(p.translation), copies(p.rotation.as_array())), spec, rng)
-        dx = t[:, 0] - p.translation[0]
+        base_yaw = Quaternion.from_array(q).to_euler()[2]
+        # N_MC perturbations in one call: the draws of N_MC one-row calls
+        t, q = perturb_pose((copies(p), copies(q)), spec, rng)
+        dx = t[:, 0] - p[0]
         dyaw = wrap_angle(yaws(q) - base_yaw)
         assert 0.294 <= dx.std(ddof=1) <= 0.306
         assert 14.7 <= math.degrees(dyaw.std(ddof=1)) <= 15.3
         assert abs(dx.mean()) <= 3 * 0.3 / math.sqrt(N_MC)
-        assert np.all(t[:, 2] == p.translation[2])
+        assert np.all(t[:, 2] == p[2])
 
     def test_gamma_change_leaves_translation_sequence_fixed(self):
         p = self.make_pose()
         rng_a = RandomStream(5)
         rng_b = RandomStream(5)
-        out_a = [perturb_pose(p, NoiseSpec(0.5, 1.0), rng_a).translation for _ in range(20)]
-        out_b = [perturb_pose(p, NoiseSpec(0.5, 25.0), rng_b).translation for _ in range(20)]
+        out_a = [perturb_pose(p, NoiseSpec(0.5, 1.0), rng_a)[0] for _ in range(20)]
+        out_b = [perturb_pose(p, NoiseSpec(0.5, 25.0), rng_b)[0] for _ in range(20)]
         for ta, tb in zip(out_a, out_b):
             assert np.array_equal(ta, tb)
 
@@ -246,8 +231,8 @@ class TestPerturbPose:
         p = self.make_pose()
         rng_a = RandomStream(5)
         rng_b = RandomStream(5)
-        out_a = [perturb_pose(p, NoiseSpec(0.1, 8.0), rng_a).rotation.as_array() for _ in range(20)]
-        out_b = [perturb_pose(p, NoiseSpec(9.0, 8.0), rng_b).rotation.as_array() for _ in range(20)]
+        out_a = [perturb_pose(p, NoiseSpec(0.1, 8.0), rng_a)[1] for _ in range(20)]
+        out_b = [perturb_pose(p, NoiseSpec(9.0, 8.0), rng_b)[1] for _ in range(20)]
         for qa, qb in zip(out_a, out_b):
             assert np.array_equal(qa, qb)
 
@@ -256,25 +241,21 @@ class TestPerturbPose:
         spec = NoiseSpec(0.7, 3.0)
         a = perturb_pose(p, spec, RandomStream(77))
         b = perturb_pose(p, spec, RandomStream(77))
-        assert np.array_equal(a.translation, b.translation)
-        assert a.rotation.as_array().tolist() == b.rotation.as_array().tolist()
+        assert a[0].tolist() == b[0].tolist()
+        assert a[1].tolist() == b[1].tolist()
 
 
 class TestPerturbManyPoses:
     def test_many_poses_at_once_equal_single_calls_in_order(self):
-        from coloc.geometry import pose_arrays
-
         rng = np.random.default_rng(12)
-        poses = [
-            Pose(0.1 * k, rng.normal(size=3) * 5, Quaternion.from_euler(*rng.uniform(-1, 1, 3)), BODY_SMART, BODY_ADAS)
-            for k in range(300)
-        ]
+        t = rng.normal(size=(300, 3)) * 5
+        q = np.array([Quaternion.from_euler(*rng.uniform(-1, 1, 3)).as_array() for _ in range(300)])
         spec = NoiseSpec(0.4, 7.0)
         stream, twin = twin_streams(seed=13)
-        t, q = perturb_pose(pose_arrays(poses), spec, stream)
-        expected = [perturb_pose(p, spec, twin) for p in poses]
-        assert t.tolist() == [e.translation.tolist() for e in expected]
-        assert q.tolist() == [e.rotation.as_array().tolist() for e in expected]
+        out_t, out_q = perturb_pose((t, q), spec, stream)
+        expected = [perturb_pose((t[k : k + 1], q[k : k + 1]), spec, twin) for k in range(300)]
+        assert out_t.tolist() == [e_t[0].tolist() for e_t, _ in expected]
+        assert out_q.tolist() == [e_q[0].tolist() for _, e_q in expected]
         # both streams are left at the same position
         assert stream.standard_normal("yaw") == twin.standard_normal("yaw")
 

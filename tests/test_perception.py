@@ -1,12 +1,14 @@
 """Perception-channel tests.
 
-Oracles: twin RandomStreams reconstruct injected noise exactly; a brute-force
-nearest-neighbor scan validates the pairing; Monte-Carlo checks that noise
-statistics survive the relative-compose round trip.
+Oracles: twin RandomStreams reconstruct injected noise exactly, and the
+pose-object formulas (relative_pose, compose, quat_yaw) rebuild each
+measurement from them bit for bit; a brute-force nearest-neighbor scan
+validates the pairing; Monte-Carlo checks that noise statistics survive the
+relative-compose round trip.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,20 +23,21 @@ from coloc.geometry import (
     WORLD,
     Pose,
     Quaternion,
+    compose,
     quat_yaw,
+    relative_pose,
     rotation_geodesic,
 )
 from coloc.noise import NoiseSpec, RandomStream
 from coloc.perception import (
-    PairedRows,
-    PairedSample,
     PerceptionConfig,
     gate_pair,
     make_measurement,
     pair_streams,
-    rate_limit,
+    rate_limit_indices,
     simulate_perception,
 )
+from pose_rows import log_of, paired_rows
 
 RNG = np.random.default_rng(77)
 
@@ -45,11 +48,6 @@ def smart_pose(t, translation, yaw=0.0):
 
 def adas_pose(t, translation, yaw=0.0):
     return Pose(t, np.asarray(translation, float), quat_yaw(yaw), WORLD, BODY_ADAS)
-
-
-@dataclass(frozen=True)
-class Stamped:
-    timestamp: float
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +80,21 @@ class TestGatePair:
 # ---------------------------------------------------------------------------
 
 def brute_force_pairs(smart, adas, threshold):
-    """Reference pairing: full scan for the nearest leader sample."""
+    """Reference pairing: (leader, follower) poses by a full scan for the nearest leader sample."""
     out = []
     for ap in adas:
         gaps = [abs(sp.timestamp - ap.timestamp) for sp in smart]
         i = int(np.argmin(gaps))
         if gate_pair(smart[i].timestamp, ap.timestamp, threshold):
-            out.append((smart[i].timestamp, ap.timestamp))
+            out.append((smart[i], ap))
     return out
+
+
+def assert_rows_are_pairs(rows, pairs):
+    """The rows hold exactly the given (leader, follower) pose pairs, in order."""
+    expected = paired_rows([sp for sp, _ in pairs], [ap for _, ap in pairs])
+    for name in ("t", "smart_p", "smart_q", "adas_p", "adas_q"):
+        assert getattr(rows, name).tolist() == getattr(expected, name).tolist(), name
 
 
 class TestPairStreams:
@@ -104,69 +109,104 @@ class TestPairStreams:
 
     def test_matches_brute_force(self):
         smart, adas = self.make_streams()
-        got = [(p.smart_pose.timestamp, p.adas_pose.timestamp) for p in pair_streams(smart, adas, 0.03)]
-        assert got == brute_force_pairs(smart, adas, 0.03)
+        rows = pair_streams(log_of(smart), log_of(adas), 0.03)
+        assert_rows_are_pairs(rows, brute_force_pairs(smart, adas, 0.03))
 
     def test_every_pair_satisfies_gate(self):
         smart, adas = self.make_streams()
-        for p in pair_streams(smart, adas, 0.05):
-            assert gate_pair(p.smart_pose.timestamp, p.adas_pose.timestamp, 0.05)
+        rows = pair_streams(log_of(smart), log_of(adas), 0.05)
+        # leader k sits at x = k
+        leader_t = np.array([p.timestamp for p in smart])[rows.smart_p[:, 0].astype(int)]
+        assert len(rows) > 0
+        for ts, ta in zip(leader_t.tolist(), rows.t.tolist()):
+            assert gate_pair(ts, ta, 0.05)
 
     def test_each_gated_follower_sample_emitted_once(self):
         smart, adas = self.make_streams()
-        pairs = pair_streams(smart, adas, 0.05)
-        times = [p.pair_time for p in pairs]
+        rows = pair_streams(log_of(smart), log_of(adas), 0.05)
+        times = rows.t.tolist()
         assert len(times) == len(set(times))
         expected = brute_force_pairs(smart, adas, 0.05)
-        assert len(pairs) == len(expected)
+        assert len(rows) == len(expected)
 
     def test_pair_time_is_follower_stamp(self):
-        smart = [smart_pose(1.0, [0.0, 0.0, 0.0])]
-        adas = [adas_pose(1.02, [1.0, 0.0, 0.0])]
-        (pair,) = pair_streams(smart, adas, 0.1)
-        assert pair.pair_time == 1.02
-        assert pair.timestamp == 1.02
+        smart = log_of([smart_pose(1.0, [0.0, 0.0, 0.0])])
+        adas = log_of([adas_pose(1.02, [1.0, 0.0, 0.0])])
+        assert pair_streams(smart, adas, 0.1).t.tolist() == [1.02]
 
     def test_unsorted_streams_rejected(self):
+        # a log holds strictly increasing stamps, so no unsorted stream reaches the pairing
         smart = [smart_pose(1.0, [0.0, 0.0, 0.0]), smart_pose(0.5, [0.0, 0.0, 0.0])]
-        adas = [adas_pose(1.0, [0.0, 0.0, 0.0])]
+        adas = log_of([adas_pose(1.0, [0.0, 0.0, 0.0])])
         with pytest.raises(DataError):
-            pair_streams(smart, adas, 0.1)
-        with pytest.raises(DataError):
-            pair_streams(adas_and := [adas_pose(1.0, [0, 0, 0])], smart, 0.1)  # adas arg unsorted
+            pair_streams(log_of(smart), adas, 0.1)
 
     def test_empty_leader_stream(self):
-        assert pair_streams([], [adas_pose(1.0, [0.0, 0.0, 0.0])], 0.1) == []
+        rows = pair_streams(log_of([], Agent.SMART), log_of([adas_pose(1.0, [0.0, 0.0, 0.0])]), 0.1)
+        assert len(rows) == 0
+        assert (rows.smart_p.shape, rows.adas_q.shape) == ((0, 3), (0, 4))
 
     def test_frame_validation(self):
+        smart = log_of([smart_pose(0.0, [0, 0, 0])])
+        adas = log_of([adas_pose(0.0, [0, 0, 0])])
         with pytest.raises(DataError):
-            PairedSample(adas_pose(0.0, [0, 0, 0]), adas_pose(0.0, [0, 0, 0]), 0.0)
+            pair_streams(adas, adas, 0.1)
         with pytest.raises(DataError):
-            PairedSample(smart_pose(0.0, [0, 0, 0]), smart_pose(0.0, [0, 0, 0]), 0.0)
+            pair_streams(smart, smart, 0.1)
 
 
 # ---------------------------------------------------------------------------
 # Measurement construction
 # ---------------------------------------------------------------------------
 
+def measured_pose(sp, ap, noise, twin):
+    """One pair's measurement from the pose-object formulas and twin noise draws.
+
+    The follower pose relative to the leader gets the draws of the pair's
+    turn on each labeled stream, and is then composed back onto the leader.
+    """
+    rel = relative_pose(sp, ap)
+    t = rel.translation.copy()
+    t[0] = t[0] + noise.sigma_trans * twin.standard_normal("translation-x")
+    t[1] = t[1] + noise.sigma_trans * twin.standard_normal("translation-y")
+    yaw = quat_yaw(noise.gamma_yaw_rad * twin.standard_normal("yaw"))
+    return compose(sp, Pose(rel.timestamp, t, rel.rotation * yaw, rel.parent_frame, rel.child_frame))
+
+
+def assert_event_is_pose(ev, want):
+    assert ev.timestamp == ev.pose.timestamp == want.timestamp
+    assert ev.pose.translation.tolist() == want.translation.tolist()
+    assert ev.pose.rotation.as_array().tolist() == want.rotation.as_array().tolist()
+    assert (ev.pose.parent_frame, ev.pose.child_frame) == (want.parent_frame, want.child_frame)
+
+
 class TestMakeMeasurement:
     def test_zero_noise_reproduces_ground_truth(self):
         cfg = PerceptionConfig(NoiseSpec(0.0, 0.0))
-        rng = RandomStream(0)
-        for _ in range(25):
-            sp = smart_pose(2.0, RNG.normal(size=3) * 20, yaw=RNG.uniform(-3, 3))
-            ap = adas_pose(2.01, RNG.normal(size=3) * 20, yaw=RNG.uniform(-3, 3))
-            ev = make_measurement(PairedSample(sp, ap, ap.timestamp), cfg, rng)
-            np.testing.assert_allclose(ev.pose.translation, ap.translation, atol=1e-9)
-            assert rotation_geodesic(ev.pose.rotation, ap.rotation) < 1e-9
+        smart = [smart_pose(2.0, RNG.normal(size=3) * 20, yaw=RNG.uniform(-3, 3)) for _ in range(25)]
+        adas = [adas_pose(2.01, RNG.normal(size=3) * 20, yaw=RNG.uniform(-3, 3)) for _ in range(25)]
+        t, q = make_measurement(paired_rows(smart, adas), cfg, RandomStream(0))
+        for tk, qk, ap in zip(t, q, adas):
+            np.testing.assert_allclose(tk, ap.translation, atol=1e-9)
+            assert rotation_geodesic(Quaternion.from_array(qk), ap.rotation) < 1e-9
+
+    def test_rows_equal_pose_formulas(self):
+        cfg = PerceptionConfig(NoiseSpec(0.7, 12.0))
+        smart = [smart_pose(0.1 * k, RNG.normal(size=3) * 20, yaw=RNG.uniform(-3, 3)) for k in range(40)]
+        adas = [adas_pose(0.1 * k, RNG.normal(size=3) * 20, yaw=RNG.uniform(-3, 3)) for k in range(40)]
+        t, q = make_measurement(paired_rows(smart, adas), cfg, RandomStream(6))
+        twin = RandomStream(6)
+        for tk, qk, sp, ap in zip(t, q, smart, adas):
+            want = measured_pose(sp, ap, cfg.noise, twin)
+            assert tk.tolist() == want.translation.tolist()
+            assert qk.tolist() == want.rotation.as_array().tolist()
 
     def test_event_metadata(self):
         cfg = PerceptionConfig(NoiseSpec(0.3, 10.0))
-        ev = make_measurement(
-            PairedSample(smart_pose(1.0, [0, 0, 0]), adas_pose(1.02, [1, 0, 0]), 1.02),
-            cfg,
-            RandomStream(1),
-        )
+        smart = log_of([smart_pose(1.0, [0, 0, 0])])
+        adas = log_of([adas_pose(1.02, [1, 0, 0])])
+        # a measured pair becomes an event of the whole channel
+        (ev,) = simulate_perception(smart, adas, cfg, RandomStream(1))
         assert ev.kind is MeasurementKind.PERCEPTION_ABSOLUTE
         assert ev.timestamp == 1.02
         assert ev.pose.timestamp == 1.02
@@ -180,12 +220,12 @@ class TestMakeMeasurement:
         twin = RandomStream(9)
         sp = Pose(1.0, np.zeros(3), Quaternion.identity(), WORLD, BODY_SMART)
         ap = adas_pose(1.0, [4.0, 7.0, 0.0])
-        ev = make_measurement(PairedSample(sp, ap, 1.0), cfg, rng)
+        ((tx, ty, tz),), _ = make_measurement(paired_rows([sp], [ap]), cfg, rng)
         ex = 0.5 * twin.standard_normal("translation-x")
         ey = 0.5 * twin.standard_normal("translation-y")
-        assert ev.pose.translation[0] == ap.translation[0] + ex
-        assert ev.pose.translation[1] == ap.translation[1] + ey
-        assert ev.pose.translation[2] == ap.translation[2]
+        assert tx == ap.translation[0] + ex
+        assert ty == ap.translation[1] + ey
+        assert tz == ap.translation[2]
 
     def test_rotated_leader_rotates_noise_into_world(self):
         # Injected x-noise lives in the leader frame; with the leader at yaw
@@ -195,10 +235,10 @@ class TestMakeMeasurement:
         twin = RandomStream(4)
         sp = smart_pose(1.0, [10.0, 20.0, 0.0], yaw=math.pi / 2)
         ap = adas_pose(1.0, [10.0, 15.0, 0.0], yaw=math.pi / 2)
-        ev = make_measurement(PairedSample(sp, ap, 1.0), cfg, rng)
+        (t,), _ = make_measurement(paired_rows([sp], [ap]), cfg, rng)
         ex = 0.5 * twin.standard_normal("translation-x")
         ey = 0.5 * twin.standard_normal("translation-y")
-        err = ev.pose.translation - ap.translation
+        err = t - ap.translation
         assert abs(err[1] - ex) < 1e-12
         assert abs(err[0] + ey) < 1e-12
 
@@ -209,12 +249,7 @@ class TestMakeMeasurement:
         sp = Pose(1.0, np.array([3.0, -8.0, 0.0]), Quaternion.identity(), WORLD, BODY_SMART)
         ap = adas_pose(1.0, [9.0, -2.0, 0.0], yaw=0.7)
         # the same pair 100 000 times, measured in one call
-        one = PairedRows.of_pairs([PairedSample(sp, ap, 1.0)])
-        n = 100_000
-        rows = PairedRows(
-            np.repeat(one.t, n),
-            *(np.repeat(a, n, axis=0) for a in (one.smart_p, one.smart_q, one.adas_p, one.adas_q)),
-        )
+        rows = paired_rows([sp], [ap]).take(np.zeros(100_000, dtype=int))
         t, _ = make_measurement(rows, cfg, rng)
         errs = t - ap.translation
         assert 0.98 * sigma <= errs[:, 0].std(ddof=1) <= 1.02 * sigma
@@ -227,37 +262,37 @@ class TestMakeMeasurement:
 # ---------------------------------------------------------------------------
 
 class TestRateLimit:
-    def stream_200hz(self, seconds=1.0):
-        return [Stamped(k * 0.005) for k in range(int(seconds * 200))]
+    def stamps_200hz(self, seconds=1.0):
+        return [k * 0.005 for k in range(int(seconds * 200))]
 
     def test_halving_200_to_100(self):
-        out = rate_limit(self.stream_200hz(), 100.0)
-        assert [e.timestamp for e in out] == [k * 0.005 for k in range(0, 200, 2)]
+        stamps = self.stamps_200hz()
+        out = rate_limit_indices(stamps, 100.0)
+        assert [stamps[i] for i in out] == [k * 0.005 for k in range(0, 200, 2)]
 
     def test_target_above_input_is_identity(self):
-        stream = self.stream_200hz()
-        assert rate_limit(stream, 500.0) == stream
+        stamps = self.stamps_200hz()
+        assert rate_limit_indices(stamps, 500.0) == list(range(len(stamps)))
 
     def test_200_to_5_gap_check(self):
-        out = rate_limit(self.stream_200hz(), 5.0)
-        times = [e.timestamp for e in out]
+        stamps = self.stamps_200hz()
+        times = [stamps[i] for i in rate_limit_indices(stamps, 5.0)]
         assert len(times) == 5
         gaps = np.diff(times)
         assert np.all(gaps >= 0.2 - 1e-9)
 
     def test_first_event_always_emitted(self):
-        out = rate_limit([Stamped(3.7)], 0.001)
-        assert [e.timestamp for e in out] == [3.7]
+        assert rate_limit_indices([3.7], 0.001) == [0]
 
     def test_irregular_stream_none_too_close(self):
         times = np.cumsum(RNG.uniform(0.001, 0.3, size=200))
-        out = rate_limit([Stamped(float(t)) for t in times], 4.0)
-        gaps = np.diff([e.timestamp for e in out])
+        out = rate_limit_indices(times.tolist(), 4.0)
+        gaps = np.diff(times[out])
         assert np.all(gaps >= 0.25 - 1e-9)
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
-            rate_limit([], 0.0)
+            rate_limit_indices([], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +307,14 @@ class TestSimulatePerception:
             yaw = 0.3 * t
             smart.append(smart_pose(t, [10 * math.cos(yaw), 10 * math.sin(yaw), 0.0], yaw=yaw))
             adas.append(adas_pose(t, [9 * math.cos(yaw - 0.1), 9 * math.sin(yaw - 0.1), 0.0], yaw=yaw))
-        return smart, adas
+        return log_of(smart), log_of(adas)
 
     def test_zero_noise_transparency_full_chain(self):
         smart, adas = self.make_truth()
         cfg = PerceptionConfig(NoiseSpec(0.0, 0.0), output_rate=10.0)
         events = simulate_perception(smart, adas, cfg, RandomStream(0))
         assert 0 < len(events) < len(adas)
-        truth = {p.timestamp: p for p in adas}
+        truth = {p.timestamp: p for p in adas.samples}
         for ev in events:
             gt = truth[ev.timestamp]
             np.testing.assert_allclose(ev.pose.translation, gt.translation, atol=1e-9)
@@ -309,7 +344,7 @@ class TestSimulatePerception:
 
     def test_wide_clock_skew_drops_everything(self):
         smart, adas = self.make_truth(n=50)
-        shifted = [Pose(p.timestamp + 5.0, p.translation, p.rotation, p.parent_frame, p.child_frame) for p in smart]
+        shifted = replace(smart, t=smart.t + 5.0)
         cfg = PerceptionConfig(NoiseSpec(0.0, 0.0))
         assert simulate_perception(shifted, adas, cfg, RandomStream(0)) == []
 
@@ -317,21 +352,19 @@ class TestSimulatePerception:
         smart, adas = self.make_truth(n=300)
         cfg = PerceptionConfig(NoiseSpec(0.3, 10.0), output_rate=50.0)
         events = simulate_perception(smart, adas, cfg, RandomStream(21))
-        pairs = rate_limit(pair_streams(smart, adas, cfg.gate_threshold), cfg.output_rate)
+        pairs = brute_force_pairs(smart.samples, adas.samples, cfg.gate_threshold)
+        pairs = [pairs[i] for i in rate_limit_indices([ap.timestamp for _, ap in pairs], cfg.output_rate)]
         twin = RandomStream(21)
-        expected = [make_measurement(pair, cfg, twin) for pair in pairs]
-        assert len(events) == len(expected) > 0
-        for got, want in zip(events, expected):
-            assert (got.timestamp, got.kind, got.source) == (want.timestamp, want.kind, want.source)
-            assert got.pose.translation.tolist() == want.pose.translation.tolist()
-            assert got.pose.rotation.as_array().tolist() == want.pose.rotation.as_array().tolist()
-            assert (got.pose.parent_frame, got.pose.child_frame) == (want.pose.parent_frame, want.pose.child_frame)
-            np.testing.assert_array_equal(got.r6, want.r6)
+        assert len(events) == len(pairs) > 0
+        for ev, (sp, ap) in zip(events, pairs):
+            assert_event_is_pose(ev, measured_pose(sp, ap, cfg.noise, twin))
+            assert (ev.kind, ev.source) == (MeasurementKind.PERCEPTION_ABSOLUTE, "smart/perception")
+            np.testing.assert_array_equal(ev.r6, measurement_covariance(cfg.noise))
 
 
 class TestArrayChannelMatchesPairs:
-    """simulate_perception on logs picks rows and measures them on arrays; it
-    must emit what pair_streams, rate_limit and one make_measurement per pair
+    """simulate_perception picks rows and measures them on arrays; it must
+    emit what a per-pair scan, rate limiting and the pose-object formulas
     give, bit for bit."""
 
     def logs(self, offset):
@@ -349,29 +382,18 @@ class TestArrayChannelMatchesPairs:
         smart, adas = self.logs(offset)
         cfg = PerceptionConfig(NoiseSpec(0.4, 6.0), gate_threshold=gate, output_rate=rate)
         events = simulate_perception(smart, adas, cfg, RandomStream(8), r6_scale=scale)
-        pairs = pair_streams(list(smart), list(adas), gate)
+        pairs = brute_force_pairs(smart.samples, adas.samples, gate)
         assert 0 < len(pairs) <= len(adas)
+        assert_rows_are_pairs(pair_streams(smart, adas, gate), pairs)
         if rate is not None:
-            pairs = rate_limit(pairs, rate)
+            pairs = [pairs[i] for i in rate_limit_indices([ap.timestamp for _, ap in pairs], rate)]
         twin = RandomStream(8)
-        expected = [make_measurement(pair, cfg, twin) for pair in pairs]
-        assert len(events) == len(expected) > 0
-        for got, want in zip(events, expected):
-            assert (got.timestamp, got.kind, got.source) == (want.timestamp, want.kind, want.source)
-            assert got.pose.timestamp == want.pose.timestamp
-            assert got.pose.translation.tolist() == want.pose.translation.tolist()
-            assert got.pose.rotation.as_array().tolist() == want.pose.rotation.as_array().tolist()
-            assert (got.pose.parent_frame, got.pose.child_frame) == (WORLD, BODY_ADAS)
-            assert got.r6.tolist() == (want.r6 * scale).tolist()
-            assert not got.r6.flags.writeable
-
-    def test_log_and_pose_inputs_pair_alike(self):
-        smart, adas = self.logs(0.013)
-        from_logs = pair_streams(smart, adas, 0.02)
-        from_poses = pair_streams(list(smart), list(adas), 0.02)
-        assert [(p.smart_pose.timestamp, p.pair_time) for p in from_logs] == [
-            (p.smart_pose.timestamp, p.pair_time) for p in from_poses
-        ]
+        assert len(events) == len(pairs) > 0
+        for ev, (sp, ap) in zip(events, pairs):
+            assert_event_is_pose(ev, measured_pose(sp, ap, cfg.noise, twin))
+            assert (ev.kind, ev.source) == (MeasurementKind.PERCEPTION_ABSOLUTE, "smart/perception")
+            assert ev.r6.tolist() == (measurement_covariance(cfg.noise) * scale).tolist()
+            assert not ev.r6.flags.writeable
 
     def test_swapped_logs_rejected(self):
         smart, adas = self.logs(0.0)
