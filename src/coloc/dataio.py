@@ -26,7 +26,6 @@ from typing import Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .ekf import STATE_DIM
 from .errors import DataError
 from .geometry import (
     WORLD,
@@ -326,12 +325,13 @@ def estimate_track(
 ) -> tuple[TrajectoryLog, np.ndarray]:
     """Filter estimates as a world-frame log plus their 1-sigma on x, y, z and yaw.
 
-    ``t`` (N,) are the stamps, ``x`` (N, 15) the states and ``variances``
-    (N, 15) the covariance diagonals.  Returns the log and an (N, 4) 1-sigma
-    array; tiny negative rounding on a diagonal gives a 1-sigma of 0.
+    ``t`` (N,) are the stamps, ``x`` (N, k) the states and ``variances``
+    (N, k) the covariance diagonals, k >= 6: only the pose block, columns
+    0-5, is read.  Returns the log and an (N, 4) 1-sigma array; tiny
+    negative rounding on a diagonal gives a 1-sigma of 0.
     """
-    x = np.asarray(x, dtype=float).reshape(-1, STATE_DIM)
-    d = np.asarray(variances, dtype=float).reshape(-1, STATE_DIM)[:, [0, 1, 2, 5]]
+    x = np.asarray(x, dtype=float)
+    d = np.asarray(variances, dtype=float)[:, [0, 1, 2, 5]]
     log = TrajectoryLog(agent, "ENU", t, x[:, 0:3], euler_to_quaternions(x[:, 3:6]))
     return log, np.sqrt(np.where(d > 0.0, d, 0.0))
 

@@ -41,7 +41,6 @@ from .dataio import (
     write_estimate_csv,  # re-exported beside the run results it writes
 )
 from .ekf import (
-    STATE_DIM,
     EkfNode,
     FilterNodeConfig,
     MeasurementEvent,
@@ -60,12 +59,16 @@ from .geometry import (
     Agent,
     Pose,
     Quaternion,
-    body_frame,
     compose_arrays,
     invert,
 )
 from .noise import NoiseSpec, RandomStream, perturb_pose
-from .perception import PerceptionConfig, rate_limit_indices, simulate_perception
+from .perception import (
+    PerceptionConfig,
+    PerceptionEvents,
+    rate_limit_indices,
+    simulate_perception,
+)
 
 RAW_ODOMETRY_SOURCE = "adas/raw-odometry"
 
@@ -399,8 +402,12 @@ def _load_ground_truth(cfg: ExperimentConfig) -> tuple[TrajectoryLog, Trajectory
 
 def _simulate_raw_odometry(
     adas: TrajectoryLog, cfg: ExperimentConfig, stream: RandomStream
-) -> tuple[Pose, list[MeasurementEvent]]:
-    """Noisy local-frame follower poses, the input to filter node 1."""
+) -> tuple[Pose, np.ndarray, np.ndarray, np.ndarray]:
+    """Noisy local-frame follower poses, the input to filter node 1.
+
+    Returns the world->local anchor, and the stamps (N,), translations
+    (N, 3) and quaternions (N, 4) of the raw odometry.
+    """
     (start,) = adas.poses([0])
     world_to_local = Pose(start.timestamp, start.translation, start.rotation, WORLD, LOCAL)
     local_from_world = invert(world_to_local)
@@ -412,18 +419,21 @@ def _simulate_raw_odometry(
         local_from_world.translation, local_from_world.rotation.as_array(), adas.p[rows], adas.q[rows]
     )
     t, q = perturb_pose(local, cfg.raw_noise, stream.derive("raw-odometry"))
-    child = body_frame(adas.agent)
-    events = [
+    return world_to_local, adas.t[rows], t, q
+
+
+def _odometry_events(stamps: np.ndarray, t: np.ndarray, q: np.ndarray) -> list[MeasurementEvent]:
+    """One raw odometry event per row."""
+    return [
         MeasurementEvent(
             stamp,
             MeasurementKind.ODOMETRY_DIFFERENTIAL,
-            Pose._trusted(stamp, tk, Quaternion(*qk), LOCAL, child),
+            Pose._trusted(stamp, tk, Quaternion(*qk), LOCAL, BODY_ADAS),
             r6=None,
             source=RAW_ODOMETRY_SOURCE,
         )
-        for stamp, tk, qk in zip(adas.t[rows].tolist(), t, q.tolist())
+        for stamp, tk, qk in zip(stamps.tolist(), t, q.tolist())
     ]
-    return world_to_local, events
 
 
 def _smoothed_odometry_spec(cfg: ExperimentConfig) -> NoiseSpec:
@@ -466,29 +476,45 @@ def _node_configs(
     return node1, node2
 
 
-def _run_node2(
-    node2_cfg: FilterNodeConfig,
-    smoothed: list[tuple[MeasurementEvent, Pose]],
-    perception_events: list[MeasurementEvent],
-) -> tuple[EkfNode, TrajectoryLog, np.ndarray]:
-    """Drive node 2 over a time-merged event stream; odometry wins stamp ties.
+# Odometry events per block of the filter loop in execute_run.
+_BLOCK = 256
 
-    Returns the node, and its estimate after each odometry step as a log
-    and a 1-sigma array (see :func:`estimate_track`).
+
+class _Node2Pass:
+    """One node-2 pass over the odometry schedule, fed block by block.
+
+    Perception events join as they come due; odometry wins stamp ties.  The
+    pass keeps what :func:`estimate_track` reads after each odometry step:
+    the stamp, the pose block of the state and of the covariance diagonal.
     """
-    node2 = EkfNode(node2_cfg)
-    n = len(smoothed)
-    t, x, variances = np.empty(n), np.empty((n, STATE_DIM)), np.empty((n, STATE_DIM))
-    j = 0
-    for k, (event, local_to_body) in enumerate(smoothed):
-        while j < len(perception_events) and perception_events[j].timestamp < event.timestamp:
-            node2.node2_step(perception_events[j])
-            j += 1
-        s = node2.node2_step(event, local_to_body)
-        t[k], x[k], variances[k] = s.timestamp, s.x, s.P.diagonal()
-    for event in perception_events[j:]:
-        node2.node2_step(event)
-    return node2, *estimate_track(t, x, variances)
+
+    def __init__(self, cfg: FilterNodeConfig, n: int, perception: PerceptionEvents | None = None):
+        self.node = EkfNode(cfg)
+        self.perception = perception
+        self.due = 0  # index of the next perception event
+        self.t, self.x, self.variances = np.empty(n), np.empty((n, 6)), np.empty((n, 6))
+
+    def step(self, start: int, events: list[MeasurementEvent], poses: list[Pose]) -> None:
+        """Odometry events ``start``, ``start + 1``, ... with node 1's local->body poses."""
+        node, due = self.node, []
+        if self.perception is not None:
+            # every perception event stamped before the block's last odometry event
+            end = int(self.perception.t.searchsorted(events[-1].timestamp))
+            due, self.due = self.perception[self.due : end], end
+        j = 0
+        for k, (event, local_to_body) in enumerate(zip(events, poses), start):
+            while j < len(due) and due[j].timestamp < event.timestamp:
+                node.node2_step(due[j])
+                j += 1
+            s = node.node2_step(event, local_to_body)
+            self.t[k], self.x[k], self.variances[k] = s.timestamp, s.x[:6], s.P.diagonal()[:6]
+
+    def finish(self) -> tuple[TrajectoryLog, np.ndarray]:
+        """Fuse the perception events after the last odometry stamp; the estimate track."""
+        if self.perception is not None:
+            for event in self.perception[self.due :]:
+                self.node.node2_step(event)
+        return estimate_track(self.t, self.x, self.variances)
 
 
 @contextmanager
@@ -496,9 +522,11 @@ def _collector_paused():
     """Pause Python's cyclic garbage collector for the duration of a run.
 
     A run allocates a few hundred thousand small objects that form no
-    reference cycles (poses, events, filter states); reference counting
-    frees every one of them.  With the collector on, its full passes rescan
-    all live objects several times per run, about a tenth of the run time.
+    reference cycles (poses, events, filter states).  Reference counting
+    frees each one once the filter block that built it is done, so only one
+    block's worth is alive at a time.  With the collector on, it would still
+    scan the young objects after every few hundred allocations and find
+    nothing to free.
     """
     if not gc.isenabled():
         yield
@@ -526,7 +554,7 @@ def execute_run(
         stream = RandomStream(int(seed))
 
         with _stage("simulate-raw-odometry"):
-            world_to_local, odometry_events = _simulate_raw_odometry(adas, cfg, stream)
+            world_to_local, stamps, odometry_t, odometry_q = _simulate_raw_odometry(adas, cfg, stream)
         with _stage("simulate-perception"):
             perception_events = simulate_perception(
                 smart, adas, cfg.perception, stream.derive("perception"), cfg.ekf.perception_r6_scale
@@ -534,15 +562,21 @@ def execute_run(
 
         with _stage("filter"):
             node1_cfg, node2_cfg = _node_configs(cfg, world_to_local, adas.poses([0])[0])
-            # Node 1 never sees perception, so one pass serves both variants.
+            n = len(stamps)
+            # Node 1 never sees perception, so its poses serve both node-2 passes.
             node1 = EkfNode(node1_cfg)
-            smoothed = [(ev, node1.node1_step(ev)) for ev in odometry_events]
-            fused_node, fused, fused_sd = _run_node2(node2_cfg, smoothed, perception_events)
-            n_rejected = node1.rejected_count + fused_node.rejected_count
-            baseline = baseline_sd = None
+            passes = [_Node2Pass(node2_cfg, n, perception_events)]
             if with_baseline:
-                baseline_node, baseline, baseline_sd = _run_node2(node2_cfg, smoothed, [])
-                n_rejected += baseline_node.rejected_count
+                passes.append(_Node2Pass(node2_cfg, n))
+            for start in range(0, n, _BLOCK):
+                rows = slice(start, start + _BLOCK)
+                events = _odometry_events(stamps[rows], odometry_t[rows], odometry_q[rows])
+                poses = [node1.node1_step(event) for event in events]
+                for node2 in passes:
+                    node2.step(start, events, poses)
+            fused, fused_sd = passes[0].finish()
+            baseline, baseline_sd = passes[1].finish() if with_baseline else (None, None)
+            n_rejected = node1.rejected_count + sum(p.node.rejected_count for p in passes)
 
         with _stage("evaluate"):
             fused_stats = evaluate(fused, adas, cfg.eval.alignment, cfg.eval.max_dt).stats
@@ -557,7 +591,7 @@ def execute_run(
             fused_sd=fused_sd,
             baseline_estimates=baseline,
             baseline_sd=baseline_sd,
-            n_odometry=len(odometry_events),
+            n_odometry=n,
             n_perception=len(perception_events),
             n_rejected=n_rejected,
         )

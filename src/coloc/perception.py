@@ -8,14 +8,15 @@ The noise therefore enters in the leader's body frame, exactly where a real
 detector would err, and only then gets rotated out into the world.
 
 Pairing, gating and rate limiting work on the two streams' stamps and pick
-row indices; the picked rows are measured at once, on arrays.
+row indices; only the picked rows are gathered and measured, at once, on
+arrays, and each event is built from its row when a filter reads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,27 +67,46 @@ def _inside_gate(gap, threshold: float):
 
 @dataclass(frozen=True)
 class PairedRows:
-    """Gated leader/follower world poses as row arrays, the input of :func:`make_measurement`.
+    """Gated leader/follower world poses, the input of :func:`make_measurement`.
 
-    ``t`` (n,) holds the follower-side stamps, ``smart_p``/``adas_p`` (n, 3)
-    and ``smart_q``/``adas_q`` (n, 4, scalar-last, unit) the leader and
-    follower poses.  A single pair is a one-row instance.
+    ``t`` (n,) holds the pairs' follower-side stamps.  Pair k joins row
+    ``smart_rows[k]`` of the leader log ``smart`` with row ``adas_rows[k]``
+    of the follower log ``adas``.  The pose arrays ``smart_p``/``adas_p``
+    (n, 3) and ``smart_q``/``adas_q`` (n, 4, scalar-last, unit) are gathered
+    from the logs when read, so :meth:`take` before reading copies only the
+    rows it keeps.
     """
 
     t: np.ndarray
-    smart_p: np.ndarray
-    smart_q: np.ndarray
-    adas_p: np.ndarray
-    adas_q: np.ndarray
+    smart: TrajectoryLog
+    adas: TrajectoryLog
+    smart_rows: np.ndarray
+    adas_rows: np.ndarray
 
     def __len__(self) -> int:
         return len(self.t)
 
     def take(self, rows) -> "PairedRows":
-        """The pairs at ``rows`` (an index array or slice)."""
-        return PairedRows(
-            self.t[rows], self.smart_p[rows], self.smart_q[rows], self.adas_p[rows], self.adas_q[rows]
+        """The pairs at ``rows`` (an index array, list or slice)."""
+        return replace(
+            self, t=self.t[rows], smart_rows=self.smart_rows[rows], adas_rows=self.adas_rows[rows]
         )
+
+    @property
+    def smart_p(self) -> np.ndarray:
+        return self.smart.p[self.smart_rows]
+
+    @property
+    def smart_q(self) -> np.ndarray:
+        return self.smart.q[self.smart_rows]
+
+    @property
+    def adas_p(self) -> np.ndarray:
+        return self.adas.p[self.adas_rows]
+
+    @property
+    def adas_q(self) -> np.ndarray:
+        return self.adas.q[self.adas_rows]
 
 
 def pair_streams(smart: TrajectoryLog, adas: TrajectoryLog, gate_threshold: float) -> PairedRows:
@@ -104,7 +124,7 @@ def pair_streams(smart: TrajectoryLog, adas: TrajectoryLog, gate_threshold: floa
         i = best[k]
     else:
         i = k = np.zeros(0, dtype=np.intp)
-    return PairedRows(adas.t[k], smart.p[i], smart.q[i], adas.p[k], adas.q[k])
+    return PairedRows(adas.t[k], smart, adas, i, k)
 
 
 def make_measurement(
@@ -118,23 +138,45 @@ def make_measurement(
     (n, 3) translations and (n, 4) quaternions; n rows draw the same noise,
     in the same order, as n one-row calls.
     """
-    rel = compose_arrays(*invert_arrays(rows.smart_p, rows.smart_q), rows.adas_p, rows.adas_q)
-    return compose_arrays(rows.smart_p, rows.smart_q, *perturb_pose(rel, cfg.noise, rng))
+    smart_p, smart_q = rows.smart_p, rows.smart_q
+    rel = compose_arrays(*invert_arrays(smart_p, smart_q), rows.adas_p, rows.adas_q)
+    return compose_arrays(smart_p, smart_q, *perturb_pose(rel, cfg.noise, rng))
 
 
-def _events(stamps: np.ndarray, t: np.ndarray, q: np.ndarray, r6: np.ndarray) -> list[MeasurementEvent]:
+def _events(t: np.ndarray, p: np.ndarray, q: np.ndarray, r6: np.ndarray | None) -> list[MeasurementEvent]:
     """One perception event per measured pose row."""
-    # rows of fresh arrays from closed arithmetic on validated poses
+    # rows of arrays from closed arithmetic on validated poses
     return [
         MeasurementEvent(
             stamp,
             MeasurementKind.PERCEPTION_ABSOLUTE,
-            Pose._trusted(stamp, tk, Quaternion(*qk), WORLD, BODY_ADAS),
+            Pose._trusted(stamp, pk, Quaternion(*qk), WORLD, BODY_ADAS),
             r6=r6,
             source=PERCEPTION_SOURCE,
         )
-        for stamp, tk, qk in zip(stamps.tolist(), t, q.tolist())
+        for stamp, pk, qk in zip(t.tolist(), p, q.tolist())
     ]
+
+
+class PerceptionEvents(Sequence):
+    """The channel's events, built from their measured rows when read.
+
+    ``t`` (n,) holds the stamps, ``p`` (n, 3) and ``q`` (n, 4) the measured
+    world poses; every event carries the same covariance ``r6``.  A slice
+    reads as a list of events built in one pass.
+    """
+
+    def __init__(self, t: np.ndarray, p: np.ndarray, q: np.ndarray, r6: np.ndarray | None) -> None:
+        self.t, self.p, self.q, self.r6 = t, p, q, r6
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return _events(self.t[k], self.p[k], self.q[k], self.r6)
+        k = range(len(self))[k]  # a negative or out-of-range index as a list would take it
+        return self[k : k + 1][0]
 
 
 def rate_limit_indices(stamps: Iterable[float], target_hz: float) -> list[int]:
@@ -162,7 +204,7 @@ def simulate_perception(
     cfg: PerceptionConfig,
     rng: RandomStream,
     r6_scale: float = 1.0,
-) -> list[MeasurementEvent]:
+) -> PerceptionEvents:
     """The full channel: pair, gate, rate-limit, then inject noise per pair.
 
     Noise is drawn only for emitted pairs, so the draw sequence depends on
@@ -173,6 +215,6 @@ def simulate_perception(
     if cfg.output_rate is not None:
         rows = rows.take(rate_limit_indices(rows.t.tolist(), cfg.output_rate))
     if len(rows) == 0:
-        return []
+        return PerceptionEvents(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 4)), None)
     r6 = _checked_r6(measurement_covariance(cfg.noise) * r6_scale, "perception r6")
-    return _events(rows.t, *make_measurement(rows, cfg, rng), r6)
+    return PerceptionEvents(rows.t, *make_measurement(rows, cfg, rng), r6)

@@ -27,8 +27,16 @@ def log_of(poses, agent=None, metadata=None):
 
 
 def paired_rows(smart, adas):
-    """Leader and follower poses, pair by pair, stamped with the follower's stamps."""
-    return PairedRows(np.array([p.timestamp for p in adas], dtype=float), *arrays_of(smart), *arrays_of(adas))
+    """Leader and follower poses, pair by pair, stamped with the follower's stamps.
+
+    The rows need not be time-ordered, so the two logs they are gathered
+    from are stamped by row number; a pair carries its own stamp.
+    """
+    rows = np.arange(len(adas))
+    stamps = np.array([p.timestamp for p in adas], dtype=float)
+    leader = TrajectoryLog(Agent.SMART, "ENU", rows, *arrays_of(smart))
+    follower = TrajectoryLog(Agent.ADAS, "ENU", rows, *arrays_of(adas))
+    return PairedRows(stamps, leader, follower, rows, rows)
 
 
 def associated_rows(pairs):

@@ -120,6 +120,31 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_DATA
         assert "not UTF-8 text" in capsys.readouterr().err
 
+    def test_numeric_failure_in_a_later_filter_block_exits_3(self, tmp_path, capsys, monkeypatch):
+        from coloc import harness
+        from coloc.ekf import EkfNode
+        from coloc.errors import NumericError
+
+        # node 1 fails on the first event of the second block, after node 2
+        # has stepped through the first
+        step = EkfNode.node1_step
+        calls = []
+
+        def failing(node, event):
+            calls.append(event)
+            if len(calls) == harness._BLOCK + 1:
+                raise NumericError("filter produced non-finite state or covariance")
+            return step(node, event)
+
+        monkeypatch.setattr(EkfNode, "node1_step", failing)
+        cfg = write_config(tmp_path, input={"synthetic": {"kind": "figure-eight", "duration": 60.0, "rate": 10.0}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("error: [filter] ") and "non-finite" in err
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize(
         "config, message",
         [

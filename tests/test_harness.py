@@ -471,6 +471,109 @@ class TestExecuteRun:
         assert art_csv.baseline == art_syn.baseline
 
 
+class TestBlockSchedule:
+    """execute_run walks the odometry schedule once, block by block, stepping
+    node 1 and then each node-2 pass over every block; the result must be
+    what one whole-run pass per node gives."""
+
+    @staticmethod
+    def two_pass_reference(cfg, seed):
+        """Fused and baseline (log, 1-sigma): node 1 over every odometry event,
+        then one node-2 pass per variant, each through EkfNode's one-event API."""
+        from coloc.dataio import estimate_track
+        from coloc.ekf import EkfNode
+        from coloc.noise import RandomStream
+        from coloc.perception import simulate_perception
+
+        smart, adas = harness._load_ground_truth(cfg)
+        stream = RandomStream(seed)
+        world_to_local, stamps, t, q = harness._simulate_raw_odometry(adas, cfg, stream)
+        odometry = harness._odometry_events(stamps, t, q)
+        perception = list(
+            simulate_perception(
+                smart, adas, cfg.perception, stream.derive("perception"), cfg.ekf.perception_r6_scale
+            )
+        )
+        node1_cfg, node2_cfg = harness._node_configs(cfg, world_to_local, adas.poses([0])[0])
+        node1 = EkfNode(node1_cfg)
+        smoothed = [(event, node1.node1_step(event)) for event in odometry]
+
+        def node2_pass(channel):
+            node = EkfNode(node2_cfg)
+            rows, j = [], 0
+            for event, local_to_body in smoothed:
+                while j < len(channel) and channel[j].timestamp < event.timestamp:
+                    node.node2_step(channel[j])
+                    j += 1
+                s = node.node2_step(event, local_to_body)
+                rows.append((s.timestamp, s.x, s.P.diagonal()))
+            for event in channel[j:]:
+                node.node2_step(event)
+            return estimate_track(*(np.array(column) for column in zip(*rows)))
+
+        return odometry, perception, node2_pass(perception), node2_pass([])
+
+    def test_matches_two_pass_reference(self, monkeypatch):
+        # 25 Hz odometry (every 4th of 100 Hz stamps) and 33 Hz perception
+        # (every 3rd) share a stamp every 0.12 s, and perception goes on after
+        # the last odometry stamp; a 0.04 s odometry gap exceeds
+        # max_predict_dt, so every node-1 prediction is substepped.
+        cfg = ExperimentConfig(
+            input=InputConfig(synthetic=SyntheticSpec("figure-eight", 40.0, 100.0, 25.0)),
+            raw_noise=NoiseSpec(2.5, 1.0),
+            perception=PerceptionConfig(NoiseSpec(0.3, 10.0), output_rate=40.0),
+            raw_rate=30.0,
+            ekf=EkfSettings(max_predict_dt=0.03, predict_substep=0.01),
+        )
+        odometry, perception, fused, baseline = self.two_pass_reference(cfg, 4)
+        odometry_stamps = {event.timestamp for event in odometry}
+        assert len(odometry) > 3 * harness._BLOCK
+        assert any(event.timestamp in odometry_stamps for event in perception)
+        assert perception[-1].timestamp > odometry[-1].timestamp
+        assert np.diff([event.timestamp for event in odometry]).min() > cfg.ekf.max_predict_dt
+
+        from coloc.ekf import EkfNode
+
+        steps: dict[int, int] = {}
+        step = EkfNode.node2_step
+
+        def counted(node, event, local_to_body=None):
+            steps[id(node)] = steps.get(id(node), 0) + 1
+            return step(node, event, local_to_body)
+
+        monkeypatch.setattr(EkfNode, "node2_step", counted)
+        art = execute_run(cfg, 4)
+        assert (art.n_odometry, art.n_perception, art.n_rejected) == (len(odometry), len(perception), 0)
+        # every perception event reaches the fused node, the last ones included
+        assert list(steps.values()) == [len(odometry) + len(perception), len(odometry)]
+        for (track, sd), (want_track, want_sd) in (
+            ((art.fused_estimates, art.fused_sd), fused),
+            ((art.baseline_estimates, art.baseline_sd), baseline),
+        ):
+            for name in ("t", "p", "q"):
+                assert getattr(track, name).tolist() == getattr(want_track, name).tolist(), name
+            assert sd.tolist() == want_sd.tolist()
+
+    def test_traced_peak_per_odometry_event(self):
+        # A whole-run pass per node kept every event, pose and node-2 state
+        # alive at once: about 1.9 kB of traced peak per odometry event.  The
+        # run-length difference cancels what does not grow with the run.
+        import tracemalloc
+
+        peaks = []
+        for duration in (2.5, 5.0):
+            cfg = synthetic_config(duration=duration, rate=200.0)
+            ground_truth = harness._load_ground_truth(cfg)
+            tracemalloc.start()
+            try:
+                execute_run(cfg, 0, ground_truth)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_event = (peaks[1] - peaks[0]) / (2.5 * 200.0)
+        assert per_event < 1200.0, f"{per_event:.0f} bytes of traced peak per odometry event"
+
+
 class TestPoseObjectsOnlyForPerception:
     """The run path reads the logs' arrays: no stage, perception included, builds a log's poses."""
 

@@ -346,7 +346,7 @@ class TestSimulatePerception:
         smart, adas = self.make_truth(n=50)
         shifted = replace(smart, t=smart.t + 5.0)
         cfg = PerceptionConfig(NoiseSpec(0.0, 0.0))
-        assert simulate_perception(shifted, adas, cfg, RandomStream(0)) == []
+        assert len(simulate_perception(shifted, adas, cfg, RandomStream(0))) == 0
 
     def test_every_event_is_make_measurement_of_its_pair(self):
         smart, adas = self.make_truth(n=300)
