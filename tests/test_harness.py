@@ -8,6 +8,7 @@ against the source dataclasses field by field.
 """
 
 import json
+import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 from typing import get_args, get_type_hints
 
@@ -17,7 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coloc import harness
-from coloc.dataio import SyncSpec, export_trajectory, generate_synthetic, load_trajectory
+from coloc.dataio import (
+    SyncSpec,
+    estimate_track,
+    export_trajectory,
+    generate_synthetic,
+    load_trajectory,
+)
+from coloc.ekf import EkfNode
 from coloc.errors import DataError
 from coloc.evaluation import AlignmentMode
 from coloc.geometry import Agent
@@ -44,8 +52,8 @@ from coloc.harness import (
     run_sweep,
     write_estimate_csv,
 )
-from coloc.noise import NoiseSpec
-from coloc.perception import PerceptionConfig
+from coloc.noise import NoiseSpec, RandomStream
+from coloc.perception import PerceptionConfig, simulate_perception
 
 
 def synthetic_config(duration=10.0, rate=20.0, **kwargs) -> ExperimentConfig:
@@ -480,11 +488,6 @@ class TestBlockSchedule:
     def two_pass_reference(cfg, seed):
         """Fused and baseline (log, 1-sigma): node 1 over every odometry event,
         then one node-2 pass per variant, each through EkfNode's one-event API."""
-        from coloc.dataio import estimate_track
-        from coloc.ekf import EkfNode
-        from coloc.noise import RandomStream
-        from coloc.perception import simulate_perception
-
         smart, adas = harness._load_ground_truth(cfg)
         stream = RandomStream(seed)
         world_to_local, stamps, t, q = harness._simulate_raw_odometry(adas, cfg, stream)
@@ -532,8 +535,6 @@ class TestBlockSchedule:
         assert perception[-1].timestamp > odometry[-1].timestamp
         assert np.diff([event.timestamp for event in odometry]).min() > cfg.ekf.max_predict_dt
 
-        from coloc.ekf import EkfNode
-
         steps: dict[int, int] = {}
         step = EkfNode.node2_step
 
@@ -558,8 +559,6 @@ class TestBlockSchedule:
         # A whole-run pass per node kept every event, pose and node-2 state
         # alive at once: about 1.9 kB of traced peak per odometry event.  The
         # run-length difference cancels what does not grow with the run.
-        import tracemalloc
-
         peaks = []
         for duration in (2.5, 5.0):
             cfg = synthetic_config(duration=duration, rate=200.0)
