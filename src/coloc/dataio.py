@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DataError
 from .geometry import (
@@ -455,7 +454,11 @@ def _figure_eight_path(total_length: float) -> _SampledPath:
 
 def _waypoint_spline_path(required_length: float, seed: int) -> _SampledPath:
     # A seeded meandering waypoint chain, interpolated with a cubic spline
-    # and rescaled so the smooth path is comfortably long enough.
+    # and rescaled so the smooth path is comfortably long enough.  Only this
+    # path needs scipy.interpolate, which is large and slow to import, so it
+    # is imported here rather than with the module.
+    from scipy.interpolate import CubicSpline
+
     rng = np.random.default_rng(seed)
     n_way = 9
     headings = np.cumsum(np.concatenate([[0.0], rng.uniform(-0.7, 0.7, n_way - 1)]))

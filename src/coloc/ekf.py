@@ -17,9 +17,11 @@ acceleration, and the remaining derivatives hold constant between events.
 
 Node 1 runs in the local (start) frame and fuses raw follower poses
 absolutely, acting as a smoother that outputs the local->body transform.
-Node 2 runs in the world frame; it turns consecutive smoothed odometry poses
-into body-velocity pseudo-measurements (differential fusion, immune to any
-constant offset) and fuses perception-derived world poses absolutely.
+Node 2 runs in the world frame; it takes node 1's local->body poses as
+ordinary odometry events and turns consecutive ones into body-velocity
+pseudo-measurements (differential fusion: a constant transform applied to
+both poses cancels, so node 2 needs no world->local anchor), and fuses
+perception-derived world poses absolutely.
 
 All filter arithmetic lives in two kernels, :func:`_predict_kernel` and
 :func:`_update_kernel`, over a bare state list and covariance array.  The
@@ -48,7 +50,6 @@ from .geometry import (
     Frame,
     Pose,
     Quaternion,
-    compose_values,
     q_normalized,
     q_product,
     q_rotate,
@@ -220,8 +221,9 @@ class MeasurementKind(Enum):
 class MeasurementEvent:
     """One timestamped pose measurement heading into a filter node.
 
-    ``r6`` is the 6x6 covariance of (x, y, z, roll, pitch, yaw); when None,
-    the node substitutes its configured per-channel default.
+    ``r6`` is the 6x6 covariance of (x, y, z, roll, pitch, yaw), checked
+    and kept read-only; when None, the node substitutes its configured
+    per-channel default.
     """
 
     timestamp: float
@@ -233,20 +235,26 @@ class MeasurementEvent:
     def __post_init__(self) -> None:
         if not math.isfinite(self.timestamp):
             raise ValueError("event timestamp must be finite")
-        r6 = self.r6
-        if r6 is not None:
-            # Read-only float arrays only come out of the package's own
-            # covariance constructors, which already validated them; this
-            # runs once per event on a hot path.
-            if (
-                isinstance(r6, np.ndarray)
-                and r6.dtype == np.float64
-                and not r6.flags.writeable
-            ):
-                if r6.shape != (6, 6):
-                    raise ValueError(f"r6 must be 6x6, got {r6.shape}")
-                return
-            object.__setattr__(self, "r6", _checked_r6(r6, "r6"))
+        if self.r6 is not None:
+            object.__setattr__(self, "r6", _checked_r6(self.r6, "r6"))
+
+    @classmethod
+    def _trusted(
+        cls, timestamp: float, kind: MeasurementKind, pose: Pose, r6: np.ndarray | None, source: str
+    ) -> "MeasurementEvent":
+        """Construction fast path for the package's per-event streams.
+
+        The caller guarantees a finite stamp and an ``r6`` that is None or
+        already passed :func:`_checked_r6`; validation is skipped because
+        this runs once per event on a hot path.
+        """
+        e = object.__new__(cls)
+        object.__setattr__(e, "timestamp", timestamp)
+        object.__setattr__(e, "kind", kind)
+        object.__setattr__(e, "pose", pose)
+        object.__setattr__(e, "r6", r6)
+        object.__setattr__(e, "source", source)
+        return e
 
 
 @dataclass(frozen=True)
@@ -275,27 +283,17 @@ class NodeId(Enum):
 class FilterNodeConfig:
     """Everything one filter node needs: init, process noise, channel noise.
 
-    Node 1 estimates in the local frame and ignores ``world_to_local``;
-    node 2 estimates in the world frame and requires it.
+    Node 1 estimates in the local frame, node 2 in the world frame.
     """
 
     node_id: NodeId
     initial_state: StateEstimate
     q: np.ndarray
     default_r6: Mapping[MeasurementKind, np.ndarray] = field(default_factory=dict)
-    world_to_local: Pose | None = None
     max_predict_dt: float = 1.0
     predict_substep: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.node_id is NodeId.NODE2:
-            if self.world_to_local is None:
-                raise ValueError("node 2 requires world_to_local")
-            w2l = self.world_to_local
-            if w2l.parent_frame != WORLD or w2l.child_frame != LOCAL:
-                raise FrameMismatchError(
-                    f"world_to_local must map local into world, got {w2l.parent_frame}<-{w2l.child_frame}"
-                )
         if not (self.max_predict_dt > 0.0 and self.predict_substep > 0.0):
             raise ValueError("prediction step limits must be positive")
         # validated once here so per-event resolution can trust the entries
@@ -500,10 +498,10 @@ class _OdometryPose(NamedTuple):
     source: str
 
 
-def _odometry_pose(event: MeasurementEvent) -> _OdometryPose:
+def _odometry_pose(event: MeasurementEvent, r6: np.ndarray | None) -> _OdometryPose:
     r = event.pose.rotation
     return _OdometryPose(
-        event.timestamp, event.pose.translation.tolist(), (r.x, r.y, r.z, r.w), event.r6, event.source
+        event.timestamp, event.pose.translation.tolist(), (r.x, r.y, r.z, r.w), r6, event.source
     )
 
 
@@ -573,7 +571,7 @@ def differential_velocity(prev: MeasurementEvent, cur: MeasurementEvent) -> np.n
     The delta pose invert(prev) o cur divided by dt; any constant offset
     applied to both poses cancels exactly.
     """
-    return np.array(_velocity_measurement(_odometry_pose(prev), _odometry_pose(cur))[0])
+    return np.array(_velocity_measurement(_odometry_pose(prev, prev.r6), _odometry_pose(cur, cur.r6))[0])
 
 
 def update_differential(
@@ -588,7 +586,9 @@ def update_differential(
         raise ValueError("differential fusion requires odometry events")
     if prev.r6 is None or cur.r6 is None:
         raise ValueError("differential fusion requires covariances on both events")
-    x, P = _finish(*_differential_kernel(s.x.tolist(), s.P, _odometry_pose(prev), _odometry_pose(cur)))
+    x, P = _finish(
+        *_differential_kernel(s.x.tolist(), s.P, _odometry_pose(prev, prev.r6), _odometry_pose(cur, cur.r6))
+    )
     return StateEstimate._from_kernel(x, P, s.timestamp)
 
 
@@ -615,7 +615,7 @@ class EkfNode:
         self.rejected_count = 0
         self._frame = config.estimation_frame
         self._started = False
-        # the last odometry pose in world coordinates
+        # the last odometry pose of node 2's differential chain
         self._prev: _OdometryPose | None = None
 
     @property
@@ -671,11 +671,11 @@ class EkfNode:
             raise ValueError(f"no covariance on event and no default for {event.kind}")
         return default
 
-    def _check_frame(self, pose: Pose) -> None:
-        if pose.parent_frame != self._frame:
+    def _check_frame(self, event: MeasurementEvent, frame: Frame) -> None:
+        if event.pose.parent_frame != frame:
             raise FrameMismatchError(
-                f"{self.config.node_id.value} estimates in {self._frame}, "
-                f"got a measurement in {pose.parent_frame}"
+                f"{self.config.node_id.value} takes {event.kind.value} poses in {frame}, "
+                f"got one in {event.pose.parent_frame}"
             )
 
     def _update_pose(self, event: MeasurementEvent) -> None:
@@ -684,33 +684,28 @@ class EkfNode:
         x, P = _update_kernel(x, P, POSE_BLOCK.start, _pose_vector(event.pose), r6, True)
         self._commit(event.timestamp, x, P)
 
-    def _world_odometry(self, event: MeasurementEvent, local_to_body: Pose) -> _OdometryPose:
-        """world_to_local o local_to_body as bare values, with the event's covariance."""
-        t, q = compose_values(self.config.world_to_local, local_to_body)
-        return _OdometryPose(event.timestamp, t, q, self._resolve_r6(event), event.source)
-
     def pose_estimate(self) -> Pose:
         return _state_pose(self._x, self._t, self._frame, BODY_ADAS)
 
     def node1_step(self, event: MeasurementEvent) -> Pose:
         """Absolute fusion of one raw local-frame pose; returns local->body."""
-        self._check_frame(event.pose)
+        self._check_frame(event, self._frame)
         self._admit(event)
         self._update_pose(event)
         return self.pose_estimate()
 
-    def node2_step(self, event: MeasurementEvent, local_to_body: Pose | None = None) -> StateEstimate:
+    def node2_step(self, event: MeasurementEvent) -> StateEstimate:
         """World-frame fusion step.
 
-        Odometry events require the current local->body transform from node 1;
-        the world pose world_to_local o local_to_body joins the differential
-        chain.  Perception events carry world poses and fuse absolutely.
+        Odometry events carry node 1's local->body poses; consecutive ones
+        fuse differentially, so the local frame's place in the world never
+        enters.  Perception events carry world poses and fuse absolutely.
         """
+        odometry = event.kind is MeasurementKind.ODOMETRY_DIFFERENTIAL
+        self._check_frame(event, LOCAL if odometry else self._frame)
         self._admit(event)
-        if event.kind is MeasurementKind.ODOMETRY_DIFFERENTIAL:
-            if local_to_body is None:
-                raise ValueError("odometry events need the node-1 local->body transform")
-            cur = self._world_odometry(event, local_to_body)
+        if odometry:
+            cur = _odometry_pose(event, self._resolve_r6(event))
             x, P = self._predicted(event.timestamp)
             if self._prev is not None:
                 x, P = _differential_kernel(x, P, self._prev, cur)
@@ -718,6 +713,5 @@ class EkfNode:
                 self._commit(event.timestamp, x, P)
             self._prev = cur
         else:
-            self._check_frame(event.pose)
             self._update_pose(event)
         return self.state

@@ -420,12 +420,6 @@ class Pose:
 
 def compose(a: Pose, b: Pose) -> Pose:
     """Chain two poses: the result maps b's child frame into a's parent frame."""
-    t, q = compose_values(a, b)
-    return Pose._trusted(b.timestamp, np.array(t), Quaternion(*q), a.parent_frame, b.child_frame)
-
-
-def compose_values(a: Pose, b: Pose) -> tuple[list[float], tuple[float, float, float, float]]:
-    """The translation and quaternion components of compose(a, b), as bare floats."""
     if a.child_frame != b.parent_frame:
         raise FrameMismatchError(
             f"cannot compose: left child frame is {a.child_frame}, right parent frame is {b.parent_frame}"
@@ -434,7 +428,10 @@ def compose_values(a: Pose, b: Pose) -> tuple[list[float], tuple[float, float, f
     d = q_rotate(ra.x, ra.y, ra.z, ra.w, *b.translation.tolist())
     t = a.translation.tolist()
     q = q_normalized(q_product(ra.x, ra.y, ra.z, ra.w, rb.x, rb.y, rb.z, rb.w))
-    return [t[0] + d[0], t[1] + d[1], t[2] + d[2]], q
+    return Pose._trusted(
+        b.timestamp, np.array([t[0] + d[0], t[1] + d[1], t[2] + d[2]]), Quaternion(*q),
+        a.parent_frame, b.child_frame,
+    )
 
 
 def invert(p: Pose) -> Pose:

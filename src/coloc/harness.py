@@ -55,12 +55,11 @@ from .evaluation import AlignmentMode, ErrorStats, evaluate
 from .geometry import (
     BODY_ADAS,
     LOCAL,
-    WORLD,
     Agent,
     Pose,
     Quaternion,
     compose_arrays,
-    invert,
+    invert_arrays,
 )
 from .noise import NoiseSpec, RandomStream, perturb_pose
 from .perception import (
@@ -402,35 +401,30 @@ def _load_ground_truth(cfg: ExperimentConfig) -> tuple[TrajectoryLog, Trajectory
 
 def _simulate_raw_odometry(
     adas: TrajectoryLog, cfg: ExperimentConfig, stream: RandomStream
-) -> tuple[Pose, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Noisy local-frame follower poses, the input to filter node 1.
 
-    Returns the world->local anchor, and the stamps (N,), translations
-    (N, 3) and quaternions (N, 4) of the raw odometry.
+    The local frame is the follower's first pose.  Returns the stamps (N,),
+    translations (N, 3) and quaternions (N, 4) of the raw odometry.
     """
-    (start,) = adas.poses([0])
-    world_to_local = Pose(start.timestamp, start.translation, start.rotation, WORLD, LOCAL)
-    local_from_world = invert(world_to_local)
     rows = slice(None)
     if cfg.raw_rate is not None:
         rows = rate_limit_indices(adas.t.tolist(), cfg.raw_rate)
     # compose(local_from_world, pose) then perturb_pose, for all samples at once
-    local = compose_arrays(
-        local_from_world.translation, local_from_world.rotation.as_array(), adas.p[rows], adas.q[rows]
-    )
+    local = compose_arrays(*invert_arrays(adas.p[:1], adas.q[:1]), adas.p[rows], adas.q[rows])
     t, q = perturb_pose(local, cfg.raw_noise, stream.derive("raw-odometry"))
-    return world_to_local, adas.t[rows], t, q
+    return adas.t[rows], t, q
 
 
 def _odometry_events(stamps: np.ndarray, t: np.ndarray, q: np.ndarray) -> list[MeasurementEvent]:
     """One raw odometry event per row."""
     return [
-        MeasurementEvent(
+        MeasurementEvent._trusted(
             stamp,
             MeasurementKind.ODOMETRY_DIFFERENTIAL,
             Pose._trusted(stamp, tk, Quaternion(*qk), LOCAL, BODY_ADAS),
-            r6=None,
-            source=RAW_ODOMETRY_SOURCE,
+            None,
+            RAW_ODOMETRY_SOURCE,
         )
         for stamp, tk, qk in zip(stamps.tolist(), t, q.tolist())
     ]
@@ -446,9 +440,7 @@ def _smoothed_odometry_spec(cfg: ExperimentConfig) -> NoiseSpec:
     return NoiseSpec(sigma, gamma)
 
 
-def _node_configs(
-    cfg: ExperimentConfig, world_to_local: Pose, adas_start: Pose
-) -> tuple[FilterNodeConfig, FilterNodeConfig]:
+def _node_configs(cfg: ExperimentConfig, adas_start: Pose) -> tuple[FilterNodeConfig, FilterNodeConfig]:
     s = cfg.ekf
     t0 = adas_start.timestamp
     local_start = Pose(t0, np.zeros(3), Quaternion.identity(), LOCAL, BODY_ADAS)
@@ -469,7 +461,6 @@ def _node_configs(
         state_from_pose(adas_start, s.pose_variance, s.derivative_variance),
         default_process_noise() * s.node2_q_scale,
         {MeasurementKind.ODOMETRY_DIFFERENTIAL: measurement_covariance(_smoothed_odometry_spec(cfg))},
-        world_to_local=world_to_local,
         max_predict_dt=s.max_predict_dt,
         predict_substep=s.predict_substep,
     )
@@ -483,9 +474,10 @@ _BLOCK = 256
 class _Node2Pass:
     """One node-2 pass over the odometry schedule, fed block by block.
 
-    Perception events join as they come due; odometry wins stamp ties.  The
-    pass keeps what :func:`estimate_track` reads after each odometry step:
-    the stamp, the pose block of the state and of the covariance diagonal.
+    The odometry events carry node 1's local->body poses; perception events
+    join as they come due, and odometry wins stamp ties.  The pass keeps
+    what :func:`estimate_track` reads after each odometry step: the stamp,
+    the pose block of the state and of the covariance diagonal.
     """
 
     def __init__(self, cfg: FilterNodeConfig, n: int, perception: PerceptionEvents | None = None):
@@ -494,19 +486,19 @@ class _Node2Pass:
         self.due = 0  # index of the next perception event
         self.t, self.x, self.variances = np.empty(n), np.empty((n, 6)), np.empty((n, 6))
 
-    def step(self, start: int, events: list[MeasurementEvent], poses: list[Pose]) -> None:
-        """Odometry events ``start``, ``start + 1``, ... with node 1's local->body poses."""
+    def step(self, start: int, events: list[MeasurementEvent]) -> None:
+        """Node-2 odometry events ``start``, ``start + 1``, ..."""
         node, due = self.node, []
         if self.perception is not None:
             # every perception event stamped before the block's last odometry event
             end = int(self.perception.t.searchsorted(events[-1].timestamp))
             due, self.due = self.perception[self.due : end], end
         j = 0
-        for k, (event, local_to_body) in enumerate(zip(events, poses), start):
+        for k, event in enumerate(events, start):
             while j < len(due) and due[j].timestamp < event.timestamp:
                 node.node2_step(due[j])
                 j += 1
-            s = node.node2_step(event, local_to_body)
+            s = node.node2_step(event)
             self.t[k], self.x[k], self.variances[k] = s.timestamp, s.x[:6], s.P.diagonal()[:6]
 
     def finish(self) -> tuple[TrajectoryLog, np.ndarray]:
@@ -554,14 +546,14 @@ def execute_run(
         stream = RandomStream(int(seed))
 
         with _stage("simulate-raw-odometry"):
-            world_to_local, stamps, odometry_t, odometry_q = _simulate_raw_odometry(adas, cfg, stream)
+            stamps, odometry_t, odometry_q = _simulate_raw_odometry(adas, cfg, stream)
         with _stage("simulate-perception"):
             perception_events = simulate_perception(
                 smart, adas, cfg.perception, stream.derive("perception"), cfg.ekf.perception_r6_scale
             )
 
         with _stage("filter"):
-            node1_cfg, node2_cfg = _node_configs(cfg, world_to_local, adas.poses([0])[0])
+            node1_cfg, node2_cfg = _node_configs(cfg, adas.poses([0])[0])
             n = len(stamps)
             # Node 1 never sees perception, so its poses serve both node-2 passes.
             node1 = EkfNode(node1_cfg)
@@ -571,9 +563,13 @@ def execute_run(
             for start in range(0, n, _BLOCK):
                 rows = slice(start, start + _BLOCK)
                 events = _odometry_events(stamps[rows], odometry_t[rows], odometry_q[rows])
-                poses = [node1.node1_step(event) for event in events]
+                # node 1's local->body poses, as the odometry events of node 2
+                smoothed = [
+                    MeasurementEvent._trusted(e.timestamp, e.kind, node1.node1_step(e), None, e.source)
+                    for e in events
+                ]
                 for node2 in passes:
-                    node2.step(start, events, poses)
+                    node2.step(start, smoothed)
             fused, fused_sd = passes[0].finish()
             baseline, baseline_sd = passes[1].finish() if with_baseline else (None, None)
             n_rejected = node1.rejected_count + sum(p.node.rejected_count for p in passes)

@@ -147,12 +147,12 @@ def _events(t: np.ndarray, p: np.ndarray, q: np.ndarray, r6: np.ndarray | None) 
     """One perception event per measured pose row."""
     # rows of arrays from closed arithmetic on validated poses
     return [
-        MeasurementEvent(
+        MeasurementEvent._trusted(
             stamp,
             MeasurementKind.PERCEPTION_ABSOLUTE,
             Pose._trusted(stamp, pk, Quaternion(*qk), WORLD, BODY_ADAS),
-            r6=r6,
-            source=PERCEPTION_SOURCE,
+            r6,
+            PERCEPTION_SOURCE,
         )
         for stamp, pk, qk in zip(t.tolist(), p, q.tolist())
     ]
@@ -162,12 +162,13 @@ class PerceptionEvents(Sequence):
     """The channel's events, built from their measured rows when read.
 
     ``t`` (n,) holds the stamps, ``p`` (n, 3) and ``q`` (n, 4) the measured
-    world poses; every event carries the same covariance ``r6``.  A slice
-    reads as a list of events built in one pass.
+    world poses; every event carries the same covariance ``r6``, checked
+    once here.  A slice reads as a list of events built in one pass.
     """
 
     def __init__(self, t: np.ndarray, p: np.ndarray, q: np.ndarray, r6: np.ndarray | None) -> None:
-        self.t, self.p, self.q, self.r6 = t, p, q, r6
+        self.t, self.p, self.q = t, p, q
+        self.r6 = None if r6 is None else _checked_r6(r6, "perception r6")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -216,5 +217,5 @@ def simulate_perception(
         rows = rows.take(rate_limit_indices(rows.t.tolist(), cfg.output_rate))
     if len(rows) == 0:
         return PerceptionEvents(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 4)), None)
-    r6 = _checked_r6(measurement_covariance(cfg.noise) * r6_scale, "perception r6")
+    r6 = measurement_covariance(cfg.noise) * r6_scale
     return PerceptionEvents(rows.t, *make_measurement(rows, cfg, rng), r6)

@@ -420,6 +420,27 @@ class TestGenerateSynthetic:
         _, b2 = generate_synthetic("waypoint-spline", 10.0, 10.0, 2.0, seed=4)
         assert not np.allclose(b1.samples[-1].translation, b2.samples[-1].translation)
 
+    def test_import_leaves_spline_package_unloaded(self):
+        # only the waypoint-spline path needs scipy.interpolate, which costs
+        # tens of MB to load, so importing the package must not pull it in
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import coloc
+
+        env = dict(os.environ, PYTHONPATH=str(Path(coloc.__file__).resolve().parents[1]))
+        probe = (
+            "import sys, coloc; loaded = 'scipy.interpolate' in sys.modules; "
+            "coloc.generate_synthetic('waypoint-spline', 2.0, 10.0, 2.0); "
+            "print(loaded, 'scipy.interpolate' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
+        )
+        assert out.stdout.split() == ["False", "True"]
+
     def test_timestamps_regular_from_zero(self):
         _, adas = generate_synthetic("straight", 2.0, 50.0, 1.0)
         ts = adas.t

@@ -521,6 +521,44 @@ class TestMeasurementCovariance:
             measurement_covariance(NoiseSpec(1.0, 1.0), floor=0.0)
 
 
+class TestMeasurementEvent:
+    """Every covariance an event is given is checked, read-only or not."""
+
+    @staticmethod
+    def bad_r6(case):
+        r6 = np.eye(6)
+        if case == "asymmetric":
+            r6[0, 1] = 0.5
+        elif case == "negative-diagonal":
+            r6[2, 2] = -1.0
+        else:
+            r6[4, 4] = np.nan
+        return r6
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    @pytest.mark.parametrize(
+        "case, error, match",
+        [
+            ("asymmetric", ValueError, "symmetric"),
+            ("negative-diagonal", ValueError, "negative diagonal"),
+            ("nan", NumericError, "non-finite"),
+        ],
+    )
+    def test_bad_r6_rejected(self, case, error, match, writeable):
+        r6 = self.bad_r6(case)
+        r6.flags.writeable = writeable
+        with pytest.raises(error, match=match):
+            local_event(0.0, [0.0, 0.0, 0.0], r6=r6)
+
+    def test_checked_r6_is_kept_read_only(self):
+        shared = measurement_covariance(NoiseSpec(0.3, 10.0))
+        assert local_event(0.0, [0.0, 0.0, 0.0], r6=shared).r6 is shared
+        own = np.eye(6)
+        r6 = local_event(0.0, [0.0, 0.0, 0.0], r6=own).r6
+        assert r6 is not own and not r6.flags.writeable
+        np.testing.assert_array_equal(r6, own)
+
+
 # ---------------------------------------------------------------------------
 # Nodes
 # ---------------------------------------------------------------------------
@@ -537,12 +575,12 @@ def node1_config(**overrides):
     return FilterNodeConfig(**defaults)
 
 
-def node2_config(world_to_local=None, **overrides):
-    if world_to_local is None:
-        world_to_local = Pose(0.0, np.array([10.0, -4.0, 0.0]), quat_yaw(0.5), WORLD, LOCAL)
-    init = state_from_pose(
-        Pose(0.0, world_to_local.translation, world_to_local.rotation, WORLD, BODY_ADAS)
-    )
+# where the local frame sits in the world; node 2 starts there
+WORLD_TO_LOCAL = Pose(0.0, np.array([10.0, -4.0, 0.0]), quat_yaw(0.5), WORLD, LOCAL)
+
+
+def node2_config(start=WORLD_TO_LOCAL, **overrides):
+    init = state_from_pose(Pose(0.0, start.translation, start.rotation, WORLD, BODY_ADAS))
     defaults = dict(
         node_id=NodeId.NODE2,
         initial_state=init,
@@ -551,24 +589,12 @@ def node2_config(world_to_local=None, **overrides):
             ODO: measurement_covariance(NoiseSpec(0.05, 0.1)),
             PER: measurement_covariance(NoiseSpec(0.3, 10.0)),
         },
-        world_to_local=world_to_local,
     )
     defaults.update(overrides)
     return FilterNodeConfig(**defaults)
 
 
 class TestFilterNodeConfig:
-    def test_node2_requires_world_to_local(self):
-        init = state_from_pose(Pose.identity(0.0, WORLD, BODY_ADAS))
-        with pytest.raises(ValueError):
-            FilterNodeConfig(NodeId.NODE2, init, default_process_noise())
-
-    def test_world_to_local_frames_checked(self):
-        w2l = Pose(0.0, np.zeros(3), Quaternion.identity(), LOCAL, WORLD)  # reversed
-        init = state_from_pose(Pose.identity(0.0, WORLD, BODY_ADAS))
-        with pytest.raises(FrameMismatchError):
-            FilterNodeConfig(NodeId.NODE2, init, default_process_noise(), world_to_local=w2l)
-
     def test_estimation_frames(self):
         assert node1_config().estimation_frame == LOCAL
         assert node2_config().estimation_frame == WORLD
@@ -627,9 +653,7 @@ class TestNode1:
 
 class TestNode2:
     def test_perception_only_tracks_measurements(self):
-        cfg = node2_config()
-        node = EkfNode(cfg)
-        w2l = cfg.world_to_local
+        node = EkfNode(node2_config())
         tiny = measurement_covariance(NoiseSpec(0.001, 0.01))
         state = None
         for k in range(200):
@@ -638,34 +662,63 @@ class TestNode2:
             state = node.node2_step(world_event(t, target, yaw=0.5, r6=tiny))
         np.testing.assert_allclose(state.x[POS], target, atol=5e-3)
 
-    def test_odometry_needs_local_to_body(self):
+    def test_world_odometry_pose_rejected(self):
+        # node 2 takes node 1's local->body poses on the odometry channel
         node = EkfNode(node2_config())
-        with pytest.raises(ValueError):
-            node.node2_step(local_event(0.0, [0.0, 0.0, 0.0]))
+        before = node.state
+        world_odometry = MeasurementEvent(0.0, ODO, Pose.identity(0.0, WORLD, BODY_ADAS), source="adas/raw")
+        with pytest.raises(FrameMismatchError):
+            node.node2_step(world_odometry)
+        assert node.state is before
 
-    def test_differential_chain_uses_world_composition(self):
-        # two odometry steps fuse the velocity between the world poses
-        # world_to_local o local_to_body, as update_differential does
-        from coloc.geometry import compose
-
+    def test_differential_chain_uses_local_poses(self):
+        # two odometry steps fuse the velocity between the local poses, with
+        # the node's default covariance, as update_differential does
         cfg = node2_config()
         node = EkfNode(cfg)
-        r6 = cfg.default_r6[ODO]
-        l2b = [
-            Pose.identity(0.0, LOCAL, BODY_ADAS),
-            Pose(0.1, np.array([0.4, 0.1, 0.0]), quat_yaw(0.05), LOCAL, BODY_ADAS),
+        events = [
+            local_event(0.0, [0.0, 0.0, 0.0]),
+            local_event(0.1, [0.4, 0.1, 0.0], yaw=0.05),
         ]
-        for pose in l2b:
-            node.node2_step(local_event(pose.timestamp, [0.0, 0.0, 0.0]), pose)
-        prev, cur = (
-            MeasurementEvent(p.timestamp, ODO, compose(cfg.world_to_local, p), r6=r6, source="adas/raw")
-            for p in l2b
-        )
-        assert prev.pose.parent_frame == WORLD
+        for event in events:
+            node.node2_step(event)
+        r6 = cfg.default_r6[ODO]
+        prev, cur = (MeasurementEvent(e.timestamp, ODO, e.pose, r6=r6, source=e.source) for e in events)
         expected = update_differential(predict(cfg.initial_state, ProcessModel(cfg.q), 0.1), prev, cur)
         assert node.state.timestamp == expected.timestamp
         np.testing.assert_allclose(node.state.x, expected.x, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(node.state.P, expected.P, rtol=1e-12, atol=1e-12)
+
+    def test_world_anchor_cancels_in_differential_chain(self):
+        # invert(W o A) o (W o B) = invert(A) o B: world-composed poses give
+        # the local-pose chain, up to rounding
+        from coloc.geometry import compose
+
+        rng = np.random.default_rng(43)
+        cfg = node2_config()
+        model, r6 = ProcessModel(cfg.q), cfg.default_r6[ODO]
+        local = world = cfg.initial_state
+        prev_local = prev_world = None
+        t = 0.0
+        for k in range(60):
+            pose = Pose(
+                t,
+                np.array([3.0 * t, 0.2 * t * t, 0.0]) + rng.normal(0.0, 0.05, 3),
+                quat_yaw(0.1 * t + rng.normal(0.0, 0.01)),
+                LOCAL,
+                BODY_ADAS,
+            )
+            cur_local = MeasurementEvent(t, ODO, pose, r6=r6)
+            cur_world = MeasurementEvent(t, ODO, compose(WORLD_TO_LOCAL, pose), r6=r6)
+            assert cur_world.pose.parent_frame == WORLD
+            if prev_local is not None:
+                dt = t - prev_local.timestamp
+                local = update_differential(predict(local, model, dt), prev_local, cur_local)
+                world = update_differential(predict(world, model, dt), prev_world, cur_world)
+                np.testing.assert_allclose(world.x, local.x, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(world.P, local.P, rtol=1e-12, atol=1e-12)
+            prev_local, prev_world = cur_local, cur_world
+            t = round(t + (0.13 if k == 30 else 0.01), 10)
 
 
 class TestTwoStageLocalizer:
@@ -677,7 +730,7 @@ class TestTwoStageLocalizer:
         node1 = EkfNode(node1_config(default_r6={ODO: measurement_covariance(spec0)}))
         node2 = EkfNode(
             node2_config(
-                world_to_local=w2l,
+                start=w2l,
                 default_r6={
                     ODO: measurement_covariance(spec0),
                     PER: measurement_covariance(spec0),
@@ -689,7 +742,8 @@ class TestTwoStageLocalizer:
         for k in range(800):
             t = k * dt
             event = local_event(t, [speed * t, 0.0, 0.0])
-            state = node2.node2_step(event, node1.node1_step(event))
+            smoothed = MeasurementEvent(t, ODO, node1.node1_step(event), source=event.source)
+            state = node2.node2_step(smoothed)
         truth_local = Pose(t, np.array([speed * t, 0.0, 0.0]), Quaternion.identity(), LOCAL, BODY_ADAS)
         from coloc.geometry import compose
 
@@ -737,8 +791,6 @@ class TestNodeRunsThePublicKernels:
             t = round(t + (0.13 if k == 30 else 0.01), 10)
 
     def test_node2_sequence(self):
-        from coloc.geometry import compose
-
         rng = np.random.default_rng(42)
         cfg = node2_config(max_predict_dt=0.05, predict_substep=0.02)
         node, model, state = EkfNode(cfg), ProcessModel(cfg.q), cfg.initial_state
@@ -752,11 +804,8 @@ class TestNodeRunsThePublicKernels:
                 LOCAL,
                 BODY_ADAS,
             )
-            odometry = local_event(t, [0.0, 0.0, 0.0])
-            node.node2_step(odometry, local_to_body)
-            cur = MeasurementEvent(
-                t, ODO, compose(cfg.world_to_local, local_to_body), r6=cfg.default_r6[ODO], source=odometry.source
-            )
+            node.node2_step(MeasurementEvent(t, ODO, local_to_body, source="adas/raw"))
+            cur = MeasurementEvent(t, ODO, local_to_body, r6=cfg.default_r6[ODO], source="adas/raw")
             state = self.advance(state, model, cfg, t)
             if prev is not None:
                 state = update_differential(state, prev, cur)

@@ -25,7 +25,7 @@ from coloc.dataio import (
     generate_synthetic,
     load_trajectory,
 )
-from coloc.ekf import EkfNode
+from coloc.ekf import EkfNode, MeasurementEvent
 from coloc.errors import DataError
 from coloc.evaluation import AlignmentMode
 from coloc.geometry import Agent
@@ -355,8 +355,8 @@ class TestExecuteRun:
         recorded: dict[int, list] = {}
         step = EkfNode.node2_step
 
-        def recording(node, event, local_to_body=None):
-            out = step(node, event, local_to_body)
+        def recording(node, event):
+            out = step(node, event)
             if event.kind is MeasurementKind.ODOMETRY_DIFFERENTIAL:
                 d = node.state.P.diagonal().tolist()
                 sd = [math.sqrt(v) if v > 0.0 else 0.0 for v in (d[0], d[1], d[2], d[5])]
@@ -490,25 +490,29 @@ class TestBlockSchedule:
         then one node-2 pass per variant, each through EkfNode's one-event API."""
         smart, adas = harness._load_ground_truth(cfg)
         stream = RandomStream(seed)
-        world_to_local, stamps, t, q = harness._simulate_raw_odometry(adas, cfg, stream)
+        stamps, t, q = harness._simulate_raw_odometry(adas, cfg, stream)
         odometry = harness._odometry_events(stamps, t, q)
         perception = list(
             simulate_perception(
                 smart, adas, cfg.perception, stream.derive("perception"), cfg.ekf.perception_r6_scale
             )
         )
-        node1_cfg, node2_cfg = harness._node_configs(cfg, world_to_local, adas.poses([0])[0])
+        node1_cfg, node2_cfg = harness._node_configs(cfg, adas.poses([0])[0])
         node1 = EkfNode(node1_cfg)
-        smoothed = [(event, node1.node1_step(event)) for event in odometry]
+        # node 1's local->body poses are node 2's odometry events
+        smoothed = [
+            MeasurementEvent(event.timestamp, event.kind, node1.node1_step(event), source=event.source)
+            for event in odometry
+        ]
 
         def node2_pass(channel):
             node = EkfNode(node2_cfg)
             rows, j = [], 0
-            for event, local_to_body in smoothed:
+            for event in smoothed:
                 while j < len(channel) and channel[j].timestamp < event.timestamp:
                     node.node2_step(channel[j])
                     j += 1
-                s = node.node2_step(event, local_to_body)
+                s = node.node2_step(event)
                 rows.append((s.timestamp, s.x, s.P.diagonal()))
             for event in channel[j:]:
                 node.node2_step(event)
@@ -538,9 +542,9 @@ class TestBlockSchedule:
         steps: dict[int, int] = {}
         step = EkfNode.node2_step
 
-        def counted(node, event, local_to_body=None):
+        def counted(node, event):
             steps[id(node)] = steps.get(id(node), 0) + 1
-            return step(node, event, local_to_body)
+            return step(node, event)
 
         monkeypatch.setattr(EkfNode, "node2_step", counted)
         art = execute_run(cfg, 4)
