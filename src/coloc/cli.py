@@ -95,6 +95,13 @@ def _prepare_dir(path_str: str) -> Path:
     return out
 
 
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_with_overrides(args) -> ExperimentConfig:
     cfg = load_config(args.config)
     if args.seed:
@@ -110,7 +117,7 @@ def _cmd_run(args) -> int:
     cfg = _load_with_overrides(args)
     out = _prepare_dir(cfg.output_dir)
     report, artifacts = run_report(cfg)
-    (out / "report.json").write_text(report_json(report), encoding="utf-8")
+    _write_text(out / "report.json", report_json(report))
     write_estimate_csv(artifacts.fused_estimates, artifacts.fused_sd, out / "fused.csv")
     write_estimate_csv(artifacts.baseline_estimates, artifacts.baseline_sd, out / "baseline.csv")
     export_error_series(artifacts.fused, out / "errors.csv")
@@ -135,14 +142,12 @@ def _cmd_sweep(args) -> int:
         raise ValueError("the sweep subcommand needs a 'sweep' grid in the config")
     out = _prepare_dir(cfg.output_dir)
     report = run_sweep(cfg, workers=args.workers)
-    (out / "report.json").write_text(report_json(report), encoding="utf-8")
+    _write_text(out / "report.json", report_json(report))
     table = format_table(report)
-    (out / "table.txt").write_text(table, encoding="utf-8")
+    _write_text(out / "table.txt", table)
     for cell, cell_dict in zip(report.cells, report.to_dict()["cells"]):
         cell_dir = _prepare_dir(str(out / _cell_dir_name(cell)))
-        (cell_dir / "cell.json").write_text(
-            json.dumps(cell_dict, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_text(cell_dir / "cell.json", json.dumps(cell_dict, sort_keys=True, indent=2) + "\n")
     print(table, end="")
     print(f"outputs in {out}")
     return EXIT_OK

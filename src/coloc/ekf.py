@@ -15,13 +15,14 @@ integrates the body velocity rotated into the parent frame, orientation
 integrates body rates through the Euler-rate matrix, velocity integrates
 acceleration, and the remaining derivatives hold constant between events.
 
-Node 1 runs in the local (start) frame and fuses raw follower poses
-absolutely, acting as a smoother that outputs the local->body transform.
-Node 2 runs in the world frame; it takes node 1's local->body poses as
-ordinary odometry events and turns consecutive ones into body-velocity
-pseudo-measurements (differential fusion: a constant transform applied to
-both poses cancels, so node 2 needs no world->local anchor), and fuses
-perception-derived world poses absolutely.
+A node's role is the step it is fed through.  :meth:`EkfNode.node1_step`
+fuses raw local-frame follower poses absolutely, acting as a smoother that
+outputs the local->body transform.  :meth:`EkfNode.node2_step` estimates in
+the world frame; it takes node 1's local->body poses as ordinary odometry
+events and turns consecutive ones into body-velocity pseudo-measurements
+(differential fusion: a constant transform applied to both poses cancels,
+so node 2 needs no world->local anchor), and fuses perception-derived world
+poses absolutely.  Every event carries the covariance of its channel.
 
 All filter arithmetic lives in two kernels, :func:`_predict_kernel` and
 :func:`_update_kernel`, over a bare state list and covariance array.  The
@@ -34,10 +35,9 @@ functions the tests check are the code a run executes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
@@ -222,31 +222,29 @@ class MeasurementEvent:
     """One timestamped pose measurement heading into a filter node.
 
     ``r6`` is the 6x6 covariance of (x, y, z, roll, pitch, yaw), checked
-    and kept read-only; when None, the node substitutes its configured
-    per-channel default.
+    and kept read-only.
     """
 
     timestamp: float
     kind: MeasurementKind
     pose: Pose
-    r6: np.ndarray | None = None
+    r6: np.ndarray
     source: str = ""
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.timestamp):
             raise ValueError("event timestamp must be finite")
-        if self.r6 is not None:
-            object.__setattr__(self, "r6", _checked_r6(self.r6, "r6"))
+        object.__setattr__(self, "r6", _checked_r6(self.r6, "r6"))
 
     @classmethod
     def _trusted(
-        cls, timestamp: float, kind: MeasurementKind, pose: Pose, r6: np.ndarray | None, source: str
+        cls, timestamp: float, kind: MeasurementKind, pose: Pose, r6: np.ndarray, source: str
     ) -> "MeasurementEvent":
         """Construction fast path for the package's per-event streams.
 
-        The caller guarantees a finite stamp and an ``r6`` that is None or
-        already passed :func:`_checked_r6`; validation is skipped because
-        this runs once per event on a hot path.
+        The caller guarantees a finite stamp and an ``r6`` that already
+        passed :func:`_checked_r6`; validation is skipped because this runs
+        once per event on a hot path.
         """
         e = object.__new__(cls)
         object.__setattr__(e, "timestamp", timestamp)
@@ -274,37 +272,22 @@ class ProcessModel:
         object.__setattr__(self, "q", 0.5 * (q + q.T))
 
 
-class NodeId(Enum):
-    NODE1 = "node1"
-    NODE2 = "node2"
-
-
 @dataclass(frozen=True)
 class FilterNodeConfig:
-    """Everything one filter node needs: init, process noise, channel noise.
+    """Everything one filter node needs: initial state, process noise, prediction limits.
 
-    Node 1 estimates in the local frame, node 2 in the world frame.
+    The covariances arrive with the events; which frames a node takes
+    depends on the step it is fed through, not on its config.
     """
 
-    node_id: NodeId
     initial_state: StateEstimate
     q: np.ndarray
-    default_r6: Mapping[MeasurementKind, np.ndarray] = field(default_factory=dict)
     max_predict_dt: float = 1.0
     predict_substep: float = 0.1
 
     def __post_init__(self) -> None:
         if not (self.max_predict_dt > 0.0 and self.predict_substep > 0.0):
             raise ValueError("prediction step limits must be positive")
-        # validated once here so per-event resolution can trust the entries
-        checked = {
-            kind: _checked_r6(r6, f"default r6 for {kind}") for kind, r6 in self.default_r6.items()
-        }
-        object.__setattr__(self, "default_r6", checked)
-
-    @property
-    def estimation_frame(self) -> Frame:
-        return LOCAL if self.node_id is NodeId.NODE1 else WORLD
 
 
 # ---------------------------------------------------------------------------
@@ -488,40 +471,24 @@ def _pose_vector(pose: Pose) -> list[float]:
     return [*pose.translation.tolist(), *pose.rotation.to_euler()]
 
 
-class _OdometryPose(NamedTuple):
-    """One odometry pose of a differential pair, as bare values."""
-
-    timestamp: float
-    translation: list[float]
-    rotation: tuple[float, float, float, float]  # scalar-last unit quaternion
-    r6: np.ndarray | None
-    source: str
-
-
-def _odometry_pose(event: MeasurementEvent, r6: np.ndarray | None) -> _OdometryPose:
-    r = event.pose.rotation
-    return _OdometryPose(
-        event.timestamp, event.pose.translation.tolist(), (r.x, r.y, r.z, r.w), r6, event.source
-    )
-
-
-def _velocity_measurement(prev: _OdometryPose, cur: _OdometryPose) -> tuple[list[float], float]:
+def _velocity_measurement(prev: MeasurementEvent, cur: MeasurementEvent) -> tuple[list[float], float]:
     """Body-frame velocity z from invert(prev) o cur over dt, and dt."""
-    t0, p0, (x, y, z, w), _, source0 = prev
-    t1, p1, q1, _, source1 = cur
-    dt = t1 - t0
+    dt = cur.timestamp - prev.timestamp
     if dt <= 0.0:
         raise ValueError(f"differential pair must be strictly time-ordered, dt={dt}")
-    if source0 != source1:
-        raise ValueError(f"differential pair from mixed sources: {source0!r} vs {source1!r}")
+    if prev.source != cur.source:
+        raise ValueError(f"differential pair from mixed sources: {prev.source!r} vs {cur.source!r}")
+    p0, p1 = prev.pose.translation.tolist(), cur.pose.translation.tolist()
+    r0, r1 = prev.pose.rotation, cur.pose.rotation
+    x, y, z, w = r0.x, r0.y, r0.z, r0.w
     # the conjugate is the inverse of a unit quaternion
     d = q_rotate(-x, -y, -z, w, p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2])
-    v = q_rotation_vector(*q_normalized(q_product(-x, -y, -z, w, *q1)))
+    v = q_rotation_vector(*q_normalized(q_product(-x, -y, -z, w, r1.x, r1.y, r1.z, r1.w)))
     return [d[0] / dt, d[1] / dt, d[2] / dt, v[0] / dt, v[1] / dt, v[2] / dt], dt
 
 
 def _differential_kernel(
-    x: list[float], P: np.ndarray, prev: _OdometryPose, cur: _OdometryPose
+    x: list[float], P: np.ndarray, prev: MeasurementEvent, cur: MeasurementEvent
 ) -> tuple[list[float], np.ndarray]:
     """Velocity pseudo-measurement update; pose covariances propagate as (R0 + R1) / dt^2."""
     z, dt = _velocity_measurement(prev, cur)
@@ -557,8 +524,6 @@ def update_absolute(s: StateEstimate, m: MeasurementEvent) -> StateEstimate:
     innovation components are wrapped so +179 deg vs -179 deg disagree by
     2 degrees, not 358.
     """
-    if m.r6 is None:
-        raise ValueError("event carries no covariance and no default was applied")
     x, P = _finish(
         *_update_kernel(s.x.tolist(), s.P, POSE_BLOCK.start, _pose_vector(m.pose), m.r6, True)
     )
@@ -571,7 +536,7 @@ def differential_velocity(prev: MeasurementEvent, cur: MeasurementEvent) -> np.n
     The delta pose invert(prev) o cur divided by dt; any constant offset
     applied to both poses cancels exactly.
     """
-    return np.array(_velocity_measurement(_odometry_pose(prev, prev.r6), _odometry_pose(cur, cur.r6))[0])
+    return np.array(_velocity_measurement(prev, cur)[0])
 
 
 def update_differential(
@@ -584,11 +549,7 @@ def update_differential(
     """
     if prev.kind is not MeasurementKind.ODOMETRY_DIFFERENTIAL or cur.kind is not MeasurementKind.ODOMETRY_DIFFERENTIAL:
         raise ValueError("differential fusion requires odometry events")
-    if prev.r6 is None or cur.r6 is None:
-        raise ValueError("differential fusion requires covariances on both events")
-    x, P = _finish(
-        *_differential_kernel(s.x.tolist(), s.P, _odometry_pose(prev, prev.r6), _odometry_pose(cur, cur.r6))
-    )
+    x, P = _finish(*_differential_kernel(s.x.tolist(), s.P, prev, cur))
     return StateEstimate._from_kernel(x, P, s.timestamp)
 
 
@@ -613,10 +574,9 @@ class EkfNode:
         self.model = ProcessModel(config.q)
         self.state = config.initial_state
         self.rejected_count = 0
-        self._frame = config.estimation_frame
         self._started = False
-        # the last odometry pose of node 2's differential chain
-        self._prev: _OdometryPose | None = None
+        # the last odometry event of node 2's differential chain
+        self._prev: MeasurementEvent | None = None
 
     @property
     def state(self) -> StateEstimate:
@@ -663,36 +623,25 @@ class EkfNode:
             x, P = _predict_kernel(x, P, q, step)
         return x, P
 
-    def _resolve_r6(self, event: MeasurementEvent) -> np.ndarray:
-        if event.r6 is not None:
-            return event.r6
-        default = self.config.default_r6.get(event.kind)
-        if default is None:
-            raise ValueError(f"no covariance on event and no default for {event.kind}")
-        return default
-
-    def _check_frame(self, event: MeasurementEvent, frame: Frame) -> None:
+    @staticmethod
+    def _check_frame(event: MeasurementEvent, frame: Frame, step: str) -> None:
         if event.pose.parent_frame != frame:
             raise FrameMismatchError(
-                f"{self.config.node_id.value} takes {event.kind.value} poses in {frame}, "
+                f"{step} takes {event.kind.value} poses in {frame}, "
                 f"got one in {event.pose.parent_frame}"
             )
 
     def _update_pose(self, event: MeasurementEvent) -> None:
-        r6 = self._resolve_r6(event)
         x, P = self._predicted(event.timestamp)
-        x, P = _update_kernel(x, P, POSE_BLOCK.start, _pose_vector(event.pose), r6, True)
+        x, P = _update_kernel(x, P, POSE_BLOCK.start, _pose_vector(event.pose), event.r6, True)
         self._commit(event.timestamp, x, P)
-
-    def pose_estimate(self) -> Pose:
-        return _state_pose(self._x, self._t, self._frame, BODY_ADAS)
 
     def node1_step(self, event: MeasurementEvent) -> Pose:
         """Absolute fusion of one raw local-frame pose; returns local->body."""
-        self._check_frame(event, self._frame)
+        self._check_frame(event, LOCAL, "node1_step")
         self._admit(event)
         self._update_pose(event)
-        return self.pose_estimate()
+        return _state_pose(self._x, self._t, LOCAL, BODY_ADAS)
 
     def node2_step(self, event: MeasurementEvent) -> StateEstimate:
         """World-frame fusion step.
@@ -702,16 +651,15 @@ class EkfNode:
         enters.  Perception events carry world poses and fuse absolutely.
         """
         odometry = event.kind is MeasurementKind.ODOMETRY_DIFFERENTIAL
-        self._check_frame(event, LOCAL if odometry else self._frame)
+        self._check_frame(event, LOCAL if odometry else WORLD, "node2_step")
         self._admit(event)
         if odometry:
-            cur = _odometry_pose(event, self._resolve_r6(event))
             x, P = self._predicted(event.timestamp)
             if self._prev is not None:
-                x, P = _differential_kernel(x, P, self._prev, cur)
+                x, P = _differential_kernel(x, P, self._prev, event)
             if P is not self._P:
                 self._commit(event.timestamp, x, P)
-            self._prev = cur
+            self._prev = event
         else:
             self._update_pose(event)
         return self.state

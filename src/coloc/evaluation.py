@@ -9,11 +9,9 @@ summarized as rmse/mean/median/max.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -183,11 +181,8 @@ class MetricSeries:
             per_sample=tuple(errors.tolist()),
         )
 
-    def to_dict(self, with_series: bool = False) -> dict:
-        d = {"rmse": self.rmse, "mean": self.mean, "median": self.median, "max": self.max}
-        if with_series:
-            d["per_sample"] = list(self.per_sample)
-        return d
+    def to_dict(self) -> dict:
+        return {"rmse": self.rmse, "mean": self.mean, "median": self.median, "max": self.max}
 
 
 @dataclass(frozen=True)
@@ -208,11 +203,11 @@ class ErrorStats:
         ):
             raise ValueError("inconsistent sample counts across series")
 
-    def to_dict(self, with_series: bool = False) -> dict:
+    def to_dict(self) -> dict:
         return {
             "n_samples": self.n_samples,
-            "translation_m": self.translation.to_dict(with_series),
-            "orientation_deg": self.orientation.to_dict(with_series),
+            "translation_m": self.translation.to_dict(),
+            "orientation_deg": self.orientation.to_dict(),
         }
 
 
@@ -262,6 +257,3 @@ def export_error_series(stats: ErrorStats, path) -> None:
         np.column_stack([stats.timestamps, stats.translation.per_sample, stats.orientation.per_sample]),
     )
 
-
-def export_stats_json(stats: ErrorStats, path, with_series: bool = False) -> None:
-    Path(path).write_text(json.dumps(stats.to_dict(with_series), indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -161,7 +161,8 @@ class Quaternion:
 
     @classmethod
     def from_euler(cls, roll: float, pitch: float, yaw: float) -> "Quaternion":
-        # Closed form of quat_yaw(yaw) * quat_pitch(pitch) * quat_roll(roll).
+        # Closed form of the product yaw * pitch * roll of the three
+        # single-axis rotations (about z, y and x), applied roll first.
         cr, sr = math.cos(0.5 * roll), math.sin(0.5 * roll)
         cp, sp = math.cos(0.5 * pitch), math.sin(0.5 * pitch)
         cy, sy = math.cos(0.5 * yaw), math.sin(0.5 * yaw)
@@ -239,16 +240,6 @@ def quat_yaw(theta: float) -> Quaternion:
         raise ValueError("yaw angle must be finite")
     h = 0.5 * theta
     return Quaternion(0.0, 0.0, math.sin(h), math.cos(h))
-
-
-def _quat_pitch(theta: float) -> Quaternion:
-    h = 0.5 * theta
-    return Quaternion(0.0, math.sin(h), 0.0, math.cos(h))
-
-
-def _quat_roll(theta: float) -> Quaternion:
-    h = 0.5 * theta
-    return Quaternion(math.sin(h), 0.0, 0.0, math.cos(h))
 
 
 def rotation_geodesic(a: Quaternion, b: Quaternion) -> float:

@@ -45,7 +45,6 @@ from .ekf import (
     FilterNodeConfig,
     MeasurementEvent,
     MeasurementKind,
-    NodeId,
     default_process_noise,
     measurement_covariance,
     state_from_pose,
@@ -123,8 +122,8 @@ class InputConfig:
 class EkfSettings:
     """Filter tuning knobs exposed to experiment configs.
 
-    ``smoothed_sigma_trans``/``smoothed_gamma_deg`` set node 2's default
-    covariance for smoothed odometry poses entering differential fusion;
+    ``smoothed_sigma_trans``/``smoothed_gamma_deg`` set the covariance of
+    the smoothed odometry poses node 2 fuses differentially;
     left as None they derive from the raw noise level.
     ``perception_r6_scale`` scales the perception channel covariance before
     node 2 consumes it (trust calibration; 1.0 = channel value as-is).
@@ -416,14 +415,16 @@ def _simulate_raw_odometry(
     return adas.t[rows], t, q
 
 
-def _odometry_events(stamps: np.ndarray, t: np.ndarray, q: np.ndarray) -> list[MeasurementEvent]:
-    """One raw odometry event per row."""
+def _odometry_events(
+    stamps: np.ndarray, t: np.ndarray, q: np.ndarray, r6: np.ndarray
+) -> list[MeasurementEvent]:
+    """One raw odometry event per row, each with the raw channel covariance ``r6``."""
     return [
         MeasurementEvent._trusted(
             stamp,
             MeasurementKind.ODOMETRY_DIFFERENTIAL,
             Pose._trusted(stamp, tk, Quaternion(*qk), LOCAL, BODY_ADAS),
-            None,
+            r6,
             RAW_ODOMETRY_SOURCE,
         )
         for stamp, tk, qk in zip(stamps.tolist(), t, q.tolist())
@@ -449,18 +450,14 @@ def _node_configs(cfg: ExperimentConfig, adas_start: Pose) -> tuple[FilterNodeCo
         s.pose_variance, cfg.raw_noise.sigma_trans**2, cfg.raw_noise.gamma_yaw_rad**2
     )
     node1 = FilterNodeConfig(
-        NodeId.NODE1,
         state_from_pose(local_start, node1_pose_var, s.derivative_variance),
         default_process_noise() * s.node1_q_scale,
-        {MeasurementKind.ODOMETRY_DIFFERENTIAL: measurement_covariance(cfg.raw_noise)},
         max_predict_dt=s.max_predict_dt,
         predict_substep=s.predict_substep,
     )
     node2 = FilterNodeConfig(
-        NodeId.NODE2,
         state_from_pose(adas_start, s.pose_variance, s.derivative_variance),
         default_process_noise() * s.node2_q_scale,
-        {MeasurementKind.ODOMETRY_DIFFERENTIAL: measurement_covariance(_smoothed_odometry_spec(cfg))},
         max_predict_dt=s.max_predict_dt,
         predict_substep=s.predict_substep,
     )
@@ -554,6 +551,8 @@ def execute_run(
 
         with _stage("filter"):
             node1_cfg, node2_cfg = _node_configs(cfg, adas.poses([0])[0])
+            raw_r6 = measurement_covariance(cfg.raw_noise)
+            smoothed_r6 = measurement_covariance(_smoothed_odometry_spec(cfg))
             n = len(stamps)
             # Node 1 never sees perception, so its poses serve both node-2 passes.
             node1 = EkfNode(node1_cfg)
@@ -562,10 +561,10 @@ def execute_run(
                 passes.append(_Node2Pass(node2_cfg, n))
             for start in range(0, n, _BLOCK):
                 rows = slice(start, start + _BLOCK)
-                events = _odometry_events(stamps[rows], odometry_t[rows], odometry_q[rows])
+                events = _odometry_events(stamps[rows], odometry_t[rows], odometry_q[rows], raw_r6)
                 # node 1's local->body poses, as the odometry events of node 2
                 smoothed = [
-                    MeasurementEvent._trusted(e.timestamp, e.kind, node1.node1_step(e), None, e.source)
+                    MeasurementEvent._trusted(e.timestamp, e.kind, node1.node1_step(e), smoothed_r6, e.source)
                     for e in events
                 ]
                 for node2 in passes:

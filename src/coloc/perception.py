@@ -143,7 +143,7 @@ def make_measurement(
     return compose_arrays(smart_p, smart_q, *perturb_pose(rel, cfg.noise, rng))
 
 
-def _events(t: np.ndarray, p: np.ndarray, q: np.ndarray, r6: np.ndarray | None) -> list[MeasurementEvent]:
+def _events(t: np.ndarray, p: np.ndarray, q: np.ndarray, r6: np.ndarray) -> list[MeasurementEvent]:
     """One perception event per measured pose row."""
     # rows of arrays from closed arithmetic on validated poses
     return [
@@ -166,9 +166,9 @@ class PerceptionEvents(Sequence):
     once here.  A slice reads as a list of events built in one pass.
     """
 
-    def __init__(self, t: np.ndarray, p: np.ndarray, q: np.ndarray, r6: np.ndarray | None) -> None:
+    def __init__(self, t: np.ndarray, p: np.ndarray, q: np.ndarray, r6: np.ndarray) -> None:
         self.t, self.p, self.q = t, p, q
-        self.r6 = None if r6 is None else _checked_r6(r6, "perception r6")
+        self.r6 = _checked_r6(r6, "perception r6")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -215,7 +215,5 @@ def simulate_perception(
     rows = pair_streams(smart, adas, cfg.gate_threshold)
     if cfg.output_rate is not None:
         rows = rows.take(rate_limit_indices(rows.t.tolist(), cfg.output_rate))
-    if len(rows) == 0:
-        return PerceptionEvents(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 4)), None)
     r6 = measurement_covariance(cfg.noise) * r6_scale
     return PerceptionEvents(rows.t, *make_measurement(rows, cfg, rng), r6)

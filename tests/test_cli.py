@@ -145,6 +145,14 @@ class TestRun:
         assert "Traceback" not in err
         assert not (out / "report.json").exists()
 
+    def test_unwritable_report_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and "report.json" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "config, message",
         [
@@ -195,6 +203,15 @@ class TestSweep:
         report = json.loads((out / "report.json").read_text())
         cell = json.loads((out / "sigma=0.3_gamma=10" / "cell.json").read_text())
         assert cell in report["cells"]
+
+    def test_unwritable_cell_file_is_data_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, sweep={"sigma_grid": [0.3], "gamma_grid": [10.0]})
+        out = tmp_path / "sweep"
+        (out / "sigma=0.3_gamma=10" / "cell.json").mkdir(parents=True)
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and "cell.json" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("sigmas", [[0.3, 0.3], [0.3, 0.3000001], [0.0, -0.0]])
     def test_grid_values_that_print_alike_are_usage_errors(self, tmp_path, capsys, sigmas):

@@ -27,7 +27,6 @@ from coloc.ekf import (
     FilterNodeConfig,
     MeasurementEvent,
     MeasurementKind,
-    NodeId,
     ProcessModel,
     StateEstimate,
     default_process_noise,
@@ -65,12 +64,19 @@ def random_psd(n, rng=RNG, scale=1.0) -> np.ndarray:
     return scale * (A @ A.T) + 1e-9 * np.eye(n)
 
 
-def local_event(t, translation, yaw=0.0, r6=None, source="adas/raw", kind=ODO):
+# one covariance per channel: node 1's raw odometry, node 2's smoothed
+# odometry, and perception
+RAW_R6 = measurement_covariance(NoiseSpec(2.5, 0.0))
+SMOOTHED_R6 = measurement_covariance(NoiseSpec(0.05, 0.1))
+PERCEPTION_R6 = measurement_covariance(NoiseSpec(0.3, 10.0))
+
+
+def local_event(t, translation, yaw=0.0, r6=RAW_R6, source="adas/raw", kind=ODO):
     pose = Pose(t, np.asarray(translation, float), quat_yaw(yaw), LOCAL, BODY_ADAS)
     return MeasurementEvent(t, kind, pose, r6=r6, source=source)
 
 
-def world_event(t, translation, yaw=0.0, r6=None, source="smart/perception"):
+def world_event(t, translation, yaw=0.0, r6=PERCEPTION_R6, source="smart/perception"):
     pose = Pose(t, np.asarray(translation, float), quat_yaw(yaw), WORLD, BODY_ADAS)
     return MeasurementEvent(t, PER, pose, r6=r6, source=source)
 
@@ -323,10 +329,10 @@ class TestUpdateAbsolute:
             update_absolute(s, ev)
 
     def test_missing_r6_rejected(self):
+        # an event without a covariance cannot be built, so none reaches the update
         s = self.make_state()
-        ev = self.event_at([1.0, 2.0, 0.0], 0.3, None)
-        with pytest.raises(ValueError):
-            update_absolute(s, ev)
+        with pytest.raises(ValueError, match="r6"):
+            update_absolute(s, self.event_at([1.0, 2.0, 0.0], 0.3, None))
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +442,8 @@ class TestUpdateDifferential:
 
     def test_missing_covariance_rejected(self):
         a = local_event(0.0, [0.0, 0.0, 0.0])
-        b = local_event(0.5, [1.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            update_differential(self.make_state(), a, b)
+        with pytest.raises(ValueError, match="r6"):
+            update_differential(self.make_state(), a, local_event(0.5, [1.0, 0.0, 0.0], r6=None))
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +555,13 @@ class TestMeasurementEvent:
         with pytest.raises(error, match=match):
             local_event(0.0, [0.0, 0.0, 0.0], r6=r6)
 
+    def test_missing_r6_rejected(self):
+        pose = Pose.identity(0.0, LOCAL, BODY_ADAS)
+        with pytest.raises(TypeError, match="r6"):
+            MeasurementEvent(0.0, ODO, pose)
+        with pytest.raises(ValueError, match="r6"):
+            MeasurementEvent(0.0, ODO, pose, None)
+
     def test_checked_r6_is_kept_read_only(self):
         shared = measurement_covariance(NoiseSpec(0.3, 10.0))
         assert local_event(0.0, [0.0, 0.0, 0.0], r6=shared).r6 is shared
@@ -565,12 +577,7 @@ class TestMeasurementEvent:
 
 def node1_config(**overrides):
     init = state_from_pose(Pose.identity(0.0, LOCAL, BODY_ADAS))
-    defaults = dict(
-        node_id=NodeId.NODE1,
-        initial_state=init,
-        q=default_process_noise(),
-        default_r6={ODO: measurement_covariance(NoiseSpec(2.5, 0.0))},
-    )
+    defaults = dict(initial_state=init, q=default_process_noise())
     defaults.update(overrides)
     return FilterNodeConfig(**defaults)
 
@@ -581,23 +588,9 @@ WORLD_TO_LOCAL = Pose(0.0, np.array([10.0, -4.0, 0.0]), quat_yaw(0.5), WORLD, LO
 
 def node2_config(start=WORLD_TO_LOCAL, **overrides):
     init = state_from_pose(Pose(0.0, start.translation, start.rotation, WORLD, BODY_ADAS))
-    defaults = dict(
-        node_id=NodeId.NODE2,
-        initial_state=init,
-        q=default_process_noise(),
-        default_r6={
-            ODO: measurement_covariance(NoiseSpec(0.05, 0.1)),
-            PER: measurement_covariance(NoiseSpec(0.3, 10.0)),
-        },
-    )
+    defaults = dict(initial_state=init, q=default_process_noise())
     defaults.update(overrides)
     return FilterNodeConfig(**defaults)
-
-
-class TestFilterNodeConfig:
-    def test_estimation_frames(self):
-        assert node1_config().estimation_frame == LOCAL
-        assert node2_config().estimation_frame == WORLD
 
 
 class TestNode1:
@@ -610,14 +603,13 @@ class TestNode1:
         assert pose.parent_frame == LOCAL and pose.child_frame == BODY_ADAS
 
     def test_noiseless_straight_line_tracks_truth(self):
-        spec = NoiseSpec(0.0, 0.0)
-        cfg = node1_config(default_r6={ODO: measurement_covariance(spec)})
-        node = EkfNode(cfg)
+        r6 = measurement_covariance(NoiseSpec(0.0, 0.0))
+        node = EkfNode(node1_config())
         dt, speed = 0.01, 2.0
         pose = None
         for k in range(1000):
             t = k * dt
-            pose = node.node1_step(local_event(t, [speed * t, 0.0, 0.0]))
+            pose = node.node1_step(local_event(t, [speed * t, 0.0, 0.0], r6=r6))
         assert np.linalg.norm(pose.translation - [speed * 999 * dt, 0.0, 0.0]) < 1e-6
 
     def test_stationary_noise_is_smoothed(self):
@@ -666,24 +658,33 @@ class TestNode2:
         # node 2 takes node 1's local->body poses on the odometry channel
         node = EkfNode(node2_config())
         before = node.state
-        world_odometry = MeasurementEvent(0.0, ODO, Pose.identity(0.0, WORLD, BODY_ADAS), source="adas/raw")
+        world_odometry = MeasurementEvent(0.0, ODO, Pose.identity(0.0, WORLD, BODY_ADAS), SMOOTHED_R6, "adas/raw")
         with pytest.raises(FrameMismatchError):
             node.node2_step(world_odometry)
         assert node.state is before
 
+    def test_local_perception_pose_rejected(self):
+        # node 2 fuses perception poses in the world frame only
+        node = EkfNode(node2_config())
+        node.node2_step(world_event(0.0, [10.0, -4.0, 0.0], yaw=0.5))
+        before = node.state
+        local_perception = local_event(0.1, [0.0, 0.0, 0.0], r6=PERCEPTION_R6, kind=PER)
+        with pytest.raises(FrameMismatchError, match="perception"):
+            node.node2_step(local_perception)
+        assert node.state is before
+        assert node.rejected_count == 0
+
     def test_differential_chain_uses_local_poses(self):
         # two odometry steps fuse the velocity between the local poses, with
-        # the node's default covariance, as update_differential does
+        # the events' covariance, as update_differential does
         cfg = node2_config()
         node = EkfNode(cfg)
-        events = [
-            local_event(0.0, [0.0, 0.0, 0.0]),
-            local_event(0.1, [0.4, 0.1, 0.0], yaw=0.05),
-        ]
-        for event in events:
+        prev, cur = (
+            local_event(0.0, [0.0, 0.0, 0.0], r6=SMOOTHED_R6),
+            local_event(0.1, [0.4, 0.1, 0.0], yaw=0.05, r6=SMOOTHED_R6),
+        )
+        for event in (prev, cur):
             node.node2_step(event)
-        r6 = cfg.default_r6[ODO]
-        prev, cur = (MeasurementEvent(e.timestamp, ODO, e.pose, r6=r6, source=e.source) for e in events)
         expected = update_differential(predict(cfg.initial_state, ProcessModel(cfg.q), 0.1), prev, cur)
         assert node.state.timestamp == expected.timestamp
         np.testing.assert_allclose(node.state.x, expected.x, rtol=1e-12, atol=1e-12)
@@ -696,7 +697,7 @@ class TestNode2:
 
         rng = np.random.default_rng(43)
         cfg = node2_config()
-        model, r6 = ProcessModel(cfg.q), cfg.default_r6[ODO]
+        model, r6 = ProcessModel(cfg.q), SMOOTHED_R6
         local = world = cfg.initial_state
         prev_local = prev_world = None
         t = 0.0
@@ -726,23 +727,15 @@ class TestTwoStageLocalizer:
 
     def test_noiseless_run_tracks_ground_truth(self):
         w2l = Pose(0.0, np.array([100.0, 50.0, 0.0]), quat_yaw(1.0), WORLD, LOCAL)
-        spec0 = NoiseSpec(0.0, 0.0)
-        node1 = EkfNode(node1_config(default_r6={ODO: measurement_covariance(spec0)}))
-        node2 = EkfNode(
-            node2_config(
-                start=w2l,
-                default_r6={
-                    ODO: measurement_covariance(spec0),
-                    PER: measurement_covariance(spec0),
-                },
-            )
-        )
+        r6 = measurement_covariance(NoiseSpec(0.0, 0.0))
+        node1 = EkfNode(node1_config())
+        node2 = EkfNode(node2_config(start=w2l))
         dt, speed = 0.01, 3.0
         state = None
         for k in range(800):
             t = k * dt
-            event = local_event(t, [speed * t, 0.0, 0.0])
-            smoothed = MeasurementEvent(t, ODO, node1.node1_step(event), source=event.source)
+            event = local_event(t, [speed * t, 0.0, 0.0], r6=r6)
+            smoothed = MeasurementEvent(t, ODO, node1.node1_step(event), r6, event.source)
             state = node2.node2_step(smoothed)
         truth_local = Pose(t, np.array([speed * t, 0.0, 0.0]), Quaternion.identity(), LOCAL, BODY_ADAS)
         from coloc.geometry import compose
@@ -780,13 +773,12 @@ class TestNodeRunsThePublicKernels:
         rng = np.random.default_rng(41)
         cfg = node1_config(max_predict_dt=0.05, predict_substep=0.02)
         node, model, state = EkfNode(cfg), ProcessModel(cfg.q), cfg.initial_state
-        r6 = cfg.default_r6[ODO]
         t = 0.0
         for k in range(60):
             ev = local_event(t, [2.0 * t, 0.3 * t * t, 0.0] + rng.normal(0.0, 2.5, 3), yaw=rng.normal(0.0, 0.02))
             node.node1_step(ev)
             state = self.advance(state, model, cfg, t)
-            state = update_absolute(state, MeasurementEvent(t, ODO, ev.pose, r6=r6, source=ev.source))
+            state = update_absolute(state, ev)
             self.assert_close(node, state)
             t = round(t + (0.13 if k == 30 else 0.01), 10)
 
@@ -804,8 +796,8 @@ class TestNodeRunsThePublicKernels:
                 LOCAL,
                 BODY_ADAS,
             )
-            node.node2_step(MeasurementEvent(t, ODO, local_to_body, source="adas/raw"))
-            cur = MeasurementEvent(t, ODO, local_to_body, r6=cfg.default_r6[ODO], source="adas/raw")
+            cur = MeasurementEvent(t, ODO, local_to_body, SMOOTHED_R6, "adas/raw")
+            node.node2_step(cur)
             state = self.advance(state, model, cfg, t)
             if prev is not None:
                 state = update_differential(state, prev, cur)
@@ -813,7 +805,7 @@ class TestNodeRunsThePublicKernels:
             if k % 2 == 0:
                 seen = world_event(t, [10.0 + 3.0 * t, -4.0, 0.0] + rng.normal(0.0, 0.3, 3), yaw=0.5 + rng.normal(0.0, 0.05))
                 node.node2_step(seen)
-                state = update_absolute(state, MeasurementEvent(t, PER, seen.pose, r6=cfg.default_r6[PER]))
+                state = update_absolute(state, seen)
             self.assert_close(node, state)
             t = round(t + (0.13 if k == 30 else 0.01), 10)
 
@@ -832,9 +824,9 @@ class TestNodeErrorContracts:
     def test_gimbal_pitch_raises(self):
         gimbal = Quaternion.from_euler(0.0, math.pi / 2, 0.0)
         node = EkfNode(node1_config(initial_state=state_from_pose(Pose(0.0, np.zeros(3), gimbal, LOCAL, BODY_ADAS))))
-        node.node1_step(MeasurementEvent(0.0, ODO, Pose(0.0, np.zeros(3), gimbal, LOCAL, BODY_ADAS)))
+        node.node1_step(MeasurementEvent(0.0, ODO, Pose(0.0, np.zeros(3), gimbal, LOCAL, BODY_ADAS), RAW_R6))
         with pytest.raises(NumericError, match="gimbal"):
-            node.node1_step(MeasurementEvent(0.01, ODO, Pose(0.01, np.zeros(3), gimbal, LOCAL, BODY_ADAS)))
+            node.node1_step(MeasurementEvent(0.01, ODO, Pose(0.01, np.zeros(3), gimbal, LOCAL, BODY_ADAS), RAW_R6))
 
     def test_non_finite_velocity_measurement_raises(self):
         r6 = np.eye(6) * 0.01

@@ -25,10 +25,10 @@ from coloc.dataio import (
     generate_synthetic,
     load_trajectory,
 )
-from coloc.ekf import EkfNode, MeasurementEvent
+from coloc.ekf import EkfNode, MeasurementEvent, measurement_covariance
 from coloc.errors import DataError
 from coloc.evaluation import AlignmentMode
-from coloc.geometry import Agent
+from coloc.geometry import WORLD, Agent
 from coloc.harness import (
     CellReport,
     EkfSettings,
@@ -345,7 +345,7 @@ class TestExecuteRun:
         assert same_estimates(a, b)
 
     def test_estimates_match_per_step_node_state(self, monkeypatch):
-        # Reference: after every node-2 odometry step, the node's pose_estimate()
+        # Reference: after every node-2 odometry step, the node's world pose
         # and the square roots of its P diagonal (x, y, z, yaw; a non-positive
         # variance gives 0), as each step's estimate was once recorded.
         import math
@@ -360,7 +360,7 @@ class TestExecuteRun:
             if event.kind is MeasurementKind.ODOMETRY_DIFFERENTIAL:
                 d = node.state.P.diagonal().tolist()
                 sd = [math.sqrt(v) if v > 0.0 else 0.0 for v in (d[0], d[1], d[2], d[5])]
-                recorded.setdefault(id(node), []).append((node.pose_estimate(), sd))
+                recorded.setdefault(id(node), []).append((node.state.pose(WORLD), sd))
             return out
 
         monkeypatch.setattr(EkfNode, "node2_step", recording)
@@ -491,7 +491,7 @@ class TestBlockSchedule:
         smart, adas = harness._load_ground_truth(cfg)
         stream = RandomStream(seed)
         stamps, t, q = harness._simulate_raw_odometry(adas, cfg, stream)
-        odometry = harness._odometry_events(stamps, t, q)
+        odometry = harness._odometry_events(stamps, t, q, measurement_covariance(cfg.raw_noise))
         perception = list(
             simulate_perception(
                 smart, adas, cfg.perception, stream.derive("perception"), cfg.ekf.perception_r6_scale
@@ -500,8 +500,9 @@ class TestBlockSchedule:
         node1_cfg, node2_cfg = harness._node_configs(cfg, adas.poses([0])[0])
         node1 = EkfNode(node1_cfg)
         # node 1's local->body poses are node 2's odometry events
+        smoothed_r6 = measurement_covariance(harness._smoothed_odometry_spec(cfg))
         smoothed = [
-            MeasurementEvent(event.timestamp, event.kind, node1.node1_step(event), source=event.source)
+            MeasurementEvent(event.timestamp, event.kind, node1.node1_step(event), smoothed_r6, event.source)
             for event in odometry
         ]
 
