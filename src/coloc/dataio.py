@@ -110,7 +110,7 @@ class TrajectoryLog:
         x, y, z, w = self.q[rows].T.tolist()
         # rows of read-only arrays from a validated log: trusted construction
         return tuple(
-            Pose._trusted(t, p, Quaternion(qx, qy, qz, qw), WORLD, child)
+            Pose._trusted(t, p, Quaternion._trusted(qx, qy, qz, qw), WORLD, child)
             for t, p, qx, qy, qz, qw in zip(self.t[rows].tolist(), self.p[rows], x, y, z, w)
         )
 

@@ -40,7 +40,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
+from numpy.linalg._umath_linalg import solve as _gesv
 
 from .errors import FrameMismatchError, NumericError, OutOfOrderError
 from .geometry import (
@@ -110,7 +110,12 @@ def measurement_covariance(spec: NoiseSpec, floor: float = 1e-6) -> np.ndarray:
 
 
 def _checked_r6(r6, what: str) -> np.ndarray:
-    """A validated, read-only float copy of a 6x6 pose covariance."""
+    """A validated, read-only float copy of a 6x6 positive-definite pose covariance.
+
+    Positive definiteness makes every innovation covariance P block + r6 of
+    a PSD P positive definite, so the update kernel's solve cannot fail on
+    a checked r6.
+    """
     arr = np.asarray(r6, dtype=float)
     if arr.shape != (6, 6):
         raise ValueError(f"{what} must be 6x6, got {arr.shape}")
@@ -120,6 +125,10 @@ def _checked_r6(r6, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be symmetric")
     if (np.diagonal(arr) < 0.0).any():
         raise ValueError(f"{what} has negative diagonal entries")
+    try:
+        np.linalg.cholesky(arr)
+    except np.linalg.LinAlgError:
+        raise NumericError(f"{what} is singular or indefinite, not positive definite") from None
     if arr.flags.writeable:
         arr = arr.copy()
         arr.flags.writeable = False
@@ -221,8 +230,8 @@ class MeasurementKind(Enum):
 class MeasurementEvent:
     """One timestamped pose measurement heading into a filter node.
 
-    ``r6`` is the 6x6 covariance of (x, y, z, roll, pitch, yaw), checked
-    and kept read-only.
+    ``r6`` is the 6x6 covariance of (x, y, z, roll, pitch, yaw).  It must be
+    positive definite; it is checked and kept read-only.
     """
 
     timestamp: float
@@ -419,8 +428,7 @@ def _finish(x: list[float], P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not (math.isfinite(sum(x)) and math.isfinite(P.ravel().dot(_ONES_FLAT))):
         raise NumericError("filter produced non-finite state or covariance")
     x = np.array(x)
-    P_sym = P.T.copy()  # (P + P.T) / 2, without a second temporary
-    P_sym += P
+    P_sym = P + P.T
     P_sym *= 0.5
     x.setflags(write=False)
     P_sym.setflags(write=False)
@@ -453,17 +461,19 @@ def _update_kernel(
     if angles:
         innovation[3:6] = map(wrap_angle, innovation[3:6])
     P_rows = P[lo:hi]
-    # LU solve of S K^T = P_rows, the same LAPACK routine np.linalg.solve
-    # calls, minus its per-call wrapper cost
-    _, _, Kt, info = dgesv(P[lo:hi, lo:hi] + r6, P_rows)
-    if info != 0:
-        raise NumericError(f"singular innovation covariance (LAPACK dgesv info={info})")
+    # LU solve of S K^T = P_rows: the LAPACK gesv gufunc np.linalg.solve
+    # calls, minus its per-call wrapper (its float64 loop is the one the
+    # gufunc picks for float arrays).  S is positive definite (PSD P, r6
+    # checked positive definite), so the solve succeeds; a broken P that
+    # makes it fail gives NaNs, which _finish rejects.
+    Kt = _gesv(P[lo:hi, lo:hi] + r6, P_rows)
     K = Kt.T
     x = [a + b for a, b in zip(x, K.dot(innovation).tolist())]
     x[3:6] = map(wrap_angle, x[3:6])
-    # Joseph form: (I-KH) P (I-KH)^T + K R K^T with H a selector matrix.
+    # Joseph form (I-KH) P (I-KH)^T + K R K^T with H a selector matrix:
+    # M - M H^T K^T + K R K^T, folded into one product.
     M = P - K.dot(P_rows)
-    P = M - M[:, lo:hi].dot(Kt) + K.dot(r6).dot(Kt)
+    P = M - (M[:, lo:hi] - K.dot(r6)).dot(Kt)
     return x, P
 
 

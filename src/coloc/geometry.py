@@ -85,6 +85,21 @@ class Quaternion:
                 object.__setattr__(self, name, value)
 
     @classmethod
+    def _trusted(cls, x: float, y: float, z: float, w: float) -> "Quaternion":
+        """Construction fast path for a row :func:`normalize_quaternions` produced.
+
+        Such a row is unit within the same 1e-12 rule construction applies,
+        so normalizing it again would return it unchanged; the check is
+        skipped because this runs once per event on a hot path.
+        """
+        q = object.__new__(cls)
+        object.__setattr__(q, "x", x)
+        object.__setattr__(q, "y", y)
+        object.__setattr__(q, "z", z)
+        object.__setattr__(q, "w", w)
+        return q
+
+    @classmethod
     def identity(cls) -> "Quaternion":
         return cls(0.0, 0.0, 0.0, 1.0)
 

@@ -423,7 +423,7 @@ def _odometry_events(
         MeasurementEvent._trusted(
             stamp,
             MeasurementKind.ODOMETRY_DIFFERENTIAL,
-            Pose._trusted(stamp, tk, Quaternion(*qk), LOCAL, BODY_ADAS),
+            Pose._trusted(stamp, tk, Quaternion._trusted(*qk), LOCAL, BODY_ADAS),
             r6,
             RAW_ODOMETRY_SOURCE,
         )
@@ -466,6 +466,34 @@ def _node_configs(cfg: ExperimentConfig, adas_start: Pose) -> tuple[FilterNodeCo
 
 # Odometry events per block of the filter loop in execute_run.
 _BLOCK = 256
+
+
+class _Node1Pass:
+    """Node 1 over the raw odometry schedule, fed block by block.
+
+    ``stamps`` (N,), ``t`` (N, 3) and ``q`` (N, 4) are the raw odometry
+    poses, which carry the raw channel covariance ``raw_r6``.  Each block
+    gives node 1's local->body poses as node 2's odometry events, with the
+    smoothed channel covariance ``smoothed_r6``.
+    """
+
+    def __init__(
+        self, cfg: FilterNodeConfig, stamps: np.ndarray, t: np.ndarray, q: np.ndarray,
+        raw_r6: np.ndarray, smoothed_r6: np.ndarray,
+    ):
+        self.node = EkfNode(cfg)
+        self.stamps, self.t, self.q = stamps, t, q
+        self.raw_r6, self.smoothed_r6 = raw_r6, smoothed_r6
+
+    def step(self, start: int) -> list[MeasurementEvent]:
+        """Raw odometry rows ``start`` to ``start + _BLOCK``; node 2's odometry events."""
+        rows = slice(start, start + _BLOCK)
+        events = _odometry_events(self.stamps[rows], self.t[rows], self.q[rows], self.raw_r6)
+        node, r6 = self.node, self.smoothed_r6
+        return [
+            MeasurementEvent._trusted(e.timestamp, e.kind, node.node1_step(e), r6, e.source)
+            for e in events
+        ]
 
 
 class _Node2Pass:
@@ -551,27 +579,23 @@ def execute_run(
 
         with _stage("filter"):
             node1_cfg, node2_cfg = _node_configs(cfg, adas.poses([0])[0])
-            raw_r6 = measurement_covariance(cfg.raw_noise)
-            smoothed_r6 = measurement_covariance(_smoothed_odometry_spec(cfg))
+            node1 = _Node1Pass(
+                node1_cfg, stamps, odometry_t, odometry_q,
+                measurement_covariance(cfg.raw_noise),
+                measurement_covariance(_smoothed_odometry_spec(cfg)),
+            )
             n = len(stamps)
             # Node 1 never sees perception, so its poses serve both node-2 passes.
-            node1 = EkfNode(node1_cfg)
             passes = [_Node2Pass(node2_cfg, n, perception_events)]
             if with_baseline:
                 passes.append(_Node2Pass(node2_cfg, n))
             for start in range(0, n, _BLOCK):
-                rows = slice(start, start + _BLOCK)
-                events = _odometry_events(stamps[rows], odometry_t[rows], odometry_q[rows], raw_r6)
-                # node 1's local->body poses, as the odometry events of node 2
-                smoothed = [
-                    MeasurementEvent._trusted(e.timestamp, e.kind, node1.node1_step(e), smoothed_r6, e.source)
-                    for e in events
-                ]
+                smoothed = node1.step(start)
                 for node2 in passes:
                     node2.step(start, smoothed)
             fused, fused_sd = passes[0].finish()
             baseline, baseline_sd = passes[1].finish() if with_baseline else (None, None)
-            n_rejected = node1.rejected_count + sum(p.node.rejected_count for p in passes)
+            n_rejected = node1.node.rejected_count + sum(p.node.rejected_count for p in passes)
 
         with _stage("evaluate"):
             fused_stats = evaluate(fused, adas, cfg.eval.alignment, cfg.eval.max_dt).stats

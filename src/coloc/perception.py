@@ -150,7 +150,7 @@ def _events(t: np.ndarray, p: np.ndarray, q: np.ndarray, r6: np.ndarray) -> list
         MeasurementEvent._trusted(
             stamp,
             MeasurementKind.PERCEPTION_ABSOLUTE,
-            Pose._trusted(stamp, pk, Quaternion(*qk), WORLD, BODY_ADAS),
+            Pose._trusted(stamp, pk, Quaternion._trusted(*qk), WORLD, BODY_ADAS),
             r6,
             PERCEPTION_SOURCE,
         )

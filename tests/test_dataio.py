@@ -441,6 +441,47 @@ class TestGenerateSynthetic:
         )
         assert out.stdout.split() == ["False", "True"]
 
+    def test_runs_and_sweeps_leave_scipy_unloaded(self, tmp_path):
+        # the filter solves with numpy's LAPACK gufunc, so a figure-eight run
+        # and an in-process sweep need no scipy module at all
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import coloc
+
+        env = dict(os.environ, PYTHONPATH=str(Path(coloc.__file__).resolve().parents[1]))
+        probe = (
+            "import io, json, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from coloc import cli, harness\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "loaded = [scipy_modules()]\n"
+            "cfg = harness.load_config(sys.argv[1])\n"
+            "harness.execute_run(cfg, 0)\n"
+            "loaded.append(scipy_modules())\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['sweep', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "loaded.append(scipy_modules())\n"
+            "print(json.dumps([code, loaded]))\n"
+        )
+        config = {
+            "input": {"synthetic": {"kind": "figure-eight", "duration": 2.0, "rate": 50.0}},
+            "seeds": [0],
+            "sweep": {"sigma_grid": [0.3], "gamma_grid": [10.0]},
+        }
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = subprocess.run(
+            [sys.executable, "-c", probe, str(path), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert json.loads(out.stdout) == [0, [[], [], []]]
+        assert (tmp_path / "out" / "report.json").is_file()
+
     def test_timestamps_regular_from_zero(self):
         _, adas = generate_synthetic("straight", 2.0, 50.0, 1.0)
         ts = adas.t

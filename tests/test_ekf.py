@@ -29,6 +29,7 @@ from coloc.ekf import (
     MeasurementKind,
     ProcessModel,
     StateEstimate,
+    _checked_r6,
     default_process_noise,
     differential_velocity,
     measurement_covariance,
@@ -69,6 +70,10 @@ def random_psd(n, rng=RNG, scale=1.0) -> np.ndarray:
 RAW_R6 = measurement_covariance(NoiseSpec(2.5, 0.0))
 SMOOTHED_R6 = measurement_covariance(NoiseSpec(0.05, 0.1))
 PERCEPTION_R6 = measurement_covariance(NoiseSpec(0.3, 10.0))
+# symmetric with a positive diagonal, but eigenvalues -0.5 and 2.5 in the
+# pitch/yaw block
+INDEFINITE_R6 = np.eye(6)
+INDEFINITE_R6[4, 5] = INDEFINITE_R6[5, 4] = 1.5
 
 
 def local_event(t, translation, yaw=0.0, r6=RAW_R6, source="adas/raw", kind=ODO):
@@ -322,11 +327,12 @@ class TestUpdateAbsolute:
             out.validate()
 
     def test_singular_innovation_raises(self):
+        # a zero r6 is rejected when the event is built, so S = P block + r6
+        # of a PSD P is always invertible in the update
         P = np.zeros((STATE_DIM, STATE_DIM))
         s = StateEstimate(np.zeros(STATE_DIM), P, 1.0)
-        ev = self.event_at([1.0, 0.0, 0.0], 0.0, np.zeros((6, 6)))
-        with pytest.raises(NumericError):
-            update_absolute(s, ev)
+        with pytest.raises(NumericError, match="singular"):
+            update_absolute(s, self.event_at([1.0, 0.0, 0.0], 0.0, np.zeros((6, 6))))
 
     def test_missing_r6_rejected(self):
         # an event without a covariance cannot be built, so none reaches the update
@@ -562,8 +568,30 @@ class TestMeasurementEvent:
         with pytest.raises(ValueError, match="r6"):
             MeasurementEvent(0.0, ODO, pose, None)
 
+    @pytest.mark.parametrize(
+        "r6",
+        [
+            np.zeros((6, 6)),
+            np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0]),  # singular PSD
+            np.ones((6, 6)),  # PSD of rank 1
+            INDEFINITE_R6,
+        ],
+        ids=["zero", "singular-diagonal", "rank-one", "indefinite"],
+    )
+    def test_r6_not_positive_definite_rejected(self, r6):
+        with pytest.raises(NumericError, match="singular"):
+            _checked_r6(r6, "r6")
+        with pytest.raises(NumericError, match="singular"):
+            local_event(0.0, [0.0, 0.0, 0.0], r6=r6)
+
+    def test_tiny_positive_definite_r6_accepted(self):
+        r6 = _checked_r6(1e-12 * np.eye(6), "r6")
+        np.testing.assert_array_equal(r6, 1e-12 * np.eye(6))
+        assert not r6.flags.writeable
+
     def test_checked_r6_is_kept_read_only(self):
         shared = measurement_covariance(NoiseSpec(0.3, 10.0))
+        assert _checked_r6(shared, "r6") is shared
         assert local_event(0.0, [0.0, 0.0, 0.0], r6=shared).r6 is shared
         own = np.eye(6)
         r6 = local_event(0.0, [0.0, 0.0, 0.0], r6=own).r6
