@@ -93,25 +93,12 @@ class TrajectoryLog:
 
     @cached_property
     def samples(self) -> tuple[Pose, ...]:
-        return self.poses()
-
-    def poses(self, rows=slice(None)) -> tuple[Pose, ...]:
-        """The poses at ``rows`` (an index array or slice; all by default).
-
-        Once :attr:`samples` exists these are its objects; before, only the
-        requested rows are built.
-        """
-        samples = self.__dict__.get("samples")
-        if samples is not None:
-            if isinstance(rows, slice):
-                return samples[rows]
-            return tuple(samples[i] for i in np.asarray(rows).tolist())
         child = body_frame(self.agent)
-        x, y, z, w = self.q[rows].T.tolist()
+        x, y, z, w = self.q.T.tolist()
         # rows of read-only arrays from a validated log: trusted construction
         return tuple(
             Pose._trusted(t, p, Quaternion._trusted(qx, qy, qz, qw), WORLD, child)
-            for t, p, qx, qy, qz, qw in zip(self.t[rows].tolist(), self.p[rows], x, y, z, w)
+            for t, p, qx, qy, qz, qw in zip(self.t.tolist(), self.p, x, y, z, w)
         )
 
     def duration(self) -> float:

@@ -15,14 +15,14 @@ integrates the body velocity rotated into the parent frame, orientation
 integrates body rates through the Euler-rate matrix, velocity integrates
 acceleration, and the remaining derivatives hold constant between events.
 
-A node's role is the step it is fed through.  :meth:`EkfNode.node1_step`
-fuses raw local-frame follower poses absolutely, acting as a smoother that
-outputs the local->body transform.  :meth:`EkfNode.node2_step` estimates in
-the world frame; it takes node 1's local->body poses as ordinary odometry
-events and turns consecutive ones into body-velocity pseudo-measurements
-(differential fusion: a constant transform applied to both poses cancels,
-so node 2 needs no world->local anchor), and fuses perception-derived world
-poses absolutely.  Every event carries the covariance of its channel.
+A filter event is a pose row: stamp, frame, (x, y, z, roll, pitch, yaw)
+and the 6x6 covariance of its channel.  :meth:`EkfNode.node1_step` fuses
+raw local-frame follower poses absolutely, acting as a smoother, and
+returns its local->body pose row.  :meth:`EkfNode.node2_step` estimates in
+the world frame; it takes node 1's rows as ordinary odometry events and
+turns consecutive ones into body-velocity pseudo-measurements (differential
+fusion: a constant transform applied to both poses cancels, so node 2 needs
+no world->local anchor), and fuses perception-derived world poses absolutely.
 
 All filter arithmetic lives in two kernels, :func:`_predict_kernel` and
 :func:`_update_kernel`, over a bare state list and covariance array.  The
@@ -50,6 +50,7 @@ from .geometry import (
     Frame,
     Pose,
     Quaternion,
+    q_from_euler,
     q_normalized,
     q_product,
     q_rotate,
@@ -194,31 +195,30 @@ class StateEstimate:
     def pose(self, parent: Frame, child: Frame = BODY_ADAS) -> Pose:
         if parent == child:
             raise FrameMismatchError(f"pose frames must differ, got {parent} twice")
-        return _state_pose(self.x, self.timestamp, parent, child)
+        return Pose._trusted(
+            self.timestamp, self.x[POS].copy(), Quaternion.from_euler(*self.x[ANG].tolist()),
+            parent, child,
+        )
 
 
-def _state_pose(x: np.ndarray, timestamp: float, parent: Frame, child: Frame) -> Pose:
-    return Pose._trusted(
-        timestamp, x[POS].copy(), Quaternion.from_euler(*x[ANG].tolist()), parent, child
-    )
+def _check_psd(P: np.ndarray, what: str) -> None:
+    """Reject a covariance with an eigenvalue below rounding level of zero."""
+    eig = np.linalg.eigvalsh(P)
+    if eig[0] < -1e-9 * max(1.0, eig[-1]):
+        raise NumericError(f"{what} is indefinite: smallest eigenvalue {eig[0]:.3g}")
 
 
-def state_from_pose(
-    pose: Pose,
-    pose_variance: float = 1e-6,
-    derivative_variance: float = 1e3,
-) -> StateEstimate:
-    """Initial state anchored at a known pose with zero derivatives.
+def state_from_row(timestamp: float, z, pose_variance: float = 1e-6, derivative_variance: float = 1e3) -> StateEstimate:
+    """Initial state anchored at a known pose row (x, y, z, roll, pitch, yaw), zero derivatives.
 
     Small variance on the pose block (the start is known), large on the
     derivative blocks (velocities must be learned from data).
     """
     x = np.zeros(STATE_DIM)
-    x[POS] = pose.translation
-    x[ANG] = pose.rotation.to_euler()
+    x[POSE_BLOCK] = z
     diag = np.full(STATE_DIM, derivative_variance)
     diag[POSE_BLOCK] = pose_variance
-    return StateEstimate(x, np.diag(diag), pose.timestamp)
+    return StateEstimate(x, np.diag(diag), timestamp)
 
 
 class MeasurementKind(Enum):
@@ -228,40 +228,48 @@ class MeasurementKind(Enum):
 
 @dataclass(frozen=True, slots=True)
 class MeasurementEvent:
-    """One timestamped pose measurement heading into a filter node.
+    """One timestamped pose row heading into a filter node.
 
-    ``r6`` is the 6x6 covariance of (x, y, z, roll, pitch, yaw).  It must be
-    positive definite; it is checked and kept read-only.
+    ``z`` is the pose of the follower's body in ``frame`` as six floats
+    (x, y, z, roll, pitch, yaw), and ``r6`` their 6x6 covariance.  It must
+    be positive definite; it is checked and kept read-only.
     """
 
     timestamp: float
     kind: MeasurementKind
-    pose: Pose
+    frame: Frame
+    z: tuple[float, ...]
     r6: np.ndarray
-    source: str = ""
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.timestamp):
             raise ValueError("event timestamp must be finite")
+        z = tuple(float(v) for v in self.z)
+        if len(z) != 6 or not all(map(math.isfinite, z)):
+            raise ValueError(f"z must be six finite floats, got {self.z!r}")
+        object.__setattr__(self, "z", z)
         object.__setattr__(self, "r6", _checked_r6(self.r6, "r6"))
 
     @classmethod
     def _trusted(
-        cls, timestamp: float, kind: MeasurementKind, pose: Pose, r6: np.ndarray, source: str
+        cls, timestamp: float, kind: MeasurementKind, frame: Frame, z: list[float], r6: np.ndarray
     ) -> "MeasurementEvent":
-        """Construction fast path for the package's per-event streams.
-
-        The caller guarantees a finite stamp and an ``r6`` that already
-        passed :func:`_checked_r6`; validation is skipped because this runs
-        once per event on a hot path.
-        """
+        """Unchecked construction for the per-event streams, from a finite stamp,
+        six finite floats ``z`` the caller does not change afterwards and an
+        ``r6`` that passed :func:`_checked_r6`."""
         e = object.__new__(cls)
-        object.__setattr__(e, "timestamp", timestamp)
-        object.__setattr__(e, "kind", kind)
-        object.__setattr__(e, "pose", pose)
-        object.__setattr__(e, "r6", r6)
-        object.__setattr__(e, "source", source)
+        _set_timestamp(e, timestamp)
+        _set_kind(e, kind)
+        _set_frame(e, frame)
+        _set_z(e, z)
+        _set_r6(e, r6)
         return e
+
+
+# The slots' own setters fill a frozen event twice as fast as object.__setattr__.
+_set_timestamp, _set_kind, _set_frame, _set_z, _set_r6 = (
+    MeasurementEvent.__dict__[name].__set__ for name in ("timestamp", "kind", "frame", "z", "r6")
+)
 
 
 @dataclass(frozen=True)
@@ -319,11 +327,13 @@ _EYE_STATE.flags.writeable = False
 _ONES_FLAT = np.ones(STATE_DIM * STATE_DIM)
 
 
-def _propagate(x: list[float], dt: float, with_jacobian: bool):
+def _propagate(x: list[float], dt: float, A: np.ndarray | None = None):
     """The motion model written out in scalar form.
 
-    Returns the propagated state as a list of floats and, if asked, the
-    analytic Jacobian.  R = Rz(yaw) Ry(pitch) Rx(roll) rotates body into
+    Returns the propagated state as a list of floats and, given a buffer
+    ``A`` that is the identity outside ``_JACOBIAN_FLAT_INDEX`` (a copy of
+    ``_EYE_STATE``, or one only this function wrote), the analytic Jacobian
+    written into it.  R = Rz(yaw) Ry(pitch) Rx(roll) rotates body into
     parent coordinates and E maps body rates to Euler-angle rates::
 
         E = [[1, sr tp, cr tp], [0, cr, -sr], [0, sr / cp, cr / cp]]
@@ -360,10 +370,9 @@ def _propagate(x: list[float], dt: float, with_jacobian: bool):
         vz + az * dt,
         wx, wy, wz, ax, ay, az,
     ]
-    if not with_jacobian:
+    if A is None:
         return out, None
     sec2 = 1.0 / (cp * cp)
-    A = _EYE_STATE.copy()
     # The rotation partials applied to d reuse R's entries: row i of
     # dR/droll d is r_i2 d1 - r_i1 d2, dR/dyaw d = (-m1, m0, 0), and dR/dpitch
     # shares R's cy cp and sy cp factors.
@@ -401,12 +410,12 @@ def _propagate(x: list[float], dt: float, with_jacobian: bool):
 
 def transition(x: np.ndarray, dt: float) -> np.ndarray:
     """Propagate the 15-state rigid-body model by dt seconds."""
-    return np.array(_propagate(np.asarray(x, dtype=float).tolist(), dt, False)[0])
+    return np.array(_propagate(np.asarray(x, dtype=float).tolist(), dt)[0])
 
 
 def transition_jacobian(x: np.ndarray, dt: float) -> np.ndarray:
     """Analytic Jacobian of :func:`transition` at x."""
-    return _propagate(np.asarray(x, dtype=float).tolist(), dt, True)[1]
+    return _propagate(np.asarray(x, dtype=float).tolist(), dt, _EYE_STATE.copy())[1]
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +445,12 @@ def _finish(x: list[float], P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _predict_kernel(
-    x: list[float], P: np.ndarray, q: np.ndarray, dt: float
+    x: list[float], P: np.ndarray, dt: float, q_dt: np.ndarray, A: np.ndarray
 ) -> tuple[list[float], np.ndarray]:
-    """x <- f(x, dt), P <- A P A^T + Q dt."""
-    x, A = _propagate(x, dt, True)
+    """x <- f(x, dt), P <- A P A^T + Q dt; ``q_dt`` is Q dt, ``A`` a Jacobian buffer."""
+    x, A = _propagate(x, dt, A)
     P = A.dot(P).dot(A.T)
-    P += q * dt
+    P += q_dt
     return x, P
 
 
@@ -477,37 +486,31 @@ def _update_kernel(
     return x, P
 
 
-def _pose_vector(pose: Pose) -> list[float]:
-    return [*pose.translation.tolist(), *pose.rotation.to_euler()]
+def _row_quaternion(z) -> tuple[float, float, float, float]:
+    """The unit quaternion of a pose row's roll, pitch and yaw."""
+    return q_from_euler(z[3], z[4], z[5])
 
 
-def _velocity_measurement(prev: MeasurementEvent, cur: MeasurementEvent) -> tuple[list[float], float]:
-    """Body-frame velocity z from invert(prev) o cur over dt, and dt."""
+def _velocity_measurement(prev: MeasurementEvent, cur: MeasurementEvent, q_prev, q_cur) -> tuple[list[float], float]:
+    """Body-frame velocity z from invert(prev) o cur over dt, and dt; q_* are the rows' quaternions."""
     dt = cur.timestamp - prev.timestamp
     if dt <= 0.0:
         raise ValueError(f"differential pair must be strictly time-ordered, dt={dt}")
-    if prev.source != cur.source:
-        raise ValueError(f"differential pair from mixed sources: {prev.source!r} vs {cur.source!r}")
-    p0, p1 = prev.pose.translation.tolist(), cur.pose.translation.tolist()
-    r0, r1 = prev.pose.rotation, cur.pose.rotation
-    x, y, z, w = r0.x, r0.y, r0.z, r0.w
+    p0, p1 = prev.z, cur.z
+    x, y, z, w = q_prev
     # the conjugate is the inverse of a unit quaternion
     d = q_rotate(-x, -y, -z, w, p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2])
-    v = q_rotation_vector(*q_normalized(q_product(-x, -y, -z, w, r1.x, r1.y, r1.z, r1.w)))
+    v = q_rotation_vector(*q_normalized(q_product(-x, -y, -z, w, *q_cur)))
     return [d[0] / dt, d[1] / dt, d[2] / dt, v[0] / dt, v[1] / dt, v[2] / dt], dt
 
 
-def _differential_kernel(
-    x: list[float], P: np.ndarray, prev: MeasurementEvent, cur: MeasurementEvent
-) -> tuple[list[float], np.ndarray]:
-    """Velocity pseudo-measurement update; pose covariances propagate as (R0 + R1) / dt^2."""
-    z, dt = _velocity_measurement(prev, cur)
+def _velocity_covariance(r_prev: np.ndarray, r_cur: np.ndarray, dt: float) -> np.ndarray:
+    """The pair's pose covariances propagated to the velocity: (R0 + R1) / dt^2."""
     dt2 = dt * dt
     # checked before the division, which would otherwise warn on a degenerate dt
-    if not (all(map(math.isfinite, z)) and dt2 > 0.0 and math.isfinite(1.0 / dt2)):
+    if not (dt2 > 0.0 and math.isfinite(1.0 / dt2)):
         raise NumericError("measurement contains non-finite values")
-    r_vel = (prev.r6 + cur.r6) / dt2
-    return _update_kernel(x, P, TWIST_BLOCK.start, z, r_vel, False)
+    return (r_prev + r_cur) / dt2
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +526,7 @@ def predict(s: StateEstimate, model: ProcessModel, dt: float) -> StateEstimate:
         raise ValueError(f"dt must be finite and >= 0, got {dt}")
     if dt == 0.0:
         return s
-    x, P = _finish(*_predict_kernel(s.x.tolist(), s.P, model.q, dt))
+    x, P = _finish(*_predict_kernel(s.x.tolist(), s.P, dt, model.q * dt, _EYE_STATE.copy()))
     return StateEstimate._from_kernel(x, P, s.timestamp + dt)
 
 
@@ -532,11 +535,10 @@ def update_absolute(s: StateEstimate, m: MeasurementEvent) -> StateEstimate:
 
     The measurement model is the identity on the pose block; angular
     innovation components are wrapped so +179 deg vs -179 deg disagree by
-    2 degrees, not 358.
+    2 degrees, not 358.  An indefinite ``s.P`` raises :class:`NumericError`.
     """
-    x, P = _finish(
-        *_update_kernel(s.x.tolist(), s.P, POSE_BLOCK.start, _pose_vector(m.pose), m.r6, True)
-    )
+    _check_psd(s.P, "covariance")
+    x, P = _finish(*_update_kernel(s.x.tolist(), s.P, POSE_BLOCK.start, m.z, m.r6, True))
     return StateEstimate._from_kernel(x, P, s.timestamp)
 
 
@@ -546,7 +548,7 @@ def differential_velocity(prev: MeasurementEvent, cur: MeasurementEvent) -> np.n
     The delta pose invert(prev) o cur divided by dt; any constant offset
     applied to both poses cancels exactly.
     """
-    return np.array(_velocity_measurement(prev, cur)[0])
+    return np.array(_velocity_measurement(prev, cur, _row_quaternion(prev.z), _row_quaternion(cur.z))[0])
 
 
 def update_differential(
@@ -555,11 +557,14 @@ def update_differential(
     """Fuse a pose pair as a velocity pseudo-measurement on the twist states.
 
     The pair's pose covariances propagate to the velocity measurement as
-    (R_prev + R_cur) / dt^2.
+    (R_prev + R_cur) / dt^2.  An indefinite ``s.P`` raises :class:`NumericError`.
     """
     if prev.kind is not MeasurementKind.ODOMETRY_DIFFERENTIAL or cur.kind is not MeasurementKind.ODOMETRY_DIFFERENTIAL:
         raise ValueError("differential fusion requires odometry events")
-    x, P = _finish(*_differential_kernel(s.x.tolist(), s.P, prev, cur))
+    _check_psd(s.P, "covariance")
+    z, dt = _velocity_measurement(prev, cur, _row_quaternion(prev.z), _row_quaternion(cur.z))
+    r_vel = _velocity_covariance(prev.r6, cur.r6, dt)
+    x, P = _finish(*_update_kernel(s.x.tolist(), s.P, TWIST_BLOCK.start, z, r_vel, False))
     return StateEstimate._from_kernel(x, P, s.timestamp)
 
 
@@ -574,10 +579,17 @@ class EkfNode:
     rejected with :class:`OutOfOrderError`, counted, and leaves the state
     untouched, so callers may continue with newer events.
 
-    The node keeps its estimate as bare arrays and runs the module's filter
-    kernels on them; :attr:`state` wraps them in a :class:`StateEstimate`
-    only when asked for, and returns the same object until the next change.
+    The node keeps its estimate as read-only arrays :attr:`x` and :attr:`P`
+    at time :attr:`timestamp`, replaced at every change, and runs the
+    module's filter kernels on them; :attr:`state` wraps them in a
+    :class:`StateEstimate` only when asked for, and returns the same object
+    until the next change.  An indefinite initial or assigned covariance
+    raises :class:`NumericError`.
     """
+
+    # Time steps with a cached Q dt and velocity covariance: the float stamps of
+    # a fixed-rate log step by two neighbouring values; more only add memory.
+    _CACHED_STEPS = 2
 
     def __init__(self, config: FilterNodeConfig) -> None:
         self.config = config
@@ -585,91 +597,102 @@ class EkfNode:
         self.state = config.initial_state
         self.rejected_count = 0
         self._started = False
-        # the last odometry event of node 2's differential chain
-        self._prev: MeasurementEvent | None = None
+        self._A = _EYE_STATE.copy()  # the Jacobian buffer of every prediction
+        self._q_dt = lru_cache(self._CACHED_STEPS)(self.model.q.__mul__)  # dt -> Q dt
+        self._r_vel: dict[float, tuple] = {}  # dt -> (R0, R1, (R0 + R1) / dt^2)
+        # the last odometry row of node 2's differential chain and its quaternion
+        self._prev: tuple[MeasurementEvent, tuple] | None = None
 
     @property
     def state(self) -> StateEstimate:
         s = self._state
         if s is None:
-            s = self._state = StateEstimate._from_kernel(self._x, self._P, self._t)
+            s = self._state = StateEstimate._from_kernel(self.x, self.P, self.timestamp)
         return s
 
     @state.setter
     def state(self, s: StateEstimate) -> None:
-        self._x, self._P, self._t, self._state = s.x, s.P, s.timestamp, s
+        _check_psd(s.P, "node covariance")
+        self.x, self.P, self.timestamp, self._state = s.x, s.P, s.timestamp, s
 
     def _commit(self, t: float, x: list[float], P: np.ndarray) -> None:
-        self._x, self._P = _finish(x, P)
-        self._t = t
+        self.x, self.P = _finish(x, P)
+        self.timestamp = t
         self._state = None
 
     def _admit(self, event: MeasurementEvent) -> None:
         if not self._started:
             # Align the filter clock with the first event ever seen.
-            self._t = event.timestamp
+            self.timestamp = event.timestamp
             self._state = None
             self._started = True
             return
-        if event.timestamp < self._t:
+        if event.timestamp < self.timestamp:
             self.rejected_count += 1
             raise OutOfOrderError(
-                f"event at t={event.timestamp} is older than filter time t={self._t}"
+                f"event at t={event.timestamp} is older than filter time t={self.timestamp}"
             )
 
     def _predicted(self, t: float) -> tuple[list[float], np.ndarray]:
         """The estimate propagated to time t, not yet committed."""
-        x, P = self._x.tolist(), self._P
-        dt = t - self._t
+        x, P = self.x.tolist(), self.P
+        dt = t - self.timestamp
         if dt <= 0.0:
             return x, P
-        q = self.model.q
-        if dt <= self.config.max_predict_dt:
-            return _predict_kernel(x, P, q, dt)
-        # A long gap would stretch one linearization too far; split it.
-        n = max(1, math.ceil(dt / self.config.predict_substep))
-        step = dt / n
+        n = 1
+        if dt > self.config.max_predict_dt:
+            # A long gap would stretch one linearization too far; split it.
+            n = max(1, math.ceil(dt / self.config.predict_substep))
+            dt /= n
+        q_dt = self._q_dt(dt)
         for _ in range(n):
-            x, P = _predict_kernel(x, P, q, step)
+            x, P = _predict_kernel(x, P, dt, q_dt, self._A)
         return x, P
 
     @staticmethod
     def _check_frame(event: MeasurementEvent, frame: Frame, step: str) -> None:
-        if event.pose.parent_frame != frame:
+        if event.frame is not frame and event.frame != frame:
             raise FrameMismatchError(
-                f"{step} takes {event.kind.value} poses in {frame}, "
-                f"got one in {event.pose.parent_frame}"
+                f"{step} takes {event.kind.value} poses in {frame}, got one in {event.frame}"
             )
 
-    def _update_pose(self, event: MeasurementEvent) -> None:
+    def _update_pose(self, event: MeasurementEvent) -> list[float]:
         x, P = self._predicted(event.timestamp)
-        x, P = _update_kernel(x, P, POSE_BLOCK.start, _pose_vector(event.pose), event.r6, True)
+        x, P = _update_kernel(x, P, POSE_BLOCK.start, event.z, event.r6, True)
         self._commit(event.timestamp, x, P)
+        return x
 
-    def node1_step(self, event: MeasurementEvent) -> Pose:
-        """Absolute fusion of one raw local-frame pose; returns local->body."""
+    def node1_step(self, event: MeasurementEvent) -> list[float]:
+        """Absolute fusion of one raw local-frame pose row; returns the local->body pose row."""
         self._check_frame(event, LOCAL, "node1_step")
         self._admit(event)
-        self._update_pose(event)
-        return _state_pose(self._x, self._t, LOCAL, BODY_ADAS)
+        return self._update_pose(event)[:6]
 
-    def node2_step(self, event: MeasurementEvent) -> StateEstimate:
-        """World-frame fusion step.
+    def node2_step(self, event: MeasurementEvent) -> None:
+        """World-frame fusion step into :attr:`x` and :attr:`P`.
 
-        Odometry events carry node 1's local->body poses; consecutive ones
+        Odometry events carry node 1's local->body pose rows; consecutive ones
         fuse differentially, so the local frame's place in the world never
         enters.  Perception events carry world poses and fuse absolutely.
         """
         odometry = event.kind is MeasurementKind.ODOMETRY_DIFFERENTIAL
         self._check_frame(event, LOCAL if odometry else WORLD, "node2_step")
         self._admit(event)
-        if odometry:
-            x, P = self._predicted(event.timestamp)
-            if self._prev is not None:
-                x, P = _differential_kernel(x, P, self._prev, event)
-            if P is not self._P:
-                self._commit(event.timestamp, x, P)
-            self._prev = event
-        else:
+        if not odometry:
             self._update_pose(event)
-        return self.state
+            return
+        x, P = self._predicted(event.timestamp)
+        q = _row_quaternion(event.z)
+        if self._prev is not None:
+            prev, q_prev = self._prev
+            z, dt = _velocity_measurement(prev, event, q_prev, q)
+            r_prev, r_cur = prev.r6, event.r6
+            cached = self._r_vel.get(dt)
+            if cached is None or cached[0] is not r_prev or cached[1] is not r_cur:
+                if len(self._r_vel) >= self._CACHED_STEPS:
+                    self._r_vel.clear()
+                cached = self._r_vel[dt] = (r_prev, r_cur, _velocity_covariance(r_prev, r_cur, dt))
+            x, P = _update_kernel(x, P, TWIST_BLOCK.start, z, cached[2], False)
+        if P is not self.P:
+            self._commit(event.timestamp, x, P)
+        self._prev = event, q

@@ -176,17 +176,7 @@ class Quaternion:
 
     @classmethod
     def from_euler(cls, roll: float, pitch: float, yaw: float) -> "Quaternion":
-        # Closed form of the product yaw * pitch * roll of the three
-        # single-axis rotations (about z, y and x), applied roll first.
-        cr, sr = math.cos(0.5 * roll), math.sin(0.5 * roll)
-        cp, sp = math.cos(0.5 * pitch), math.sin(0.5 * pitch)
-        cy, sy = math.cos(0.5 * yaw), math.sin(0.5 * yaw)
-        return cls(
-            sr * cp * cy - cr * sp * sy,
-            cr * sp * cy + sr * cp * sy,
-            cr * cp * sy - sr * sp * cy,
-            cr * cp * cy + sr * sp * sy,
-        )
+        return cls(*q_from_euler(roll, pitch, yaw))
 
     def rotation_vector(self) -> np.ndarray:
         """Axis-angle vector (radians), magnitude in [0, pi]."""
@@ -209,6 +199,21 @@ def q_normalized(q: tuple[float, float, float, float]) -> tuple[float, float, fl
     if abs(n - 1.0) > 1e-12:
         return x / n, y / n, z / n, w / n
     return q
+
+
+def q_from_euler(roll: float, pitch: float, yaw: float) -> tuple[float, float, float, float]:
+    """The components ``Quaternion.from_euler(roll, pitch, yaw)`` stores."""
+    # Closed form of the product yaw * pitch * roll of the three
+    # single-axis rotations (about z, y and x), applied roll first.
+    cr, sr = math.cos(0.5 * roll), math.sin(0.5 * roll)
+    cp, sp = math.cos(0.5 * pitch), math.sin(0.5 * pitch)
+    cy, sy = math.cos(0.5 * yaw), math.sin(0.5 * yaw)
+    return q_normalized((
+        sr * cp * cy - cr * sp * sy,
+        cr * sp * cy + sr * cp * sy,
+        cr * cp * sy - sr * sp * cy,
+        cr * cp * cy + sr * sp * sy,
+    ))
 
 
 def q_product(x1, y1, z1, w1, x2, y2, z2, w2) -> tuple[float, float, float, float]:
@@ -280,12 +285,12 @@ def wrap_angle(theta):
 # ---------------------------------------------------------------------------
 #
 # Many-pose counterparts of Quaternion.__mul__, Quaternion.rotate,
-# Quaternion.from_euler and rotation_geodesic over (n, 4) scalar-last
-# quaternion and (n, 3) vector arrays; a single row broadcasts against many,
-# and one pose is a one-row call.  They evaluate the same expressions in the
-# same order as the per-object code, so each row is bit-identical to the
-# per-object result, except that np.arctan2 in geodesic_angles may round
-# the last place differently from math.atan2.
+# Quaternion.from_euler, Quaternion.to_euler and rotation_geodesic over
+# (n, 4) scalar-last quaternion and (n, 3) vector arrays; a single row
+# broadcasts against many, and one pose is a one-row call.  They evaluate
+# the same expressions in the same order as the per-object code, so each row
+# is bit-identical to the per-object result, except that np.arctan2 in
+# geodesic_angles may round the last place differently from math.atan2.
 
 def normalize_quaternions(q: np.ndarray) -> np.ndarray:
     """What Quaternion construction does to its components, row by row."""
@@ -359,6 +364,21 @@ def euler_to_quaternions(angles: np.ndarray) -> np.ndarray:
     out[..., 2] = cr * cp * sy - sr * sp * cy
     out[..., 3] = cr * cp * cy + sr * sp * sy
     return normalize_quaternions(out)
+
+
+def quaternions_to_euler(q: np.ndarray) -> np.ndarray:
+    """:meth:`Quaternion.to_euler` of every row of (n, 4) ``q``, as (n, 3) roll, pitch, yaw.
+
+    The angles' arguments are array arithmetic; the angles themselves come
+    from math.atan2 and math.asin mapped over them, because np.arctan2 and
+    np.arcsin may round the last place differently.
+    """
+    x, y, z, w = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    out = np.empty((len(q), 3))
+    out[:, 0] = list(map(math.atan2, (2.0 * (w * x + y * z)).tolist(), (1.0 - 2.0 * (x * x + y * y)).tolist()))
+    out[:, 1] = list(map(math.asin, np.clip(2.0 * (w * y - z * x), -1.0, 1.0).tolist()))
+    out[:, 2] = list(map(math.atan2, (2.0 * (w * z + x * y)).tolist(), (1.0 - 2.0 * (y * y + z * z)).tolist()))
+    return out
 
 
 def geodesic_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -47,28 +47,18 @@ from .ekf import (
     MeasurementKind,
     default_process_noise,
     measurement_covariance,
-    state_from_pose,
+    state_from_row,
 )
 from .errors import ColocError, DataError
 from .evaluation import AlignmentMode, ErrorStats, evaluate
-from .geometry import (
-    BODY_ADAS,
-    LOCAL,
-    Agent,
-    Pose,
-    Quaternion,
-    compose_arrays,
-    invert_arrays,
-)
+from .geometry import LOCAL, WORLD, Agent, compose_arrays, invert_arrays, quaternions_to_euler
 from .noise import NoiseSpec, RandomStream, perturb_pose
 from .perception import (
     PerceptionConfig,
-    PerceptionEvents,
+    PerceptionRows,
     rate_limit_indices,
     simulate_perception,
 )
-
-RAW_ODOMETRY_SOURCE = "adas/raw-odometry"
 
 # Fallback ratio tying node 2's trust in smoothed odometry to the raw noise
 # level when no explicit value is configured, with floors so zero-noise
@@ -415,20 +405,9 @@ def _simulate_raw_odometry(
     return adas.t[rows], t, q
 
 
-def _odometry_events(
-    stamps: np.ndarray, t: np.ndarray, q: np.ndarray, r6: np.ndarray
-) -> list[MeasurementEvent]:
-    """One raw odometry event per row, each with the raw channel covariance ``r6``."""
-    return [
-        MeasurementEvent._trusted(
-            stamp,
-            MeasurementKind.ODOMETRY_DIFFERENTIAL,
-            Pose._trusted(stamp, tk, Quaternion._trusted(*qk), LOCAL, BODY_ADAS),
-            r6,
-            RAW_ODOMETRY_SOURCE,
-        )
-        for stamp, tk, qk in zip(stamps.tolist(), t, q.tolist())
-    ]
+def _pose_rows(p: np.ndarray, q: np.ndarray) -> list[list[float]]:
+    """(x, y, z, roll, pitch, yaw) rows of the poses (p, q), as event payloads."""
+    return np.concatenate((p, quaternions_to_euler(q)), axis=1).tolist()
 
 
 def _smoothed_odometry_spec(cfg: ExperimentConfig) -> NoiseSpec:
@@ -441,22 +420,22 @@ def _smoothed_odometry_spec(cfg: ExperimentConfig) -> NoiseSpec:
     return NoiseSpec(sigma, gamma)
 
 
-def _node_configs(cfg: ExperimentConfig, adas_start: Pose) -> tuple[FilterNodeConfig, FilterNodeConfig]:
+def _node_configs(cfg: ExperimentConfig, adas: TrajectoryLog) -> tuple[FilterNodeConfig, FilterNodeConfig]:
+    """Node 1 starts at the local origin, node 2 at the follower's first world pose."""
     s = cfg.ekf
-    t0 = adas_start.timestamp
-    local_start = Pose(t0, np.zeros(3), Quaternion.identity(), LOCAL, BODY_ADAS)
+    t0 = float(adas.t[0])
     # Under raw noise the local start is only known to raw accuracy.
     node1_pose_var = max(
         s.pose_variance, cfg.raw_noise.sigma_trans**2, cfg.raw_noise.gamma_yaw_rad**2
     )
     node1 = FilterNodeConfig(
-        state_from_pose(local_start, node1_pose_var, s.derivative_variance),
+        state_from_row(t0, [0.0] * 6, node1_pose_var, s.derivative_variance),
         default_process_noise() * s.node1_q_scale,
         max_predict_dt=s.max_predict_dt,
         predict_substep=s.predict_substep,
     )
     node2 = FilterNodeConfig(
-        state_from_pose(adas_start, s.pose_variance, s.derivative_variance),
+        state_from_row(t0, _pose_rows(adas.p[:1], adas.q[:1])[0], s.pose_variance, s.derivative_variance),
         default_process_noise() * s.node2_q_scale,
         max_predict_dt=s.max_predict_dt,
         predict_substep=s.predict_substep,
@@ -468,13 +447,18 @@ def _node_configs(cfg: ExperimentConfig, adas_start: Pose) -> tuple[FilterNodeCo
 _BLOCK = 256
 
 
+_ODOMETRY = MeasurementKind.ODOMETRY_DIFFERENTIAL
+_PERCEPTION = MeasurementKind.PERCEPTION_ABSOLUTE
+_event = MeasurementEvent._trusted
+
+
 class _Node1Pass:
     """Node 1 over the raw odometry schedule, fed block by block.
 
     ``stamps`` (N,), ``t`` (N, 3) and ``q`` (N, 4) are the raw odometry
     poses, which carry the raw channel covariance ``raw_r6``.  Each block
-    gives node 1's local->body poses as node 2's odometry events, with the
-    smoothed channel covariance ``smoothed_r6``.
+    gives node 1's local->body pose rows as node 2's odometry events, with
+    the smoothed channel covariance ``smoothed_r6``.
     """
 
     def __init__(
@@ -488,48 +472,55 @@ class _Node1Pass:
     def step(self, start: int) -> list[MeasurementEvent]:
         """Raw odometry rows ``start`` to ``start + _BLOCK``; node 2's odometry events."""
         rows = slice(start, start + _BLOCK)
-        events = _odometry_events(self.stamps[rows], self.t[rows], self.q[rows], self.raw_r6)
-        node, r6 = self.node, self.smoothed_r6
+        node, raw_r6, r6 = self.node, self.raw_r6, self.smoothed_r6
         return [
-            MeasurementEvent._trusted(e.timestamp, e.kind, node.node1_step(e), r6, e.source)
-            for e in events
+            _event(stamp, _ODOMETRY, LOCAL, node.node1_step(_event(stamp, _ODOMETRY, LOCAL, z, raw_r6)), r6)
+            for stamp, z in zip(self.stamps[rows].tolist(), _pose_rows(self.t[rows], self.q[rows]))
         ]
 
 
 class _Node2Pass:
     """One node-2 pass over the odometry schedule, fed block by block.
 
-    The odometry events carry node 1's local->body poses; perception events
-    join as they come due, and odometry wins stamp ties.  The pass keeps
-    what :func:`estimate_track` reads after each odometry step: the stamp,
-    the pose block of the state and of the covariance diagonal.
+    The odometry events carry node 1's local->body pose rows; perception
+    events join as they come due, and odometry wins stamp ties.  The pass
+    keeps what :func:`estimate_track` reads after each odometry step: the
+    stamp, the pose block of the node's state and of its covariance diagonal.
     """
 
-    def __init__(self, cfg: FilterNodeConfig, n: int, perception: PerceptionEvents | None = None):
+    def __init__(self, cfg: FilterNodeConfig, n: int, perception: PerceptionRows | None = None):
         self.node = EkfNode(cfg)
         self.perception = perception
-        self.due = 0  # index of the next perception event
+        self.due = 0  # row of the next perception event
         self.t, self.x, self.variances = np.empty(n), np.empty((n, 6)), np.empty((n, 6))
+
+    def _perception_events(self, end: int | None) -> list[MeasurementEvent]:
+        """Events of the perception rows from the next due one up to ``end``."""
+        rows, r = slice(self.due, end), self.perception
+        self.due = len(r) if end is None else end
+        return [
+            _event(stamp, _PERCEPTION, WORLD, z, r.r6)
+            for stamp, z in zip(r.t[rows].tolist(), _pose_rows(r.p[rows], r.q[rows]))
+        ]
 
     def step(self, start: int, events: list[MeasurementEvent]) -> None:
         """Node-2 odometry events ``start``, ``start + 1``, ..."""
         node, due = self.node, []
         if self.perception is not None:
-            # every perception event stamped before the block's last odometry event
-            end = int(self.perception.t.searchsorted(events[-1].timestamp))
-            due, self.due = self.perception[self.due : end], end
+            # every perception row stamped before the block's last odometry event
+            due = self._perception_events(int(self.perception.t.searchsorted(events[-1].timestamp)))
         j = 0
         for k, event in enumerate(events, start):
             while j < len(due) and due[j].timestamp < event.timestamp:
                 node.node2_step(due[j])
                 j += 1
-            s = node.node2_step(event)
-            self.t[k], self.x[k], self.variances[k] = s.timestamp, s.x[:6], s.P.diagonal()[:6]
+            node.node2_step(event)
+            self.t[k], self.x[k], self.variances[k] = node.timestamp, node.x[:6], node.P.diagonal()[:6]
 
     def finish(self) -> tuple[TrajectoryLog, np.ndarray]:
-        """Fuse the perception events after the last odometry stamp; the estimate track."""
+        """Fuse the perception rows after the last odometry stamp; the estimate track."""
         if self.perception is not None:
-            for event in self.perception[self.due :]:
+            for event in self._perception_events(None):
                 self.node.node2_step(event)
         return estimate_track(self.t, self.x, self.variances)
 
@@ -539,7 +530,7 @@ def _collector_paused():
     """Pause Python's cyclic garbage collector for the duration of a run.
 
     A run allocates a few hundred thousand small objects that form no
-    reference cycles (poses, events, filter states).  Reference counting
+    reference cycles (events, their pose rows, filter arrays).  Reference counting
     frees each one once the filter block that built it is done, so only one
     block's worth is alive at a time.  With the collector on, it would still
     scan the young objects after every few hundred allocations and find
@@ -573,12 +564,12 @@ def execute_run(
         with _stage("simulate-raw-odometry"):
             stamps, odometry_t, odometry_q = _simulate_raw_odometry(adas, cfg, stream)
         with _stage("simulate-perception"):
-            perception_events = simulate_perception(
+            perception = simulate_perception(
                 smart, adas, cfg.perception, stream.derive("perception"), cfg.ekf.perception_r6_scale
             )
 
         with _stage("filter"):
-            node1_cfg, node2_cfg = _node_configs(cfg, adas.poses([0])[0])
+            node1_cfg, node2_cfg = _node_configs(cfg, adas)
             node1 = _Node1Pass(
                 node1_cfg, stamps, odometry_t, odometry_q,
                 measurement_covariance(cfg.raw_noise),
@@ -586,7 +577,7 @@ def execute_run(
             )
             n = len(stamps)
             # Node 1 never sees perception, so its poses serve both node-2 passes.
-            passes = [_Node2Pass(node2_cfg, n, perception_events)]
+            passes = [_Node2Pass(node2_cfg, n, perception)]
             if with_baseline:
                 passes.append(_Node2Pass(node2_cfg, n))
             for start in range(0, n, _BLOCK):
@@ -611,7 +602,7 @@ def execute_run(
             baseline_estimates=baseline,
             baseline_sd=baseline_sd,
             n_odometry=n,
-            n_perception=len(perception_events),
+            n_perception=len(perception),
             n_rejected=n_rejected,
         )
 

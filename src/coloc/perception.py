@@ -9,27 +9,25 @@ detector would err, and only then gets rotated out into the world.
 
 Pairing, gating and rate limiting work on the two streams' stamps and pick
 row indices; only the picked rows are gathered and measured, at once, on
-arrays, and each event is built from its row when a filter reads it.
+arrays.  The channel's result is those measured rows and their covariance.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dataio import TrajectoryLog, nearest_in_time
-from .ekf import MeasurementEvent, MeasurementKind, _checked_r6, measurement_covariance
+from .ekf import _checked_r6, measurement_covariance
 from .errors import DataError
-from .geometry import BODY_ADAS, WORLD, Agent, Pose, Quaternion, compose_arrays, invert_arrays
+from .geometry import Agent, compose_arrays, invert_arrays
 from .noise import NoiseSpec, RandomStream, perturb_pose
 
 GATE_RELATIVE_MARGIN = 1e-9
 RATE_EPSILON = 1e-9
-
-PERCEPTION_SOURCE = "smart/perception"
 
 @dataclass(frozen=True)
 class PerceptionConfig:
@@ -143,41 +141,24 @@ def make_measurement(
     return compose_arrays(smart_p, smart_q, *perturb_pose(rel, cfg.noise, rng))
 
 
-def _events(t: np.ndarray, p: np.ndarray, q: np.ndarray, r6: np.ndarray) -> list[MeasurementEvent]:
-    """One perception event per measured pose row."""
-    # rows of arrays from closed arithmetic on validated poses
-    return [
-        MeasurementEvent._trusted(
-            stamp,
-            MeasurementKind.PERCEPTION_ABSOLUTE,
-            Pose._trusted(stamp, pk, Quaternion._trusted(*qk), WORLD, BODY_ADAS),
-            r6,
-            PERCEPTION_SOURCE,
-        )
-        for stamp, pk, qk in zip(t.tolist(), p, q.tolist())
-    ]
-
-
-class PerceptionEvents(Sequence):
-    """The channel's events, built from their measured rows when read.
+@dataclass(frozen=True)
+class PerceptionRows:
+    """The channel's measured follower world poses, one row per emitted pair.
 
     ``t`` (n,) holds the stamps, ``p`` (n, 3) and ``q`` (n, 4) the measured
-    world poses; every event carries the same covariance ``r6``, checked
-    once here.  A slice reads as a list of events built in one pass.
+    poses; every row carries the same covariance ``r6``, checked once here.
     """
 
-    def __init__(self, t: np.ndarray, p: np.ndarray, q: np.ndarray, r6: np.ndarray) -> None:
-        self.t, self.p, self.q = t, p, q
-        self.r6 = _checked_r6(r6, "perception r6")
+    t: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    r6: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "r6", _checked_r6(self.r6, "perception r6"))
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return _events(self.t[k], self.p[k], self.q[k], self.r6)
-        k = range(len(self))[k]  # a negative or out-of-range index as a list would take it
-        return self[k : k + 1][0]
 
 
 def rate_limit_indices(stamps: Iterable[float], target_hz: float) -> list[int]:
@@ -205,15 +186,15 @@ def simulate_perception(
     cfg: PerceptionConfig,
     rng: RandomStream,
     r6_scale: float = 1.0,
-) -> PerceptionEvents:
+) -> PerceptionRows:
     """The full channel: pair, gate, rate-limit, then inject noise per pair.
 
     Noise is drawn only for emitted pairs, so the draw sequence depends on
     the gate and rate settings but never on pairs that were dropped.  The
-    events carry the channel covariance times ``r6_scale``.
+    rows carry the channel covariance times ``r6_scale``.
     """
     rows = pair_streams(smart, adas, cfg.gate_threshold)
     if cfg.output_rate is not None:
         rows = rows.take(rate_limit_indices(rows.t.tolist(), cfg.output_rate))
     r6 = measurement_covariance(cfg.noise) * r6_scale
-    return PerceptionEvents(rows.t, *make_measurement(rows, cfg, rng), r6)
+    return PerceptionRows(rows.t, *make_measurement(rows, cfg, rng), r6)

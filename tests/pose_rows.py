@@ -1,12 +1,13 @@
 """Row-array inputs built from Pose objects, for tests written pose by pose.
 
-The pipeline stages take logs or row arrays only; these helpers turn the
-poses a test spells out into those forms.
+The pipeline stages take logs or row arrays, and the filters take pose-row
+events; these helpers turn the poses a test spells out into those forms.
 """
 
 import numpy as np
 
 from coloc.dataio import TrajectoryLog
+from coloc.ekf import MeasurementEvent
 from coloc.evaluation import AssociatedRows
 from coloc.geometry import BODY_SMART, Agent
 from coloc.perception import PairedRows
@@ -44,3 +45,9 @@ def associated_rows(pairs):
     est = [e for e, _ in pairs]
     gt = [g for _, g in pairs]
     return AssociatedRows(np.array([e.timestamp for e in est], dtype=float), *arrays_of(est), *arrays_of(gt))
+
+
+def pose_event(kind, pose, r6):
+    """The filter event of a pose: its stamp, parent frame and (x, y, z, roll, pitch, yaw) row."""
+    z = [*pose.translation.tolist(), *pose.rotation.to_euler()]
+    return MeasurementEvent(pose.timestamp, kind, pose.parent_frame, z, r6)

@@ -38,6 +38,7 @@ from scipy.optimize import least_squares
 from scipy.spatial.transform import Rotation
 
 from conftest import ACCEPTANCE_RESULTS
+from pose_rows import pose_event
 from coloc.dataio import generate_synthetic
 from coloc.ekf import (
     STATE_DIM,
@@ -47,7 +48,7 @@ from coloc.ekf import (
     StateEstimate,
     measurement_covariance,
     predict,
-    state_from_pose,
+    state_from_row,
     transition,
     transition_jacobian,
     update_absolute,
@@ -388,8 +389,7 @@ def test_filter_matches_scalar_kalman_and_finite_differences():
     worst_kf = 0.0
     for k, z in enumerate(z_seq):
         state = predict(state, model, dt)
-        pose = Pose(state.timestamp, np.array([z, 0.0, 0.0]), Quaternion.identity(), LOCAL, BODY_ADAS)
-        state = update_absolute(state, MeasurementEvent(state.timestamp, PER, pose, r6=r6))
+        state = update_absolute(state, MeasurementEvent(state.timestamp, PER, LOCAL, [z, 0.0, 0.0, 0.0, 0.0, 0.0], r6))
         x_ref, P_ref = reference[k]
         worst_kf = max(
             worst_kf,
@@ -507,8 +507,7 @@ def _check_quaternion_norms(problems):
 
 def _check_covariance_after_every_step(problems):
     rng = np.random.default_rng(72)
-    start = Pose(0.0, np.zeros(3), Quaternion.identity(), WORLD, BODY_ADAS)
-    state = state_from_pose(start, 1e-4, 10.0)
+    state = state_from_row(0.0, [0.0] * 6, 1e-4, 10.0)
     model = ProcessModel(np.diag(np.full(STATE_DIM, 1e-3)))
     r6_abs = measurement_covariance(NoiseSpec(0.5, 3.0))
     r6_odo = measurement_covariance(NoiseSpec(0.2, 1.0))
@@ -538,7 +537,7 @@ def _check_covariance_after_every_step(problems):
             WORLD,
             BODY_ADAS,
         )
-        state = update_absolute(state, MeasurementEvent(t, PER, world, r6=r6_abs))
+        state = update_absolute(state, pose_event(PER, world, r6_abs))
         check(state, "absolute update", k)
         local = Pose(
             t,
@@ -547,7 +546,7 @@ def _check_covariance_after_every_step(problems):
             LOCAL,
             BODY_ADAS,
         )
-        event = MeasurementEvent(t, ODO, local, r6=r6_odo)
+        event = pose_event(ODO, local, r6_odo)
         if prev is not None:
             state = update_differential(state, prev, event)
             check(state, "differential update", k)
@@ -569,7 +568,7 @@ def _check_gate_boundary(problems):
 
 def _check_perception_passthrough(problems):
     smart, adas = generate_synthetic("figure-eight", 4.0, 20.0, 8.0)
-    events = simulate_perception(
+    rows = simulate_perception(
         smart,
         adas,
         PerceptionConfig(NoiseSpec(0.0, 0.0)),
@@ -577,15 +576,15 @@ def _check_perception_passthrough(problems):
     )
     gt_by_time = {p.timestamp: p for p in adas.samples}
     worst = 0.0
-    for ev in events:
-        gt = gt_by_time[ev.timestamp]
+    for t, p, q in zip(rows.t.tolist(), rows.p, rows.q):
+        gt = gt_by_time[t]
         worst = max(
             worst,
-            float(np.max(np.abs(ev.pose.translation - gt.translation))),
-            rotation_geodesic(ev.pose.rotation, gt.rotation),
+            float(np.max(np.abs(p - gt.translation))),
+            rotation_geodesic(Quaternion.from_array(q), gt.rotation),
         )
-    if not (events and worst < 1e-9):
-        problems.append(f"zero-noise perception deviates by {worst:.2e} over {len(events)} events")
+    if not (len(rows) and worst < 1e-9):
+        problems.append(f"zero-noise perception deviates by {worst:.2e} over {len(rows)} events")
     return worst
 
 
@@ -596,7 +595,7 @@ def _check_offset_invariance(problems):
 
     def event(t, xyz, yaw):
         pose = Pose(t, np.asarray(xyz, float), quat_yaw(yaw), LOCAL, BODY_ADAS)
-        return MeasurementEvent(t, ODO, pose, r6=r6)
+        return pose_event(ODO, pose, r6)
 
     plain = update_differential(state, event(0.9, [1.0, 2.25, 0.0], 0.3), event(1.0, [1.5, 2.5, 0.0], 0.35))
     shifted = update_differential(

@@ -57,3 +57,20 @@ def test_traced_run_reports_pairing_and_association(tracer):
         "evaluation.match_ratio",
     ):
         assert metrics[name] > 0.0, name
+
+
+def test_traced_run_counts_every_filter_step(tracer):
+    # one node-1 step per odometry row; the fused node-2 pass steps once per
+    # odometry and perception row, the baseline pass once per odometry row
+    cfg = ExperimentConfig(
+        input=InputConfig(synthetic=SyntheticSpec(kind="figure-eight", duration=2.0, rate=50.0)),
+        perception=PerceptionConfig(NoiseSpec(0.3, 5.0), output_rate=10.0),
+    )
+    t = tracer.Tracer()
+    with t:
+        art = harness.execute_run(cfg, 0)
+    metrics, _ = tracer.summarize(t.spans, t.counts)
+    assert art.n_odometry > 0 and art.n_perception > 0
+    assert metrics["ekf.node1_steps"] == art.n_odometry
+    assert metrics["ekf.node2_fused_steps"] == art.n_odometry + art.n_perception
+    assert metrics["ekf.node2_baseline_steps"] == art.n_odometry

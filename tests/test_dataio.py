@@ -229,18 +229,6 @@ class TestTrajectoryLogType:
             assert pose.translation.tolist() == adas.p[k].tolist()
             assert pose.rotation.as_array().tolist() == adas.q[k].tolist()
 
-    def test_poses_at_rows_equal_samples(self):
-        _, adas = generate_synthetic("circle", 2.0, 10.0, 1.0)
-        picked = adas.poses(np.array([0, 7, 19]))
-        assert "samples" not in vars(adas)
-        for pose, k in zip(picked, (0, 7, 19)):
-            assert pose.timestamp == adas.samples[k].timestamp
-            assert np.array_equal(pose.translation, adas.samples[k].translation)
-            assert pose.rotation == adas.samples[k].rotation
-        # once the samples exist, their objects are reused
-        assert all(a is b for a, b in zip(adas.poses([7, 19]), (adas.samples[7], adas.samples[19])))
-        assert adas.poses(slice(2, 5)) == adas.samples[2:5]
-
 
 class TestExport:
     def random_log(self, n=1000):

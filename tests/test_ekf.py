@@ -34,7 +34,7 @@ from coloc.ekf import (
     differential_velocity,
     measurement_covariance,
     predict,
-    state_from_pose,
+    state_from_row,
     transition,
     transition_jacobian,
     update_absolute,
@@ -42,6 +42,7 @@ from coloc.ekf import (
 )
 from coloc.geometry import BODY_ADAS, LOCAL, WORLD, Pose, Quaternion, quat_yaw, wrap_angle
 from coloc.noise import NoiseSpec, RandomStream
+from pose_rows import pose_event
 
 RNG = np.random.default_rng(555)
 
@@ -76,14 +77,12 @@ INDEFINITE_R6 = np.eye(6)
 INDEFINITE_R6[4, 5] = INDEFINITE_R6[5, 4] = 1.5
 
 
-def local_event(t, translation, yaw=0.0, r6=RAW_R6, source="adas/raw", kind=ODO):
-    pose = Pose(t, np.asarray(translation, float), quat_yaw(yaw), LOCAL, BODY_ADAS)
-    return MeasurementEvent(t, kind, pose, r6=r6, source=source)
+def local_event(t, translation, yaw=0.0, r6=RAW_R6, kind=ODO):
+    return MeasurementEvent(t, kind, LOCAL, [*translation, 0.0, 0.0, yaw], r6)
 
 
-def world_event(t, translation, yaw=0.0, r6=PERCEPTION_R6, source="smart/perception"):
-    pose = Pose(t, np.asarray(translation, float), quat_yaw(yaw), WORLD, BODY_ADAS)
-    return MeasurementEvent(t, PER, pose, r6=r6, source=source)
+def world_event(t, translation, yaw=0.0, r6=PERCEPTION_R6):
+    return MeasurementEvent(t, PER, WORLD, [*translation, 0.0, 0.0, yaw], r6)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +274,7 @@ class TestUpdateAbsolute:
         return StateEstimate(x, np.eye(STATE_DIM) if P is None else P, 1.0)
 
     def event_at(self, translation, yaw, r6):
-        pose = Pose(1.0, np.asarray(translation, float), quat_yaw(yaw), LOCAL, BODY_ADAS)
-        return MeasurementEvent(1.0, PER, pose, r6=r6)
+        return MeasurementEvent(1.0, PER, LOCAL, [*translation, 0.0, 0.0, yaw], r6)
 
     def test_zero_innovation_keeps_pose_and_shrinks_p(self):
         s = self.make_state()
@@ -340,6 +338,19 @@ class TestUpdateAbsolute:
         with pytest.raises(ValueError, match="r6"):
             update_absolute(s, self.event_at([1.0, 2.0, 0.0], 0.3, None))
 
+    def test_indefinite_covariance_raises_numeric_error(self):
+        # S = P block + r6 = 0: without the check the solve warns, and the
+        # test suite turns that RuntimeWarning into an error
+        P = np.eye(STATE_DIM)
+        P[POSE_BLOCK, POSE_BLOCK] = -np.eye(6)
+        s = StateEstimate(np.zeros(STATE_DIM), P, 1.0)
+        with pytest.raises(NumericError, match="indefinite"):
+            update_absolute(s, self.event_at([1.0, 0.0, 0.0], 0.0, np.eye(6)))
+        # an invertible S does not hide the indefinite P
+        P[POSE_BLOCK, POSE_BLOCK] = -0.5 * np.eye(6)
+        with pytest.raises(NumericError, match="indefinite"):
+            update_absolute(StateEstimate(np.zeros(STATE_DIM), P, 1.0), self.event_at([1.0, 0.0, 0.0], 0.0, np.eye(6)))
+
 
 # ---------------------------------------------------------------------------
 # Differential update
@@ -371,9 +382,8 @@ class TestDifferentialVelocity:
         b = local_event(1.0, [1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             differential_velocity(a, b)
-        c = local_event(2.0, [1.0, 0.0, 0.0], source="other")
         with pytest.raises(ValueError):
-            differential_velocity(a, c)
+            differential_velocity(b, local_event(0.5, [1.0, 0.0, 0.0]))
 
 
 class TestUpdateDifferential:
@@ -451,6 +461,15 @@ class TestUpdateDifferential:
         with pytest.raises(ValueError, match="r6"):
             update_differential(self.make_state(), a, local_event(0.5, [1.0, 0.0, 0.0], r6=None))
 
+    def test_indefinite_covariance_raises_numeric_error(self):
+        P = np.eye(STATE_DIM)
+        P[TWIST_BLOCK, TWIST_BLOCK] = -np.eye(6)
+        s = StateEstimate(np.zeros(STATE_DIM), P, 1.0)
+        a = local_event(0.0, [0.0, 0.0, 0.0], r6=np.eye(6))
+        b = local_event(1.0, [1.0, 0.0, 0.0], r6=np.eye(6))
+        with pytest.raises(NumericError, match="indefinite"):
+            update_differential(s, a, b)
+
 
 # ---------------------------------------------------------------------------
 # Equivalence with a hand-rolled linear Kalman filter
@@ -498,8 +517,7 @@ class TestLinearEquivalence:
         worst_x = worst_p = 0.0
         for k, z in enumerate(z_seq):
             s = predict(s, model, dt)
-            pose = Pose(s.timestamp, np.array([z, 0.0, 0.0]), Quaternion.identity(), LOCAL, BODY_ADAS)
-            s = update_absolute(s, MeasurementEvent(s.timestamp, PER, pose, r6=r6))
+            s = update_absolute(s, MeasurementEvent(s.timestamp, PER, LOCAL, [z, 0.0, 0.0, 0.0, 0.0, 0.0], r6))
             x_ref, P_ref = ref[k]
             worst_x = max(worst_x, abs(s.x[0] - x_ref[0]), abs(s.x[6] - x_ref[1]))
             worst_p = max(
@@ -562,11 +580,25 @@ class TestMeasurementEvent:
             local_event(0.0, [0.0, 0.0, 0.0], r6=r6)
 
     def test_missing_r6_rejected(self):
-        pose = Pose.identity(0.0, LOCAL, BODY_ADAS)
+        z = [0.0] * 6
         with pytest.raises(TypeError, match="r6"):
-            MeasurementEvent(0.0, ODO, pose)
+            MeasurementEvent(0.0, ODO, LOCAL, z)
         with pytest.raises(ValueError, match="r6"):
-            MeasurementEvent(0.0, ODO, pose, None)
+            MeasurementEvent(0.0, ODO, LOCAL, z, None)
+
+    @pytest.mark.parametrize(
+        "z", [[0.0] * 5, [0.0] * 7, [0.0, 0.0, math.nan, 0.0, 0.0, 0.0], [math.inf] + [0.0] * 5]
+    )
+    def test_z_must_be_six_finite_floats(self, z):
+        with pytest.raises(ValueError, match="six finite floats"):
+            MeasurementEvent(0.0, ODO, LOCAL, z, RAW_R6)
+
+    def test_z_is_kept_as_a_tuple_of_floats(self):
+        z = np.arange(6.0)
+        event = MeasurementEvent(0.0, ODO, LOCAL, z, RAW_R6)
+        z[0] = 9.0
+        assert event.z == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
+        assert all(type(v) is float for v in event.z)
 
     @pytest.mark.parametrize(
         "r6",
@@ -604,7 +636,7 @@ class TestMeasurementEvent:
 # ---------------------------------------------------------------------------
 
 def node1_config(**overrides):
-    init = state_from_pose(Pose.identity(0.0, LOCAL, BODY_ADAS))
+    init = state_from_row(0.0, [0.0] * 6)
     defaults = dict(initial_state=init, q=default_process_noise())
     defaults.update(overrides)
     return FilterNodeConfig(**defaults)
@@ -615,7 +647,7 @@ WORLD_TO_LOCAL = Pose(0.0, np.array([10.0, -4.0, 0.0]), quat_yaw(0.5), WORLD, LO
 
 
 def node2_config(start=WORLD_TO_LOCAL, **overrides):
-    init = state_from_pose(Pose(0.0, start.translation, start.rotation, WORLD, BODY_ADAS))
+    init = state_from_row(0.0, [*start.translation.tolist(), *start.rotation.to_euler()])
     defaults = dict(initial_state=init, q=default_process_noise())
     defaults.update(overrides)
     return FilterNodeConfig(**defaults)
@@ -624,21 +656,22 @@ def node2_config(start=WORLD_TO_LOCAL, **overrides):
 class TestNode1:
     def test_first_event_at_origin_stays_identity(self):
         node = EkfNode(node1_config())
-        pose = node.node1_step(local_event(0.0, [0.01, -0.02, 0.0], yaw=0.001))
+        row = node.node1_step(local_event(0.0, [0.01, -0.02, 0.0], yaw=0.001))
         # The start is known with high confidence; one noisy measurement
         # barely moves it.
-        assert np.linalg.norm(pose.translation) < 0.01
-        assert pose.parent_frame == LOCAL and pose.child_frame == BODY_ADAS
+        assert np.linalg.norm(row[:3]) < 0.01
+        # the row is the pose block of the committed state
+        assert row == node.x[POSE_BLOCK].tolist()
 
     def test_noiseless_straight_line_tracks_truth(self):
         r6 = measurement_covariance(NoiseSpec(0.0, 0.0))
         node = EkfNode(node1_config())
         dt, speed = 0.01, 2.0
-        pose = None
+        row = None
         for k in range(1000):
             t = k * dt
-            pose = node.node1_step(local_event(t, [speed * t, 0.0, 0.0], r6=r6))
-        assert np.linalg.norm(pose.translation - [speed * 999 * dt, 0.0, 0.0]) < 1e-6
+            row = node.node1_step(local_event(t, [speed * t, 0.0, 0.0], r6=r6))
+        assert np.linalg.norm(np.array(row[:3]) - [speed * 999 * dt, 0.0, 0.0]) < 1e-6
 
     def test_stationary_noise_is_smoothed(self):
         from coloc.noise import perturb_translation
@@ -648,10 +681,10 @@ class TestNode1:
         node = EkfNode(node1_config())
         noises, errors = [], []
         for k, t_noisy in enumerate(perturb_translation(np.zeros((1000, 3)), spec, rng)):
-            pose = node.node1_step(local_event(k * 0.005, t_noisy))
+            row = node.node1_step(local_event(k * 0.005, t_noisy))
             if k > 100:  # after burn-in
                 noises.append(t_noisy[0])
-                errors.append(pose.translation[0])
+                errors.append(row[0])
         assert np.std(errors) < np.std(noises)
 
     def test_out_of_order_rejected_and_recoverable(self):
@@ -675,18 +708,17 @@ class TestNode2:
     def test_perception_only_tracks_measurements(self):
         node = EkfNode(node2_config())
         tiny = measurement_covariance(NoiseSpec(0.001, 0.01))
-        state = None
         for k in range(200):
             t = k * 0.1
             target = np.array([10.0 + 0.5 * t, -4.0 + 0.2 * t, 0.0])
-            state = node.node2_step(world_event(t, target, yaw=0.5, r6=tiny))
-        np.testing.assert_allclose(state.x[POS], target, atol=5e-3)
+            node.node2_step(world_event(t, target, yaw=0.5, r6=tiny))
+        np.testing.assert_allclose(node.x[POS], target, atol=5e-3)
 
     def test_world_odometry_pose_rejected(self):
         # node 2 takes node 1's local->body poses on the odometry channel
         node = EkfNode(node2_config())
         before = node.state
-        world_odometry = MeasurementEvent(0.0, ODO, Pose.identity(0.0, WORLD, BODY_ADAS), SMOOTHED_R6, "adas/raw")
+        world_odometry = MeasurementEvent(0.0, ODO, WORLD, [0.0] * 6, SMOOTHED_R6)
         with pytest.raises(FrameMismatchError):
             node.node2_step(world_odometry)
         assert node.state is before
@@ -737,9 +769,9 @@ class TestNode2:
                 LOCAL,
                 BODY_ADAS,
             )
-            cur_local = MeasurementEvent(t, ODO, pose, r6=r6)
-            cur_world = MeasurementEvent(t, ODO, compose(WORLD_TO_LOCAL, pose), r6=r6)
-            assert cur_world.pose.parent_frame == WORLD
+            cur_local = pose_event(ODO, pose, r6)
+            cur_world = pose_event(ODO, compose(WORLD_TO_LOCAL, pose), r6)
+            assert cur_world.frame == WORLD
             if prev_local is not None:
                 dt = t - prev_local.timestamp
                 local = update_differential(predict(local, model, dt), prev_local, cur_local)
@@ -759,17 +791,15 @@ class TestTwoStageLocalizer:
         node1 = EkfNode(node1_config())
         node2 = EkfNode(node2_config(start=w2l))
         dt, speed = 0.01, 3.0
-        state = None
         for k in range(800):
             t = k * dt
             event = local_event(t, [speed * t, 0.0, 0.0], r6=r6)
-            smoothed = MeasurementEvent(t, ODO, node1.node1_step(event), r6, event.source)
-            state = node2.node2_step(smoothed)
+            node2.node2_step(MeasurementEvent(t, ODO, LOCAL, node1.node1_step(event), r6))
         truth_local = Pose(t, np.array([speed * t, 0.0, 0.0]), Quaternion.identity(), LOCAL, BODY_ADAS)
         from coloc.geometry import compose
 
         truth_world = compose(w2l, truth_local)
-        assert np.linalg.norm(state.x[POS] - truth_world.translation) < 1e-3
+        assert np.linalg.norm(node2.x[POS] - truth_world.translation) < 1e-3
 
 
 class TestNodeRunsThePublicKernels:
@@ -817,14 +847,8 @@ class TestNodeRunsThePublicKernels:
         prev = None
         t = 0.0
         for k in range(60):
-            local_to_body = Pose(
-                t,
-                np.array([3.0 * t, 0.2 * t * t, 0.0]) + rng.normal(0.0, 0.05, 3),
-                quat_yaw(0.1 * t + rng.normal(0.0, 0.01)),
-                LOCAL,
-                BODY_ADAS,
-            )
-            cur = MeasurementEvent(t, ODO, local_to_body, SMOOTHED_R6, "adas/raw")
+            xyz = np.array([3.0 * t, 0.2 * t * t, 0.0]) + rng.normal(0.0, 0.05, 3)
+            cur = local_event(t, xyz, yaw=0.1 * t + rng.normal(0.0, 0.01), r6=SMOOTHED_R6)
             node.node2_step(cur)
             state = self.advance(state, model, cfg, t)
             if prev is not None:
@@ -838,10 +862,31 @@ class TestNodeRunsThePublicKernels:
             t = round(t + (0.13 if k == 30 else 0.01), 10)
 
 
+    def test_node2_cached_terms_follow_step_and_covariance(self):
+        # more distinct steps than the node caches Q dt and the velocity
+        # covariance for, and odometry rows alternating between two
+        # covariance objects, one of them rebuilt equal each time
+        rng = np.random.default_rng(44)
+        cfg = node2_config()
+        node, model, state = EkfNode(cfg), ProcessModel(cfg.q), cfg.initial_state
+        prev = None
+        t = 0.0
+        for k in range(80):
+            r6 = SMOOTHED_R6 if k % 2 else SMOOTHED_R6.copy() * (1.0 + k % 3)
+            cur = local_event(t, [3.0 * t, 0.1 * t, 0.0] + rng.normal(0.0, 0.05, 3), yaw=0.1 * t, r6=r6)
+            node.node2_step(cur)
+            state = self.advance(state, model, cfg, t)
+            if prev is not None:
+                state = update_differential(state, prev, cur)
+            prev = cur
+            self.assert_close(node, state)
+            t = round(t + rng.choice([0.005, 0.01, 0.02]) * (1 + k % 20), 10)
+
+
 class TestNodeErrorContracts:
     def test_singular_innovation_raises_and_leaves_state(self):
         # an exactly known pose measured with zero covariance: S = 0
-        init = state_from_pose(Pose.identity(0.0, LOCAL, BODY_ADAS), pose_variance=0.0)
+        init = state_from_row(0.0, [0.0] * 6, pose_variance=0.0)
         node = EkfNode(node1_config(initial_state=init))
         node.node1_step(local_event(0.0, [0.0, 0.0, 0.0], r6=np.eye(6)))
         before = node.state
@@ -850,11 +895,23 @@ class TestNodeErrorContracts:
         assert node.state is before
 
     def test_gimbal_pitch_raises(self):
-        gimbal = Quaternion.from_euler(0.0, math.pi / 2, 0.0)
-        node = EkfNode(node1_config(initial_state=state_from_pose(Pose(0.0, np.zeros(3), gimbal, LOCAL, BODY_ADAS))))
-        node.node1_step(MeasurementEvent(0.0, ODO, Pose(0.0, np.zeros(3), gimbal, LOCAL, BODY_ADAS), RAW_R6))
+        gimbal = [0.0, 0.0, 0.0, 0.0, math.pi / 2, 0.0]
+        node = EkfNode(node1_config(initial_state=state_from_row(0.0, gimbal)))
+        node.node1_step(MeasurementEvent(0.0, ODO, LOCAL, gimbal, RAW_R6))
         with pytest.raises(NumericError, match="gimbal"):
-            node.node1_step(MeasurementEvent(0.01, ODO, Pose(0.01, np.zeros(3), gimbal, LOCAL, BODY_ADAS), RAW_R6))
+            node.node1_step(MeasurementEvent(0.01, ODO, LOCAL, gimbal, RAW_R6))
+
+    def test_indefinite_covariance_rejected(self):
+        P = np.eye(STATE_DIM)
+        P[POSE_BLOCK, POSE_BLOCK] = -np.eye(6)
+        indefinite = StateEstimate(np.zeros(STATE_DIM), P, 0.0)
+        with pytest.raises(NumericError, match="covariance is indefinite"):
+            EkfNode(node1_config(initial_state=indefinite))
+        node = EkfNode(node1_config())
+        before = node.state
+        with pytest.raises(NumericError, match="covariance is indefinite"):
+            node.state = indefinite
+        assert node.state is before
 
     def test_non_finite_velocity_measurement_raises(self):
         r6 = np.eye(6) * 0.01

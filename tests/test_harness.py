@@ -25,10 +25,10 @@ from coloc.dataio import (
     generate_synthetic,
     load_trajectory,
 )
-from coloc.ekf import EkfNode, MeasurementEvent, measurement_covariance
+from coloc.ekf import EkfNode, MeasurementEvent, MeasurementKind, measurement_covariance
 from coloc.errors import DataError
 from coloc.evaluation import AlignmentMode
-from coloc.geometry import WORLD, Agent
+from coloc.geometry import LOCAL, WORLD, Agent, Pose, Quaternion, quaternions_to_euler
 from coloc.harness import (
     CellReport,
     EkfSettings,
@@ -485,24 +485,31 @@ class TestBlockSchedule:
     what one whole-run pass per node gives."""
 
     @staticmethod
-    def two_pass_reference(cfg, seed):
+    def events(kind, frame, stamps, p, q, r6):
+        """One checked event per pose row, the Euler angles from one whole-run call."""
+        rows = np.concatenate((p, quaternions_to_euler(q)), axis=1)
+        return [MeasurementEvent(t, kind, frame, z, r6) for t, z in zip(stamps.tolist(), rows)]
+
+    def two_pass_reference(self, cfg, seed):
         """Fused and baseline (log, 1-sigma): node 1 over every odometry event,
         then one node-2 pass per variant, each through EkfNode's one-event API."""
         smart, adas = harness._load_ground_truth(cfg)
         stream = RandomStream(seed)
         stamps, t, q = harness._simulate_raw_odometry(adas, cfg, stream)
-        odometry = harness._odometry_events(stamps, t, q, measurement_covariance(cfg.raw_noise))
-        perception = list(
-            simulate_perception(
-                smart, adas, cfg.perception, stream.derive("perception"), cfg.ekf.perception_r6_scale
-            )
+        odo = MeasurementKind.ODOMETRY_DIFFERENTIAL
+        odometry = self.events(odo, LOCAL, stamps, t, q, measurement_covariance(cfg.raw_noise))
+        channel = simulate_perception(
+            smart, adas, cfg.perception, stream.derive("perception"), cfg.ekf.perception_r6_scale
         )
-        node1_cfg, node2_cfg = harness._node_configs(cfg, adas.poses([0])[0])
+        perception = self.events(
+            MeasurementKind.PERCEPTION_ABSOLUTE, WORLD, channel.t, channel.p, channel.q, channel.r6
+        )
+        node1_cfg, node2_cfg = harness._node_configs(cfg, adas)
         node1 = EkfNode(node1_cfg)
-        # node 1's local->body poses are node 2's odometry events
+        # node 1's local->body pose rows are node 2's odometry events
         smoothed_r6 = measurement_covariance(harness._smoothed_odometry_spec(cfg))
         smoothed = [
-            MeasurementEvent(event.timestamp, event.kind, node1.node1_step(event), smoothed_r6, event.source)
+            MeasurementEvent(event.timestamp, odo, LOCAL, node1.node1_step(event), smoothed_r6)
             for event in odometry
         ]
 
@@ -513,7 +520,8 @@ class TestBlockSchedule:
                 while j < len(channel) and channel[j].timestamp < event.timestamp:
                     node.node2_step(channel[j])
                     j += 1
-                s = node.node2_step(event)
+                node.node2_step(event)
+                s = node.state
                 rows.append((s.timestamp, s.x, s.P.diagonal()))
             for event in channel[j:]:
                 node.node2_step(event)
@@ -579,7 +587,12 @@ class TestBlockSchedule:
 
 
 class TestPoseObjectsOnlyForPerception:
-    """The run path reads the logs' arrays: no stage, perception included, builds a log's poses."""
+    """The run path reads the logs' arrays: no stage, perception included, builds a log's poses.
+
+    The filters take pose rows, so a run builds no Pose, and its only
+    Quaternion is the rotation of each evaluated track's alignment
+    transform, one per track however long the run.
+    """
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -596,13 +609,47 @@ class TestPoseObjectsOnlyForPerception:
         monkeypatch.setattr(TrajectoryLog, "samples", property(counted))
         return built
 
-    def test_execute_run(self, built):
+    @pytest.fixture
+    def constructed(self, monkeypatch):
+        """Names of the Pose and Quaternion objects built, checked or trusted,
+        with an "evaluate" entry before each track the harness evaluates."""
+        constructed = []
+        evaluate = harness.evaluate
+
+        def counted_evaluate(*args, **kwargs):
+            constructed.append("evaluate")
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "evaluate", counted_evaluate)
+        for cls in (Pose, Quaternion):
+            post_init, trusted = cls.__post_init__, cls._trusted.__func__
+
+            def counted_post_init(obj, post_init=post_init, name=cls.__name__):
+                constructed.append(name)
+                post_init(obj)
+
+            def counted_trusted(klass, *args, trusted=trusted):
+                constructed.append(klass.__name__)
+                return trusted(klass, *args)
+
+            monkeypatch.setattr(cls, "__post_init__", counted_post_init)
+            monkeypatch.setattr(cls, "_trusted", classmethod(counted_trusted))
+        return constructed
+
+    def test_counters_see_every_construction(self, constructed):
+        Pose(0.0, [0.0, 0.0, 0.0], Quaternion.identity(), WORLD, LOCAL)
+        Quaternion._trusted(0.0, 0.0, 0.0, 1.0)
+        assert constructed == ["Quaternion", "Pose", "Quaternion"]
+
+    def test_execute_run(self, built, constructed):
         execute_run(noisy_config(raw_rate=10.0), 0)
         assert built == []
+        assert constructed == ["evaluate", "Quaternion"] * 2
 
-    def test_run_sweep(self, built):
+    def test_run_sweep(self, built, constructed):
         run_sweep(noisy_config(seeds=(0, 1), sweep=SweepGrid((0.3,), (10.0,))))
         assert built == []
+        assert constructed == ["evaluate", "Quaternion"] * 4
 
     def test_csv_ground_truth(self, built, tmp_path):
         smart_path, adas_path = write_gt_pair(tmp_path)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from coloc.dataio import SyncSpec, TrajectoryLog, generate_synthetic, synchronize
-from coloc.ekf import MeasurementKind, measurement_covariance
+from coloc.ekf import measurement_covariance
 from coloc.errors import DataError
 from coloc.geometry import (
     Agent,
@@ -173,11 +173,12 @@ def measured_pose(sp, ap, noise, twin):
     return compose(sp, Pose(rel.timestamp, t, rel.rotation * yaw, rel.parent_frame, rel.child_frame))
 
 
-def assert_event_is_pose(ev, want):
-    assert ev.timestamp == ev.pose.timestamp == want.timestamp
-    assert ev.pose.translation.tolist() == want.translation.tolist()
-    assert ev.pose.rotation.as_array().tolist() == want.rotation.as_array().tolist()
-    assert (ev.pose.parent_frame, ev.pose.child_frame) == (want.parent_frame, want.child_frame)
+def assert_row_is_pose(rows, k, want):
+    """Row k of the channel's result is the world pose ``want`` of the follower."""
+    assert (want.parent_frame, want.child_frame) == (WORLD, BODY_ADAS)
+    assert rows.t[k] == want.timestamp
+    assert rows.p[k].tolist() == want.translation.tolist()
+    assert rows.q[k].tolist() == want.rotation.as_array().tolist()
 
 
 class TestMakeMeasurement:
@@ -205,14 +206,13 @@ class TestMakeMeasurement:
         cfg = PerceptionConfig(NoiseSpec(0.3, 10.0))
         smart = log_of([smart_pose(1.0, [0, 0, 0])])
         adas = log_of([adas_pose(1.02, [1, 0, 0])])
-        # a measured pair becomes an event of the whole channel
-        (ev,) = simulate_perception(smart, adas, cfg, RandomStream(1))
-        assert ev.kind is MeasurementKind.PERCEPTION_ABSOLUTE
-        assert ev.timestamp == 1.02
-        assert ev.pose.timestamp == 1.02
-        assert ev.pose.parent_frame == WORLD and ev.pose.child_frame == BODY_ADAS
-        np.testing.assert_array_equal(ev.r6, measurement_covariance(cfg.noise))
-        assert ev.source == "smart/perception"
+        # a measured pair becomes a row of the whole channel, stamped by the follower
+        rows = simulate_perception(smart, adas, cfg, RandomStream(1))
+        assert len(rows) == 1
+        assert rows.t.tolist() == [1.02]
+        assert rows.p.shape == (1, 3) and rows.q.shape == (1, 4)
+        np.testing.assert_array_equal(rows.r6, measurement_covariance(cfg.noise))
+        assert not rows.r6.flags.writeable
 
     def test_identity_leader_passes_noise_through_exactly(self):
         cfg = PerceptionConfig(NoiseSpec(0.5, 0.0))
@@ -312,19 +312,19 @@ class TestSimulatePerception:
     def test_zero_noise_transparency_full_chain(self):
         smart, adas = self.make_truth()
         cfg = PerceptionConfig(NoiseSpec(0.0, 0.0), output_rate=10.0)
-        events = simulate_perception(smart, adas, cfg, RandomStream(0))
-        assert 0 < len(events) < len(adas)
+        rows = simulate_perception(smart, adas, cfg, RandomStream(0))
+        assert 0 < len(rows) < len(adas)
         truth = {p.timestamp: p for p in adas.samples}
-        for ev in events:
-            gt = truth[ev.timestamp]
-            np.testing.assert_allclose(ev.pose.translation, gt.translation, atol=1e-9)
-            assert rotation_geodesic(ev.pose.rotation, gt.rotation) < 1e-9
+        for t, p, q in zip(rows.t.tolist(), rows.p, rows.q):
+            gt = truth[t]
+            np.testing.assert_allclose(p, gt.translation, atol=1e-9)
+            assert rotation_geodesic(Quaternion.from_array(q), gt.rotation) < 1e-9
 
     def test_rate_limit_applied(self):
         smart, adas = self.make_truth()
         cfg = PerceptionConfig(NoiseSpec(0.1, 1.0), output_rate=5.0)
-        events = simulate_perception(smart, adas, cfg, RandomStream(1))
-        gaps = np.diff([ev.timestamp for ev in events])
+        rows = simulate_perception(smart, adas, cfg, RandomStream(1))
+        gaps = np.diff(rows.t)
         assert np.all(gaps >= 0.2 - 1e-9)
 
     def test_no_rate_limit_emits_every_gated_pair(self):
@@ -338,9 +338,9 @@ class TestSimulatePerception:
         cfg = PerceptionConfig(NoiseSpec(0.3, 10.0), output_rate=20.0)
         a = simulate_perception(smart, adas, cfg, RandomStream(5))
         b = simulate_perception(smart, adas, cfg, RandomStream(5))
-        for ea, eb in zip(a, b):
-            assert np.array_equal(ea.pose.translation, eb.pose.translation)
-            assert ea.pose.rotation.as_array().tolist() == eb.pose.rotation.as_array().tolist()
+        assert len(a) > 0
+        for name in ("t", "p", "q", "r6"):
+            assert getattr(a, name).tolist() == getattr(b, name).tolist(), name
 
     def test_wide_clock_skew_drops_everything(self):
         smart, adas = self.make_truth(n=50)
@@ -351,15 +351,14 @@ class TestSimulatePerception:
     def test_every_event_is_make_measurement_of_its_pair(self):
         smart, adas = self.make_truth(n=300)
         cfg = PerceptionConfig(NoiseSpec(0.3, 10.0), output_rate=50.0)
-        events = simulate_perception(smart, adas, cfg, RandomStream(21))
+        rows = simulate_perception(smart, adas, cfg, RandomStream(21))
         pairs = brute_force_pairs(smart.samples, adas.samples, cfg.gate_threshold)
         pairs = [pairs[i] for i in rate_limit_indices([ap.timestamp for _, ap in pairs], cfg.output_rate)]
         twin = RandomStream(21)
-        assert len(events) == len(pairs) > 0
-        for ev, (sp, ap) in zip(events, pairs):
-            assert_event_is_pose(ev, measured_pose(sp, ap, cfg.noise, twin))
-            assert (ev.kind, ev.source) == (MeasurementKind.PERCEPTION_ABSOLUTE, "smart/perception")
-            np.testing.assert_array_equal(ev.r6, measurement_covariance(cfg.noise))
+        assert len(rows) == len(pairs) > 0
+        for k, (sp, ap) in enumerate(pairs):
+            assert_row_is_pose(rows, k, measured_pose(sp, ap, cfg.noise, twin))
+        np.testing.assert_array_equal(rows.r6, measurement_covariance(cfg.noise))
 
 
 class TestArrayChannelMatchesPairs:
@@ -381,19 +380,18 @@ class TestArrayChannelMatchesPairs:
     def test_events_equal_per_pair_measurements(self, offset, gate, rate, scale):
         smart, adas = self.logs(offset)
         cfg = PerceptionConfig(NoiseSpec(0.4, 6.0), gate_threshold=gate, output_rate=rate)
-        events = simulate_perception(smart, adas, cfg, RandomStream(8), r6_scale=scale)
+        rows = simulate_perception(smart, adas, cfg, RandomStream(8), r6_scale=scale)
         pairs = brute_force_pairs(smart.samples, adas.samples, gate)
         assert 0 < len(pairs) <= len(adas)
         assert_rows_are_pairs(pair_streams(smart, adas, gate), pairs)
         if rate is not None:
             pairs = [pairs[i] for i in rate_limit_indices([ap.timestamp for _, ap in pairs], rate)]
         twin = RandomStream(8)
-        assert len(events) == len(pairs) > 0
-        for ev, (sp, ap) in zip(events, pairs):
-            assert_event_is_pose(ev, measured_pose(sp, ap, cfg.noise, twin))
-            assert (ev.kind, ev.source) == (MeasurementKind.PERCEPTION_ABSOLUTE, "smart/perception")
-            assert ev.r6.tolist() == (measurement_covariance(cfg.noise) * scale).tolist()
-            assert not ev.r6.flags.writeable
+        assert len(rows) == len(pairs) > 0
+        for k, (sp, ap) in enumerate(pairs):
+            assert_row_is_pose(rows, k, measured_pose(sp, ap, cfg.noise, twin))
+        assert rows.r6.tolist() == (measurement_covariance(cfg.noise) * scale).tolist()
+        assert not rows.r6.flags.writeable
 
     def test_swapped_logs_rejected(self):
         smart, adas = self.logs(0.0)

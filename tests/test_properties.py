@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from coloc.ekf import (
     STATE_DIM,
-    MeasurementEvent,
     MeasurementKind,
     StateEstimate,
     differential_velocity,
@@ -36,10 +35,12 @@ from coloc.geometry import (
     invert,
     invert_arrays,
     multiply_quaternions,
+    quaternions_to_euler,
     rotate_vectors,
     rotation_geodesic,
     wrap_angle,
 )
+from pose_rows import pose_event
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -109,6 +110,12 @@ def test_invert_arrays_is_invert(p):
 def test_euler_to_quaternions_is_from_euler(roll, pitch, yaw):
     got = euler_to_quaternions(np.array([[roll, pitch, yaw]]))[0]
     assert got.tolist() == Quaternion.from_euler(roll, pitch, yaw).as_array().tolist()
+
+
+@SETTINGS
+@given(quaternions)
+def test_quaternions_to_euler_is_to_euler(q):
+    assert quaternions_to_euler(row(q))[0].tolist() == list(q.to_euler())
 
 
 @SETTINGS
@@ -199,7 +206,7 @@ def assert_symmetric_psd(P):
 @given(psd(STATE_DIM, 3.0), psd(6, 1.0), vectors, quaternions)
 def test_absolute_update_keeps_covariance_psd(P, r6, t, q):
     state = StateEstimate(np.zeros(STATE_DIM), P, 1.0)
-    event = MeasurementEvent(1.0, MeasurementKind.PERCEPTION_ABSOLUTE, Pose(1.0, t, q, WORLD, BODY_ADAS), r6=r6)
+    event = pose_event(MeasurementKind.PERCEPTION_ABSOLUTE, Pose(1.0, t, q, WORLD, BODY_ADAS), r6)
     assert_symmetric_psd(update_absolute(state, event).P)
 
 
@@ -216,8 +223,8 @@ def test_absolute_update_keeps_covariance_psd(P, r6, t, q):
 def test_differential_update_keeps_covariance_psd(P, r0, r1, dt, step, q0, q1):
     state = StateEstimate(np.zeros(STATE_DIM), P, 1.0)
     kind = MeasurementKind.ODOMETRY_DIFFERENTIAL
-    prev = MeasurementEvent(1.0, kind, Pose(1.0, np.zeros(3), q0, LOCAL, BODY_ADAS), r6=r0)
-    cur = MeasurementEvent(1.0 + dt, kind, Pose(1.0 + dt, step * dt, q1, LOCAL, BODY_ADAS), r6=r1)
+    prev = pose_event(kind, Pose(1.0, np.zeros(3), q0, LOCAL, BODY_ADAS), r0)
+    cur = pose_event(kind, Pose(1.0 + dt, step * dt, q1, LOCAL, BODY_ADAS), r1)
     assert_symmetric_psd(update_differential(state, prev, cur).P)
 
 
@@ -281,7 +288,7 @@ def assert_matches_oracle(got, x_want, P_want):
 @given(states(), psd(STATE_DIM, 3.0), positive_definite(6, 1.0), vectors, quaternions)
 def test_absolute_update_matches_joseph_oracle(x, P, r6, t, q):
     pose = Pose(1.0, t, q, WORLD, BODY_ADAS)
-    event = MeasurementEvent(1.0, MeasurementKind.PERCEPTION_ABSOLUTE, pose, r6=r6)
+    event = pose_event(MeasurementKind.PERCEPTION_ABSOLUTE, pose, r6)
     got = update_absolute(StateEstimate(x, P, 1.0), event)
     z = [*t, *q.to_euler()]
     assert_matches_oracle(got, *joseph_oracle(x, P, 0, z, r6, True))
@@ -300,8 +307,8 @@ def test_absolute_update_matches_joseph_oracle(x, P, r6, t, q):
 )
 def test_differential_update_matches_joseph_oracle(x, P, r0, r1, dt, step, q0, q1):
     kind = MeasurementKind.ODOMETRY_DIFFERENTIAL
-    prev = MeasurementEvent(1.0, kind, Pose(1.0, np.zeros(3), q0, LOCAL, BODY_ADAS), r6=r0)
-    cur = MeasurementEvent(1.0 + dt, kind, Pose(1.0 + dt, step * dt, q1, LOCAL, BODY_ADAS), r6=r1)
+    prev = pose_event(kind, Pose(1.0, np.zeros(3), q0, LOCAL, BODY_ADAS), r0)
+    cur = pose_event(kind, Pose(1.0 + dt, step * dt, q1, LOCAL, BODY_ADAS), r1)
     got = update_differential(StateEstimate(x, P, 1.0), prev, cur)
     # the pair's pose covariances propagate to the velocity as (R0 + R1) / dt^2
     z = differential_velocity(prev, cur)

@@ -3,14 +3,17 @@
 Usage, from the repository root, with clean exports of the two commits:
 
     python3 tools/bench_pairs.py --parent ../parent --change ../change \
-        --commits HEAD~1 HEAD --pr 11 --what "one line on the change" \
-        --seeds 1101-1110 --traced-seed 1111 --out BENCH_11.json
+        --commits HEAD~1 HEAD --pr 12 --what "one line on the change" \
+        --seeds 1201-1210 --traced-seeds 1211-1213 --out BENCH_12.json
 
 For every workload in ``BENCHMARK.json`` it runs ``perfbench/run.py`` of each
 tree once per seed, one process at a time, parent first on odd seeds and
-change first on even seeds, then one ``--trace 1`` pass per side.  The file
-keeps every run's result and notes line and, per workload and end-to-end
-metric, the pair wins and each side's quartiles.
+change first on even seeds, then one ``--trace 1`` pass per side and traced
+seed, in the same alternating order.  The file keeps every run's result and
+notes line; per workload and end-to-end metric, the pair wins and each
+side's quartiles; and per workload and per-layer metric, each side's median
+over the traced seeds, since one traced pass per side is too noisy to
+attribute a change of a few percent to a layer.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 UNTRACED = "python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0"
-TRACED = "python3 perfbench/run.py --workload W --seed {seed} --seconds {seconds} --trace 1"
+TRACED = "python3 perfbench/run.py --workload W --seed T --seconds {seconds} --trace 1"
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -68,6 +71,31 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def summarize_traced(runs: list[dict], per_layer: list[dict]) -> dict:
+    """Each side's median of every per-layer metric over its traced runs."""
+    out = {}
+    for m in per_layer:
+        name = m["name"]
+        medians = {side: statistics.median(r["result"]["metrics"][name]["value"]
+                                           for r in runs if r["side"] == side)
+                   for side in ("parent", "change")}
+        out[name] = {
+            "better": m["better"],
+            "parent_median": round(medians["parent"], 6),
+            "change_median": round(medians["change"], 6),
+            "median_change_vs_parent": round(medians["change"] / medians["parent"] - 1.0, 4)
+            if medians["parent"] else 0.0,
+        }
+    out["missing"] = {side: sorted({g for r in runs if r["side"] == side for g in r["notes"]["missing"]})
+                      for side in ("parent", "change")}
+    return out
+
+
+def _seed_range(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -77,14 +105,13 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--what", required=True)
     parser.add_argument("--seeds", required=True, help="first-last, inclusive")
-    parser.add_argument("--traced-seed", type=int, required=True)
+    parser.add_argument("--traced-seeds", required=True, help="first-last, inclusive, or one seed")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = float(bench["run_seconds"])
-    first, last = (int(s) for s in args.seeds.split("-"))
-    seeds = list(range(first, last + 1))
+    seeds, traced_seeds = _seed_range(args.seeds), _seed_range(args.traced_seeds)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     commit = {side: subprocess.run(["git", "-C", str(ROOT), "rev-parse", ref], capture_output=True,
                                    text=True, check=True).stdout.strip()
@@ -100,9 +127,12 @@ def main(argv=None) -> int:
                 print(w, seed, side, r["result"]["metrics"]["wall_ref_s"]["value"], file=sys.stderr)
                 untraced.append(r)
         summary[w] = summarize(untraced, bench["end_to_end"])
-        runs += untraced
-        for side in ("parent", "change"):
-            runs.append({"side": side, **run(trees[side], w, args.traced_seed, seconds, 1)})
+        traced = []
+        for seed in traced_seeds:
+            for side in ("parent", "change") if seed % 2 else ("change", "parent"):
+                traced.append({"side": side, **run(trees[side], w, seed, seconds, 1)})
+        summary[w]["per_layer_medians"] = summarize_traced(traced, bench["per_layer"])
+        runs += untraced + traced
 
     env = runs[0]["env"]
     for r in runs:
@@ -116,15 +146,16 @@ def main(argv=None) -> int:
                 f"numpy {env['numpy']}, scipy {env['scipy']}",
         "method": (
             f"Each side ran from a clean export of its commit. Untraced: {len(seeds)} pairs per "
-            f"workload on seeds {first}-{last}, one perfbench/run.py process at a time, parent "
+            f"workload on seeds {args.seeds}, one perfbench/run.py process at a time, parent "
             f"first on odd seeds and change first on even seeds. Traced: one pass per side per "
-            f"workload on seed {args.traced_seed}. 'result' is the last line run.py printed and "
-            "'notes' its notes line; quartiles are statistics.quantiles(n=4, method='inclusive') "
-            "over the runs of a side."
+            f"workload on each of seeds {args.traced_seeds}, in the same order; "
+            "'per_layer_medians' holds each side's median over them. 'result' is the last line "
+            "run.py printed and 'notes' its notes line; quartiles are "
+            "statistics.quantiles(n=4, method='inclusive') over the runs of a side."
         ),
         "commands": {"untraced": UNTRACED.format(seconds=f"{seconds:g}"),
-                     "traced": TRACED.format(seed=args.traced_seed, seconds=f"{seconds:g}")},
-        "seeds": {"untraced": seeds, "traced": [args.traced_seed]},
+                     "traced": TRACED.format(seconds=f"{seconds:g}")},
+        "seeds": {"untraced": seeds, "traced": traced_seeds},
         "summary": summary,
         "runs": runs,
     }
