@@ -15,26 +15,35 @@ integrates the body velocity rotated into the parent frame, orientation
 integrates body rates through the Euler-rate matrix, velocity integrates
 acceleration, and the remaining derivatives hold constant between events.
 
-A filter event is a pose row: stamp, frame, (x, y, z, roll, pitch, yaw)
-and the 6x6 covariance of its channel.  :meth:`EkfNode.node1_step` fuses
-raw local-frame follower poses absolutely, acting as a smoother, and
-returns its local->body pose row.  :meth:`EkfNode.node2_step` estimates in
-the world frame; it takes node 1's rows as ordinary odometry events and
-turns consecutive ones into body-velocity pseudo-measurements (differential
-fusion: a constant transform applied to both poses cancels, so node 2 needs
-no world->local anchor), and fuses perception-derived world poses absolutely.
+A filter event is a stamp, a frame, one (x, y, z, roll, pitch, yaw) pose
+row per member of a batch, and the 6x6 covariance of its channel, shared
+by the members or one per member.
+:meth:`EkfNode.node1_step` fuses raw local-frame follower poses
+absolutely, acting as a smoother, and returns its local->body pose rows.
+:meth:`EkfNode.node2_step` estimates in the world frame; it takes node 1's
+rows as ordinary odometry events and turns consecutive ones into
+body-velocity pseudo-measurements (differential fusion: a constant
+transform applied to both poses cancels, so node 2 needs no world->local
+anchor), and fuses perception-derived world poses absolutely.
+
+A node runs B members in lockstep: runs whose events share one stamp
+schedule (the seeds and noise cells of a sweep) step as one filter.  Each
+member's state row goes through the scalar motion model and innovation
+code; the covariances step as one (B, 15, 15) batch.  Member b's numbers
+are bit for bit those of the same member run alone.
 
 All filter arithmetic lives in two kernels, :func:`_predict_kernel` and
-:func:`_update_kernel`, over a bare state list and covariance array.  The
+:func:`_update_kernel`, over a batch of state lists and covariances.  The
 public :func:`predict`, :func:`update_absolute` and
-:func:`update_differential` wrap them in :class:`StateEstimate` values; an
-:class:`EkfNode` runs the very same kernels on the arrays it holds, so the
-functions the tests check are the code a run executes.
+:func:`update_differential` run them at B = 1 on :class:`StateEstimate`
+values; an :class:`EkfNode` runs the very same kernels on the arrays it
+holds, so the functions the tests check are the code a run executes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -55,7 +64,6 @@ from .geometry import (
     q_product,
     q_rotate,
     q_rotation_vector,
-    wrap_angle,
 )
 from .noise import NoiseSpec
 
@@ -105,8 +113,9 @@ def measurement_covariance(spec: NoiseSpec, floor: float = 1e-6) -> np.ndarray:
     """
     if not (math.isfinite(floor) and floor > 0.0):
         raise ValueError(f"floor must be finite and > 0, got {floor}")
-    s2 = max(spec.sigma_trans**2, floor)
-    g2 = max(spec.gamma_yaw_rad**2, floor)
+    # s * s overflows to inf where ** would raise; the event checks reject inf
+    s2 = max(spec.sigma_trans * spec.sigma_trans, floor)
+    g2 = max(spec.gamma_yaw_rad * spec.gamma_yaw_rad, floor)
     return _diag_r6(s2, g2, floor)
 
 
@@ -226,50 +235,40 @@ class MeasurementKind(Enum):
     PERCEPTION_ABSOLUTE = "perception_absolute"
 
 
-@dataclass(frozen=True, slots=True)
-class MeasurementEvent:
-    """One timestamped pose row heading into a filter node.
+class MeasurementEvent(namedtuple("MeasurementEvent", "timestamp kind frame z r6")):
+    """One timestamped pose row per member of a batch, heading into a filter node.
 
-    ``z`` is the pose of the follower's body in ``frame`` as six floats
-    (x, y, z, roll, pitch, yaw), and ``r6`` their 6x6 covariance.  It must
-    be positive definite; it is checked and kept read-only.
+    ``z`` holds, for each of B members, the pose of the follower's body in
+    ``frame`` as six floats (x, y, z, roll, pitch, yaw); six floats on
+    their own stand for one member.  ``r6`` is their 6x6 covariance, one
+    for every member, or a (B, 6, 6) stack, one per member.  Each must be
+    positive definite; it is checked and kept read-only.
+
+    An event is a named tuple, so the per-row streams build theirs with
+    ``tuple.__new__(MeasurementEvent, fields)``, unchecked, from a finite
+    stamp, lists of six finite floats the caller does not change
+    afterwards and an ``r6`` that passed :func:`_checked_r6`.
     """
 
-    timestamp: float
-    kind: MeasurementKind
-    frame: Frame
-    z: tuple[float, ...]
-    r6: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.timestamp):
+    def __new__(cls, timestamp: float, kind: MeasurementKind, frame: Frame, z, r6) -> "MeasurementEvent":
+        if not math.isfinite(timestamp):
             raise ValueError("event timestamp must be finite")
-        z = tuple(float(v) for v in self.z)
-        if len(z) != 6 or not all(map(math.isfinite, z)):
-            raise ValueError(f"z must be six finite floats, got {self.z!r}")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "r6", _checked_r6(self.r6, "r6"))
-
-    @classmethod
-    def _trusted(
-        cls, timestamp: float, kind: MeasurementKind, frame: Frame, z: list[float], r6: np.ndarray
-    ) -> "MeasurementEvent":
-        """Unchecked construction for the per-event streams, from a finite stamp,
-        six finite floats ``z`` the caller does not change afterwards and an
-        ``r6`` that passed :func:`_checked_r6`."""
-        e = object.__new__(cls)
-        _set_timestamp(e, timestamp)
-        _set_kind(e, kind)
-        _set_frame(e, frame)
-        _set_z(e, z)
-        _set_r6(e, r6)
-        return e
-
-
-# The slots' own setters fill a frozen event twice as fast as object.__setattr__.
-_set_timestamp, _set_kind, _set_frame, _set_z, _set_r6 = (
-    MeasurementEvent.__dict__[name].__set__ for name in ("timestamp", "kind", "frame", "z", "r6")
-)
+        try:
+            rows = np.array(z, dtype=float, ndmin=2)
+        except (TypeError, ValueError):
+            rows = None
+        if rows is None or rows.ndim != 2 or rows.shape[1] != 6 or not len(rows) or not np.isfinite(rows).all():
+            raise ValueError(f"z must be six finite floats per member, got {z!r}")
+        if np.ndim(r6) == 3:
+            if len(r6) != len(rows):
+                raise ValueError(f"r6 holds {len(r6)} covariances for {len(rows)} members")
+            r6 = np.array([_checked_r6(r, "r6") for r in r6])
+            r6.flags.writeable = False
+        else:
+            r6 = _checked_r6(r6, "r6")
+        return tuple.__new__(cls, (timestamp, kind, frame, tuple(map(tuple, rows.tolist())), r6))
 
 
 @dataclass(frozen=True)
@@ -311,11 +310,13 @@ class FilterNodeConfig:
 # Transition model
 # ---------------------------------------------------------------------------
 
-# Flat indices of the Jacobian entries that differ from the identity, in the
-# order _propagate lists their values.
-_JACOBIAN_FLAT_INDEX = np.array(
-    [r * STATE_DIM + c for r in range(3) for c in (3, 4, 5, 6, 7, 8, 12, 13, 14)]
-    + [r * STATE_DIM + c for r, c in (
+# Flat indices, in the transposed Jacobian, of the entries that differ from
+# the identity, in the order _propagate lists their values.  The prediction
+# keeps A^T contiguous: a batched product takes a transposed view of its
+# first operand at less cost than of its second.
+_JACOBIAN_T_FLAT_INDEX = np.array(
+    [c * STATE_DIM + r for r in range(3) for c in (3, 4, 5, 6, 7, 8, 12, 13, 14)]
+    + [c * STATE_DIM + r for r, c in (
         (3, 3), (3, 4), (3, 9), (3, 10), (3, 11),
         (4, 3), (4, 10), (4, 11),
         (5, 3), (5, 4), (5, 10), (5, 11),
@@ -324,16 +325,19 @@ _JACOBIAN_FLAT_INDEX = np.array(
 )
 _EYE_STATE = np.eye(STATE_DIM)
 _EYE_STATE.flags.writeable = False
-_ONES_FLAT = np.ones(STATE_DIM * STATE_DIM)
+# wrap_angle's scalar path, written out where a call per angle would cost
+# more than the arithmetic: -((-a + _PI) % _TWO_PI - _PI)
+_PI, _TWO_PI = math.pi, 2.0 * math.pi
 
 
-def _propagate(x: list[float], dt: float, A: np.ndarray | None = None):
+def _propagate(x: list[float], dt: float, At: np.ndarray | None = None) -> list[float]:
     """The motion model written out in scalar form.
 
-    Returns the propagated state as a list of floats and, given a buffer
-    ``A`` that is the identity outside ``_JACOBIAN_FLAT_INDEX`` (a copy of
-    ``_EYE_STATE``, or one only this function wrote), the analytic Jacobian
-    written into it.  R = Rz(yaw) Ry(pitch) Rx(roll) rotates body into
+    Returns the propagated state as a list of floats.  Given ``At``, the
+    flat view of a 15x15 buffer that is the identity outside
+    ``_JACOBIAN_T_FLAT_INDEX`` (a copy of ``_EYE_STATE``, or one only this
+    function wrote), it also writes the transpose of the analytic Jacobian
+    into the buffer.  R = Rz(yaw) Ry(pitch) Rx(roll) rotates body into
     parent coordinates and E maps body rates to Euler-angle rates::
 
         E = [[1, sr tp, cr tp], [0, cr, -sr], [0, sr / cp, cr / cp]]
@@ -358,25 +362,28 @@ def _propagate(x: list[float], dt: float, A: np.ndarray | None = None):
     d0, d1, d2 = vx * dt + half_dt2 * ax, vy * dt + half_dt2 * ay, vz * dt + half_dt2 * az
     m0 = r00 * d0 + r01 * d1 + r02 * d2
     m1 = r10 * d0 + r11 * d1 + r12 * d2
+    a0 = roll + (wx + e01 * wy + e02 * wz) * dt
+    a1 = pitch + (cr * wy - sr * wz) * dt
+    a2 = yaw + (e21 * wy + e22 * wz) * dt
     out = [
         px + m0,
         py + m1,
         pz + (r20 * d0 + r21 * d1 + r22 * d2),
-        wrap_angle(roll + (wx + e01 * wy + e02 * wz) * dt),
-        wrap_angle(pitch + (cr * wy - sr * wz) * dt),
-        wrap_angle(yaw + (e21 * wy + e22 * wz) * dt),
+        -((-a0 + _PI) % _TWO_PI - _PI),
+        -((-a1 + _PI) % _TWO_PI - _PI),
+        -((-a2 + _PI) % _TWO_PI - _PI),
         vx + ax * dt,
         vy + ay * dt,
         vz + az * dt,
         wx, wy, wz, ax, ay, az,
     ]
-    if A is None:
-        return out, None
+    if At is None:
+        return out
     sec2 = 1.0 / (cp * cp)
     # The rotation partials applied to d reuse R's entries: row i of
     # dR/droll d is r_i2 d1 - r_i1 d2, dR/dyaw d = (-m1, m0, 0), and dR/dpitch
     # shares R's cy cp and sy cp factors.
-    A.ravel()[_JACOBIAN_FLAT_INDEX] = [
+    At[_JACOBIAN_T_FLAT_INDEX] = [
         # position rows: d/droll, d/dpitch, d/dyaw of R d, then R dt and R dt^2/2
         r02 * d1 - r01 * d2,
         -cy * sp * d0 + r00 * sr * d1 + r00 * cr * d2,
@@ -405,85 +412,115 @@ def _propagate(x: list[float], dt: float, A: np.ndarray | None = None):
         # velocity integrates acceleration
         dt, dt, dt,
     ]
-    return out, A
+    return out
 
 
 def transition(x: np.ndarray, dt: float) -> np.ndarray:
     """Propagate the 15-state rigid-body model by dt seconds."""
-    return np.array(_propagate(np.asarray(x, dtype=float).tolist(), dt)[0])
+    return np.array(_propagate(np.asarray(x, dtype=float).tolist(), dt))
 
 
 def transition_jacobian(x: np.ndarray, dt: float) -> np.ndarray:
     """Analytic Jacobian of :func:`transition` at x."""
-    return _propagate(np.asarray(x, dtype=float).tolist(), dt, _EYE_STATE.copy())[1]
+    At = _EYE_STATE.copy()
+    _propagate(np.asarray(x, dtype=float).tolist(), dt, At.ravel())
+    return At.T
 
 
 # ---------------------------------------------------------------------------
 # Filter kernels
 # ---------------------------------------------------------------------------
 #
-# A kernel takes the state as a list of floats and the covariance as an
-# array and returns both in the same form.  _finish turns a result into the
-# checked, exactly symmetric, read-only arrays a StateEstimate holds; a node
-# chains the predict and update kernels of one event and finishes once.
+# A kernel takes a batch of B members: their states as a list of B lists of
+# floats, their covariances as a (B, 15, 15) array, and returns both in the
+# same form.  Each state list goes through the scalar code on its own; the
+# covariances go through one batched product or solve per operation, which
+# computes every member's matrix exactly as a 2-D call on it alone would.
+# _finish turns a result into the checked, exactly symmetric, read-only
+# arrays a node holds; a node chains the predict and update kernels of one
+# event and finishes once.
 
-def _finish(x: list[float], P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Check a kernel result, symmetrize P exactly, freeze both.
+@lru_cache(maxsize=8)
+def _ones(n: int) -> np.ndarray:
+    return np.ones(n)
+
+
+def _finish(x: list[list[float]], P: np.ndarray) -> np.ndarray:
+    """Check a kernel result; P symmetrized exactly and read-only.
 
     A single NaN or inf anywhere makes a sum non-finite (inf - inf is NaN),
     and well-scaled filter values cannot overflow it, so this is a complete
     finiteness check at a fraction of the cost of isfinite over every entry.
     """
-    if not (math.isfinite(sum(x)) and math.isfinite(P.ravel().dot(_ONES_FLAT))):
+    if not (math.isfinite(sum(map(sum, x))) and math.isfinite(P.reshape(-1).dot(_ones(P.size)))):
         raise NumericError("filter produced non-finite state or covariance")
-    x = np.array(x)
-    P_sym = P + P.T
+    P_sym = P + P.mT
     P_sym *= 0.5
-    x.setflags(write=False)
     P_sym.setflags(write=False)
-    return x, P_sym
+    return P_sym
+
+
+class _Jacobians:
+    """Transition Jacobian buffers for B members, kept transposed, and the scratch of A P."""
+
+    __slots__ = ("A", "At", "flat", "AP")
+
+    def __init__(self, members: int) -> None:
+        self.At = np.tile(_EYE_STATE, (members, 1, 1))
+        self.A = self.At.mT
+        self.flat = [a.ravel() for a in self.At]  # the views _propagate writes into
+        self.AP = np.empty_like(self.At)
 
 
 def _predict_kernel(
-    x: list[float], P: np.ndarray, dt: float, q_dt: np.ndarray, A: np.ndarray
-) -> tuple[list[float], np.ndarray]:
-    """x <- f(x, dt), P <- A P A^T + Q dt; ``q_dt`` is Q dt, ``A`` a Jacobian buffer."""
-    x, A = _propagate(x, dt, A)
-    P = A.dot(P).dot(A.T)
+    x: list[list[float]], P: np.ndarray, dt: float, q_dt: np.ndarray, jac: _Jacobians
+) -> tuple[list[list[float]], np.ndarray]:
+    """x <- f(x, dt), P <- A P A^T + Q dt; ``q_dt`` is Q dt, ``jac`` the Jacobian buffers."""
+    x = [_propagate(xb, dt, At) for xb, At in zip(x, jac.flat)]
+    P = np.matmul(np.matmul(jac.A, P, out=jac.AP), jac.At)
     P += q_dt
     return x, P
 
 
 def _update_kernel(
-    x: list[float], P: np.ndarray, lo: int, z, r6: np.ndarray, angles: bool
-) -> tuple[list[float], np.ndarray]:
+    x: list[list[float]], P: np.ndarray, lo: int, z, r6: np.ndarray, angles: bool
+) -> tuple[list[list[float]], np.ndarray]:
     """Joseph-form EKF update where H selects the 6-state block ``lo:lo+6``.
 
-    ``z`` holds six floats; with ``angles`` its last three are angles and
-    their innovation is wrapped, so +179 deg vs -179 deg disagree by 2
-    degrees, not 358.
+    ``z`` holds six floats per member and ``r6`` is (6, 6) or (B, 6, 6);
+    with ``angles`` the last three floats are angles and their innovation
+    is wrapped, so +179 deg vs -179 deg disagree by 2 degrees, not 358.
     """
-    if not all(map(math.isfinite, z)):
-        raise NumericError("measurement contains non-finite values")
     hi = lo + 6
-    innovation = [zi - xi for zi, xi in zip(z, x[lo:hi])]
-    if angles:
-        innovation[3:6] = map(wrap_angle, innovation[3:6])
-    P_rows = P[lo:hi]
+    innovation = []
+    for zb, xb in zip(z, x):
+        if not all(map(math.isfinite, zb)):
+            raise NumericError("measurement contains non-finite values")
+        d = [zi - xi for zi, xi in zip(zb, xb[lo:hi])]
+        if angles:
+            d[3:6] = [-((-a + _PI) % _TWO_PI - _PI) for a in d[3:6]]
+        innovation.append(d)
+    P_rows = P[:, lo:hi]
     # LU solve of S K^T = P_rows: the LAPACK gesv gufunc np.linalg.solve
     # calls, minus its per-call wrapper (its float64 loop is the one the
     # gufunc picks for float arrays).  S is positive definite (PSD P, r6
     # checked positive definite), so the solve succeeds; a broken P that
     # makes it fail gives NaNs, which _finish rejects.
-    Kt = _gesv(P[lo:hi, lo:hi] + r6, P_rows)
-    K = Kt.T
-    x = [a + b for a, b in zip(x, K.dot(innovation).tolist())]
-    x[3:6] = map(wrap_angle, x[3:6])
+    Kt = _gesv(P[:, lo:hi, lo:hi] + r6, P_rows)
+    K = Kt.mT
+    # the state increment K innovation is a member's own, like its state row
+    x = [[a + b for a, b in zip(xb, Kb.dot(d).tolist())] for xb, Kb, d in zip(x, K, innovation)]
+    for xb in x:
+        xb[3:6] = [-((-a + _PI) % _TWO_PI - _PI) for a in xb[3:6]]
     # Joseph form (I-KH) P (I-KH)^T + K R K^T with H a selector matrix:
-    # M - M H^T K^T + K R K^T, folded into one product.
-    M = P - K.dot(P_rows)
-    P = M - (M[:, lo:hi] - K.dot(r6)).dot(Kt)
-    return x, P
+    # M - M H^T K^T + K R K^T, folded into one product; each difference
+    # goes into the product it subtracts.
+    M = np.matmul(K, P_rows)
+    np.subtract(P, M, out=M)
+    D = np.matmul(K, r6)
+    np.subtract(M[:, :, lo:hi], D, out=D)
+    P = np.matmul(D, Kt)
+    return x, np.subtract(M, P, out=P)
 
 
 def _row_quaternion(z) -> tuple[float, float, float, float]:
@@ -491,17 +528,20 @@ def _row_quaternion(z) -> tuple[float, float, float, float]:
     return q_from_euler(z[3], z[4], z[5])
 
 
-def _velocity_measurement(prev: MeasurementEvent, cur: MeasurementEvent, q_prev, q_cur) -> tuple[list[float], float]:
-    """Body-frame velocity z from invert(prev) o cur over dt, and dt; q_* are the rows' quaternions."""
+def _pair_dt(prev: MeasurementEvent, cur: MeasurementEvent) -> float:
     dt = cur.timestamp - prev.timestamp
     if dt <= 0.0:
         raise ValueError(f"differential pair must be strictly time-ordered, dt={dt}")
-    p0, p1 = prev.z, cur.z
+    return dt
+
+
+def _velocity_measurement(p0, p1, q_prev, q_cur, dt: float) -> list[float]:
+    """Body-frame velocity z from invert(p0) o p1 over dt; q_* are the pose rows' quaternions."""
     x, y, z, w = q_prev
     # the conjugate is the inverse of a unit quaternion
     d = q_rotate(-x, -y, -z, w, p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2])
     v = q_rotation_vector(*q_normalized(q_product(-x, -y, -z, w, *q_cur)))
-    return [d[0] / dt, d[1] / dt, d[2] / dt, v[0] / dt, v[1] / dt, v[2] / dt], dt
+    return [d[0] / dt, d[1] / dt, d[2] / dt, v[0] / dt, v[1] / dt, v[2] / dt]
 
 
 def _velocity_covariance(r_prev: np.ndarray, r_cur: np.ndarray, dt: float) -> np.ndarray:
@@ -516,6 +556,22 @@ def _velocity_covariance(r_prev: np.ndarray, r_cur: np.ndarray, dt: float) -> np
 # ---------------------------------------------------------------------------
 # Filter operations
 # ---------------------------------------------------------------------------
+#
+# Single-filter operations: the kernels at B = 1, on events of one member.
+
+def _single(m: MeasurementEvent) -> tuple[float, ...]:
+    if len(m.z) != 1:
+        raise ValueError(f"a single filter takes one member's pose row, got {len(m.z)}")
+    return m.z[0]
+
+
+def _estimate(result: tuple[list[list[float]], np.ndarray], timestamp: float) -> StateEstimate:
+    (x,), P = result
+    P = _finish([x], P)
+    x = np.array(x)
+    x.setflags(write=False)
+    return StateEstimate._from_kernel(x, P[0], timestamp)
+
 
 def predict(s: StateEstimate, model: ProcessModel, dt: float) -> StateEstimate:
     """Propagate state and covariance: x <- f(x, dt), P <- A P A^T + Q dt.
@@ -526,8 +582,7 @@ def predict(s: StateEstimate, model: ProcessModel, dt: float) -> StateEstimate:
         raise ValueError(f"dt must be finite and >= 0, got {dt}")
     if dt == 0.0:
         return s
-    x, P = _finish(*_predict_kernel(s.x.tolist(), s.P, dt, model.q * dt, _EYE_STATE.copy()))
-    return StateEstimate._from_kernel(x, P, s.timestamp + dt)
+    return _estimate(_predict_kernel([s.x.tolist()], s.P[None], dt, model.q * dt, _Jacobians(1)), s.timestamp + dt)
 
 
 def update_absolute(s: StateEstimate, m: MeasurementEvent) -> StateEstimate:
@@ -537,9 +592,9 @@ def update_absolute(s: StateEstimate, m: MeasurementEvent) -> StateEstimate:
     innovation components are wrapped so +179 deg vs -179 deg disagree by
     2 degrees, not 358.  An indefinite ``s.P`` raises :class:`NumericError`.
     """
+    z = _single(m)
     _check_psd(s.P, "covariance")
-    x, P = _finish(*_update_kernel(s.x.tolist(), s.P, POSE_BLOCK.start, m.z, m.r6, True))
-    return StateEstimate._from_kernel(x, P, s.timestamp)
+    return _estimate(_update_kernel([s.x.tolist()], s.P[None], POSE_BLOCK.start, [z], m.r6, True), s.timestamp)
 
 
 def differential_velocity(prev: MeasurementEvent, cur: MeasurementEvent) -> np.ndarray:
@@ -548,7 +603,8 @@ def differential_velocity(prev: MeasurementEvent, cur: MeasurementEvent) -> np.n
     The delta pose invert(prev) o cur divided by dt; any constant offset
     applied to both poses cancels exactly.
     """
-    return np.array(_velocity_measurement(prev, cur, _row_quaternion(prev.z), _row_quaternion(cur.z))[0])
+    p0, p1 = _single(prev), _single(cur)
+    return np.array(_velocity_measurement(p0, p1, _row_quaternion(p0), _row_quaternion(p1), _pair_dt(prev, cur)))
 
 
 def update_differential(
@@ -561,11 +617,12 @@ def update_differential(
     """
     if prev.kind is not MeasurementKind.ODOMETRY_DIFFERENTIAL or cur.kind is not MeasurementKind.ODOMETRY_DIFFERENTIAL:
         raise ValueError("differential fusion requires odometry events")
+    p0, p1 = _single(prev), _single(cur)
     _check_psd(s.P, "covariance")
-    z, dt = _velocity_measurement(prev, cur, _row_quaternion(prev.z), _row_quaternion(cur.z))
+    dt = _pair_dt(prev, cur)
+    z = _velocity_measurement(p0, p1, _row_quaternion(p0), _row_quaternion(p1), dt)
     r_vel = _velocity_covariance(prev.r6, cur.r6, dt)
-    x, P = _finish(*_update_kernel(s.x.tolist(), s.P, TWIST_BLOCK.start, z, r_vel, False))
-    return StateEstimate._from_kernel(x, P, s.timestamp)
+    return _estimate(_update_kernel([s.x.tolist()], s.P[None], TWIST_BLOCK.start, [z], r_vel, False), s.timestamp)
 
 
 # ---------------------------------------------------------------------------
@@ -573,54 +630,94 @@ def update_differential(
 # ---------------------------------------------------------------------------
 
 class EkfNode:
-    """Sequential, single-owner filter node.
+    """Sequential, single-owner filter node over ``members`` runs in lockstep.
 
-    Events must arrive with non-decreasing timestamps; an older event is
-    rejected with :class:`OutOfOrderError`, counted, and leaves the state
-    untouched, so callers may continue with newer events.
+    Every event carries one pose row per member; the members share the
+    config's initial state, process noise and the events' stamps.  Events
+    must arrive with non-decreasing timestamps; an older event is rejected
+    with :class:`OutOfOrderError`, counted, and leaves the state untouched,
+    so callers may continue with newer events.
 
-    The node keeps its estimate as read-only arrays :attr:`x` and :attr:`P`
-    at time :attr:`timestamp`, replaced at every change, and runs the
-    module's filter kernels on them; :attr:`state` wraps them in a
-    :class:`StateEstimate` only when asked for, and returns the same object
-    until the next change.  An indefinite initial or assigned covariance
-    raises :class:`NumericError`.
+    The node keeps each member's state row as a list of floats, the form
+    the scalar code takes, and the covariances as a read-only (B, 15, 15)
+    array :attr:`P` at time :attr:`timestamp`, replaced at every change.
+    :attr:`x` gives the state rows as a read-only (B, 15) array and
+    :meth:`pose_rows` their pose blocks.  For a one-member node
+    :attr:`state` wraps the estimate in a :class:`StateEstimate` only when
+    asked for, and returns the same object until the next change; assigning
+    a state sets every member to it.  An indefinite initial or assigned
+    covariance raises :class:`NumericError`.
     """
 
     # Time steps with a cached Q dt and velocity covariance: the float stamps of
     # a fixed-rate log step by two neighbouring values; more only add memory.
     _CACHED_STEPS = 2
 
-    def __init__(self, config: FilterNodeConfig) -> None:
+    def __init__(self, config: FilterNodeConfig, members: int = 1) -> None:
+        if members < 1:
+            raise ValueError(f"a node needs at least one member, got {members}")
         self.config = config
+        self.members = members
         self.model = ProcessModel(config.q)
         self.state = config.initial_state
         self.rejected_count = 0
         self._started = False
-        self._A = _EYE_STATE.copy()  # the Jacobian buffer of every prediction
-        self._q_dt = lru_cache(self._CACHED_STEPS)(self.model.q.__mul__)  # dt -> Q dt
+        self._jac = _Jacobians(members)  # the buffers of every prediction
+
+        @lru_cache(self._CACHED_STEPS)
+        def q_dt(dt: float) -> np.ndarray:
+            # one copy per member: an in-place add of a broadcast operand is slower
+            return np.tile(self.model.q * dt, (members, 1, 1))
+
+        self._q_dt = q_dt
         self._r_vel: dict[float, tuple] = {}  # dt -> (R0, R1, (R0 + R1) / dt^2)
-        # the last odometry row of node 2's differential chain and its quaternion
-        self._prev: tuple[MeasurementEvent, tuple] | None = None
+        # the last odometry event of node 2's differential chain and its rows' quaternions
+        self._prev: tuple[MeasurementEvent, list] | None = None
+
+    @property
+    def x(self) -> np.ndarray:
+        x = self._x_array
+        if x is None:
+            x = self._x_array = np.array(self._x)
+            x.setflags(write=False)
+        return x
+
+    def pose_rows(self) -> list[list[float]]:
+        """Each member's (x, y, z, roll, pitch, yaw) state block as a row."""
+        return [xb[:6] for xb in self._x]
 
     @property
     def state(self) -> StateEstimate:
+        if self.members != 1:
+            raise ValueError(f"a node of {self.members} members has no single state; read x and P")
         s = self._state
         if s is None:
-            s = self._state = StateEstimate._from_kernel(self.x, self.P, self.timestamp)
+            s = self._state = StateEstimate._from_kernel(self.x[0], self.P[0], self.timestamp)
         return s
 
     @state.setter
     def state(self, s: StateEstimate) -> None:
         _check_psd(s.P, "node covariance")
-        self.x, self.P, self.timestamp, self._state = s.x, s.P, s.timestamp, s
+        P = np.tile(s.P, (self.members, 1, 1))
+        P.setflags(write=False)
+        self._x, self._x_array = [s.x.tolist() for _ in range(self.members)], None
+        self.P, self.timestamp = P, s.timestamp
+        self._state = s if self.members == 1 else None
 
-    def _commit(self, t: float, x: list[float], P: np.ndarray) -> None:
-        self.x, self.P = _finish(x, P)
+    def _commit(self, t: float, x: list[list[float]], P: np.ndarray) -> None:
+        self.P = _finish(x, P)
+        self._x, self._x_array = x, None
         self.timestamp = t
         self._state = None
 
-    def _admit(self, event: MeasurementEvent) -> None:
+    def _admit(self, event: MeasurementEvent, frame: Frame, step: str) -> None:
+        """Check an event's frame and row count, then its stamp against the filter clock."""
+        if event.frame is not frame and event.frame != frame:
+            raise FrameMismatchError(
+                f"{step} takes {event.kind.value} poses in {frame}, got one in {event.frame}"
+            )
+        if len(event.z) != self.members:
+            raise ValueError(f"{step} of {self.members} members got {len(event.z)} pose rows")
         if not self._started:
             # Align the filter clock with the first event ever seen.
             self.timestamp = event.timestamp
@@ -633,9 +730,9 @@ class EkfNode:
                 f"event at t={event.timestamp} is older than filter time t={self.timestamp}"
             )
 
-    def _predicted(self, t: float) -> tuple[list[float], np.ndarray]:
+    def _predicted(self, t: float) -> tuple[list[list[float]], np.ndarray]:
         """The estimate propagated to time t, not yet committed."""
-        x, P = self.x.tolist(), self.P
+        x, P = self._x, self.P
         dt = t - self.timestamp
         if dt <= 0.0:
             return x, P
@@ -646,46 +743,38 @@ class EkfNode:
             dt /= n
         q_dt = self._q_dt(dt)
         for _ in range(n):
-            x, P = _predict_kernel(x, P, dt, q_dt, self._A)
+            x, P = _predict_kernel(x, P, dt, q_dt, self._jac)
         return x, P
 
-    @staticmethod
-    def _check_frame(event: MeasurementEvent, frame: Frame, step: str) -> None:
-        if event.frame is not frame and event.frame != frame:
-            raise FrameMismatchError(
-                f"{step} takes {event.kind.value} poses in {frame}, got one in {event.frame}"
-            )
-
-    def _update_pose(self, event: MeasurementEvent) -> list[float]:
+    def _update_pose(self, event: MeasurementEvent) -> None:
         x, P = self._predicted(event.timestamp)
         x, P = _update_kernel(x, P, POSE_BLOCK.start, event.z, event.r6, True)
         self._commit(event.timestamp, x, P)
-        return x
 
-    def node1_step(self, event: MeasurementEvent) -> list[float]:
-        """Absolute fusion of one raw local-frame pose row; returns the local->body pose row."""
-        self._check_frame(event, LOCAL, "node1_step")
-        self._admit(event)
-        return self._update_pose(event)[:6]
+    def node1_step(self, event: MeasurementEvent) -> list[list[float]]:
+        """Absolute fusion of raw local-frame pose rows; returns each member's local->body pose row."""
+        self._admit(event, LOCAL, "node1_step")
+        self._update_pose(event)
+        return self.pose_rows()
 
     def node2_step(self, event: MeasurementEvent) -> None:
-        """World-frame fusion step into :attr:`x` and :attr:`P`.
+        """World-frame fusion step into the state rows and :attr:`P`.
 
         Odometry events carry node 1's local->body pose rows; consecutive ones
         fuse differentially, so the local frame's place in the world never
         enters.  Perception events carry world poses and fuse absolutely.
         """
         odometry = event.kind is MeasurementKind.ODOMETRY_DIFFERENTIAL
-        self._check_frame(event, LOCAL if odometry else WORLD, "node2_step")
-        self._admit(event)
+        self._admit(event, LOCAL if odometry else WORLD, "node2_step")
         if not odometry:
             self._update_pose(event)
             return
         x, P = self._predicted(event.timestamp)
-        q = _row_quaternion(event.z)
+        q = [_row_quaternion(zb) for zb in event.z]
         if self._prev is not None:
             prev, q_prev = self._prev
-            z, dt = _velocity_measurement(prev, event, q_prev, q)
+            dt = _pair_dt(prev, event)
+            z = list(map(_velocity_measurement, prev.z, event.z, q_prev, q, [dt] * self.members))
             r_prev, r_cur = prev.r6, event.r6
             cached = self._r_vel.get(dt)
             if cached is None or cached[0] is not r_prev or cached[1] is not r_cur:

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Sequence, get_args, get_origin, get_type_hints
+from typing import Iterator, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -405,9 +405,11 @@ def _simulate_raw_odometry(
     return adas.t[rows], t, q
 
 
-def _pose_rows(p: np.ndarray, q: np.ndarray) -> list[list[float]]:
-    """(x, y, z, roll, pitch, yaw) rows of the poses (p, q), as event payloads."""
-    return np.concatenate((p, quaternions_to_euler(q)), axis=1).tolist()
+def _pose_rows(p: np.ndarray, q: np.ndarray) -> list[list[list[float]]]:
+    """Per stamp, every member's (x, y, z, roll, pitch, yaw) row of the poses
+    (p, q), (B, n, 3) and (B, n, 4), as event payloads."""
+    euler = quaternions_to_euler(q.reshape(-1, 4)).reshape(*q.shape[:2], 3)
+    return np.concatenate((p, euler), axis=2).transpose(1, 0, 2).tolist()
 
 
 def _smoothed_odometry_spec(cfg: ExperimentConfig) -> NoiseSpec:
@@ -425,9 +427,9 @@ def _node_configs(cfg: ExperimentConfig, adas: TrajectoryLog) -> tuple[FilterNod
     s = cfg.ekf
     t0 = float(adas.t[0])
     # Under raw noise the local start is only known to raw accuracy.
-    node1_pose_var = max(
-        s.pose_variance, cfg.raw_noise.sigma_trans**2, cfg.raw_noise.gamma_yaw_rad**2
-    )
+    # s * s overflows to inf where ** would raise; the initial state rejects inf
+    sigma, gamma = cfg.raw_noise.sigma_trans, cfg.raw_noise.gamma_yaw_rad
+    node1_pose_var = max(s.pose_variance, sigma * sigma, gamma * gamma)
     node1 = FilterNodeConfig(
         state_from_row(t0, [0.0] * 6, node1_pose_var, s.derivative_variance),
         default_process_noise() * s.node1_q_scale,
@@ -435,7 +437,7 @@ def _node_configs(cfg: ExperimentConfig, adas: TrajectoryLog) -> tuple[FilterNod
         predict_substep=s.predict_substep,
     )
     node2 = FilterNodeConfig(
-        state_from_row(t0, _pose_rows(adas.p[:1], adas.q[:1])[0], s.pose_variance, s.derivative_variance),
+        state_from_row(t0, np.concatenate((adas.p[0], quaternions_to_euler(adas.q[:1])[0])), s.pose_variance, s.derivative_variance),
         default_process_noise() * s.node2_q_scale,
         max_predict_dt=s.max_predict_dt,
         predict_substep=s.predict_substep,
@@ -443,39 +445,48 @@ def _node_configs(cfg: ExperimentConfig, adas: TrajectoryLog) -> tuple[FilterNod
     return node1, node2
 
 
-# Odometry events per block of the filter loop in execute_run.
+# Member rows (members x odometry rows) per block of the filter loop in a
+# lockstep pass: a block's events are alive at once.
 _BLOCK = 256
+
+# Member rows (members x ground-truth rows) of one lockstep batch: a batch
+# holds every member's whole-run arrays at once, and this bounds them, as
+# _BLOCK bounds the events alive at once.  A 60-run sweep of 1 500-row runs
+# is one batch; so is one run of up to 131 072 rows.
+_BATCH_ROWS = 1 << 17
 
 
 _ODOMETRY = MeasurementKind.ODOMETRY_DIFFERENTIAL
 _PERCEPTION = MeasurementKind.PERCEPTION_ABSOLUTE
-_event = MeasurementEvent._trusted
+_new = tuple.__new__
 
 
 class _Node1Pass:
     """Node 1 over the raw odometry schedule, fed block by block.
 
-    ``stamps`` (N,), ``t`` (N, 3) and ``q`` (N, 4) are the raw odometry
-    poses, which carry the raw channel covariance ``raw_r6``.  Each block
-    gives node 1's local->body pose rows as node 2's odometry events, with
-    the smoothed channel covariance ``smoothed_r6``.
+    ``stamps`` (N,), ``t`` (B, N, 3) and ``q`` (B, N, 4) are the B members'
+    raw odometry poses, which carry the raw channel covariance ``raw_r6``.
+    Each block gives node 1's local->body pose rows as node 2's odometry
+    events, with the smoothed channel covariance ``smoothed_r6``.
     """
 
     def __init__(
         self, cfg: FilterNodeConfig, stamps: np.ndarray, t: np.ndarray, q: np.ndarray,
         raw_r6: np.ndarray, smoothed_r6: np.ndarray,
     ):
-        self.node = EkfNode(cfg)
+        self.node = EkfNode(cfg, len(t))
         self.stamps, self.t, self.q = stamps, t, q
         self.raw_r6, self.smoothed_r6 = raw_r6, smoothed_r6
 
-    def step(self, start: int) -> list[MeasurementEvent]:
-        """Raw odometry rows ``start`` to ``start + _BLOCK``; node 2's odometry events."""
-        rows = slice(start, start + _BLOCK)
+    def step(self, rows: slice) -> list[MeasurementEvent]:
+        """Raw odometry ``rows``; node 2's odometry events."""
         node, raw_r6, r6 = self.node, self.raw_r6, self.smoothed_r6
         return [
-            _event(stamp, _ODOMETRY, LOCAL, node.node1_step(_event(stamp, _ODOMETRY, LOCAL, z, raw_r6)), r6)
-            for stamp, z in zip(self.stamps[rows].tolist(), _pose_rows(self.t[rows], self.q[rows]))
+            _new(MeasurementEvent, (
+                stamp, _ODOMETRY, LOCAL,
+                node.node1_step(_new(MeasurementEvent, (stamp, _ODOMETRY, LOCAL, z, raw_r6))), r6,
+            ))
+            for stamp, z in zip(self.stamps[rows].tolist(), _pose_rows(self.t[:, rows], self.q[:, rows]))
         ]
 
 
@@ -483,46 +494,60 @@ class _Node2Pass:
     """One node-2 pass over the odometry schedule, fed block by block.
 
     The odometry events carry node 1's local->body pose rows; perception
-    events join as they come due, and odometry wins stamp ties.  The pass
-    keeps what :func:`estimate_track` reads after each odometry step: the
-    stamp, the pose block of the node's state and of its covariance diagonal.
+    events join as they come due, and odometry wins stamp ties.  The
+    members' perception channels share their stamps; each member has its
+    own rows and r6.  The pass keeps what :func:`estimate_track` reads after
+    each odometry step: the stamp, and per member the pose block of the
+    node's state and of its covariance diagonal.
     """
 
-    def __init__(self, cfg: FilterNodeConfig, n: int, perception: PerceptionRows | None = None):
-        self.node = EkfNode(cfg)
-        self.perception = perception
+    def __init__(self, cfg: FilterNodeConfig, n: int, members: int, perception: Sequence[PerceptionRows] = ()):
+        self.node = EkfNode(cfg, members)
+        self.perception = None
+        if perception:
+            stamps = perception[0].t
+            if any(not np.array_equal(r.t, stamps) for r in perception):
+                raise ValueError("lockstep members must share one perception schedule")
+            r6 = np.array([r.r6 for r in perception])
+            r6.flags.writeable = False
+            self.perception = (stamps, np.array([r.p for r in perception]), np.array([r.q for r in perception]), r6)
         self.due = 0  # row of the next perception event
-        self.t, self.x, self.variances = np.empty(n), np.empty((n, 6)), np.empty((n, 6))
+        self.t, self.x, self.variances = np.empty(n), np.empty((n, members, 6)), np.empty((n, members, 6))
 
     def _perception_events(self, end: int | None) -> list[MeasurementEvent]:
         """Events of the perception rows from the next due one up to ``end``."""
-        rows, r = slice(self.due, end), self.perception
-        self.due = len(r) if end is None else end
+        stamps, p, q, r6 = self.perception
+        rows = slice(self.due, end)
+        self.due = len(stamps) if end is None else end
         return [
-            _event(stamp, _PERCEPTION, WORLD, z, r.r6)
-            for stamp, z in zip(r.t[rows].tolist(), _pose_rows(r.p[rows], r.q[rows]))
+            _new(MeasurementEvent, (stamp, _PERCEPTION, WORLD, z, r6))
+            for stamp, z in zip(stamps[rows].tolist(), _pose_rows(p[:, rows], q[:, rows]))
         ]
 
-    def step(self, start: int, events: list[MeasurementEvent]) -> None:
-        """Node-2 odometry events ``start``, ``start + 1``, ..."""
+    def step(self, rows: slice, events: list[MeasurementEvent]) -> None:
+        """Node-2 odometry events of odometry ``rows``."""
         node, due = self.node, []
         if self.perception is not None:
             # every perception row stamped before the block's last odometry event
-            due = self._perception_events(int(self.perception.t.searchsorted(events[-1].timestamp)))
+            due = self._perception_events(int(self.perception[0].searchsorted(events[-1].timestamp)))
         j = 0
-        for k, event in enumerate(events, start):
+        t, x, diagonals = [], [], []
+        for event in events:
             while j < len(due) and due[j].timestamp < event.timestamp:
                 node.node2_step(due[j])
                 j += 1
             node.node2_step(event)
-            self.t[k], self.x[k], self.variances[k] = node.timestamp, node.x[:6], node.P.diagonal()[:6]
+            t.append(node.timestamp)
+            x.append(node.pose_rows())
+            diagonals.append(node.P.diagonal(0, 1, 2))
+        self.t[rows], self.x[rows], self.variances[rows] = t, x, np.array(diagonals)[:, :, :6]
 
-    def finish(self) -> tuple[TrajectoryLog, np.ndarray]:
-        """Fuse the perception rows after the last odometry stamp; the estimate track."""
+    def finish(self) -> list[tuple[TrajectoryLog, np.ndarray]]:
+        """Fuse the perception rows after the last odometry stamp; each member's estimate track."""
         if self.perception is not None:
             for event in self._perception_events(None):
                 self.node.node2_step(event)
-        return estimate_track(self.t, self.x, self.variances)
+        return [estimate_track(self.t, self.x[:, b], self.variances[:, b]) for b in range(self.node.members)]
 
 
 @contextmanager
@@ -546,6 +571,79 @@ def _collector_paused():
         gc.enable()
 
 
+def _lockstep(
+    cfg: ExperimentConfig,
+    members: Sequence[tuple[PerceptionConfig, int]],
+    ground_truth: tuple[TrajectoryLog, TrajectoryLog] | None = None,
+    with_baseline: bool = True,
+) -> list[RunArtifacts]:
+    """The runs of B members as one pass, each member a (perception config, seed).
+
+    The members share everything in ``cfg`` but the perception channel, so
+    their events share one stamp schedule: the raw odometry stamps follow
+    from ground truth and the raw rate, the perception stamps from ground
+    truth, the gate and the output rate.  Node 1, node 2 fused and node 2
+    baseline each step all members as one :class:`EkfNode`.  Member b's
+    artifacts are bit for bit those of its run alone.
+    """
+    with _collector_paused():
+        smart, adas = _load_ground_truth(cfg) if ground_truth is None else ground_truth
+        streams = [RandomStream(int(seed)) for _, seed in members]
+
+        with _stage("simulate-raw-odometry"):
+            raw = [_simulate_raw_odometry(adas, cfg, stream) for stream in streams]
+        with _stage("simulate-perception"):
+            perception = [
+                simulate_perception(smart, adas, channel, stream.derive("perception"), cfg.ekf.perception_r6_scale)
+                for (channel, _), stream in zip(members, streams)
+            ]
+
+        with _stage("filter"):
+            node1_cfg, node2_cfg = _node_configs(cfg, adas)
+            stamps = raw[0][0]
+            node1 = _Node1Pass(
+                node1_cfg, stamps, np.array([t for _, t, _ in raw]), np.array([q for _, _, q in raw]),
+                measurement_covariance(cfg.raw_noise),
+                measurement_covariance(_smoothed_odometry_spec(cfg)),
+            )
+            del raw
+            n, b = len(stamps), len(members)
+            # Node 1 never sees perception, so its poses serve both node-2 passes.
+            passes = [_Node2Pass(node2_cfg, n, b, perception)]
+            if with_baseline:
+                passes.append(_Node2Pass(node2_cfg, n, b))
+            block = max(1, _BLOCK // b)
+            for start in range(0, n, block):
+                rows = slice(start, start + block)
+                smoothed = node1.step(rows)
+                for node2 in passes:
+                    node2.step(rows, smoothed)
+            fused = passes[0].finish()
+            baseline = passes[1].finish() if with_baseline else [(None, None)] * b
+            n_rejected = node1.node.rejected_count + sum(p.node.rejected_count for p in passes)
+            del node1, passes  # from here on only the tracks are needed
+
+        with _stage("evaluate"):
+            def stats(track):
+                return None if track is None else evaluate(track, adas, cfg.eval.alignment, cfg.eval.max_dt).stats
+
+            return [
+                RunArtifacts(
+                    fused=stats(fused_track),
+                    baseline=stats(baseline_track),
+                    fused_estimates=fused_track,
+                    fused_sd=fused_sd,
+                    baseline_estimates=baseline_track,
+                    baseline_sd=baseline_sd,
+                    n_odometry=n,
+                    n_perception=len(channel),
+                    n_rejected=n_rejected,
+                )
+                for (fused_track, fused_sd), (baseline_track, baseline_sd), channel
+                in zip(fused, baseline, perception)
+            ]
+
+
 def execute_run(
     cfg: ExperimentConfig,
     seed: int,
@@ -555,56 +653,35 @@ def execute_run(
     """One full pipeline pass: fused estimate plus matched perception-off baseline.
 
     ``with_baseline=False`` skips the perception-off node-2 pass entirely, for
-    callers who only need the fused estimate.
+    callers who only need the fused estimate.  This is the one-member
+    lockstep pass.
     """
-    with _collector_paused():
-        smart, adas = _load_ground_truth(cfg) if ground_truth is None else ground_truth
-        stream = RandomStream(int(seed))
+    return _lockstep(cfg, [(cfg.perception, seed)], ground_truth, with_baseline)[0]
 
-        with _stage("simulate-raw-odometry"):
-            stamps, odometry_t, odometry_q = _simulate_raw_odometry(adas, cfg, stream)
-        with _stage("simulate-perception"):
-            perception = simulate_perception(
-                smart, adas, cfg.perception, stream.derive("perception"), cfg.ekf.perception_r6_scale
-            )
 
-        with _stage("filter"):
-            node1_cfg, node2_cfg = _node_configs(cfg, adas)
-            node1 = _Node1Pass(
-                node1_cfg, stamps, odometry_t, odometry_q,
-                measurement_covariance(cfg.raw_noise),
-                measurement_covariance(_smoothed_odometry_spec(cfg)),
-            )
-            n = len(stamps)
-            # Node 1 never sees perception, so its poses serve both node-2 passes.
-            passes = [_Node2Pass(node2_cfg, n, perception)]
-            if with_baseline:
-                passes.append(_Node2Pass(node2_cfg, n))
-            for start in range(0, n, _BLOCK):
-                smoothed = node1.step(start)
-                for node2 in passes:
-                    node2.step(start, smoothed)
-            fused, fused_sd = passes[0].finish()
-            baseline, baseline_sd = passes[1].finish() if with_baseline else (None, None)
-            n_rejected = node1.node.rejected_count + sum(p.node.rejected_count for p in passes)
+def _lockstep_runs(
+    cfg: ExperimentConfig,
+    members: Sequence[tuple[PerceptionConfig, int]],
+    ground_truth: tuple[TrajectoryLog, TrajectoryLog],
+) -> Iterator[RunArtifacts | ColocError]:
+    """Each member's artifacts, or the error its run raised, in member order.
 
-        with _stage("evaluate"):
-            fused_stats = evaluate(fused, adas, cfg.eval.alignment, cfg.eval.max_dt).stats
-            baseline_stats = None
-            if with_baseline:
-                baseline_stats = evaluate(baseline, adas, cfg.eval.alignment, cfg.eval.max_dt).stats
-
-        return RunArtifacts(
-            fused=fused_stats,
-            baseline=baseline_stats,
-            fused_estimates=fused,
-            fused_sd=fused_sd,
-            baseline_estimates=baseline,
-            baseline_sd=baseline_sd,
-            n_odometry=n,
-            n_perception=len(perception),
-            n_rejected=n_rejected,
-        )
+    Members run in lockstep batches of at most ``_BATCH_ROWS`` member rows.
+    A batch that raises runs again one member at a time, so an error stays
+    with the member that raised it and the others' results stand: they do
+    not depend on the batch they ran in.
+    """
+    size = max(1, _BATCH_ROWS // len(ground_truth[1]))
+    for start in range(0, len(members), size):
+        batch = members[start:start + size]
+        try:
+            runs = _lockstep(cfg, batch, ground_truth)
+        except ColocError as exc:
+            if len(batch) == 1:
+                runs = [exc]
+            else:
+                runs = [run for member in batch for run in _lockstep_runs(cfg, [member], ground_truth)]
+        yield from runs
 
 
 # ---------------------------------------------------------------------------
@@ -732,25 +809,39 @@ def _cell_config(cfg: ExperimentConfig, sigma: float, gamma: float) -> Experimen
     return replace(cfg, perception=perception)
 
 
-def _run_cell_task(args: tuple) -> tuple[tuple[SeedResult, ...], str | None]:
-    """Worker-pool entry: run every seed of one cell; record failure as data.
+def _seed_result(seed: int, art: RunArtifacts) -> SeedResult:
+    return SeedResult(seed, art.fused, art.baseline, art.n_odometry, art.n_perception, art.n_rejected)
 
-    Ground truth is regenerated inside the worker (deterministic), keeping the
-    task payload small and the results byte-identical to a sequential run.
+
+def _error_text(exc: ColocError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_cells(args: tuple) -> list[tuple[tuple[SeedResult, ...], str | None]]:
+    """Worker-pool entry: every run of a group of cells, in lockstep batches.
+
+    ``args`` is (config, cells, ground truth), a cell being its perception
+    config and run seeds.  A cell's failure is recorded as data: the error
+    of its first failing seed.  Ground truth is regenerated inside a worker
+    (deterministic), keeping the task payload small and the results
+    byte-identical to a sequential run.
     """
-    cell_cfg, run_seeds, ground_truth = args
-    results = []
+    cfg, cells, ground_truth = args
     try:
         if ground_truth is None:
-            ground_truth = _load_ground_truth(cell_cfg)
-        for s in run_seeds:
-            art = execute_run(cell_cfg, s, ground_truth)
-            results.append(
-                SeedResult(s, art.fused, art.baseline, art.n_odometry, art.n_perception, art.n_rejected)
-            )
+            ground_truth = _load_ground_truth(cfg)
     except ColocError as exc:
-        return (), f"{type(exc).__name__}: {exc}"
-    return tuple(results), None
+        return [((), _error_text(exc))] * len(cells)
+    runs = _lockstep_runs(cfg, [(channel, s) for channel, seeds in cells for s in seeds], ground_truth)
+    outcomes = []
+    for _, seeds in cells:
+        arts = [next(runs) for _ in seeds]
+        failed = [a for a in arts if isinstance(a, ColocError)]
+        if failed:
+            outcomes.append(((), _error_text(failed[0])))
+        else:
+            outcomes.append((tuple(map(_seed_result, seeds, arts)), None))
+    return outcomes
 
 
 def _baseline_cell(results: Sequence[SeedResult]) -> CellReport:
@@ -765,6 +856,14 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
 
     The baseline cell pools the matched perception-off results from all grid
     runs: same seeds, same odometry noise, channel off.
+
+    The cells differ only in perception noise, so all runs of the sweep
+    (cells x seeds) step in lockstep, as batches of at most ``_BATCH_ROWS``
+    member rows.  ``workers`` > 1 splits the cells into that many contiguous
+    groups (at most one per cell), each run in its own process as its own
+    batches.  Report bytes do not depend on ``workers`` or on batch layout.
+    A cell that fails records its error and leaves every other cell as it
+    would be without it.
     """
     if cfg.sweep is None:
         raise ValueError("run_sweep requires a sweep grid in the config")
@@ -772,23 +871,23 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
         raise ValueError(f"workers must be >= 1, got {workers}")
     t_start = time.perf_counter()
 
-    tasks = []
-    layout = []
+    layout, cells = [], []
     for gi, gamma in enumerate(cfg.sweep.gamma_grid):
         for si, sigma in enumerate(cfg.sweep.sigma_grid):
             run_seeds = tuple(
                 derive_run_seed(base, si, gi, ri) for ri, base in enumerate(cfg.seeds)
             )
             layout.append((sigma, gamma, run_seeds))
-            tasks.append((_cell_config(cfg, sigma, gamma), run_seeds))
+            cells.append((_cell_config(cfg, sigma, gamma).perception, run_seeds))
 
     if workers == 1:
-        ground_truth = _load_ground_truth(cfg)
-        outcomes = [_run_cell_task((c, s, ground_truth)) for c, s in tasks]
+        outcomes = _run_cells((cfg, cells, _load_ground_truth(cfg)))
     else:
+        n = min(workers, len(cells))
+        groups = [cells[k * len(cells) // n:(k + 1) * len(cells) // n] for k in range(n)]
         # the pool starts all max_workers processes on its first submit
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            outcomes = list(pool.map(_run_cell_task, [(c, s, None) for c, s in tasks]))
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            outcomes = [o for group in pool.map(_run_cells, [(cfg, g, None) for g in groups]) for o in group]
 
     cells = [
         CellReport(sigma, gamma, run_seeds, results, error)
@@ -807,19 +906,21 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
 def run_report(cfg: ExperimentConfig) -> tuple[RunReport, RunArtifacts]:
     """Single-setting report over cfg.seeds (used by the run subcommand).
 
-    Returns the report plus the first seed's artifacts for CSV export.
+    The seeds' runs step in lockstep, as batches of at most ``_BATCH_ROWS``
+    member rows; report bytes do not depend on batch layout.  The first
+    failing seed's error is raised.  Returns the report plus the first
+    seed's artifacts for CSV export.
     """
     t_start = time.perf_counter()
     ground_truth = _load_ground_truth(cfg)
     first_artifacts: RunArtifacts | None = None
     results = []
-    for s in cfg.seeds:
-        art = execute_run(cfg, s, ground_truth)
+    for s, art in zip(cfg.seeds, _lockstep_runs(cfg, [(cfg.perception, s) for s in cfg.seeds], ground_truth)):
+        if isinstance(art, ColocError):
+            raise art
         if first_artifacts is None:
             first_artifacts = art
-        results.append(
-            SeedResult(s, art.fused, art.baseline, art.n_odometry, art.n_perception, art.n_rejected)
-        )
+        results.append(_seed_result(s, art))
     grid_cell = CellReport(
         cfg.perception.noise.sigma_trans, cfg.perception.noise.gamma_yaw, cfg.seeds, tuple(results)
     )

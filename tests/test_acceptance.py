@@ -31,6 +31,7 @@ pinned tight; trend criteria use the ratio bounds stated inline.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,12 +65,14 @@ from coloc.geometry import (
     quat_yaw,
     rotation_geodesic,
 )
+from coloc import harness
 from coloc.harness import (
     ExperimentConfig,
     InputConfig,
     SweepGrid,
     SyntheticSpec,
     cell_aggregate,
+    derive_run_seed,
     execute_run,
     report_json,
     run_sweep,
@@ -608,17 +611,36 @@ def _check_offset_invariance(problems):
 
 
 def _check_sweep_determinism(problems):
+    """Report bytes depend on config and seeds only: not on the invocation,
+    ``workers`` or batch layout; a batch member is its run alone, bit for bit."""
     cfg = ExperimentConfig(
         input=InputConfig(synthetic=SyntheticSpec(kind="figure-eight", duration=4.0, rate=20.0)),
         raw_noise=NoiseSpec(RAW_SIGMA_M, 0.0),
         perception=PerceptionConfig(NoiseSpec(0.0, 0.0)),
         seeds=(0, 1),
-        sweep=SweepGrid(sigma_grid=(0.5,), gamma_grid=(10.0,)),
+        sweep=SweepGrid(sigma_grid=(0.5, 0.9, 1.3), gamma_grid=(10.0,)),
     )
     first = report_json(run_sweep(cfg))
     second = report_json(run_sweep(cfg))
     if first != second:
         problems.append("two identical sweep invocations produced different report bytes")
+    for workers in (2, 3):
+        if report_json(run_sweep(cfg, workers=workers)) != first:
+            problems.append(f"workers={workers} changed the sweep's report bytes")
+    # the sweep's six runs as one batch, each member against its run alone
+    ground_truth = harness._load_ground_truth(cfg)
+    members = [
+        (harness._cell_config(cfg, sigma, 10.0).perception, derive_run_seed(base, si, 0, ri))
+        for si, sigma in enumerate(cfg.sweep.sigma_grid)
+        for ri, base in enumerate(cfg.seeds)
+    ]
+    for (channel, seed), run in zip(members, harness._lockstep(cfg, members, ground_truth)):
+        alone = execute_run(replace(cfg, perception=channel), seed, ground_truth)
+        pairs = [(run.fused_sd, alone.fused_sd), (run.baseline_sd, alone.baseline_sd)]
+        for got, want in ((run.fused_estimates, alone.fused_estimates), (run.baseline_estimates, alone.baseline_estimates)):
+            pairs += [(got.t, want.t), (got.p, want.p), (got.q, want.q)]
+        if not all(np.array_equal(a, b) for a, b in pairs):
+            problems.append(f"batch member of seed {seed} differs from its run alone")
 
 
 def test_invariant_suite():
@@ -634,7 +656,7 @@ def test_invariant_suite():
         problems,
         f"quat norm dev {worst_norm:.1e}; min covariance eig {worst_eig:.1e}; "
         f"gate strict at 0.1 s; perception pass-through dev {worst_pass:.1e}; "
-        f"offset invariance bitwise; sweep bytes stable",
+        f"offset invariance bitwise; sweep bytes stable across invocations, workers and batch layout",
     )
 
 

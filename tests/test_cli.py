@@ -145,6 +145,22 @@ class TestRun:
         assert "Traceback" not in err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ("raw_noise", "error: [filter] covariance contains non-finite values"),
+            ("perception", "error: [simulate-perception] perception r6 contains non-finite values"),
+        ],
+    )
+    def test_huge_finite_noise_exits_3(self, tmp_path, capsys, section, message):
+        # 1e200 squared overflows to inf, which the covariance checks reject
+        cfg = write_config(tmp_path, **{section: {"sigma_trans": 1e200, "gamma_yaw": 0.0}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.strip() == message
+        assert not (out / "report.json").exists()
+
     def test_unwritable_report_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         (out / "report.json").mkdir(parents=True)
@@ -203,6 +219,19 @@ class TestSweep:
         report = json.loads((out / "report.json").read_text())
         cell = json.loads((out / "sigma=0.3_gamma=10" / "cell.json").read_text())
         assert cell in report["cells"]
+
+    def test_huge_finite_noise_fails_its_cell_alone(self, tmp_path):
+        cfg = write_config(tmp_path, sweep={"sigma_grid": [0.3, 1e200], "gamma_grid": [10.0]})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        failed = json.loads((out / "sigma=1e+200_gamma=10" / "cell.json").read_text())
+        assert failed["error"] == "NumericError: [simulate-perception] perception r6 contains non-finite values"
+        alone = tmp_path / "alone"
+        cfg = write_config(tmp_path, sweep={"sigma_grid": [0.3], "gamma_grid": [10.0]})
+        assert main(["sweep", "--config", str(cfg), "--out", str(alone)]) == EXIT_OK
+        for name in ("sigma=0.3_gamma=10", "wo-perception"):
+            assert (out / name / "cell.json").read_bytes() == (alone / name / "cell.json").read_bytes()
+        assert "failed" in (out / "table.txt").read_text()
 
     def test_unwritable_cell_file_is_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, sweep={"sigma_grid": [0.3], "gamma_grid": [10.0]})

@@ -594,11 +594,29 @@ class TestMeasurementEvent:
             MeasurementEvent(0.0, ODO, LOCAL, z, RAW_R6)
 
     def test_z_is_kept_as_a_tuple_of_floats(self):
+        # six floats on their own are one member's row
         z = np.arange(6.0)
         event = MeasurementEvent(0.0, ODO, LOCAL, z, RAW_R6)
         z[0] = 9.0
-        assert event.z == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
-        assert all(type(v) is float for v in event.z)
+        assert event.z == ((0.0, 1.0, 2.0, 3.0, 4.0, 5.0),)
+        assert all(type(v) is float for v in event.z[0])
+
+    def test_z_holds_one_row_per_member(self):
+        rows = np.arange(18.0).reshape(3, 6)
+        event = MeasurementEvent(0.0, ODO, LOCAL, rows, RAW_R6)
+        assert event.z == tuple(map(tuple, rows.tolist()))
+        with pytest.raises(ValueError, match="six finite floats"):
+            MeasurementEvent(0.0, ODO, LOCAL, [[0.0] * 6, [0.0] * 5], RAW_R6)
+
+    def test_per_member_r6_is_checked_and_counted(self):
+        stack = np.array([RAW_R6, PERCEPTION_R6])
+        event = MeasurementEvent(0.0, ODO, LOCAL, [[0.0] * 6] * 2, stack)
+        np.testing.assert_array_equal(event.r6, stack)
+        assert not event.r6.flags.writeable
+        with pytest.raises(ValueError, match="2 covariances for 3 members"):
+            MeasurementEvent(0.0, ODO, LOCAL, [[0.0] * 6] * 3, stack)
+        with pytest.raises(NumericError, match="singular"):
+            MeasurementEvent(0.0, ODO, LOCAL, [[0.0] * 6] * 2, np.array([RAW_R6, INDEFINITE_R6]))
 
     @pytest.mark.parametrize(
         "r6",
@@ -656,22 +674,22 @@ def node2_config(start=WORLD_TO_LOCAL, **overrides):
 class TestNode1:
     def test_first_event_at_origin_stays_identity(self):
         node = EkfNode(node1_config())
-        row = node.node1_step(local_event(0.0, [0.01, -0.02, 0.0], yaw=0.001))
+        rows = node.node1_step(local_event(0.0, [0.01, -0.02, 0.0], yaw=0.001))
         # The start is known with high confidence; one noisy measurement
         # barely moves it.
-        assert np.linalg.norm(row[:3]) < 0.01
-        # the row is the pose block of the committed state
-        assert row == node.x[POSE_BLOCK].tolist()
+        assert np.linalg.norm(rows[0][:3]) < 0.01
+        # the rows are the pose block of the committed state
+        assert rows == node.x[:, POSE_BLOCK].tolist()
 
     def test_noiseless_straight_line_tracks_truth(self):
         r6 = measurement_covariance(NoiseSpec(0.0, 0.0))
         node = EkfNode(node1_config())
         dt, speed = 0.01, 2.0
-        row = None
+        rows = None
         for k in range(1000):
             t = k * dt
-            row = node.node1_step(local_event(t, [speed * t, 0.0, 0.0], r6=r6))
-        assert np.linalg.norm(np.array(row[:3]) - [speed * 999 * dt, 0.0, 0.0]) < 1e-6
+            rows = node.node1_step(local_event(t, [speed * t, 0.0, 0.0], r6=r6))
+        assert np.linalg.norm(np.array(rows[0][:3]) - [speed * 999 * dt, 0.0, 0.0]) < 1e-6
 
     def test_stationary_noise_is_smoothed(self):
         from coloc.noise import perturb_translation
@@ -681,7 +699,7 @@ class TestNode1:
         node = EkfNode(node1_config())
         noises, errors = [], []
         for k, t_noisy in enumerate(perturb_translation(np.zeros((1000, 3)), spec, rng)):
-            row = node.node1_step(local_event(k * 0.005, t_noisy))
+            (row,) = node.node1_step(local_event(k * 0.005, t_noisy))
             if k > 100:  # after burn-in
                 noises.append(t_noisy[0])
                 errors.append(row[0])
@@ -712,7 +730,7 @@ class TestNode2:
             t = k * 0.1
             target = np.array([10.0 + 0.5 * t, -4.0 + 0.2 * t, 0.0])
             node.node2_step(world_event(t, target, yaw=0.5, r6=tiny))
-        np.testing.assert_allclose(node.x[POS], target, atol=5e-3)
+        np.testing.assert_allclose(node.x[0, POS], target, atol=5e-3)
 
     def test_world_odometry_pose_rejected(self):
         # node 2 takes node 1's local->body poses on the odometry channel
@@ -799,7 +817,7 @@ class TestTwoStageLocalizer:
         from coloc.geometry import compose
 
         truth_world = compose(w2l, truth_local)
-        assert np.linalg.norm(node2.x[POS] - truth_world.translation) < 1e-3
+        assert np.linalg.norm(node2.x[0, POS] - truth_world.translation) < 1e-3
 
 
 class TestNodeRunsThePublicKernels:

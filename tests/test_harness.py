@@ -26,7 +26,7 @@ from coloc.dataio import (
     load_trajectory,
 )
 from coloc.ekf import EkfNode, MeasurementEvent, MeasurementKind, measurement_covariance
-from coloc.errors import DataError
+from coloc.errors import DataError, NumericError
 from coloc.evaluation import AlignmentMode
 from coloc.geometry import LOCAL, WORLD, Agent, Pose, Quaternion, quaternions_to_euler
 from coloc.harness import (
@@ -39,7 +39,7 @@ from coloc.harness import (
     SeedResult,
     SweepGrid,
     SyntheticSpec,
-    _run_cell_task,
+    _run_cells,
     cell_aggregate,
     config_from_dict,
     config_to_dict,
@@ -586,6 +586,92 @@ class TestBlockSchedule:
         assert per_event < 1200.0, f"{per_event:.0f} bytes of traced peak per odometry event"
 
 
+class TestLockstep:
+    """The runs of a sweep or report step as members of one lockstep pass;
+    a member's numbers are those of its run alone, whatever the batch."""
+
+    @staticmethod
+    def assert_same_run(got, want):
+        assert (got.fused, got.baseline) == (want.fused, want.baseline)
+        assert (got.n_odometry, got.n_perception, got.n_rejected) == (want.n_odometry, want.n_perception, want.n_rejected)
+        for track, sd, want_track, want_sd in (
+            (got.fused_estimates, got.fused_sd, want.fused_estimates, want.fused_sd),
+            (got.baseline_estimates, got.baseline_sd, want.baseline_estimates, want.baseline_sd),
+        ):
+            for name in ("t", "p", "q"):
+                assert np.array_equal(getattr(track, name), getattr(want_track, name)), name
+            assert np.array_equal(sd, want_sd)
+
+    def test_members_equal_their_runs_alone(self):
+        # two perception cells, two seeds each, substepped predictions
+        cfg = noisy_config(raw_rate=5.0, ekf=EkfSettings(max_predict_dt=0.1, predict_substep=0.05))
+        ground_truth = harness._load_ground_truth(cfg)
+        channels = [cfg.perception, PerceptionConfig(NoiseSpec(0.9, 15.0))]
+        members = [(channel, seed) for channel in channels for seed in (4, 11)]
+        runs = harness._lockstep(cfg, members, ground_truth)
+        assert len(runs) == 4
+        for (channel, seed), run in zip(members, runs):
+            self.assert_same_run(run, execute_run(replace(cfg, perception=channel), seed, ground_truth))
+
+    def test_sweep_bytes_do_not_depend_on_batch_layout(self, monkeypatch):
+        cfg = sweep_config((0.3, 0.6, 0.9), (10.0,), seeds=(3, 5))
+        want = report_json(run_sweep(cfg))
+        for workers in (2, 3):
+            assert report_json(run_sweep(cfg, workers=workers)) == want, workers
+        rows = len(harness._load_ground_truth(cfg)[1])
+        # one member per batch, then batches of four that cut through a cell,
+        # then short filter blocks
+        for batch_rows, block in ((rows, harness._BLOCK), (4 * rows, harness._BLOCK), (harness._BATCH_ROWS, 5)):
+            monkeypatch.setattr(harness, "_BATCH_ROWS", batch_rows)
+            monkeypatch.setattr(harness, "_BLOCK", block)
+            assert report_json(run_sweep(cfg)) == want, (batch_rows, block)
+
+    @staticmethod
+    def cells_without(report, sigma):
+        return [c for c in report.to_dict()["cells"] if c["sigma"] != sigma]
+
+    def test_huge_noise_cell_fails_alone(self):
+        # sigma 1e200 squares to inf: its perception covariance is rejected
+        cfg = sweep_config((0.3, 0.6, 1e200), (10.0,), seeds=(3, 5))
+        report = run_sweep(cfg)
+        failed = [c for c in report.grid_cells() if c.error is not None]
+        assert [(c.sigma, c.error) for c in failed] == [
+            (1e200, "NumericError: [simulate-perception] perception r6 contains non-finite values")
+        ]
+        healthy = run_sweep(replace(cfg, sweep=SweepGrid((0.3, 0.6), (10.0,))))
+        assert self.cells_without(report, 1e200) == healthy.to_dict()["cells"]
+
+    def test_filter_failure_of_one_member_fails_its_cell_alone(self, monkeypatch):
+        cfg = sweep_config((0.3, 0.6, 0.9), (10.0,), seeds=(3, 5))
+        healthy = run_sweep(replace(cfg, sweep=SweepGrid((0.3, 0.6), (10.0,))))
+        # the second seed of the 0.9 m cell: its first perception row trips the filter
+        seed = derive_run_seed(cfg.seeds[1], 2, 0, 1)
+        smart, adas = harness._load_ground_truth(cfg)
+        channel = harness._cell_config(cfg, 0.9, 10.0).perception
+        rows = simulate_perception(smart, adas, channel, RandomStream(seed).derive("perception"))
+        target = tuple(harness._pose_rows(rows.p[None, :1], rows.q[None, :1])[0][0])
+        step = EkfNode.node2_step
+
+        def failing(node, event):
+            if any(tuple(z) == target for z in event.z):
+                raise NumericError("filter produced non-finite state or covariance")
+            return step(node, event)
+
+        monkeypatch.setattr(EkfNode, "node2_step", failing)
+        report = run_sweep(cfg)
+        failed = [c for c in report.grid_cells() if c.error is not None]
+        assert [(c.sigma, c.error) for c in failed] == [
+            (0.9, "NumericError: [filter] filter produced non-finite state or covariance")
+        ]
+        assert self.cells_without(report, 0.9) == healthy.to_dict()["cells"]
+
+    def test_report_of_huge_raw_noise_raises_numeric_error(self):
+        # sigma 1e200 squares to inf: node 1's initial covariance is rejected
+        cfg = replace(noisy_config(seeds=(3, 5)), raw_noise=NoiseSpec(1e200, 0.0))
+        with pytest.raises(NumericError, match=r"^\[filter\] covariance contains non-finite values$"):
+            run_report(cfg)
+
+
 class TestPoseObjectsOnlyForPerception:
     """The run path reads the logs' arrays: no stage, perception included, builds a log's poses.
 
@@ -808,7 +894,7 @@ class TestRunSweep:
                 smart_csv=str(tmp_path / "none_a.csv"), adas_csv=str(tmp_path / "none_b.csv")
             )
         )
-        results, error = _run_cell_task((cfg, (1, 2), None))
+        [(results, error)] = _run_cells((cfg, [(cfg.perception, (1, 2))], None))
         assert results == ()
         assert error is not None and "DataError" in error
 

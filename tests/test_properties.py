@@ -4,7 +4,8 @@ Oracles: each array form is checked against its scalar form on one-row
 arrays, bit for bit; compose/invert and Euler conversions are checked
 against the identities they must satisfy; the Joseph-form updates must keep
 any PSD covariance exactly symmetric and PSD, and agree with a textbook
-Joseph update written with ``scipy.linalg.solve``.
+Joseph update written with ``scipy.linalg.solve``; every member of a
+batched filter kernel equals the public single-filter function, bit for bit.
 """
 
 import math
@@ -16,9 +17,18 @@ from hypothesis import strategies as st
 
 from coloc.ekf import (
     STATE_DIM,
+    MeasurementEvent,
     MeasurementKind,
+    ProcessModel,
     StateEstimate,
+    _finish,
+    _Jacobians,
+    _predict_kernel,
+    _update_kernel,
+    _velocity_covariance,
+    default_process_noise,
     differential_velocity,
+    predict,
     update_absolute,
     update_differential,
 )
@@ -313,3 +323,79 @@ def test_differential_update_matches_joseph_oracle(x, P, r0, r1, dt, step, q0, q
     # the pair's pose covariances propagate to the velocity as (R0 + R1) / dt^2
     z = differential_velocity(prev, cur)
     assert_matches_oracle(got, *joseph_oracle(x, P, 6, z, (r0 + r1) / (dt * dt), False))
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels against the single-filter functions
+# ---------------------------------------------------------------------------
+
+def batch(seed, size):
+    """``size`` members: states, PSD covariances, positive-definite r6 and pose rows, all different."""
+    rng = np.random.default_rng(seed)
+    members = []
+    for _ in range(size):
+        x = rng.uniform(-5.0, 5.0, STATE_DIM)
+        x[3:6] = rng.uniform([-2.5, -1.2, -2.5], [2.5, 1.2, 2.5])
+        A = rng.normal(0.0, rng.uniform(0.01, 2.0), (STATE_DIM, rng.integers(1, STATE_DIM + 1)))
+        L = rng.normal(0.0, rng.uniform(0.01, 1.0), (6, 6))
+        z = np.concatenate((rng.uniform(-5.0, 5.0, 3), rng.uniform([-3.0, -1.2, -3.0], [3.0, 1.2, 3.0])))
+        state = StateEstimate(x, A @ A.T + 1e-6 * np.eye(STATE_DIM), 1.0)
+        members.append((state, L @ L.T + rng.uniform(1e-3, 1.0) * np.eye(6), z.tolist()))
+    return members
+
+
+def finished(result):
+    x, P = result
+    return np.array(x), _finish(x, P)
+
+
+def assert_member_is(x, P, want):
+    assert x.tolist() == want.x.tolist()
+    assert np.array_equal(P, want.P)
+
+
+members_of = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7])).map(lambda a: batch(*a))
+
+
+@SETTINGS
+@given(members_of, st.floats(0.001, 0.5))
+def test_batched_predict_is_predict_per_member(members, dt):
+    model = ProcessModel(default_process_noise())
+    states = [s for s, _, _ in members]
+    x, P = finished(_predict_kernel(
+        [s.x.tolist() for s in states], np.array([s.P for s in states]), dt, model.q * dt, _Jacobians(len(states))
+    ))
+    for b, s in enumerate(states):
+        assert_member_is(x[b], P[b], predict(s, model, dt))
+
+
+@SETTINGS
+@given(members_of)
+def test_batched_absolute_update_is_update_absolute_per_member(members):
+    states = [s for s, _, _ in members]
+    r6 = np.array([r for _, r, _ in members])
+    x, P = finished(_update_kernel(
+        [s.x.tolist() for s in states], np.array([s.P for s in states]), 0, [z for *_, z in members], r6, True
+    ))
+    for b, (s, r, z) in enumerate(members):
+        assert_member_is(x[b], P[b], update_absolute(s, MeasurementEvent(1.0, MeasurementKind.PERCEPTION_ABSOLUTE, WORLD, z, r)))
+
+
+@SETTINGS
+@given(members_of, st.floats(0.01, 1.0))
+def test_batched_differential_update_is_update_differential_per_member(members, dt):
+    # consecutive members' rows and covariances form each member's pose pair
+    kind = MeasurementKind.ODOMETRY_DIFFERENTIAL
+    pairs = [
+        (MeasurementEvent(1.0, kind, LOCAL, members[b - 1][2], members[b - 1][1]),
+         MeasurementEvent(1.0 + dt, kind, LOCAL, z, r))
+        for b, (_, r, z) in enumerate(members)
+    ]
+    states = [s for s, _, _ in members]
+    z = [differential_velocity(prev, cur).tolist() for prev, cur in pairs]
+    r_vel = np.array([_velocity_covariance(prev.r6, cur.r6, cur.timestamp - prev.timestamp) for prev, cur in pairs])
+    x, P = finished(_update_kernel(
+        [s.x.tolist() for s in states], np.array([s.P for s in states]), 6, z, r_vel, False
+    ))
+    for b, (s, (prev, cur)) in enumerate(zip(states, pairs)):
+        assert_member_is(x[b], P[b], update_differential(s, prev, cur))
