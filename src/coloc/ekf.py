@@ -436,9 +436,9 @@ def transition_jacobian(x: np.ndarray, dt: float) -> np.ndarray:
 # same form.  Each state list goes through the scalar code on its own; the
 # covariances go through one batched product or solve per operation, which
 # computes every member's matrix exactly as a 2-D call on it alone would.
-# _finish turns a result into the checked, exactly symmetric, read-only
-# arrays a node holds; a node chains the predict and update kernels of one
-# event and finishes once.
+# _finish checks a result and turns its covariances into the exactly
+# symmetric, read-only array a node holds; a node chains the predict and
+# update kernels of one event and finishes once.
 
 @lru_cache(maxsize=8)
 def _ones(n: int) -> np.ndarray:
@@ -446,7 +446,7 @@ def _ones(n: int) -> np.ndarray:
 
 
 def _finish(x: list[list[float]], P: np.ndarray) -> np.ndarray:
-    """Check a kernel result; P symmetrized exactly and read-only.
+    """Check a kernel result; its covariances symmetrized exactly, read-only.
 
     A single NaN or inf anywhere makes a sum non-finite (inf - inf is NaN),
     and well-scaled filter values cannot overflow it, so this is a complete
@@ -664,10 +664,12 @@ class EkfNode:
         self._started = False
         self._jac = _Jacobians(members)  # the buffers of every prediction
 
+        q = self.model.q  # not self: the cache must not keep the node in a reference cycle
+
         @lru_cache(self._CACHED_STEPS)
         def q_dt(dt: float) -> np.ndarray:
             # one copy per member: an in-place add of a broadcast operand is slower
-            return np.tile(self.model.q * dt, (members, 1, 1))
+            return np.tile(q * dt, (members, 1, 1))
 
         self._q_dt = q_dt
         self._r_vel: dict[float, tuple] = {}  # dt -> (R0, R1, (R0 + R1) / dt^2)
