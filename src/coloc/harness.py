@@ -543,11 +543,16 @@ class _Node2Pass:
         self.t[rows], self.x[rows], self.variances[rows] = t, x, np.array(diagonals)[:, :, :6]
 
     def finish(self) -> list[tuple[TrajectoryLog, np.ndarray]]:
-        """Fuse the perception rows after the last odometry stamp; each member's estimate track."""
+        """Fuse the perception rows after the last odometry stamp; each member's estimate track.
+
+        The pass lets go of its whole-run arrays, which the tracks replace.
+        """
         if self.perception is not None:
             for event in self._perception_events(None):
                 self.node.node2_step(event)
-        return [estimate_track(self.t, self.x[:, b], self.variances[:, b]) for b in range(self.node.members)]
+        t, x, variances = self.t, self.x, self.variances
+        del self.t, self.x, self.variances, self.perception
+        return [estimate_track(t, x[:, b], variances[:, b]) for b in range(self.node.members)]
 
 
 @contextmanager
@@ -597,6 +602,7 @@ def _lockstep(
                 simulate_perception(smart, adas, channel, stream.derive("perception"), cfg.ekf.perception_r6_scale)
                 for (channel, _), stream in zip(members, streams)
             ]
+            n_perception = [len(rows) for rows in perception]
 
         with _stage("filter"):
             node1_cfg, node2_cfg = _node_configs(cfg, adas)
@@ -610,6 +616,7 @@ def _lockstep(
             n, b = len(stamps), len(members)
             # Node 1 never sees perception, so its poses serve both node-2 passes.
             passes = [_Node2Pass(node2_cfg, n, b, perception)]
+            del perception  # the fused pass holds the members' rows stacked
             if with_baseline:
                 passes.append(_Node2Pass(node2_cfg, n, b))
             block = max(1, _BLOCK // b)
@@ -636,11 +643,11 @@ def _lockstep(
                     baseline_estimates=baseline_track,
                     baseline_sd=baseline_sd,
                     n_odometry=n,
-                    n_perception=len(channel),
+                    n_perception=n_channel,
                     n_rejected=n_rejected,
                 )
-                for (fused_track, fused_sd), (baseline_track, baseline_sd), channel
-                in zip(fused, baseline, perception)
+                for (fused_track, fused_sd), (baseline_track, baseline_sd), n_channel
+                in zip(fused, baseline, n_perception)
             ]
 
 
