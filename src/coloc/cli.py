@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--seed", action="append", type=int, help="replace the config seed list; repeatable"
     )
-    sweep.add_argument("--workers", type=int, default=1, help="parallel cells (default 1)")
+    sweep.add_argument("--workers", type=int, default=1, help="processes, each running a contiguous group of cells as lockstep batches (default 1)")
     sweep.set_defaults(func=_cmd_sweep)
 
     gen = sub.add_parser("gen", help="write a synthetic ground-truth trajectory pair")

@@ -8,9 +8,12 @@ matched "perception off" baseline from the identical odometry events, so
 fused-versus-baseline comparisons hold the noise realization fixed.
 
 Sweeps run a grid of perception noise settings, each cell over several
-derived seeds.  Reports serialize to canonical JSON whose bytes depend only
-on (config, seeds): wall-clock time is kept on the report object but never
-written into the JSON document.
+derived seeds.  Runs that differ only in seed and perception noise share one
+event schedule, so a sweep's runs, and a report's seeds, step as the members
+of one lockstep pass; a single run is its one-member case.  Reports
+serialize to canonical JSON whose bytes depend only on (config, seeds): not
+on batch layout or worker count, and wall-clock time is kept on the report
+object but never written into the JSON document.
 """
 
 from __future__ import annotations
