@@ -455,7 +455,7 @@ _BLOCK = 256
 # Member rows (members x ground-truth rows) of one lockstep batch: a batch
 # holds every member's whole-run arrays at once, and this bounds them, as
 # _BLOCK bounds the events alive at once.  A 60-run sweep of 1 500-row runs
-# is one batch; so is one run of up to 131 072 rows.
+# is one batch; longer runs go in batches of fewer members, at least one.
 _BATCH_ROWS = 1 << 17
 
 
