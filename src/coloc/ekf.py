@@ -47,6 +47,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import add as _add, sub as _sub
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve as _gesv
@@ -235,19 +236,22 @@ class MeasurementKind(Enum):
     PERCEPTION_ABSOLUTE = "perception_absolute"
 
 
+_ODOMETRY = MeasurementKind.ODOMETRY_DIFFERENTIAL
+
+
 class MeasurementEvent(namedtuple("MeasurementEvent", "timestamp kind frame z r6")):
     """One timestamped pose row per member of a batch, heading into a filter node.
 
     ``z`` holds, for each of B members, the pose of the follower's body in
-    ``frame`` as six floats (x, y, z, roll, pitch, yaw); six floats on
-    their own stand for one member.  ``r6`` is their 6x6 covariance, one
-    for every member, or a (B, 6, 6) stack, one per member.  Each must be
-    positive definite; it is checked and kept read-only.
+    ``frame`` as six floats (x, y, z, roll, pitch, yaw); ``r6`` is their
+    6x6 covariance, shared by the members, or a (B, 6, 6) stack, one per
+    member.  A covariance must be positive definite and is kept read-only.
 
-    An event is a named tuple, so the per-row streams build theirs with
-    ``tuple.__new__(MeasurementEvent, fields)``, unchecked, from a finite
-    stamp, lists of six finite floats the caller does not change
-    afterwards and an ``r6`` that passed :func:`_checked_r6`.
+    The constructor makes a checked one-member event from six floats and a
+    6x6 ``r6``.  The harness's per-row streams build their events, one or
+    many members, as ``tuple.__new__(MeasurementEvent, fields)``, unchecked,
+    from a finite stamp, lists of six finite floats the caller does not
+    change afterwards and covariances that passed :func:`_checked_r6`.
     """
 
     __slots__ = ()
@@ -255,20 +259,10 @@ class MeasurementEvent(namedtuple("MeasurementEvent", "timestamp kind frame z r6
     def __new__(cls, timestamp: float, kind: MeasurementKind, frame: Frame, z, r6) -> "MeasurementEvent":
         if not math.isfinite(timestamp):
             raise ValueError("event timestamp must be finite")
-        try:
-            rows = np.array(z, dtype=float, ndmin=2)
-        except (TypeError, ValueError):
-            rows = None
-        if rows is None or rows.ndim != 2 or rows.shape[1] != 6 or not len(rows) or not np.isfinite(rows).all():
-            raise ValueError(f"z must be six finite floats per member, got {z!r}")
-        if np.ndim(r6) == 3:
-            if len(r6) != len(rows):
-                raise ValueError(f"r6 holds {len(r6)} covariances for {len(rows)} members")
-            r6 = np.array([_checked_r6(r, "r6") for r in r6])
-            r6.flags.writeable = False
-        else:
-            r6 = _checked_r6(r6, "r6")
-        return tuple.__new__(cls, (timestamp, kind, frame, tuple(map(tuple, rows.tolist())), r6))
+        row = tuple(float(v) for v in z)
+        if len(row) != 6 or not all(map(math.isfinite, row)):
+            raise ValueError(f"z must be six finite floats, got {z!r}")
+        return tuple.__new__(cls, (timestamp, kind, frame, (row,), _checked_r6(r6, "r6")))
 
 
 @dataclass(frozen=True)
@@ -440,36 +434,45 @@ def transition_jacobian(x: np.ndarray, dt: float) -> np.ndarray:
 # symmetric, read-only array a node holds; a node chains the predict and
 # update kernels of one event and finishes once.
 
+_matmul, _subtract = np.matmul, np.subtract
+
+
 @lru_cache(maxsize=8)
 def _ones(n: int) -> np.ndarray:
     return np.ones(n)
 
 
-def _finish(x: list[list[float]], P: np.ndarray) -> np.ndarray:
+def _finish(x: list[list[float]], P: np.ndarray, ones: np.ndarray) -> np.ndarray:
     """Check a kernel result; its covariances symmetrized exactly, read-only.
 
-    A single NaN or inf anywhere makes a sum non-finite (inf - inf is NaN),
-    and well-scaled filter values cannot overflow it, so this is a complete
-    finiteness check at a fraction of the cost of isfinite over every entry.
+    ``ones`` holds ``P.size`` ones.  A single NaN or inf anywhere makes a
+    sum non-finite (inf - inf is NaN), and well-scaled filter values cannot
+    overflow it, so this is a complete finiteness check at a fraction of
+    the cost of isfinite over every entry.
     """
-    if not (math.isfinite(sum(map(sum, x))) and math.isfinite(P.reshape(-1).dot(_ones(P.size)))):
+    if not (math.isfinite(sum(map(sum, x))) and math.isfinite(P.ravel().dot(ones))):
         raise NumericError("filter produced non-finite state or covariance")
-    P_sym = P + P.mT
+    # P^T + P is P + P^T bit for bit; ufuncs take a strided operand more
+    # slowly than a copy of it, here and in the kernels
+    P_sym = P.mT.copy()
+    P_sym += P
     P_sym *= 0.5
     P_sym.setflags(write=False)
     return P_sym
 
 
 class _Jacobians:
-    """Transition Jacobian buffers for B members, kept transposed, and the scratch of A P."""
+    """Transition Jacobian buffers for B members, kept transposed, the scratch
+    of A P, and the ones of :func:`_finish`."""
 
-    __slots__ = ("A", "At", "flat", "AP")
+    __slots__ = ("A", "At", "flat", "AP", "ones")
 
     def __init__(self, members: int) -> None:
         self.At = np.tile(_EYE_STATE, (members, 1, 1))
         self.A = self.At.mT
         self.flat = [a.ravel() for a in self.At]  # the views _propagate writes into
         self.AP = np.empty_like(self.At)
+        self.ones = _ones(self.At.size)
 
 
 def _predict_kernel(
@@ -477,9 +480,27 @@ def _predict_kernel(
 ) -> tuple[list[list[float]], np.ndarray]:
     """x <- f(x, dt), P <- A P A^T + Q dt; ``q_dt`` is Q dt, ``jac`` the Jacobian buffers."""
     x = [_propagate(xb, dt, At) for xb, At in zip(x, jac.flat)]
-    P = np.matmul(np.matmul(jac.A, P, out=jac.AP), jac.At)
+    P = _matmul(_matmul(jac.A, P, out=jac.AP), jac.At)
     P += q_dt
     return x, P
+
+
+def _corrected(x: list[float], z, K: np.ndarray, lo: int, angles: bool) -> list[float]:
+    """One member's state row plus its gain ``K`` times its innovation on ``lo:lo+6``.
+
+    The row's angles are wrapped, and with ``angles`` so are the last three
+    innovations: +179 deg vs -179 deg disagree by 2 degrees, not 358.
+    """
+    if not all(map(math.isfinite, z)):
+        raise NumericError("measurement contains non-finite values")
+    d = list(map(_sub, z, x[lo:lo + 6]))
+    if angles:
+        a, b, c = d[3:6]
+        d[3:6] = -((-a + _PI) % _TWO_PI - _PI), -((-b + _PI) % _TWO_PI - _PI), -((-c + _PI) % _TWO_PI - _PI)
+    x = list(map(_add, x, K.dot(d).tolist()))
+    a, b, c = x[3:6]
+    x[3:6] = -((-a + _PI) % _TWO_PI - _PI), -((-b + _PI) % _TWO_PI - _PI), -((-c + _PI) % _TWO_PI - _PI)
+    return x
 
 
 def _update_kernel(
@@ -487,40 +508,29 @@ def _update_kernel(
 ) -> tuple[list[list[float]], np.ndarray]:
     """Joseph-form EKF update where H selects the 6-state block ``lo:lo+6``.
 
-    ``z`` holds six floats per member and ``r6`` is (6, 6) or (B, 6, 6);
-    with ``angles`` the last three floats are angles and their innovation
-    is wrapped, so +179 deg vs -179 deg disagree by 2 degrees, not 358.
+    ``z`` holds six floats per member, ``r6`` is (6, 6) or (B, 6, 6), and
+    ``angles`` says whether the last three floats are angles.
     """
-    hi = lo + 6
-    innovation = []
-    for zb, xb in zip(z, x):
-        if not all(map(math.isfinite, zb)):
-            raise NumericError("measurement contains non-finite values")
-        d = [zi - xi for zi, xi in zip(zb, xb[lo:hi])]
-        if angles:
-            d[3:6] = [-((-a + _PI) % _TWO_PI - _PI) for a in d[3:6]]
-        innovation.append(d)
-    P_rows = P[:, lo:hi]
+    P_rows = P[:, lo:lo + 6]
     # LU solve of S K^T = P_rows: the LAPACK gesv gufunc np.linalg.solve
     # calls, minus its per-call wrapper (its float64 loop is the one the
     # gufunc picks for float arrays).  S is positive definite (PSD P, r6
     # checked positive definite), so the solve succeeds; a broken P that
     # makes it fail gives NaNs, which _finish rejects.
-    Kt = _gesv(P[:, lo:hi, lo:hi] + r6, P_rows)
+    S = P_rows[:, :, lo:lo + 6].copy()
+    S += r6
+    Kt = _gesv(S, P_rows)
     K = Kt.mT
-    # the state increment K innovation is a member's own, like its state row
-    x = [[a + b for a, b in zip(xb, Kb.dot(d).tolist())] for xb, Kb, d in zip(x, K, innovation)]
-    for xb in x:
-        xb[3:6] = [-((-a + _PI) % _TWO_PI - _PI) for a in xb[3:6]]
+    x = [_corrected(xb, zb, Kb, lo, angles) for xb, zb, Kb in zip(x, z, K)]
     # Joseph form (I-KH) P (I-KH)^T + K R K^T with H a selector matrix:
     # M - M H^T K^T + K R K^T, folded into one product; each difference
     # goes into the product it subtracts.
-    M = np.matmul(K, P_rows)
-    np.subtract(P, M, out=M)
-    D = np.matmul(K, r6)
-    np.subtract(M[:, :, lo:hi], D, out=D)
-    P = np.matmul(D, Kt)
-    return x, np.subtract(M, P, out=P)
+    M = _matmul(K, P_rows)
+    _subtract(P, M, out=M)
+    D = _matmul(K, r6)
+    _subtract(M[:, :, lo:lo + 6].copy(), D, out=D)
+    P = _matmul(D, Kt)
+    return x, _subtract(M, P, out=P)
 
 
 def _row_quaternion(z) -> tuple[float, float, float, float]:
@@ -567,7 +577,7 @@ def _single(m: MeasurementEvent) -> tuple[float, ...]:
 
 def _estimate(result: tuple[list[list[float]], np.ndarray], timestamp: float) -> StateEstimate:
     (x,), P = result
-    P = _finish([x], P)
+    P = _finish([x], P, _ones(P.size))
     x = np.array(x)
     x.setflags(write=False)
     return StateEstimate._from_kernel(x, P[0], timestamp)
@@ -642,7 +652,7 @@ class EkfNode:
     the scalar code takes, and the covariances as a read-only (B, 15, 15)
     array :attr:`P` at time :attr:`timestamp`, replaced at every change.
     :attr:`x` gives the state rows as a read-only (B, 15) array and
-    :meth:`pose_rows` their pose blocks.  For a one-member node
+    :attr:`rows` as the lists themselves.  For a one-member node
     :attr:`state` wraps the estimate in a :class:`StateEstimate` only when
     asked for, and returns the same object until the next change; assigning
     a state sets every member to it.  An indefinite initial or assigned
@@ -684,9 +694,14 @@ class EkfNode:
             x.setflags(write=False)
         return x
 
-    def pose_rows(self) -> list[list[float]]:
-        """Each member's (x, y, z, roll, pitch, yaw) state block as a row."""
-        return [xb[:6] for xb in self._x]
+    @property
+    def rows(self) -> list[list[float]]:
+        """Each member's state row as 15 floats.
+
+        The node replaces these lists at every change and never alters
+        them, so a caller may keep them; it must not alter them either.
+        """
+        return self._x
 
     @property
     def state(self) -> StateEstimate:
@@ -707,7 +722,7 @@ class EkfNode:
         self._state = s if self.members == 1 else None
 
     def _commit(self, t: float, x: list[list[float]], P: np.ndarray) -> None:
-        self.P = _finish(x, P)
+        self.P = _finish(x, P, self._jac.ones)
         self._x, self._x_array = x, None
         self.timestamp = t
         self._state = None
@@ -757,7 +772,7 @@ class EkfNode:
         """Absolute fusion of raw local-frame pose rows; returns each member's local->body pose row."""
         self._admit(event, LOCAL, "node1_step")
         self._update_pose(event)
-        return self.pose_rows()
+        return [xb[:6] for xb in self._x]
 
     def node2_step(self, event: MeasurementEvent) -> None:
         """World-frame fusion step into the state rows and :attr:`P`.
@@ -766,13 +781,13 @@ class EkfNode:
         fuse differentially, so the local frame's place in the world never
         enters.  Perception events carry world poses and fuse absolutely.
         """
-        odometry = event.kind is MeasurementKind.ODOMETRY_DIFFERENTIAL
+        odometry = event.kind is _ODOMETRY
         self._admit(event, LOCAL if odometry else WORLD, "node2_step")
         if not odometry:
             self._update_pose(event)
             return
         x, P = self._predicted(event.timestamp)
-        q = [_row_quaternion(zb) for zb in event.z]
+        q = [q_from_euler(zb[3], zb[4], zb[5]) for zb in event.z]
         if self._prev is not None:
             prev, q_prev = self._prev
             dt = _pair_dt(prev, event)

@@ -533,17 +533,17 @@ class _Node2Pass:
         if self.perception is not None:
             # every perception row stamped before the block's last odometry event
             due = self._perception_events(int(self.perception[0].searchsorted(events[-1].timestamp)))
-        j = 0
+        j, n_due = 0, len(due)
         t, x, diagonals = [], [], []
         for event in events:
-            while j < len(due) and due[j].timestamp < event.timestamp:
+            while j < n_due and due[j].timestamp < event.timestamp:
                 node.node2_step(due[j])
                 j += 1
             node.node2_step(event)
             t.append(node.timestamp)
-            x.append(node.pose_rows())
+            x.append(node.rows)
             diagonals.append(node.P.diagonal(0, 1, 2))
-        self.t[rows], self.x[rows], self.variances[rows] = t, x, np.array(diagonals)[:, :, :6]
+        self.t[rows], self.x[rows], self.variances[rows] = t, np.array(x)[:, :, :6], np.array(diagonals)[:, :, :6]
 
     def finish(self) -> list[tuple[TrajectoryLog, np.ndarray]]:
         """Fuse the perception rows after the last odometry stamp; each member's estimate track.
@@ -579,23 +579,36 @@ def _collector_paused():
         gc.enable()
 
 
+@dataclass(frozen=True)
+class _Filtered:
+    """One member's share of a lockstep pass: its estimate tracks, each a
+    (track, 1-sigma) pair, and its event counts."""
+
+    fused: tuple[TrajectoryLog, np.ndarray]
+    baseline: tuple[TrajectoryLog, np.ndarray] | tuple[None, None]
+    n_odometry: int
+    n_perception: int
+    n_rejected: int
+
+
 def _lockstep(
     cfg: ExperimentConfig,
     members: Sequence[tuple[PerceptionConfig, int]],
-    ground_truth: tuple[TrajectoryLog, TrajectoryLog] | None = None,
+    ground_truth: tuple[TrajectoryLog, TrajectoryLog],
     with_baseline: bool = True,
-) -> list[RunArtifacts]:
-    """The runs of B members as one pass, each member a (perception config, seed).
+) -> list[_Filtered]:
+    """The simulation and filter stages of B runs as one pass, each member a
+    (perception config, seed).
 
     The members share everything in ``cfg`` but the perception channel, so
     their events share one stamp schedule: the raw odometry stamps follow
     from ground truth and the raw rate, the perception stamps from ground
     truth, the gate and the output rate.  Node 1, node 2 fused and node 2
     baseline each step all members as one :class:`EkfNode`.  Member b's
-    artifacts are bit for bit those of its run alone.
+    tracks are bit for bit those of its run alone.
     """
     with _collector_paused():
-        smart, adas = _load_ground_truth(cfg) if ground_truth is None else ground_truth
+        smart, adas = ground_truth
         streams = [RandomStream(int(seed)) for _, seed in members]
 
         with _stage("simulate-raw-odometry"):
@@ -631,27 +644,8 @@ def _lockstep(
             fused = passes[0].finish()
             baseline = passes[1].finish() if with_baseline else [(None, None)] * b
             n_rejected = node1.node.rejected_count + sum(p.node.rejected_count for p in passes)
-            del node1, passes  # from here on only the tracks are needed
 
-        with _stage("evaluate"):
-            def stats(track):
-                return None if track is None else evaluate(track, adas, cfg.eval.alignment, cfg.eval.max_dt).stats
-
-            return [
-                RunArtifacts(
-                    fused=stats(fused_track),
-                    baseline=stats(baseline_track),
-                    fused_estimates=fused_track,
-                    fused_sd=fused_sd,
-                    baseline_estimates=baseline_track,
-                    baseline_sd=baseline_sd,
-                    n_odometry=n,
-                    n_perception=n_channel,
-                    n_rejected=n_rejected,
-                )
-                for (fused_track, fused_sd), (baseline_track, baseline_sd), n_channel
-                in zip(fused, baseline, n_perception)
-            ]
+        return [_Filtered(*tracks, n, count, n_rejected) for *tracks, count in zip(fused, baseline, n_perception)]
 
 
 def execute_run(
@@ -659,14 +653,39 @@ def execute_run(
     seed: int,
     ground_truth: tuple[TrajectoryLog, TrajectoryLog] | None = None,
     with_baseline: bool = True,
+    _filtered: _Filtered | None = None,
 ) -> RunArtifacts:
     """One full pipeline pass: fused estimate plus matched perception-off baseline.
 
     ``with_baseline=False`` skips the perception-off node-2 pass entirely, for
-    callers who only need the fused estimate.  This is the one-member
-    lockstep pass.
+    callers who only need the fused estimate.  The simulation and filter
+    stages are the one-member lockstep pass.  Sweeps and reports step many
+    runs in one pass and hand each run's share to this call as
+    ``_filtered``, which then only scores it.
     """
-    return _lockstep(cfg, [(cfg.perception, seed)], ground_truth, with_baseline)[0]
+    with _collector_paused():
+        smart, adas = _load_ground_truth(cfg) if ground_truth is None else ground_truth
+        if _filtered is None:
+            (_filtered,) = _lockstep(cfg, [(cfg.perception, seed)], (smart, adas), with_baseline)
+        (fused, fused_sd), (baseline, baseline_sd) = _filtered.fused, _filtered.baseline
+
+        with _stage("evaluate"):
+            fused_stats = evaluate(fused, adas, cfg.eval.alignment, cfg.eval.max_dt).stats
+            baseline_stats = None
+            if baseline is not None:
+                baseline_stats = evaluate(baseline, adas, cfg.eval.alignment, cfg.eval.max_dt).stats
+
+        return RunArtifacts(
+            fused=fused_stats,
+            baseline=baseline_stats,
+            fused_estimates=fused,
+            fused_sd=fused_sd,
+            baseline_estimates=baseline,
+            baseline_sd=baseline_sd,
+            n_odometry=_filtered.n_odometry,
+            n_perception=_filtered.n_perception,
+            n_rejected=_filtered.n_rejected,
+        )
 
 
 def _lockstep_runs(
@@ -676,22 +695,42 @@ def _lockstep_runs(
 ) -> Iterator[RunArtifacts | ColocError]:
     """Each member's artifacts, or the error its run raised, in member order.
 
-    Members run in lockstep batches of at most ``_BATCH_ROWS`` member rows.
-    A batch that raises runs again one member at a time, so an error stays
-    with the member that raised it and the others' results stand: they do
-    not depend on the batch they ran in.
+    Members step in lockstep batches of at most ``_BATCH_ROWS`` member rows;
+    each member's run is then scored by :func:`execute_run`.
     """
     size = max(1, _BATCH_ROWS // len(ground_truth[1]))
     for start in range(0, len(members), size):
-        batch = members[start:start + size]
+        yield from _batch_runs(cfg, members[start:start + size], ground_truth)
+
+
+def _batch_runs(
+    cfg: ExperimentConfig,
+    batch: Sequence[tuple[PerceptionConfig, int]],
+    ground_truth: tuple[TrajectoryLog, TrajectoryLog],
+) -> Iterator[RunArtifacts | ColocError]:
+    """The runs of one batch, each member's artifacts or error.
+
+    A batch whose pass raises runs again as its two halves, and so on down,
+    so an error ends up with the member that raised it, with the message its
+    run alone gives, and every other member's result stands: a member's
+    numbers do not depend on the batch it ran in.
+    """
+    try:
+        filtered = _lockstep(cfg, batch, ground_truth)
+    except ColocError as exc:
+        if len(batch) == 1:
+            yield exc
+        else:
+            half = len(batch) // 2
+            yield from _batch_runs(cfg, batch[:half], ground_truth)
+            yield from _batch_runs(cfg, batch[half:], ground_truth)
+        return
+    filtered.reverse()  # popped in member order, so each share is freed once scored
+    for channel, seed in batch:
         try:
-            runs = _lockstep(cfg, batch, ground_truth)
+            yield execute_run(replace(cfg, perception=channel), seed, ground_truth, True, filtered.pop())
         except ColocError as exc:
-            if len(batch) == 1:
-                runs = [exc]
-            else:
-                runs = [run for member in batch for run in _lockstep_runs(cfg, [member], ground_truth)]
-        yield from runs
+            yield exc
 
 
 # ---------------------------------------------------------------------------

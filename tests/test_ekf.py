@@ -594,29 +594,12 @@ class TestMeasurementEvent:
             MeasurementEvent(0.0, ODO, LOCAL, z, RAW_R6)
 
     def test_z_is_kept_as_a_tuple_of_floats(self):
-        # six floats on their own are one member's row
+        # the six floats are the event's one member row
         z = np.arange(6.0)
         event = MeasurementEvent(0.0, ODO, LOCAL, z, RAW_R6)
         z[0] = 9.0
         assert event.z == ((0.0, 1.0, 2.0, 3.0, 4.0, 5.0),)
         assert all(type(v) is float for v in event.z[0])
-
-    def test_z_holds_one_row_per_member(self):
-        rows = np.arange(18.0).reshape(3, 6)
-        event = MeasurementEvent(0.0, ODO, LOCAL, rows, RAW_R6)
-        assert event.z == tuple(map(tuple, rows.tolist()))
-        with pytest.raises(ValueError, match="six finite floats"):
-            MeasurementEvent(0.0, ODO, LOCAL, [[0.0] * 6, [0.0] * 5], RAW_R6)
-
-    def test_per_member_r6_is_checked_and_counted(self):
-        stack = np.array([RAW_R6, PERCEPTION_R6])
-        event = MeasurementEvent(0.0, ODO, LOCAL, [[0.0] * 6] * 2, stack)
-        np.testing.assert_array_equal(event.r6, stack)
-        assert not event.r6.flags.writeable
-        with pytest.raises(ValueError, match="2 covariances for 3 members"):
-            MeasurementEvent(0.0, ODO, LOCAL, [[0.0] * 6] * 3, stack)
-        with pytest.raises(NumericError, match="singular"):
-            MeasurementEvent(0.0, ODO, LOCAL, [[0.0] * 6] * 2, np.array([RAW_R6, INDEFINITE_R6]))
 
     @pytest.mark.parametrize(
         "r6",
@@ -812,7 +795,8 @@ class TestTwoStageLocalizer:
         for k in range(800):
             t = k * dt
             event = local_event(t, [speed * t, 0.0, 0.0], r6=r6)
-            node2.node2_step(MeasurementEvent(t, ODO, LOCAL, node1.node1_step(event), r6))
+            (row,) = node1.node1_step(event)
+            node2.node2_step(MeasurementEvent(t, ODO, LOCAL, row, r6))
         truth_local = Pose(t, np.array([speed * t, 0.0, 0.0]), Quaternion.identity(), LOCAL, BODY_ADAS)
         from coloc.geometry import compose
 

@@ -509,7 +509,7 @@ class TestBlockSchedule:
         # node 1's local->body pose rows are node 2's odometry events
         smoothed_r6 = measurement_covariance(harness._smoothed_odometry_spec(cfg))
         smoothed = [
-            MeasurementEvent(event.timestamp, odo, LOCAL, node1.node1_step(event), smoothed_r6)
+            MeasurementEvent(event.timestamp, odo, LOCAL, node1.node1_step(event)[0], smoothed_r6)
             for event in odometry
         ]
 
@@ -608,7 +608,7 @@ class TestLockstep:
         ground_truth = harness._load_ground_truth(cfg)
         channels = [cfg.perception, PerceptionConfig(NoiseSpec(0.9, 15.0))]
         members = [(channel, seed) for channel in channels for seed in (4, 11)]
-        runs = harness._lockstep(cfg, members, ground_truth)
+        runs = list(harness._lockstep_runs(cfg, members, ground_truth))
         assert len(runs) == 4
         for (channel, seed), run in zip(members, runs):
             self.assert_same_run(run, execute_run(replace(cfg, perception=channel), seed, ground_truth))

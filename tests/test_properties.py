@@ -22,6 +22,7 @@ from coloc.ekf import (
     ProcessModel,
     StateEstimate,
     _finish,
+    _ones,
     _Jacobians,
     _predict_kernel,
     _update_kernel,
@@ -346,7 +347,7 @@ def batch(seed, size):
 
 def finished(result):
     x, P = result
-    return np.array(x), _finish(x, P)
+    return np.array(x), _finish(x, P, _ones(P.size))
 
 
 def assert_member_is(x, P, want):
