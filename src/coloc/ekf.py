@@ -47,6 +47,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import repeat
 from operator import add as _add, sub as _sub
 
 import numpy as np
@@ -437,6 +438,20 @@ def transition_jacobian(x: np.ndarray, dt: float) -> np.ndarray:
 _matmul, _subtract = np.matmul, np.subtract
 
 
+def _mm(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+    """a b, or a b c, for each member; ``b`` may be one matrix for every member.
+
+    A one-member stack takes ndarray.dot of its matrices: the gemm np.matmul
+    calls, without the gufunc set-up that costs np.matmul about as much
+    again on these small operands.
+    """
+    if len(a) == 1:
+        p = a[0].dot(b[0] if b.ndim == 3 else b)
+        return (p if c is None else p.dot(c[0]))[None]
+    p = _matmul(a, b)
+    return p if c is None else _matmul(p, c)
+
+
 @lru_cache(maxsize=8)
 def _ones(n: int) -> np.ndarray:
     return np.ones(n)
@@ -452,8 +467,8 @@ def _finish(x: list[list[float]], P: np.ndarray, ones: np.ndarray) -> np.ndarray
     """
     if not (math.isfinite(sum(map(sum, x))) and math.isfinite(P.ravel().dot(ones))):
         raise NumericError("filter produced non-finite state or covariance")
-    # P^T + P is P + P^T bit for bit; ufuncs take a strided operand more
-    # slowly than a copy of it, here and in the kernels
+    # P^T + P is P + P^T bit for bit; a ufunc takes a strided 15x15 operand
+    # more slowly than a copy of it, here and in the Joseph difference
     P_sym = P.mT.copy()
     P_sym += P
     P_sym *= 0.5
@@ -462,16 +477,15 @@ def _finish(x: list[list[float]], P: np.ndarray, ones: np.ndarray) -> np.ndarray
 
 
 class _Jacobians:
-    """Transition Jacobian buffers for B members, kept transposed, the scratch
-    of A P, and the ones of :func:`_finish`."""
+    """Transition Jacobian buffers for B members, kept transposed, and the
+    ones of :func:`_finish`."""
 
-    __slots__ = ("A", "At", "flat", "AP", "ones")
+    __slots__ = ("A", "At", "flat", "ones")
 
     def __init__(self, members: int) -> None:
         self.At = np.tile(_EYE_STATE, (members, 1, 1))
         self.A = self.At.mT
         self.flat = [a.ravel() for a in self.At]  # the views _propagate writes into
-        self.AP = np.empty_like(self.At)
         self.ones = _ones(self.At.size)
 
 
@@ -479,8 +493,8 @@ def _predict_kernel(
     x: list[list[float]], P: np.ndarray, dt: float, q_dt: np.ndarray, jac: _Jacobians
 ) -> tuple[list[list[float]], np.ndarray]:
     """x <- f(x, dt), P <- A P A^T + Q dt; ``q_dt`` is Q dt, ``jac`` the Jacobian buffers."""
-    x = [_propagate(xb, dt, At) for xb, At in zip(x, jac.flat)]
-    P = _matmul(_matmul(jac.A, P, out=jac.AP), jac.At)
+    x = list(map(_propagate, x, repeat(dt), jac.flat))
+    P = _mm(jac.A, P, jac.At)
     P += q_dt
     return x, P
 
@@ -517,19 +531,17 @@ def _update_kernel(
     # gufunc picks for float arrays).  S is positive definite (PSD P, r6
     # checked positive definite), so the solve succeeds; a broken P that
     # makes it fail gives NaNs, which _finish rejects.
-    S = P_rows[:, :, lo:lo + 6].copy()
-    S += r6
-    Kt = _gesv(S, P_rows)
+    Kt = _gesv(P_rows[:, :, lo:lo + 6] + r6, P_rows)
     K = Kt.mT
-    x = [_corrected(xb, zb, Kb, lo, angles) for xb, zb, Kb in zip(x, z, K)]
+    x = list(map(_corrected, x, z, K, repeat(lo), repeat(angles)))
     # Joseph form (I-KH) P (I-KH)^T + K R K^T with H a selector matrix:
     # M - M H^T K^T + K R K^T, folded into one product; each difference
     # goes into the product it subtracts.
-    M = _matmul(K, P_rows)
+    M = _mm(K, P_rows)
     _subtract(P, M, out=M)
-    D = _matmul(K, r6)
+    D = _mm(K, r6)
     _subtract(M[:, :, lo:lo + 6].copy(), D, out=D)
-    P = _matmul(D, Kt)
+    P = _mm(D, Kt)
     return x, _subtract(M, P, out=P)
 
 
@@ -791,7 +803,7 @@ class EkfNode:
         if self._prev is not None:
             prev, q_prev = self._prev
             dt = _pair_dt(prev, event)
-            z = list(map(_velocity_measurement, prev.z, event.z, q_prev, q, [dt] * self.members))
+            z = list(map(_velocity_measurement, prev.z, event.z, q_prev, q, repeat(dt)))
             r_prev, r_cur = prev.r6, event.r6
             cached = self._r_vel.get(dt)
             if cached is None or cached[0] is not r_prev or cached[1] is not r_cur:

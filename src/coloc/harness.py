@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -28,6 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence, get_args, get_origin, get_type_hints
 
@@ -690,14 +692,20 @@ def execute_run(
 
 def _lockstep_runs(
     cfg: ExperimentConfig,
-    members: Sequence[tuple[PerceptionConfig, int]],
+    groups: Sequence[Sequence[tuple[PerceptionConfig, int]]],
     ground_truth: tuple[TrajectoryLog, TrajectoryLog],
-) -> Iterator[RunArtifacts | ColocError]:
-    """Each member's artifacts, or the error its run raised, in member order.
+) -> Iterator[RunArtifacts | ColocError | None]:
+    """Each member's artifacts, in member order, or its group's error.
 
-    Members step in lockstep batches of at most ``_BATCH_ROWS`` member rows;
-    each member's run is then scored by :func:`execute_run`.
+    A group is the members, each a (perception config, seed), that fail
+    together: a sweep cell's seeds, or a report's.  Members step in lockstep
+    batches of at most ``_BATCH_ROWS`` member rows, cut regardless of
+    groups; each member's run is then scored by :func:`execute_run`.  A
+    group fails as its runs one after another would, at its first failing
+    member, which yields the error; members after it in the same batch
+    yield None.
     """
+    members = [(member, g) for g, group in enumerate(groups) for member in group]
     size = max(1, _BATCH_ROWS // len(ground_truth[1]))
     for start in range(0, len(members), size):
         yield from _batch_runs(cfg, members[start:start + size], ground_truth)
@@ -705,28 +713,36 @@ def _lockstep_runs(
 
 def _batch_runs(
     cfg: ExperimentConfig,
-    batch: Sequence[tuple[PerceptionConfig, int]],
+    batch: Sequence[tuple[tuple[PerceptionConfig, int], int]],
     ground_truth: tuple[TrajectoryLog, TrajectoryLog],
-) -> Iterator[RunArtifacts | ColocError]:
-    """The runs of one batch, each member's artifacts or error.
+) -> Iterator[RunArtifacts | ColocError | None]:
+    """The runs of one batch of (member, group) pairs.
 
-    A batch whose pass raises runs again as its two halves, and so on down,
-    so an error ends up with the member that raised it, with the message its
-    run alone gives, and every other member's result stands: a member's
-    numbers do not depend on the batch it ran in.
+    A batch whose pass raises runs again group by group, and a group whose
+    pass raises runs one member at a time up to its first failure, so the
+    error is the one that member's run alone gives and every other group's
+    results stand: a member's numbers do not depend on the batch it ran in.
     """
     try:
-        filtered = _lockstep(cfg, batch, ground_truth)
+        filtered = _lockstep(cfg, [member for member, _ in batch], ground_truth)
     except ColocError as exc:
         if len(batch) == 1:
             yield exc
-        else:
-            half = len(batch) // 2
-            yield from _batch_runs(cfg, batch[:half], ground_truth)
-            yield from _batch_runs(cfg, batch[half:], ground_truth)
+            return
+        if batch[0][1] != batch[-1][1]:
+            for _, group in itertools.groupby(batch, key=itemgetter(1)):
+                yield from _batch_runs(cfg, list(group), ground_truth)
+            return
+        for k, ((channel, seed), _) in enumerate(batch):
+            try:
+                yield execute_run(replace(cfg, perception=channel), seed, ground_truth)
+            except ColocError as exc:
+                yield exc
+                yield from [None] * (len(batch) - k - 1)
+                return
         return
     filtered.reverse()  # popped in member order, so each share is freed once scored
-    for channel, seed in batch:
+    for (channel, seed), _ in batch:
         try:
             yield execute_run(replace(cfg, perception=channel), seed, ground_truth, True, filtered.pop())
         except ColocError as exc:
@@ -881,7 +897,7 @@ def _run_cells(args: tuple) -> list[tuple[tuple[SeedResult, ...], str | None]]:
             ground_truth = _load_ground_truth(cfg)
     except ColocError as exc:
         return [((), _error_text(exc))] * len(cells)
-    runs = _lockstep_runs(cfg, [(channel, s) for channel, seeds in cells for s in seeds], ground_truth)
+    runs = _lockstep_runs(cfg, [[(channel, s) for s in seeds] for channel, seeds in cells], ground_truth)
     outcomes = []
     for _, seeds in cells:
         arts = [next(runs) for _ in seeds]
@@ -964,7 +980,7 @@ def run_report(cfg: ExperimentConfig) -> tuple[RunReport, RunArtifacts]:
     ground_truth = _load_ground_truth(cfg)
     first_artifacts: RunArtifacts | None = None
     results = []
-    for s, art in zip(cfg.seeds, _lockstep_runs(cfg, [(cfg.perception, s) for s in cfg.seeds], ground_truth)):
+    for s, art in zip(cfg.seeds, _lockstep_runs(cfg, [[(cfg.perception, s) for s in cfg.seeds]], ground_truth)):
         if isinstance(art, ColocError):
             raise art
         if first_artifacts is None:

@@ -634,7 +634,7 @@ def _check_sweep_determinism(problems):
         for si, sigma in enumerate(cfg.sweep.sigma_grid)
         for ri, base in enumerate(cfg.seeds)
     ]
-    for (channel, seed), run in zip(members, harness._lockstep_runs(cfg, members, ground_truth)):
+    for (channel, seed), run in zip(members, harness._lockstep_runs(cfg, [members], ground_truth)):
         alone = execute_run(replace(cfg, perception=channel), seed, ground_truth)
         pairs = [(run.fused_sd, alone.fused_sd), (run.baseline_sd, alone.baseline_sd)]
         for got, want in ((run.fused_estimates, alone.fused_estimates), (run.baseline_estimates, alone.baseline_estimates)):

@@ -608,7 +608,7 @@ class TestLockstep:
         ground_truth = harness._load_ground_truth(cfg)
         channels = [cfg.perception, PerceptionConfig(NoiseSpec(0.9, 15.0))]
         members = [(channel, seed) for channel in channels for seed in (4, 11)]
-        runs = list(harness._lockstep_runs(cfg, members, ground_truth))
+        runs = list(harness._lockstep_runs(cfg, [members], ground_truth))
         assert len(runs) == 4
         for (channel, seed), run in zip(members, runs):
             self.assert_same_run(run, execute_run(replace(cfg, perception=channel), seed, ground_truth))
@@ -658,12 +658,22 @@ class TestLockstep:
             return step(node, event)
 
         monkeypatch.setattr(EkfNode, "node2_step", failing)
+        lockstep, passes = harness._lockstep, []
+
+        def counted(cfg, members, *args):
+            passes.append(len(members))
+            return lockstep(cfg, members, *args)
+
+        monkeypatch.setattr(harness, "_lockstep", counted)
         report = run_sweep(cfg)
         failed = [c for c in report.grid_cells() if c.error is not None]
         assert [(c.sigma, c.error) for c in failed] == [
             (0.9, "NumericError: [filter] filter produced non-finite state or covariance")
         ]
         assert self.cells_without(report, 0.9) == healthy.to_dict()["cells"]
+        # the failed batch runs again cell by cell, and the failed cell seed by
+        # seed up to its failing seed: the healthy cells step in one pass each
+        assert passes == [6, 2, 2, 2, 1, 1]
 
     def test_report_of_huge_raw_noise_raises_numeric_error(self):
         # sigma 1e200 squares to inf: node 1's initial covariance is rejected
