@@ -427,10 +427,11 @@ def transition_jacobian(x: np.ndarray, dt: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # A kernel takes a batch of B members: their states as a list of B lists of
-# floats, their covariances as a (B, 15, 15) array, and returns both in the
-# same form.  Each state list goes through the scalar code on its own; the
-# covariances go through one batched product or solve per operation, which
-# computes every member's matrix exactly as a 2-D call on it alone would.
+# floats, their covariances as a (B, 15, 15) array, or as one 15x15 matrix
+# for a single member, and returns both in the same form.  Each state list
+# goes through the scalar code on its own; the covariances go through one
+# batched product or solve per operation, which computes every member's
+# matrix exactly as a 2-D call on it alone would.
 # _finish checks a result and turns its covariances into the exactly
 # symmetric, read-only array a node holds; a node chains the predict and
 # update kernels of one event and finishes once.
@@ -439,15 +440,15 @@ _matmul, _subtract = np.matmul, np.subtract
 
 
 def _mm(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """a b, or a b c, for each member; ``b`` may be one matrix for every member.
+    """a b, or a b c, member by member; ``b`` may be one matrix for every member.
 
-    A one-member stack takes ndarray.dot of its matrices: the gemm np.matmul
-    calls, without the gufunc set-up that costs np.matmul about as much
-    again on these small operands.
+    Matrices, one member's, go through ndarray.dot: the gemm np.matmul calls,
+    without the gufunc set-up that costs np.matmul about as much again on
+    these small operands.
     """
-    if len(a) == 1:
-        p = a[0].dot(b[0] if b.ndim == 3 else b)
-        return (p if c is None else p.dot(c[0]))[None]
+    if a.ndim == 2:
+        p = a.dot(b)
+        return p if c is None else p.dot(c)
     p = _matmul(a, b)
     return p if c is None else _matmul(p, c)
 
@@ -477,15 +478,17 @@ def _finish(x: list[list[float]], P: np.ndarray, ones: np.ndarray) -> np.ndarray
 
 
 class _Jacobians:
-    """Transition Jacobian buffers for B members, kept transposed, and the
-    ones of :func:`_finish`."""
+    """Transition Jacobian buffers, kept transposed, and the ones of
+    :func:`_finish`: a (B, 15, 15) stack for ``members`` B, or one 15x15
+    matrix for ``members`` None."""
 
     __slots__ = ("A", "At", "flat", "ones")
 
-    def __init__(self, members: int) -> None:
-        self.At = np.tile(_EYE_STATE, (members, 1, 1))
+    def __init__(self, members: int | None) -> None:
+        self.At = _EYE_STATE.copy() if members is None else np.tile(_EYE_STATE, (members, 1, 1))
         self.A = self.At.mT
-        self.flat = [a.ravel() for a in self.At]  # the views _propagate writes into
+        # the views _propagate writes into
+        self.flat = [a.ravel() for a in self.At.reshape(-1, STATE_DIM, STATE_DIM)]
         self.ones = _ones(self.At.size)
 
 
@@ -522,25 +525,26 @@ def _update_kernel(
 ) -> tuple[list[list[float]], np.ndarray]:
     """Joseph-form EKF update where H selects the 6-state block ``lo:lo+6``.
 
-    ``z`` holds six floats per member, ``r6`` is (6, 6) or (B, 6, 6), and
-    ``angles`` says whether the last three floats are angles.
+    ``z`` holds six floats per member, ``r6`` is (6, 6) or, for a stack
+    of B covariances, (B, 6, 6), and ``angles`` says whether the last three
+    floats are angles.
     """
-    P_rows = P[:, lo:lo + 6]
+    P_rows = P[..., lo:lo + 6, :]
     # LU solve of S K^T = P_rows: the LAPACK gesv gufunc np.linalg.solve
     # calls, minus its per-call wrapper (its float64 loop is the one the
     # gufunc picks for float arrays).  S is positive definite (PSD P, r6
     # checked positive definite), so the solve succeeds; a broken P that
     # makes it fail gives NaNs, which _finish rejects.
-    Kt = _gesv(P_rows[:, :, lo:lo + 6] + r6, P_rows)
+    Kt = _gesv(P_rows[..., lo:lo + 6] + r6, P_rows)
     K = Kt.mT
-    x = list(map(_corrected, x, z, K, repeat(lo), repeat(angles)))
+    x = list(map(_corrected, x, z, K if K.ndim == 3 else (K,), repeat(lo), repeat(angles)))
     # Joseph form (I-KH) P (I-KH)^T + K R K^T with H a selector matrix:
     # M - M H^T K^T + K R K^T, folded into one product; each difference
     # goes into the product it subtracts.
     M = _mm(K, P_rows)
     _subtract(P, M, out=M)
     D = _mm(K, r6)
-    _subtract(M[:, :, lo:lo + 6].copy(), D, out=D)
+    _subtract(M[..., lo:lo + 6].copy(), D, out=D)
     P = _mm(D, Kt)
     return x, _subtract(M, P, out=P)
 
@@ -579,7 +583,7 @@ def _velocity_covariance(r_prev: np.ndarray, r_cur: np.ndarray, dt: float) -> np
 # Filter operations
 # ---------------------------------------------------------------------------
 #
-# Single-filter operations: the kernels at B = 1, on events of one member.
+# Single-filter operations: the kernels on one member's matrices and events.
 
 def _single(m: MeasurementEvent) -> tuple[float, ...]:
     if len(m.z) != 1:
@@ -592,7 +596,7 @@ def _estimate(result: tuple[list[list[float]], np.ndarray], timestamp: float) ->
     P = _finish([x], P, _ones(P.size))
     x = np.array(x)
     x.setflags(write=False)
-    return StateEstimate._from_kernel(x, P[0], timestamp)
+    return StateEstimate._from_kernel(x, P, timestamp)
 
 
 def predict(s: StateEstimate, model: ProcessModel, dt: float) -> StateEstimate:
@@ -604,7 +608,7 @@ def predict(s: StateEstimate, model: ProcessModel, dt: float) -> StateEstimate:
         raise ValueError(f"dt must be finite and >= 0, got {dt}")
     if dt == 0.0:
         return s
-    return _estimate(_predict_kernel([s.x.tolist()], s.P[None], dt, model.q * dt, _Jacobians(1)), s.timestamp + dt)
+    return _estimate(_predict_kernel([s.x.tolist()], s.P, dt, model.q * dt, _Jacobians(None)), s.timestamp + dt)
 
 
 def update_absolute(s: StateEstimate, m: MeasurementEvent) -> StateEstimate:
@@ -616,7 +620,7 @@ def update_absolute(s: StateEstimate, m: MeasurementEvent) -> StateEstimate:
     """
     z = _single(m)
     _check_psd(s.P, "covariance")
-    return _estimate(_update_kernel([s.x.tolist()], s.P[None], POSE_BLOCK.start, [z], m.r6, True), s.timestamp)
+    return _estimate(_update_kernel([s.x.tolist()], s.P, POSE_BLOCK.start, [z], m.r6, True), s.timestamp)
 
 
 def differential_velocity(prev: MeasurementEvent, cur: MeasurementEvent) -> np.ndarray:
@@ -644,7 +648,7 @@ def update_differential(
     dt = _pair_dt(prev, cur)
     z = _velocity_measurement(p0, p1, _row_quaternion(p0), _row_quaternion(p1), dt)
     r_vel = _velocity_covariance(prev.r6, cur.r6, dt)
-    return _estimate(_update_kernel([s.x.tolist()], s.P[None], TWIST_BLOCK.start, [z], r_vel, False), s.timestamp)
+    return _estimate(_update_kernel([s.x.tolist()], s.P, TWIST_BLOCK.start, [z], r_vel, False), s.timestamp)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +666,9 @@ class EkfNode:
 
     The node keeps each member's state row as a list of floats, the form
     the scalar code takes, and the covariances as a read-only (B, 15, 15)
-    array :attr:`P` at time :attr:`timestamp`, replaced at every change.
+    array :attr:`P` at time :attr:`timestamp`, replaced at every change; a
+    one-member node keeps its 15x15 matrix itself, which the same kernels
+    take with 2-D products.
     :attr:`x` gives the state rows as a read-only (B, 15) array and
     :attr:`rows` as the lists themselves.  For a one-member node
     :attr:`state` wraps the estimate in a :class:`StateEstimate` only when
@@ -680,18 +686,20 @@ class EkfNode:
             raise ValueError(f"a node needs at least one member, got {members}")
         self.config = config
         self.members = members
+        # the leading axis of the node's matrices: none for one member
+        stack = self._stack = (members,) if members > 1 else ()
         self.model = ProcessModel(config.q)
         self.state = config.initial_state
         self.rejected_count = 0
         self._started = False
-        self._jac = _Jacobians(members)  # the buffers of every prediction
+        self._jac = _Jacobians(members if stack else None)  # the buffers of every prediction
 
         q = self.model.q  # not self: the cache must not keep the node in a reference cycle
 
         @lru_cache(self._CACHED_STEPS)
         def q_dt(dt: float) -> np.ndarray:
             # one copy per member: an in-place add of a broadcast operand is slower
-            return np.tile(q * dt, (members, 1, 1))
+            return np.tile(q * dt, stack + (1, 1))
 
         self._q_dt = q_dt
         self._r_vel: dict[float, tuple] = {}  # dt -> (R0, R1, (R0 + R1) / dt^2)
@@ -716,25 +724,31 @@ class EkfNode:
         return self._x
 
     @property
+    def P(self) -> np.ndarray:
+        """The members' covariances, a read-only (B, 15, 15) array."""
+        P = self._P
+        return P if self._stack else P[None]
+
+    @property
     def state(self) -> StateEstimate:
         if self.members != 1:
             raise ValueError(f"a node of {self.members} members has no single state; read x and P")
         s = self._state
         if s is None:
-            s = self._state = StateEstimate._from_kernel(self.x[0], self.P[0], self.timestamp)
+            s = self._state = StateEstimate._from_kernel(self.x[0], self._P, self.timestamp)
         return s
 
     @state.setter
     def state(self, s: StateEstimate) -> None:
         _check_psd(s.P, "node covariance")
-        P = np.tile(s.P, (self.members, 1, 1))
+        P = np.tile(s.P, self._stack + (1, 1))
         P.setflags(write=False)
         self._x, self._x_array = [s.x.tolist() for _ in range(self.members)], None
-        self.P, self.timestamp = P, s.timestamp
+        self._P, self.timestamp = P, s.timestamp
         self._state = s if self.members == 1 else None
 
     def _commit(self, t: float, x: list[list[float]], P: np.ndarray) -> None:
-        self.P = _finish(x, P, self._jac.ones)
+        self._P = _finish(x, P, self._jac.ones)
         self._x, self._x_array = x, None
         self.timestamp = t
         self._state = None
@@ -761,7 +775,7 @@ class EkfNode:
 
     def _predicted(self, t: float) -> tuple[list[list[float]], np.ndarray]:
         """The estimate propagated to time t, not yet committed."""
-        x, P = self._x, self.P
+        x, P = self._x, self._P
         dt = t - self.timestamp
         if dt <= 0.0:
             return x, P
@@ -811,6 +825,6 @@ class EkfNode:
                     self._r_vel.clear()
                 cached = self._r_vel[dt] = (r_prev, r_cur, _velocity_covariance(r_prev, r_cur, dt))
             x, P = _update_kernel(x, P, TWIST_BLOCK.start, z, cached[2], False)
-        if P is not self.P:
+        if P is not self._P:
             self._commit(event.timestamp, x, P)
         self._prev = event, q

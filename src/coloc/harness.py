@@ -513,7 +513,8 @@ class _Node2Pass:
             stamps = perception[0].t
             if any(not np.array_equal(r.t, stamps) for r in perception):
                 raise ValueError("lockstep members must share one perception schedule")
-            r6 = np.array([r.r6 for r in perception])
+            # one member's covariance (a one-member node takes matrices), or the members' stack
+            r6 = perception[0].r6 if members == 1 else np.array([r.r6 for r in perception])
             r6.flags.writeable = False
             self.perception = (stamps, np.array([r.p for r in perception]), np.array([r.q for r in perception]), r6)
         self.due = 0  # row of the next perception event
