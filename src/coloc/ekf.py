@@ -440,9 +440,10 @@ _matmul, _subtract = np.matmul, np.subtract
 
 
 def _mm(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """a b, or a b c, member by member; ``b`` may be one matrix for every member.
+    """a b, or a b c, for one member's 2-D matrices or member by member of stacks.
 
-    Matrices, one member's, go through ndarray.dot: the gemm np.matmul calls,
+    Stacks go through np.matmul, and ``b`` may be one matrix for every
+    member.  2-D matrices go through ndarray.dot: the gemm np.matmul calls,
     without the gufunc set-up that costs np.matmul about as much again on
     these small operands.
     """
