@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
@@ -26,16 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .geometry import (
-    WORLD,
-    Agent,
-    Pose,
-    Quaternion,
-    body_frame,
-    euler_to_quaternions,
-    ned_to_enu_arrays,
-    normalize_quaternions,
-)
+from .geometry import Agent, euler_to_quaternions, ned_to_enu_arrays, normalize_quaternions
 
 HEADER_COLUMNS = ("t", "x", "y", "z", "qx", "qy", "qz", "qw")
 ESTIMATE_COLUMNS = HEADER_COLUMNS + ("sx", "sy", "sz", "syaw")
@@ -49,10 +39,8 @@ class TrajectoryLog:
     """A time-ordered series of world->body poses for one agent.
 
     The poses are three read-only arrays: stamps ``t`` (N,), translations
-    ``p`` (N, 3) and unit quaternions ``q`` (N, 4, scalar-last), normalized
-    as :class:`Quaternion` would.  :attr:`samples` holds the same poses as
-    :class:`Pose` objects, built on first request; iterating a log goes
-    through it.
+    ``p`` (N, 3) and unit quaternions ``q`` (N, 4, scalar-last), each row
+    normalized by :func:`normalize_quaternions`.
     """
 
     agent: Agent
@@ -87,19 +75,6 @@ class TrajectoryLog:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __iter__(self):
-        return iter(self.samples)
-
-    @cached_property
-    def samples(self) -> tuple[Pose, ...]:
-        child = body_frame(self.agent)
-        x, y, z, w = self.q.T.tolist()
-        # rows of read-only arrays from a validated log: trusted construction
-        return tuple(
-            Pose._trusted(t, p, Quaternion._trusted(qx, qy, qz, qw), WORLD, child)
-            for t, p, qx, qy, qz, qw in zip(self.t.tolist(), self.p, x, y, z, w)
-        )
 
     def duration(self) -> float:
         if len(self) < 2:
@@ -512,7 +487,7 @@ def generate_synthetic(
         t = np.arange(n) / rate
         xs, ys, yaws = path.poses_at(speed * t + lead)
         zeros = np.zeros(n)
-        # quat_yaw of every heading; the log normalizes as Quaternion() would
+        # the rotation about z by every heading; the log normalizes the rows
         half = 0.5 * yaws
         q = np.column_stack([zeros, zeros, np.sin(half), np.cos(half)])
         metadata = {

@@ -55,12 +55,9 @@ from numpy.linalg._umath_linalg import solve as _gesv
 
 from .errors import FrameMismatchError, NumericError, OutOfOrderError
 from .geometry import (
-    BODY_ADAS,
     LOCAL,
     WORLD,
     Frame,
-    Pose,
-    Quaternion,
     q_from_euler,
     q_normalized,
     q_product,
@@ -202,14 +199,6 @@ class StateEstimate:
         ang = self.x[ANG]
         if np.any(ang > math.pi) or np.any(ang <= -math.pi):
             raise NumericError("orientation angles are not wrapped to (-pi, pi]")
-
-    def pose(self, parent: Frame, child: Frame = BODY_ADAS) -> Pose:
-        if parent == child:
-            raise FrameMismatchError(f"pose frames must differ, got {parent} twice")
-        return Pose._trusted(
-            self.timestamp, self.x[POS].copy(), Quaternion.from_euler(*self.x[ANG].tolist()),
-            parent, child,
-        )
 
 
 def _check_psd(P: np.ndarray, what: str) -> None:

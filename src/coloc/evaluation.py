@@ -17,7 +17,14 @@ import numpy as np
 
 from .dataio import TrajectoryLog, nearest_in_time, write_table
 from .errors import DataError, NumericError
-from .geometry import Quaternion, compose_arrays, geodesic_angles, quat_yaw
+from .geometry import (
+    compose_arrays,
+    geodesic_angles,
+    normalize_quaternions,
+    q_normalized,
+    rotate_vectors,
+    rotation_matrix_to_quaternion,
+)
 
 DEFAULT_MAX_DT = 0.02
 _RANK_TOLERANCE = 1e-9
@@ -31,20 +38,30 @@ class AlignmentMode(Enum):
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """World-frame correction applied to an estimated trajectory."""
+    """World-frame correction applied to an estimated trajectory.
 
-    rotation: Quaternion
+    ``rotation`` is a read-only unit quaternion (4,), scalar-last, normalized
+    on construction; ``translation`` is a finite 3-vector.
+    """
+
+    rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self) -> None:
+        q = np.array(self.rotation, dtype=float)
+        if q.shape != (4,):
+            raise ValueError("rotation must be a scalar-last quaternion 4-vector")
+        q = normalize_quaternions(q)
+        q.setflags(write=False)
         t = np.asarray(self.translation, dtype=float)
         if t.shape != (3,) or not np.all(np.isfinite(t)):
             raise ValueError("translation must be a finite 3-vector")
+        object.__setattr__(self, "rotation", q)
         object.__setattr__(self, "translation", t)
 
     @classmethod
     def identity(cls) -> "RigidTransform":
-        return cls(Quaternion.identity(), np.zeros(3))
+        return cls(np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(3))
 
 
 @dataclass(frozen=True)
@@ -108,7 +125,7 @@ def _align_se3(est: np.ndarray, gt: np.ndarray) -> RigidTransform:
     d = np.sign(np.linalg.det(Vt.T @ U.T))
     R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
     t = g_mean - R @ e_mean
-    return RigidTransform(Quaternion.from_rotation_matrix(R), t)
+    return RigidTransform(rotation_matrix_to_quaternion(R), t)
 
 
 def _align_yaw(est: np.ndarray, gt: np.ndarray) -> RigidTransform:
@@ -122,9 +139,11 @@ def _align_yaw(est: np.ndarray, gt: np.ndarray) -> RigidTransform:
     if abs(sin_term) <= _RANK_TOLERANCE and abs(cos_term) <= _RANK_TOLERANCE:
         raise NumericError("degenerate geometry: no planar spread to estimate yaw from")
     theta = math.atan2(sin_term, cos_term)
-    q = quat_yaw(theta)
-    t = g_mean - q.rotate(e_mean)
-    return RigidTransform(q, t)
+    if not math.isfinite(theta):
+        raise ValueError("yaw angle must be finite")
+    h = 0.5 * theta
+    q = np.array(q_normalized((0.0, 0.0, math.sin(h), math.cos(h))))
+    return RigidTransform(q, g_mean - rotate_vectors(q, e_mean))
 
 
 def align(rows: AssociatedRows, mode: AlignmentMode) -> RigidTransform:
@@ -142,7 +161,7 @@ def align(rows: AssociatedRows, mode: AlignmentMode) -> RigidTransform:
 
 def apply_alignment(rows: AssociatedRows, transform: RigidTransform) -> AssociatedRows:
     """The rows with ``transform`` applied to the estimate side; ground truth is untouched."""
-    t, q = compose_arrays(transform.translation, transform.rotation.as_array(), rows.est_p, rows.est_q)
+    t, q = compose_arrays(transform.translation, transform.rotation, rows.est_p, rows.est_q)
     return replace(rows, est_p=t, est_q=q)
 
 

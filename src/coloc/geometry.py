@@ -1,13 +1,17 @@
-"""Rigid-body poses, unit quaternions and coordinate-frame bookkeeping.
+"""Coordinate frames, and rigid-body pose arithmetic on arrays.
+
+Poses are (n, 3) translation and (n, 4) unit quaternion arrays; the scalar
+``q_*`` kernels do the same quaternion arithmetic on bare floats.
 
 Conventions used throughout the package:
 
 * Quaternions are stored scalar-last, ``(x, y, z, w)``, and multiply with the
-  Hamilton product, so ``(a * b).rotation_matrix() == a.rotation_matrix() @
-  b.rotation_matrix()``.
-* A :class:`Pose` with parent frame P and child frame C maps coordinates of
-  points expressed in C into P; equivalently it is the pose of C as observed
-  from P.  Composition therefore chains parent->child->grandchild.
+  Hamilton product, so the rotation matrix of ``multiply_quaternions(a, b)``
+  is the rotation matrix of ``a`` times that of ``b``.
+* A pose ``(t, q)`` with parent frame P and child frame C maps coordinates of
+  points expressed in C into P (``p -> rotate(q, p) + t``); equivalently it is
+  the pose of C as observed from P.  Composition therefore chains
+  parent->child->grandchild.
 * Angles are radians internally.  Degrees appear only at configuration and
   reporting boundaries.
 * Euler angles are roll/pitch/yaw about body x/y/z, composed as
@@ -17,12 +21,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .errors import FrameMismatchError
 
 _TWO_PI = 2.0 * math.pi
 
@@ -63,135 +65,15 @@ def body_frame(agent: Agent) -> Frame:
     return BODY_SMART if agent is Agent.SMART else BODY_ADAS
 
 
-@dataclass(frozen=True, slots=True)
-class Quaternion:
-    """Unit quaternion, scalar-last storage ``(x, y, z, w)``.
-
-    Normalized on construction; the sign is left untouched so perturbation
-    chains stay reproducible.  Use :meth:`canonical` when comparing rotations
-    across the double cover.
-    """
-
-    x: float
-    y: float
-    z: float
-    w: float
-
-    def __post_init__(self) -> None:
-        given = (self.x, self.y, self.z, self.w)
-        unit = q_normalized(given)
-        if unit is not given:
-            for name, value in zip("xyzw", unit):
-                object.__setattr__(self, name, value)
-
-    @classmethod
-    def _trusted(cls, x: float, y: float, z: float, w: float) -> "Quaternion":
-        """Construction fast path for a row :func:`normalize_quaternions` produced.
-
-        Such a row is unit within the same 1e-12 rule construction applies,
-        so normalizing it again would return it unchanged; the check is
-        skipped because this runs once per event on a hot path.
-        """
-        q = object.__new__(cls)
-        object.__setattr__(q, "x", x)
-        object.__setattr__(q, "y", y)
-        object.__setattr__(q, "z", z)
-        object.__setattr__(q, "w", w)
-        return q
-
-    @classmethod
-    def identity(cls) -> "Quaternion":
-        return cls(0.0, 0.0, 0.0, 1.0)
-
-    @classmethod
-    def from_array(cls, q) -> "Quaternion":
-        x, y, z, w = (float(v) for v in q)
-        return cls(x, y, z, w)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.w])
-
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z + self.w * self.w)
-
-    def canonical(self) -> "Quaternion":
-        """Same rotation with w >= 0, for sign-insensitive comparisons."""
-        if self.w < 0.0 or (self.w == 0.0 and (self.z < 0.0 or (self.z == 0.0 and (self.y < 0.0 or (self.y == 0.0 and self.x < 0.0))))):
-            return Quaternion(-self.x, -self.y, -self.z, -self.w)
-        return self
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(-self.x, -self.y, -self.z, self.w)
-
-    inverse = conjugate  # unit quaternions only
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(*q_product(self.x, self.y, self.z, self.w, other.x, other.y, other.z, other.w))
-
-    def rotate(self, vec) -> np.ndarray:
-        return np.array(
-            q_rotate(self.x, self.y, self.z, self.w, float(vec[0]), float(vec[1]), float(vec[2]))
-        )
-
-    def rotation_matrix(self) -> np.ndarray:
-        x, y, z, w = self.x, self.y, self.z, self.w
-        xx, yy, zz = x * x, y * y, z * z
-        xy, xz, yz = x * y, x * z, y * z
-        wx, wy, wz = w * x, w * y, w * z
-        return np.array(
-            [
-                [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
-                [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
-                [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
-            ]
-        )
-
-    @classmethod
-    def from_rotation_matrix(cls, R) -> "Quaternion":
-        """Shepperd's method: pick the numerically largest diagonal branch."""
-        R = np.asarray(R, dtype=float)
-        tr = R[0, 0] + R[1, 1] + R[2, 2]
-        if tr > max(R[0, 0], R[1, 1], R[2, 2]):
-            w = 0.5 * math.sqrt(1.0 + tr)
-            s = 0.25 / w
-            return cls((R[2, 1] - R[1, 2]) * s, (R[0, 2] - R[2, 0]) * s, (R[1, 0] - R[0, 1]) * s, w)
-        i = int(np.argmax([R[0, 0], R[1, 1], R[2, 2]]))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        q = np.empty(4)
-        q[i] = 0.5 * math.sqrt(1.0 + R[i, i] - R[j, j] - R[k, k])
-        s = 0.25 / q[i]
-        q[j] = (R[j, i] + R[i, j]) * s
-        q[k] = (R[k, i] + R[i, k]) * s
-        q[3] = (R[k, j] - R[j, k]) * s
-        return cls(q[0], q[1], q[2], q[3])
-
-    def to_euler(self) -> tuple[float, float, float]:
-        """Roll, pitch, yaw in radians (pitch clamped at the +-pi/2 singularity)."""
-        x, y, z, w = self.x, self.y, self.z, self.w
-        roll = math.atan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
-        sp = 2.0 * (w * y - z * x)
-        pitch = math.asin(max(-1.0, min(1.0, sp)))
-        yaw = math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
-        return roll, pitch, yaw
-
-    @classmethod
-    def from_euler(cls, roll: float, pitch: float, yaw: float) -> "Quaternion":
-        return cls(*q_from_euler(roll, pitch, yaw))
-
-    def rotation_vector(self) -> np.ndarray:
-        """Axis-angle vector (radians), magnitude in [0, pi]."""
-        return np.array(q_rotation_vector(self.x, self.y, self.z, self.w))
-
-
 # ---------------------------------------------------------------------------
 # Scalar quaternion kernels
 # ---------------------------------------------------------------------------
 #
-# Quaternion's arithmetic on bare floats, for per-event loops that must not
-# build objects; the methods above are thin wrappers around them.
+# Quaternion arithmetic on bare floats, for per-event loops that must not
+# build arrays.
 
 def q_normalized(q: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
-    """The components Quaternion(*q) stores: q itself when it is unit within 1e-12."""
+    """q as a unit quaternion: q itself when it is unit within 1e-12, else q over its norm."""
     x, y, z, w = q
     n = math.sqrt(x * x + y * y + z * z + w * w)
     if not math.isfinite(n) or n == 0.0:
@@ -202,7 +84,7 @@ def q_normalized(q: tuple[float, float, float, float]) -> tuple[float, float, fl
 
 
 def q_from_euler(roll: float, pitch: float, yaw: float) -> tuple[float, float, float, float]:
-    """The components ``Quaternion.from_euler(roll, pitch, yaw)`` stores."""
+    """Unit quaternion of the Euler angles (roll, pitch, yaw)."""
     # Closed form of the product yaw * pitch * roll of the three
     # single-axis rotations (about z, y and x), applied roll first.
     cr, sr = math.cos(0.5 * roll), math.sin(0.5 * roll)
@@ -254,21 +136,6 @@ def q_rotation_vector(x, y, z, w) -> tuple[float, float, float]:
     return k * x, k * y, k * z
 
 
-def quat_yaw(theta: float) -> Quaternion:
-    """Rotation by theta radians about the z axis."""
-    if not math.isfinite(theta):
-        raise ValueError("yaw angle must be finite")
-    h = 0.5 * theta
-    return Quaternion(0.0, 0.0, math.sin(h), math.cos(h))
-
-
-def rotation_geodesic(a: Quaternion, b: Quaternion) -> float:
-    """Geodesic angle between two rotations, in [0, pi]; sign/double-cover safe."""
-    r = a.conjugate() * b
-    vn = math.sqrt(r.x * r.x + r.y * r.y + r.z * r.z)
-    return 2.0 * math.atan2(vn, abs(r.w))
-
-
 def wrap_angle(theta):
     """Wrap radians to (-pi, pi]; works on scalars and arrays.
 
@@ -284,16 +151,15 @@ def wrap_angle(theta):
 # Array forms
 # ---------------------------------------------------------------------------
 #
-# Many-pose counterparts of Quaternion.__mul__, Quaternion.rotate,
-# Quaternion.from_euler, Quaternion.to_euler and rotation_geodesic over
-# (n, 4) scalar-last quaternion and (n, 3) vector arrays; a single row
-# broadcasts against many, and one pose is a one-row call.  They evaluate
-# the same expressions in the same order as the per-object code, so each row
-# is bit-identical to the per-object result, except that np.arctan2 in
+# Pose arithmetic over (n, 4) scalar-last quaternion and (n, 3) vector
+# arrays; a single row broadcasts against many, and one pose is a one-row
+# call.  They evaluate the same expressions in the same order as the q_*
+# kernels and the per-pose reference in tests/pose_objects.py, so each row is
+# bit-identical to the per-pose result, except that np.arctan2 in
 # geodesic_angles may round the last place differently from math.atan2.
 
 def normalize_quaternions(q: np.ndarray) -> np.ndarray:
-    """What Quaternion construction does to its components, row by row."""
+    """:func:`q_normalized` of every row."""
     x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     n = np.sqrt(x * x + y * y + z * z + w * w)
     if not (np.isfinite(n).all() and n.all()):
@@ -314,7 +180,7 @@ def conjugate_quaternions(q: np.ndarray) -> np.ndarray:
 
 
 def multiply_quaternions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton products a * b, normalized as Quaternion() would."""
+    """Hamilton products a * b, normalized row by row."""
     x1, y1, z1, w1 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     x2, y2, z2, w2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     out = np.empty(np.broadcast_shapes(a.shape, b.shape))
@@ -326,7 +192,7 @@ def multiply_quaternions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def rotate_vectors(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vectors v rotated by quaternions q, as Quaternion.rotate computes it."""
+    """Vectors v rotated by unit quaternions q, as :func:`q_rotate` computes it."""
     x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
     tx = 2.0 * (y * vz - z * vy)
@@ -342,18 +208,18 @@ def rotate_vectors(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 def compose_arrays(
     ta: np.ndarray, qa: np.ndarray, tb: np.ndarray, qb: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`compose` of the poses (ta, qa) and (tb, qb), row by row."""
+    """Chain the poses (ta, qa) and (tb, qb) row by row: b's child frame into a's parent frame."""
     return ta + rotate_vectors(qa, tb), multiply_quaternions(qa, qb)
 
 
 def invert_arrays(t: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`invert` of the poses (t, q), row by row."""
+    """Inverse transforms of the poses (t, q), row by row; parent and child frames swap."""
     q_inv = conjugate_quaternions(q)
     return -rotate_vectors(q_inv, t), q_inv
 
 
 def euler_to_quaternions(angles: np.ndarray) -> np.ndarray:
-    """:meth:`Quaternion.from_euler` of every (roll, pitch, yaw) row of (n, 3) ``angles``."""
+    """:func:`q_from_euler` of every (roll, pitch, yaw) row of (n, 3) ``angles``."""
     half = 0.5 * np.asarray(angles, dtype=float)
     c, s = np.cos(half), np.sin(half)
     cr, cp, cy = c[..., 0], c[..., 1], c[..., 2]
@@ -367,7 +233,7 @@ def euler_to_quaternions(angles: np.ndarray) -> np.ndarray:
 
 
 def quaternions_to_euler(q: np.ndarray) -> np.ndarray:
-    """:meth:`Quaternion.to_euler` of every row of (n, 4) ``q``, as (n, 3) roll, pitch, yaw.
+    """Roll, pitch, yaw (n, 3) of every row of (n, 4) ``q``; pitch clamped at +-pi/2.
 
     The angles' arguments are array arithmetic; the angles themselves come
     from math.atan2 and math.asin mapped over them, because np.arctan2 and
@@ -381,128 +247,53 @@ def quaternions_to_euler(q: np.ndarray) -> np.ndarray:
     return out
 
 
+def rotation_matrix_to_quaternion(R: np.ndarray) -> np.ndarray:
+    """Unit quaternion (4,) of a 3x3 rotation matrix, by Shepperd's method.
+
+    The branch is the largest of the trace and the diagonal entries, so the
+    square root is taken of the largest quaternion component.
+    """
+    tr = R[0, 0] + R[1, 1] + R[2, 2]
+    q = np.empty(4)
+    if tr > max(R[0, 0], R[1, 1], R[2, 2]):
+        q[3] = 0.5 * math.sqrt(1.0 + tr)
+        s = 0.25 / q[3]
+        q[0], q[1], q[2] = (R[2, 1] - R[1, 2]) * s, (R[0, 2] - R[2, 0]) * s, (R[1, 0] - R[0, 1]) * s
+    else:
+        i = int(np.argmax([R[0, 0], R[1, 1], R[2, 2]]))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        q[i] = 0.5 * math.sqrt(1.0 + R[i, i] - R[j, j] - R[k, k])
+        s = 0.25 / q[i]
+        q[j] = (R[j, i] + R[i, j]) * s
+        q[k] = (R[k, i] + R[i, k]) * s
+        q[3] = (R[k, j] - R[j, k]) * s
+    return np.array(q_normalized(tuple(q.tolist())))
+
+
 def geodesic_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """rotation_geodesic for every row pair, in radians."""
+    """Geodesic angle between the rotations of every row pair, in [0, pi]; double-cover safe."""
     r = multiply_quaternions(conjugate_quaternions(a), b)
     rx, ry, rz, rw = r[..., 0], r[..., 1], r[..., 2], r[..., 3]
     return 2.0 * np.arctan2(np.sqrt(rx * rx + ry * ry + rz * rz), np.abs(rw))
 
 
-@dataclass(frozen=True, slots=True)
-class Pose:
-    """Timestamped rigid transform from ``child_frame`` into ``parent_frame``."""
-
-    timestamp: float
-    translation: np.ndarray
-    rotation: Quaternion
-    parent_frame: Frame
-    child_frame: Frame
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.timestamp) and self.timestamp >= 0.0):
-            raise ValueError(f"timestamp must be finite and non-negative, got {self.timestamp}")
-        if self.parent_frame == self.child_frame:
-            raise FrameMismatchError(f"parent and child frame are both {self.parent_frame}")
-        t = np.asarray(self.translation, dtype=float)
-        if t.shape != (3,):
-            raise ValueError(f"translation must be a 3-vector, got shape {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("translation must be finite")
-        t = t.copy()
-        t.flags.writeable = False
-        object.__setattr__(self, "translation", t)
-
-    @classmethod
-    def _trusted(
-        cls, timestamp: float, translation: np.ndarray, rotation: Quaternion,
-        parent: Frame, child: Frame,
-    ) -> "Pose":
-        """Construction fast path for internal pose arithmetic.
-
-        The caller guarantees a fresh finite float 3-vector and already-checked
-        frames; validation is skipped because the inputs came from validated
-        poses and closed arithmetic.
-        """
-        translation.setflags(write=False)
-        p = object.__new__(cls)
-        object.__setattr__(p, "timestamp", timestamp)
-        object.__setattr__(p, "translation", translation)
-        object.__setattr__(p, "rotation", rotation)
-        object.__setattr__(p, "parent_frame", parent)
-        object.__setattr__(p, "child_frame", child)
-        return p
-
-    @classmethod
-    def identity(cls, timestamp: float, parent: Frame, child: Frame) -> "Pose":
-        return cls(timestamp, np.zeros(3), Quaternion.identity(), parent, child)
-
-    def matrix(self) -> np.ndarray:
-        """4x4 homogeneous transform."""
-        T = np.eye(4)
-        T[:3, :3] = self.rotation.rotation_matrix()
-        T[:3, 3] = self.translation
-        return T
-
-
-def compose(a: Pose, b: Pose) -> Pose:
-    """Chain two poses: the result maps b's child frame into a's parent frame."""
-    if a.child_frame != b.parent_frame:
-        raise FrameMismatchError(
-            f"cannot compose: left child frame is {a.child_frame}, right parent frame is {b.parent_frame}"
-        )
-    ra, rb = a.rotation, b.rotation
-    d = q_rotate(ra.x, ra.y, ra.z, ra.w, *b.translation.tolist())
-    t = a.translation.tolist()
-    q = q_normalized(q_product(ra.x, ra.y, ra.z, ra.w, rb.x, rb.y, rb.z, rb.w))
-    return Pose._trusted(
-        b.timestamp, np.array([t[0] + d[0], t[1] + d[1], t[2] + d[2]]), Quaternion(*q),
-        a.parent_frame, b.child_frame,
-    )
-
-
-def invert(p: Pose) -> Pose:
-    """Inverse transform; parent and child frames swap."""
-    q_inv = p.rotation.conjugate()
-    return Pose._trusted(
-        p.timestamp, -q_inv.rotate(p.translation), q_inv, p.child_frame, p.parent_frame
-    )
-
-
-def relative_pose(world_smart: Pose, world_adas: Pose) -> Pose:
-    """Pose of the follower's body frame as seen from the leader's body frame."""
-    if world_smart.parent_frame != world_adas.parent_frame:
-        raise FrameMismatchError(
-            f"relative_pose needs a shared parent frame, got {world_smart.parent_frame} and {world_adas.parent_frame}"
-        )
-    return compose(invert(world_smart), world_adas)
-
-
 # World-axis permutation NED -> ENU (n,e,d) -> (e,n,-d): 180 degrees about (1,1,0)/sqrt(2).
-_Q_WORLD_NED_TO_ENU = Quaternion(math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0).as_array()
+_Q_WORLD_NED_TO_ENU = np.array([math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0])
 # Body-axis convention swap forward-right-down -> forward-left-up: 180 degrees about x.
-_Q_BODY_FRD_TO_FLU = Quaternion(1.0, 0.0, 0.0, 0.0).as_array()
+_Q_BODY_FRD_TO_FLU = np.array([1.0, 0.0, 0.0, 0.0])
 _NED_TO_ENU_AXES = [1, 0, 2]
 _NED_TO_ENU_SIGNS = np.array([1.0, 1.0, -1.0])
 
 
 def ned_to_enu_arrays(t: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`ned_to_enu` of the poses (t, q), row by row."""
-    return (
-        t[..., _NED_TO_ENU_AXES] * _NED_TO_ENU_SIGNS,
-        multiply_quaternions(multiply_quaternions(_Q_WORLD_NED_TO_ENU, q), _Q_BODY_FRD_TO_FLU),
-    )
-
-
-def ned_to_enu(p: Pose) -> Pose:
-    """Re-express a north-east-down pose in east-north-up axes.
+    """Re-express north-east-down poses (t, q) in east-north-up axes, row by row.
 
     Both the world axes and the body axes switch convention (forward-right-down
     to forward-left-up), so a vehicle heading north (identity in NED) comes out
     with an ENU yaw of +90 degrees.  The mapping is an involution: applying it
     twice returns the input.
     """
-    t, q = ned_to_enu_arrays(p.translation, p.rotation.as_array())
-    return replace(p, translation=t, rotation=Quaternion(*q.tolist()))
-
-
-enu_to_ned = ned_to_enu  # the axis swap is its own inverse
+    return (
+        t[..., _NED_TO_ENU_AXES] * _NED_TO_ENU_SIGNS,
+        multiply_quaternions(multiply_quaternions(_Q_WORLD_NED_TO_ENU, q), _Q_BODY_FRD_TO_FLU),
+    )

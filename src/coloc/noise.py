@@ -122,7 +122,7 @@ def perturb_yaw(q: np.ndarray, spec: NoiseSpec, rng: RandomStream) -> np.ndarray
     """
     half = (0.5 * (spec.gamma_yaw_rad * rng.standard_normal("yaw", len(q)))).tolist()
     yaw = np.zeros((len(q), 4))
-    # math.sin/cos per angle, as quat_yaw computes them
+    # math.sin/cos per angle: np.sin/np.cos may round the last place differently
     yaw[:, 2] = [math.sin(h) for h in half]
     yaw[:, 3] = [math.cos(h) for h in half]
     return multiply_quaternions(q, normalize_quaternions(yaw))

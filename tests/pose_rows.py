@@ -1,7 +1,9 @@
-"""Row-array inputs built from Pose objects, for tests written pose by pose.
+"""Row-array inputs built from the reference pose objects, for tests written pose by pose.
 
 The pipeline stages take logs or row arrays, and the filters take pose-row
-events; these helpers turn the poses a test spells out into those forms.
+events; these helpers turn the ``pose_objects.Pose`` objects a test spells
+out into those forms.  ``pose_objects.poses`` goes the other way, from a log
+to its poses.
 """
 
 import numpy as np

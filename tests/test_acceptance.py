@@ -56,15 +56,8 @@ from coloc.ekf import (
     update_differential,
 )
 from coloc.evaluation import AlignmentMode, AssociatedRows, align, compute_errors
-from coloc.geometry import (
-    BODY_ADAS,
-    LOCAL,
-    WORLD,
-    Pose,
-    Quaternion,
-    quat_yaw,
-    rotation_geodesic,
-)
+from coloc.geometry import BODY_ADAS, LOCAL, WORLD
+from pose_objects import Pose, Quaternion, poses, quat_yaw, rotation_geodesic
 from coloc import harness
 from coloc.harness import (
     ExperimentConfig,
@@ -476,7 +469,7 @@ def test_alignment_matches_brute_force_minimizer():
         ours = align(pairs, AlignmentMode.SE3)
         R_oracle, t_oracle = _brute_force_se3(est_pts, gt_pts, rotvec, t_true, rng)
 
-        rot_gap = rotation_geodesic(ours.rotation, Quaternion.from_rotation_matrix(R_oracle))
+        rot_gap = rotation_geodesic(Quaternion.from_array(ours.rotation), Quaternion.from_rotation_matrix(R_oracle))
         trans_gap = float(np.max(np.abs(ours.translation - t_oracle)))
         worst_rot = max(worst_rot, rot_gap)
         worst_trans = max(worst_trans, trans_gap)
@@ -577,7 +570,7 @@ def _check_perception_passthrough(problems):
         PerceptionConfig(NoiseSpec(0.0, 0.0)),
         RandomStream(7).derive("perception"),
     )
-    gt_by_time = {p.timestamp: p for p in adas.samples}
+    gt_by_time = {p.timestamp: p for p in poses(adas)}
     worst = 0.0
     for t, p, q in zip(rows.t.tolist(), rows.p, rows.q):
         gt = gt_by_time[t]

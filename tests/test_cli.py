@@ -321,17 +321,6 @@ class TestEval:
         assert rc == EXIT_DATA
         assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
 
-    def test_builds_no_pose_objects_for_whole_logs(self, tmp_path, monkeypatch):
-        from coloc.dataio import TrajectoryLog
-
-        _, adas_path = gen_pair(tmp_path)
-
-        def no_samples(log):
-            raise AssertionError("samples built")
-
-        monkeypatch.setattr(TrajectoryLog, "samples", property(no_samples))
-        assert main(["eval", "--est", str(adas_path), "--gt", str(adas_path)]) == EXIT_OK
-
 
 # ---------------------------------------------------------------------------
 # Top level

@@ -25,7 +25,8 @@ from coloc.dataio import (
     load_trajectory,
 )
 from coloc.errors import DataError
-from coloc.geometry import WORLD, Agent, Pose, Quaternion, body_frame, quat_yaw
+from coloc.geometry import WORLD, Agent, body_frame
+from pose_objects import Pose, Quaternion, quat_yaw
 
 SETTINGS = settings(
     max_examples=150,

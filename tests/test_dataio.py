@@ -23,17 +23,8 @@ from coloc.dataio import (
     write_estimate_csv,
 )
 from coloc.errors import DataError
-from coloc.geometry import (
-    BODY_ADAS,
-    BODY_SMART,
-    WORLD,
-    Agent,
-    Pose,
-    Quaternion,
-    quat_yaw,
-    relative_pose,
-    rotation_geodesic,
-)
+from coloc.geometry import BODY_ADAS, BODY_SMART, WORLD, Agent
+from pose_objects import Pose, Quaternion, poses, quat_yaw, relative_pose, rotation_geodesic
 
 from pose_rows import log_of
 
@@ -63,14 +54,14 @@ class TestLoadTrajectory:
         assert log.agent is Agent.ADAS
         assert log.convention == "ENU"
         assert log.metadata == {"source": "unit-test"}
-        np.testing.assert_allclose(log.samples[0].translation, [1.0, 2.0, 0.0])
-        assert log.samples[2].rotation.to_euler()[2] == pytest.approx(math.pi / 2)
+        np.testing.assert_allclose(poses(log)[0].translation, [1.0, 2.0, 0.0])
+        assert poses(log)[2].rotation.to_euler()[2] == pytest.approx(math.pi / 2)
 
     def test_smart_agent_sets_child_frame(self, tmp_path):
         text = GOOD_FILE.replace("#agent=adas", "#agent=smart")
         log = load_trajectory(write(tmp_path, "smart.csv", text))
         assert log.agent is Agent.SMART
-        assert log.samples[0].child_frame == BODY_SMART
+        assert poses(log)[0].child_frame == BODY_SMART
 
     def test_decreasing_timestamp_names_row(self, tmp_path):
         text = (
@@ -97,14 +88,14 @@ class TestLoadTrajectory:
         )
         log = load_trajectory(write(tmp_path, "ned.csv", text))
         assert log.convention == "ENU"
-        np.testing.assert_allclose(log.samples[0].translation, [2.0, 1.0, -3.0], atol=1e-12)
+        np.testing.assert_allclose(poses(log)[0].translation, [2.0, 1.0, -3.0], atol=1e-12)
         # Heading north in NED is yaw +90 in ENU.
-        assert log.samples[0].rotation.to_euler()[2] == pytest.approx(math.pi / 2)
+        assert poses(log)[0].rotation.to_euler()[2] == pytest.approx(math.pi / 2)
 
     def test_enu_loads_without_conversion(self, tmp_path):
         log = load_trajectory(write(tmp_path, "good.csv", GOOD_FILE))
-        assert log.samples[0].translation[0] == 1.0
-        assert log.samples[0].translation[1] == 2.0
+        assert poses(log)[0].translation[0] == 1.0
+        assert poses(log)[0].translation[1] == 2.0
 
     def test_wrong_column_count(self, tmp_path):
         text = "#agent=adas\nt,x,y,z,qx,qy,qz,qw\n0.0,1.0,2.0\n"
@@ -130,7 +121,7 @@ class TestLoadTrajectory:
         w = 1.0 + 5e-7
         text = f"#agent=adas\nt,x,y,z,qx,qy,qz,qw\n0.0,0,0,0,0,0,0,{w!r}\n"
         log = load_trajectory(write(tmp_path, "quat2.csv", text))
-        assert log.samples[0].rotation.norm() == pytest.approx(1.0, abs=1e-12)
+        assert poses(log)[0].rotation.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_missing_header(self, tmp_path):
         with pytest.raises(DataError, match="header"):
@@ -175,11 +166,11 @@ class TestTrajectoryLogType:
     def test_frame_validation(self):
         # frames are not stored: every pose maps the agent's body into the world
         log = TrajectoryLog(Agent.ADAS, "ENU", [0.0], np.zeros((1, 3)), [[0.0, 0.0, 0.0, 1.0]], {})
-        assert (log.samples[0].parent_frame, log.samples[0].child_frame) == (WORLD, BODY_ADAS)
+        assert (poses(log)[0].parent_frame, poses(log)[0].child_frame) == (WORLD, BODY_ADAS)
 
     def test_agent_frame_cross_check(self):
         log = TrajectoryLog(Agent.SMART, "ENU", [0.0], np.zeros((1, 3)), [[0.0, 0.0, 0.0, 1.0]], {})
-        assert log.samples[0].child_frame == BODY_SMART
+        assert poses(log)[0].child_frame == BODY_SMART
 
     def test_bad_convention(self):
         with pytest.raises(DataError):
@@ -218,17 +209,6 @@ class TestTrajectoryLogType:
             list(Quaternion(0.0, 0.0, 1.0, 1.0).as_array()),
         ]
 
-    def test_samples_are_built_once_on_request(self):
-        _, adas = generate_synthetic("circle", 2.0, 10.0, 1.0)
-        assert "samples" not in vars(adas)
-        first = adas.samples
-        assert adas.samples is first and len(first) == len(adas) == 20
-        assert all(a is b for a, b in zip(adas, first))
-        for k, pose in enumerate(first):
-            assert pose.timestamp == adas.t[k]
-            assert pose.translation.tolist() == adas.p[k].tolist()
-            assert pose.rotation.as_array().tolist() == adas.q[k].tolist()
-
 
 class TestExport:
     def random_log(self, n=1000):
@@ -248,7 +228,7 @@ class TestExport:
         assert back.agent == log.agent
         assert back.metadata == log.metadata
         assert len(back) == len(log)
-        for a, b in zip(log.samples, back.samples):
+        for a, b in zip(poses(log), poses(back)):
             assert a.timestamp == b.timestamp
             assert np.array_equal(a.translation, b.translation)
             assert a.rotation.as_array().tolist() == b.rotation.as_array().tolist()
@@ -286,7 +266,7 @@ class TestExport:
         )
         back = load_trajectory(path)  # extra columns ignored
         assert len(back) == 5
-        assert back.samples[3].rotation.to_euler()[2] == pytest.approx(0.3)
+        assert poses(back)[3].rotation.to_euler()[2] == pytest.approx(0.3)
 
 
 class TestSynchronize:
@@ -316,7 +296,7 @@ class TestSynchronize:
         smart, adas = self.make_logs(0.55)
         out_s, out_a = synchronize(smart, adas, SyncSpec(1.5, Agent.SMART))
         assert out_s is smart
-        for before, after in zip(adas.samples, out_a.samples):
+        for before, after in zip(poses(adas), poses(out_a)):
             assert after.timestamp == before.timestamp + 1.5
 
     def test_alignment_brings_pairs_inside_gate(self):
@@ -346,38 +326,38 @@ class TestGenerateSynthetic:
     def test_straight_sample_count_and_length(self):
         smart, adas = generate_synthetic("straight", 10.0, 10.0, 1.0)
         assert len(adas) == 100
-        d = np.linalg.norm(adas.samples[-1].translation - adas.samples[0].translation)
+        d = np.linalg.norm(poses(adas)[-1].translation - poses(adas)[0].translation)
         # One sample period short of the nominal 10 m is expected.
         assert 10.0 - 1.0 / 10.0 - 1e-9 <= d <= 10.0 + 1e-9
 
     def test_straight_relative_pose_is_constant_gap(self):
         gap = 4.0
         smart, adas = generate_synthetic("straight", 5.0, 20.0, 2.0, gap=gap)
-        for sp, ap in zip(smart.samples, adas.samples):
+        for sp, ap in zip(poses(smart), poses(adas)):
             rel = relative_pose(sp, ap)
             np.testing.assert_allclose(rel.translation, [-gap, 0.0, 0.0], atol=1e-9)
             assert rotation_geodesic(rel.rotation, Quaternion.identity()) < 1e-12
 
     def test_circle_winds_once_and_closes(self):
         smart, adas = generate_synthetic("circle", 20.0, 10.0, 2.0)
-        yaws = np.unwrap([p.rotation.to_euler()[2] for p in adas.samples])
+        yaws = np.unwrap([p.rotation.to_euler()[2] for p in poses(adas)])
         n = len(adas)
         total = yaws[-1] - yaws[0]
         assert abs(total - 2 * math.pi * (n - 1) / n) < 1e-6
-        d = np.linalg.norm(adas.samples[-1].translation - adas.samples[0].translation)
+        d = np.linalg.norm(poses(adas)[-1].translation - poses(adas)[0].translation)
         assert d <= 2.0 / 10.0 + 1e-9
 
     def test_figure_eight_closes_and_stays_planar(self):
         smart, adas = generate_synthetic("figure-eight", 30.0, 20.0, 3.0)
-        d = np.linalg.norm(adas.samples[-1].translation - adas.samples[0].translation)
+        d = np.linalg.norm(poses(adas)[-1].translation - poses(adas)[0].translation)
         assert d <= 1.5 * 3.0 / 20.0
-        assert all(p.translation[2] == 0.0 for p in adas.samples)
+        assert all(p.translation[2] == 0.0 for p in poses(adas))
 
     def test_headings_are_tangent(self):
         for kind in ("circle", "figure-eight", "waypoint-spline"):
             _, adas = generate_synthetic(kind, 20.0, 20.0, 2.0, seed=5)
-            pts = np.array([p.translation[:2] for p in adas.samples])
-            yaws = [p.rotation.to_euler()[2] for p in adas.samples]
+            pts = np.array([p.translation[:2] for p in poses(adas)])
+            yaws = [p.rotation.to_euler()[2] for p in poses(adas)]
             steps = np.diff(pts, axis=0)
             for k in range(0, len(steps), 17):
                 step = steps[k] / np.linalg.norm(steps[k])
@@ -389,7 +369,7 @@ class TestGenerateSynthetic:
             smart, adas = generate_synthetic(kind, 15.0, 10.0, 2.0, gap=6.0)
             gaps = [
                 np.linalg.norm(sp.translation - ap.translation)
-                for sp, ap in zip(smart.samples, adas.samples)
+                for sp, ap in zip(poses(smart), poses(adas))
             ]
             assert max(gaps) <= 6.0 + 1e-9
             assert min(gaps) > 0.5
@@ -400,13 +380,13 @@ class TestGenerateSynthetic:
         export_trajectory(a1, tmp_path / "a1.csv")
         export_trajectory(a2, tmp_path / "a2.csv")
         assert (tmp_path / "a1.csv").read_bytes() == (tmp_path / "a2.csv").read_bytes()
-        for p, q in zip(b1.samples, b2.samples):
+        for p, q in zip(poses(b1), poses(b2)):
             assert np.array_equal(p.translation, q.translation)
 
     def test_seed_changes_spline_path(self):
         _, b1 = generate_synthetic("waypoint-spline", 10.0, 10.0, 2.0, seed=3)
         _, b2 = generate_synthetic("waypoint-spline", 10.0, 10.0, 2.0, seed=4)
-        assert not np.allclose(b1.samples[-1].translation, b2.samples[-1].translation)
+        assert not np.allclose(poses(b1)[-1].translation, poses(b2)[-1].translation)
 
     def test_import_leaves_spline_package_unloaded(self):
         # only the waypoint-spline path needs scipy.interpolate, which costs

@@ -40,7 +40,8 @@ from coloc.ekf import (
     update_absolute,
     update_differential,
 )
-from coloc.geometry import BODY_ADAS, LOCAL, WORLD, Pose, Quaternion, quat_yaw, wrap_angle
+from coloc.geometry import BODY_ADAS, LOCAL, WORLD, wrap_angle
+from pose_objects import Pose, Quaternion, quat_yaw
 from coloc.noise import NoiseSpec, RandomStream
 from pose_rows import pose_event
 
@@ -127,7 +128,7 @@ class TestTransition:
     def test_euler_rate_matrix_consistent_with_quaternion_integration(self):
         # One Euler step of the rate equation must agree with exact quaternion
         # integration to second order in dt: halving dt shrinks the gap ~4x.
-        from coloc.geometry import rotation_geodesic
+        from pose_objects import rotation_geodesic
 
         for _ in range(20):
             x = random_state()
@@ -754,7 +755,7 @@ class TestNode2:
     def test_world_anchor_cancels_in_differential_chain(self):
         # invert(W o A) o (W o B) = invert(A) o B: world-composed poses give
         # the local-pose chain, up to rounding
-        from coloc.geometry import compose
+        from pose_objects import compose
 
         rng = np.random.default_rng(43)
         cfg = node2_config()
@@ -798,7 +799,7 @@ class TestTwoStageLocalizer:
             (row,) = node1.node1_step(event)
             node2.node2_step(MeasurementEvent(t, ODO, LOCAL, row, r6))
         truth_local = Pose(t, np.array([speed * t, 0.0, 0.0]), Quaternion.identity(), LOCAL, BODY_ADAS)
-        from coloc.geometry import compose
+        from pose_objects import compose
 
         truth_world = compose(w2l, truth_local)
         assert np.linalg.norm(node2.x[0, POS] - truth_world.translation) < 1e-3

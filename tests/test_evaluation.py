@@ -32,17 +32,8 @@ from coloc.evaluation import (
     evaluate,
     export_error_series,
 )
-from coloc.geometry import (
-    BODY_ADAS,
-    LOCAL,
-    WORLD,
-    Agent,
-    Pose,
-    Quaternion,
-    compose,
-    quat_yaw,
-    rotation_geodesic,
-)
+from coloc.geometry import BODY_ADAS, LOCAL, WORLD, Agent
+from pose_objects import Pose, Quaternion, compose, quat_yaw, rotation_geodesic
 from pose_rows import associated_rows, log_of
 
 
@@ -202,7 +193,7 @@ class TestAlignSE3:
         gt = [random_world_pose(rng, float(k)) for k in range(8)]
         tf = align(associated_rows(list(zip(gt, gt))), AlignmentMode.SE3)
         assert np.allclose(tf.translation, 0.0, atol=1e-12)
-        assert rotation_geodesic(tf.rotation, Quaternion.identity()) < 1e-12
+        assert rotation_geodesic(Quaternion.from_array(tf.rotation), Quaternion.identity()) < 1e-12
 
     def test_known_shift_and_yaw_recovered(self):
         # est = yaw(30 deg) gt + (1, 2, 0); alignment must invert it.
@@ -218,7 +209,7 @@ class TestAlignSE3:
         tf = align(rows, AlignmentMode.SE3)
         assert np.allclose(apply_alignment(rows, tf).est_p, rows.gt_p, atol=1e-9)
         expected_q = quat_yaw(math.radians(-30.0))
-        assert rotation_geodesic(tf.rotation, expected_q) < 1e-9
+        assert rotation_geodesic(Quaternion.from_array(tf.rotation), expected_q) < 1e-9
         assert np.allclose(tf.translation, expected_q.rotate(-shift), atol=1e-9)
 
     def test_matches_brute_force_on_random_instances(self):
@@ -236,10 +227,10 @@ class TestAlignSE3:
             noisy_pairs = [(e, g) for (e, _), g in zip(pairs, gt_noisy)]
             tf = align(associated_rows(noisy_pairs), AlignmentMode.SE3)
             R_o, t_o = brute_force_se3(est_pts, gt_pts, rng)
-            ours = sse(est_pts, gt_pts, tf.rotation.rotation_matrix(), tf.translation)
+            ours = sse(est_pts, gt_pts, Quaternion.from_array(tf.rotation).rotation_matrix(), tf.translation)
             oracle = sse(est_pts, gt_pts, R_o, t_o)
             assert ours <= oracle + 1e-6
-            assert np.allclose(est_pts @ tf.rotation.rotation_matrix().T + tf.translation,
+            assert np.allclose(est_pts @ Quaternion.from_array(tf.rotation).rotation_matrix().T + tf.translation,
                                est_pts @ R_o.T + t_o, atol=1e-6)
 
     def test_result_is_local_minimum_under_100_perturbations(self):
@@ -252,7 +243,7 @@ class TestAlignSE3:
         ]
         est_pts = np.array([e.translation for e, _ in pairs])
         tf = align(associated_rows(pairs), AlignmentMode.SE3)
-        R0 = tf.rotation.rotation_matrix()
+        R0 = Quaternion.from_array(tf.rotation).rotation_matrix()
         base = sse(est_pts, gt_pts, R0, tf.translation)
         for _ in range(100):
             eps = 10.0 ** rng.uniform(-5, -2)
@@ -277,7 +268,7 @@ class TestAlignSE3:
             for e, g in zip(est, gt)
         ]
         tf = align(associated_rows(noisy), AlignmentMode.SE3)
-        R = tf.rotation.rotation_matrix()
+        R = Quaternion.from_array(tf.rotation).rotation_matrix()
         assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-9)
         est_pts = np.array([e.translation for e, _ in noisy])
         gt_pts = np.array([g.translation for _, g in noisy])
@@ -299,8 +290,8 @@ class TestAlignYawOnly:
         rng = np.random.default_rng(16)
         pairs = random_pair_set(rng, n=9)
         tf = align(associated_rows(pairs), AlignmentMode.YAW_ONLY)
-        assert tf.rotation.x == 0.0
-        assert tf.rotation.y == 0.0
+        assert tf.rotation[0] == 0.0
+        assert tf.rotation[1] == 0.0
 
     def test_recovers_planar_distortion_exactly(self):
         rng = np.random.default_rng(17)
@@ -327,7 +318,7 @@ class TestAlignYawOnly:
             ]
             tf = align(associated_rows(pairs), AlignmentMode.YAW_ONLY)
             theta_oracle = brute_force_yaw(est_pts, gt_pts)
-            theta_ours = 2.0 * math.atan2(tf.rotation.z, tf.rotation.w)
+            theta_ours = 2.0 * math.atan2(tf.rotation[2], tf.rotation[3])
             assert rotation_geodesic(quat_yaw(theta_ours), quat_yaw(theta_oracle)) < 1e-6
 
     def test_coincident_points_raise(self):
@@ -345,7 +336,7 @@ class TestAlignNone:
     def test_identity_transform(self):
         tf = align(associated_rows([]), AlignmentMode.NONE)
         assert np.all(tf.translation == 0.0)
-        assert tf.rotation.as_array().tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert tf.rotation.tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_apply_alignment_with_identity_preserves_poses(self):
         rng = np.random.default_rng(19)
@@ -358,14 +349,26 @@ class TestAlignNone:
 
 class TestRigidTransform:
     def test_apply_point_rotates_then_translates(self):
-        tf = RigidTransform(quat_yaw(math.pi / 2.0), np.array([10.0, 0.0, 0.0]))
+        tf = RigidTransform(quat_yaw(math.pi / 2.0).as_array(), np.array([10.0, 0.0, 0.0]))
         p = world_pose(0.0, (1, 0, 0))
         out = apply_alignment(associated_rows([(p, p)]), tf)
         assert np.allclose(out.est_p, [[10.0, 1.0, 0.0]], atol=1e-12)
 
     def test_bad_translation_rejected(self):
         with pytest.raises(ValueError):
-            RigidTransform(Quaternion.identity(), np.array([1.0, 2.0]))
+            RigidTransform(Quaternion.identity().as_array(), np.array([1.0, 2.0]))
+
+    def test_rotation_is_a_read_only_unit_quaternion(self):
+        given = np.array([0.0, 0.0, 2.0, 2.0])
+        tf = RigidTransform(given, np.zeros(3))
+        assert tf.rotation.tolist() == Quaternion(0.0, 0.0, 2.0, 2.0).as_array().tolist()
+        assert given.tolist() == [0.0, 0.0, 2.0, 2.0]
+        assert not tf.rotation.flags.writeable
+
+    def test_bad_rotation_rejected(self):
+        for bad in ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 1.0]):
+            with pytest.raises(ValueError):
+                RigidTransform(np.array(bad), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +563,33 @@ class TestArrayPathsMatchPerPair:
     def test_apply_alignment_matches_compose(self):
         rng = np.random.default_rng(32)
         pairs = random_pair_set(rng, n=50)
-        tf = RigidTransform(Quaternion.from_array(rng.normal(size=4)), rng.normal(size=3))
+        tf = RigidTransform(Quaternion.from_array(rng.normal(size=4)).as_array(), rng.normal(size=3))
         out = apply_alignment(associated_rows(pairs), tf)
         # the correction as a pose that maps world coordinates into corrected ones
-        correction = Pose(0.0, tf.translation, tf.rotation, LOCAL, WORLD)
+        correction = Pose(0.0, tf.translation, Quaternion.from_array(tf.rotation), LOCAL, WORLD)
         for (e, _), tk, qk in zip(pairs, out.est_p, out.est_q):
             want = compose(correction, e)
             assert tk.tolist() == want.translation.tolist()
             assert qk.tolist() == want.rotation.as_array().tolist()
+
+    @pytest.mark.parametrize("mode", [AlignmentMode.SE3, AlignmentMode.YAW_ONLY])
+    def test_align_gives_the_pose_object_bits(self, mode):
+        # The transform as computed on pose objects: Shepperd's quaternion of
+        # the SVD rotation, or quat_yaw of the closed-form angle and its rotate.
+        for seed in range(11, 19):
+            rows = associated_rows(random_pair_set(np.random.default_rng(seed), n=seed - 8))
+            e_mean, g_mean = rows.est_p.mean(axis=0), rows.gt_p.mean(axis=0)
+            e, g = rows.est_p - e_mean, rows.gt_p - g_mean
+            if mode is AlignmentMode.SE3:
+                U, _, Vt = np.linalg.svd(e.T @ g)
+                R = Vt.T @ np.diag([1.0, 1.0, np.sign(np.linalg.det(Vt.T @ U.T))]) @ U.T
+                q, t = Quaternion.from_rotation_matrix(R), g_mean - R @ e_mean
+            else:
+                sin_term = float(np.sum(e[:, 0] * g[:, 1] - e[:, 1] * g[:, 0]))
+                cos_term = float(np.sum(e[:, 0] * g[:, 0] + e[:, 1] * g[:, 1]))
+                q = quat_yaw(math.atan2(sin_term, cos_term))
+                t = g_mean - q.rotate(e_mean)
+            tf = align(rows, mode)
+            assert tf.rotation.tolist() == q.as_array().tolist()
+            assert tf.translation.tolist() == t.tolist()
+            assert not tf.rotation.flags.writeable

@@ -1,8 +1,9 @@
-"""Geometry tests.
+"""Geometry tests: the package's frames and array forms, and the per-pose
+reference objects of ``pose_objects.py`` that the array forms are pinned to.
 
 Every expected value here is produced by an independent oracle: scipy's
 Rotation class for quaternion algebra and 4x4 homogeneous matrices for pose
-composition/inversion.  The package code under test never touches scipy's
+composition/inversion.  The code under test never touches scipy's
 Rotation, so agreement is meaningful.
 """
 
@@ -20,9 +21,12 @@ from coloc.geometry import (
     WORLD,
     Agent,
     Frame,
+    body_frame,
+    wrap_angle,
+)
+from pose_objects import (
     Pose,
     Quaternion,
-    body_frame,
     compose,
     enu_to_ned,
     invert,
@@ -30,7 +34,6 @@ from coloc.geometry import (
     quat_yaw,
     relative_pose,
     rotation_geodesic,
-    wrap_angle,
 )
 from pose_rows import arrays_of
 
@@ -497,3 +500,18 @@ class TestArrayForms:
             normalize_quaternions(np.array([[0.0, 0.0, 0.0, 0.0]]))
         with pytest.raises(ValueError):
             normalize_quaternions(np.array([[math.nan, 0.0, 0.0, 1.0]]))
+
+
+def test_package_ships_array_geometry_only():
+    # The per-pose objects live in pose_objects.py as the tests' reference;
+    # no module of the package defines, imports or exports them.
+    import importlib
+    import pkgutil
+
+    import coloc
+
+    names = {"Pose", "Quaternion", "compose", "invert", "relative_pose", "ned_to_enu", "enu_to_ned",
+             "quat_yaw", "rotation_geodesic"}
+    assert names.isdisjoint(coloc.__all__)
+    for info in pkgutil.iter_modules(coloc.__path__):
+        assert names.isdisjoint(vars(importlib.import_module(f"coloc.{info.name}"))), info.name

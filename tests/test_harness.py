@@ -28,7 +28,8 @@ from coloc.dataio import (
 from coloc.ekf import EkfNode, MeasurementEvent, MeasurementKind, measurement_covariance
 from coloc.errors import DataError, NumericError
 from coloc.evaluation import AlignmentMode
-from coloc.geometry import LOCAL, WORLD, Agent, Pose, Quaternion, quaternions_to_euler
+from coloc.geometry import BODY_ADAS, LOCAL, WORLD, Agent, quaternions_to_euler
+from pose_objects import Pose, Quaternion
 from coloc.harness import (
     CellReport,
     EkfSettings,
@@ -360,7 +361,9 @@ class TestExecuteRun:
             if event.kind is MeasurementKind.ODOMETRY_DIFFERENTIAL:
                 d = node.state.P.diagonal().tolist()
                 sd = [math.sqrt(v) if v > 0.0 else 0.0 for v in (d[0], d[1], d[2], d[5])]
-                recorded.setdefault(id(node), []).append((node.state.pose(WORLD), sd))
+                s = node.state
+                pose = Pose(s.timestamp, s.x[:3], Quaternion.from_euler(*s.x[3:6].tolist()), WORLD, BODY_ADAS)
+                recorded.setdefault(id(node), []).append((pose, sd))
             return out
 
         monkeypatch.setattr(EkfNode, "node2_step", recording)
@@ -680,89 +683,6 @@ class TestLockstep:
         cfg = replace(noisy_config(seeds=(3, 5)), raw_noise=NoiseSpec(1e200, 0.0))
         with pytest.raises(NumericError, match=r"^\[filter\] covariance contains non-finite values$"):
             run_report(cfg)
-
-
-class TestPoseObjectsOnlyForPerception:
-    """The run path reads the logs' arrays: no stage, perception included, builds a log's poses.
-
-    The filters take pose rows, so a run builds no Pose, and its only
-    Quaternion is the rotation of each evaluated track's alignment
-    transform, one per track however long the run.
-    """
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        from coloc import harness
-        from coloc.dataio import TrajectoryLog
-
-        built = []
-        samples = TrajectoryLog.samples
-
-        def counted(log):
-            built.append(log)
-            return samples.func(log)
-
-        monkeypatch.setattr(TrajectoryLog, "samples", property(counted))
-        return built
-
-    @pytest.fixture
-    def constructed(self, monkeypatch):
-        """Names of the Pose and Quaternion objects built, checked or trusted,
-        with an "evaluate" entry before each track the harness evaluates."""
-        constructed = []
-        evaluate = harness.evaluate
-
-        def counted_evaluate(*args, **kwargs):
-            constructed.append("evaluate")
-            return evaluate(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "evaluate", counted_evaluate)
-        for cls in (Pose, Quaternion):
-            post_init, trusted = cls.__post_init__, cls._trusted.__func__
-
-            def counted_post_init(obj, post_init=post_init, name=cls.__name__):
-                constructed.append(name)
-                post_init(obj)
-
-            def counted_trusted(klass, *args, trusted=trusted):
-                constructed.append(klass.__name__)
-                return trusted(klass, *args)
-
-            monkeypatch.setattr(cls, "__post_init__", counted_post_init)
-            monkeypatch.setattr(cls, "_trusted", classmethod(counted_trusted))
-        return constructed
-
-    def test_counters_see_every_construction(self, constructed):
-        Pose(0.0, [0.0, 0.0, 0.0], Quaternion.identity(), WORLD, LOCAL)
-        Quaternion._trusted(0.0, 0.0, 0.0, 1.0)
-        assert constructed == ["Quaternion", "Pose", "Quaternion"]
-
-    def test_execute_run(self, built, constructed):
-        execute_run(noisy_config(raw_rate=10.0), 0)
-        assert built == []
-        assert constructed == ["evaluate", "Quaternion"] * 2
-
-    def test_run_sweep(self, built, constructed):
-        run_sweep(noisy_config(seeds=(0, 1), sweep=SweepGrid((0.3,), (10.0,))))
-        assert built == []
-        assert constructed == ["evaluate", "Quaternion"] * 4
-
-    def test_csv_ground_truth(self, built, tmp_path):
-        smart_path, adas_path = write_gt_pair(tmp_path)
-        run_report(ExperimentConfig(input=InputConfig(smart_csv=str(smart_path), adas_csv=str(adas_path))))
-        assert built == []
-
-    def test_coloc_eval(self, built, tmp_path):
-        from coloc.cli import main
-
-        smart_path, adas_path = write_gt_pair(tmp_path)
-        art = execute_run(
-            ExperimentConfig(input=InputConfig(smart_csv=str(smart_path), adas_csv=str(adas_path))), 0
-        )
-        write_estimate_csv(art.fused_estimates, art.fused_sd, tmp_path / "fused.csv")
-        argv = ["eval", "--est", str(tmp_path / "fused.csv"), "--gt", str(adas_path), "--align", "yaw"]
-        assert main(argv) == 0
-        assert built == []
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from coloc.geometry import Quaternion, quat_yaw, rotation_geodesic, wrap_angle
+from coloc.geometry import wrap_angle
+from pose_objects import Quaternion, quat_yaw, rotation_geodesic
 from coloc.noise import NoiseSpec, RandomStream, perturb_pose, perturb_translation, perturb_yaw
 
 N_MC = 100_000

@@ -16,18 +16,8 @@ import pytest
 from coloc.dataio import SyncSpec, TrajectoryLog, generate_synthetic, synchronize
 from coloc.ekf import measurement_covariance
 from coloc.errors import DataError
-from coloc.geometry import (
-    Agent,
-    BODY_ADAS,
-    BODY_SMART,
-    WORLD,
-    Pose,
-    Quaternion,
-    compose,
-    quat_yaw,
-    relative_pose,
-    rotation_geodesic,
-)
+from coloc.geometry import Agent, BODY_ADAS, BODY_SMART, WORLD
+from pose_objects import Pose, Quaternion, compose, poses, quat_yaw, relative_pose, rotation_geodesic
 from coloc.noise import NoiseSpec, RandomStream
 from coloc.perception import (
     PerceptionConfig,
@@ -314,7 +304,7 @@ class TestSimulatePerception:
         cfg = PerceptionConfig(NoiseSpec(0.0, 0.0), output_rate=10.0)
         rows = simulate_perception(smart, adas, cfg, RandomStream(0))
         assert 0 < len(rows) < len(adas)
-        truth = {p.timestamp: p for p in adas.samples}
+        truth = {p.timestamp: p for p in poses(adas)}
         for t, p, q in zip(rows.t.tolist(), rows.p, rows.q):
             gt = truth[t]
             np.testing.assert_allclose(p, gt.translation, atol=1e-9)
@@ -352,7 +342,7 @@ class TestSimulatePerception:
         smart, adas = self.make_truth(n=300)
         cfg = PerceptionConfig(NoiseSpec(0.3, 10.0), output_rate=50.0)
         rows = simulate_perception(smart, adas, cfg, RandomStream(21))
-        pairs = brute_force_pairs(smart.samples, adas.samples, cfg.gate_threshold)
+        pairs = brute_force_pairs(poses(smart), poses(adas), cfg.gate_threshold)
         pairs = [pairs[i] for i in rate_limit_indices([ap.timestamp for _, ap in pairs], cfg.output_rate)]
         twin = RandomStream(21)
         assert len(rows) == len(pairs) > 0
@@ -381,7 +371,7 @@ class TestArrayChannelMatchesPairs:
         smart, adas = self.logs(offset)
         cfg = PerceptionConfig(NoiseSpec(0.4, 6.0), gate_threshold=gate, output_rate=rate)
         rows = simulate_perception(smart, adas, cfg, RandomStream(8), r6_scale=scale)
-        pairs = brute_force_pairs(smart.samples, adas.samples, gate)
+        pairs = brute_force_pairs(poses(smart), poses(adas), gate)
         assert 0 < len(pairs) <= len(adas)
         assert_rows_are_pairs(pair_streams(smart, adas, gate), pairs)
         if rate is not None:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coloc.ekf import (
@@ -37,20 +37,17 @@ from coloc.geometry import (
     BODY_ADAS,
     LOCAL,
     WORLD,
-    Pose,
-    Quaternion,
-    compose,
     compose_arrays,
     euler_to_quaternions,
     geodesic_angles,
-    invert,
     invert_arrays,
     multiply_quaternions,
     quaternions_to_euler,
     rotate_vectors,
-    rotation_geodesic,
+    rotation_matrix_to_quaternion,
     wrap_angle,
 )
+from pose_objects import Pose, Quaternion, compose, invert, rotation_geodesic
 from pose_rows import pose_event
 
 SETTINGS = settings(max_examples=100, deadline=None)
@@ -82,16 +79,6 @@ def row(a):
 @given(quaternions, quaternions)
 def test_multiply_quaternions_is_quaternion_product(a, b):
     assert multiply_quaternions(row(a), row(b))[0].tolist() == (a * b).as_array().tolist()
-
-
-@SETTINGS
-@given(raw_quaternions, raw_quaternions)
-def test_trusted_quaternion_of_normalized_row_is_bit_identical(a, b):
-    # rows multiply_quaternions gives are unit within construction's 1e-12
-    # rule, so skipping the check changes no bit
-    r = multiply_quaternions(np.array([a]), np.array([b]))[0].tolist()
-    assert Quaternion(*r).as_array().tolist() == r
-    assert Quaternion._trusted(*r).as_array().tolist() == r
 
 
 @SETTINGS
@@ -130,6 +117,16 @@ def test_quaternions_to_euler_is_to_euler(q):
 
 
 @SETTINGS
+@given(quaternions)
+@example(Quaternion(1.0, 0.0, 0.0, 0.0))  # 180 degrees about x: the R[0, 0] branch
+@example(Quaternion(0.0, 1.0, 0.0, 0.0))  # about y: the R[1, 1] branch
+@example(Quaternion(0.0, 0.0, 1.0, 0.0))  # about z: the R[2, 2] branch
+def test_rotation_matrix_to_quaternion_is_from_rotation_matrix(q):
+    R = q.rotation_matrix()
+    assert rotation_matrix_to_quaternion(R).tolist() == Quaternion.from_rotation_matrix(R).as_array().tolist()
+
+
+@SETTINGS
 @given(quaternions, quaternions)
 def test_geodesic_angles_is_rotation_geodesic(a, b):
     # The relative rotation is bit-identical; np.arctan2 and math.atan2 may
@@ -153,10 +150,15 @@ def test_compose_with_inverse_is_identity(p):
 
 @SETTINGS
 @given(poses())
+@example(Pose(1.0, [0.0, 334.0, 0.0], Quaternion(0.0, 0.0, 1.0, 1e-06), WORLD, BODY_ADAS))
 def test_double_inverse_is_identity_map(p):
     back = invert(invert(p))
     assert (back.parent_frame, back.child_frame) == (p.parent_frame, p.child_frame)
-    np.testing.assert_allclose(back.translation, p.translation, rtol=1e-12, atol=1e-9)
+    # A rotation is kept when it is unit within 1e-12, so each rotate may
+    # scale a vector by up to about 1 + 2e-12: the bound grows with |t|.
+    np.testing.assert_allclose(
+        back.translation, p.translation, rtol=0.0, atol=1e-9 * (1.0 + np.abs(p.translation).max())
+    )
     assert rotation_geodesic(back.rotation, p.rotation) < 1e-7
 
 
