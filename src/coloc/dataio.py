@@ -414,20 +414,95 @@ def _figure_eight_path(total_length: float) -> _SampledPath:
     return _SampledPath(u, xy, dxy_du, closed=True)
 
 
-def _waypoint_spline_path(required_length: float, seed: int) -> _SampledPath:
-    # A seeded meandering waypoint chain, interpolated with a cubic spline
-    # and rescaled so the smooth path is comfortably long enough.  Only this
-    # path needs scipy.interpolate, which is large and slow to import, so it
-    # is imported here rather than with the module.
-    from scipy.interpolate import CubicSpline
+class _PiecewisePolynomial:
+    """Piecewise polynomial in scipy's ``PPoly`` layout, evaluated as it does.
 
+    ``c`` is (order + 1, n - 1, 2): ``c[m, k]`` multiplies
+    ``(u - x[k]) ** (order - m)`` on ``[x[k], x[k+1])``.  Points outside the
+    knot range fall in the first or last interval.
+    """
+
+    def __init__(self, x: np.ndarray, c: np.ndarray):
+        self.x = x
+        self.c = c
+
+    def derivative(self) -> "_PiecewisePolynomial":
+        order = len(self.c) - 1
+        return _PiecewisePolynomial(self.x, self.c[:-1] * np.arange(order, 0, -1.0)[:, None, None])
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        k = np.clip(np.searchsorted(self.x, u, side="right") - 1, 0, len(self.x) - 2)
+        s = (u - self.x[k])[:, None]
+        c = self.c[:, k]
+        # PPoly's power sum: from the constant term up, each power of s
+        # built by repeated multiplication
+        value = 0.0 + c[-1]
+        power = s
+        for m in range(len(c) - 2, -1, -1):
+            value = value + c[m] * power
+            if m:
+                power = power * s
+        return value
+
+
+def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> _PiecewisePolynomial:
+    """``scipy.interpolate.CubicSpline(x, y, axis=0)`` with its default
+    not-a-knot ends, for n >= 4 increasing knots and (n, 2) values.
+
+    Every operation is scipy's, in scipy's order, so the coefficients carry
+    the same bits: the tridiagonal system of ``CubicSpline.__init__``, solved
+    as LAPACK ``dgtsv`` solves it, then the coefficients of
+    ``CubicHermiteSpline``.
+    """
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    # the three bands of the system, as dgtsv takes them
+    dl = np.concatenate([dx[1:], [x[-1] - x[-3]]])
+    d = np.concatenate([[dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]])
+    du = np.concatenate([[x[2] - x[0]], dx[:-1]])
+    b = np.empty_like(y)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    first = x[2] - x[0]
+    b[0] = ((dxr[0] + 2 * first) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / first
+    last = x[-1] - x[-3]
+    b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * last + dxr[-1]) * dxr[-2] * slope[-1]) / last
+    # dgtsv swaps rows i and i+1 only when |d[i]| < |dl[i]|.  Here d[0] and
+    # dl[0] are both dx[1], and with the waypoints' unit-step chords every
+    # later pivot is 2 or more (tending to 2 + sqrt 3) against a sub-diagonal
+    # of 1, or of 2 at the last row: the swap never happens, so its branch
+    # is not ported.
+    n = len(x)
+    for i in range(n - 1):
+        fact = dl[i] / d[i]
+        d[i + 1] = d[i + 1] - fact * du[i]
+        b[i + 1] = b[i + 1] - fact * b[i]
+        dl[i] = 0.0  # dgtsv keeps the (zero) fill-in and subtracts it below
+    b[-1] = b[-1] / d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    t = (b[:-1] + b[1:] - 2 * slope) / dxr
+    c = np.stack((t / dxr, (slope - b[:-1]) / dxr - t, b[:-1], y[:-1]))
+    return _PiecewisePolynomial(x, c)
+
+
+def _waypoint_chain(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chord-length knots (10,) and the seeded meandering waypoints (10, 2)."""
     rng = np.random.default_rng(seed)
     n_way = 9
     headings = np.cumsum(np.concatenate([[0.0], rng.uniform(-0.7, 0.7, n_way - 1)]))
     steps = np.column_stack([np.cos(headings), np.sin(headings)])
     waypoints = np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)])
     chord = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(waypoints, axis=0), axis=1))])
-    spline = CubicSpline(chord, waypoints, axis=0)
+    return chord, waypoints
+
+
+def _waypoint_spline_path(required_length: float, seed: int) -> _SampledPath:
+    # A seeded waypoint chain, interpolated with a not-a-knot cubic spline
+    # and rescaled so the smooth path is comfortably long enough.
+    chord, waypoints = _waypoint_chain(seed)
+    spline = _not_a_knot_spline(chord, waypoints)
     deriv = spline.derivative()
 
     u = np.linspace(0.0, chord[-1], 20001)

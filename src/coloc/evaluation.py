@@ -116,9 +116,13 @@ def associate(est: TrajectoryLog, gt: TrajectoryLog, max_dt: float = DEFAULT_MAX
 
 def _align_se3(est: np.ndarray, gt: np.ndarray) -> RigidTransform:
     """Scale-free Umeyama: R, t minimizing sum ||R est_i + t - gt_i||^2."""
-    e_mean = est.mean(axis=0)
-    g_mean = gt.mean(axis=0)
-    H = (est - e_mean).T @ (gt - g_mean)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_mean = est.mean(axis=0)
+        g_mean = gt.mean(axis=0)
+        H = (est - e_mean).T @ (gt - g_mean)
+    # LAPACK's SVD may never return on an inf/nan matrix
+    if not np.all(np.isfinite(H)):
+        raise NumericError("non-finite cross-covariance: paired points overflow")
     U, s, Vt = np.linalg.svd(H)
     if s[1] <= max(_RANK_TOLERANCE, _RANK_TOLERANCE * s[0]):
         raise NumericError("degenerate geometry: paired points are nearly collinear")
@@ -130,18 +134,18 @@ def _align_se3(est: np.ndarray, gt: np.ndarray) -> RigidTransform:
 
 def _align_yaw(est: np.ndarray, gt: np.ndarray) -> RigidTransform:
     """Closed-form yaw + translation: rotation restricted to the z axis."""
-    e_mean = est.mean(axis=0)
-    g_mean = gt.mean(axis=0)
-    e = est - e_mean
-    g = gt - g_mean
-    sin_term = float(np.sum(e[:, 0] * g[:, 1] - e[:, 1] * g[:, 0]))
-    cos_term = float(np.sum(e[:, 0] * g[:, 0] + e[:, 1] * g[:, 1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_mean = est.mean(axis=0)
+        g_mean = gt.mean(axis=0)
+        e = est - e_mean
+        g = gt - g_mean
+        sin_term = float(np.sum(e[:, 0] * g[:, 1] - e[:, 1] * g[:, 0]))
+        cos_term = float(np.sum(e[:, 0] * g[:, 0] + e[:, 1] * g[:, 1]))
+    if not (math.isfinite(sin_term) and math.isfinite(cos_term)):
+        raise NumericError("non-finite yaw terms: paired points overflow")
     if abs(sin_term) <= _RANK_TOLERANCE and abs(cos_term) <= _RANK_TOLERANCE:
         raise NumericError("degenerate geometry: no planar spread to estimate yaw from")
-    theta = math.atan2(sin_term, cos_term)
-    if not math.isfinite(theta):
-        raise ValueError("yaw angle must be finite")
-    h = 0.5 * theta
+    h = 0.5 * math.atan2(sin_term, cos_term)
     q = np.array(q_normalized((0.0, 0.0, math.sin(h), math.cos(h))))
     return RigidTransform(q, g_mean - rotate_vectors(q, e_mean))
 

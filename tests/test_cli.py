@@ -321,6 +321,34 @@ class TestEval:
         assert rc == EXIT_DATA
         assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("align", ["se3", "yaw"])
+    def test_overflowing_points_are_numeric_failure(self, tmp_path, align):
+        # in a subprocess with a timeout: LAPACK's SVD of an inf/nan matrix
+        # may never return; -W error makes any RuntimeWarning a traceback
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import numpy as np
+
+        import coloc
+        from coloc.dataio import TrajectoryLog, export_trajectory
+
+        rng = np.random.default_rng(0)
+        p = np.column_stack([rng.uniform(1.0, 2.0, (10, 2)) * 1e200, np.zeros(10)])
+        q = np.tile([0.0, 0.0, 0.0, 1.0], (10, 1))
+        path = tmp_path / "big.csv"
+        export_trajectory(TrajectoryLog(Agent.ADAS, "ENU", np.arange(10) * 0.1, p, q, {}), path)
+        env = dict(os.environ, PYTHONPATH=str(Path(coloc.__file__).resolve().parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "coloc.cli", "eval",
+             "--est", str(path), "--gt", str(path), "--align", align],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == EXIT_NUMERIC
+        assert out.stderr.startswith("error: ") and "overflow" in out.stderr
+
 
 # ---------------------------------------------------------------------------
 # Top level

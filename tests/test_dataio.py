@@ -2,14 +2,20 @@
 
 Oracles: the axis-permutation matrix for NED->ENU checks (itself verified in
 the geometry suite against matrices), exact round-trip comparisons for the
-file format, and arc-length/closure identities for the synthetic paths.
+file format, arc-length/closure identities for the synthetic paths, and
+scipy's ``CubicSpline`` for the waypoint spline, bit for bit.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
+from coloc import dataio
 from coloc.dataio import (
     ESTIMATE_COLUMNS,
     HEADER_COLUMNS,
@@ -388,30 +394,10 @@ class TestGenerateSynthetic:
         _, b2 = generate_synthetic("waypoint-spline", 10.0, 10.0, 2.0, seed=4)
         assert not np.allclose(poses(b1)[-1].translation, poses(b2)[-1].translation)
 
-    def test_import_leaves_spline_package_unloaded(self):
-        # only the waypoint-spline path needs scipy.interpolate, which costs
-        # tens of MB to load, so importing the package must not pull it in
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import coloc
-
-        env = dict(os.environ, PYTHONPATH=str(Path(coloc.__file__).resolve().parents[1]))
-        probe = (
-            "import sys, coloc; loaded = 'scipy.interpolate' in sys.modules; "
-            "coloc.generate_synthetic('waypoint-spline', 2.0, 10.0, 2.0); "
-            "print(loaded, 'scipy.interpolate' in sys.modules)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
-        )
-        assert out.stdout.split() == ["False", "True"]
-
     def test_runs_and_sweeps_leave_scipy_unloaded(self, tmp_path):
-        # the filter solves with numpy's LAPACK gufunc, so a figure-eight run
-        # and an in-process sweep need no scipy module at all
+        # the package runs on numpy alone: importing it, generating spline
+        # ground truth, a spline run, an evaluation and an in-process sweep
+        # load no scipy module; scipy is an oracle of the tests only
         import json
         import os
         import subprocess
@@ -424,30 +410,38 @@ class TestGenerateSynthetic:
         probe = (
             "import io, json, sys\n"
             "from contextlib import redirect_stdout\n"
-            "from coloc import cli, harness\n"
             "def scipy_modules():\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "loaded = [scipy_modules()]\n"
-            "cfg = harness.load_config(sys.argv[1])\n"
-            "harness.execute_run(cfg, 0)\n"
-            "loaded.append(scipy_modules())\n"
-            "with redirect_stdout(io.StringIO()):\n"
-            "    code = cli.main(['sweep', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-            "loaded.append(scipy_modules())\n"
-            "print(json.dumps([code, loaded]))\n"
+            "import coloc\n"
+            "from coloc import cli\n"
+            "loaded, codes = [scipy_modules()], []\n"
+            "gt, run, out = sys.argv[3:6]\n"
+            "for argv in (\n"
+            "    ['gen', '--kind', 'waypoint-spline', '--duration', '2', '--rate', '50', '--out', gt],\n"
+            "    ['run', '--config', sys.argv[1], '--out', run],\n"
+            "    ['eval', '--est', run + '/fused.csv', '--gt', gt + '/adas.csv', '--align', 'yaw'],\n"
+            "    ['sweep', '--config', sys.argv[2], '--out', out],\n"
+            "):\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        codes.append(cli.main(argv))\n"
+            "    loaded.append(scipy_modules())\n"
+            "print(json.dumps([codes, loaded]))\n"
         )
-        config = {
-            "input": {"synthetic": {"kind": "figure-eight", "duration": 2.0, "rate": 50.0}},
-            "seeds": [0],
-            "sweep": {"sigma_grid": [0.3], "gamma_grid": [10.0]},
-        }
-        path = tmp_path / "sweep.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
+        configs = []
+        for name, config in (
+            ("spline", {"input": {"synthetic": {"kind": "waypoint-spline", "duration": 2.0, "rate": 50.0}},
+                        "seeds": [0]}),
+            ("sweep", {"input": {"synthetic": {"kind": "figure-eight", "duration": 2.0, "rate": 50.0}},
+                       "seeds": [0], "sweep": {"sigma_grid": [0.3], "gamma_grid": [10.0]}}),
+        ):
+            configs.append(tmp_path / f"{name}.json")
+            configs[-1].write_text(json.dumps(config), encoding="utf-8")
+        dirs = [tmp_path / name for name in ("gt", "run", "out")]
         out = subprocess.run(
-            [sys.executable, "-c", probe, str(path), str(tmp_path / "out")],
+            [sys.executable, "-c", probe, *map(str, configs + dirs)],
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
-        assert json.loads(out.stdout) == [0, [[], [], []]]
+        assert json.loads(out.stdout) == [[0, 0, 0, 0], [[], [], [], [], []]]
         assert (tmp_path / "out" / "report.json").is_file()
 
     def test_timestamps_regular_from_zero(self):
@@ -473,6 +467,52 @@ class TestGenerateSynthetic:
         assert smart.metadata["kind"] == "circle"
         assert float(smart.metadata["gap"]) == 3.0
         assert int(smart.metadata["seed"]) == 7
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def scipy_spline(x, y):
+    return CubicSpline(x, y, axis=0)
+
+
+def benchmark_variants(test):
+    # the waypoint-spline ground truth of the benchmark's 16 variants
+    for seed in range(16):
+        test = example(seed=seed, duration=120.0, rate=200.0, speed=8.0)(test)
+    return test
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    duration=st.floats(1.0, 60.0),
+    rate=st.floats(2.0, 200.0),
+    speed=st.floats(0.1, 40.0),
+)
+@benchmark_variants
+def test_waypoint_spline_is_scipy_cubic_spline_bit_for_bit(seed, duration, rate, speed):
+    chord, waypoints = dataio._waypoint_chain(seed)
+    ours, ref = dataio._not_a_knot_spline(chord, waypoints), scipy_spline(chord, waypoints)
+    d_ours, d_ref = ours.derivative(), ref.derivative()
+    assert same_bits(ours.c, ref.c)
+    assert same_bits(d_ours.c, d_ref.c)
+    table = np.linspace(0.0, chord[-1], 20001)
+    assert same_bits(ours(table), ref(table))
+    points = np.concatenate(
+        [np.random.default_rng(seed).uniform(0.0, chord[-1], 1000), chord, [0.0, chord[-1]]]
+    )
+    assert same_bits(d_ours(points), d_ref(points))
+    # the logs the generator writes are those scipy's spline gives
+    logs = generate_synthetic("waypoint-spline", duration, rate, speed, seed)
+    with mock.patch.object(dataio, "_not_a_knot_spline", scipy_spline):
+        oracle = generate_synthetic("waypoint-spline", duration, rate, speed, seed)
+    for log, ref_log in zip(logs, oracle):
+        assert same_bits(log.t, ref_log.t)
+        assert same_bits(log.p, ref_log.p)
+        assert same_bits(log.q, ref_log.q)
 
 
 class TestNearestInTime:

@@ -5,13 +5,15 @@ Oracles, all independent of the implementation under test:
 * a hand-rolled two-state (position, velocity) Kalman filter for the
   linear-equivalence check,
 * closed-form kinematics for single-step propagation,
-* exact arithmetic identities (offset cancellation, zero innovation).
+* exact arithmetic identities (offset cancellation, zero innovation),
+* scipy's discrete algebraic Riccati solution for node 1's steady state.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from coloc.errors import FrameMismatchError, NumericError, OutOfOrderError
 from coloc.ekf import (
@@ -704,6 +706,26 @@ class TestNode1:
         node = EkfNode(node1_config())
         with pytest.raises(FrameMismatchError):
             node.node1_step(world_event(0.0, [0.0, 0.0, 0.0]))
+
+
+class TestNode1SteadyState:
+    def test_covariance_converges_to_riccati_solution(self):
+        # On a noiseless straight line at constant speed the transition
+        # Jacobian settles, so node 1 is a time-invariant Kalman filter and
+        # its covariance after an update converges to the posterior of the
+        # discrete algebraic Riccati equation's prior solution.
+        r6 = measurement_covariance(NoiseSpec(0.5, 2.0))
+        q = default_process_noise()
+        node = EkfNode(node1_config(q=q))
+        dt, speed = 0.01, 2.0
+        for k in range(6000):
+            node.node1_step(local_event(k * dt, [speed * k * dt, 0.0, 0.0], r6=r6))
+        A = transition_jacobian(node.x[0], dt)
+        H = np.eye(6, STATE_DIM)
+        prior = scipy.linalg.solve_discrete_are(A.T, H.T, q * dt, r6)
+        posterior = prior - prior @ H.T @ np.linalg.solve(H @ prior @ H.T + r6, H @ prior)
+        P = node.P[0]
+        assert np.abs(P - posterior).max() <= 1e-9 * np.abs(posterior).max()
 
 
 class TestNode2:
