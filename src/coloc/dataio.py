@@ -438,10 +438,9 @@ class _PiecewisePolynomial:
         # built by repeated multiplication
         value = 0.0 + c[-1]
         power = s
-        for m in range(len(c) - 2, -1, -1):
-            value = value + c[m] * power
-            if m:
-                power = power * s
+        for coeff in c[-2::-1]:
+            value = value + coeff * power
+            power = power * s
         return value
 
 

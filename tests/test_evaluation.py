@@ -333,18 +333,14 @@ class TestAlignYawOnly:
 
 
 class TestAlignOverflow:
-    # x and y near 1e200: the centred products overflow to inf and nan
-    @staticmethod
-    def overflowing_rows():
-        rng = np.random.default_rng(20)
-        gt = [world_pose(float(k), (*rng.uniform(1.0, 2.0, 2) * 1e200, 0.0)) for k in range(10)]
-        return associated_rows(list(zip(gt, gt)))
-
     @pytest.mark.parametrize("mode", [AlignmentMode.SE3, AlignmentMode.YAW_ONLY])
     def test_raises_numeric_error_without_warning(self, mode):
+        # x and y near 1e200: the centred products overflow to inf and nan;
         # pytest turns a RuntimeWarning into an error, so none may escape
+        rng = np.random.default_rng(20)
+        gt = [world_pose(float(k), (*rng.uniform(1.0, 2.0, 2) * 1e200, 0.0)) for k in range(10)]
         with pytest.raises(NumericError, match="overflow"):
-            align(self.overflowing_rows(), mode)
+            align(associated_rows(list(zip(gt, gt))), mode)
 
 
 class TestAlignNone:
