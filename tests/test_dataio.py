@@ -394,6 +394,28 @@ class TestGenerateSynthetic:
         _, b2 = generate_synthetic("waypoint-spline", 10.0, 10.0, 2.0, seed=4)
         assert not np.allclose(poses(b1)[-1].translation, poses(b2)[-1].translation)
 
+    def test_import_leaves_spline_package_unloaded(self):
+        # the waypoint spline is built with numpy alone, so neither importing
+        # the package nor generating spline ground truth pulls in
+        # scipy.interpolate, which costs tens of MB to load
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import coloc
+
+        env = dict(os.environ, PYTHONPATH=str(Path(coloc.__file__).resolve().parents[1]))
+        probe = (
+            "import sys, coloc; loaded = 'scipy.interpolate' in sys.modules; "
+            "coloc.generate_synthetic('waypoint-spline', 2.0, 10.0, 2.0); "
+            "print(loaded, 'scipy.interpolate' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
+        )
+        assert out.stdout.split() == ["False", "False"]
+
     def test_runs_and_sweeps_leave_scipy_unloaded(self, tmp_path):
         # the package runs on numpy alone: importing it, generating spline
         # ground truth, a spline run, an evaluation and an in-process sweep
