@@ -818,3 +818,16 @@ class EkfNode:
         if P is not self._P:
             self._commit(event.timestamp, x, P)
         self._prev = event, q
+
+    def restricted(self, members: list[int]) -> EkfNode:
+        """A node of the given members, in that order, each at its state, bit for bit."""
+        node = EkfNode(self.config, len(members))
+        P = self.P[members]
+        P.setflags(write=False)
+        node._P, node._x, node._state = P if node._stack else P[0], [self._x[b] for b in members], None
+        node.timestamp, node._started, node.rejected_count = self.timestamp, self._started, self.rejected_count
+        if self._prev is not None:
+            prev, q = self._prev
+            r6 = prev.r6 if prev.r6.ndim == 2 else prev.r6[members if len(members) > 1 else members[0]]
+            node._prev = prev._replace(z=[prev.z[b] for b in members], r6=r6), [q[b] for b in members]
+        return node

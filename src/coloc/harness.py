@@ -10,26 +10,26 @@ fused-versus-baseline comparisons hold the noise realization fixed.
 Sweeps run a grid of perception noise settings, each cell over several
 derived seeds.  Runs that differ only in seed and perception noise share one
 event schedule, so a sweep's runs, and a report's seeds, step as the members
-of one lockstep pass; a single run is its one-member case.  Reports
-serialize to canonical JSON whose bytes depend only on (config, seeds): not
-on batch layout or worker count, and wall-clock time is kept on the report
-object but never written into the JSON document.
+of one lockstep pass; a single run is its one-member case.  A member that
+fails leaves the pass with the error of its run alone; the others go on.
+Reports serialize to canonical JSON whose bytes depend only on (config,
+seeds): not on batch layout or worker count, and wall-clock time is kept
+on the report object but never written into the JSON document.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
-import itertools
 import json
 import math
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from copy import copy
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence, get_args, get_origin, get_type_hints
 
@@ -494,6 +494,12 @@ class _Node1Pass:
             for stamp, z in zip(self.stamps[rows].tolist(), _pose_rows(self.t[:, rows], self.q[:, rows]))
         ]
 
+    def restricted(self, members: list[int]) -> _Node1Pass:
+        """The pass of the given members only, in that order."""
+        node1 = copy(self)
+        node1.node, node1.t, node1.q = self.node.restricted(members), self.t[members], self.q[members]
+        return node1
+
 
 class _Node2Pass:
     """One node-2 pass over the odometry schedule, fed block by block.
@@ -520,22 +526,18 @@ class _Node2Pass:
         self.due = 0  # row of the next perception event
         self.t, self.x, self.variances = np.empty(n), np.empty((n, members, 6)), np.empty((n, members, 6))
 
-    def _perception_events(self, end: int | None) -> list[MeasurementEvent]:
-        """Events of the perception rows from the next due one up to ``end``."""
-        stamps, p, q, r6 = self.perception
-        rows = slice(self.due, end)
-        self.due = len(stamps) if end is None else end
-        return [
-            _new(MeasurementEvent, (stamp, _PERCEPTION, WORLD, z, r6))
-            for stamp, z in zip(stamps[rows].tolist(), _pose_rows(p[:, rows], q[:, rows]))
-        ]
-
     def step(self, rows: slice, events: list[MeasurementEvent]) -> None:
-        """Node-2 odometry events of odometry ``rows``."""
+        """Node-2 odometry events of odometry ``rows``; without any, the rest of the perception rows."""
         node, due = self.node, []
         if self.perception is not None:
+            stamps, p, q, r6 = self.perception
             # every perception row stamped before the block's last odometry event
-            due = self._perception_events(int(self.perception[0].searchsorted(events[-1].timestamp)))
+            end = int(stamps.searchsorted(events[-1].timestamp)) if events else len(stamps)
+            due_rows, self.due = slice(self.due, end), end
+            due = [
+                _new(MeasurementEvent, (stamp, _PERCEPTION, WORLD, z, r6))
+                for stamp, z in zip(stamps[due_rows].tolist(), _pose_rows(p[:, due_rows], q[:, due_rows]))
+            ]
         j, n_due = 0, len(due)
         t, x, diagonals = [], [], []
         for event in events:
@@ -546,16 +548,29 @@ class _Node2Pass:
             t.append(node.timestamp)
             x.append(node.rows)
             diagonals.append(node.P.diagonal(0, 1, 2))
-        self.t[rows], self.x[rows], self.variances[rows] = t, np.array(x)[:, :, :6], np.array(diagonals)[:, :, :6]
+        for event in due[j:]:
+            node.node2_step(event)
+        if events:
+            self.t[rows], self.x[rows], self.variances[rows] = t, np.array(x)[:, :, :6], np.array(diagonals)[:, :, :6]
+
+    def restricted(self, members: list[int]) -> _Node2Pass:
+        """The pass of the given members only, in that order."""
+        node2 = copy(self)
+        node2.node = self.node.restricted(members)
+        if self.perception is not None:
+            stamps, p, q, r6 = self.perception
+            if r6.ndim == 3:  # a stack; one member's covariance is its matrix
+                r6 = r6[members if len(members) > 1 else members[0]]
+                r6.flags.writeable = False
+            node2.perception = stamps, p[members], q[members], r6
+        node2.t, node2.x, node2.variances = self.t.copy(), self.x[:, members], self.variances[:, members]
+        return node2
 
     def finish(self) -> list[tuple[TrajectoryLog, np.ndarray]]:
-        """Fuse the perception rows after the last odometry stamp; each member's estimate track.
+        """Each member's estimate track.
 
         The pass lets go of its whole-run arrays, which the tracks replace.
         """
-        if self.perception is not None:
-            for event in self._perception_events(None):
-                self.node.node2_step(event)
         t, x, variances = self.t, self.x, self.variances
         del self.t, self.x, self.variances, self.perception
         return [estimate_track(t, x[:, b], variances[:, b]) for b in range(self.node.members)]
@@ -594,14 +609,31 @@ class _Filtered:
     n_rejected: int
 
 
+def _step(chain: list, rows: slice) -> None:
+    """Node 1 and then each node-2 pass of ``chain`` over odometry ``rows``."""
+    smoothed = chain[0].step(rows)
+    for node2 in chain[1:]:
+        node2.step(rows, smoothed)
+
+
+def _failure(chain: list, rows: slice) -> ColocError | None:
+    """The error that stepping ``chain`` over ``rows`` raises, or None."""
+    try:
+        with _stage("filter"):
+            _step(chain, rows)
+    except ColocError as exc:
+        return exc
+
+
 def _lockstep(
     cfg: ExperimentConfig,
     members: Sequence[tuple[PerceptionConfig, int]],
     ground_truth: tuple[TrajectoryLog, TrajectoryLog],
     with_baseline: bool = True,
-) -> list[_Filtered]:
+) -> list[_Filtered | ColocError]:
     """The simulation and filter stages of B runs as one pass, each member a
-    (perception config, seed).
+    (perception config, seed): each member's share, or the error its run
+    alone raises.
 
     The members share everything in ``cfg`` but the perception channel, so
     their events share one stamp schedule: the raw odometry stamps follow
@@ -609,46 +641,82 @@ def _lockstep(
     truth, the gate and the output rate.  Node 1, node 2 fused and node 2
     baseline each step all members as one :class:`EkfNode`.  Member b's
     tracks are bit for bit those of its run alone.
+
+    A member whose simulation raises never enters the filter.  When a
+    filter block raises, each member steps it alone from a snapshot taken
+    before it; those that raise keep their error, and the rest step it again
+    together.  An error no member raises alone, or one raised before the
+    first block, is every member's.
     """
     with _collector_paused():
         smart, adas = ground_truth
-        streams = [RandomStream(int(seed)) for _, seed in members]
+        out: list = [None] * len(members)
+        simulated = {}  # member -> (raw odometry, perception rows)
+        for k, (channel, seed) in enumerate(members):
+            stream = RandomStream(int(seed))
+            try:
+                with _stage("simulate-raw-odometry"):
+                    raw = _simulate_raw_odometry(adas, cfg, stream)
+                with _stage("simulate-perception"):
+                    simulated[k] = raw, simulate_perception(
+                        smart, adas, channel, stream.derive("perception"), cfg.ekf.perception_r6_scale
+                    )
+            except ColocError as exc:
+                out[k] = exc
+        if not simulated:
+            return out
+        live, (raw, perception) = list(simulated), zip(*simulated.values())
+        del simulated
+        n_perception = len(perception[0])  # the members share one perception schedule
 
-        with _stage("simulate-raw-odometry"):
-            raw = [_simulate_raw_odometry(adas, cfg, stream) for stream in streams]
-        with _stage("simulate-perception"):
-            perception = [
-                simulate_perception(smart, adas, channel, stream.derive("perception"), cfg.ekf.perception_r6_scale)
-                for (channel, _), stream in zip(members, streams)
-            ]
-            n_perception = [len(rows) for rows in perception]
-
-        with _stage("filter"):
-            node1_cfg, node2_cfg = _node_configs(cfg, adas)
-            stamps = raw[0][0]
-            node1 = _Node1Pass(
-                node1_cfg, stamps, np.array([t for _, t, _ in raw]), np.array([q for _, _, q in raw]),
-                measurement_covariance(cfg.raw_noise),
-                measurement_covariance(_smoothed_odometry_spec(cfg)),
-            )
-            del raw
-            n, b = len(stamps), len(members)
-            # Node 1 never sees perception, so its poses serve both node-2 passes.
-            passes = [_Node2Pass(node2_cfg, n, b, perception)]
-            del perception  # the fused pass holds the members' rows stacked
-            if with_baseline:
-                passes.append(_Node2Pass(node2_cfg, n, b))
-            block = max(1, _BLOCK // b)
-            for start in range(0, n, block):
-                rows = slice(start, start + block)
-                smoothed = node1.step(rows)
-                for node2 in passes:
-                    node2.step(rows, smoothed)
-            fused = passes[0].finish()
-            baseline = passes[1].finish() if with_baseline else [(None, None)] * b
-            n_rejected = node1.node.rejected_count + sum(p.node.rejected_count for p in passes)
-
-        return [_Filtered(*tracks, n, count, n_rejected) for *tracks, count in zip(fused, baseline, n_perception)]
+        try:
+            with _stage("filter"):
+                node1_cfg, node2_cfg = _node_configs(cfg, adas)
+                stamps = raw[0][0]
+                node1 = _Node1Pass(
+                    node1_cfg, stamps, np.array([t for _, t, _ in raw]), np.array([q for _, _, q in raw]),
+                    measurement_covariance(cfg.raw_noise),
+                    measurement_covariance(_smoothed_odometry_spec(cfg)),
+                )
+                del raw
+                n, b = len(stamps), len(live)
+                # Node 1 never sees perception, so its poses serve both node-2 passes.
+                chain = [node1, _Node2Pass(node2_cfg, n, b, perception)]
+                del perception  # the fused pass holds the members' rows stacked
+                if with_baseline:
+                    chain.append(_Node2Pass(node2_cfg, n, b))
+                block = max(1, _BLOCK // b)
+                # the last, empty block fuses the perception rows after the last odometry stamp
+                for start in [*range(0, n, block), n]:
+                    rows = slice(start, start + block)
+                    saved = [copy(p) for p in chain]
+                    for p in saved:  # a snapshot: steps replace node state, and fill pass arrays once a block is done
+                        p.node = copy(p.node)
+                    try:
+                        _step(chain, rows)
+                    except ColocError:
+                        alone = [_failure([p.restricted([m]) for p in saved], rows) for m in range(len(live))]
+                        if all(exc is None for exc in alone):
+                            raise
+                        for k, exc in zip(live, alone):
+                            out[k] = exc
+                        kept = [m for m, exc in enumerate(alone) if exc is None]
+                        live = [live[m] for m in kept]
+                        if not live:
+                            return out
+                        chain = [p.restricted(kept) for p in saved]
+                        _step(chain, rows)
+                    # a snapshot kept past its block holds finish's arrays alive
+                    del saved
+                fused = chain[1].finish()
+                baseline = chain[2].finish() if with_baseline else [(None, None)] * len(live)
+                n_rejected = sum(p.node.rejected_count for p in chain)
+                for k, *tracks in zip(live, fused, baseline):
+                    out[k] = _Filtered(*tracks, n, n_perception, n_rejected)
+        except ColocError as exc:
+            for k in live:
+                out[k] = exc
+        return out
 
 
 def execute_run(
@@ -656,7 +724,7 @@ def execute_run(
     seed: int,
     ground_truth: tuple[TrajectoryLog, TrajectoryLog] | None = None,
     with_baseline: bool = True,
-    _filtered: _Filtered | None = None,
+    _filtered: _Filtered | ColocError | None = None,
 ) -> RunArtifacts:
     """One full pipeline pass: fused estimate plus matched perception-off baseline.
 
@@ -664,12 +732,15 @@ def execute_run(
     callers who only need the fused estimate.  The simulation and filter
     stages are the one-member lockstep pass.  Sweeps and reports step many
     runs in one pass and hand each run's share to this call as
-    ``_filtered``, which then only scores it.
+    ``_filtered``, which then only scores it, or raises it if it is the
+    run's error.
     """
     with _collector_paused():
         smart, adas = _load_ground_truth(cfg) if ground_truth is None else ground_truth
         if _filtered is None:
             (_filtered,) = _lockstep(cfg, [(cfg.perception, seed)], (smart, adas), with_baseline)
+        if isinstance(_filtered, ColocError):
+            raise _filtered
         (fused, fused_sd), (baseline, baseline_sd) = _filtered.fused, _filtered.baseline
 
         with _stage("evaluate"):
@@ -693,61 +764,25 @@ def execute_run(
 
 def _lockstep_runs(
     cfg: ExperimentConfig,
-    groups: Sequence[Sequence[tuple[PerceptionConfig, int]]],
+    members: Sequence[tuple[PerceptionConfig, int]],
     ground_truth: tuple[TrajectoryLog, TrajectoryLog],
-) -> Iterator[RunArtifacts | ColocError | None]:
-    """Each member's artifacts, in member order, or its group's error.
+) -> Iterator[RunArtifacts | ColocError]:
+    """Each member's artifacts, or the error its run alone raises, in member order.
 
-    A group is the members, each a (perception config, seed), that fail
-    together: a sweep cell's seeds, or a report's.  Members step in lockstep
-    batches of at most ``_BATCH_ROWS`` member rows, cut regardless of
-    groups; each member's run is then scored by :func:`execute_run`.  A
-    group fails as its runs one after another would, at its first failing
-    member, which yields the error; members after it in the same batch
-    yield None.
+    Each member is a (perception config, seed).  Members step in lockstep
+    batches of at most ``_BATCH_ROWS`` member rows; each member's share is
+    then scored by :func:`execute_run`.
     """
-    members = [(member, g) for g, group in enumerate(groups) for member in group]
     size = max(1, _BATCH_ROWS // len(ground_truth[1]))
     for start in range(0, len(members), size):
-        yield from _batch_runs(cfg, members[start:start + size], ground_truth)
-
-
-def _batch_runs(
-    cfg: ExperimentConfig,
-    batch: Sequence[tuple[tuple[PerceptionConfig, int], int]],
-    ground_truth: tuple[TrajectoryLog, TrajectoryLog],
-) -> Iterator[RunArtifacts | ColocError | None]:
-    """The runs of one batch of (member, group) pairs.
-
-    A batch whose pass raises runs again group by group, and a group whose
-    pass raises runs one member at a time up to its first failure, so the
-    error is the one that member's run alone gives and every other group's
-    results stand: a member's numbers do not depend on the batch it ran in.
-    """
-    try:
-        filtered = _lockstep(cfg, [member for member, _ in batch], ground_truth)
-    except ColocError as exc:
-        if len(batch) == 1:
-            yield exc
-            return
-        if batch[0][1] != batch[-1][1]:
-            for _, group in itertools.groupby(batch, key=itemgetter(1)):
-                yield from _batch_runs(cfg, list(group), ground_truth)
-            return
-        for k, ((channel, seed), _) in enumerate(batch):
+        batch = members[start:start + size]
+        filtered = _lockstep(cfg, batch, ground_truth)
+        filtered.reverse()  # popped in member order, so each share is freed once scored
+        for channel, seed in batch:
             try:
-                yield execute_run(replace(cfg, perception=channel), seed, ground_truth)
+                yield execute_run(replace(cfg, perception=channel), seed, ground_truth, True, filtered.pop())
             except ColocError as exc:
                 yield exc
-                yield from [None] * (len(batch) - k - 1)
-                return
-        return
-    filtered.reverse()  # popped in member order, so each share is freed once scored
-    for (channel, seed), _ in batch:
-        try:
-            yield execute_run(replace(cfg, perception=channel), seed, ground_truth, True, filtered.pop())
-        except ColocError as exc:
-            yield exc
 
 
 # ---------------------------------------------------------------------------
@@ -883,28 +918,25 @@ def _error_text(exc: ColocError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_cells(args: tuple) -> list[tuple[tuple[SeedResult, ...], str | None]]:
+def _run_cells(args: tuple) -> list[tuple[tuple[SeedResult, ...], ColocError | None]]:
     """Worker-pool entry: every run of a group of cells, in lockstep batches.
 
     ``args`` is (config, cells, ground truth), a cell being its perception
     config and run seeds.  A cell's failure is recorded as data: the error
     of its first failing seed.  Ground truth is regenerated inside a worker
     (deterministic), keeping the task payload small and the results
-    byte-identical to a sequential run.
+    byte-identical to a sequential run; an error loading it is raised.
     """
     cfg, cells, ground_truth = args
-    try:
-        if ground_truth is None:
-            ground_truth = _load_ground_truth(cfg)
-    except ColocError as exc:
-        return [((), _error_text(exc))] * len(cells)
-    runs = _lockstep_runs(cfg, [[(channel, s) for s in seeds] for channel, seeds in cells], ground_truth)
+    if ground_truth is None:
+        ground_truth = _load_ground_truth(cfg)
+    runs = _lockstep_runs(cfg, [(channel, s) for channel, seeds in cells for s in seeds], ground_truth)
     outcomes = []
     for _, seeds in cells:
         arts = [next(runs) for _ in seeds]
         failed = [a for a in arts if isinstance(a, ColocError)]
         if failed:
-            outcomes.append(((), _error_text(failed[0])))
+            outcomes.append(((), failed[0]))
         else:
             outcomes.append((tuple(map(_seed_result, seeds, arts)), None))
     return outcomes
@@ -928,8 +960,9 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
     member rows.  ``workers`` > 1 splits the cells into that many contiguous
     groups (at most one per cell), each run in its own process as its own
     batches.  Report bytes do not depend on ``workers`` or on batch layout.
-    A cell that fails records its error and leaves every other cell as it
-    would be without it.
+    A cell that fails records its first failing seed's error and leaves
+    every other cell as it would be without it.  If every cell fails, the
+    first cell's error is raised, as is an error loading ground truth.
     """
     if cfg.sweep is None:
         raise ValueError("run_sweep requires a sweep grid in the config")
@@ -955,13 +988,14 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
         with ProcessPoolExecutor(max_workers=n) as pool:
             outcomes = [o for group in pool.map(_run_cells, [(cfg, g, None) for g in groups]) for o in group]
 
-    cells = [
-        CellReport(sigma, gamma, run_seeds, results, error)
-        for (sigma, gamma, run_seeds), (results, error) in zip(layout, outcomes)
-    ]
     pooled = [r for results, _ in outcomes for r in results]
     if not pooled:
-        raise DataError("every sweep cell failed; no baseline results to report")
+        first = outcomes[0][1]
+        raise type(first)(f"every sweep cell failed, the first with: {first}")
+    cells = [
+        CellReport(sigma, gamma, run_seeds, results, None if error is None else _error_text(error))
+        for (sigma, gamma, run_seeds), (results, error) in zip(layout, outcomes)
+    ]
     cells.append(_baseline_cell(pooled))
 
     expected = len(cfg.sweep.sigma_grid) * len(cfg.sweep.gamma_grid) + 1
@@ -981,7 +1015,7 @@ def run_report(cfg: ExperimentConfig) -> tuple[RunReport, RunArtifacts]:
     ground_truth = _load_ground_truth(cfg)
     first_artifacts: RunArtifacts | None = None
     results = []
-    for s, art in zip(cfg.seeds, _lockstep_runs(cfg, [[(cfg.perception, s) for s in cfg.seeds]], ground_truth)):
+    for s, art in zip(cfg.seeds, _lockstep_runs(cfg, [(cfg.perception, s) for s in cfg.seeds], ground_truth)):
         if isinstance(art, ColocError):
             raise art
         if first_artifacts is None:

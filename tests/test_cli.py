@@ -233,6 +233,19 @@ class TestSweep:
             assert (out / name / "cell.json").read_bytes() == (alone / name / "cell.json").read_bytes()
         assert "failed" in (out / "table.txt").read_text()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_every_cell_failing_exits_with_the_first_cells_error(self, tmp_path, capsys, workers):
+        # huge raw noise fails every run as `coloc run` would: exit 3, not 2
+        cfg = write_config(
+            tmp_path, raw_noise={"sigma_trans": 1e200, "gamma_yaw": 0.0},
+            sweep={"sigma_grid": [0.3, 0.6], "gamma_grid": [10.0]},
+        )
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", workers]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.strip() == "error: every sweep cell failed, the first with: [filter] covariance contains non-finite values"
+        assert not (out / "report.json").exists()
+
     def test_unwritable_cell_file_is_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, sweep={"sigma_grid": [0.3], "gamma_grid": [10.0]})
         out = tmp_path / "sweep"

@@ -908,6 +908,44 @@ class TestNodeRunsThePublicKernels:
             t = round(t + rng.choice([0.005, 0.01, 0.02]) * (1 + k % 20), 10)
 
 
+class TestRestrictedNode:
+    """A node restricted to some of its members steps on as those members
+    of the whole node do, bit for bit, a one-member node included."""
+
+    @staticmethod
+    def events(rng, t, members):
+        """An odometry event of per-member covariances, and a perception event,
+        for the given members of three."""
+        r6s = np.array([SMOOTHED_R6 * (1.0 + b) for b in range(3)])
+        rows = [[3.0 * t + b, 0.2 * t, 0.0, 0.0, 0.0, 0.1 * t] + rng.normal(0.0, 0.05, 6) for b in range(3)]
+        seen = [[10.0 + 3.0 * t, -4.0 + b, 0.0, 0.0, 0.0, 0.5] + rng.normal(0.0, 0.3, 6) for b in range(3)]
+        r6 = r6s[members] if len(members) > 1 else r6s[members[0]]
+        return (
+            tuple.__new__(MeasurementEvent, (t, ODO, LOCAL, [rows[b].tolist() for b in members], r6)),
+            tuple.__new__(MeasurementEvent, (t, PER, WORLD, [seen[b].tolist() for b in members], PERCEPTION_R6)),
+        )
+
+    def test_restricted_node_steps_on_bit_for_bit(self):
+        cfg = node2_config(max_predict_dt=0.05, predict_substep=0.02)
+        node = EkfNode(cfg, 3)
+        parts = {}
+        for k in range(40):
+            t = round(0.01 * k + (0.1 if k > 20 else 0.0), 10)
+            if k == 15:
+                parts = {(2, 0): node.restricted([2, 0]), (1,): node.restricted([1])}
+            for members, part in [((0, 1, 2), node), *parts.items()]:
+                odometry, perception = self.events(np.random.default_rng(k), t, list(members))
+                part.node2_step(odometry)
+                if k % 3 == 0:
+                    part.node2_step(perception)
+            for members, part in parts.items():
+                assert part.timestamp == node.timestamp
+                assert np.array_equal(part.x, node.x[list(members)])
+                assert np.array_equal(part.P, node.P[list(members)])
+                assert not part.P.flags.writeable
+        assert parts[(1,)].state.timestamp == node.timestamp
+
+
 class TestNodeErrorContracts:
     def test_singular_innovation_raises_and_leaves_state(self):
         # an exactly known pose measured with zero covariance: S = 0

@@ -40,7 +40,6 @@ from coloc.harness import (
     SeedResult,
     SweepGrid,
     SyntheticSpec,
-    _run_cells,
     cell_aggregate,
     config_from_dict,
     config_to_dict,
@@ -611,7 +610,7 @@ class TestLockstep:
         ground_truth = harness._load_ground_truth(cfg)
         channels = [cfg.perception, PerceptionConfig(NoiseSpec(0.9, 15.0))]
         members = [(channel, seed) for channel in channels for seed in (4, 11)]
-        runs = list(harness._lockstep_runs(cfg, [members], ground_truth))
+        runs = list(harness._lockstep_runs(cfg, members, ground_truth))
         assert len(runs) == 4
         for (channel, seed), run in zip(members, runs):
             self.assert_same_run(run, execute_run(replace(cfg, perception=channel), seed, ground_truth))
@@ -633,10 +632,25 @@ class TestLockstep:
     def cells_without(report, sigma):
         return [c for c in report.to_dict()["cells"] if c["sigma"] != sigma]
 
-    def test_huge_noise_cell_fails_alone(self):
+    @staticmethod
+    def count_passes(monkeypatch) -> list[int]:
+        """The member count of every lockstep pass from here on."""
+        lockstep, passes = harness._lockstep, []
+
+        def counted(cfg, members, *args):
+            passes.append(len(members))
+            return lockstep(cfg, members, *args)
+
+        monkeypatch.setattr(harness, "_lockstep", counted)
+        return passes
+
+    def test_huge_noise_cell_fails_alone(self, monkeypatch):
         # sigma 1e200 squares to inf: its perception covariance is rejected
         cfg = sweep_config((0.3, 0.6, 1e200), (10.0,), seeds=(3, 5))
+        passes = self.count_passes(monkeypatch)
         report = run_sweep(cfg)
+        # the failing members leave the pass before the filter; the rest stay in it
+        assert passes == [6]
         failed = [c for c in report.grid_cells() if c.error is not None]
         assert [(c.sigma, c.error) for c in failed] == [
             (1e200, "NumericError: [simulate-perception] perception r6 contains non-finite values")
@@ -644,15 +658,14 @@ class TestLockstep:
         healthy = run_sweep(replace(cfg, sweep=SweepGrid((0.3, 0.6), (10.0,))))
         assert self.cells_without(report, 1e200) == healthy.to_dict()["cells"]
 
-    def test_filter_failure_of_one_member_fails_its_cell_alone(self, monkeypatch):
-        cfg = sweep_config((0.3, 0.6, 0.9), (10.0,), seeds=(3, 5))
-        healthy = run_sweep(replace(cfg, sweep=SweepGrid((0.3, 0.6), (10.0,))))
-        # the second seed of the 0.9 m cell: its first perception row trips the filter
-        seed = derive_run_seed(cfg.seeds[1], 2, 0, 1)
+    @staticmethod
+    def fail_on_perception_row(monkeypatch, cfg, sigma, seed, row):
+        """Make node 2 raise on perception ``row`` of the run of ``seed`` in the
+        ``sigma`` cell, wherever that row is stepped."""
         smart, adas = harness._load_ground_truth(cfg)
-        channel = harness._cell_config(cfg, 0.9, 10.0).perception
+        channel = harness._cell_config(cfg, sigma, 10.0).perception
         rows = simulate_perception(smart, adas, channel, RandomStream(seed).derive("perception"))
-        target = tuple(harness._pose_rows(rows.p[None, :1], rows.q[None, :1])[0][0])
+        target = tuple(harness._pose_rows(rows.p[None, [row]], rows.q[None, [row]])[0][0])
         step = EkfNode.node2_step
 
         def failing(node, event):
@@ -661,22 +674,59 @@ class TestLockstep:
             return step(node, event)
 
         monkeypatch.setattr(EkfNode, "node2_step", failing)
-        lockstep, passes = harness._lockstep, []
+        return rows
 
-        def counted(cfg, members, *args):
-            passes.append(len(members))
-            return lockstep(cfg, members, *args)
-
-        monkeypatch.setattr(harness, "_lockstep", counted)
+    def test_filter_failure_of_one_member_fails_its_cell_alone(self, monkeypatch):
+        cfg = sweep_config((0.3, 0.6, 0.9), (10.0,), seeds=(3, 5))
+        healthy = run_sweep(replace(cfg, sweep=SweepGrid((0.3, 0.6), (10.0,))))
+        # the second seed of the 0.9 m cell: its first perception row trips the filter
+        self.fail_on_perception_row(monkeypatch, cfg, 0.9, derive_run_seed(cfg.seeds[1], 2, 0, 1), 0)
+        passes = self.count_passes(monkeypatch)
         report = run_sweep(cfg)
         failed = [c for c in report.grid_cells() if c.error is not None]
         assert [(c.sigma, c.error) for c in failed] == [
             (0.9, "NumericError: [filter] filter produced non-finite state or covariance")
         ]
         assert self.cells_without(report, 0.9) == healthy.to_dict()["cells"]
-        # the failed batch runs again cell by cell, and the failed cell seed by
-        # seed up to its failing seed: the healthy cells step in one pass each
-        assert passes == [6, 2, 2, 2, 1, 1]
+        # the pass finds its failing member itself: no member steps in a second pass
+        assert passes == [6]
+
+    def test_late_filter_failure_costs_a_few_blocks(self, monkeypatch):
+        # 3 Hz odometry leaves perception rows after the last odometry stamp,
+        # and short blocks make the pass many of them
+        cfg = replace(sweep_config((0.3, 0.6, 0.9), (10.0,), seeds=(3, 5)), raw_rate=3.0)
+        healthy = run_sweep(replace(cfg, sweep=SweepGrid((0.3, 0.6), (10.0,))))
+        monkeypatch.setattr(harness, "_BLOCK", 12)
+        calls = []
+
+        def counting(step):
+            def counted(node, event):
+                calls.append(event.timestamp)
+                return step(node, event)
+            return counted
+
+        for name in ("node1_step", "node2_step"):
+            monkeypatch.setattr(EkfNode, name, counting(getattr(EkfNode, name)))
+        run_sweep(cfg)
+        clean = len(calls)
+        # the first seed of the 0.9 m cell fails on its last perception row
+        seed = derive_run_seed(cfg.seeds[0], 2, 0, 0)
+        rows = self.fail_on_perception_row(monkeypatch, cfg, 0.9, seed, -1)
+        stamps = harness._simulate_raw_odometry(harness._load_ground_truth(cfg)[1], cfg, RandomStream(seed))[0]
+        assert rows.t[-1] > stamps[-1]
+        passes = self.count_passes(monkeypatch)
+        calls.clear()
+        report = run_sweep(cfg)
+        failed = [c for c in report.grid_cells() if c.error is not None]
+        assert [(c.sigma, c.error) for c in failed] == [
+            (0.9, "NumericError: [filter] filter produced non-finite state or covariance")
+        ]
+        assert self.cells_without(report, 0.9) == healthy.to_dict()["cells"]
+        assert passes == [6]
+        # a block of the clean pass, the last (the perception rows after the last
+        # odometry stamp) included, makes clean / blocks node steps on average
+        blocks = -(-len(stamps) // (harness._BLOCK // 6)) + 1
+        assert 0 < len(calls) - clean <= 3 * clean / blocks
 
     def test_report_of_huge_raw_noise_raises_numeric_error(self):
         # sigma 1e200 squares to inf: node 1's initial covariance is rejected
@@ -818,15 +868,19 @@ class TestRunSweep:
         with pytest.raises(DataError):
             run_sweep(cfg, workers=2)
 
-    def test_cell_failure_is_recorded_as_data(self, tmp_path):
+    def test_ingest_error_is_raised_for_any_worker_count(self, tmp_path):
         cfg = ExperimentConfig(
             input=InputConfig(
                 smart_csv=str(tmp_path / "none_a.csv"), adas_csv=str(tmp_path / "none_b.csv")
-            )
+            ),
+            sweep=SweepGrid((0.3, 0.6), (10.0,)),
         )
-        [(results, error)] = _run_cells((cfg, [(cfg.perception, (1, 2))], None))
-        assert results == ()
-        assert error is not None and "DataError" in error
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(DataError, match=r"^\[ingest\] cannot read ") as info:
+                run_sweep(cfg, workers=workers)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 class TestRunReport:
@@ -842,6 +896,18 @@ class TestRunReport:
         # land in the state and show up at the next odometry step
         assert len(artifacts.fused_estimates) == len(artifacts.fused_sd) == artifacts.n_odometry
         assert len(artifacts.baseline_estimates) == len(artifacts.baseline_sd) == artifacts.n_odometry
+
+    def test_failing_seed_raises_its_run_alone_error(self, monkeypatch):
+        cfg = noisy_config(seeds=(3, 5, 8))
+        # seed 5 fails on its fourth perception row; seeds 3 and 8 run through
+        TestLockstep.fail_on_perception_row(monkeypatch, cfg, 0.3, 5, 3)
+        with pytest.raises(NumericError) as alone:
+            execute_run(cfg, 5)
+        with pytest.raises(NumericError) as report:
+            run_report(cfg)
+        assert str(report.value) == str(alone.value) == "[filter] filter produced non-finite state or covariance"
+        execute_run(cfg, 3)
+        execute_run(cfg, 8)
 
     def test_report_bytes_are_reproducible(self):
         cfg = noisy_config()
