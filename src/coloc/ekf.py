@@ -15,16 +15,18 @@ integrates the body velocity rotated into the parent frame, orientation
 integrates body rates through the Euler-rate matrix, velocity integrates
 acceleration, and the remaining derivatives hold constant between events.
 
-A filter event is a stamp, a frame, one (x, y, z, roll, pitch, yaw) pose
-row per member of a batch, and the 6x6 covariance of its channel, shared
-by the members or one per member.
-:meth:`EkfNode.node1_step` fuses raw local-frame follower poses
-absolutely, acting as a smoother, and returns its local->body pose rows.
-:meth:`EkfNode.node2_step` estimates in the world frame; it takes node 1's
-rows as ordinary odometry events and turns consecutive ones into
-body-velocity pseudo-measurements (differential fusion: a constant
-transform applied to both poses cancels, so node 2 needs no world->local
-anchor), and fuses perception-derived world poses absolutely.
+A filter event is a stamp, a frame, one row of six floats per member of a
+batch, and the 6x6 covariance of its channel, shared by the members or one
+per member.
+:meth:`EkfNode.node1_step` fuses raw local-frame follower pose rows
+(x, y, z, roll, pitch, yaw) absolutely, acting as a smoother, and returns
+its local->body pose rows.  :meth:`EkfNode.node2_step` estimates in the
+world frame and fuses perception-derived world pose rows absolutely.  Its
+odometry is node 1's rows turned into body-velocity pseudo-measurements:
+:func:`twist_measurements` differences a whole block of consecutive rows in
+one array pass (differential fusion: a constant transform applied to both
+poses of a pair cancels, so node 2 needs no world->local anchor), and each
+odometry event carries one twist row per member.
 
 A node runs B members in lockstep: runs whose events share one stamp
 schedule (the seeds and noise cells of a sweep) step as one filter.  Each
@@ -58,11 +60,11 @@ from .geometry import (
     LOCAL,
     WORLD,
     Frame,
-    q_from_euler,
-    q_normalized,
-    q_product,
-    q_rotate,
-    q_rotation_vector,
+    conjugate_quaternions,
+    euler_to_quaternions,
+    multiply_quaternions,
+    rotate_vectors,
+    rotation_vectors,
 )
 from .noise import NoiseSpec
 
@@ -230,18 +232,23 @@ _ODOMETRY = MeasurementKind.ODOMETRY_DIFFERENTIAL
 
 
 class MeasurementEvent(namedtuple("MeasurementEvent", "timestamp kind frame z r6")):
-    """One timestamped pose row per member of a batch, heading into a filter node.
+    """One timestamped row per member of a batch, heading into a filter node.
 
-    ``z`` holds, for each of B members, the pose of the follower's body in
-    ``frame`` as six floats (x, y, z, roll, pitch, yaw); ``r6`` is their
-    6x6 covariance, shared by the members, or a (B, 6, 6) stack, one per
-    member.  A covariance must be positive definite and is kept read-only.
+    ``z`` holds six floats for each of B members: the pose of the
+    follower's body in ``frame`` (x, y, z, roll, pitch, yaw), or on node 2's
+    odometry channel its body twist (vx, vy, vz, wx, wy, wz) since the
+    previous odometry row; the chain's first odometry event has no twist,
+    and ``z`` and ``r6`` None.  ``r6`` is the rows' 6x6 covariance, shared
+    by the members, or a (B, 6, 6) stack, one per member.  A covariance
+    must be positive definite and is kept read-only.
 
     The constructor makes a checked one-member event from six floats and a
     6x6 ``r6``.  The harness's per-row streams build their events, one or
     many members, as ``tuple.__new__(MeasurementEvent, fields)``, unchecked,
-    from a finite stamp, lists of six finite floats the caller does not
-    change afterwards and covariances that passed :func:`_checked_r6`.
+    from a finite stamp, lists of six floats the caller does not change
+    afterwards (a non-finite twist is left for the update to reject), and
+    covariances that passed :func:`_checked_r6` or the twist covariances
+    :func:`twist_measurements` derives from them.
     """
 
     __slots__ = ()
@@ -539,25 +546,34 @@ def _update_kernel(
     return x, _subtract(M, P, out=P)
 
 
-def _row_quaternion(z) -> tuple[float, float, float, float]:
-    """The unit quaternion of a pose row's roll, pitch and yaw."""
-    return q_from_euler(z[3], z[4], z[5])
-
-
-def _pair_dt(prev: MeasurementEvent, cur: MeasurementEvent) -> float:
-    dt = cur.timestamp - prev.timestamp
-    if dt <= 0.0:
-        raise ValueError(f"differential pair must be strictly time-ordered, dt={dt}")
+def _time_steps(stamps: np.ndarray) -> np.ndarray:
+    """The steps between consecutive stamps, which must increase strictly."""
+    dt = np.diff(stamps)
+    if not (dt > 0.0).all():
+        raise ValueError(f"differential pairs must be strictly time-ordered, dt={dt.min()}")
     return dt
 
 
-def _velocity_measurement(p0, p1, q_prev, q_cur, dt: float) -> list[float]:
-    """Body-frame velocity z from invert(p0) o p1 over dt; q_* are the pose rows' quaternions."""
-    x, y, z, w = q_prev
-    # the conjugate is the inverse of a unit quaternion
-    d = q_rotate(-x, -y, -z, w, p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2])
-    v = q_rotation_vector(*q_normalized(q_product(-x, -y, -z, w, *q_cur)))
-    return [d[0] / dt, d[1] / dt, d[2] / dt, v[0] / dt, v[1] / dt, v[2] / dt]
+def body_twists(rows: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Body twists (vx, vy, vz, wx, wy, wz) between consecutive pose rows.
+
+    ``rows`` is (n + 1, ..., 6): pose rows (x, y, z, roll, pitch, yaw) in one
+    parent frame, with any member axes after the first; ``dt`` is (n,), the
+    time from each row to the next.  Twist i is the delta pose
+    invert(row i) o row i+1 over dt[i]: its translation in row i's body
+    frame, and its rotation vector.  A constant transform applied to every
+    row cancels.  A non-finite twist (an overflowing difference or a
+    degenerate step) is returned, not warned about, for the update to reject.
+    """
+    with np.errstate(all="ignore"):
+        q = euler_to_quaternions(rows[..., 3:])
+        # the conjugate is the inverse of a unit quaternion
+        q_inv = conjugate_quaternions(q[:-1])
+        twists = np.concatenate((
+            rotate_vectors(q_inv, rows[1:, ..., :3] - rows[:-1, ..., :3]),
+            rotation_vectors(multiply_quaternions(q_inv, q[1:])),
+        ), axis=-1)
+        return twists / dt.reshape(dt.shape + (1,) * (twists.ndim - 1))
 
 
 def _velocity_covariance(r_prev: np.ndarray, r_cur: np.ndarray, dt: float) -> np.ndarray:
@@ -567,6 +583,21 @@ def _velocity_covariance(r_prev: np.ndarray, r_cur: np.ndarray, dt: float) -> np
     if not (dt2 > 0.0 and math.isfinite(1.0 / dt2)):
         raise NumericError("measurement contains non-finite values")
     return (r_prev + r_cur) / dt2
+
+
+def twist_measurements(stamps: np.ndarray, rows: np.ndarray, r6: np.ndarray) -> list[tuple[list, np.ndarray]]:
+    """Node 2's odometry measurements along a chain of pose rows.
+
+    ``stamps`` (n + 1,) must increase strictly, and ``rows`` (n + 1, B, 6)
+    holds B members' pose rows, all with covariance ``r6``.  For each of the
+    last n rows: the members' twists from the row before
+    (:func:`body_twists`) as lists of six floats, and their covariance
+    (r6 + r6) / dt^2, computed once per distinct step.
+    """
+    dt = _time_steps(stamps)
+    steps = dt.tolist()
+    r_vel = {step: _velocity_covariance(r6, r6, step) for step in dict.fromkeys(steps)}
+    return list(zip(body_twists(rows, dt).tolist(), map(r_vel.__getitem__, steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -613,14 +644,19 @@ def update_absolute(s: StateEstimate, m: MeasurementEvent) -> StateEstimate:
     return _estimate(_update_kernel([s.x.tolist()], s.P, POSE_BLOCK.start, [z], m.r6, True), s.timestamp)
 
 
+def _pair_twist(prev: MeasurementEvent, cur: MeasurementEvent) -> tuple[np.ndarray, float]:
+    """The body twist of a one-member pose pair, and its time step."""
+    (dt,) = _time_steps(np.array([prev.timestamp, cur.timestamp]))
+    return body_twists(np.array([_single(prev), _single(cur)]), np.array([dt]))[0], float(dt)
+
+
 def differential_velocity(prev: MeasurementEvent, cur: MeasurementEvent) -> np.ndarray:
     """Body-frame velocity pseudo-measurement from two consecutive poses.
 
-    The delta pose invert(prev) o cur divided by dt; any constant offset
-    applied to both poses cancels exactly.
+    The delta pose invert(prev) o cur divided by dt (:func:`body_twists`);
+    any constant offset applied to both poses cancels exactly.
     """
-    p0, p1 = _single(prev), _single(cur)
-    return np.array(_velocity_measurement(p0, p1, _row_quaternion(p0), _row_quaternion(p1), _pair_dt(prev, cur)))
+    return _pair_twist(prev, cur)[0]
 
 
 def update_differential(
@@ -633,12 +669,10 @@ def update_differential(
     """
     if prev.kind is not MeasurementKind.ODOMETRY_DIFFERENTIAL or cur.kind is not MeasurementKind.ODOMETRY_DIFFERENTIAL:
         raise ValueError("differential fusion requires odometry events")
-    p0, p1 = _single(prev), _single(cur)
     _check_psd(s.P, "covariance")
-    dt = _pair_dt(prev, cur)
-    z = _velocity_measurement(p0, p1, _row_quaternion(p0), _row_quaternion(p1), dt)
+    z, dt = _pair_twist(prev, cur)
     r_vel = _velocity_covariance(prev.r6, cur.r6, dt)
-    return _estimate(_update_kernel([s.x.tolist()], s.P, TWIST_BLOCK.start, [z], r_vel, False), s.timestamp)
+    return _estimate(_update_kernel([s.x.tolist()], s.P, TWIST_BLOCK.start, [z.tolist()], r_vel, False), s.timestamp)
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +701,8 @@ class EkfNode:
     covariance raises :class:`NumericError`.
     """
 
-    # Time steps with a cached Q dt and velocity covariance: the float stamps of
-    # a fixed-rate log step by two neighbouring values; more only add memory.
+    # Time steps with a cached Q dt: the float stamps of a fixed-rate log step
+    # by two neighbouring values; more only add memory.
     _CACHED_STEPS = 2
 
     def __init__(self, config: FilterNodeConfig, members: int = 1) -> None:
@@ -692,9 +726,6 @@ class EkfNode:
             return np.tile(q * dt, stack + (1, 1))
 
         self._q_dt = q_dt
-        self._r_vel: dict[float, tuple] = {}  # dt -> (R0, R1, (R0 + R1) / dt^2)
-        # the last odometry event of node 2's differential chain and its rows' quaternions
-        self._prev: tuple[MeasurementEvent, list] | None = None
 
     @property
     def x(self) -> np.ndarray:
@@ -749,7 +780,7 @@ class EkfNode:
             raise FrameMismatchError(
                 f"{step} takes {event.kind.value} poses in {frame}, got one in {event.frame}"
             )
-        if len(event.z) != self.members:
+        if event.z is not None and len(event.z) != self.members:
             raise ValueError(f"{step} of {self.members} members got {len(event.z)} pose rows")
         if not self._started:
             # Align the filter clock with the first event ever seen.
@@ -779,45 +810,31 @@ class EkfNode:
             x, P = _predict_kernel(x, P, dt, q_dt, self._jac)
         return x, P
 
-    def _update_pose(self, event: MeasurementEvent) -> None:
-        x, P = self._predicted(event.timestamp)
-        x, P = _update_kernel(x, P, POSE_BLOCK.start, event.z, event.r6, True)
-        self._commit(event.timestamp, x, P)
-
     def node1_step(self, event: MeasurementEvent) -> list[list[float]]:
         """Absolute fusion of raw local-frame pose rows; returns each member's local->body pose row."""
         self._admit(event, LOCAL, "node1_step")
-        self._update_pose(event)
+        x, P = self._predicted(event.timestamp)
+        self._commit(event.timestamp, *_update_kernel(x, P, POSE_BLOCK.start, event.z, event.r6, True))
         return [xb[:6] for xb in self._x]
 
     def node2_step(self, event: MeasurementEvent) -> None:
         """World-frame fusion step into the state rows and :attr:`P`.
 
-        Odometry events carry node 1's local->body pose rows; consecutive ones
-        fuse differentially, so the local frame's place in the world never
-        enters.  Perception events carry world poses and fuse absolutely.
+        Odometry events carry the members' body twists between consecutive
+        node-1 local->body pose rows (:func:`twist_measurements`) and fuse
+        them on the twist states, so the local frame's place in the world
+        never enters; the first of the chain carries none (``z`` None) and
+        only starts the clock.  Perception events carry world poses and
+        fuse absolutely.
         """
         odometry = event.kind is _ODOMETRY
         self._admit(event, LOCAL if odometry else WORLD, "node2_step")
-        if not odometry:
-            self._update_pose(event)
-            return
         x, P = self._predicted(event.timestamp)
-        q = [q_from_euler(zb[3], zb[4], zb[5]) for zb in event.z]
-        if self._prev is not None:
-            prev, q_prev = self._prev
-            dt = _pair_dt(prev, event)
-            z = list(map(_velocity_measurement, prev.z, event.z, q_prev, q, repeat(dt)))
-            r_prev, r_cur = prev.r6, event.r6
-            cached = self._r_vel.get(dt)
-            if cached is None or cached[0] is not r_prev or cached[1] is not r_cur:
-                if len(self._r_vel) >= self._CACHED_STEPS:
-                    self._r_vel.clear()
-                cached = self._r_vel[dt] = (r_prev, r_cur, _velocity_covariance(r_prev, r_cur, dt))
-            x, P = _update_kernel(x, P, TWIST_BLOCK.start, z, cached[2], False)
+        if event.z is not None:
+            lo = TWIST_BLOCK.start if odometry else POSE_BLOCK.start
+            x, P = _update_kernel(x, P, lo, event.z, event.r6, not odometry)
         if P is not self._P:
             self._commit(event.timestamp, x, P)
-        self._prev = event, q
 
     def restricted(self, members: list[int]) -> EkfNode:
         """A node of the given members, in that order, each at its state, bit for bit."""
@@ -826,8 +843,4 @@ class EkfNode:
         P.setflags(write=False)
         node._P, node._x, node._state = P if node._stack else P[0], [self._x[b] for b in members], None
         node.timestamp, node._started, node.rejected_count = self.timestamp, self._started, self.rejected_count
-        if self._prev is not None:
-            prev, q = self._prev
-            r6 = prev.r6 if prev.r6.ndim == 2 else prev.r6[members if len(members) > 1 else members[0]]
-            node._prev = prev._replace(z=[prev.z[b] for b in members], r6=r6), [q[b] for b in members]
         return node

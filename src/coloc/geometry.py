@@ -1,7 +1,6 @@
 """Coordinate frames, and rigid-body pose arithmetic on arrays.
 
-Poses are (n, 3) translation and (n, 4) unit quaternion arrays; the scalar
-``q_*`` kernels do the same quaternion arithmetic on bare floats.
+Poses are (n, 3) translation and (n, 4) unit quaternion arrays.
 
 Conventions used throughout the package:
 
@@ -65,13 +64,6 @@ def body_frame(agent: Agent) -> Frame:
     return BODY_SMART if agent is Agent.SMART else BODY_ADAS
 
 
-# ---------------------------------------------------------------------------
-# Scalar quaternion kernels
-# ---------------------------------------------------------------------------
-#
-# Quaternion arithmetic on bare floats, for per-event loops that must not
-# build arrays.
-
 def q_normalized(q: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
     """q as a unit quaternion: q itself when it is unit within 1e-12, else q over its norm."""
     x, y, z, w = q
@@ -81,59 +73,6 @@ def q_normalized(q: tuple[float, float, float, float]) -> tuple[float, float, fl
     if abs(n - 1.0) > 1e-12:
         return x / n, y / n, z / n, w / n
     return q
-
-
-def q_from_euler(roll: float, pitch: float, yaw: float) -> tuple[float, float, float, float]:
-    """Unit quaternion of the Euler angles (roll, pitch, yaw)."""
-    # Closed form of the product yaw * pitch * roll of the three
-    # single-axis rotations (about z, y and x), applied roll first.
-    cr, sr = math.cos(0.5 * roll), math.sin(0.5 * roll)
-    cp, sp = math.cos(0.5 * pitch), math.sin(0.5 * pitch)
-    cy, sy = math.cos(0.5 * yaw), math.sin(0.5 * yaw)
-    return q_normalized((
-        sr * cp * cy - cr * sp * sy,
-        cr * sp * cy + sr * cp * sy,
-        cr * cp * sy - sr * sp * cy,
-        cr * cp * cy + sr * sp * sy,
-    ))
-
-
-def q_product(x1, y1, z1, w1, x2, y2, z2, w2) -> tuple[float, float, float, float]:
-    """Hamilton product, not yet normalized."""
-    return (
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-    )
-
-
-def q_rotate(x, y, z, w, vx, vy, vz) -> tuple[float, float, float]:
-    """Vector (vx, vy, vz) rotated by the unit quaternion (x, y, z, w).
-
-    The sandwich q v q^-1 expanded to scalar math: measurably cheaper than
-    building the rotation matrix for a single vector.
-    """
-    tx = 2.0 * (y * vz - z * vy)
-    ty = 2.0 * (z * vx - x * vz)
-    tz = 2.0 * (x * vy - y * vx)
-    return (
-        vx + w * tx + y * tz - z * ty,
-        vy + w * ty + z * tx - x * tz,
-        vz + w * tz + x * ty - y * tx,
-    )
-
-
-def q_rotation_vector(x, y, z, w) -> tuple[float, float, float]:
-    """Axis-angle vector of a unit quaternion, taken on its w >= 0 cover."""
-    if w < 0.0 or (w == 0.0 and (z < 0.0 or (z == 0.0 and (y < 0.0 or (y == 0.0 and x < 0.0))))):
-        x, y, z, w = -x, -y, -z, -w
-    vn = math.sqrt(x * x + y * y + z * z)
-    angle = 2.0 * math.atan2(vn, w)
-    if vn < 1e-12:
-        return 2.0 * x, 2.0 * y, 2.0 * z
-    k = angle / vn
-    return k * x, k * y, k * z
 
 
 def wrap_angle(theta):
@@ -153,10 +92,10 @@ def wrap_angle(theta):
 #
 # Pose arithmetic over (n, 4) scalar-last quaternion and (n, 3) vector
 # arrays; a single row broadcasts against many, and one pose is a one-row
-# call.  They evaluate the same expressions in the same order as the q_*
-# kernels and the per-pose reference in tests/pose_objects.py, so each row is
-# bit-identical to the per-pose result, except that np.arctan2 in
-# geodesic_angles may round the last place differently from math.atan2.
+# call.  They evaluate the same expressions in the same order as the
+# per-pose reference in tests/pose_objects.py, so each row is bit-identical
+# to the per-pose result, except that np.arctan2 in geodesic_angles may round
+# the last place differently from math.atan2.
 
 def normalize_quaternions(q: np.ndarray) -> np.ndarray:
     """:func:`q_normalized` of every row."""
@@ -192,7 +131,7 @@ def multiply_quaternions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def rotate_vectors(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vectors v rotated by unit quaternions q, as :func:`q_rotate` computes it."""
+    """Vectors v rotated by unit quaternions q: the sandwich q v q^-1 expanded."""
     x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
     tx = 2.0 * (y * vz - z * vy)
@@ -219,7 +158,11 @@ def invert_arrays(t: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def euler_to_quaternions(angles: np.ndarray) -> np.ndarray:
-    """:func:`q_from_euler` of every (roll, pitch, yaw) row of (n, 3) ``angles``."""
+    """Unit quaternion of every (roll, pitch, yaw) row of (n, 3) ``angles``.
+
+    The closed form of the product yaw * pitch * roll of the three
+    single-axis rotations (about z, y and x), applied roll first.
+    """
     half = 0.5 * np.asarray(angles, dtype=float)
     c, s = np.cos(half), np.sin(half)
     cr, cp, cy = c[..., 0], c[..., 1], c[..., 2]
@@ -245,6 +188,26 @@ def quaternions_to_euler(q: np.ndarray) -> np.ndarray:
     out[:, 1] = list(map(math.asin, np.clip(2.0 * (w * y - z * x), -1.0, 1.0).tolist()))
     out[:, 2] = list(map(math.atan2, (2.0 * (w * z + x * y)).tolist(), (1.0 - 2.0 * (y * y + z * z)).tolist()))
     return out
+
+
+def rotation_vectors(q: np.ndarray) -> np.ndarray:
+    """Axis-angle vector (n, 3) of every unit quaternion row of (n, 4) ``q``.
+
+    Each row is taken on its w >= 0 cover (for w == 0, the first nonzero of
+    z, y, x positive), so the angle lies in [0, pi].  Below a vector part of
+    1e-12 the vector is twice that part.  The angles come from math.atan2
+    mapped over the rows, as in :func:`quaternions_to_euler`.
+    """
+    x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    flip = (w < 0.0) | ((w == 0.0) & ((z < 0.0) | ((z == 0.0) & ((y < 0.0) | ((y == 0.0) & (x < 0.0))))))
+    q = np.where(flip[..., None], -q, q)
+    v, w = q[..., :3], q[..., 3]
+    vn = np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2])
+    k = np.full(vn.shape, 2.0)
+    big = ~(vn < 1e-12)
+    angle = 2.0 * np.array(list(map(math.atan2, vn[big].tolist(), w[big].tolist())))
+    k[big] = angle / vn[big]
+    return v * k[..., None]
 
 
 def rotation_matrix_to_quaternion(R: np.ndarray) -> np.ndarray:

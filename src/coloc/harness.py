@@ -53,6 +53,7 @@ from .ekf import (
     default_process_noise,
     measurement_covariance,
     state_from_row,
+    twist_measurements,
 )
 from .errors import ColocError, DataError
 from .evaluation import AlignmentMode, ErrorStats, evaluate
@@ -471,8 +472,10 @@ class _Node1Pass:
 
     ``stamps`` (N,), ``t`` (B, N, 3) and ``q`` (B, N, 4) are the B members'
     raw odometry poses, which carry the raw channel covariance ``raw_r6``.
-    Each block gives node 1's local->body pose rows as node 2's odometry
-    events, with the smoothed channel covariance ``smoothed_r6``.
+    Each block turns node 1's local->body pose rows, with the smoothed
+    channel covariance ``smoothed_r6``, into node 2's odometry events: one
+    :func:`twist_measurements` pass over the block's rows, from the last row
+    of the block before.
     """
 
     def __init__(
@@ -482,22 +485,37 @@ class _Node1Pass:
         self.node = EkfNode(cfg, len(t))
         self.stamps, self.t, self.q = stamps, t, q
         self.raw_r6, self.smoothed_r6 = raw_r6, smoothed_r6
+        self.last = None  # the stamp and (B, 6) pose rows the next twists start from
 
     def step(self, rows: slice) -> list[MeasurementEvent]:
         """Raw odometry ``rows``; node 2's odometry events."""
-        node, raw_r6, r6 = self.node, self.raw_r6, self.smoothed_r6
-        return [
-            _new(MeasurementEvent, (
-                stamp, _ODOMETRY, LOCAL,
-                node.node1_step(_new(MeasurementEvent, (stamp, _ODOMETRY, LOCAL, z, raw_r6))), r6,
-            ))
-            for stamp, z in zip(self.stamps[rows].tolist(), _pose_rows(self.t[:, rows], self.q[:, rows]))
+        node, raw_r6 = self.node, self.raw_r6
+        stamps = self.stamps[rows]
+        smoothed = [
+            node.node1_step(_new(MeasurementEvent, (stamp, _ODOMETRY, LOCAL, z, raw_r6)))
+            for stamp, z in zip(stamps.tolist(), _pose_rows(self.t[:, rows], self.q[:, rows]))
         ]
+        if not smoothed:
+            return []
+        events, smoothed = [], np.array(smoothed)
+        if self.last is None:
+            # the run's first row only starts node 2's clock
+            events.append(_new(MeasurementEvent, (float(stamps[0]), _ODOMETRY, LOCAL, None, None)))
+        else:
+            stamps, smoothed = np.insert(stamps, 0, self.last[0]), np.concatenate((self.last[1][None], smoothed))
+        self.last = stamps[-1], smoothed[-1]
+        events += [
+            _new(MeasurementEvent, (stamp, _ODOMETRY, LOCAL, z, r_vel))
+            for stamp, (z, r_vel) in zip(stamps[1:].tolist(), twist_measurements(stamps, smoothed, self.smoothed_r6))
+        ]
+        return events
 
     def restricted(self, members: list[int]) -> _Node1Pass:
         """The pass of the given members only, in that order."""
         node1 = copy(self)
         node1.node, node1.t, node1.q = self.node.restricted(members), self.t[members], self.q[members]
+        if self.last is not None:
+            node1.last = self.last[0], self.last[1][members]
         return node1
 
 
@@ -508,7 +526,7 @@ class _Node2Pass:
     events join as they come due, and odometry wins stamp ties.  The
     members' perception channels share their stamps; each member has its
     own rows and r6.  The pass keeps what :func:`estimate_track` reads after
-    each odometry step: the stamp, and per member the pose block of the
+    each odometry step, besides its stamp: per member the pose block of the
     node's state and of its covariance diagonal.
     """
 
@@ -524,7 +542,7 @@ class _Node2Pass:
             r6.flags.writeable = False
             self.perception = (stamps, np.array([r.p for r in perception]), np.array([r.q for r in perception]), r6)
         self.due = 0  # row of the next perception event
-        self.t, self.x, self.variances = np.empty(n), np.empty((n, members, 6)), np.empty((n, members, 6))
+        self.x, self.variances = np.empty((n, members, 6)), np.empty((n, members, 6))
 
     def step(self, rows: slice, events: list[MeasurementEvent]) -> None:
         """Node-2 odometry events of odometry ``rows``; without any, the rest of the perception rows."""
@@ -539,19 +557,18 @@ class _Node2Pass:
                 for stamp, z in zip(stamps[due_rows].tolist(), _pose_rows(p[:, due_rows], q[:, due_rows]))
             ]
         j, n_due = 0, len(due)
-        t, x, diagonals = [], [], []
+        x, diagonals = [], []
         for event in events:
             while j < n_due and due[j].timestamp < event.timestamp:
                 node.node2_step(due[j])
                 j += 1
             node.node2_step(event)
-            t.append(node.timestamp)
             x.append(node.rows)
             diagonals.append(node.P.diagonal(0, 1, 2))
         for event in due[j:]:
             node.node2_step(event)
         if events:
-            self.t[rows], self.x[rows], self.variances[rows] = t, np.array(x)[:, :, :6], np.array(diagonals)[:, :, :6]
+            self.x[rows], self.variances[rows] = np.array(x)[:, :, :6], np.array(diagonals)[:, :, :6]
 
     def restricted(self, members: list[int]) -> _Node2Pass:
         """The pass of the given members only, in that order."""
@@ -563,16 +580,16 @@ class _Node2Pass:
                 r6 = r6[members if len(members) > 1 else members[0]]
                 r6.flags.writeable = False
             node2.perception = stamps, p[members], q[members], r6
-        node2.t, node2.x, node2.variances = self.t.copy(), self.x[:, members], self.variances[:, members]
+        node2.x, node2.variances = self.x[:, members], self.variances[:, members]
         return node2
 
-    def finish(self) -> list[tuple[TrajectoryLog, np.ndarray]]:
-        """Each member's estimate track.
+    def finish(self, t: np.ndarray) -> list[tuple[TrajectoryLog, np.ndarray]]:
+        """Each member's estimate track at the odometry stamps ``t``.
 
         The pass lets go of its whole-run arrays, which the tracks replace.
         """
-        t, x, variances = self.t, self.x, self.variances
-        del self.t, self.x, self.variances, self.perception
+        x, variances = self.x, self.variances
+        del self.x, self.variances, self.perception
         return [estimate_track(t, x[:, b], variances[:, b]) for b in range(self.node.members)]
 
 
@@ -708,8 +725,9 @@ def _lockstep(
                         _step(chain, rows)
                     # a snapshot kept past its block holds finish's arrays alive
                     del saved
-                fused = chain[1].finish()
-                baseline = chain[2].finish() if with_baseline else [(None, None)] * len(live)
+                # a node-2 pass's clock reads each odometry stamp after stepping it
+                fused = chain[1].finish(stamps)
+                baseline = chain[2].finish(stamps) if with_baseline else [(None, None)] * len(live)
                 n_rejected = sum(p.node.rejected_count for p in chain)
                 for k, *tracks in zip(live, fused, baseline):
                     out[k] = _Filtered(*tracks, n, n_perception, n_rejected)

@@ -1,9 +1,11 @@
 """Pose and quaternion objects: the per-pose reference for the array geometry.
 
 The package computes every pose as rows of (n, 3) translation and (n, 4)
-scalar-last quaternion arrays (``coloc.geometry``).  These objects compute
-one pose at a time with checked construction, and the tests pin the array
-forms to them, bit for bit where the array form promises it.
+scalar-last quaternion arrays (``coloc.geometry``), and node 2's twists as
+one array pass per filter block (``coloc.ekf.body_twists``).  These objects
+and the scalar ``q_*`` kernels compute one pose at a time on bare floats,
+and the tests pin the array forms to them, bit for bit where the array form
+promises it.
 
 Conventions, shared with the array forms:
 
@@ -23,17 +25,74 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from coloc.errors import FrameMismatchError
-from coloc.geometry import (
-    WORLD,
-    Frame,
-    body_frame,
-    ned_to_enu_arrays,
-    q_from_euler,
-    q_normalized,
-    q_product,
-    q_rotate,
-    q_rotation_vector,
-)
+from coloc.geometry import WORLD, Frame, body_frame, ned_to_enu_arrays, q_normalized
+
+
+# ---------------------------------------------------------------------------
+# Scalar quaternion kernels
+# ---------------------------------------------------------------------------
+
+def q_from_euler(roll: float, pitch: float, yaw: float) -> tuple[float, float, float, float]:
+    """Unit quaternion of the Euler angles (roll, pitch, yaw)."""
+    # Closed form of the product yaw * pitch * roll of the three
+    # single-axis rotations (about z, y and x), applied roll first.
+    cr, sr = math.cos(0.5 * roll), math.sin(0.5 * roll)
+    cp, sp = math.cos(0.5 * pitch), math.sin(0.5 * pitch)
+    cy, sy = math.cos(0.5 * yaw), math.sin(0.5 * yaw)
+    return q_normalized((
+        sr * cp * cy - cr * sp * sy,
+        cr * sp * cy + sr * cp * sy,
+        cr * cp * sy - sr * sp * cy,
+        cr * cp * cy + sr * sp * sy,
+    ))
+
+
+def q_product(x1, y1, z1, w1, x2, y2, z2, w2) -> tuple[float, float, float, float]:
+    """Hamilton product, not yet normalized."""
+    return (
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+    )
+
+
+def q_rotate(x, y, z, w, vx, vy, vz) -> tuple[float, float, float]:
+    """Vector (vx, vy, vz) rotated by the unit quaternion (x, y, z, w): q v q^-1 expanded."""
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return (
+        vx + w * tx + y * tz - z * ty,
+        vy + w * ty + z * tx - x * tz,
+        vz + w * tz + x * ty - y * tx,
+    )
+
+
+def q_rotation_vector(x, y, z, w) -> tuple[float, float, float]:
+    """Axis-angle vector of a unit quaternion, taken on its w >= 0 cover."""
+    if w < 0.0 or (w == 0.0 and (z < 0.0 or (z == 0.0 and (y < 0.0 or (y == 0.0 and x < 0.0))))):
+        x, y, z, w = -x, -y, -z, -w
+    vn = math.sqrt(x * x + y * y + z * z)
+    angle = 2.0 * math.atan2(vn, w)
+    if vn < 1e-12:
+        return 2.0 * x, 2.0 * y, 2.0 * z
+    k = angle / vn
+    return k * x, k * y, k * z
+
+
+def velocity_measurement(p0, p1, dt: float) -> list[float]:
+    """Body twist of the pose rows p0 then p1 (x, y, z, roll, pitch, yaw): invert(p0) o p1 over dt."""
+    x, y, z, w = q_from_euler(*p0[3:6])
+    # the conjugate is the inverse of a unit quaternion
+    d = q_rotate(-x, -y, -z, w, p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2])
+    v = q_rotation_vector(*q_normalized(q_product(-x, -y, -z, w, *q_from_euler(*p1[3:6]))))
+    return [d[0] / dt, d[1] / dt, d[2] / dt, v[0] / dt, v[1] / dt, v[2] / dt]
+
+
+# ---------------------------------------------------------------------------
+# Pose objects
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)

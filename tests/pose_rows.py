@@ -2,14 +2,14 @@
 
 The pipeline stages take logs or row arrays, and the filters take pose-row
 events; these helpers turn the ``pose_objects.Pose`` objects a test spells
-out into those forms.  ``pose_objects.poses`` goes the other way, from a log
-to its poses.
+out into those forms, and pose-row events into node 2's twist events.
+``pose_objects.poses`` goes the other way, from a log to its poses.
 """
 
 import numpy as np
 
 from coloc.dataio import TrajectoryLog
-from coloc.ekf import MeasurementEvent
+from coloc.ekf import MeasurementEvent, _velocity_covariance, differential_velocity
 from coloc.evaluation import AssociatedRows
 from coloc.geometry import BODY_SMART, Agent
 from coloc.perception import PairedRows
@@ -53,3 +53,16 @@ def pose_event(kind, pose, r6):
     """The filter event of a pose: its stamp, parent frame and (x, y, z, roll, pitch, yaw) row."""
     z = [*pose.translation.tolist(), *pose.rotation.to_euler()]
     return MeasurementEvent(pose.timestamp, kind, pose.parent_frame, z, r6)
+
+
+def twist_event(prev, cur):
+    """Node 2's odometry event for the one-member pose-row event ``cur`` after ``prev``.
+
+    As a run builds it: the body twist between the two rows and its
+    covariance (R_prev + R_cur) / dt^2; with ``prev`` None, the chain's first
+    event, which carries no twist.
+    """
+    if prev is None:
+        return tuple.__new__(MeasurementEvent, (cur.timestamp, cur.kind, cur.frame, None, None))
+    r_vel = _velocity_covariance(prev.r6, cur.r6, cur.timestamp - prev.timestamp)
+    return MeasurementEvent(cur.timestamp, cur.kind, cur.frame, differential_velocity(prev, cur), r_vel)

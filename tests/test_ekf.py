@@ -45,7 +45,7 @@ from coloc.ekf import (
 from coloc.geometry import BODY_ADAS, LOCAL, WORLD, wrap_angle
 from pose_objects import Pose, Quaternion, quat_yaw
 from coloc.noise import NoiseSpec, RandomStream
-from pose_rows import pose_event
+from pose_rows import pose_event, twist_event
 
 RNG = np.random.default_rng(555)
 
@@ -759,16 +759,20 @@ class TestNode2:
         assert node.rejected_count == 0
 
     def test_differential_chain_uses_local_poses(self):
-        # two odometry steps fuse the velocity between the local poses, with
-        # the events' covariance, as update_differential does
+        # the chain's first odometry event only starts the clock; the second
+        # fuses the twist between the local poses, with their covariance, as
+        # update_differential does
         cfg = node2_config()
         node = EkfNode(cfg)
         prev, cur = (
             local_event(0.0, [0.0, 0.0, 0.0], r6=SMOOTHED_R6),
             local_event(0.1, [0.4, 0.1, 0.0], yaw=0.05, r6=SMOOTHED_R6),
         )
-        for event in (prev, cur):
-            node.node2_step(event)
+        node.node2_step(twist_event(None, prev))
+        assert node.state.timestamp == 0.0
+        assert np.array_equal(node.state.x, cfg.initial_state.x)
+        assert np.array_equal(node.state.P, cfg.initial_state.P)
+        node.node2_step(twist_event(prev, cur))
         expected = update_differential(predict(cfg.initial_state, ProcessModel(cfg.q), 0.1), prev, cur)
         assert node.state.timestamp == expected.timestamp
         np.testing.assert_allclose(node.state.x, expected.x, rtol=1e-12, atol=1e-12)
@@ -815,11 +819,14 @@ class TestTwoStageLocalizer:
         node1 = EkfNode(node1_config())
         node2 = EkfNode(node2_config(start=w2l))
         dt, speed = 0.01, 3.0
+        prev = None
         for k in range(800):
             t = k * dt
             event = local_event(t, [speed * t, 0.0, 0.0], r6=r6)
             (row,) = node1.node1_step(event)
-            node2.node2_step(MeasurementEvent(t, ODO, LOCAL, row, r6))
+            smoothed = MeasurementEvent(t, ODO, LOCAL, row, r6)
+            node2.node2_step(twist_event(prev, smoothed))
+            prev = smoothed
         truth_local = Pose(t, np.array([speed * t, 0.0, 0.0]), Quaternion.identity(), LOCAL, BODY_ADAS)
         from pose_objects import compose
 
@@ -874,7 +881,7 @@ class TestNodeRunsThePublicKernels:
         for k in range(60):
             xyz = np.array([3.0 * t, 0.2 * t * t, 0.0]) + rng.normal(0.0, 0.05, 3)
             cur = local_event(t, xyz, yaw=0.1 * t + rng.normal(0.0, 0.01), r6=SMOOTHED_R6)
-            node.node2_step(cur)
+            node.node2_step(twist_event(prev, cur))
             state = self.advance(state, model, cfg, t)
             if prev is not None:
                 state = update_differential(state, prev, cur)
@@ -888,9 +895,8 @@ class TestNodeRunsThePublicKernels:
 
 
     def test_node2_cached_terms_follow_step_and_covariance(self):
-        # more distinct steps than the node caches Q dt and the velocity
-        # covariance for, and odometry rows alternating between two
-        # covariance objects, one of them rebuilt equal each time
+        # more distinct steps than the node caches Q dt for, and twist
+        # covariances from pose rows of three covariances
         rng = np.random.default_rng(44)
         cfg = node2_config()
         node, model, state = EkfNode(cfg), ProcessModel(cfg.q), cfg.initial_state
@@ -899,7 +905,7 @@ class TestNodeRunsThePublicKernels:
         for k in range(80):
             r6 = SMOOTHED_R6 if k % 2 else SMOOTHED_R6.copy() * (1.0 + k % 3)
             cur = local_event(t, [3.0 * t, 0.1 * t, 0.0] + rng.normal(0.0, 0.05, 3), yaw=0.1 * t, r6=r6)
-            node.node2_step(cur)
+            node.node2_step(twist_event(prev, cur))
             state = self.advance(state, model, cfg, t)
             if prev is not None:
                 state = update_differential(state, prev, cur)
@@ -914,8 +920,8 @@ class TestRestrictedNode:
 
     @staticmethod
     def events(rng, t, members):
-        """An odometry event of per-member covariances, and a perception event,
-        for the given members of three."""
+        """An odometry event of per-member twists and covariances, and a
+        perception event, for the given members of three."""
         r6s = np.array([SMOOTHED_R6 * (1.0 + b) for b in range(3)])
         rows = [[3.0 * t + b, 0.2 * t, 0.0, 0.0, 0.0, 0.1 * t] + rng.normal(0.0, 0.05, 6) for b in range(3)]
         seen = [[10.0 + 3.0 * t, -4.0 + b, 0.0, 0.0, 0.0, 0.5] + rng.normal(0.0, 0.3, 6) for b in range(3)]

@@ -30,6 +30,7 @@ from coloc.errors import DataError, NumericError
 from coloc.evaluation import AlignmentMode
 from coloc.geometry import BODY_ADAS, LOCAL, WORLD, Agent, quaternions_to_euler
 from pose_objects import Pose, Quaternion
+from pose_rows import twist_event
 from coloc.harness import (
     CellReport,
     EkfSettings,
@@ -508,12 +509,14 @@ class TestBlockSchedule:
         )
         node1_cfg, node2_cfg = harness._node_configs(cfg, adas)
         node1 = EkfNode(node1_cfg)
-        # node 1's local->body pose rows are node 2's odometry events
+        # node 1's local->body pose rows, differenced pair by pair, are node
+        # 2's odometry events
         smoothed_r6 = measurement_covariance(harness._smoothed_odometry_spec(cfg))
-        smoothed = [
+        rows = [
             MeasurementEvent(event.timestamp, odo, LOCAL, node1.node1_step(event)[0], smoothed_r6)
             for event in odometry
         ]
+        smoothed = list(map(twist_event, [None, *rows[:-1]], rows))
 
         def node2_pass(channel):
             node = EkfNode(node2_cfg)
@@ -569,6 +572,24 @@ class TestBlockSchedule:
             for name in ("t", "p", "q"):
                 assert getattr(track, name).tolist() == getattr(want_track, name).tolist(), name
             assert sd.tolist() == want_sd.tolist()
+
+    def test_twists_computed_once_per_block(self, monkeypatch):
+        # node 1's rows are differenced in one array pass per block, which
+        # the fused and the baseline pass share, from the row before the block
+        from coloc import ekf
+
+        twists, calls = ekf.body_twists, []
+
+        def counted(rows, dt):
+            calls.append(len(dt))
+            return twists(rows, dt)
+
+        monkeypatch.setattr(ekf, "body_twists", counted)
+        monkeypatch.setattr(harness, "_BLOCK", 16)
+        art = execute_run(noisy_config(), 7)
+        assert art.baseline is not None
+        assert len(calls) == -(-art.n_odometry // 16)
+        assert sum(calls) == art.n_odometry - 1
 
     def test_traced_peak_per_odometry_event(self):
         # A whole-run pass per node kept every event, pose and node-2 state
@@ -669,7 +690,7 @@ class TestLockstep:
         step = EkfNode.node2_step
 
         def failing(node, event):
-            if any(tuple(z) == target for z in event.z):
+            if event.kind is MeasurementKind.PERCEPTION_ABSOLUTE and any(tuple(z) == target for z in event.z):
                 raise NumericError("filter produced non-finite state or covariance")
             return step(node, event)
 
@@ -690,6 +711,21 @@ class TestLockstep:
         assert self.cells_without(report, 0.9) == healthy.to_dict()["cells"]
         # the pass finds its failing member itself: no member steps in a second pass
         assert passes == [6]
+
+    def test_member_failing_mid_pass_leaves_the_others_their_runs(self, monkeypatch):
+        # short blocks put the failure in a middle block; the members that go
+        # on difference their next rows from their own last rows before it
+        cfg = sweep_config((0.3,), (10.0,))
+        ground_truth = harness._load_ground_truth(cfg)
+        channel = harness._cell_config(cfg, 0.3, 10.0).perception
+        members = [(channel, seed) for seed in (3, 5, 8)]
+        rows = self.fail_on_perception_row(monkeypatch, cfg, 0.3, 3, 20)
+        monkeypatch.setattr(harness, "_BLOCK", 12)
+        assert rows.t[20] > ground_truth[1].t[12 // 3]
+        failed, *runs = harness._lockstep_runs(cfg, members, ground_truth)
+        assert str(failed) == "[filter] filter produced non-finite state or covariance"
+        for (_, seed), run in zip(members[1:], runs):
+            self.assert_same_run(run, execute_run(replace(cfg, perception=channel), seed, ground_truth))
 
     def test_late_filter_failure_costs_a_few_blocks(self, monkeypatch):
         # 3 Hz odometry leaves perception rows after the last odometry stamp,

@@ -1,20 +1,24 @@
 """Property tests of the geometry array forms and the filter's Joseph update.
 
 Oracles: each array form is checked against its scalar form on one-row
-arrays, bit for bit; compose/invert and Euler conversions are checked
+arrays, bit for bit, and node 2's block of twists against the scalar twist
+of each pose pair; compose/invert and Euler conversions are checked
 against the identities they must satisfy; the Joseph-form updates must keep
 any PSD covariance exactly symmetric and PSD, and agree with a textbook
 Joseph update written with ``scipy.linalg.solve``; every member of a
-batched filter kernel equals the public single-filter function, bit for bit.
+batched filter kernel equals the public single-filter function, bit for
+bit; and report bytes do not depend on the filter's block length.
 """
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coloc import harness
 from coloc.ekf import (
     STATE_DIM,
     MeasurementEvent,
@@ -27,6 +31,7 @@ from coloc.ekf import (
     _predict_kernel,
     _update_kernel,
     _velocity_covariance,
+    body_twists,
     default_process_noise,
     differential_velocity,
     predict,
@@ -45,9 +50,13 @@ from coloc.geometry import (
     quaternions_to_euler,
     rotate_vectors,
     rotation_matrix_to_quaternion,
+    rotation_vectors,
     wrap_angle,
 )
-from pose_objects import Pose, Quaternion, compose, invert, rotation_geodesic
+from coloc.harness import ExperimentConfig, InputConfig, SyntheticSpec, report_json, run_report
+from coloc.noise import NoiseSpec
+from coloc.perception import PerceptionConfig
+from pose_objects import Pose, Quaternion, compose, invert, rotation_geodesic, velocity_measurement
 from pose_rows import pose_event
 
 SETTINGS = settings(max_examples=100, deadline=None)
@@ -127,6 +136,17 @@ def test_rotation_matrix_to_quaternion_is_from_rotation_matrix(q):
 
 
 @SETTINGS
+@given(quaternions)
+@example(Quaternion(0.0, 0.0, -1.0, 0.0))  # w == 0: the z < 0 cover flip
+@example(Quaternion(0.0, -1.0, 0.0, 0.0))  # w == z == 0: the y < 0 flip
+@example(Quaternion(-1.0, 0.0, 0.0, 0.0))  # w == z == y == 0: the x < 0 flip
+@example(Quaternion(0.0, 0.0, 0.0, -1.0))  # the identity on the w < 0 cover
+@example(Quaternion(1e-13, 0.0, -2e-13, 1.0))  # a rotation below 1e-12
+def test_rotation_vectors_is_rotation_vector(q):
+    assert rotation_vectors(row(q))[0].tolist() == q.rotation_vector().tolist()
+
+
+@SETTINGS
 @given(quaternions, quaternions)
 def test_geodesic_angles_is_rotation_geodesic(a, b):
     # The relative rotation is bit-identical; np.arctan2 and math.atan2 may
@@ -134,6 +154,35 @@ def test_geodesic_angles_is_rotation_geodesic(a, b):
     got = geodesic_angles(row(a), row(b))[0]
     want = rotation_geodesic(a, b)
     assert abs(got - want) <= np.spacing(want)
+
+
+pose_rows = st.tuples(finite, finite, finite, angles, angles, angles)
+# each member's two rows make a relative rotation on a cover the rotation
+# vector flips or keeps: w < 0; w == 0 with z < 0, with z == 0 and y < 0,
+# and with z == y == 0 and x < 0; and rotations of 1e-13 and 0 rad
+HALF_PI, PI = math.pi / 2, math.pi
+COVER_CHAIN = [
+    [(0.0, 0.0, 0.0, 0.0, 0.0, -3.0), (0.0, 0.0, 0.0, 0.0, 0.0, PI), (0.0, 0.0, 0.0, 0.0, HALF_PI, PI),
+     (0.0, 0.0, 0.0, 0.0, HALF_PI, -HALF_PI), (0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 0.0, 0.1, 0.2, 0.4)],
+    [(1.0, 0.0, 0.0, 0.0, 0.0, 3.0), (0.0, 1.0, 0.0, PI, PI, PI), (0.0, 0.0, 1.0, PI, -HALF_PI, 0.0),
+     (1.0, 1.0, 0.0, 0.0, -3 * HALF_PI, -3 * HALF_PI), (0.0, 0.0, 0.0, 0.0, 0.0, 2e-13), (1.5, 2.0, 0.0, 0.1, 0.2, 0.4)],
+]
+
+
+@SETTINGS
+@given(
+    st.integers(1, 3).flatmap(lambda b: st.lists(st.lists(pose_rows, min_size=b, max_size=b), min_size=2, max_size=5)),
+    st.lists(st.floats(1e-3, 1.0), min_size=4, max_size=4),
+)
+@example(COVER_CHAIN, [0.01, 0.01, 0.01, 0.01])
+def test_body_twists_are_velocity_measurements(chain, steps):
+    # a chain of n + 1 rows of B members, (n + 1, B, 6), in one array pass
+    stamps = list(accumulate([1.0, *steps[:len(chain) - 1]]))
+    twists = body_twists(np.array(chain), np.diff(stamps))
+    for i, (rows0, rows1) in enumerate(zip(chain, chain[1:])):
+        dt = stamps[i + 1] - stamps[i]
+        for b, (p0, p1) in enumerate(zip(rows0, rows1)):
+            assert twists[i, b].tolist() == velocity_measurement(p0, p1, dt), (i, b)
 
 
 # ---------------------------------------------------------------------------
@@ -402,3 +451,23 @@ def test_batched_differential_update_is_update_differential_per_member(members, 
     ))
     for b, (s, (prev, cur)) in enumerate(zip(states, pairs)):
         assert_member_is(x[b], P[b], update_differential(s, prev, cur))
+
+
+# ---------------------------------------------------------------------------
+# Filter blocks
+# ---------------------------------------------------------------------------
+
+def test_report_bytes_do_not_depend_on_the_block(monkeypatch):
+    # node 2's twists start each block from the row that ended the one
+    # before: blocks of one and two odometry rows per member must give the
+    # bytes of one block per run
+    cfg = ExperimentConfig(
+        input=InputConfig(synthetic=SyntheticSpec("figure-eight", 4.0, 20.0, 8.0)),
+        raw_noise=NoiseSpec(2.5, 1.0),
+        perception=PerceptionConfig(NoiseSpec(0.3, 10.0), output_rate=5.0),
+        seeds=(3, 5),
+    )
+    want = report_json(run_report(cfg)[0])
+    for block in (1, 5):
+        monkeypatch.setattr(harness, "_BLOCK", block)
+        assert report_json(run_report(cfg)[0]) == want, block
