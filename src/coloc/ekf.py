@@ -682,7 +682,7 @@ def update_differential(
 class EkfNode:
     """Sequential, single-owner filter node over ``members`` runs in lockstep.
 
-    Every event carries one pose row per member; the members share the
+    Every event carries one row per member; the members share the
     config's initial state, process noise and the events' stamps.  Events
     must arrive with non-decreasing timestamps; an older event is rejected
     with :class:`OutOfOrderError`, counted, and leaves the state untouched,
@@ -781,7 +781,7 @@ class EkfNode:
                 f"{step} takes {event.kind.value} poses in {frame}, got one in {event.frame}"
             )
         if event.z is not None and len(event.z) != self.members:
-            raise ValueError(f"{step} of {self.members} members got {len(event.z)} pose rows")
+            raise ValueError(f"{step} of {self.members} members got {len(event.z)} rows")
         if not self._started:
             # Align the filter clock with the first event ever seen.
             self.timestamp = event.timestamp

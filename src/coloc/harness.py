@@ -522,7 +522,7 @@ class _Node1Pass:
 class _Node2Pass:
     """One node-2 pass over the odometry schedule, fed block by block.
 
-    The odometry events carry node 1's local->body pose rows; perception
+    The odometry events carry the twists of node 1's rows; perception
     events join as they come due, and odometry wins stamp ties.  The
     members' perception channels share their stamps; each member has its
     own rows and r6.  The pass keeps what :func:`estimate_track` reads after
