@@ -134,17 +134,28 @@ def _float_error(field: str) -> ValueError | None:
     return None
 
 
-_PARSE_CHUNK = 4096  # data lines parsed at once
-
-
-def _first_columns(lines: list[str], n_cols: int) -> list[list[str]]:
-    """The first eight fields of every line, one list of strings per column."""
-    fields = ",".join(lines).split(",") if lines else []
-    return [fields[c :: n_cols] for c in range(len(HEADER_COLUMNS))]
-
-
 def _read_rows(body: list[str], first_lineno: int, n_cols: int, path: Path) -> tuple[np.ndarray, np.ndarray]:
     """Line numbers (N,) and the first eight fields as floats (N, 8) of the data lines.
+
+    numpy's C reader skips empty lines and parses each field as ``float()`` does.
+    Text it refuses, another column count or a non-finite value goes to :func:`_scan_rows`.
+    """
+    linenos = np.arange(first_lineno, first_lineno + len(body))
+    if "" in body:
+        linenos = linenos[np.fromiter(map(len, body), bool, len(body))]
+    try:
+        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2) if len(linenos) else None
+    except ValueError:
+        values = None
+    if values is not None and values.shape == (len(linenos), n_cols):
+        values = values[:, : len(HEADER_COLUMNS)]
+        if np.isfinite(values).all():
+            return linenos, values
+    return _scan_rows(body, first_lineno, n_cols, path)
+
+
+def _scan_rows(body: list[str], first_lineno: int, n_cols: int, path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The first eight fields of the data lines, one at a time, as ``float()`` parses them.
 
     Blank lines are skipped.  A comment, a line with the wrong number of
     columns, an unparseable number or a non-finite value is an error; of
@@ -159,24 +170,13 @@ def _read_rows(body: list[str], first_lineno: int, n_cols: int, path: Path) -> t
     if any("#" in line for line in body):
         comment[:] = [line.lstrip().startswith("#") for line in body]
     rows = np.flatnonzero(width_ok & ~comment)
-    lines = body if len(rows) == len(body) else [body[k] for k in rows.tolist()]
-    values = np.empty((len(rows), len(HEADER_COLUMNS)))
-    try:
-        # chunk by chunk, which bounds the number of field strings alive at once
-        for lo in range(0, len(lines), _PARSE_CHUNK):
-            columns = _first_columns(lines[lo : lo + _PARSE_CHUNK], n_cols)
-            values[lo : lo + len(columns[0])] = np.array(
-                [np.fromiter(map(float, col), float, len(col)) for col in columns]
-            ).T
-        unparsed = np.zeros(len(rows), bool)
-    except ValueError:
-        # error path: each field's parse error, None where it parses
-        columns = _first_columns(lines, n_cols)
-        errors = [[_float_error(f) for f in col] for col in columns]
-        unparsed = np.array([[e is not None for e in errs] for errs in errors]).T.any(axis=1)
-        values = np.array(
-            [[math.nan if e else float(f) for f, e in zip(col, errs)] for col, errs in zip(columns, errors)]
-        ).T
+    fields = ",".join([body[k] for k in rows.tolist()]).split(",") if len(rows) else []
+    columns = [fields[c :: n_cols] for c in range(len(HEADER_COLUMNS))]
+    errors = [[_float_error(f) for f in col] for col in columns]  # None where a field parses
+    unparsed = np.array([[e is not None for e in errs] for errs in errors], bool).T.any(axis=1)
+    values = np.array(
+        [[math.nan if e else float(f) for f, e in zip(col, errs)] for col, errs in zip(columns, errors)]
+    ).T
     nonfinite = ~unparsed & ~np.isfinite(values).all(axis=1)
 
     faults = []  # (line number, message) of the first fault of each kind

@@ -168,15 +168,16 @@ def well_formed(draw):
     if draw(st.booleans()):
         meta.append("# source = generated ")
     extra = draw(st.sampled_from([(), ("sx", "sy", "sz", "syaw")]))
+    filler = draw(st.sampled_from(["n/a", "", "nan", "0.5"]))  # text the reader ignores
     pad = draw(st.sampled_from(["", " ", "\t"]))
-    fields = [[pad + repr(v) + pad for v in row] + ["0.5"] * len(extra) for row in rows]
+    fields = [[pad + repr(v) + pad for v in row] + [filler] * len(extra) for row in rows]
     return meta, list(HEADER_COLUMNS + extra), fields, rows
 
 
-def render(meta, header, fields, blank_after=None):
+def render(meta, header, fields, blank_after=None, blank="   "):
     lines = list(meta) + [",".join(header)] + [",".join(f) for f in fields]
     if blank_after is not None:
-        lines.insert(min(blank_after, len(lines)), "   ")
+        lines.insert(min(blank_after, len(lines)), blank)
     return "\n".join(lines) + "\n"
 
 
@@ -232,10 +233,14 @@ def csv_file(tmp_path):
 
 
 @SETTINGS
-@given(doc=well_formed(), blank=st.one_of(st.none(), st.integers(0, 20)))
-def test_well_formed_files_load_to_the_same_bits(csv_file, doc, blank):
+@given(
+    doc=well_formed(),
+    blank=st.one_of(st.none(), st.integers(0, 20)),
+    blank_text=st.sampled_from(["", "   "]),
+)
+def test_well_formed_files_load_to_the_same_bits(csv_file, doc, blank, blank_text):
     meta, header, fields, _ = doc
-    path = csv_file(render(meta, header, fields, blank_after=blank))
+    path = csv_file(render(meta, header, fields, blank_after=blank, blank=blank_text))
     expected = outcome(reference_load, path)
     assert expected[0] != "error"
     assert outcome(load_trajectory, path) == expected
@@ -275,6 +280,25 @@ def test_of_several_faults_the_same_one_is_reported(csv_file, text):
     path = csv_file(text)
     expected = outcome(reference_load, path)
     assert expected[0] == "error"
+    assert outcome(load_trajectory, path) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "t,x,y,z,qx,qy,qz,qw\n1_0.5,0,0,0,0,0,0,1\n11,1_000,0,0,0,0,0,1\n",
+        "#agent=smart\r\nt,x,y,z,qx,qy,qz,qw\r\n1,0,0,0,0,0,0,1\r\n2,0,0,0,0,0,0,1\r\n",
+        "#convention=NED\nt,x,y,z,qx,qy,qz,qw\n",
+        "t,x,y,z,qx,qy,qz,qw,sx\n\n   \n\t\n\n",
+        "t,x,y,z,qx,qy,qz,qw\n\u0661.5,\u0662,0,0,0,0,0,1\n",
+        "t,x,y,z,qx,qy,qz,qw\n\u00a01,0,0,0,0,0,0,1\u00a0\n",
+        "t,x,y,z,qx,qy,qz,qw,sx,sy\n1,0,0,0,0,0,0,1,n/a,\n\n2,0,0,0,0,0,0,1,inf,x\n",
+    ],
+)
+def test_hand_written_files_load_to_the_same_bits(csv_file, text):
+    path = csv_file(text)
+    expected = outcome(reference_load, path)
+    assert expected[0] != "error"
     assert outcome(load_trajectory, path) == expected
 
 

@@ -167,6 +167,29 @@ class TestLoadTrajectory:
         assert log.agent is Agent.ADAS
         assert log.convention == "ENU"
 
+    def test_exported_files_never_reach_the_field_scan(self, tmp_path, monkeypatch):
+        def scan(*args):
+            raise AssertionError("field scan reached")
+
+        monkeypatch.setattr(dataio, "_scan_rows", scan)
+        _, log = generate_synthetic("figure-eight", 20.0, 60.0, 5.0)
+        assert len(log) >= 1000
+        track, sd = estimate_track(log.t, np.zeros((len(log), 15)), np.ones((len(log), 15)))
+        export_trajectory(log, tmp_path / "log.csv")
+        write_estimate_csv(track, sd, tmp_path / "est.csv")
+        spaced = (tmp_path / "log.csv").read_text().replace("\n", "\n\n", 500)  # empty lines
+        write(tmp_path, "spaced.csv", spaced)
+        for written, path in ((log, "log.csv"), (track, "est.csv"), (log, "spaced.csv")):
+            back = load_trajectory(tmp_path / path)
+            for a, b in ((written.t, back.t), (written.p, back.p), (written.q, back.q)):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", ["", "\n\n", "\n  \n\t\n"])
+    def test_files_without_data_rows_load_empty_without_a_warning(self, tmp_path, body):
+        log = load_trajectory(write(tmp_path, "empty.csv", "t,x,y,z,qx,qy,qz,qw\n" + body))
+        assert len(log) == 0
+
 
 class TestTrajectoryLogType:
     def test_frame_validation(self):
