@@ -155,7 +155,7 @@ def _read_rows(body: list[str], first_lineno: int, n_cols: int, path: Path) -> t
 
 
 def _scan_rows(body: list[str], first_lineno: int, n_cols: int, path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """The first eight fields of the data lines, one at a time, as ``float()`` parses them.
+    """:func:`_read_rows` for any text, each field parsed on its own by ``float()``.
 
     Blank lines are skipped.  A comment, a line with the wrong number of
     columns, an unparseable number or a non-finite value is an error; of
