@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .geometry import Agent, euler_to_quaternions, ned_to_enu_arrays, normalize_
 HEADER_COLUMNS = ("t", "x", "y", "z", "qx", "qy", "qz", "qw")
 ESTIMATE_COLUMNS = HEADER_COLUMNS + ("sx", "sy", "sz", "syaw")
 QUAT_NORM_TOLERANCE = 1e-6
+_SPLITLINES_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")  # ASCII breaks beyond \n and \r
+_WRITE_BLOCK = 2048  # rows formatted and written at a time
 
 TRAJECTORY_KINDS = ("straight", "circle", "figure-eight", "waypoint-spline")
 
@@ -106,7 +108,7 @@ def _parse_metadata_line(line: str, lineno: int, path: Path) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-def _read_preamble(lines: list[str], path: Path) -> tuple[dict[str, str], int, int]:
+def _read_preamble(lines: Iterable[str], path: Path) -> tuple[dict[str, str], int, int]:
     """Metadata comments and the header: (metadata, column count, header line number)."""
     metadata: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -134,28 +136,8 @@ def _float_error(field: str) -> ValueError | None:
     return None
 
 
-def _read_rows(body: list[str], first_lineno: int, n_cols: int, path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """Line numbers (N,) and the first eight fields as floats (N, 8) of the data lines.
-
-    numpy's C reader skips empty lines and parses each field as ``float()`` does.
-    Text it refuses, another column count or a non-finite value goes to :func:`_scan_rows`.
-    """
-    linenos = np.arange(first_lineno, first_lineno + len(body))
-    if "" in body:
-        linenos = linenos[np.fromiter(map(len, body), bool, len(body))]
-    try:
-        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2) if len(linenos) else None
-    except ValueError:
-        values = None
-    if values is not None and values.shape == (len(linenos), n_cols):
-        values = values[:, : len(HEADER_COLUMNS)]
-        if np.isfinite(values).all():
-            return linenos, values
-    return _scan_rows(body, first_lineno, n_cols, path)
-
-
 def _scan_rows(body: list[str], first_lineno: int, n_cols: int, path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_read_rows` for any text, each field parsed on its own by ``float()``.
+    """Line numbers (N,) and the first eight fields (N, 8) of the data lines, each parsed by ``float()``.
 
     Blank lines are skipped.  A comment, a line with the wrong number of
     columns, an unparseable number or a non-finite value is an error; of
@@ -199,7 +181,7 @@ def _scan_rows(body: list[str], first_lineno: int, n_cols: int, path: Path) -> t
     return linenos[rows], values
 
 
-def _check_rows(linenos: np.ndarray, t: np.ndarray, q: np.ndarray, path: Path) -> None:
+def _check_rows(linenos: np.ndarray | None, t: np.ndarray, q: np.ndarray, path: Path) -> None:
     """Per-sample checks on parsed rows: unit quaternion, increasing and non-negative stamps.
 
     Of several faults the one on the earliest row is reported, and on one
@@ -212,6 +194,8 @@ def _check_rows(linenos: np.ndarray, t: np.ndarray, q: np.ndarray, path: Path) -
     faulty = off_unit | not_after | negative
     if not faulty.any():
         return
+    if linenos is None:
+        raise _TextNeeded  # the message names the row's line
     k = int(np.argmax(faulty))
     lineno, stamp = int(linenos[k]), float(t[k])
     if off_unit[k]:
@@ -225,20 +209,45 @@ def _check_rows(linenos: np.ndarray, t: np.ndarray, q: np.ndarray, path: Path) -
     raise DataError(f"{path}:{lineno}: timestamp must be finite and non-negative, got {stamp}")
 
 
-def load_trajectory(path) -> TrajectoryLog:
-    """Read one trajectory CSV; validate; convert NED inputs to ENU."""
-    path = Path(path)
+class _TextNeeded(Exception):
+    """The file is read again as one text, whose field scan gives the values or the error."""
+
+
+def _stream(path: Path) -> tuple[dict[str, str], None, np.ndarray]:
+    """Metadata, no line numbers and the values of a file whose data lines stream into numpy's C reader.
+
+    Once its bytes are ASCII without ``_SPLITLINES_BREAKS``, the file object
+    splits lines as ``str.splitlines`` does, and the reader parses each field
+    with the conversion ``float()`` uses.  Anything else raises :class:`_TextNeeded`.
+    """
+    data = path.read_bytes()
+    if not data.isascii() or any(b in data for b in _SPLITLINES_BREAKS):
+        raise _TextNeeded
+    del data
+    with path.open(encoding="ascii") as f:
+        metadata, n_cols, _ = _read_preamble(f, path)
+        first = next((line for line in f if line != "\n"), None)  # numpy warns on a file without rows
+        try:
+            values = np.loadtxt(chain([first], f), delimiter=",", comments=None, ndmin=2) if first else None
+        except ValueError:
+            values = None
+    if values is None or values.shape[1] != n_cols or not np.isfinite(values[:, : len(HEADER_COLUMNS)]).all():
+        raise _TextNeeded
+    return metadata, None, values[:, : len(HEADER_COLUMNS)]
+
+
+def _read_text(path: Path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
+    """Metadata, line numbers and values of any file, read as one text."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
-
-    lines = text.splitlines()
     metadata, n_cols, header_lineno = _read_preamble(lines, path)
-    linenos, values = _read_rows(lines[header_lineno:], header_lineno + 1, n_cols, path)
+    return metadata, *_scan_rows(lines[header_lineno:], header_lineno + 1, n_cols, path)
 
+
+def _trajectory(path: Path, metadata: dict[str, str], linenos: np.ndarray | None, values: np.ndarray) -> TrajectoryLog:
+    """The log of parsed rows: agent and convention read, rows checked, NED converted to ENU."""
     agent_name = metadata.pop("agent", "adas")
     try:
         agent = Agent(agent_name)
@@ -256,20 +265,39 @@ def load_trajectory(path) -> TrajectoryLog:
     return TrajectoryLog(agent, "ENU", t, p, q, metadata)
 
 
+def load_trajectory(path) -> TrajectoryLog:
+    """Read one trajectory CSV; validate; convert NED inputs to ENU.
+
+    Only a file the stream refuses, or one with a faulty row, is read as one text.
+    """
+    path = Path(path)
+    try:
+        try:
+            return _trajectory(path, *_stream(path))
+        except _TextNeeded:
+            pass
+        return _trajectory(path, *_read_text(path))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
 
 def write_table(path, comments: Sequence[str], columns: Sequence[str], values) -> None:
-    """A CSV of float rows: ``#`` comment lines, the header, each value as ``repr(float)``."""
+    """A CSV of float rows: ``#`` comment lines, the header, each value as ``repr(float)``.
+
+    Rows are formatted and written ``_WRITE_BLOCK`` at a time.
+    """
     values = np.asarray(values, dtype=float).reshape(-1, len(columns))
-    lines = [f"#{c}" for c in comments] + [",".join(columns)]
-    if len(values):
-        row = ",".join(["%r"] * len(columns))
-        lines.append("\n".join([row] * len(values)) % tuple(values.ravel().tolist()))
+    row = ",".join(["%r"] * len(columns)) + "\n"
     path = Path(path)
     try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with path.open("w", encoding="utf-8") as f:
+            f.write("".join(f"#{c}\n" for c in comments) + ",".join(columns) + "\n")
+            for block in np.split(values, range(_WRITE_BLOCK, len(values), _WRITE_BLOCK)):
+                f.write(row * len(block) % tuple(block.ravel().tolist()))
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
 

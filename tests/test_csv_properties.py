@@ -302,6 +302,103 @@ def test_hand_written_files_load_to_the_same_bits(csv_file, text):
     assert outcome(load_trajectory, path) == expected
 
 
+HEADER = "t,x,y,z,qx,qy,qz,qw"
+ROWS = "1,0,0,0,0,0,0,1\n2,0,0,0,0,0,0,1\n"
+# the line breaks of str.splitlines beyond \n and \r: five ASCII, three not
+SPLITLINES_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("brk", SPLITLINES_BREAKS)
+@pytest.mark.parametrize(
+    "template",
+    [
+        "#source=a{brk}b\n" + HEADER + "\n" + ROWS,
+        HEADER + "\n1,0,0,0,0,0,0,1{brk}\n2,0,0,0,0,0,0,1\n",
+        HEADER + "\n1,0,0,0{brk},0,0,0,1\n2,0,0,0,0,0,0,1\n",
+    ],
+    ids=["comment", "line-end", "mid-line"],
+)
+def test_other_line_breaks_split_lines_as_the_text_does(csv_file, brk, template):
+    path = csv_file(template.format(brk=brk))
+    assert outcome(load_trajectory, path) == outcome(reference_load, path)
+
+
+def test_a_form_feed_in_the_last_field_ends_the_line(csv_file):
+    # a file object would read one valid 9-field row here
+    path = csv_file(HEADER + ",sx\n0.5,1,2,3,0,0,0,1\x0c,9\n")
+    expected = outcome(reference_load, path)
+    assert expected == ("error", f"{path}:2: expected 9 columns, got 8")
+    assert outcome(load_trajectory, path) == expected
+
+
+STREAMED = {
+    "crlf": "#agent=smart\r\n" + HEADER + "\r\n\r\n" + ROWS.replace("\n", "\r\n"),
+    "lone-cr": "#agent=smart\r" + HEADER + "\r\r" + ROWS.replace("\n", "\r"),
+    "ned": "#convention=NED\n" + HEADER + "\n0,1,2,3,0,0,0.6,0.8\n1,4,5,6,0.6,0,0,0.8\n",
+}
+
+
+@pytest.mark.parametrize("text", STREAMED.values(), ids=STREAMED.keys())
+def test_ascii_files_stream_to_the_same_bits(csv_file, monkeypatch, text):
+    path = csv_file(text)
+    expected = outcome(reference_load, path)
+    assert expected[0] != "error"
+
+    def read_text(*args, **kwargs):
+        raise AssertionError("text path taken")
+
+    monkeypatch.setattr(Path, "read_text", read_text)
+    assert outcome(load_trajectory, path) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        HEADER + "\n1,0,0,0,0,0,0,1\n   \n2,0,0,0,0,0,0,1\n",
+        HEADER + "\r\n1,0,0,0,0,0,0,1\r\n \t\r\n2,0,0,0,0,0,0,1\r\n",
+        HEADER + "\n1,0,0,0,0,0,0,1\n   \n1,0,0,0,0,0,0,1\n",
+    ],
+    ids=["whitespace-line", "whitespace-line-crlf", "whitespace-line-then-fault"],
+)
+def test_whitespace_only_lines_load_as_the_text_does(csv_file, text):
+    path = csv_file(text)
+    assert outcome(load_trajectory, path) == outcome(reference_load, path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [HEADER + ",sx\n" + ROWS, HEADER + "\n1,0,0,0,0,0,1\n2,0,0,0,0,0,1\n", HEADER + "\n1,0,0,0,0,0,0,1,5\n"],
+    ids=["short", "short-of-eight", "long"],
+)
+def test_rows_all_of_one_wrong_width_fail_as_the_text_does(csv_file, text):
+    # numpy's reader sees a consistent width; only the header tells it is wrong
+    path = csv_file(text)
+    expected = outcome(reference_load, path)
+    assert expected[0] == "error"
+    assert outcome(load_trajectory, path) == expected
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", [HEADER, HEADER + "\n", "#agent=smart\r\n" + HEADER + "\r\n\r\n"])
+def test_header_only_files_load_empty_without_a_warning(csv_file, text):
+    path = csv_file(text)
+    expected = outcome(reference_load, path)
+    assert expected[0] != "error"
+    assert outcome(load_trajectory, path) == expected
+
+
+def test_a_non_utf8_byte_is_placed_in_the_whole_file(tmp_path):
+    head = (HEADER + "\n" + "".join(f"{k}.5,0,0,0,0,0,0,1\n" for k in range(1000))).encode()
+    path = tmp_path / "log.csv"
+    path.write_bytes(head + b"1000.5,0,\xff,0,0,0,0,1\n1001.5,0,0,0,0,0,0,1\n")
+    at = len(head) + len(b"1000.5,0,")
+    with pytest.raises(DataError) as exc:
+        load_trajectory(path)
+    assert str(exc.value) == (
+        f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+    )
+
+
 @SETTINGS
 @given(doc=well_formed())
 def test_export_then_load_returns_the_same_arrays(tmp_path, doc):

@@ -7,6 +7,8 @@ scipy's ``CubicSpline`` for the waypoint spline, bit for bit.
 """
 
 import math
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -168,10 +170,10 @@ class TestLoadTrajectory:
         assert log.convention == "ENU"
 
     def test_exported_files_never_reach_the_field_scan(self, tmp_path, monkeypatch):
-        def scan(*args):
+        # nor the text path at all: the data lines stream from the file
+        def scan(*args, **kwargs):
             raise AssertionError("field scan reached")
 
-        monkeypatch.setattr(dataio, "_scan_rows", scan)
         _, log = generate_synthetic("figure-eight", 20.0, 60.0, 5.0)
         assert len(log) >= 1000
         track, sd = estimate_track(log.t, np.zeros((len(log), 15)), np.ones((len(log), 15)))
@@ -179,6 +181,8 @@ class TestLoadTrajectory:
         write_estimate_csv(track, sd, tmp_path / "est.csv")
         spaced = (tmp_path / "log.csv").read_text().replace("\n", "\n\n", 500)  # empty lines
         write(tmp_path, "spaced.csv", spaced)
+        monkeypatch.setattr(dataio, "_scan_rows", scan)
+        monkeypatch.setattr(Path, "read_text", scan)
         for written, path in ((log, "log.csv"), (track, "est.csv"), (log, "spaced.csv")):
             back = load_trajectory(tmp_path / path)
             for a, b in ((written.t, back.t), (written.p, back.p), (written.q, back.q)):
@@ -189,6 +193,36 @@ class TestLoadTrajectory:
     def test_files_without_data_rows_load_empty_without_a_warning(self, tmp_path, body):
         log = load_trajectory(write(tmp_path, "empty.csv", "t,x,y,z,qx,qy,qz,qw\n" + body))
         assert len(log) == 0
+
+
+def random_log(n):
+    """A log of n rows whose every value prints with most of its 17 digits."""
+    q = RNG.normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    return TrajectoryLog(Agent.ADAS, "ENU", np.cumsum(RNG.uniform(0.004, 0.006, n)), RNG.normal(0, 100, (n, 3)), q)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_traced_peak_per_row_of_export_and_load(tmp_path):
+    # Export built a whole file as one string, 458 B of traced peak per row,
+    # and load held the text, its lines and the array at once, 407 B per row.
+    # The log-length difference cancels what does not grow with the log.
+    peaks = {"export": [], "load": []}
+    for n in (3000, 9000):
+        log, path = random_log(n), tmp_path / f"{n}.csv"
+        peaks["export"].append(traced_peak(lambda: export_trajectory(log, path)))
+        peaks["load"].append(traced_peak(lambda: load_trajectory(path)))
+    per_row = {name: (high - low) / 6000 for name, (low, high) in peaks.items()}
+    assert per_row["export"] < 150.0, f"export: {per_row['export']:.0f} bytes of traced peak per row"
+    assert per_row["load"] < 250.0, f"load: {per_row['load']:.0f} bytes of traced peak per row"
 
 
 class TestTrajectoryLogType:

@@ -1,6 +1,7 @@
 """Record a before/after benchmark file from alternating perfbench runs.
 
-Usage, from the repository root, with clean exports of the two commits:
+Usage, from the repository root, with clean exports of the two commits in
+directories whose resolved paths have the same length:
 
     python3 tools/bench_pairs.py --parent ../parent --change ../change \
         --commits HEAD~1 HEAD --pr 12 --what "one line on the change" \
@@ -9,11 +10,13 @@ Usage, from the repository root, with clean exports of the two commits:
 For every workload in ``BENCHMARK.json`` it runs ``perfbench/run.py`` of each
 tree once per seed, one process at a time, parent first on odd seeds and
 change first on even seeds, then one ``--trace 1`` pass per side and traced
-seed, in the same alternating order.  The file keeps every run's result and
-notes line; per workload and end-to-end metric, the pair wins and each
-side's quartiles; and per workload and per-layer metric, each side's median
-over the traced seeds, since one traced pass per side is too noisy to
-attribute a change of a few percent to a layer.
+seed, in the same alternating order.  It refuses trees whose paths differ
+in length, because ``peak_rss_mb`` moves by up to 3 % with the length of the
+directory name alone.  The file keeps every run's result and notes line; per
+workload and end-to-end metric, the pair wins and each side's quartiles; and
+per workload and per-layer metric, each side's median over the traced seeds,
+since one traced pass per side is too noisy to attribute a change of a few
+percent to a layer.
 """
 
 from __future__ import annotations
@@ -113,6 +116,8 @@ def main(argv=None) -> int:
     seconds = float(bench["run_seconds"])
     seeds, traced_seeds = _seed_range(args.seeds), _seed_range(args.traced_seeds)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if len(str(trees["parent"])) != len(str(trees["change"])):
+        parser.error(f"tree paths differ in length, which moves peak_rss_mb: {trees['parent']} and {trees['change']}")
     commit = {side: subprocess.run(["git", "-C", str(ROOT), "rev-parse", ref], capture_output=True,
                                    text=True, check=True).stdout.strip()
               for side, ref in zip(("parent", "change"), args.commits)}
@@ -145,7 +150,9 @@ def main(argv=None) -> int:
         "host": f"{env['cpu']}, {env['nproc']} vCPU, shared; Python {env['python']}, "
                 f"numpy {env['numpy']}, scipy {env['scipy']}",
         "method": (
-            f"Each side ran from a clean export of its commit. Untraced: {len(seeds)} pairs per "
+            f"Each side ran from a clean export of its commit, the parent in {args.parent} and the "
+            f"change in {args.change}, resolved paths of {len(str(trees['change']))} characters each. "
+            f"Untraced: {len(seeds)} pairs per "
             f"workload on seeds {args.seeds}, one perfbench/run.py process at a time, parent "
             f"first on odd seeds and change first on even seeds. Traced: one pass per side per "
             f"workload on each of seeds {args.traced_seeds}, in the same order; "
