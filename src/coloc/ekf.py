@@ -35,11 +35,9 @@ code; the covariances step as one (B, 15, 15) batch.  Member b's numbers
 are bit for bit those of the same member run alone.
 
 All filter arithmetic lives in two kernels, :func:`_predict_kernel` and
-:func:`_update_kernel`, over a batch of state lists and covariances.  The
-public :func:`predict`, :func:`update_absolute` and
-:func:`update_differential` run them at B = 1 on :class:`StateEstimate`
-values; an :class:`EkfNode` runs the very same kernels on the arrays it
-holds, so the functions the tests check are the code a run executes.
+:func:`_update_kernel`, over a batch of state lists and covariances, and
+:class:`EkfNode` is the one API that runs them: a one-member node at a
+given state, stepped at that state's stamp, is a single filter update.
 """
 
 from __future__ import annotations
@@ -406,18 +404,6 @@ def _propagate(x: list[float], dt: float, At: np.ndarray | None = None) -> list[
     return out
 
 
-def transition(x: np.ndarray, dt: float) -> np.ndarray:
-    """Propagate the 15-state rigid-body model by dt seconds."""
-    return np.array(_propagate(np.asarray(x, dtype=float).tolist(), dt))
-
-
-def transition_jacobian(x: np.ndarray, dt: float) -> np.ndarray:
-    """Analytic Jacobian of :func:`transition` at x."""
-    At = _EYE_STATE.copy()
-    _propagate(np.asarray(x, dtype=float).tolist(), dt, At.ravel())
-    return At.T
-
-
 # ---------------------------------------------------------------------------
 # Filter kernels
 # ---------------------------------------------------------------------------
@@ -576,13 +562,13 @@ def body_twists(rows: np.ndarray, dt: np.ndarray) -> np.ndarray:
         return twists / dt.reshape(dt.shape + (1,) * (twists.ndim - 1))
 
 
-def _velocity_covariance(r_prev: np.ndarray, r_cur: np.ndarray, dt: float) -> np.ndarray:
-    """The pair's pose covariances propagated to the velocity: (R0 + R1) / dt^2."""
+def _velocity_covariance(r6: np.ndarray, dt: float) -> np.ndarray:
+    """Two pose rows' shared covariance r6 propagated to the velocity: (r6 + r6) / dt^2."""
     dt2 = dt * dt
     # checked before the division, which would otherwise warn on a degenerate dt
     if not (dt2 > 0.0 and math.isfinite(1.0 / dt2)):
         raise NumericError("measurement contains non-finite values")
-    return (r_prev + r_cur) / dt2
+    return (r6 + r6) / dt2
 
 
 def twist_measurements(stamps: np.ndarray, rows: np.ndarray, r6: np.ndarray) -> list[tuple[list, np.ndarray]]:
@@ -596,21 +582,17 @@ def twist_measurements(stamps: np.ndarray, rows: np.ndarray, r6: np.ndarray) -> 
     """
     dt = _time_steps(stamps)
     steps = dt.tolist()
-    r_vel = {step: _velocity_covariance(r6, r6, step) for step in dict.fromkeys(steps)}
+    r_vel = {step: _velocity_covariance(r6, step) for step in dict.fromkeys(steps)}
     return list(zip(body_twists(rows, dt).tolist(), map(r_vel.__getitem__, steps)))
 
 
 # ---------------------------------------------------------------------------
-# Filter operations
+# Prediction of one state
 # ---------------------------------------------------------------------------
 #
-# Single-filter operations: the kernels on one member's matrices and events.
-
-def _single(m: MeasurementEvent) -> tuple[float, ...]:
-    if len(m.z) != 1:
-        raise ValueError(f"a single filter takes one member's pose row, got {len(m.z)}")
-    return m.z[0]
-
+# No run path calls predict: it stays because perfbench/tracer.py counts
+# calls to it (COUNTED) and tests/test_benchmark_hooks.py checks that every
+# traced name resolves.  ROADMAP item 1 removes that target.
 
 def _estimate(result: tuple[list[list[float]], np.ndarray], timestamp: float) -> StateEstimate:
     (x,), P = result
@@ -632,49 +614,6 @@ def predict(s: StateEstimate, model: ProcessModel, dt: float) -> StateEstimate:
     return _estimate(_predict_kernel([s.x.tolist()], s.P, dt, model.q * dt, _Jacobians(None)), s.timestamp + dt)
 
 
-def update_absolute(s: StateEstimate, m: MeasurementEvent) -> StateEstimate:
-    """Fuse a pose measurement directly against the 6 pose states.
-
-    The measurement model is the identity on the pose block; angular
-    innovation components are wrapped so +179 deg vs -179 deg disagree by
-    2 degrees, not 358.  An indefinite ``s.P`` raises :class:`NumericError`.
-    """
-    z = _single(m)
-    _check_psd(s.P, "covariance")
-    return _estimate(_update_kernel([s.x.tolist()], s.P, POSE_BLOCK.start, [z], m.r6, True), s.timestamp)
-
-
-def _pair_twist(prev: MeasurementEvent, cur: MeasurementEvent) -> tuple[np.ndarray, float]:
-    """The body twist of a one-member pose pair, and its time step."""
-    (dt,) = _time_steps(np.array([prev.timestamp, cur.timestamp]))
-    return body_twists(np.array([_single(prev), _single(cur)]), np.array([dt]))[0], float(dt)
-
-
-def differential_velocity(prev: MeasurementEvent, cur: MeasurementEvent) -> np.ndarray:
-    """Body-frame velocity pseudo-measurement from two consecutive poses.
-
-    The delta pose invert(prev) o cur divided by dt (:func:`body_twists`);
-    any constant offset applied to both poses cancels exactly.
-    """
-    return _pair_twist(prev, cur)[0]
-
-
-def update_differential(
-    s: StateEstimate, prev: MeasurementEvent, cur: MeasurementEvent
-) -> StateEstimate:
-    """Fuse a pose pair as a velocity pseudo-measurement on the twist states.
-
-    The pair's pose covariances propagate to the velocity measurement as
-    (R_prev + R_cur) / dt^2.  An indefinite ``s.P`` raises :class:`NumericError`.
-    """
-    if prev.kind is not MeasurementKind.ODOMETRY_DIFFERENTIAL or cur.kind is not MeasurementKind.ODOMETRY_DIFFERENTIAL:
-        raise ValueError("differential fusion requires odometry events")
-    _check_psd(s.P, "covariance")
-    z, dt = _pair_twist(prev, cur)
-    r_vel = _velocity_covariance(prev.r6, cur.r6, dt)
-    return _estimate(_update_kernel([s.x.tolist()], s.P, TWIST_BLOCK.start, [z.tolist()], r_vel, False), s.timestamp)
-
-
 # ---------------------------------------------------------------------------
 # Filter nodes
 # ---------------------------------------------------------------------------
@@ -683,8 +622,10 @@ class EkfNode:
     """Sequential, single-owner filter node over ``members`` runs in lockstep.
 
     Every event carries one row per member; the members share the
-    config's initial state, process noise and the events' stamps.  Events
-    must arrive with non-decreasing timestamps; an older event is rejected
+    config's initial state, process noise and the events' stamps.  The
+    filter clock starts at the initial state's stamp, so a first event
+    after it is predicted across the gap.  Events must arrive with
+    non-decreasing timestamps; an event older than the clock is rejected
     with :class:`OutOfOrderError`, counted, and leaves the state untouched,
     so callers may continue with newer events.
 
@@ -715,7 +656,6 @@ class EkfNode:
         self.model = ProcessModel(config.q)
         self.state = config.initial_state
         self.rejected_count = 0
-        self._started = False
         self._jac = _Jacobians(members if stack else None)  # the buffers of every prediction
 
         q = self.model.q  # not self: the cache must not keep the node in a reference cycle
@@ -782,12 +722,6 @@ class EkfNode:
             )
         if event.z is not None and len(event.z) != self.members:
             raise ValueError(f"{step} of {self.members} members got {len(event.z)} rows")
-        if not self._started:
-            # Align the filter clock with the first event ever seen.
-            self.timestamp = event.timestamp
-            self._state = None
-            self._started = True
-            return
         if event.timestamp < self.timestamp:
             self.rejected_count += 1
             raise OutOfOrderError(
@@ -824,7 +758,7 @@ class EkfNode:
         node-1 local->body pose rows (:func:`twist_measurements`) and fuse
         them on the twist states, so the local frame's place in the world
         never enters; the first of the chain carries none (``z`` None) and
-        only starts the clock.  Perception events carry world poses and
+        only advances the clock.  Perception events carry world poses and
         fuse absolutely.
         """
         odometry = event.kind is _ODOMETRY
@@ -842,5 +776,5 @@ class EkfNode:
         P = self.P[members]
         P.setflags(write=False)
         node._P, node._x, node._state = P if node._stack else P[0], [self._x[b] for b in members], None
-        node.timestamp, node._started, node.rejected_count = self.timestamp, self._started, self.rejected_count
+        node.timestamp, node.rejected_count = self.timestamp, self.rejected_count
         return node

@@ -9,7 +9,7 @@ out into those forms, and pose-row events into node 2's twist events.
 import numpy as np
 
 from coloc.dataio import TrajectoryLog
-from coloc.ekf import MeasurementEvent, _velocity_covariance, differential_velocity
+from coloc.ekf import MeasurementEvent, twist_measurements
 from coloc.evaluation import AssociatedRows
 from coloc.geometry import BODY_SMART, Agent
 from coloc.perception import PairedRows
@@ -58,11 +58,12 @@ def pose_event(kind, pose, r6):
 def twist_event(prev, cur):
     """Node 2's odometry event for the one-member pose-row event ``cur`` after ``prev``.
 
-    As a run builds it: the body twist between the two rows and its
-    covariance (R_prev + R_cur) / dt^2; with ``prev`` None, the chain's first
-    event, which carries no twist.
+    As a run builds it, with :func:`coloc.ekf.twist_measurements`: the body
+    twist between the two rows and its covariance (r6 + r6) / dt^2, ``cur``'s
+    r6 standing for both rows as a run's one row covariance does; with
+    ``prev`` None, the chain's first event, which carries no twist.
     """
     if prev is None:
         return tuple.__new__(MeasurementEvent, (cur.timestamp, cur.kind, cur.frame, None, None))
-    r_vel = _velocity_covariance(prev.r6, cur.r6, cur.timestamp - prev.timestamp)
-    return MeasurementEvent(cur.timestamp, cur.kind, cur.frame, differential_velocity(prev, cur), r_vel)
+    ((z, r_vel),) = twist_measurements(np.array([prev.timestamp, cur.timestamp]), np.array([prev.z, cur.z]), cur.r6)
+    return tuple.__new__(MeasurementEvent, (cur.timestamp, cur.kind, cur.frame, z, r_vel))

@@ -39,21 +39,20 @@ from scipy.optimize import least_squares
 from scipy.spatial.transform import Rotation
 
 from conftest import ACCEPTANCE_RESULTS
-from pose_rows import pose_event
+from pose_rows import pose_event, twist_event
 from coloc.dataio import generate_synthetic
 from coloc.ekf import (
     STATE_DIM,
+    EkfNode,
+    FilterNodeConfig,
     MeasurementEvent,
     MeasurementKind,
     ProcessModel,
     StateEstimate,
+    _propagate,
     measurement_covariance,
     predict,
     state_from_row,
-    transition,
-    transition_jacobian,
-    update_absolute,
-    update_differential,
 )
 from coloc.evaluation import AlignmentMode, AssociatedRows, align, compute_errors
 from coloc.geometry import BODY_ADAS, LOCAL, WORLD
@@ -380,12 +379,14 @@ def test_filter_matches_scalar_kalman_and_finite_differences():
     P0 = np.zeros((STATE_DIM, STATE_DIM))
     P0[0, 0], P0[6, 6] = p0_pos, p0_vel
     model = ProcessModel(q15)
-    state = StateEstimate(np.zeros(STATE_DIM), P0, 0.0)
+    # each update is a one-member node at the predicted state, stepped at its stamp
+    node = EkfNode(FilterNodeConfig(StateEstimate(np.zeros(STATE_DIM), P0, 0.0), q15))
     r6 = np.diag([r, 1e12, 1e12, 1e12, 1e12, 1e12])
     worst_kf = 0.0
     for k, z in enumerate(z_seq):
-        state = predict(state, model, dt)
-        state = update_absolute(state, MeasurementEvent(state.timestamp, PER, LOCAL, [z, 0.0, 0.0, 0.0, 0.0, 0.0], r6))
+        node.state = predict(node.state, model, dt)
+        node.node1_step(MeasurementEvent(node.timestamp, PER, LOCAL, [z, 0.0, 0.0, 0.0, 0.0, 0.0], r6))
+        state = node.state
         x_ref, P_ref = reference[k]
         worst_kf = max(
             worst_kf,
@@ -407,14 +408,17 @@ def test_filter_matches_scalar_kalman_and_finite_differences():
     for _ in range(JACOBIAN_STATES):
         x = _random_filter_state(rng)
         dt_j = float(rng.uniform(0.001, 0.2))
-        A = transition_jacobian(x, dt_j)
+        # the motion model writes the transposed Jacobian into a copy of I
+        At = np.eye(STATE_DIM)
+        _propagate(x.tolist(), dt_j, At.ravel())
+        A = At.T
         A_fd = np.empty_like(A)
         for i in range(STATE_DIM):
             eps = 1e-6 * max(1.0, abs(x[i]))
             hi, lo = x.copy(), x.copy()
             hi[i] += eps
             lo[i] -= eps
-            A_fd[:, i] = (transition(hi, dt_j) - transition(lo, dt_j)) / (2.0 * eps)
+            A_fd[:, i] = (np.array(_propagate(hi.tolist(), dt_j)) - _propagate(lo.tolist(), dt_j)) / (2.0 * eps)
         worst_jac = max(worst_jac, float(np.max(np.abs(A - A_fd) / (1.0 + np.abs(A_fd)))))
     if not worst_jac < JACOBIAN_REL_TOL:
         problems.append(
@@ -502,9 +506,11 @@ def _check_quaternion_norms(problems):
 
 
 def _check_covariance_after_every_step(problems):
+    # a node predicted by predict and then stepped at its own stamp applies
+    # each update alone, so every stage can be checked
     rng = np.random.default_rng(72)
-    state = state_from_row(0.0, [0.0] * 6, 1e-4, 10.0)
     model = ProcessModel(np.diag(np.full(STATE_DIM, 1e-3)))
+    node = EkfNode(FilterNodeConfig(state_from_row(0.0, [0.0] * 6, 1e-4, 10.0), model.q))
     r6_abs = measurement_covariance(NoiseSpec(0.5, 3.0))
     r6_odo = measurement_covariance(NoiseSpec(0.2, 1.0))
     worst_eig = 0.0
@@ -521,9 +527,9 @@ def _check_covariance_after_every_step(problems):
             problems.append(f"covariance eigenvalue {low:.2e} after {stage} step {k}")
 
     for k in range(1, 301):
-        t = k * dt
-        state = predict(state, model, dt)
-        check(state, "predict", k)
+        node.state = predict(node.state, model, dt)
+        t = node.timestamp
+        check(node.state, "predict", k)
         x, y = 8.0 * t, 2.0 * math.sin(0.4 * t)
         yaw = 0.1 * math.sin(0.2 * t)
         world = Pose(
@@ -533,8 +539,8 @@ def _check_covariance_after_every_step(problems):
             WORLD,
             BODY_ADAS,
         )
-        state = update_absolute(state, pose_event(PER, world, r6_abs))
-        check(state, "absolute update", k)
+        node.node2_step(pose_event(PER, world, r6_abs))
+        check(node.state, "absolute update", k)
         local = Pose(
             t,
             np.array([x, y, 0.0]) + rng.normal(0.0, 0.2, 3),
@@ -544,8 +550,8 @@ def _check_covariance_after_every_step(problems):
         )
         event = pose_event(ODO, local, r6_odo)
         if prev is not None:
-            state = update_differential(state, prev, event)
-            check(state, "differential update", k)
+            node.node2_step(twist_event(prev, event))
+            check(node.state, "differential update", k)
         prev = event
     return worst_eig
 
@@ -593,12 +599,10 @@ def _check_offset_invariance(problems):
         pose = Pose(t, np.asarray(xyz, float), quat_yaw(yaw), LOCAL, BODY_ADAS)
         return pose_event(ODO, pose, r6)
 
-    plain = update_differential(state, event(0.9, [1.0, 2.25, 0.0], 0.3), event(1.0, [1.5, 2.5, 0.0], 0.35))
-    shifted = update_differential(
-        state,
-        event(0.9, offset + [1.0, 2.25, 0.0], 0.3),
-        event(1.0, offset + [1.5, 2.5, 0.0], 0.35),
-    )
+    # one-member nodes at the state, each fusing one twist at the state's stamp
+    plain, shifted = (EkfNode(FilterNodeConfig(state, np.eye(STATE_DIM))) for _ in range(2))
+    plain.node2_step(twist_event(event(0.9, [1.0, 2.25, 0.0], 0.3), event(1.0, [1.5, 2.5, 0.0], 0.35)))
+    shifted.node2_step(twist_event(event(0.9, offset + [1.0, 2.25, 0.0], 0.3), event(1.0, offset + [1.5, 2.5, 0.0], 0.35)))
     if not (np.array_equal(plain.x, shifted.x) and np.array_equal(plain.P, shifted.P)):
         problems.append("constant offset applied to both poses changes the differential update")
 

@@ -1,12 +1,15 @@
 """Filter tests.
 
-Oracles, all independent of the implementation under test:
-* central finite differences of the transition function for the Jacobian,
+Every update runs through :class:`EkfNode`, the filter's one API: a
+one-member node at a given state, stepped at that state's stamp, applies a
+single update.  Oracles, all independent of the implementation under test:
+* central finite differences of the motion model for its Jacobian,
 * a hand-rolled two-state (position, velocity) Kalman filter for the
   linear-equivalence check,
 * closed-form kinematics for single-step propagation,
 * exact arithmetic identities (offset cancellation, zero innovation),
-* scipy's discrete algebraic Riccati solution for node 1's steady state.
+* scipy's discrete algebraic Riccati solution for node 1's steady state
+  and for node 2's twist channel.
 """
 
 import math
@@ -32,15 +35,12 @@ from coloc.ekf import (
     ProcessModel,
     StateEstimate,
     _checked_r6,
+    _propagate,
     default_process_noise,
-    differential_velocity,
     measurement_covariance,
     predict,
     state_from_row,
-    transition,
-    transition_jacobian,
-    update_absolute,
-    update_differential,
+    twist_measurements,
 )
 from coloc.geometry import BODY_ADAS, LOCAL, WORLD, wrap_angle
 from pose_objects import Pose, Quaternion, quat_yaw
@@ -88,6 +88,22 @@ def world_event(t, translation, yaw=0.0, r6=PERCEPTION_R6):
     return MeasurementEvent(t, PER, WORLD, [*translation, 0.0, 0.0, yaw], r6)
 
 
+def node_at(state):
+    """A one-member node whose clock and estimate are ``state``.
+
+    Stepped with an event at the state's own stamp, it predicts nothing and
+    applies that event's update alone.
+    """
+    return EkfNode(FilterNodeConfig(state, default_process_noise()))
+
+
+def jacobian(x, dt):
+    """The transition Jacobian at state x over dt, as :func:`_propagate` writes it."""
+    At = np.eye(STATE_DIM)
+    _propagate(list(x), dt, At.ravel())
+    return At.T
+
+
 # ---------------------------------------------------------------------------
 # Transition model
 # ---------------------------------------------------------------------------
@@ -97,34 +113,35 @@ class TestTransition:
         x = np.zeros(STATE_DIM)
         x[POS] = [3.0, -2.0, 1.0]
         x[ANG] = [0.2, -0.1, 1.5]
-        np.testing.assert_array_equal(transition(x, 0.5)[POS], x[POS])
-        np.testing.assert_allclose(transition(x, 0.5)[ANG], x[ANG], atol=1e-15)
+        out = _propagate(x.tolist(), 0.5)
+        np.testing.assert_array_equal(out[POS], x[POS])
+        np.testing.assert_allclose(out[ANG], x[ANG], atol=1e-15)
 
     def test_forward_motion_rotated_by_yaw(self):
         x = np.zeros(STATE_DIM)
         x[ANG] = [0.0, 0.0, math.pi / 2]
         x[VEL] = [1.0, 0.0, 0.0]
-        out = transition(x, 1.0)
+        out = np.array(_propagate(x.tolist(), 1.0))
         np.testing.assert_allclose(out[POS], [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_acceleration_terms(self):
         x = np.zeros(STATE_DIM)
         x[ACC] = [2.0, 0.0, 0.0]
-        out = transition(x, 0.5)
+        out = np.array(_propagate(x.tolist(), 0.5))
         np.testing.assert_allclose(out[POS], [0.25, 0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(out[VEL], [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_yaw_rate_integration(self):
         x = np.zeros(STATE_DIM)
         x[OMEGA] = [0.0, 0.0, 0.5]
-        out = transition(x, 0.2)
+        out = np.array(_propagate(x.tolist(), 0.2))
         np.testing.assert_allclose(out[ANG], [0.0, 0.0, 0.1], atol=1e-12)
 
     def test_angles_wrap(self):
         x = np.zeros(STATE_DIM)
         x[ANG] = [0.0, 0.0, math.pi - 0.01]
         x[OMEGA] = [0.0, 0.0, 1.0]
-        out = transition(x, 0.02)
+        out = np.array(_propagate(x.tolist(), 0.02))
         assert out[5] == pytest.approx(-math.pi + 0.01)
 
     def test_euler_rate_matrix_consistent_with_quaternion_integration(self):
@@ -137,7 +154,7 @@ class TestTransition:
             omega = x[OMEGA]
 
             def gap(dt):
-                rpy_next = transition(x, dt)[ANG]
+                rpy_next = _propagate(x.tolist(), dt)[ANG]
                 q_euler = Quaternion.from_euler(*rpy_next)
                 angle = np.linalg.norm(omega) * dt
                 if angle < 1e-15:
@@ -157,7 +174,7 @@ class TestTransition:
         x = np.zeros(STATE_DIM)
         x[ANG] = [0.0, math.pi / 2, 0.0]
         with pytest.raises(NumericError):
-            transition(x, 0.01)
+            _propagate(x.tolist(), 0.01)
 
 
 class TestTransitionJacobian:
@@ -167,20 +184,20 @@ class TestTransitionJacobian:
         for _ in range(100):
             x = random_state()
             dt = float(RNG.uniform(0.001, 0.2))
-            A = transition_jacobian(x, dt)
+            A = jacobian(x, dt)
             A_fd = np.empty_like(A)
             for i in range(STATE_DIM):
                 eps = 1e-6 * max(1.0, abs(x[i]))
                 hi, lo = x.copy(), x.copy()
                 hi[i] += eps
                 lo[i] -= eps
-                A_fd[:, i] = (transition(hi, dt) - transition(lo, dt)) / (2 * eps)
+                A_fd[:, i] = (np.array(_propagate(hi.tolist(), dt)) - _propagate(lo.tolist(), dt)) / (2 * eps)
             err = np.max(np.abs(A - A_fd) / (1.0 + np.abs(A_fd)))
             worst = max(worst, err)
         assert worst < 1e-5
 
     def test_identity_rows_for_constant_states(self):
-        A = transition_jacobian(random_state(), 0.1)
+        A = jacobian(random_state(), 0.1)
         np.testing.assert_array_equal(A[OMEGA, :9], np.zeros((3, 9)))
         np.testing.assert_array_equal(A[OMEGA, OMEGA], np.eye(3))
         np.testing.assert_array_equal(A[ACC, ACC], np.eye(3))
@@ -270,6 +287,8 @@ class TestPredict:
 # ---------------------------------------------------------------------------
 
 class TestUpdateAbsolute:
+    """Node 1's absolute update of a local pose, applied alone."""
+
     def make_state(self, P=None):
         x = np.zeros(STATE_DIM)
         x[POS] = [1.0, 2.0, 0.0]
@@ -281,15 +300,17 @@ class TestUpdateAbsolute:
 
     def test_zero_innovation_keeps_pose_and_shrinks_p(self):
         s = self.make_state()
-        ev = self.event_at([1.0, 2.0, 0.0], 0.3, np.eye(6) * 1e-12)
-        out = update_absolute(s, ev)
+        node = node_at(s)
+        node.node1_step(self.event_at([1.0, 2.0, 0.0], 0.3, np.eye(6) * 1e-12))
+        out = node.state
         np.testing.assert_allclose(out.x[POSE_BLOCK], s.x[POSE_BLOCK], atol=1e-9)
         assert np.trace(out.P) < np.trace(s.P)
 
     def test_huge_r_is_uninformative(self):
         s = self.make_state(P=random_psd(STATE_DIM))
-        ev = self.event_at([5.0, -3.0, 1.0], -0.7, np.eye(6) * 1e12)
-        out = update_absolute(s, ev)
+        node = node_at(s)
+        node.node1_step(self.event_at([5.0, -3.0, 1.0], -0.7, np.eye(6) * 1e12))
+        out = node.state
         np.testing.assert_allclose(out.x, s.x, atol=1e-6)
         np.testing.assert_allclose(out.P, s.P, atol=1e-4, rtol=1e-6)
 
@@ -299,8 +320,9 @@ class TestUpdateAbsolute:
         P = np.zeros((STATE_DIM, STATE_DIM))
         P[0, 0] = 1.0
         s = StateEstimate(np.zeros(STATE_DIM), P, 1.0)
-        ev = self.event_at([1.0, 0.0, 0.0], 0.0, np.eye(6))
-        out = update_absolute(s, ev)
+        node = node_at(s)
+        node.node1_step(self.event_at([1.0, 0.0, 0.0], 0.0, np.eye(6)))
+        out = node.state
         assert out.x[0] == pytest.approx(0.5, abs=1e-12)
         assert out.P[0, 0] == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(out.x[1:], np.zeros(STATE_DIM - 1), atol=1e-12)
@@ -311,8 +333,9 @@ class TestUpdateAbsolute:
         P = np.zeros((STATE_DIM, STATE_DIM))
         P[5, 5] = 1.0
         s = StateEstimate(x, P, 1.0)
-        ev = self.event_at([0.0, 0.0, 0.0], math.radians(179.0), np.eye(6))
-        out = update_absolute(s, ev)
+        node = node_at(s)
+        node.node1_step(self.event_at([0.0, 0.0, 0.0], math.radians(179.0), np.eye(6)))
+        out = node.state
         # Innovation is -2 deg, gain 0.5: posterior moves 1 deg toward the
         # boundary, never 179 deg the long way round.
         moved = math.degrees(abs(wrap_angle(out.x[5] - s.x[5])))
@@ -322,37 +345,37 @@ class TestUpdateAbsolute:
         for _ in range(20):
             s = StateEstimate(random_state(), random_psd(STATE_DIM), 1.0)
             r6 = np.diag(RNG.uniform(0.01, 10.0, 6))
-            ev = self.event_at(RNG.normal(size=3), RNG.uniform(-1, 1), r6)
-            out = update_absolute(s, ev)
+            node = node_at(s)
+            node.node1_step(self.event_at(RNG.normal(size=3), RNG.uniform(-1, 1), r6))
+            out = node.state
             assert np.trace(out.P) <= np.trace(s.P) + 1e-9
             out.validate()
 
     def test_singular_innovation_raises(self):
         # a zero r6 is rejected when the event is built, so S = P block + r6
         # of a PSD P is always invertible in the update
-        P = np.zeros((STATE_DIM, STATE_DIM))
-        s = StateEstimate(np.zeros(STATE_DIM), P, 1.0)
+        node = node_at(StateEstimate(np.zeros(STATE_DIM), np.zeros((STATE_DIM, STATE_DIM)), 1.0))
         with pytest.raises(NumericError, match="singular"):
-            update_absolute(s, self.event_at([1.0, 0.0, 0.0], 0.0, np.zeros((6, 6))))
+            node.node1_step(self.event_at([1.0, 0.0, 0.0], 0.0, np.zeros((6, 6))))
 
     def test_missing_r6_rejected(self):
         # an event without a covariance cannot be built, so none reaches the update
-        s = self.make_state()
+        node = node_at(self.make_state())
         with pytest.raises(ValueError, match="r6"):
-            update_absolute(s, self.event_at([1.0, 2.0, 0.0], 0.3, None))
+            node.node1_step(self.event_at([1.0, 2.0, 0.0], 0.3, None))
 
     def test_indefinite_covariance_raises_numeric_error(self):
-        # S = P block + r6 = 0: without the check the solve warns, and the
-        # test suite turns that RuntimeWarning into an error
+        # S = P block + r6 = 0 would make the solve warn, and the test suite
+        # turns that RuntimeWarning into an error: the node refuses the
+        # state before any update
         P = np.eye(STATE_DIM)
         P[POSE_BLOCK, POSE_BLOCK] = -np.eye(6)
-        s = StateEstimate(np.zeros(STATE_DIM), P, 1.0)
         with pytest.raises(NumericError, match="indefinite"):
-            update_absolute(s, self.event_at([1.0, 0.0, 0.0], 0.0, np.eye(6)))
+            node_at(StateEstimate(np.zeros(STATE_DIM), P, 1.0))
         # an invertible S does not hide the indefinite P
         P[POSE_BLOCK, POSE_BLOCK] = -0.5 * np.eye(6)
         with pytest.raises(NumericError, match="indefinite"):
-            update_absolute(StateEstimate(np.zeros(STATE_DIM), P, 1.0), self.event_at([1.0, 0.0, 0.0], 0.0, np.eye(6)))
+            node_at(StateEstimate(np.zeros(STATE_DIM), P, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -360,38 +383,42 @@ class TestUpdateAbsolute:
 # ---------------------------------------------------------------------------
 
 class TestDifferentialVelocity:
+    """The body twist node 2 takes from two consecutive pose rows."""
+
     def test_no_motion_gives_zero(self):
         a = local_event(1.000, [2.0, 3.0, 0.0], yaw=0.4)
         b = local_event(1.005, [2.0, 3.0, 0.0], yaw=0.4)
-        np.testing.assert_allclose(differential_velocity(a, b), np.zeros(6), atol=1e-12)
+        np.testing.assert_allclose(twist_event(a, b).z[0], np.zeros(6), atol=1e-12)
 
     def test_straight_line_speed(self):
         a = local_event(0.0, [0.0, 0.0, 0.0])
         b = local_event(0.5, [1.0, 0.0, 0.0])
-        np.testing.assert_allclose(differential_velocity(a, b)[:3], [2.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(twist_event(a, b).z[0][:3], [2.0, 0.0, 0.0], atol=1e-12)
 
     def test_motion_is_expressed_in_body_frame(self):
         a = local_event(0.0, [0.0, 0.0, 0.0], yaw=math.pi / 2)
         b = local_event(0.5, [0.0, 1.0, 0.0], yaw=math.pi / 2)
-        np.testing.assert_allclose(differential_velocity(a, b)[:3], [2.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(twist_event(a, b).z[0][:3], [2.0, 0.0, 0.0], atol=1e-12)
 
     def test_yaw_rate(self):
         a = local_event(0.0, [0.0, 0.0, 0.0], yaw=0.0)
         b = local_event(0.1, [0.0, 0.0, 0.0], yaw=0.1)
-        np.testing.assert_allclose(differential_velocity(a, b)[3:], [0.0, 0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(twist_event(a, b).z[0][3:], [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_rejects_bad_pairs(self):
         a = local_event(1.0, [0.0, 0.0, 0.0])
         b = local_event(1.0, [1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            differential_velocity(a, b)
+            twist_event(a, b)
         with pytest.raises(ValueError):
-            differential_velocity(b, local_event(0.5, [1.0, 0.0, 0.0]))
+            twist_event(b, local_event(0.5, [1.0, 0.0, 0.0]))
 
 
 class TestUpdateDifferential:
-    def make_state(self):
-        return StateEstimate(np.zeros(STATE_DIM), np.eye(STATE_DIM), 1.0)
+    """Node 2's update of a twist event, applied alone."""
+
+    def make_state(self, t):
+        return StateEstimate(np.zeros(STATE_DIM), np.eye(STATE_DIM), t)
 
     def test_offset_invariance_bitwise(self):
         # Dyadic coordinates keep the offset additions exactly representable,
@@ -402,11 +429,12 @@ class TestUpdateDifferential:
         b = local_event(1.0, [1.5, 2.5, 0.0], yaw=0.35, r6=r6)
         a_off = local_event(0.9, offset + [1.0, 2.25, 0.0], yaw=0.3, r6=r6)
         b_off = local_event(1.0, offset + [1.5, 2.5, 0.0], yaw=0.35, r6=r6)
-        s = self.make_state()
-        out1 = update_differential(s, a, b)
-        out2 = update_differential(s, a_off, b_off)
-        assert np.array_equal(out1.x, out2.x)
-        assert np.array_equal(out1.P, out2.P)
+        s = self.make_state(1.0)
+        plain, shifted = node_at(s), node_at(s)
+        plain.node2_step(twist_event(a, b))
+        shifted.node2_step(twist_event(a_off, b_off))
+        assert np.array_equal(plain.x, shifted.x)
+        assert np.array_equal(plain.P, shifted.P)
 
     def test_offset_invariance_general_values(self):
         # Arbitrary (non-representable) offsets cancel to rounding error.
@@ -416,62 +444,61 @@ class TestUpdateDifferential:
         b = local_event(1.0, [1.5, 2.4, 0.0], yaw=0.35, r6=r6)
         a_off = local_event(0.9, offset + [1.0, 2.2, 0.0], yaw=0.3, r6=r6)
         b_off = local_event(1.0, offset + [1.5, 2.4, 0.0], yaw=0.35, r6=r6)
-        s = self.make_state()
-        out1 = update_differential(s, a, b)
-        out2 = update_differential(s, a_off, b_off)
-        np.testing.assert_allclose(out1.x, out2.x, atol=1e-9)
-        np.testing.assert_allclose(out1.P, out2.P, atol=1e-9)
+        s = self.make_state(1.0)
+        plain, shifted = node_at(s), node_at(s)
+        plain.node2_step(twist_event(a, b))
+        shifted.node2_step(twist_event(a_off, b_off))
+        np.testing.assert_allclose(plain.x, shifted.x, atol=1e-9)
+        np.testing.assert_allclose(plain.P, shifted.P, atol=1e-9)
 
     def test_velocity_states_move_toward_measurement(self):
         r6 = np.eye(6) * 1e-6
         a = local_event(0.5, [0.0, 0.0, 0.0], r6=r6)
         b = local_event(1.0, [1.0, 0.0, 0.0], r6=r6)
-        out = update_differential(self.make_state(), a, b)
+        node = node_at(self.make_state(1.0))
+        node.node2_step(twist_event(a, b))
+        out = node.state
         assert out.x[6] == pytest.approx(2.0, rel=1e-2)
         np.testing.assert_allclose(out.x[POSE_BLOCK], np.zeros(6), atol=1e-12)
 
     def test_r_scales_with_dt_squared(self):
         r6 = np.eye(6)
-        s = self.make_state()
         a = local_event(0.0, [0.0, 0.0, 0.0], r6=r6)
         b = local_event(0.1, [0.2, 0.0, 0.0], r6=r6)
-        out_fast = update_differential(s, a, b)
+        fast = node_at(self.make_state(0.1))
+        fast.node2_step(twist_event(a, b))
         c = local_event(0.0, [0.0, 0.0, 0.0], r6=r6)
         d = local_event(1.0, [2.0, 0.0, 0.0], r6=r6)
-        out_slow = update_differential(s, c, d)
+        slow = node_at(self.make_state(1.0))
+        slow.node2_step(twist_event(c, d))
         # Same measured velocity, but the longer baseline is far more
         # trustworthy, so it pulls the velocity state harder.
-        assert abs(out_slow.x[6] - 2.0) < abs(out_fast.x[6] - 2.0)
+        assert abs(slow.x[0, 6] - 2.0) < abs(fast.x[0, 6] - 2.0)
 
     def test_monotone_information_and_health(self):
-        s = StateEstimate(random_state(), random_psd(STATE_DIM), 1.0)
+        s = StateEstimate(random_state(), random_psd(STATE_DIM), 0.95)
         r6 = np.diag(RNG.uniform(0.001, 0.1, 6))
         a = local_event(0.90, RNG.normal(size=3), yaw=0.1, r6=r6)
         b = local_event(0.95, RNG.normal(size=3), yaw=0.12, r6=r6)
-        out = update_differential(s, a, b)
+        node = node_at(s)
+        node.node2_step(twist_event(a, b))
+        out = node.state
         assert np.trace(out.P) <= np.trace(s.P) + 1e-9
         out.validate()
 
-    def test_wrong_kind_rejected(self):
-        r6 = np.eye(6)
-        a = local_event(0.0, [0.0, 0.0, 0.0], r6=r6)
-        b = world_event(0.5, [1.0, 0.0, 0.0], r6=r6)
-        with pytest.raises(ValueError):
-            update_differential(self.make_state(), a, b)
-
     def test_missing_covariance_rejected(self):
         a = local_event(0.0, [0.0, 0.0, 0.0])
+        node = node_at(self.make_state(0.5))
         with pytest.raises(ValueError, match="r6"):
-            update_differential(self.make_state(), a, local_event(0.5, [1.0, 0.0, 0.0], r6=None))
+            node.node2_step(twist_event(a, local_event(0.5, [1.0, 0.0, 0.0], r6=None)))
 
     def test_indefinite_covariance_raises_numeric_error(self):
         P = np.eye(STATE_DIM)
         P[TWIST_BLOCK, TWIST_BLOCK] = -np.eye(6)
-        s = StateEstimate(np.zeros(STATE_DIM), P, 1.0)
         a = local_event(0.0, [0.0, 0.0, 0.0], r6=np.eye(6))
         b = local_event(1.0, [1.0, 0.0, 0.0], r6=np.eye(6))
         with pytest.raises(NumericError, match="indefinite"):
-            update_differential(s, a, b)
+            node_at(StateEstimate(np.zeros(STATE_DIM), P, 1.0)).node2_step(twist_event(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +527,7 @@ def reference_linear_kf(z_seq, dt, q_pos, q_vel, r, p0_pos, p0_vel):
 
 class TestLinearEquivalence:
     def test_matches_reference_kf_over_1000_steps(self):
+        # node 1 predicts from its initial stamp to each event's, then updates
         dt, q_pos, q_vel, r = 0.02, 0.01, 0.05, 0.5
         p0_pos, p0_vel = 2.0, 3.0
         rng = np.random.default_rng(2024)
@@ -510,24 +538,23 @@ class TestLinearEquivalence:
         q15 = np.zeros((STATE_DIM, STATE_DIM))
         q15[0, 0] = q_pos
         q15[6, 6] = q_vel
-        model = ProcessModel(q15)
         P0 = np.zeros((STATE_DIM, STATE_DIM))
         P0[0, 0] = p0_pos
         P0[6, 6] = p0_vel
-        s = StateEstimate(np.zeros(STATE_DIM), P0, 0.0)
+        node = EkfNode(FilterNodeConfig(StateEstimate(np.zeros(STATE_DIM), P0, 0.0), q15))
         r6 = np.diag([r, 1e12, 1e12, 1e12, 1e12, 1e12])
 
         worst_x = worst_p = 0.0
         for k, z in enumerate(z_seq):
-            s = predict(s, model, dt)
-            s = update_absolute(s, MeasurementEvent(s.timestamp, PER, LOCAL, [z, 0.0, 0.0, 0.0, 0.0, 0.0], r6))
+            node.node1_step(MeasurementEvent((k + 1) * dt, PER, LOCAL, [z, 0.0, 0.0, 0.0, 0.0, 0.0], r6))
+            (x,), (P,) = node.x, node.P
             x_ref, P_ref = ref[k]
-            worst_x = max(worst_x, abs(s.x[0] - x_ref[0]), abs(s.x[6] - x_ref[1]))
+            worst_x = max(worst_x, abs(x[0] - x_ref[0]), abs(x[6] - x_ref[1]))
             worst_p = max(
                 worst_p,
-                abs(s.P[0, 0] - P_ref[0, 0]),
-                abs(s.P[0, 6] - P_ref[0, 1]),
-                abs(s.P[6, 6] - P_ref[1, 1]),
+                abs(P[0, 0] - P_ref[0, 0]),
+                abs(P[0, 6] - P_ref[0, 1]),
+                abs(P[6, 6] - P_ref[1, 1]),
             )
         assert worst_x < 1e-9
         assert worst_p < 1e-9
@@ -691,6 +718,27 @@ class TestNode1:
                 errors.append(row[0])
         assert np.std(errors) < np.std(noises)
 
+    def test_first_event_is_predicted_from_the_initial_stamp(self):
+        # the clock starts at the initial state's stamp, not at the first event
+        cfg = node1_config()
+        node = EkfNode(cfg)
+        event = local_event(0.5, [0.3, 0.1, 0.0], yaw=0.02)
+        node.node1_step(event)
+        expected = node_at(predict(cfg.initial_state, ProcessModel(cfg.q), 0.5))
+        expected.node1_step(event)
+        assert node.timestamp == expected.timestamp == 0.5
+        np.testing.assert_allclose(node.x, expected.x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(node.P, expected.P, rtol=1e-12, atol=1e-12)
+
+    def test_event_older_than_the_initial_stamp_rejected(self):
+        node = EkfNode(node1_config(initial_state=state_from_row(1.0, [0.0] * 6)))
+        before = node.state
+        with pytest.raises(OutOfOrderError):
+            node.node1_step(local_event(0.5, [0.0, 0.0, 0.0]))
+        assert node.rejected_count == 1
+        assert node.state is before
+        assert node.timestamp == 1.0
+
     def test_out_of_order_rejected_and_recoverable(self):
         node = EkfNode(node1_config())
         node.node1_step(local_event(1.0, [0.0, 0.0, 0.0]))
@@ -720,11 +768,36 @@ class TestNode1SteadyState:
         dt, speed = 0.01, 2.0
         for k in range(6000):
             node.node1_step(local_event(k * dt, [speed * k * dt, 0.0, 0.0], r6=r6))
-        A = transition_jacobian(node.x[0], dt)
+        A = jacobian(node.x[0], dt)
         H = np.eye(6, STATE_DIM)
         prior = scipy.linalg.solve_discrete_are(A.T, H.T, q * dt, r6)
         posterior = prior - prior @ H.T @ np.linalg.solve(H @ prior @ H.T + r6, H @ prior)
         P = node.P[0]
+        assert np.abs(P - posterior).max() <= 1e-9 * np.abs(posterior).max()
+
+
+class TestNode2SteadyState:
+    def test_twist_covariance_converges_to_riccati_solution(self):
+        # The transition Jacobian has no pose-to-twist terms, and its block
+        # on states 6:15 (velocity integrates acceleration) does not depend
+        # on the state.  Under a constant twist at a fixed step those states
+        # are a time-invariant Kalman filter of their own, with H = [I6 0]
+        # and the twist covariance R = (r6 + r6) / dt^2.
+        q = default_process_noise()
+        node = EkfNode(node2_config(q=q))
+        dt, speed, n = 0.1, 2.0, 400
+        stamps = np.arange(n + 1) * dt
+        rows = np.zeros((n + 1, 1, 6))
+        rows[:, 0, 0] = speed * stamps
+        for t, (z, r_vel) in zip(stamps[1:].tolist(), twist_measurements(stamps, rows, SMOOTHED_R6)):
+            node.node2_step(tuple.__new__(MeasurementEvent, (t, ODO, LOCAL, z, r_vel)))
+        twist = slice(VEL.start, STATE_DIM)
+        A = jacobian(node.x[0], dt)[twist, twist]
+        H = np.eye(6, 9)
+        R = 2.0 * SMOOTHED_R6 / (dt * dt)
+        prior = scipy.linalg.solve_discrete_are(A.T, H.T, q[twist, twist] * dt, R)
+        posterior = prior - prior @ H.T @ np.linalg.solve(H @ prior @ H.T + R, H @ prior)
+        P = node.P[0, twist, twist]
         assert np.abs(P - posterior).max() <= 1e-9 * np.abs(posterior).max()
 
 
@@ -759,9 +832,9 @@ class TestNode2:
         assert node.rejected_count == 0
 
     def test_differential_chain_uses_local_poses(self):
-        # the chain's first odometry event only starts the clock; the second
-        # fuses the twist between the local poses, with their covariance, as
-        # update_differential does
+        # the chain's first odometry event, at the initial stamp, changes
+        # nothing; the second fuses the twist between the local poses, with
+        # their covariance, as a node at the predicted state does
         cfg = node2_config()
         node = EkfNode(cfg)
         prev, cur = (
@@ -773,10 +846,11 @@ class TestNode2:
         assert np.array_equal(node.state.x, cfg.initial_state.x)
         assert np.array_equal(node.state.P, cfg.initial_state.P)
         node.node2_step(twist_event(prev, cur))
-        expected = update_differential(predict(cfg.initial_state, ProcessModel(cfg.q), 0.1), prev, cur)
-        assert node.state.timestamp == expected.timestamp
-        np.testing.assert_allclose(node.state.x, expected.x, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(node.state.P, expected.P, rtol=1e-12, atol=1e-12)
+        expected = node_at(predict(cfg.initial_state, ProcessModel(cfg.q), 0.1))
+        expected.node2_step(twist_event(prev, cur))
+        assert node.timestamp == expected.timestamp
+        np.testing.assert_allclose(node.x, expected.x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(node.P, expected.P, rtol=1e-12, atol=1e-12)
 
     def test_world_anchor_cancels_in_differential_chain(self):
         # invert(W o A) o (W o B) = invert(A) o B: world-composed poses give
@@ -784,9 +858,8 @@ class TestNode2:
         from pose_objects import compose
 
         rng = np.random.default_rng(43)
-        cfg = node2_config()
-        model, r6 = ProcessModel(cfg.q), SMOOTHED_R6
-        local = world = cfg.initial_state
+        cfg, r6 = node2_config(), SMOOTHED_R6
+        local, world = EkfNode(cfg), EkfNode(cfg)
         prev_local = prev_world = None
         t = 0.0
         for k in range(60):
@@ -800,12 +873,12 @@ class TestNode2:
             cur_local = pose_event(ODO, pose, r6)
             cur_world = pose_event(ODO, compose(WORLD_TO_LOCAL, pose), r6)
             assert cur_world.frame == WORLD
-            if prev_local is not None:
-                dt = t - prev_local.timestamp
-                local = update_differential(predict(local, model, dt), prev_local, cur_local)
-                world = update_differential(predict(world, model, dt), prev_world, cur_world)
-                np.testing.assert_allclose(world.x, local.x, rtol=1e-12, atol=1e-12)
-                np.testing.assert_allclose(world.P, local.P, rtol=1e-12, atol=1e-12)
+            local.node2_step(twist_event(prev_local, cur_local))
+            # node 2's odometry channel takes local rows: the world rows'
+            # twist goes in under that frame
+            world.node2_step(twist_event(prev_world, cur_world)._replace(frame=LOCAL))
+            np.testing.assert_allclose(world.x, local.x, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(world.P, local.P, rtol=1e-12, atol=1e-12)
             prev_local, prev_world = cur_local, cur_world
             t = round(t + (0.13 if k == 30 else 0.01), 10)
 
@@ -835,9 +908,11 @@ class TestTwoStageLocalizer:
 
 
 class TestNodeRunsThePublicKernels:
-    """A node must compute what the public predict/update functions compute.
+    """A node must compute what ``predict`` and then each event's update
+    alone compute: a reference node is set to the predicted state and
+    stepped at its stamp.
 
-    The node chains the same kernels on bare arrays and symmetrizes once per
+    The node chains the prediction and the update and symmetrizes once per
     event instead of once per operation, so the two agree to rounding.
     """
 
@@ -862,55 +937,54 @@ class TestNodeRunsThePublicKernels:
     def test_node1_sequence(self):
         rng = np.random.default_rng(41)
         cfg = node1_config(max_predict_dt=0.05, predict_substep=0.02)
-        node, model, state = EkfNode(cfg), ProcessModel(cfg.q), cfg.initial_state
+        node, model, ref = EkfNode(cfg), ProcessModel(cfg.q), EkfNode(cfg)
         t = 0.0
         for k in range(60):
             ev = local_event(t, [2.0 * t, 0.3 * t * t, 0.0] + rng.normal(0.0, 2.5, 3), yaw=rng.normal(0.0, 0.02))
             node.node1_step(ev)
-            state = self.advance(state, model, cfg, t)
-            state = update_absolute(state, ev)
-            self.assert_close(node, state)
+            ref.state = self.advance(ref.state, model, cfg, t)
+            ref.node1_step(ev)
+            self.assert_close(node, ref.state)
             t = round(t + (0.13 if k == 30 else 0.01), 10)
 
     def test_node2_sequence(self):
         rng = np.random.default_rng(42)
         cfg = node2_config(max_predict_dt=0.05, predict_substep=0.02)
-        node, model, state = EkfNode(cfg), ProcessModel(cfg.q), cfg.initial_state
+        node, model, ref = EkfNode(cfg), ProcessModel(cfg.q), EkfNode(cfg)
         prev = None
         t = 0.0
         for k in range(60):
             xyz = np.array([3.0 * t, 0.2 * t * t, 0.0]) + rng.normal(0.0, 0.05, 3)
             cur = local_event(t, xyz, yaw=0.1 * t + rng.normal(0.0, 0.01), r6=SMOOTHED_R6)
-            node.node2_step(twist_event(prev, cur))
-            state = self.advance(state, model, cfg, t)
-            if prev is not None:
-                state = update_differential(state, prev, cur)
+            odometry = twist_event(prev, cur)
+            node.node2_step(odometry)
+            ref.state = self.advance(ref.state, model, cfg, t)
+            ref.node2_step(odometry)
             prev = cur
             if k % 2 == 0:
                 seen = world_event(t, [10.0 + 3.0 * t, -4.0, 0.0] + rng.normal(0.0, 0.3, 3), yaw=0.5 + rng.normal(0.0, 0.05))
                 node.node2_step(seen)
-                state = update_absolute(state, seen)
-            self.assert_close(node, state)
+                ref.node2_step(seen)
+            self.assert_close(node, ref.state)
             t = round(t + (0.13 if k == 30 else 0.01), 10)
-
 
     def test_node2_cached_terms_follow_step_and_covariance(self):
         # more distinct steps than the node caches Q dt for, and twist
-        # covariances from pose rows of three covariances
+        # covariances of three pose-row covariances
         rng = np.random.default_rng(44)
         cfg = node2_config()
-        node, model, state = EkfNode(cfg), ProcessModel(cfg.q), cfg.initial_state
+        node, model, ref = EkfNode(cfg), ProcessModel(cfg.q), EkfNode(cfg)
         prev = None
         t = 0.0
         for k in range(80):
             r6 = SMOOTHED_R6 if k % 2 else SMOOTHED_R6.copy() * (1.0 + k % 3)
             cur = local_event(t, [3.0 * t, 0.1 * t, 0.0] + rng.normal(0.0, 0.05, 3), yaw=0.1 * t, r6=r6)
-            node.node2_step(twist_event(prev, cur))
-            state = self.advance(state, model, cfg, t)
-            if prev is not None:
-                state = update_differential(state, prev, cur)
+            odometry = twist_event(prev, cur)
+            node.node2_step(odometry)
+            ref.state = self.advance(ref.state, model, cfg, t)
+            ref.node2_step(odometry)
             prev = cur
-            self.assert_close(node, state)
+            self.assert_close(node, ref.state)
             t = round(t + rng.choice([0.005, 0.01, 0.02]) * (1 + k % 20), 10)
 
 
@@ -984,12 +1058,12 @@ class TestNodeErrorContracts:
 
     def test_non_finite_velocity_measurement_raises(self):
         r6 = np.eye(6) * 0.01
-        s = StateEstimate(np.zeros(STATE_DIM), np.eye(STATE_DIM), 0.0)
+        node = node_at(StateEstimate(np.zeros(STATE_DIM), np.eye(STATE_DIM), 5e-324))
         # a subnormal time step turns a 1 m move into an infinite velocity
         a = local_event(0.0, [0.0, 0.0, 0.0], r6=r6)
         b = local_event(5e-324, [1.0, 0.0, 0.0], r6=r6)
         with pytest.raises(NumericError, match="non-finite"):
-            update_differential(s, a, b)
+            node.node2_step(twist_event(a, b))
 
     def test_clock_lands_on_event_time_after_substeps(self):
         # 0.06 s in six 0.01 s substeps sums to 0.060000000000000005; the

@@ -3,11 +3,12 @@
 Oracles: each array form is checked against its scalar form on one-row
 arrays, bit for bit, and node 2's block of twists against the scalar twist
 of each pose pair; compose/invert and Euler conversions are checked
-against the identities they must satisfy; the Joseph-form updates must keep
-any PSD covariance exactly symmetric and PSD, and agree with a textbook
-Joseph update written with ``scipy.linalg.solve``; every member of a
-batched filter kernel equals the public single-filter function, bit for
-bit; and report bytes do not depend on the filter's block length.
+against the identities they must satisfy; the Joseph-form updates, each
+applied alone by a one-member node at the state's stamp, must keep any PSD
+covariance exactly symmetric and PSD, and agree with a textbook Joseph
+update written with ``scipy.linalg.solve``; every member of a batched
+filter kernel equals ``predict`` or a one-member node, bit for bit; and
+report bytes do not depend on the filter's block length.
 """
 
 import math
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 from coloc import harness
 from coloc.ekf import (
     STATE_DIM,
+    EkfNode,
+    FilterNodeConfig,
     MeasurementEvent,
     MeasurementKind,
     ProcessModel,
@@ -30,13 +33,9 @@ from coloc.ekf import (
     _Jacobians,
     _predict_kernel,
     _update_kernel,
-    _velocity_covariance,
     body_twists,
     default_process_noise,
-    differential_velocity,
     predict,
-    update_absolute,
-    update_differential,
 )
 from coloc.geometry import (
     BODY_ADAS,
@@ -57,7 +56,7 @@ from coloc.harness import ExperimentConfig, InputConfig, SyntheticSpec, report_j
 from coloc.noise import NoiseSpec
 from coloc.perception import PerceptionConfig
 from pose_objects import Pose, Quaternion, compose, invert, rotation_geodesic, velocity_measurement
-from pose_rows import pose_event
+from pose_rows import pose_event, twist_event
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -264,30 +263,33 @@ def assert_symmetric_psd(P):
     assert eig[0] >= -1e-9 * max(1.0, eig[-1])
 
 
+def node_at(x, P, t):
+    """A one-member node at state (x, P) and stamp t: an event at t is one update alone."""
+    return EkfNode(FilterNodeConfig(StateEstimate(x, P, t), default_process_noise()))
+
+
+def twist_pair(r6, dt, step, q0, q1):
+    """Node 2's twist event of two local pose rows dt apart that share ``r6``; it is stamped 1 + dt."""
+    kind = MeasurementKind.ODOMETRY_DIFFERENTIAL
+    prev = pose_event(kind, Pose(1.0, np.zeros(3), q0, LOCAL, BODY_ADAS), r6)
+    return twist_event(prev, pose_event(kind, Pose(1.0 + dt, step * dt, q1, LOCAL, BODY_ADAS), r6))
+
+
 @SETTINGS
 @given(psd(STATE_DIM, 3.0), psd(6, 1.0), vectors, quaternions)
 def test_absolute_update_keeps_covariance_psd(P, r6, t, q):
-    state = StateEstimate(np.zeros(STATE_DIM), P, 1.0)
-    event = pose_event(MeasurementKind.PERCEPTION_ABSOLUTE, Pose(1.0, t, q, WORLD, BODY_ADAS), r6)
-    assert_symmetric_psd(update_absolute(state, event).P)
+    node = node_at(np.zeros(STATE_DIM), P, 1.0)
+    node.node2_step(pose_event(MeasurementKind.PERCEPTION_ABSOLUTE, Pose(1.0, t, q, WORLD, BODY_ADAS), r6))
+    assert_symmetric_psd(node.state.P)
 
 
 @SETTINGS
-@given(
-    psd(STATE_DIM, 3.0),
-    psd(6, 0.3),
-    psd(6, 0.3),
-    st.floats(0.01, 1.0),
-    vectors,
-    quaternions,
-    quaternions,
-)
-def test_differential_update_keeps_covariance_psd(P, r0, r1, dt, step, q0, q1):
-    state = StateEstimate(np.zeros(STATE_DIM), P, 1.0)
-    kind = MeasurementKind.ODOMETRY_DIFFERENTIAL
-    prev = pose_event(kind, Pose(1.0, np.zeros(3), q0, LOCAL, BODY_ADAS), r0)
-    cur = pose_event(kind, Pose(1.0 + dt, step * dt, q1, LOCAL, BODY_ADAS), r1)
-    assert_symmetric_psd(update_differential(state, prev, cur).P)
+@given(psd(STATE_DIM, 3.0), psd(6, 0.3), st.floats(0.01, 1.0), vectors, quaternions, quaternions)
+def test_differential_update_keeps_covariance_psd(P, r6, dt, step, q0, q1):
+    event = twist_pair(r6, dt, step, q0, q1)
+    node = node_at(np.zeros(STATE_DIM), P, event.timestamp)
+    node.node2_step(event)
+    assert_symmetric_psd(node.state.P)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +352,10 @@ def assert_matches_oracle(got, x_want, P_want):
 @given(states(), psd(STATE_DIM, 3.0), positive_definite(6, 1.0), vectors, quaternions)
 def test_absolute_update_matches_joseph_oracle(x, P, r6, t, q):
     pose = Pose(1.0, t, q, WORLD, BODY_ADAS)
-    event = pose_event(MeasurementKind.PERCEPTION_ABSOLUTE, pose, r6)
-    got = update_absolute(StateEstimate(x, P, 1.0), event)
+    node = node_at(x, P, 1.0)
+    node.node2_step(pose_event(MeasurementKind.PERCEPTION_ABSOLUTE, pose, r6))
     z = [*t, *q.to_euler()]
-    assert_matches_oracle(got, *joseph_oracle(x, P, 0, z, r6, True))
+    assert_matches_oracle(node.state, *joseph_oracle(x, P, 0, z, r6, True))
 
 
 @SETTINGS
@@ -361,24 +363,22 @@ def test_absolute_update_matches_joseph_oracle(x, P, r6, t, q):
     states(),
     psd(STATE_DIM, 3.0),
     positive_definite(6, 0.3),
-    positive_definite(6, 0.3),
     st.floats(0.01, 1.0),
     vectors,
     quaternions,
     quaternions,
 )
-def test_differential_update_matches_joseph_oracle(x, P, r0, r1, dt, step, q0, q1):
-    kind = MeasurementKind.ODOMETRY_DIFFERENTIAL
-    prev = pose_event(kind, Pose(1.0, np.zeros(3), q0, LOCAL, BODY_ADAS), r0)
-    cur = pose_event(kind, Pose(1.0 + dt, step * dt, q1, LOCAL, BODY_ADAS), r1)
-    got = update_differential(StateEstimate(x, P, 1.0), prev, cur)
-    # the pair's pose covariances propagate to the velocity as (R0 + R1) / dt^2
-    z = differential_velocity(prev, cur)
-    assert_matches_oracle(got, *joseph_oracle(x, P, 6, z, (r0 + r1) / (dt * dt), False))
+def test_differential_update_matches_joseph_oracle(x, P, r6, dt, step, q0, q1):
+    event = twist_pair(r6, dt, step, q0, q1)
+    node = node_at(x, P, event.timestamp)
+    node.node2_step(event)
+    # the rows' shared pose covariance propagates to the velocity as (r6 + r6) / dt^2
+    (z,) = event.z
+    assert_matches_oracle(node.state, *joseph_oracle(x, P, 6, z, (r6 + r6) / (dt * dt), False))
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels against the single-filter functions
+# Batched kernels against predict and one-member nodes
 # ---------------------------------------------------------------------------
 
 def batch(seed, size):
@@ -430,27 +430,24 @@ def test_batched_absolute_update_is_update_absolute_per_member(members):
         [s.x.tolist() for s in states], np.array([s.P for s in states]), 0, [z for *_, z in members], r6, True
     ))
     for b, (s, r, z) in enumerate(members):
-        assert_member_is(x[b], P[b], update_absolute(s, MeasurementEvent(1.0, MeasurementKind.PERCEPTION_ABSOLUTE, WORLD, z, r)))
+        node = node_at(s.x, s.P, s.timestamp)
+        node.node2_step(MeasurementEvent(s.timestamp, MeasurementKind.PERCEPTION_ABSOLUTE, WORLD, z, r))
+        assert_member_is(x[b], P[b], node.state)
 
 
 @SETTINGS
-@given(members_of, st.floats(0.01, 1.0))
-def test_batched_differential_update_is_update_differential_per_member(members, dt):
-    # consecutive members' rows and covariances form each member's pose pair
-    kind = MeasurementKind.ODOMETRY_DIFFERENTIAL
-    pairs = [
-        (MeasurementEvent(1.0, kind, LOCAL, members[b - 1][2], members[b - 1][1]),
-         MeasurementEvent(1.0 + dt, kind, LOCAL, z, r))
-        for b, (_, r, z) in enumerate(members)
-    ]
+@given(members_of)
+def test_batched_differential_update_is_update_differential_per_member(members):
+    # each member's row and covariance stand for its twist and the twist's covariance
     states = [s for s, _, _ in members]
-    z = [differential_velocity(prev, cur).tolist() for prev, cur in pairs]
-    r_vel = np.array([_velocity_covariance(prev.r6, cur.r6, cur.timestamp - prev.timestamp) for prev, cur in pairs])
+    r_vel = np.array([r for _, r, _ in members])
     x, P = finished(_update_kernel(
-        [s.x.tolist() for s in states], np.array([s.P for s in states]), 6, z, r_vel, False
+        [s.x.tolist() for s in states], np.array([s.P for s in states]), 6, [z for *_, z in members], r_vel, False
     ))
-    for b, (s, (prev, cur)) in enumerate(zip(states, pairs)):
-        assert_member_is(x[b], P[b], update_differential(s, prev, cur))
+    for b, (s, r, z) in enumerate(members):
+        node = node_at(s.x, s.P, s.timestamp)
+        node.node2_step(MeasurementEvent(s.timestamp, MeasurementKind.ODOMETRY_DIFFERENTIAL, LOCAL, z, r))
+        assert_member_is(x[b], P[b], node.state)
 
 
 # ---------------------------------------------------------------------------
