@@ -394,21 +394,24 @@ def _load_ground_truth(cfg: ExperimentConfig) -> tuple[TrajectoryLog, Trajectory
     return smart, adas
 
 
-def _simulate_raw_odometry(
-    adas: TrajectoryLog, cfg: ExperimentConfig, stream: RandomStream
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Noisy local-frame follower poses, the input to filter node 1.
-
-    The local frame is the follower's first pose.  Returns the stamps (N,),
-    translations (N, 3) and quaternions (N, 4) of the raw odometry.
-    """
+def _raw_odometry_truth(adas: TrajectoryLog, cfg: ExperimentConfig) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The raw odometry stamps (N,) and the follower's true poses at them in
+    the local frame, its first pose, as translations (N, 3) and quaternions
+    (N, 4).  They depend on ground truth and the raw rate only."""
     rows = slice(None)
     if cfg.raw_rate is not None:
         rows = rate_limit_indices(adas.t.tolist(), cfg.raw_rate)
-    # compose(local_from_world, pose) then perturb_pose, for all samples at once
-    local = compose_arrays(*invert_arrays(adas.p[:1], adas.q[:1]), adas.p[rows], adas.q[rows])
-    t, q = perturb_pose(local, cfg.raw_noise, stream.derive("raw-odometry"))
-    return adas.t[rows], t, q
+    # compose(local_from_world, pose) for all samples at once
+    return adas.t[rows], compose_arrays(*invert_arrays(adas.p[:1], adas.q[:1]), adas.p[rows], adas.q[rows])
+
+
+def _simulate_raw_odometry(
+    local: tuple[np.ndarray, np.ndarray], cfg: ExperimentConfig, stream: RandomStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """Noisy local-frame follower poses, the input to filter node 1: the true
+    poses ``local`` of :func:`_raw_odometry_truth` perturbed by the raw noise.
+    Returns their translations (N, 3) and quaternions (N, 4)."""
+    return perturb_pose(local, cfg.raw_noise, stream.derive("raw-odometry"))
 
 
 def _pose_rows(p: np.ndarray, q: np.ndarray) -> list[list[list[float]]]:
@@ -667,19 +670,22 @@ def _lockstep(
     """
     with _collector_paused():
         smart, adas = ground_truth
+        # the members share the stamps and true poses; each draws its own noise
+        stamps, local = _raw_odometry_truth(adas, cfg)
         out: list = [None] * len(members)
         simulated = {}  # member -> (raw odometry, perception rows)
         for k, (channel, seed) in enumerate(members):
             stream = RandomStream(int(seed))
             try:
                 with _stage("simulate-raw-odometry"):
-                    raw = _simulate_raw_odometry(adas, cfg, stream)
+                    raw = _simulate_raw_odometry(local, cfg, stream)
                 with _stage("simulate-perception"):
                     simulated[k] = raw, simulate_perception(
                         smart, adas, channel, stream.derive("perception"), cfg.ekf.perception_r6_scale
                     )
             except ColocError as exc:
                 out[k] = exc
+        del local
         if not simulated:
             return out
         live, (raw, perception) = list(simulated), zip(*simulated.values())
@@ -689,9 +695,8 @@ def _lockstep(
         try:
             with _stage("filter"):
                 node1_cfg, node2_cfg = _node_configs(cfg, adas)
-                stamps = raw[0][0]
                 node1 = _Node1Pass(
-                    node1_cfg, stamps, np.array([t for _, t, _ in raw]), np.array([q for _, _, q in raw]),
+                    node1_cfg, stamps, np.array([t for t, _ in raw]), np.array([q for _, q in raw]),
                     measurement_covariance(cfg.raw_noise),
                     measurement_covariance(_smoothed_odometry_spec(cfg)),
                 )

@@ -49,6 +49,7 @@ from coloc.ekf import (
     MeasurementKind,
     ProcessModel,
     StateEstimate,
+    _JACOBIAN_T_FLAT_INDEX,
     _propagate,
     measurement_covariance,
     predict,
@@ -408,9 +409,11 @@ def test_filter_matches_scalar_kalman_and_finite_differences():
     for _ in range(JACOBIAN_STATES):
         x = _random_filter_state(rng)
         dt_j = float(rng.uniform(0.001, 0.2))
-        # the motion model writes the transposed Jacobian into a copy of I
+        # the motion model packs the transposed Jacobian's entries off the identity
+        entries = np.empty(len(_JACOBIAN_T_FLAT_INDEX))
+        _propagate(x.tolist(), dt_j, entries)
         At = np.eye(STATE_DIM)
-        _propagate(x.tolist(), dt_j, At.ravel())
+        At.ravel()[_JACOBIAN_T_FLAT_INDEX] = entries
         A = At.T
         A_fd = np.empty_like(A)
         for i in range(STATE_DIM):

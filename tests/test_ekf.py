@@ -13,6 +13,7 @@ single update.  Oracles, all independent of the implementation under test:
 """
 
 import math
+from copy import copy
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from coloc.ekf import (
     MeasurementKind,
     ProcessModel,
     StateEstimate,
+    _JACOBIAN_T_FLAT_INDEX,
     _checked_r6,
     _propagate,
     default_process_noise,
@@ -98,9 +100,11 @@ def node_at(state):
 
 
 def jacobian(x, dt):
-    """The transition Jacobian at state x over dt, as :func:`_propagate` writes it."""
+    """The transition Jacobian at state x over dt, from the entries :func:`_propagate` packs."""
+    entries = np.empty(len(_JACOBIAN_T_FLAT_INDEX))
+    _propagate(list(x), dt, entries)
     At = np.eye(STATE_DIM)
-    _propagate(list(x), dt, At.ravel())
+    At.ravel()[_JACOBIAN_T_FLAT_INDEX] = entries
     return At.T
 
 
@@ -1024,6 +1028,75 @@ class TestRestrictedNode:
                 assert np.array_equal(part.P, node.P[list(members)])
                 assert not part.P.flags.writeable
         assert parts[(1,)].state.timestamp == node.timestamp
+
+
+class TestNodeWorkspace:
+    """A node's kernel buffers carry nothing from one call to the next.
+
+    Node 1 and node 2 stepped alternately, as a run's filter block steps
+    them, give the bits of each node stepped alone, at one member and at
+    three, and a snapshot, which shares its node's buffers, keeps its
+    estimate while the node steps on.
+    """
+
+    @staticmethod
+    def events(members):
+        """Node 1's odometry events, and node 2's lists of events, one per
+        node-1 event, of ``members`` members whose rows all differ."""
+        rng = np.random.default_rng(7 + members)
+        stamps = np.round(0.01 * np.arange(40) + 0.12 * (np.arange(40) > 20), 10)
+        drift = rng.normal(0.0, 0.05, (40, members, 6))
+        raw = [
+            [[3.0 * t + b, 0.2 * t, 0.0, 0.0, 0.0, 0.1 * t + 0.01 * b] for b in range(members)]
+            for t in stamps.tolist()
+        ]
+        smoothed = np.array(raw) + drift
+        seen = np.array(raw) + [10.0, -4.0, 0.0, 0.0, 0.0, 0.5] + rng.normal(0.0, 0.3, (40, members, 6))
+        r6 = PERCEPTION_R6 if members == 1 else np.array([PERCEPTION_R6 * (1.0 + b) for b in range(members)])
+        node1 = [tuple.__new__(MeasurementEvent, (t, ODO, LOCAL, z, RAW_R6)) for t, z in zip(stamps.tolist(), raw)]
+        node2 = [[tuple.__new__(MeasurementEvent, (float(stamps[0]), ODO, LOCAL, None, None))]]
+        for k, (z, r_vel) in enumerate(twist_measurements(stamps, smoothed, SMOOTHED_R6), 1):
+            t = float(stamps[k])
+            node2.append([tuple.__new__(MeasurementEvent, (t, ODO, LOCAL, z, r_vel))])
+            if k % 3 == 0:
+                node2[-1].append(tuple.__new__(MeasurementEvent, (t, PER, WORLD, seen[k].tolist(), r6)))
+        return node1, node2
+
+    @staticmethod
+    def nodes(members):
+        return (
+            EkfNode(node1_config(max_predict_dt=0.05, predict_substep=0.02), members),
+            EkfNode(node2_config(max_predict_dt=0.05, predict_substep=0.02), members),
+        )
+
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_nodes_stepped_alternately_match_each_stepped_alone(self, members):
+        node1_events, node2_events = self.events(members)
+        node1, node2 = self.nodes(members)
+        for k, (event, events) in enumerate(zip(node1_events, node2_events)):
+            if k == 15:
+                snapshot = copy(node2)
+                assert snapshot._work is node2._work
+                kept = snapshot.x.copy(), snapshot.P.copy(), snapshot.timestamp
+            node1.node1_step(event)
+            for e in events:
+                node2.node2_step(e)
+        alone1, alone2 = self.nodes(members)
+        for event in node1_events:
+            alone1.node1_step(event)
+        for e in (e for events in node2_events for e in events):
+            alone2.node2_step(e)
+        for node, alone in ((node1, alone1), (node2, alone2)):
+            assert node.rows == alone.rows
+            assert np.array_equal(node.P, alone.P)
+        x, P, timestamp = kept
+        assert np.array_equal(snapshot.x, x) and np.array_equal(snapshot.P, P)
+        assert snapshot.timestamp == timestamp
+        # and the snapshot steps on to the node's bits
+        for e in (e for events in node2_events[15:] for e in events):
+            snapshot.node2_step(e)
+        assert snapshot.rows == node2.rows
+        assert np.array_equal(snapshot.P, node2.P)
 
 
 class TestNodeErrorContracts:

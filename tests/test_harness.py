@@ -498,7 +498,8 @@ class TestBlockSchedule:
         then one node-2 pass per variant, each through EkfNode's one-event API."""
         smart, adas = harness._load_ground_truth(cfg)
         stream = RandomStream(seed)
-        stamps, t, q = harness._simulate_raw_odometry(adas, cfg, stream)
+        stamps, local = harness._raw_odometry_truth(adas, cfg)
+        t, q = harness._simulate_raw_odometry(local, cfg, stream)
         odo = MeasurementKind.ODOMETRY_DIFFERENTIAL
         odometry = self.events(odo, LOCAL, stamps, t, q, measurement_covariance(cfg.raw_noise))
         channel = simulate_perception(
@@ -748,7 +749,7 @@ class TestLockstep:
         # the first seed of the 0.9 m cell fails on its last perception row
         seed = derive_run_seed(cfg.seeds[0], 2, 0, 0)
         rows = self.fail_on_perception_row(monkeypatch, cfg, 0.9, seed, -1)
-        stamps = harness._simulate_raw_odometry(harness._load_ground_truth(cfg)[1], cfg, RandomStream(seed))[0]
+        stamps = harness._raw_odometry_truth(harness._load_ground_truth(cfg)[1], cfg)[0]
         assert rows.t[-1] > stamps[-1]
         passes = self.count_passes(monkeypatch)
         calls.clear()

@@ -30,7 +30,7 @@ from coloc.ekf import (
     StateEstimate,
     _finish,
     _ones,
-    _Jacobians,
+    _Workspace,
     _predict_kernel,
     _update_kernel,
     body_twists,
@@ -415,7 +415,7 @@ def test_batched_predict_is_predict_per_member(members, dt):
     model = ProcessModel(default_process_noise())
     states = [s for s, _, _ in members]
     x, P = finished(_predict_kernel(
-        [s.x.tolist() for s in states], np.array([s.P for s in states]), dt, model.q * dt, _Jacobians(len(states))
+        [s.x.tolist() for s in states], np.array([s.P for s in states]), dt, model.q * dt, _Workspace(len(states))
     ))
     for b, s in enumerate(states):
         assert_member_is(x[b], P[b], predict(s, model, dt))
@@ -427,7 +427,8 @@ def test_batched_absolute_update_is_update_absolute_per_member(members):
     states = [s for s, _, _ in members]
     r6 = np.array([r for _, r, _ in members])
     x, P = finished(_update_kernel(
-        [s.x.tolist() for s in states], np.array([s.P for s in states]), 0, [z for *_, z in members], r6, True
+        [s.x.tolist() for s in states], np.array([s.P for s in states]), 0, [z for *_, z in members], r6, True,
+        _Workspace(len(states)),
     ))
     for b, (s, r, z) in enumerate(members):
         node = node_at(s.x, s.P, s.timestamp)
@@ -442,7 +443,8 @@ def test_batched_differential_update_is_update_differential_per_member(members):
     states = [s for s, _, _ in members]
     r_vel = np.array([r for _, r, _ in members])
     x, P = finished(_update_kernel(
-        [s.x.tolist() for s in states], np.array([s.P for s in states]), 6, [z for *_, z in members], r_vel, False
+        [s.x.tolist() for s in states], np.array([s.P for s in states]), 6, [z for *_, z in members], r_vel, False,
+        _Workspace(len(states)),
     ))
     for b, (s, r, z) in enumerate(members):
         node = node_at(s.x, s.P, s.timestamp)
