@@ -15,9 +15,9 @@ integrates the body velocity rotated into the parent frame, orientation
 integrates body rates through the Euler-rate matrix, velocity integrates
 acceleration, and the remaining derivatives hold constant between events.
 
-A filter event is a stamp, a frame, one row of six floats per member of a
-batch, and the 6x6 covariance of its channel, shared by the members or one
-per member.
+A filter event is a stamp, a frame, a (B, 6) array of one row of six
+floats per member of a batch, and the 6x6 covariance of its channel,
+shared by the members or one per member.
 :meth:`EkfNode.node1_step` fuses raw local-frame follower pose rows
 (x, y, z, roll, pitch, yaw) absolutely, acting as a smoother, and returns
 its local->body pose rows.  :meth:`EkfNode.node2_step` estimates in the
@@ -29,16 +29,17 @@ poses of a pair cancels, so node 2 needs no world->local anchor), and each
 odometry event carries one twist row per member.
 
 A node runs B members in lockstep: runs whose events share one stamp
-schedule (the seeds and noise cells of a sweep) step as one filter.  Each
-member's state row goes through the scalar motion model and innovation
-code, which packs its results into the node's float64 buffers: one
-scatter per prediction moves every member's Jacobian entries into the
-transposed (B, 15, 15) Jacobians, and each innovation reaches its gain
-product as six packed floats.  The covariances step as one batch.  Member
-b's numbers are bit for bit those of the same member run alone.
+schedule (the seeds and noise cells of a sweep) step as one filter.  The
+node keeps its members' states as one (B, 15) float64 array.  A
+prediction takes each member's row through the scalar motion model, which
+packs the propagated row and its Jacobian entries into float64 buffers:
+one scatter moves every member's entries into the transposed (B, 15, 15)
+Jacobians.  An update corrects every member's row in one array pass, and
+the covariances step as one batch.  Member b's numbers are bit for bit
+those of the same member run alone.
 
 All filter arithmetic lives in two kernels, :func:`_predict_kernel` and
-:func:`_update_kernel`, over a batch of state lists and covariances, and
+:func:`_update_kernel`, over a batch of state rows and covariances, and
 :class:`EkfNode` is the one API that runs them: a one-member node at a
 given state, stepped at that state's stamp, is a single filter update.
 """
@@ -51,8 +52,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import repeat
-from operator import add as _add, sub as _sub
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve as _gesv
@@ -236,20 +235,21 @@ _ODOMETRY = MeasurementKind.ODOMETRY_DIFFERENTIAL
 class MeasurementEvent(namedtuple("MeasurementEvent", "timestamp kind frame z r6")):
     """One timestamped row per member of a batch, heading into a filter node.
 
-    ``z`` holds six floats for each of B members: the pose of the
-    follower's body in ``frame`` (x, y, z, roll, pitch, yaw), or on node 2's
-    odometry channel its body twist (vx, vy, vz, wx, wy, wz) since the
-    previous odometry row; the chain's first odometry event has no twist,
-    and ``z`` and ``r6`` None.  ``r6`` is the rows' 6x6 covariance, shared
-    by the members, or a (B, 6, 6) stack, one per member.  A covariance
-    must be positive definite and is kept read-only.
+    ``z`` is a (B, 6) float64 array, one row for each of B members: the
+    pose of the follower's body in ``frame`` (x, y, z, roll, pitch, yaw),
+    or on node 2's odometry channel its body twist (vx, vy, vz, wx, wy, wz)
+    since the previous odometry row; the chain's first odometry event has
+    no twist, and ``z`` and ``r6`` None.  ``r6`` is the rows' 6x6
+    covariance, shared by the members, or a (B, 6, 6) stack, one per
+    member.  A covariance must be positive definite and is kept read-only.
 
     The constructor makes a checked one-member event from six floats and a
-    6x6 ``r6``.  The harness's per-row streams build their events, one or
-    many members, as ``tuple.__new__(MeasurementEvent, fields)``, unchecked,
-    from a finite stamp, lists of six floats the caller does not change
-    afterwards (a non-finite twist is left for the update to reject), and
-    covariances that passed :func:`_checked_r6` or the twist covariances
+    6x6 ``r6``; it keeps a read-only (1, 6) copy of the floats.  The
+    harness's per-row streams build their events, one or many members, as
+    ``tuple.__new__(MeasurementEvent, fields)``, unchecked, from a finite
+    stamp, rows of arrays the caller does not change afterwards (a
+    non-finite row is left for the update to reject), and covariances that
+    passed :func:`_checked_r6` or the twist covariances
     :func:`twist_measurements` derives from them.
     """
 
@@ -258,10 +258,12 @@ class MeasurementEvent(namedtuple("MeasurementEvent", "timestamp kind frame z r6
     def __new__(cls, timestamp: float, kind: MeasurementKind, frame: Frame, z, r6) -> "MeasurementEvent":
         if not math.isfinite(timestamp):
             raise ValueError("event timestamp must be finite")
-        row = tuple(float(v) for v in z)
-        if len(row) != 6 or not all(map(math.isfinite, row)):
+        row = np.array(z, dtype=float)
+        if row.shape != (6,) or not np.isfinite(row).all():
             raise ValueError(f"z must be six finite floats, got {z!r}")
-        return tuple.__new__(cls, (timestamp, kind, frame, (row,), _checked_r6(r6, "r6")))
+        row = row[None]
+        row.flags.writeable = False
+        return tuple.__new__(cls, (timestamp, kind, frame, row, _checked_r6(r6, "r6")))
 
 
 @dataclass(frozen=True)
@@ -322,19 +324,23 @@ _EYE_STATE.flags.writeable = False
 # a list of Python floats one element at a time, which costs a 42-entry
 # Jacobian about 1.4 us against 0.35 us for pack_into.
 _pack_jacobian = struct.Struct(f"{len(_JACOBIAN_T_FLAT_INDEX)}d").pack_into
-_pack_innovation = struct.Struct("6d").pack_into
+_pack_state = struct.Struct(f"{STATE_DIM}d").pack_into
+_JACOBIAN_BYTES, _STATE_BYTES = 8 * len(_JACOBIAN_T_FLAT_INDEX), 8 * STATE_DIM
 # wrap_angle's scalar path, written out where a call per angle would cost
 # more than the arithmetic: -((-a + _PI) % _TWO_PI - _PI)
 _PI, _TWO_PI = math.pi, 2.0 * math.pi
 
 
-def _propagate(x: list[float], dt: float, jacobian=None) -> list[float]:
+def _propagate(x: list[float], dt: float, jacobian=None, state=None, b: int = 0) -> tuple[float, ...] | None:
     """The motion model written out in scalar form.
 
-    Returns the propagated state as a list of floats.  Given ``jacobian``, a
-    writable buffer of 42 float64s, it also packs into it the entries of the
-    transposed analytic Jacobian that differ from the identity, in
-    ``_JACOBIAN_T_FLAT_INDEX`` order; the caller scatters them into A^T.
+    Returns the propagated state as a tuple of 15 floats.  Given
+    ``jacobian``, a writable buffer of B x 42 float64s, it also packs into
+    its row ``b`` the entries of the transposed analytic Jacobian that
+    differ from the identity, in ``_JACOBIAN_T_FLAT_INDEX`` order; the
+    caller scatters them into A^T.  Given ``state`` as well, a writable
+    buffer of B x 15 float64s, it packs the propagated state into its row
+    ``b`` and returns None.
     R = Rz(yaw) Ry(pitch) Rx(roll) rotates body into parent coordinates and
     E maps body rates to Euler-angle rates::
 
@@ -363,7 +369,7 @@ def _propagate(x: list[float], dt: float, jacobian=None) -> list[float]:
     a0 = roll + (wx + e01 * wy + e02 * wz) * dt
     a1 = pitch + (cr * wy - sr * wz) * dt
     a2 = yaw + (e21 * wy + e22 * wz) * dt
-    out = [
+    out = (
         px + m0,
         py + m1,
         pz + (r20 * d0 + r21 * d1 + r22 * d2),
@@ -374,7 +380,7 @@ def _propagate(x: list[float], dt: float, jacobian=None) -> list[float]:
         vy + ay * dt,
         vz + az * dt,
         wx, wy, wz, ax, ay, az,
-    ]
+    )
     if jacobian is None:
         return out
     sec2 = 1.0 / (cp * cp)
@@ -382,7 +388,7 @@ def _propagate(x: list[float], dt: float, jacobian=None) -> list[float]:
     # dR/droll d is r_i2 d1 - r_i1 d2, dR/dyaw d = (-m1, m0, 0), and dR/dpitch
     # shares R's cy cp and sy cp factors.
     _pack_jacobian(
-        jacobian, 0,
+        jacobian, _JACOBIAN_BYTES * b,
         # position rows: d/droll, d/dpitch, d/dyaw of R d, then R dt and R dt^2/2
         r02 * d1 - r01 * d2,
         -cy * sp * d0 + r00 * sr * d1 + r00 * cr * d2,
@@ -411,24 +417,29 @@ def _propagate(x: list[float], dt: float, jacobian=None) -> list[float]:
         # velocity integrates acceleration
         dt, dt, dt,
     )
-    return out
+    if state is None:
+        return out
+    _pack_state(state, _STATE_BYTES * b, *out)
 
 
 # ---------------------------------------------------------------------------
 # Filter kernels
 # ---------------------------------------------------------------------------
 #
-# A kernel takes a batch of B members: their states as a list of B lists of
-# floats, their covariances as a (B, 15, 15) array, or as one 15x15 matrix
-# for a single member, and returns both in the same form.  Each state list
-# goes through the scalar code on its own; the covariances go through one
-# batched product or solve per operation, which computes every member's
-# matrix exactly as a 2-D call on it alone would.
+# A kernel takes a batch of B members: their states as a (B, 15) array, their
+# covariances as a (B, 15, 15) array, or as one 15x15 matrix for a single
+# member, and returns both in the same form.  The prediction takes each
+# state row through the scalar motion model; the update corrects every row
+# in one array pass, and the covariances go through one batched product or
+# solve per operation.  Each computes every member's numbers exactly as the
+# same code on that member alone would.
 # _finish checks a result and turns its covariances into the exactly
 # symmetric, read-only array a node holds; a node chains the predict and
 # update kernels of one event and finishes once.
 
-_matmul, _subtract = np.matmul, np.subtract
+_abs, _matmul, _subtract, _remainder, _negative = np.abs, np.matmul, np.subtract, np.remainder, np.negative
+# 0-d operands: a ufunc converts a Python float operand on every call
+_PI_0D, _TWO_PI_0D = np.array(_PI), np.array(_TWO_PI)
 
 
 def _mm(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
@@ -446,20 +457,27 @@ def _mm(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray
     return p if c is None else _matmul(p, c)
 
 
-@lru_cache(maxsize=8)
-def _ones(n: int) -> np.ndarray:
-    return np.ones(n)
+@lru_cache(maxsize=16)
+def _sum_weights(n: int) -> np.ndarray:
+    # 2^-20: the weighted sum of fewer than 2^20 finite float64s cannot
+    # overflow, and a power of two scales every normal value exactly
+    return np.full(n, 2.0 ** -20)
 
 
-def _finish(x: list[list[float]], P: np.ndarray, ones: np.ndarray) -> np.ndarray:
-    """Check a kernel result; its covariances symmetrized exactly, read-only.
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite.
 
-    ``ones`` holds ``P.size`` ones.  A single NaN or inf anywhere makes a
-    sum non-finite (inf - inf is NaN), and well-scaled filter values cannot
-    overflow it, so this is a complete finiteness check at a fraction of
-    the cost of isfinite over every entry.
+    A NaN or an infinity makes the weighted sum of the entries non-finite,
+    and the weights keep a sum of finite entries from overflowing, so one
+    dot product settles it at a fraction of the cost of isfinite over every
+    entry; only a non-finite sum is checked entry by entry.
     """
-    if not (math.isfinite(sum(map(sum, x))) and math.isfinite(P.ravel().dot(ones))):
+    return math.isfinite(a.ravel().dot(_sum_weights(a.size))) or bool(np.isfinite(a).all())
+
+
+def _finish(x: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Check a kernel result; its covariances symmetrized exactly, read-only."""
+    if not (_all_finite(x) and _all_finite(P)):
         raise NumericError("filter produced non-finite state or covariance")
     # P^T + P is P + P^T bit for bit; a ufunc takes a strided 15x15 operand
     # more slowly than a copy of it, here and in the Joseph difference
@@ -473,68 +491,71 @@ def _finish(x: list[list[float]], P: np.ndarray, ones: np.ndarray) -> np.ndarray
 class _Workspace:
     """A node's kernel buffers: the transition Jacobian, kept transposed, as
     a (B, 15, 15) stack for ``members`` B or one 15x15 matrix for ``members``
-    None; the (B, 42) rows :func:`_propagate` packs its entries into, and
-    their flat indices in A^T; the six floats of one innovation; and the
-    ones of :func:`_finish`.
+    None; the B rows of 42 entries :func:`_propagate` packs, with their
+    flat indices in A^T; and the (B, 3) angles of :func:`_wrap`.
 
     Each buffer is filled and read within one kernel call, so a node and
     its snapshots may share a workspace.
     """
 
-    __slots__ = ("A", "At", "flat", "entries", "rows", "index", "innovation", "ones")
+    __slots__ = ("A", "At", "flat", "entries", "index", "angles")
 
     def __init__(self, members: int | None) -> None:
         self.At = _EYE_STATE.copy() if members is None else np.tile(_EYE_STATE, (members, 1, 1))
         self.A = self.At.mT
         self.flat = self.At.reshape(-1)
-        entries = np.empty((members or 1, len(_JACOBIAN_T_FLAT_INDEX)))
-        self.entries = entries.reshape(-1)
-        self.rows = [memoryview(row) for row in entries]
+        self.entries = np.empty((members or 1) * len(_JACOBIAN_T_FLAT_INDEX))
         self.index = (np.arange(0, self.At.size, STATE_DIM * STATE_DIM)[:, None] + _JACOBIAN_T_FLAT_INDEX).ravel()
-        self.innovation = np.empty(6)
-        self.ones = _ones(self.At.size)
+        self.angles = np.empty((members or 1, 3))
 
 
 def _predict_kernel(
-    x: list[list[float]], P: np.ndarray, dt: float, q_dt: np.ndarray, work: _Workspace
-) -> tuple[list[list[float]], np.ndarray]:
+    x: np.ndarray, P: np.ndarray, dt: float, q_dt: np.ndarray, work: _Workspace
+) -> tuple[np.ndarray, np.ndarray]:
     """x <- f(x, dt), P <- A P A^T + Q dt; ``q_dt`` is Q dt, ``work`` the node's buffers."""
-    x = list(map(_propagate, x, repeat(dt), work.rows))
+    rows, x = x.tolist(), np.empty(x.shape)
+    entries = work.entries
+    for b, row in enumerate(rows):
+        _propagate(row, dt, entries, x, b)
     # every member's Jacobian entries into A^T in one scatter
-    work.flat[work.index] = work.entries
+    work.flat[work.index] = entries
     P = _mm(work.A, P, work.At)
     P += q_dt
     return x, P
 
 
-def _corrected(x: list[float], z, K: np.ndarray, lo: int, angles: bool, d: np.ndarray) -> list[float]:
-    """One member's state row plus its gain ``K`` times its innovation on ``lo:lo+6``.
+def _wrap(a: np.ndarray, w: np.ndarray) -> None:
+    """Wrap the angles of the view ``a``, (B, 3), to (-pi, pi] in place.
 
-    The innovation is packed into ``d``, six float64s.  The row's angles
-    are wrapped, and with ``angles`` so are the last three innovations:
-    +179 deg vs -179 deg disagree by 2 degrees, not 358.
+    The scalar form's steps, -((-a + pi) % 2pi - pi), one ufunc each, for
+    its bits: np.remainder is Python's float %, and the last negation gives
+    an angle that wraps to zero the scalar form's -0.0, which pi - m would
+    give as +0.0.  The steps between the first and the last run in ``w``,
+    a contiguous (B, 3) buffer: a ufunc takes a strided 2-D view at several
+    times the cost on a few members.
     """
-    if not all(map(math.isfinite, z)):
-        raise NumericError("measurement contains non-finite values")
-    d0, d1, d2, a, b, c = map(_sub, z, x[lo:lo + 6])
-    if angles:
-        a, b, c = -((-a + _PI) % _TWO_PI - _PI), -((-b + _PI) % _TWO_PI - _PI), -((-c + _PI) % _TWO_PI - _PI)
-    _pack_innovation(d, 0, d0, d1, d2, a, b, c)
-    x = list(map(_add, x, K.dot(d).tolist()))
-    a, b, c = x[3:6]
-    x[3:6] = -((-a + _PI) % _TWO_PI - _PI), -((-b + _PI) % _TWO_PI - _PI), -((-c + _PI) % _TWO_PI - _PI)
-    return x
+    _subtract(_PI_0D, a, w)
+    _remainder(w, _TWO_PI_0D, w)
+    _subtract(w, _PI_0D, w)
+    _negative(w, a)
 
 
 def _update_kernel(
-    x: list[list[float]], P: np.ndarray, lo: int, z, r6: np.ndarray, angles: bool, work: _Workspace
-) -> tuple[list[list[float]], np.ndarray]:
+    x: np.ndarray, P: np.ndarray, lo: int, z: np.ndarray, r6: np.ndarray, angles: bool, work: _Workspace
+) -> tuple[np.ndarray, np.ndarray]:
     """Joseph-form EKF update where H selects the 6-state block ``lo:lo+6``.
 
-    ``z`` holds six floats per member, ``r6`` is (6, 6) or, for a stack
+    ``z`` is (B, 6), one row per member, ``r6`` is (6, 6) or, for a stack
     of B covariances, (B, 6, 6), and ``angles`` says whether the last three
-    floats are angles.  ``work`` is the node's buffers.
+    columns of ``z`` are angles.  The innovations z - x[:, lo:lo+6] are
+    wrapped on those angles (+179 deg vs -179 deg disagree by 2 degrees,
+    not 358), every row gets its gain times its innovation, and the rows'
+    angles are wrapped.  ``work`` is the node's buffers.
     """
+    # checked on |z|: in a sum of z itself +inf and -inf would meet as NaN,
+    # which numpy warns about
+    if not _all_finite(_abs(z)):
+        raise NumericError("measurement contains non-finite values")
     P_rows = P[..., lo:lo + 6, :]
     # LU solve of S K^T = P_rows: the LAPACK gesv gufunc np.linalg.solve
     # calls, minus its per-call wrapper (its float64 loop is the one the
@@ -543,7 +564,13 @@ def _update_kernel(
     # makes it fail gives NaNs, which _finish rejects.
     Kt = _gesv(P_rows[..., lo:lo + 6] + r6, P_rows)
     K = Kt.mT
-    x = list(map(_corrected, x, z, K if K.ndim == 3 else (K,), repeat(lo), repeat(angles), repeat(work.innovation)))
+    d = z - x[:, lo:lo + 6]
+    if angles:
+        _wrap(d[:, 3:6], work.angles)
+    # one member's gain product is the gemv of ndarray.dot; a stack's
+    # np.matmul gives each member those bits
+    x = x + (K.dot(d[0]) if K.ndim == 2 else _matmul(K, d[:, :, None])[:, :, 0])
+    _wrap(x[:, ANG], work.angles)
     # Joseph form (I-KH) P (I-KH)^T + K R K^T with H a selector matrix:
     # M - M H^T K^T + K R K^T, folded into one product; each difference
     # goes into the product it subtracts.
@@ -594,19 +621,19 @@ def _velocity_covariance(r6: np.ndarray, dt: float) -> np.ndarray:
     return (r6 + r6) / dt2
 
 
-def twist_measurements(stamps: np.ndarray, rows: np.ndarray, r6: np.ndarray) -> list[tuple[list, np.ndarray]]:
+def twist_measurements(stamps: np.ndarray, rows: np.ndarray, r6: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Node 2's odometry measurements along a chain of pose rows.
 
     ``stamps`` (n + 1,) must increase strictly, and ``rows`` (n + 1, B, 6)
     holds B members' pose rows, all with covariance ``r6``.  For each of the
     last n rows: the members' twists from the row before
-    (:func:`body_twists`) as lists of six floats, and their covariance
+    (:func:`body_twists`) as a (B, 6) array, and their covariance
     (r6 + r6) / dt^2, computed once per distinct step.
     """
     dt = _time_steps(stamps)
     steps = dt.tolist()
     r_vel = {step: _velocity_covariance(r6, step) for step in dict.fromkeys(steps)}
-    return list(zip(body_twists(rows, dt).tolist(), map(r_vel.__getitem__, steps)))
+    return list(zip(body_twists(rows, dt), map(r_vel.__getitem__, steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -617,14 +644,6 @@ def twist_measurements(stamps: np.ndarray, rows: np.ndarray, r6: np.ndarray) -> 
 # calls to it (COUNTED) and tests/test_benchmark_hooks.py checks that every
 # traced name resolves.  ROADMAP item 1 removes that target.
 
-def _estimate(result: tuple[list[list[float]], np.ndarray], timestamp: float) -> StateEstimate:
-    (x,), P = result
-    P = _finish([x], P, _ones(P.size))
-    x = np.array(x)
-    x.setflags(write=False)
-    return StateEstimate._from_kernel(x, P, timestamp)
-
-
 def predict(s: StateEstimate, model: ProcessModel, dt: float) -> StateEstimate:
     """Propagate state and covariance: x <- f(x, dt), P <- A P A^T + Q dt.
 
@@ -634,7 +653,10 @@ def predict(s: StateEstimate, model: ProcessModel, dt: float) -> StateEstimate:
         raise ValueError(f"dt must be finite and >= 0, got {dt}")
     if dt == 0.0:
         return s
-    return _estimate(_predict_kernel([s.x.tolist()], s.P, dt, model.q * dt, _Workspace(None)), s.timestamp + dt)
+    x, P = _predict_kernel(s.x[None], s.P, dt, model.q * dt, _Workspace(None))
+    P = _finish(x, P)
+    x.setflags(write=False)
+    return StateEstimate._from_kernel(x[0], P, s.timestamp + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -652,17 +674,15 @@ class EkfNode:
     with :class:`OutOfOrderError`, counted, and leaves the state untouched,
     so callers may continue with newer events.
 
-    The node keeps each member's state row as a list of floats, the form
-    the scalar code takes, and the covariances as a read-only (B, 15, 15)
-    array :attr:`P` at time :attr:`timestamp`, replaced at every change; a
+    The node keeps the members' state rows as a read-only (B, 15) array
+    :attr:`x` and their covariances as a read-only (B, 15, 15) array
+    :attr:`P` at time :attr:`timestamp`, both replaced at every change; a
     one-member node keeps its 15x15 matrix itself, which the same kernels
-    take with 2-D products.
-    :attr:`x` gives the state rows as a read-only (B, 15) array and
-    :attr:`rows` as the lists themselves.  For a one-member node
-    :attr:`state` wraps the estimate in a :class:`StateEstimate` only when
-    asked for, and returns the same object until the next change; assigning
-    a state sets every member to it.  An indefinite initial or assigned
-    covariance raises :class:`NumericError`.
+    take with 2-D products.  For a one-member node :attr:`state` wraps the
+    estimate in a :class:`StateEstimate` only when asked for, and returns
+    the same object until the next change; assigning a state sets every
+    member to it.  An indefinite initial or assigned covariance raises
+    :class:`NumericError`.
     """
 
     # Time steps with a cached Q dt: the float stamps of a fixed-rate log step
@@ -692,19 +712,7 @@ class EkfNode:
 
     @property
     def x(self) -> np.ndarray:
-        x = self._x_array
-        if x is None:
-            x = self._x_array = np.array(self._x)
-            x.setflags(write=False)
-        return x
-
-    @property
-    def rows(self) -> list[list[float]]:
-        """Each member's state row as 15 floats.
-
-        The node replaces these lists at every change and never alters
-        them, so a caller may keep them; it must not alter them either.
-        """
+        """The members' state rows, a read-only (B, 15) array."""
         return self._x
 
     @property
@@ -719,22 +727,22 @@ class EkfNode:
             raise ValueError(f"a node of {self.members} members has no single state; read x and P")
         s = self._state
         if s is None:
-            s = self._state = StateEstimate._from_kernel(self.x[0], self._P, self.timestamp)
+            s = self._state = StateEstimate._from_kernel(self._x[0], self._P, self.timestamp)
         return s
 
     @state.setter
     def state(self, s: StateEstimate) -> None:
         _check_psd(s.P, "node covariance")
-        P = np.tile(s.P, self._stack + (1, 1))
+        x, P = np.tile(s.x, (self.members, 1)), np.tile(s.P, self._stack + (1, 1))
+        x.setflags(write=False)
         P.setflags(write=False)
-        self._x, self._x_array = [s.x.tolist() for _ in range(self.members)], None
-        self._P, self.timestamp = P, s.timestamp
+        self._x, self._P, self.timestamp = x, P, s.timestamp
         self._state = s if self.members == 1 else None
 
-    def _commit(self, t: float, x: list[list[float]], P: np.ndarray) -> None:
-        self._P = _finish(x, P, self._work.ones)
-        self._x, self._x_array = x, None
-        self.timestamp = t
+    def _commit(self, t: float, x: np.ndarray, P: np.ndarray) -> None:
+        self._P = _finish(x, P)
+        x.setflags(write=False)
+        self._x, self.timestamp = x, t
         self._state = None
 
     def _admit(self, event: MeasurementEvent, frame: Frame, step: str) -> None:
@@ -751,7 +759,7 @@ class EkfNode:
                 f"event at t={event.timestamp} is older than filter time t={self.timestamp}"
             )
 
-    def _predicted(self, t: float) -> tuple[list[list[float]], np.ndarray]:
+    def _predicted(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """The estimate propagated to time t, not yet committed."""
         x, P = self._x, self._P
         dt = t - self.timestamp
@@ -767,15 +775,16 @@ class EkfNode:
             x, P = _predict_kernel(x, P, dt, q_dt, self._work)
         return x, P
 
-    def node1_step(self, event: MeasurementEvent) -> list[list[float]]:
-        """Absolute fusion of raw local-frame pose rows; returns each member's local->body pose row."""
+    def node1_step(self, event: MeasurementEvent) -> np.ndarray:
+        """Absolute fusion of raw local-frame pose rows; returns the members'
+        local->body pose rows, a read-only (B, 6) view of :attr:`x`."""
         self._admit(event, LOCAL, "node1_step")
         x, P = self._predicted(event.timestamp)
         self._commit(event.timestamp, *_update_kernel(x, P, POSE_BLOCK.start, event.z, event.r6, True, self._work))
-        return [xb[:6] for xb in self._x]
+        return self._x[:, POSE_BLOCK]
 
     def node2_step(self, event: MeasurementEvent) -> None:
-        """World-frame fusion step into the state rows and :attr:`P`.
+        """World-frame fusion step into :attr:`x` and :attr:`P`.
 
         Odometry events carry the members' body twists between consecutive
         node-1 local->body pose rows (:func:`twist_measurements`) and fuse
@@ -796,8 +805,9 @@ class EkfNode:
     def restricted(self, members: list[int]) -> EkfNode:
         """A node of the given members, in that order, each at its state, bit for bit."""
         node = EkfNode(self.config, len(members))
-        P = self.P[members]
+        x, P = self._x[members], self.P[members]
+        x.setflags(write=False)
         P.setflags(write=False)
-        node._P, node._x, node._state = P if node._stack else P[0], [self._x[b] for b in members], None
+        node._x, node._P, node._state = x, P if node._stack else P[0], None
         node.timestamp, node.rejected_count = self.timestamp, self.rejected_count
         return node

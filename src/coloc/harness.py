@@ -400,7 +400,7 @@ def _raw_odometry_truth(adas: TrajectoryLog, cfg: ExperimentConfig) -> tuple[np.
     (N, 4).  They depend on ground truth and the raw rate only."""
     rows = slice(None)
     if cfg.raw_rate is not None:
-        rows = rate_limit_indices(adas.t.tolist(), cfg.raw_rate)
+        rows = rate_limit_indices(adas.t, cfg.raw_rate)
     # compose(local_from_world, pose) for all samples at once
     return adas.t[rows], compose_arrays(*invert_arrays(adas.p[:1], adas.q[:1]), adas.p[rows], adas.q[rows])
 
@@ -414,11 +414,12 @@ def _simulate_raw_odometry(
     return perturb_pose(local, cfg.raw_noise, stream.derive("raw-odometry"))
 
 
-def _pose_rows(p: np.ndarray, q: np.ndarray) -> list[list[list[float]]]:
+def _pose_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per stamp, every member's (x, y, z, roll, pitch, yaw) row of the poses
-    (p, q), (B, n, 3) and (B, n, 4), as event payloads."""
+    (p, q), (B, n, 3) and (B, n, 4): an (n, B, 6) array, whose (B, 6) rows
+    are event payloads."""
     euler = quaternions_to_euler(q.reshape(-1, 4)).reshape(*q.shape[:2], 3)
-    return np.concatenate((p, euler), axis=2).transpose(1, 0, 2).tolist()
+    return np.concatenate((p.transpose(1, 0, 2), euler.transpose(1, 0, 2)), axis=2)
 
 
 def _smoothed_odometry_spec(cfg: ExperimentConfig) -> NoiseSpec:
@@ -530,7 +531,8 @@ class _Node2Pass:
     members' perception channels share their stamps; each member has its
     own rows and r6.  The pass keeps what :func:`estimate_track` reads after
     each odometry step, besides its stamp: per member the pose block of the
-    node's state and of its covariance diagonal.
+    node's state and of its covariance diagonal, taken from the block's
+    committed states and covariances at once.
     """
 
     def __init__(self, cfg: FilterNodeConfig, n: int, members: int, perception: Sequence[PerceptionRows] = ()):
@@ -560,18 +562,18 @@ class _Node2Pass:
                 for stamp, z in zip(stamps[due_rows].tolist(), _pose_rows(p[:, due_rows], q[:, due_rows]))
             ]
         j, n_due = 0, len(due)
-        x, diagonals = [], []
+        x, P = [], []
         for event in events:
             while j < n_due and due[j].timestamp < event.timestamp:
                 node.node2_step(due[j])
                 j += 1
             node.node2_step(event)
-            x.append(node.rows)
-            diagonals.append(node.P.diagonal(0, 1, 2))
+            x.append(node.x)
+            P.append(node.P)
         for event in due[j:]:
             node.node2_step(event)
         if events:
-            self.x[rows], self.variances[rows] = np.array(x)[:, :, :6], np.array(diagonals)[:, :, :6]
+            self.x[rows], self.variances[rows] = np.array(x)[:, :, :6], np.array(P).diagonal(0, 2, 3)[:, :, :6]
 
     def restricted(self, members: list[int]) -> _Node2Pass:
         """The pass of the given members only, in that order."""

@@ -15,7 +15,6 @@ arrays.  The channel's result is those measured rows and their covariance.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -161,22 +160,27 @@ class PerceptionRows:
         return len(self.t)
 
 
-def rate_limit_indices(stamps: Iterable[float], target_hz: float) -> list[int]:
+def rate_limit_indices(stamps: np.ndarray, target_hz: float) -> list[int]:
     """Deterministic decimation of time-ordered stamps to at most target_hz.
 
     The first stamp always passes; afterwards a stamp passes iff it is at
     least one period (minus a 1e-9 slack for floating-point timestamps)
     after the last one that passed.  Returns the indices that pass.
+    ``stamps`` is a non-decreasing float array (or a sequence numpy turns
+    into one); a binary search finds each next index from the last passing
+    stamp, so the cost grows with the indices that pass.
     """
     if not (math.isfinite(target_hz) and target_hz > 0.0):
         raise ValueError(f"target_hz must be > 0, got {target_hz}")
     period = 1.0 / target_hz
+    stamps = np.asarray(stamps, dtype=float)
     out = []
-    last = None
-    for i, t in enumerate(stamps):
-        if last is None or t >= last + period - RATE_EPSILON:
-            out.append(i)
-            last = t
+    i, n = 0, len(stamps)
+    while i < n:
+        out.append(i)
+        # the first stamp at or past the threshold; the next one if the
+        # slack reaches back to the passing stamp itself
+        i = max(int(stamps.searchsorted(float(stamps[i]) + period - RATE_EPSILON)), i + 1)
     return out
 
 
@@ -195,6 +199,6 @@ def simulate_perception(
     """
     rows = pair_streams(smart, adas, cfg.gate_threshold)
     if cfg.output_rate is not None:
-        rows = rows.take(rate_limit_indices(rows.t.tolist(), cfg.output_rate))
+        rows = rows.take(rate_limit_indices(rows.t, cfg.output_rate))
     r6 = measurement_covariance(cfg.noise) * r6_scale
     return PerceptionRows(rows.t, *make_measurement(rows, cfg, rng), r6)

@@ -627,13 +627,14 @@ class TestMeasurementEvent:
         with pytest.raises(ValueError, match="six finite floats"):
             MeasurementEvent(0.0, ODO, LOCAL, z, RAW_R6)
 
-    def test_z_is_kept_as_a_tuple_of_floats(self):
-        # the six floats are the event's one member row
-        z = np.arange(6.0)
+    def test_z_is_kept_as_a_read_only_row_of_floats(self):
+        # the six floats are the event's one member row, copied
+        z = np.arange(6)
         event = MeasurementEvent(0.0, ODO, LOCAL, z, RAW_R6)
-        z[0] = 9.0
-        assert event.z == ((0.0, 1.0, 2.0, 3.0, 4.0, 5.0),)
-        assert all(type(v) is float for v in event.z[0])
+        z[0] = 9
+        assert event.z.tolist() == [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]]
+        assert event.z.dtype == np.float64
+        assert not event.z.flags.writeable
 
     @pytest.mark.parametrize(
         "r6",
@@ -696,7 +697,8 @@ class TestNode1:
         # barely moves it.
         assert np.linalg.norm(rows[0][:3]) < 0.01
         # the rows are the pose block of the committed state
-        assert rows == node.x[:, POSE_BLOCK].tolist()
+        assert rows.tolist() == node.x[:, POSE_BLOCK].tolist()
+        assert np.shares_memory(rows, node.x) and not rows.flags.writeable
 
     def test_noiseless_straight_line_tracks_truth(self):
         r6 = measurement_covariance(NoiseSpec(0.0, 0.0))
@@ -1005,8 +1007,8 @@ class TestRestrictedNode:
         seen = [[10.0 + 3.0 * t, -4.0 + b, 0.0, 0.0, 0.0, 0.5] + rng.normal(0.0, 0.3, 6) for b in range(3)]
         r6 = r6s[members] if len(members) > 1 else r6s[members[0]]
         return (
-            tuple.__new__(MeasurementEvent, (t, ODO, LOCAL, [rows[b].tolist() for b in members], r6)),
-            tuple.__new__(MeasurementEvent, (t, PER, WORLD, [seen[b].tolist() for b in members], PERCEPTION_R6)),
+            tuple.__new__(MeasurementEvent, (t, ODO, LOCAL, np.array([rows[b] for b in members]), r6)),
+            tuple.__new__(MeasurementEvent, (t, PER, WORLD, np.array([seen[b] for b in members]), PERCEPTION_R6)),
         )
 
     def test_restricted_node_steps_on_bit_for_bit(self):
@@ -1046,12 +1048,12 @@ class TestNodeWorkspace:
         rng = np.random.default_rng(7 + members)
         stamps = np.round(0.01 * np.arange(40) + 0.12 * (np.arange(40) > 20), 10)
         drift = rng.normal(0.0, 0.05, (40, members, 6))
-        raw = [
+        raw = np.array([
             [[3.0 * t + b, 0.2 * t, 0.0, 0.0, 0.0, 0.1 * t + 0.01 * b] for b in range(members)]
             for t in stamps.tolist()
-        ]
-        smoothed = np.array(raw) + drift
-        seen = np.array(raw) + [10.0, -4.0, 0.0, 0.0, 0.0, 0.5] + rng.normal(0.0, 0.3, (40, members, 6))
+        ])
+        smoothed = raw + drift
+        seen = raw + [10.0, -4.0, 0.0, 0.0, 0.0, 0.5] + rng.normal(0.0, 0.3, (40, members, 6))
         r6 = PERCEPTION_R6 if members == 1 else np.array([PERCEPTION_R6 * (1.0 + b) for b in range(members)])
         node1 = [tuple.__new__(MeasurementEvent, (t, ODO, LOCAL, z, RAW_R6)) for t, z in zip(stamps.tolist(), raw)]
         node2 = [[tuple.__new__(MeasurementEvent, (float(stamps[0]), ODO, LOCAL, None, None))]]
@@ -1059,7 +1061,7 @@ class TestNodeWorkspace:
             t = float(stamps[k])
             node2.append([tuple.__new__(MeasurementEvent, (t, ODO, LOCAL, z, r_vel))])
             if k % 3 == 0:
-                node2[-1].append(tuple.__new__(MeasurementEvent, (t, PER, WORLD, seen[k].tolist(), r6)))
+                node2[-1].append(tuple.__new__(MeasurementEvent, (t, PER, WORLD, seen[k], r6)))
         return node1, node2
 
     @staticmethod
@@ -1087,7 +1089,7 @@ class TestNodeWorkspace:
         for e in (e for events in node2_events for e in events):
             alone2.node2_step(e)
         for node, alone in ((node1, alone1), (node2, alone2)):
-            assert node.rows == alone.rows
+            assert np.array_equal(node.x, alone.x)
             assert np.array_equal(node.P, alone.P)
         x, P, timestamp = kept
         assert np.array_equal(snapshot.x, x) and np.array_equal(snapshot.P, P)
@@ -1095,11 +1097,35 @@ class TestNodeWorkspace:
         # and the snapshot steps on to the node's bits
         for e in (e for events in node2_events[15:] for e in events):
             snapshot.node2_step(e)
-        assert snapshot.rows == node2.rows
+        assert np.array_equal(snapshot.x, node2.x)
         assert np.array_equal(snapshot.P, node2.P)
 
 
 class TestNodeErrorContracts:
+    @staticmethod
+    def stacked_perception(t, rows):
+        return tuple.__new__(MeasurementEvent, (t, PER, WORLD, rows, PERCEPTION_R6))
+
+    @pytest.mark.parametrize("bad", [[math.nan], [math.inf], [-math.inf], [math.inf, -math.inf]])
+    def test_non_finite_row_in_a_stack_raises_and_leaves_state(self, bad):
+        node = EkfNode(node2_config(), 3)
+        rows = np.array([[10.0, -4.0, 0.0, 0.0, 0.0, 0.5]] * 3)
+        node.node2_step(self.stacked_perception(0.0, rows))
+        x, P = node.x, node.P
+        rows = rows.copy()
+        rows[1, 4:4 + len(bad)] = bad
+        with pytest.raises(NumericError, match="measurement contains non-finite values"):
+            node.node2_step(self.stacked_perception(0.01, rows))
+        assert node.x is x and node.P is P and node.timestamp == 0.0
+
+    def test_huge_finite_rows_are_fused(self):
+        # the rows' sum overflows, while every row is finite
+        rows = np.full((3, 6), 1e307)
+        assert sum(rows.ravel().tolist()) == math.inf
+        node = EkfNode(node2_config(), 3)
+        node.node2_step(self.stacked_perception(0.0, rows))
+        assert node.timestamp == 0.0 and np.isfinite(node.x).all()
+
     def test_singular_innovation_raises_and_leaves_state(self):
         # an exactly known pose measured with zero covariance: S = 0
         init = state_from_row(0.0, [0.0] * 6, pose_variance=0.0)

@@ -4,7 +4,8 @@ Oracles: twin RandomStreams reconstruct injected noise exactly, and the
 pose-object formulas (relative_pose, compose, quat_yaw) rebuild each
 measurement from them bit for bit; a brute-force nearest-neighbor scan
 validates the pairing; Monte-Carlo checks that noise statistics survive the
-relative-compose round trip.
+relative-compose round trip; a per-stamp scan checks the rate limiter's
+binary search.
 """
 
 import math
@@ -12,6 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coloc.dataio import SyncSpec, TrajectoryLog, generate_synthetic, synchronize
 from coloc.ekf import measurement_covariance
@@ -20,6 +23,7 @@ from coloc.geometry import Agent, BODY_ADAS, BODY_SMART, WORLD
 from pose_objects import Pose, Quaternion, compose, poses, quat_yaw, relative_pose, rotation_geodesic
 from coloc.noise import NoiseSpec, RandomStream
 from coloc.perception import (
+    RATE_EPSILON,
     PerceptionConfig,
     gate_pair,
     make_measurement,
@@ -251,7 +255,33 @@ class TestMakeMeasurement:
 # Rate limiting
 # ---------------------------------------------------------------------------
 
+def rate_limit_scan(stamps, target_hz):
+    """The rate limiter as a per-stamp scan: the oracle of :func:`rate_limit_indices`."""
+    period = 1.0 / target_hz
+    out = []
+    last = None
+    for i, t in enumerate(stamps):
+        if last is None or t >= last + period - RATE_EPSILON:
+            out.append(i)
+            last = t
+    return out
+
+
+# gaps between stamps: repeats, gaps at the slack, decimal steps, any
+stamp_gaps = st.one_of(st.sampled_from([0.0, 1e-9, 2e-9, 0.005, 0.01, 0.1, 0.2]), st.floats(0.0, 1.0))
+
+
 class TestRateLimit:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-1e3, 1e3),
+        st.lists(stamp_gaps, max_size=120),
+        st.one_of(st.sampled_from([2.0, 5.0, 10.0, 100.0, 200.0, 1e9, 2e9]), st.floats(0.01, 1e4)),
+    )
+    def test_binary_search_is_the_per_stamp_scan(self, start, gaps, hz):
+        stamps = [start, *(start + g for g in np.cumsum(gaps).tolist())]
+        assert rate_limit_indices(np.array(stamps), hz) == rate_limit_scan(stamps, hz)
+
     def stamps_200hz(self, seconds=1.0):
         return [k * 0.005 for k in range(int(seconds * 200))]
 
@@ -343,7 +373,7 @@ class TestSimulatePerception:
         cfg = PerceptionConfig(NoiseSpec(0.3, 10.0), output_rate=50.0)
         rows = simulate_perception(smart, adas, cfg, RandomStream(21))
         pairs = brute_force_pairs(poses(smart), poses(adas), cfg.gate_threshold)
-        pairs = [pairs[i] for i in rate_limit_indices([ap.timestamp for _, ap in pairs], cfg.output_rate)]
+        pairs = [pairs[i] for i in rate_limit_scan([ap.timestamp for _, ap in pairs], cfg.output_rate)]
         twin = RandomStream(21)
         assert len(rows) == len(pairs) > 0
         for k, (sp, ap) in enumerate(pairs):
@@ -375,7 +405,7 @@ class TestArrayChannelMatchesPairs:
         assert 0 < len(pairs) <= len(adas)
         assert_rows_are_pairs(pair_streams(smart, adas, gate), pairs)
         if rate is not None:
-            pairs = [pairs[i] for i in rate_limit_indices([ap.timestamp for _, ap in pairs], rate)]
+            pairs = [pairs[i] for i in rate_limit_scan([ap.timestamp for _, ap in pairs], rate)]
         twin = RandomStream(8)
         assert len(rows) == len(pairs) > 0
         for k, (sp, ap) in enumerate(pairs):

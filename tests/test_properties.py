@@ -7,12 +7,15 @@ against the identities they must satisfy; the Joseph-form updates, each
 applied alone by a one-member node at the state's stamp, must keep any PSD
 covariance exactly symmetric and PSD, and agree with a textbook Joseph
 update written with ``scipy.linalg.solve``; every member of a batched
-filter kernel equals ``predict`` or a one-member node, bit for bit; and
-report bytes do not depend on the filter's block length.
+filter kernel equals ``predict`` or a one-member node, bit for bit; the
+array update's state correction equals the scalar correction of each
+member, and its angle wrap the scalar wrap, bit for bit, sign of zero
+included; and report bytes do not depend on the filter's block length.
 """
 
 import math
 from itertools import accumulate
+from operator import add, sub
 
 import numpy as np
 import scipy.linalg
@@ -29,10 +32,10 @@ from coloc.ekf import (
     ProcessModel,
     StateEstimate,
     _finish,
-    _ones,
     _Workspace,
     _predict_kernel,
     _update_kernel,
+    _wrap,
     body_twists,
     default_process_noise,
     predict,
@@ -392,13 +395,13 @@ def batch(seed, size):
         L = rng.normal(0.0, rng.uniform(0.01, 1.0), (6, 6))
         z = np.concatenate((rng.uniform(-5.0, 5.0, 3), rng.uniform([-3.0, -1.2, -3.0], [3.0, 1.2, 3.0])))
         state = StateEstimate(x, A @ A.T + 1e-6 * np.eye(STATE_DIM), 1.0)
-        members.append((state, L @ L.T + rng.uniform(1e-3, 1.0) * np.eye(6), z.tolist()))
+        members.append((state, L @ L.T + rng.uniform(1e-3, 1.0) * np.eye(6), z))
     return members
 
 
 def finished(result):
     x, P = result
-    return np.array(x), _finish(x, P, _ones(P.size))
+    return x, _finish(x, P)
 
 
 def assert_member_is(x, P, want):
@@ -415,7 +418,7 @@ def test_batched_predict_is_predict_per_member(members, dt):
     model = ProcessModel(default_process_noise())
     states = [s for s, _, _ in members]
     x, P = finished(_predict_kernel(
-        [s.x.tolist() for s in states], np.array([s.P for s in states]), dt, model.q * dt, _Workspace(len(states))
+        np.array([s.x for s in states]), np.array([s.P for s in states]), dt, model.q * dt, _Workspace(len(states))
     ))
     for b, s in enumerate(states):
         assert_member_is(x[b], P[b], predict(s, model, dt))
@@ -427,7 +430,7 @@ def test_batched_absolute_update_is_update_absolute_per_member(members):
     states = [s for s, _, _ in members]
     r6 = np.array([r for _, r, _ in members])
     x, P = finished(_update_kernel(
-        [s.x.tolist() for s in states], np.array([s.P for s in states]), 0, [z for *_, z in members], r6, True,
+        np.array([s.x for s in states]), np.array([s.P for s in states]), 0, np.array([z for *_, z in members]), r6, True,
         _Workspace(len(states)),
     ))
     for b, (s, r, z) in enumerate(members):
@@ -443,13 +446,111 @@ def test_batched_differential_update_is_update_differential_per_member(members):
     states = [s for s, _, _ in members]
     r_vel = np.array([r for _, r, _ in members])
     x, P = finished(_update_kernel(
-        [s.x.tolist() for s in states], np.array([s.P for s in states]), 6, [z for *_, z in members], r_vel, False,
+        np.array([s.x for s in states]), np.array([s.P for s in states]), 6, np.array([z for *_, z in members]), r_vel, False,
         _Workspace(len(states)),
     ))
     for b, (s, r, z) in enumerate(members):
         node = node_at(s.x, s.P, s.timestamp)
         node.node2_step(MeasurementEvent(s.timestamp, MeasurementKind.ODOMETRY_DIFFERENTIAL, LOCAL, z, r))
         assert_member_is(x[b], P[b], node.state)
+
+
+# ---------------------------------------------------------------------------
+# The array update against the scalar correction of each member
+# ---------------------------------------------------------------------------
+
+def scalar_wrap(a: float) -> float:
+    """The motion model's scalar angle wrap to (-pi, pi]."""
+    return -((-a + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+def corrected(x: list[float], z: list[float], K: np.ndarray, lo: int, angles: bool) -> list[float]:
+    """One member's state row plus its gain ``K`` times its innovation on
+    ``lo:lo+6``, in scalar form: the oracle of the update kernel's state
+    correction.
+
+    The innovation is computed and wrapped float by float and reaches the
+    gain product as a float64 vector.  The row's angles are wrapped, and
+    with ``angles`` so are the last three innovations.
+    """
+    d = list(map(sub, z, x[lo:lo + 6]))
+    if angles:
+        d[3:6] = map(scalar_wrap, d[3:6])
+    x = list(map(add, x, K.dot(np.array(d)).tolist()))
+    x[3:6] = map(scalar_wrap, x[3:6])
+    return x
+
+
+def bits(a) -> list[int]:
+    return np.asarray(a, dtype=float).view(np.uint64).ravel().tolist()
+
+
+TWO_PI = 2.0 * math.pi
+# the wrap's edges: +-pi, exact multiples of 2 pi, signed zeros, the
+# neighbours of pi and a huge angle
+SPECIAL_ANGLES = [
+    math.pi, -math.pi, 0.0, -0.0, TWO_PI, -TWO_PI, 3.0 * TWO_PI, -5.0 * TWO_PI,
+    math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0), math.nextafter(-math.pi, 0.0), 1e300, -1e300,
+]
+
+
+def test_array_wrap_is_scalar_wrap_on_its_edges():
+    values = np.array(SPECIAL_ANGLES)
+    np.testing.assert_array_equal(bits(np.remainder(values, TWO_PI)), bits([v % TWO_PI for v in SPECIAL_ANGLES]))
+    wrapped = values.copy()
+    _wrap(wrapped, np.empty(len(values)))
+    assert bits(wrapped) == bits([scalar_wrap(v) for v in SPECIAL_ANGLES])
+    # a zero wraps to -0.0, as the scalar form gives it
+    assert bits(wrapped[2:6]) == bits([-0.0] * 4)
+
+
+@SETTINGS
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+def test_array_wrap_is_scalar_wrap(values):
+    a = np.array(values)
+    assert bits(np.remainder(a, TWO_PI)) == bits([v % TWO_PI for v in values])
+    _wrap(a, np.empty(len(values)))
+    assert bits(a) == bits([scalar_wrap(v) for v in values])
+
+
+def with_special_angles(rng, a):
+    """``a`` with about half of its angle columns set to SPECIAL_ANGLES."""
+    a = a.copy()
+    ang = a[:, 3:6]
+    pick = rng.random(ang.shape) < 0.5
+    ang[pick] = rng.choice(SPECIAL_ANGLES, ang.shape)[pick]
+    return a
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 12, 60]), st.booleans(), st.booleans())
+def test_array_update_is_scalar_correction_per_member(seed, size, angles, shared_r6):
+    # angle updates fuse poses on the pose block, twist updates twists on the
+    # twist block; states and rows include the wrap's edge angles
+    rng = np.random.default_rng(seed)
+    members = batch(seed, size)
+    lo = 0 if angles else 6
+    x = with_special_angles(rng, np.array([s.x for s, _, _ in members]))
+    z = np.array([z for *_, z in members])
+    if angles:
+        z = with_special_angles(rng, z)
+    # rows that agree with their state: a zero innovation leaves the state's
+    # edge angles to the wrap alone
+    agree = rng.random(size) < 0.25
+    z[agree] = x[agree, lo:lo + 6]
+    P = np.array([s.P for s, _, _ in members])
+    r6 = np.array([r for _, r, _ in members])
+    if shared_r6:
+        r6 = r6[0]
+    # a one-member node holds its matrices without the stack axis
+    P_in, r6_in = (P[0], r6 if shared_r6 else r6[0]) if size == 1 else (P, r6)
+    got, _ = _update_kernel(x, P_in, lo, z, r6_in, angles, _Workspace(size if size > 1 else None))
+    # each member's gain as the kernel lays it out: the transpose of its solve
+    P_rows = P[:, lo:lo + 6, :]
+    K = np.linalg.solve(P_rows[:, :, lo:lo + 6] + r6, P_rows).mT
+    for b in range(size):
+        want = corrected(x[b].tolist(), z[b].tolist(), K[b], lo, angles)
+        assert bits(got[b]) == bits(want), b
 
 
 # ---------------------------------------------------------------------------
