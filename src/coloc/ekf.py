@@ -40,8 +40,11 @@ those of the same member run alone.
 
 All filter arithmetic lives in two kernels, :func:`_predict_kernel` and
 :func:`_update_kernel`, over a batch of state rows and covariances, and
-:class:`EkfNode` is the one API that runs them: a one-member node at a
-given state, stepped at that state's stamp, is a single filter update.
+:class:`EkfNode` is the one API that runs them.  A filter state exists in
+one form, arrays: a node's (B, 15) rows and (B, 15, 15) covariances, and
+its :class:`FilterNodeConfig`'s initial stamp, row and covariance, checked
+once when the config is built.  A one-member node built from a config at a
+given state, stepped at that stamp, is a single filter update.
 """
 
 from __future__ import annotations
@@ -148,61 +151,8 @@ def _checked_r6(r6, what: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# State and model types
+# Initial states, events and node configs
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class StateEstimate:
-    """Filter state: 15-vector, covariance and time.
-
-    Construction enforces shape and finiteness and symmetrizes P exactly;
-    the PSD invariant is cheap to break-check but expensive to verify every
-    step, so :meth:`validate` performs the full eigenvalue test on demand.
-    """
-
-    x: np.ndarray
-    P: np.ndarray
-    timestamp: float
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        P = np.asarray(self.P, dtype=float)
-        if x.shape != (STATE_DIM,):
-            raise ValueError(f"state must have shape ({STATE_DIM},), got {x.shape}")
-        if P.shape != (STATE_DIM, STATE_DIM):
-            raise ValueError(f"covariance must be {STATE_DIM}x{STATE_DIM}, got {P.shape}")
-        if not np.all(np.isfinite(x)):
-            raise NumericError("state vector contains non-finite values")
-        if not np.all(np.isfinite(P)):
-            raise NumericError("covariance contains non-finite values")
-        if not math.isfinite(self.timestamp):
-            raise ValueError("timestamp must be finite")
-        P = 0.5 * (P + P.T)
-        P.flags.writeable = False
-        x = x.copy()
-        x.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "P", P)
-
-    @classmethod
-    def _from_kernel(cls, x: np.ndarray, P: np.ndarray, timestamp: float) -> "StateEstimate":
-        """Wrap arrays a filter kernel returned: already checked, symmetric, read-only."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "x", x)
-        object.__setattr__(s, "P", P)
-        object.__setattr__(s, "timestamp", timestamp)
-        return s
-
-    def validate(self, atol: float = 1e-9) -> None:
-        """Full covariance health check: symmetry and positive semi-definiteness."""
-        if not np.allclose(self.P, self.P.T, atol=atol):
-            raise NumericError("covariance is not symmetric")
-        if np.linalg.eigvalsh(self.P).min() < -atol:
-            raise NumericError("covariance has a significantly negative eigenvalue")
-        ang = self.x[ANG]
-        if np.any(ang > math.pi) or np.any(ang <= -math.pi):
-            raise NumericError("orientation angles are not wrapped to (-pi, pi]")
-
 
 def _check_psd(P: np.ndarray, what: str) -> None:
     """Reject a covariance with an eigenvalue below rounding level of zero."""
@@ -211,8 +161,8 @@ def _check_psd(P: np.ndarray, what: str) -> None:
         raise NumericError(f"{what} is indefinite: smallest eigenvalue {eig[0]:.3g}")
 
 
-def state_from_row(timestamp: float, z, pose_variance: float = 1e-6, derivative_variance: float = 1e3) -> StateEstimate:
-    """Initial state anchored at a known pose row (x, y, z, roll, pitch, yaw), zero derivatives.
+def state_from_row(z, pose_variance: float = 1e-6, derivative_variance: float = 1e3) -> tuple[np.ndarray, np.ndarray]:
+    """Initial state row and covariance at a known pose row (x, y, z, roll, pitch, yaw), zero derivatives.
 
     Small variance on the pose block (the start is known), large on the
     derivative blocks (velocities must be learned from data).
@@ -221,7 +171,7 @@ def state_from_row(timestamp: float, z, pose_variance: float = 1e-6, derivative_
     x[POSE_BLOCK] = z
     diag = np.full(STATE_DIM, derivative_variance)
     diag[POSE_BLOCK] = pose_variance
-    return StateEstimate(x, np.diag(diag), timestamp)
+    return x, np.diag(diag)
 
 
 class MeasurementKind(Enum):
@@ -266,13 +216,44 @@ class MeasurementEvent(namedtuple("MeasurementEvent", "timestamp kind frame z r6
         return tuple.__new__(cls, (timestamp, kind, frame, row, _checked_r6(r6, "r6")))
 
 
-@dataclass(frozen=True)
-class ProcessModel:
-    """Continuous-time process noise Q (variance per second) of the motion model."""
+@dataclass(frozen=True, eq=False)
+class FilterNodeConfig:
+    """Everything one filter node needs: its initial stamp ``t0``, state row
+    ``x0`` and covariance ``P0``, its continuous-time process noise ``q``
+    (variance per second) and its prediction limits.
 
+    Construction checks the inputs once: the state's shape and finiteness
+    and a finite stamp, the step limits, Q (15x15, symmetric, PSD), and
+    that P0 is not indefinite.  It keeps read-only copies of the arrays,
+    P0 and Q symmetrized exactly, so a caller's later change to its own
+    arrays reaches no node.  Like :class:`~coloc.dataio.TrajectoryLog`, a
+    config compares by identity.  The measurement covariances arrive with
+    the events; which frames a node takes depends on the step it is fed
+    through, not on its config.
+    """
+
+    t0: float
+    x0: np.ndarray
+    P0: np.ndarray
     q: np.ndarray
+    max_predict_dt: float = 1.0
+    predict_substep: float = 0.1
 
     def __post_init__(self) -> None:
+        x = np.array(self.x0, dtype=float)
+        P = np.asarray(self.P0, dtype=float)
+        if x.shape != (STATE_DIM,):
+            raise ValueError(f"state must have shape ({STATE_DIM},), got {x.shape}")
+        if P.shape != (STATE_DIM, STATE_DIM):
+            raise ValueError(f"covariance must be {STATE_DIM}x{STATE_DIM}, got {P.shape}")
+        if not np.isfinite(x).all():
+            raise NumericError("state vector contains non-finite values")
+        if not np.isfinite(P).all():
+            raise NumericError("covariance contains non-finite values")
+        if not math.isfinite(self.t0):
+            raise ValueError("timestamp must be finite")
+        if not (self.max_predict_dt > 0.0 and self.predict_substep > 0.0):
+            raise ValueError("prediction step limits must be positive")
         q = np.asarray(self.q, dtype=float)
         if q.shape != (STATE_DIM, STATE_DIM):
             raise ValueError(f"Q must be {STATE_DIM}x{STATE_DIM}, got {q.shape}")
@@ -280,25 +261,11 @@ class ProcessModel:
             raise ValueError("Q must be symmetric")
         if np.linalg.eigvalsh(q).min() < -1e-9:
             raise ValueError("Q must be positive semi-definite")
-        object.__setattr__(self, "q", 0.5 * (q + q.T))
-
-
-@dataclass(frozen=True)
-class FilterNodeConfig:
-    """Everything one filter node needs: initial state, process noise, prediction limits.
-
-    The covariances arrive with the events; which frames a node takes
-    depends on the step it is fed through, not on its config.
-    """
-
-    initial_state: StateEstimate
-    q: np.ndarray
-    max_predict_dt: float = 1.0
-    predict_substep: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not (self.max_predict_dt > 0.0 and self.predict_substep > 0.0):
-            raise ValueError("prediction step limits must be positive")
+        P = 0.5 * (P + P.T)
+        _check_psd(P, "node covariance")
+        for name, a in (("x0", x), ("P0", P), ("q", 0.5 * (q + q.T))):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 # ---------------------------------------------------------------------------
@@ -641,22 +608,25 @@ def twist_measurements(stamps: np.ndarray, rows: np.ndarray, r6: np.ndarray) -> 
 # ---------------------------------------------------------------------------
 #
 # No run path calls predict: it stays because perfbench/tracer.py counts
-# calls to it (COUNTED) and tests/test_benchmark_hooks.py checks that every
-# traced name resolves.  ROADMAP item 1 removes that target.
+# calls to it (COUNTED), tests/test_benchmark_hooks.py checks that every
+# traced name resolves, and tests use it as the prediction oracle beside a
+# node.  ROADMAP item 1 removes that target.
 
-def predict(s: StateEstimate, model: ProcessModel, dt: float) -> StateEstimate:
-    """Propagate state and covariance: x <- f(x, dt), P <- A P A^T + Q dt.
+def predict(x: np.ndarray, P: np.ndarray, q: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """One member's state row ``x`` (15,) and covariance ``P`` (15, 15) propagated
+    over dt: x <- f(x, dt), P <- A P A^T + Q dt, with ``q`` the process noise Q.
 
-    dt = 0 is an exact no-op (same object); negative dt is a caller bug.
+    The results are read-only, P exactly symmetric.  dt = 0 is an exact
+    no-op (the same arrays); negative dt is a caller bug.
     """
     if not math.isfinite(dt) or dt < 0.0:
         raise ValueError(f"dt must be finite and >= 0, got {dt}")
     if dt == 0.0:
-        return s
-    x, P = _predict_kernel(s.x[None], s.P, dt, model.q * dt, _Workspace(None))
+        return x, P
+    x, P = _predict_kernel(x[None], P, dt, q * dt, _Workspace(None))
     P = _finish(x, P)
     x.setflags(write=False)
-    return StateEstimate._from_kernel(x[0], P, s.timestamp + dt)
+    return x[0], P
 
 
 # ---------------------------------------------------------------------------
@@ -666,23 +636,20 @@ def predict(s: StateEstimate, model: ProcessModel, dt: float) -> StateEstimate:
 class EkfNode:
     """Sequential, single-owner filter node over ``members`` runs in lockstep.
 
-    Every event carries one row per member; the members share the
-    config's initial state, process noise and the events' stamps.  The
-    filter clock starts at the initial state's stamp, so a first event
-    after it is predicted across the gap.  Events must arrive with
-    non-decreasing timestamps; an event older than the clock is rejected
-    with :class:`OutOfOrderError`, counted, and leaves the state untouched,
-    so callers may continue with newer events.
+    Every event carries one row per member; the members start at the
+    config's initial state row and covariance and share its process noise
+    and the events' stamps.  The filter clock starts at the config's
+    initial stamp, so a first event after it is predicted across the gap.
+    Events must arrive with non-decreasing timestamps; an event older than
+    the clock is rejected with :class:`OutOfOrderError`, counted, and
+    leaves the state untouched, so callers may continue with newer events.
 
-    The node keeps the members' state rows as a read-only (B, 15) array
-    :attr:`x` and their covariances as a read-only (B, 15, 15) array
-    :attr:`P` at time :attr:`timestamp`, both replaced at every change; a
-    one-member node keeps its 15x15 matrix itself, which the same kernels
-    take with 2-D products.  For a one-member node :attr:`state` wraps the
-    estimate in a :class:`StateEstimate` only when asked for, and returns
-    the same object until the next change; assigning a state sets every
-    member to it.  An indefinite initial or assigned covariance raises
-    :class:`NumericError`.
+    A node's estimate exists in one form: the members' state rows as a
+    read-only (B, 15) array :attr:`x` and their covariances as a read-only
+    (B, 15, 15) array :attr:`P` at time :attr:`timestamp`, both replaced at
+    every change; a one-member node keeps its 15x15 matrix itself, which
+    the same kernels take with 2-D products.  A node at a given state is
+    built from a :class:`FilterNodeConfig` holding it.
     """
 
     # Time steps with a cached Q dt: the float stamps of a fixed-rate log step
@@ -696,12 +663,14 @@ class EkfNode:
         self.members = members
         # the leading axis of the node's matrices: none for one member
         stack = self._stack = (members,) if members > 1 else ()
-        self.model = ProcessModel(config.q)
-        self.state = config.initial_state
+        x, P = np.tile(config.x0, (members, 1)), np.tile(config.P0, stack + (1, 1))
+        x.setflags(write=False)
+        P.setflags(write=False)
+        self._x, self._P, self.timestamp = x, P, config.t0
         self.rejected_count = 0
         self._work = _Workspace(members if stack else None)  # the buffers of every kernel call
 
-        q = self.model.q  # not self: the cache must not keep the node in a reference cycle
+        q = config.q  # not self: the cache must not keep the node in a reference cycle
 
         @lru_cache(self._CACHED_STEPS)
         def q_dt(dt: float) -> np.ndarray:
@@ -721,29 +690,10 @@ class EkfNode:
         P = self._P
         return P if self._stack else P[None]
 
-    @property
-    def state(self) -> StateEstimate:
-        if self.members != 1:
-            raise ValueError(f"a node of {self.members} members has no single state; read x and P")
-        s = self._state
-        if s is None:
-            s = self._state = StateEstimate._from_kernel(self._x[0], self._P, self.timestamp)
-        return s
-
-    @state.setter
-    def state(self, s: StateEstimate) -> None:
-        _check_psd(s.P, "node covariance")
-        x, P = np.tile(s.x, (self.members, 1)), np.tile(s.P, self._stack + (1, 1))
-        x.setflags(write=False)
-        P.setflags(write=False)
-        self._x, self._P, self.timestamp = x, P, s.timestamp
-        self._state = s if self.members == 1 else None
-
     def _commit(self, t: float, x: np.ndarray, P: np.ndarray) -> None:
         self._P = _finish(x, P)
         x.setflags(write=False)
         self._x, self.timestamp = x, t
-        self._state = None
 
     def _admit(self, event: MeasurementEvent, frame: Frame, step: str) -> None:
         """Check an event's frame and row count, then its stamp against the filter clock."""
@@ -808,6 +758,6 @@ class EkfNode:
         x, P = self._x[members], self.P[members]
         x.setflags(write=False)
         P.setflags(write=False)
-        node._x, node._P, node._state = x, P if node._stack else P[0], None
+        node._x, node._P = x, P if node._stack else P[0]
         node.timestamp, node.rejected_count = self.timestamp, self.rejected_count
         return node

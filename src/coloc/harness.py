@@ -30,6 +30,7 @@ from contextlib import contextmanager
 from copy import copy
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
+from functools import cache
 from pathlib import Path
 from typing import Iterator, Sequence, get_args, get_origin, get_type_hints
 
@@ -203,6 +204,8 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
+        # before the seeds become ints, which would turn True into 1
+        _check_numbers(self, "")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not self.seeds:
             raise ValueError("at least one seed is required")
@@ -220,6 +223,10 @@ class ExperimentConfig:
 
 _INLINE = {(PerceptionConfig, "noise")}
 _SET_FIELDS_ONLY = {InputConfig}
+# a config class's resolved annotations, read on every construction
+_type_hints = cache(get_type_hints)
+# what _check_number takes for a field annotated float or int
+_NUMBER_KINDS = {float: numbers.Real, int: numbers.Integral}
 
 
 def _to_json(value):
@@ -245,7 +252,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def _keys(cls) -> set[str]:
     """The JSON keys of a section that holds a ``cls``."""
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     return set().union(
         *(_keys(hints[f.name]) if (cls, f.name) in _INLINE else {f.name} for f in fields(cls))
     )
@@ -279,17 +286,41 @@ def _read_value(tp, value, path: str, default=None):
             if member.value == value:
                 return member
         raise ValueError(f"{path} must be one of {[m.value for m in tp]}, got {value!r}")
-    if tp is float:
-        _check_number(value, path)
-        return float(value)
-    if tp is int:
-        _check_number(value, path, numbers.Integral)
-        return value
+    if tp in _NUMBER_KINDS:
+        _check_number(value, path, _NUMBER_KINDS[tp])
+        return tp(value)
     if tp is str:
         if not isinstance(value, str):
             raise ValueError(f"{path} must be a string, got {value!r}")
         return value
     raise TypeError(f"no JSON reader for {tp!r} ({path})")
+
+
+def _check_numbers(section, path: str) -> None:
+    """Hold a config section to the reader's number rule.
+
+    Every float and int field of ``section`` and of the sections it holds,
+    each tuple entry and each optional field that is set, must pass
+    :func:`_check_number`; a failure names the field by its JSON path.  So
+    a bool, which Python counts as an int, cannot enter a config that
+    could not read back its own JSON.
+    """
+    hints = _type_hints(type(section))
+    for f in fields(section):
+        tp, value = hints[f.name], getattr(section, f.name)
+        key = path if (type(section), f.name) in _INLINE else f"{path}.{f.name}" if path else f.name
+        args = get_args(tp)
+        if type(None) in args:
+            if value is None:
+                continue
+            (tp,) = (a for a in args if a is not type(None))
+        if is_dataclass(tp):
+            _check_numbers(value, key)
+        elif get_origin(tp) is tuple and get_args(tp)[0] in _NUMBER_KINDS:
+            for v in value:
+                _check_number(v, f"{key} entry", _NUMBER_KINDS[get_args(tp)[0]])
+        elif tp in _NUMBER_KINDS:
+            _check_number(value, key, _NUMBER_KINDS[tp])
 
 
 def _read_section(cls, d, path: str, base=None):
@@ -304,7 +335,7 @@ def _read_section(cls, d, path: str, base=None):
     unknown = set(d) - _keys(cls)
     if unknown:
         raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     kwargs = {}
     for f in fields(cls):
         tp = hints[f.name]
@@ -437,17 +468,19 @@ def _node_configs(cfg: ExperimentConfig, adas: TrajectoryLog) -> tuple[FilterNod
     s = cfg.ekf
     t0 = float(adas.t[0])
     # Under raw noise the local start is only known to raw accuracy.
-    # s * s overflows to inf where ** would raise; the initial state rejects inf
+    # s * s overflows to inf where ** would raise; the node config rejects inf
     sigma, gamma = cfg.raw_noise.sigma_trans, cfg.raw_noise.gamma_yaw_rad
     node1_pose_var = max(s.pose_variance, sigma * sigma, gamma * gamma)
     node1 = FilterNodeConfig(
-        state_from_row(t0, [0.0] * 6, node1_pose_var, s.derivative_variance),
+        t0,
+        *state_from_row([0.0] * 6, node1_pose_var, s.derivative_variance),
         default_process_noise() * s.node1_q_scale,
         max_predict_dt=s.max_predict_dt,
         predict_substep=s.predict_substep,
     )
     node2 = FilterNodeConfig(
-        state_from_row(t0, np.concatenate((adas.p[0], quaternions_to_euler(adas.q[:1])[0])), s.pose_variance, s.derivative_variance),
+        t0,
+        *state_from_row(np.concatenate((adas.p[0], quaternions_to_euler(adas.q[:1])[0])), s.pose_variance, s.derivative_variance),
         default_process_noise() * s.node2_q_scale,
         max_predict_dt=s.max_predict_dt,
         predict_substep=s.predict_substep,

@@ -47,8 +47,6 @@ from coloc.ekf import (
     FilterNodeConfig,
     MeasurementEvent,
     MeasurementKind,
-    ProcessModel,
-    StateEstimate,
     _JACOBIAN_T_FLAT_INDEX,
     _propagate,
     measurement_covariance,
@@ -379,23 +377,25 @@ def test_filter_matches_scalar_kalman_and_finite_differences():
     q15[0, 0], q15[6, 6] = q_pos, q_vel
     P0 = np.zeros((STATE_DIM, STATE_DIM))
     P0[0, 0], P0[6, 6] = p0_pos, p0_vel
-    model = ProcessModel(q15)
-    # each update is a one-member node at the predicted state, stepped at its stamp
-    node = EkfNode(FilterNodeConfig(StateEstimate(np.zeros(STATE_DIM), P0, 0.0), q15))
+    # each update is a one-member node built at the predicted state, stepped at its stamp
+    cfg = FilterNodeConfig(0.0, np.zeros(STATE_DIM), P0, q15)
+    t, x, P = cfg.t0, cfg.x0, cfg.P0
     r6 = np.diag([r, 1e12, 1e12, 1e12, 1e12, 1e12])
     worst_kf = 0.0
     for k, z in enumerate(z_seq):
-        node.state = predict(node.state, model, dt)
-        node.node1_step(MeasurementEvent(node.timestamp, PER, LOCAL, [z, 0.0, 0.0, 0.0, 0.0, 0.0], r6))
-        state = node.state
+        x, P = predict(x, P, cfg.q, dt)
+        t += dt
+        node = EkfNode(replace(cfg, t0=t, x0=x, P0=P))
+        node.node1_step(MeasurementEvent(t, PER, LOCAL, [z, 0.0, 0.0, 0.0, 0.0, 0.0], r6))
+        (x,), (P,) = node.x, node.P
         x_ref, P_ref = reference[k]
         worst_kf = max(
             worst_kf,
-            abs(state.x[0] - x_ref[0]),
-            abs(state.x[6] - x_ref[1]),
-            abs(state.P[0, 0] - P_ref[0, 0]),
-            abs(state.P[0, 6] - P_ref[0, 1]),
-            abs(state.P[6, 6] - P_ref[1, 1]),
+            abs(x[0] - x_ref[0]),
+            abs(x[6] - x_ref[1]),
+            abs(P[0, 0] - P_ref[0, 0]),
+            abs(P[0, 6] - P_ref[0, 1]),
+            abs(P[6, 6] - P_ref[1, 1]),
         )
     if not worst_kf < KF_EQUIVALENCE_TOL:
         problems.append(
@@ -509,30 +509,32 @@ def _check_quaternion_norms(problems):
 
 
 def _check_covariance_after_every_step(problems):
-    # a node predicted by predict and then stepped at its own stamp applies
-    # each update alone, so every stage can be checked
+    # a node built at the state predict gives and stepped at its own stamp
+    # applies each update alone, so every stage can be checked
     rng = np.random.default_rng(72)
-    model = ProcessModel(np.diag(np.full(STATE_DIM, 1e-3)))
-    node = EkfNode(FilterNodeConfig(state_from_row(0.0, [0.0] * 6, 1e-4, 10.0), model.q))
+    cfg = FilterNodeConfig(0.0, *state_from_row([0.0] * 6, 1e-4, 10.0), np.diag(np.full(STATE_DIM, 1e-3)))
     r6_abs = measurement_covariance(NoiseSpec(0.5, 3.0))
     r6_odo = measurement_covariance(NoiseSpec(0.2, 1.0))
     worst_eig = 0.0
     prev = None
     dt = 0.05
 
-    def check(s, stage, k):
+    def check(P, stage, k):
         nonlocal worst_eig
-        if not np.array_equal(s.P, s.P.T):
+        if not np.array_equal(P, P.T):
             problems.append(f"covariance not symmetric after {stage} step {k}")
-        low = float(np.linalg.eigvalsh(s.P)[0])
+        low = float(np.linalg.eigvalsh(P)[0])
         worst_eig = min(worst_eig, low)
         if low < EIGENVALUE_FLOOR:
             problems.append(f"covariance eigenvalue {low:.2e} after {stage} step {k}")
 
+    # the state row and covariance the next prediction starts from
+    t, x_k, P_k = cfg.t0, cfg.x0, cfg.P0
     for k in range(1, 301):
-        node.state = predict(node.state, model, dt)
-        t = node.timestamp
-        check(node.state, "predict", k)
+        x_k, P_k = predict(x_k, P_k, cfg.q, dt)
+        t += dt
+        check(P_k, "predict", k)
+        node = EkfNode(replace(cfg, t0=t, x0=x_k, P0=P_k))
         x, y = 8.0 * t, 2.0 * math.sin(0.4 * t)
         yaw = 0.1 * math.sin(0.2 * t)
         world = Pose(
@@ -543,7 +545,7 @@ def _check_covariance_after_every_step(problems):
             BODY_ADAS,
         )
         node.node2_step(pose_event(PER, world, r6_abs))
-        check(node.state, "absolute update", k)
+        check(node.P[0], "absolute update", k)
         local = Pose(
             t,
             np.array([x, y, 0.0]) + rng.normal(0.0, 0.2, 3),
@@ -554,7 +556,8 @@ def _check_covariance_after_every_step(problems):
         event = pose_event(ODO, local, r6_odo)
         if prev is not None:
             node.node2_step(twist_event(prev, event))
-            check(node.state, "differential update", k)
+            check(node.P[0], "differential update", k)
+        (x_k,), (P_k,) = node.x, node.P
         prev = event
     return worst_eig
 
@@ -596,14 +599,14 @@ def _check_perception_passthrough(problems):
 def _check_offset_invariance(problems):
     offset = np.array([100.0, -50.0, 0.0])
     r6 = np.eye(6) * 0.01
-    state = StateEstimate(np.zeros(STATE_DIM), np.eye(STATE_DIM), 1.0)
+    cfg = FilterNodeConfig(1.0, np.zeros(STATE_DIM), np.eye(STATE_DIM), np.eye(STATE_DIM))
 
     def event(t, xyz, yaw):
         pose = Pose(t, np.asarray(xyz, float), quat_yaw(yaw), LOCAL, BODY_ADAS)
         return pose_event(ODO, pose, r6)
 
     # one-member nodes at the state, each fusing one twist at the state's stamp
-    plain, shifted = (EkfNode(FilterNodeConfig(state, np.eye(STATE_DIM))) for _ in range(2))
+    plain, shifted = EkfNode(cfg), EkfNode(cfg)
     plain.node2_step(twist_event(event(0.9, [1.0, 2.25, 0.0], 0.3), event(1.0, [1.5, 2.5, 0.0], 0.35)))
     shifted.node2_step(twist_event(event(0.9, offset + [1.0, 2.25, 0.0], 0.3), event(1.0, offset + [1.5, 2.5, 0.0], 0.35)))
     if not (np.array_equal(plain.x, shifted.x) and np.array_equal(plain.P, shifted.P)):

@@ -14,6 +14,7 @@ single update.  Oracles, all independent of the implementation under test:
 
 import math
 from copy import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,8 +34,6 @@ from coloc.ekf import (
     FilterNodeConfig,
     MeasurementEvent,
     MeasurementKind,
-    ProcessModel,
-    StateEstimate,
     _JACOBIAN_T_FLAT_INDEX,
     _checked_r6,
     _propagate,
@@ -90,13 +89,29 @@ def world_event(t, translation, yaw=0.0, r6=PERCEPTION_R6):
     return MeasurementEvent(t, PER, WORLD, [*translation, 0.0, 0.0, yaw], r6)
 
 
-def node_at(state):
-    """A one-member node whose clock and estimate are ``state``.
+def node_at(t, x, P):
+    """A one-member node whose clock is ``t`` and whose estimate is ``x``, ``P``.
 
-    Stepped with an event at the state's own stamp, it predicts nothing and
-    applies that event's update alone.
+    Stepped with an event at its own stamp, it predicts nothing and applies
+    that event's update alone.
     """
-    return EkfNode(FilterNodeConfig(state, default_process_noise()))
+    return EkfNode(FilterNodeConfig(t, x, P, default_process_noise()))
+
+
+def assert_same_estimate(node, before):
+    """The node still holds the estimate ``before``, its (x, P) read earlier:
+    no step committed since (a commit replaces x)."""
+    x, P = before
+    assert node.x is x and np.array_equal(node.P, P)
+
+
+def assert_healthy(x, P, atol=1e-9):
+    """Full health check of one member's estimate: P symmetric and positive
+    semi-definite, the orientation angles wrapped to (-pi, pi]."""
+    assert np.allclose(P, P.T, atol=atol), "covariance is not symmetric"
+    assert np.linalg.eigvalsh(P).min() >= -atol, "covariance has a significantly negative eigenvalue"
+    ang = x[ANG]
+    assert not (np.any(ang > math.pi) or np.any(ang <= -math.pi)), "orientation angles are not wrapped to (-pi, pi]"
 
 
 def jacobian(x, dt):
@@ -208,82 +223,150 @@ class TestTransitionJacobian:
 
 
 # ---------------------------------------------------------------------------
-# State container and predict
+# Node config and predict
 # ---------------------------------------------------------------------------
 
-class TestStateEstimate:
+def indefinite_covariance():
+    """Symmetric, with eigenvalue -1 on the pose block."""
+    P = np.eye(STATE_DIM)
+    P[POSE_BLOCK, POSE_BLOCK] = -np.eye(6)
+    return P
+
+
+def with_entry(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+# Each fault of a node config, with its exception and full text, in the
+# order construction checks them: the state and its stamp, the step
+# limits, Q, and last whether P is indefinite.
+CONFIG_FAULTS = [
+    ("state-shape", dict(x0=np.zeros(14)), ValueError, "state must have shape (15,), got (14,)"),
+    ("covariance-shape", dict(P0=np.eye(14)), ValueError, "covariance must be 15x15, got (14, 14)"),
+    ("state-nan", dict(x0=with_entry(np.zeros(STATE_DIM), 0, math.nan)), NumericError,
+     "state vector contains non-finite values"),
+    ("covariance-inf", dict(P0=with_entry(np.eye(STATE_DIM), (3, 3), math.inf)), NumericError,
+     "covariance contains non-finite values"),
+    ("stamp-nan", dict(t0=math.nan), ValueError, "timestamp must be finite"),
+    ("max-predict-dt", dict(max_predict_dt=0.0), ValueError, "prediction step limits must be positive"),
+    ("predict-substep", dict(predict_substep=-0.1), ValueError, "prediction step limits must be positive"),
+    ("q-shape", dict(q=np.eye(14)), ValueError, "Q must be 15x15, got (14, 14)"),
+    ("q-asymmetric", dict(q=with_entry(default_process_noise(), (0, 1), 1e-3)), ValueError, "Q must be symmetric"),
+    ("q-indefinite", dict(q=with_entry(default_process_noise(), (0, 0), -1.0)), ValueError,
+     "Q must be positive semi-definite"),
+    ("covariance-indefinite", dict(P0=indefinite_covariance()), NumericError,
+     "node covariance is indefinite: smallest eigenvalue -1"),
+]
+
+
+def config(**overrides):
+    fields = dict(t0=0.0, x0=np.zeros(STATE_DIM), P0=np.eye(STATE_DIM), q=default_process_noise())
+    fields.update(overrides)
+    return FilterNodeConfig(**fields)
+
+
+class TestFilterNodeConfig:
+    @pytest.mark.parametrize(
+        "k, error, text", [(k, error, text) for k, (_, _, error, text) in enumerate(CONFIG_FAULTS)],
+        ids=[name for name, *_ in CONFIG_FAULTS],
+    )
+    def test_fault_raises_before_every_later_fault(self, k, error, text):
+        # the config carries this fault and every one checked after it
+        overrides = {}
+        for _, fault, _, _ in reversed(CONFIG_FAULTS[k:]):
+            overrides.update(fault)
+        with pytest.raises(error) as raised:
+            config(**overrides)
+        assert str(raised.value) == text
+
     def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            StateEstimate(np.zeros(14), np.eye(STATE_DIM), 0.0)
-        with pytest.raises(ValueError):
-            StateEstimate(np.zeros(STATE_DIM), np.eye(14), 0.0)
+        with pytest.raises(ValueError, match="state must have shape"):
+            config(x0=np.zeros((1, STATE_DIM)))
+        with pytest.raises(ValueError, match="covariance must be 15x15"):
+            config(P0=np.eye(STATE_DIM)[None])
 
     def test_rejects_non_finite(self):
-        x = np.zeros(STATE_DIM)
-        x[0] = math.nan
-        with pytest.raises(NumericError):
-            StateEstimate(x, np.eye(STATE_DIM), 0.0)
+        with pytest.raises(NumericError, match="state vector"):
+            config(x0=with_entry(np.zeros(STATE_DIM), 5, -math.inf))
+        with pytest.raises(NumericError, match="covariance contains"):
+            config(P0=with_entry(np.eye(STATE_DIM), (0, 14), math.nan))
+        with pytest.raises(ValueError, match="timestamp"):
+            config(t0=math.inf)
+
+    def test_indefinite_covariance_rejected(self):
+        # an invertible pose block does not hide an indefinite P
         P = np.eye(STATE_DIM)
-        P[3, 3] = math.inf
-        with pytest.raises(NumericError):
-            StateEstimate(np.zeros(STATE_DIM), P, 0.0)
+        P[POSE_BLOCK, POSE_BLOCK] = -0.5 * np.eye(6)
+        with pytest.raises(NumericError, match="node covariance is indefinite"):
+            config(P0=P)
+        # a PSD P rounded a hair below zero is kept
+        config(P0=with_entry(np.zeros((STATE_DIM, STATE_DIM)), (0, 0), -1e-12))
 
     def test_symmetrizes_exactly(self):
-        P = np.eye(STATE_DIM)
-        P[0, 1] = 1e-12
-        s = StateEstimate(np.zeros(STATE_DIM), P, 0.0)
-        np.testing.assert_array_equal(s.P, s.P.T)
+        P = with_entry(np.eye(STATE_DIM), (0, 1), 1e-12)
+        q = with_entry(default_process_noise(), (2, 3), 1e-12)
+        cfg = config(P0=P, q=q)
+        np.testing.assert_array_equal(cfg.P0, cfg.P0.T)
+        np.testing.assert_array_equal(cfg.q, cfg.q.T)
+        assert cfg.P0[0, 1] == cfg.q[2, 3] == 0.5e-12
 
-    def test_validate_flags_indefinite(self):
-        P = np.eye(STATE_DIM)
-        P[0, 0] = -1.0
-        s = StateEstimate(np.zeros(STATE_DIM), P, 0.0)
-        with pytest.raises(NumericError):
-            s.validate()
+    def test_arrays_are_read_only_copies(self):
+        # a caller changing its arrays after construction reaches no node
+        rng = np.random.default_rng(24)
+        x0, P0, q = random_state(rng), random_psd(STATE_DIM, rng), default_process_noise()
+        cfg = config(x0=x0, P0=P0, q=q)
+        kept = config(x0=x0.copy(), P0=P0.copy(), q=q.copy())
+        for name in ("x0", "P0", "q"):
+            assert not getattr(cfg, name).flags.writeable
+            with pytest.raises(ValueError):
+                getattr(cfg, name)[0] = 9.0
+        x0[:], P0[:], q[:] = 1.0, 2.0, 3.0
+        node, reference = EkfNode(cfg, 2), EkfNode(kept, 2)
+        for t in (0.5, 0.6):
+            event = tuple.__new__(MeasurementEvent, (t, PER, WORLD, np.full((2, 6), t), PERCEPTION_R6))
+            node.node2_step(event)
+            reference.node2_step(event)
+        assert np.array_equal(node.x, reference.x) and np.array_equal(node.P, reference.P)
 
-    def test_arrays_read_only(self):
-        s = StateEstimate(np.zeros(STATE_DIM), np.eye(STATE_DIM), 0.0)
-        with pytest.raises(ValueError):
-            s.x[0] = 1.0
-        with pytest.raises(ValueError):
-            s.P[0, 0] = 9.0
+    def test_compares_by_identity(self):
+        cfg = config()
+        assert cfg == cfg and cfg != config()
+        assert len({cfg, cfg, config()}) == 2
 
 
 class TestPredict:
-    def setup_method(self):
-        self.model = ProcessModel(default_process_noise())
+    q = default_process_noise()
 
     def test_dt_zero_is_exact_noop(self):
-        s = StateEstimate(random_state(), random_psd(STATE_DIM), 2.0)
-        out = predict(s, self.model, 0.0)
-        assert out is s
+        x, P = random_state(), random_psd(STATE_DIM)
+        out_x, out_P = predict(x, P, self.q, 0.0)
+        assert out_x is x and out_P is P
 
     def test_negative_dt_rejected(self):
-        s = StateEstimate(np.zeros(STATE_DIM), np.eye(STATE_DIM), 0.0)
         with pytest.raises(ValueError):
-            predict(s, self.model, -0.01)
+            predict(np.zeros(STATE_DIM), np.eye(STATE_DIM), self.q, -0.01)
 
     def test_zero_motion_grows_covariance_by_q_dt(self):
-        s = StateEstimate(np.zeros(STATE_DIM), np.zeros((STATE_DIM, STATE_DIM)), 0.0)
-        out = predict(s, self.model, 0.25)
-        np.testing.assert_allclose(out.P, self.model.q * 0.25, atol=1e-15)
-        np.testing.assert_array_equal(out.x, s.x)
-        assert out.timestamp == 0.25
+        x = np.zeros(STATE_DIM)
+        out_x, out_P = predict(x, np.zeros((STATE_DIM, STATE_DIM)), self.q, 0.25)
+        np.testing.assert_allclose(out_P, self.q * 0.25, atol=1e-15)
+        np.testing.assert_array_equal(out_x, x)
+        assert not (out_x.flags.writeable or out_P.flags.writeable)
 
     def test_forward_motion_example(self):
         x = np.zeros(STATE_DIM)
         x[ANG] = [0.0, 0.0, math.pi / 2]
         x[VEL] = [1.0, 0.0, 0.0]
-        s = StateEstimate(x, np.eye(STATE_DIM), 1.0)
-        out = predict(s, self.model, 1.0)
-        np.testing.assert_allclose(out.x[POS], [0.0, 1.0, 0.0], atol=1e-12)
-        assert out.timestamp == 2.0
+        out_x, _ = predict(x, np.eye(STATE_DIM), self.q, 1.0)
+        np.testing.assert_allclose(out_x[POS], [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_covariance_health_over_many_steps(self):
-        s = StateEstimate(random_state(), random_psd(STATE_DIM, scale=0.1), 0.0)
+        x, P = random_state(), random_psd(STATE_DIM, scale=0.1)
         for _ in range(200):
-            s = predict(s, self.model, 0.01)
-            s.validate()
+            x, P = predict(x, P, self.q, 0.01)
+            assert_healthy(x, P)
 
 
 # ---------------------------------------------------------------------------
@@ -293,93 +376,87 @@ class TestPredict:
 class TestUpdateAbsolute:
     """Node 1's absolute update of a local pose, applied alone."""
 
-    def make_state(self, P=None):
+    @staticmethod
+    def make_state(P=None):
         x = np.zeros(STATE_DIM)
         x[POS] = [1.0, 2.0, 0.0]
         x[ANG] = [0.0, 0.0, 0.3]
-        return StateEstimate(x, np.eye(STATE_DIM) if P is None else P, 1.0)
+        return x, np.eye(STATE_DIM) if P is None else P
 
     def event_at(self, translation, yaw, r6):
         return MeasurementEvent(1.0, PER, LOCAL, [*translation, 0.0, 0.0, yaw], r6)
 
     def test_zero_innovation_keeps_pose_and_shrinks_p(self):
-        s = self.make_state()
-        node = node_at(s)
+        x, P = self.make_state()
+        node = node_at(1.0, x, P)
         node.node1_step(self.event_at([1.0, 2.0, 0.0], 0.3, np.eye(6) * 1e-12))
-        out = node.state
-        np.testing.assert_allclose(out.x[POSE_BLOCK], s.x[POSE_BLOCK], atol=1e-9)
-        assert np.trace(out.P) < np.trace(s.P)
+        np.testing.assert_allclose(node.x[0, POSE_BLOCK], x[POSE_BLOCK], atol=1e-9)
+        assert np.trace(node.P[0]) < np.trace(P)
 
     def test_huge_r_is_uninformative(self):
-        s = self.make_state(P=random_psd(STATE_DIM))
-        node = node_at(s)
+        x, P = self.make_state(P=random_psd(STATE_DIM))
+        node = node_at(1.0, x, P)
         node.node1_step(self.event_at([5.0, -3.0, 1.0], -0.7, np.eye(6) * 1e12))
-        out = node.state
-        np.testing.assert_allclose(out.x, s.x, atol=1e-6)
-        np.testing.assert_allclose(out.P, s.P, atol=1e-4, rtol=1e-6)
+        np.testing.assert_allclose(node.x[0], x, atol=1e-6)
+        np.testing.assert_allclose(node.P[0], P, atol=1e-4, rtol=1e-6)
 
     def test_scalar_closed_form(self):
         # Classic textbook case on a decoupled axis: prior (0, 1), measurement
         # (1, 1) -> posterior (0.5, 0.5).
         P = np.zeros((STATE_DIM, STATE_DIM))
         P[0, 0] = 1.0
-        s = StateEstimate(np.zeros(STATE_DIM), P, 1.0)
-        node = node_at(s)
+        node = node_at(1.0, np.zeros(STATE_DIM), P)
         node.node1_step(self.event_at([1.0, 0.0, 0.0], 0.0, np.eye(6)))
-        out = node.state
-        assert out.x[0] == pytest.approx(0.5, abs=1e-12)
-        assert out.P[0, 0] == pytest.approx(0.5, abs=1e-12)
-        np.testing.assert_allclose(out.x[1:], np.zeros(STATE_DIM - 1), atol=1e-12)
+        (x,), (P,) = node.x, node.P
+        assert x[0] == pytest.approx(0.5, abs=1e-12)
+        assert P[0, 0] == pytest.approx(0.5, abs=1e-12)
+        np.testing.assert_allclose(x[1:], np.zeros(STATE_DIM - 1), atol=1e-12)
 
     def test_innovation_wraps_across_pi(self):
         x = np.zeros(STATE_DIM)
         x[5] = math.radians(-179.0)
         P = np.zeros((STATE_DIM, STATE_DIM))
         P[5, 5] = 1.0
-        s = StateEstimate(x, P, 1.0)
-        node = node_at(s)
+        node = node_at(1.0, x, P)
         node.node1_step(self.event_at([0.0, 0.0, 0.0], math.radians(179.0), np.eye(6)))
-        out = node.state
         # Innovation is -2 deg, gain 0.5: posterior moves 1 deg toward the
         # boundary, never 179 deg the long way round.
-        moved = math.degrees(abs(wrap_angle(out.x[5] - s.x[5])))
+        moved = math.degrees(abs(wrap_angle(node.x[0, 5] - x[5])))
         assert moved == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_information(self):
         for _ in range(20):
-            s = StateEstimate(random_state(), random_psd(STATE_DIM), 1.0)
+            x, P = random_state(), random_psd(STATE_DIM)
             r6 = np.diag(RNG.uniform(0.01, 10.0, 6))
-            node = node_at(s)
+            node = node_at(1.0, x, P)
             node.node1_step(self.event_at(RNG.normal(size=3), RNG.uniform(-1, 1), r6))
-            out = node.state
-            assert np.trace(out.P) <= np.trace(s.P) + 1e-9
-            out.validate()
+            assert np.trace(node.P[0]) <= np.trace(P) + 1e-9
+            assert_healthy(node.x[0], node.P[0])
 
     def test_singular_innovation_raises(self):
         # a zero r6 is rejected when the event is built, so S = P block + r6
         # of a PSD P is always invertible in the update
-        node = node_at(StateEstimate(np.zeros(STATE_DIM), np.zeros((STATE_DIM, STATE_DIM)), 1.0))
+        node = node_at(1.0, np.zeros(STATE_DIM), np.zeros((STATE_DIM, STATE_DIM)))
         with pytest.raises(NumericError, match="singular"):
             node.node1_step(self.event_at([1.0, 0.0, 0.0], 0.0, np.zeros((6, 6))))
 
     def test_missing_r6_rejected(self):
         # an event without a covariance cannot be built, so none reaches the update
-        node = node_at(self.make_state())
+        node = node_at(1.0, *self.make_state())
         with pytest.raises(ValueError, match="r6"):
             node.node1_step(self.event_at([1.0, 2.0, 0.0], 0.3, None))
 
     def test_indefinite_covariance_raises_numeric_error(self):
         # S = P block + r6 = 0 would make the solve warn, and the test suite
-        # turns that RuntimeWarning into an error: the node refuses the
-        # state before any update
-        P = np.eye(STATE_DIM)
-        P[POSE_BLOCK, POSE_BLOCK] = -np.eye(6)
+        # turns that RuntimeWarning into an error: the node config refuses
+        # the state before any update
+        P = indefinite_covariance()
         with pytest.raises(NumericError, match="indefinite"):
-            node_at(StateEstimate(np.zeros(STATE_DIM), P, 1.0))
+            node_at(1.0, np.zeros(STATE_DIM), P)
         # an invertible S does not hide the indefinite P
         P[POSE_BLOCK, POSE_BLOCK] = -0.5 * np.eye(6)
         with pytest.raises(NumericError, match="indefinite"):
-            node_at(StateEstimate(np.zeros(STATE_DIM), P, 1.0))
+            node_at(1.0, np.zeros(STATE_DIM), P)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +498,9 @@ class TestDifferentialVelocity:
 class TestUpdateDifferential:
     """Node 2's update of a twist event, applied alone."""
 
-    def make_state(self, t):
-        return StateEstimate(np.zeros(STATE_DIM), np.eye(STATE_DIM), t)
+    @staticmethod
+    def node_at(t):
+        return node_at(t, np.zeros(STATE_DIM), np.eye(STATE_DIM))
 
     def test_offset_invariance_bitwise(self):
         # Dyadic coordinates keep the offset additions exactly representable,
@@ -433,8 +511,7 @@ class TestUpdateDifferential:
         b = local_event(1.0, [1.5, 2.5, 0.0], yaw=0.35, r6=r6)
         a_off = local_event(0.9, offset + [1.0, 2.25, 0.0], yaw=0.3, r6=r6)
         b_off = local_event(1.0, offset + [1.5, 2.5, 0.0], yaw=0.35, r6=r6)
-        s = self.make_state(1.0)
-        plain, shifted = node_at(s), node_at(s)
+        plain, shifted = self.node_at(1.0), self.node_at(1.0)
         plain.node2_step(twist_event(a, b))
         shifted.node2_step(twist_event(a_off, b_off))
         assert np.array_equal(plain.x, shifted.x)
@@ -448,8 +525,7 @@ class TestUpdateDifferential:
         b = local_event(1.0, [1.5, 2.4, 0.0], yaw=0.35, r6=r6)
         a_off = local_event(0.9, offset + [1.0, 2.2, 0.0], yaw=0.3, r6=r6)
         b_off = local_event(1.0, offset + [1.5, 2.4, 0.0], yaw=0.35, r6=r6)
-        s = self.make_state(1.0)
-        plain, shifted = node_at(s), node_at(s)
+        plain, shifted = self.node_at(1.0), self.node_at(1.0)
         plain.node2_step(twist_event(a, b))
         shifted.node2_step(twist_event(a_off, b_off))
         np.testing.assert_allclose(plain.x, shifted.x, atol=1e-9)
@@ -459,40 +535,38 @@ class TestUpdateDifferential:
         r6 = np.eye(6) * 1e-6
         a = local_event(0.5, [0.0, 0.0, 0.0], r6=r6)
         b = local_event(1.0, [1.0, 0.0, 0.0], r6=r6)
-        node = node_at(self.make_state(1.0))
+        node = self.node_at(1.0)
         node.node2_step(twist_event(a, b))
-        out = node.state
-        assert out.x[6] == pytest.approx(2.0, rel=1e-2)
-        np.testing.assert_allclose(out.x[POSE_BLOCK], np.zeros(6), atol=1e-12)
+        assert node.x[0, 6] == pytest.approx(2.0, rel=1e-2)
+        np.testing.assert_allclose(node.x[0, POSE_BLOCK], np.zeros(6), atol=1e-12)
 
     def test_r_scales_with_dt_squared(self):
         r6 = np.eye(6)
         a = local_event(0.0, [0.0, 0.0, 0.0], r6=r6)
         b = local_event(0.1, [0.2, 0.0, 0.0], r6=r6)
-        fast = node_at(self.make_state(0.1))
+        fast = self.node_at(0.1)
         fast.node2_step(twist_event(a, b))
         c = local_event(0.0, [0.0, 0.0, 0.0], r6=r6)
         d = local_event(1.0, [2.0, 0.0, 0.0], r6=r6)
-        slow = node_at(self.make_state(1.0))
+        slow = self.node_at(1.0)
         slow.node2_step(twist_event(c, d))
         # Same measured velocity, but the longer baseline is far more
         # trustworthy, so it pulls the velocity state harder.
         assert abs(slow.x[0, 6] - 2.0) < abs(fast.x[0, 6] - 2.0)
 
     def test_monotone_information_and_health(self):
-        s = StateEstimate(random_state(), random_psd(STATE_DIM), 0.95)
+        x, P = random_state(), random_psd(STATE_DIM)
         r6 = np.diag(RNG.uniform(0.001, 0.1, 6))
         a = local_event(0.90, RNG.normal(size=3), yaw=0.1, r6=r6)
         b = local_event(0.95, RNG.normal(size=3), yaw=0.12, r6=r6)
-        node = node_at(s)
+        node = node_at(0.95, x, P)
         node.node2_step(twist_event(a, b))
-        out = node.state
-        assert np.trace(out.P) <= np.trace(s.P) + 1e-9
-        out.validate()
+        assert np.trace(node.P[0]) <= np.trace(P) + 1e-9
+        assert_healthy(node.x[0], node.P[0])
 
     def test_missing_covariance_rejected(self):
         a = local_event(0.0, [0.0, 0.0, 0.0])
-        node = node_at(self.make_state(0.5))
+        node = self.node_at(0.5)
         with pytest.raises(ValueError, match="r6"):
             node.node2_step(twist_event(a, local_event(0.5, [1.0, 0.0, 0.0], r6=None)))
 
@@ -502,7 +576,7 @@ class TestUpdateDifferential:
         a = local_event(0.0, [0.0, 0.0, 0.0], r6=np.eye(6))
         b = local_event(1.0, [1.0, 0.0, 0.0], r6=np.eye(6))
         with pytest.raises(NumericError, match="indefinite"):
-            node_at(StateEstimate(np.zeros(STATE_DIM), P, 1.0)).node2_step(twist_event(a, b))
+            node_at(1.0, np.zeros(STATE_DIM), P).node2_step(twist_event(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +619,7 @@ class TestLinearEquivalence:
         P0 = np.zeros((STATE_DIM, STATE_DIM))
         P0[0, 0] = p0_pos
         P0[6, 6] = p0_vel
-        node = EkfNode(FilterNodeConfig(StateEstimate(np.zeros(STATE_DIM), P0, 0.0), q15))
+        node = EkfNode(FilterNodeConfig(0.0, np.zeros(STATE_DIM), P0, q15))
         r6 = np.diag([r, 1e12, 1e12, 1e12, 1e12, 1e12])
 
         worst_x = worst_p = 0.0
@@ -672,10 +746,8 @@ class TestMeasurementEvent:
 # ---------------------------------------------------------------------------
 
 def node1_config(**overrides):
-    init = state_from_row(0.0, [0.0] * 6)
-    defaults = dict(initial_state=init, q=default_process_noise())
-    defaults.update(overrides)
-    return FilterNodeConfig(**defaults)
+    x0, P0 = state_from_row([0.0] * 6)
+    return config(**{"x0": x0, "P0": P0, **overrides})
 
 
 # where the local frame sits in the world; node 2 starts there
@@ -683,10 +755,8 @@ WORLD_TO_LOCAL = Pose(0.0, np.array([10.0, -4.0, 0.0]), quat_yaw(0.5), WORLD, LO
 
 
 def node2_config(start=WORLD_TO_LOCAL, **overrides):
-    init = state_from_row(0.0, [*start.translation.tolist(), *start.rotation.to_euler()])
-    defaults = dict(initial_state=init, q=default_process_noise())
-    defaults.update(overrides)
-    return FilterNodeConfig(**defaults)
+    x0, P0 = state_from_row([*start.translation.tolist(), *start.rotation.to_euler()])
+    return config(**{"x0": x0, "P0": P0, **overrides})
 
 
 class TestNode1:
@@ -730,28 +800,28 @@ class TestNode1:
         node = EkfNode(cfg)
         event = local_event(0.5, [0.3, 0.1, 0.0], yaw=0.02)
         node.node1_step(event)
-        expected = node_at(predict(cfg.initial_state, ProcessModel(cfg.q), 0.5))
+        expected = node_at(0.5, *predict(cfg.x0, cfg.P0, cfg.q, 0.5))
         expected.node1_step(event)
         assert node.timestamp == expected.timestamp == 0.5
         np.testing.assert_allclose(node.x, expected.x, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(node.P, expected.P, rtol=1e-12, atol=1e-12)
 
     def test_event_older_than_the_initial_stamp_rejected(self):
-        node = EkfNode(node1_config(initial_state=state_from_row(1.0, [0.0] * 6)))
-        before = node.state
+        node = EkfNode(node1_config(t0=1.0))
+        before = node.x, node.P
         with pytest.raises(OutOfOrderError):
             node.node1_step(local_event(0.5, [0.0, 0.0, 0.0]))
         assert node.rejected_count == 1
-        assert node.state is before
+        assert_same_estimate(node, before)
         assert node.timestamp == 1.0
 
     def test_out_of_order_rejected_and_recoverable(self):
         node = EkfNode(node1_config())
         node.node1_step(local_event(1.0, [0.0, 0.0, 0.0]))
-        state_before = node.state
+        before = node.x, node.P
         with pytest.raises(OutOfOrderError):
             node.node1_step(local_event(0.5, [1.0, 0.0, 0.0]))
-        assert node.state is state_before
+        assert_same_estimate(node, before)
         assert node.rejected_count == 1
         node.node1_step(local_event(1.01, [0.02, 0.0, 0.0]))
         assert node.rejected_count == 1
@@ -820,21 +890,21 @@ class TestNode2:
     def test_world_odometry_pose_rejected(self):
         # node 2 takes node 1's local->body poses on the odometry channel
         node = EkfNode(node2_config())
-        before = node.state
+        before = node.x, node.P
         world_odometry = MeasurementEvent(0.0, ODO, WORLD, [0.0] * 6, SMOOTHED_R6)
         with pytest.raises(FrameMismatchError):
             node.node2_step(world_odometry)
-        assert node.state is before
+        assert_same_estimate(node, before)
 
     def test_local_perception_pose_rejected(self):
         # node 2 fuses perception poses in the world frame only
         node = EkfNode(node2_config())
         node.node2_step(world_event(0.0, [10.0, -4.0, 0.0], yaw=0.5))
-        before = node.state
+        before = node.x, node.P
         local_perception = local_event(0.1, [0.0, 0.0, 0.0], r6=PERCEPTION_R6, kind=PER)
         with pytest.raises(FrameMismatchError, match="perception"):
             node.node2_step(local_perception)
-        assert node.state is before
+        assert_same_estimate(node, before)
         assert node.rejected_count == 0
 
     def test_differential_chain_uses_local_poses(self):
@@ -848,11 +918,11 @@ class TestNode2:
             local_event(0.1, [0.4, 0.1, 0.0], yaw=0.05, r6=SMOOTHED_R6),
         )
         node.node2_step(twist_event(None, prev))
-        assert node.state.timestamp == 0.0
-        assert np.array_equal(node.state.x, cfg.initial_state.x)
-        assert np.array_equal(node.state.P, cfg.initial_state.P)
+        assert node.timestamp == 0.0
+        assert np.array_equal(node.x, cfg.x0[None])
+        assert np.array_equal(node.P, cfg.P0[None])
         node.node2_step(twist_event(prev, cur))
-        expected = node_at(predict(cfg.initial_state, ProcessModel(cfg.q), 0.1))
+        expected = node_at(0.1, *predict(cfg.x0, cfg.P0, cfg.q, 0.1))
         expected.node2_step(twist_event(prev, cur))
         assert node.timestamp == expected.timestamp
         np.testing.assert_allclose(node.x, expected.x, rtol=1e-12, atol=1e-12)
@@ -915,7 +985,7 @@ class TestTwoStageLocalizer:
 
 class TestNodeRunsThePublicKernels:
     """A node must compute what ``predict`` and then each event's update
-    alone compute: a reference node is set to the predicted state and
+    alone compute: a reference node is built at the predicted state and
     stepped at its stamp.
 
     The node chains the prediction and the update and symmetrizes once per
@@ -925,38 +995,38 @@ class TestNodeRunsThePublicKernels:
     TOL = 1e-12
 
     @staticmethod
-    def advance(state, model, cfg, t):
-        # the node's prediction rule: one step, or equal substeps for a long gap
-        dt = t - state.timestamp
-        if dt <= cfg.max_predict_dt:
-            return predict(state, model, dt)
-        n = math.ceil(dt / cfg.predict_substep)
+    def advance(ref, t):
+        """A one-member node at ``ref``'s estimate predicted to t by the
+        node's rule: one step, or equal substeps for a long gap."""
+        cfg, (x,), (P,) = ref.config, ref.x, ref.P
+        dt = t - ref.timestamp
+        n = 1 if dt <= cfg.max_predict_dt else math.ceil(dt / cfg.predict_substep)
         for _ in range(n):
-            state = predict(state, model, dt / n)
-        return state
+            x, P = predict(x, P, cfg.q, dt / n)
+        return EkfNode(replace(cfg, t0=t, x0=x, P0=P))
 
-    def assert_close(self, node, state):
-        assert node.state.timestamp == pytest.approx(state.timestamp, abs=1e-12)
-        np.testing.assert_allclose(node.state.x, state.x, rtol=self.TOL, atol=self.TOL)
-        np.testing.assert_allclose(node.state.P, state.P, rtol=self.TOL, atol=self.TOL)
+    def assert_close(self, node, ref):
+        assert node.timestamp == pytest.approx(ref.timestamp, abs=1e-12)
+        np.testing.assert_allclose(node.x, ref.x, rtol=self.TOL, atol=self.TOL)
+        np.testing.assert_allclose(node.P, ref.P, rtol=self.TOL, atol=self.TOL)
 
     def test_node1_sequence(self):
         rng = np.random.default_rng(41)
         cfg = node1_config(max_predict_dt=0.05, predict_substep=0.02)
-        node, model, ref = EkfNode(cfg), ProcessModel(cfg.q), EkfNode(cfg)
+        node, ref = EkfNode(cfg), EkfNode(cfg)
         t = 0.0
         for k in range(60):
             ev = local_event(t, [2.0 * t, 0.3 * t * t, 0.0] + rng.normal(0.0, 2.5, 3), yaw=rng.normal(0.0, 0.02))
             node.node1_step(ev)
-            ref.state = self.advance(ref.state, model, cfg, t)
+            ref = self.advance(ref, t)
             ref.node1_step(ev)
-            self.assert_close(node, ref.state)
+            self.assert_close(node, ref)
             t = round(t + (0.13 if k == 30 else 0.01), 10)
 
     def test_node2_sequence(self):
         rng = np.random.default_rng(42)
         cfg = node2_config(max_predict_dt=0.05, predict_substep=0.02)
-        node, model, ref = EkfNode(cfg), ProcessModel(cfg.q), EkfNode(cfg)
+        node, ref = EkfNode(cfg), EkfNode(cfg)
         prev = None
         t = 0.0
         for k in range(60):
@@ -964,14 +1034,14 @@ class TestNodeRunsThePublicKernels:
             cur = local_event(t, xyz, yaw=0.1 * t + rng.normal(0.0, 0.01), r6=SMOOTHED_R6)
             odometry = twist_event(prev, cur)
             node.node2_step(odometry)
-            ref.state = self.advance(ref.state, model, cfg, t)
+            ref = self.advance(ref, t)
             ref.node2_step(odometry)
             prev = cur
             if k % 2 == 0:
                 seen = world_event(t, [10.0 + 3.0 * t, -4.0, 0.0] + rng.normal(0.0, 0.3, 3), yaw=0.5 + rng.normal(0.0, 0.05))
                 node.node2_step(seen)
                 ref.node2_step(seen)
-            self.assert_close(node, ref.state)
+            self.assert_close(node, ref)
             t = round(t + (0.13 if k == 30 else 0.01), 10)
 
     def test_node2_cached_terms_follow_step_and_covariance(self):
@@ -979,7 +1049,7 @@ class TestNodeRunsThePublicKernels:
         # covariances of three pose-row covariances
         rng = np.random.default_rng(44)
         cfg = node2_config()
-        node, model, ref = EkfNode(cfg), ProcessModel(cfg.q), EkfNode(cfg)
+        node, ref = EkfNode(cfg), EkfNode(cfg)
         prev = None
         t = 0.0
         for k in range(80):
@@ -987,10 +1057,10 @@ class TestNodeRunsThePublicKernels:
             cur = local_event(t, [3.0 * t, 0.1 * t, 0.0] + rng.normal(0.0, 0.05, 3), yaw=0.1 * t, r6=r6)
             odometry = twist_event(prev, cur)
             node.node2_step(odometry)
-            ref.state = self.advance(ref.state, model, cfg, t)
+            ref = self.advance(ref, t)
             ref.node2_step(odometry)
             prev = cur
-            self.assert_close(node, ref.state)
+            self.assert_close(node, ref)
             t = round(t + rng.choice([0.005, 0.01, 0.02]) * (1 + k % 20), 10)
 
 
@@ -1029,7 +1099,6 @@ class TestRestrictedNode:
                 assert np.array_equal(part.x, node.x[list(members)])
                 assert np.array_equal(part.P, node.P[list(members)])
                 assert not part.P.flags.writeable
-        assert parts[(1,)].state.timestamp == node.timestamp
 
 
 class TestNodeWorkspace:
@@ -1128,36 +1197,29 @@ class TestNodeErrorContracts:
 
     def test_singular_innovation_raises_and_leaves_state(self):
         # an exactly known pose measured with zero covariance: S = 0
-        init = state_from_row(0.0, [0.0] * 6, pose_variance=0.0)
-        node = EkfNode(node1_config(initial_state=init))
+        _, P0 = state_from_row([0.0] * 6, pose_variance=0.0)
+        node = EkfNode(node1_config(P0=P0))
         node.node1_step(local_event(0.0, [0.0, 0.0, 0.0], r6=np.eye(6)))
-        before = node.state
+        before = node.x, node.P
         with pytest.raises(NumericError, match="singular"):
             node.node1_step(local_event(0.0, [0.0, 0.0, 0.0], r6=np.zeros((6, 6))))
-        assert node.state is before
+        assert_same_estimate(node, before)
 
     def test_gimbal_pitch_raises(self):
         gimbal = [0.0, 0.0, 0.0, 0.0, math.pi / 2, 0.0]
-        node = EkfNode(node1_config(initial_state=state_from_row(0.0, gimbal)))
+        node = EkfNode(node1_config(x0=state_from_row(gimbal)[0]))
         node.node1_step(MeasurementEvent(0.0, ODO, LOCAL, gimbal, RAW_R6))
         with pytest.raises(NumericError, match="gimbal"):
             node.node1_step(MeasurementEvent(0.01, ODO, LOCAL, gimbal, RAW_R6))
 
     def test_indefinite_covariance_rejected(self):
-        P = np.eye(STATE_DIM)
-        P[POSE_BLOCK, POSE_BLOCK] = -np.eye(6)
-        indefinite = StateEstimate(np.zeros(STATE_DIM), P, 0.0)
+        # no node starts from an indefinite covariance: its config refuses it
         with pytest.raises(NumericError, match="covariance is indefinite"):
-            EkfNode(node1_config(initial_state=indefinite))
-        node = EkfNode(node1_config())
-        before = node.state
-        with pytest.raises(NumericError, match="covariance is indefinite"):
-            node.state = indefinite
-        assert node.state is before
+            EkfNode(node1_config(P0=indefinite_covariance()))
 
     def test_non_finite_velocity_measurement_raises(self):
         r6 = np.eye(6) * 0.01
-        node = node_at(StateEstimate(np.zeros(STATE_DIM), np.eye(STATE_DIM), 5e-324))
+        node = node_at(5e-324, np.zeros(STATE_DIM), np.eye(STATE_DIM))
         # a subnormal time step turns a 1 m move into an infinite velocity
         a = local_event(0.0, [0.0, 0.0, 0.0], r6=r6)
         b = local_event(5e-324, [1.0, 0.0, 0.0], r6=r6)
@@ -1171,6 +1233,6 @@ class TestNodeErrorContracts:
         node = EkfNode(node2_config(max_predict_dt=0.03, predict_substep=0.01))
         node.node2_step(world_event(0.0, [10.0, -4.0, 0.0], yaw=0.5))
         node.node2_step(world_event(0.06, [10.0, -4.0, 0.0], yaw=0.5))
-        assert node.state.timestamp == 0.06
+        assert node.timestamp == 0.06
         node.node2_step(world_event(0.06, [10.0, -4.0, 0.0], yaw=0.5))
         assert node.rejected_count == 0

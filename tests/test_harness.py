@@ -7,9 +7,12 @@ output is byte-for-byte unchanged, and the config round trip by comparing
 against the source dataclasses field by field.
 """
 
+import importlib.util
 import json
+import sys
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -285,6 +288,33 @@ class TestConfigRoundTrip:
         path.write_text(json.dumps(config_to_dict(full_config())), encoding="utf-8")
         assert load_config(path) == full_config()
 
+    def test_acceptance_and_benchmark_configs_round_trip(self, tmp_path, monkeypatch):
+        import test_acceptance as acc
+
+        table = [
+            acc._table_config(acc.TABLE_DURATION_S, 0.0),
+            acc._table_config(acc.TABLE_DURATION_S, acc.HEADING_NOISE_DEG),
+            acc._table_config(acc.LOW_RATE_DURATION_S, acc.LOW_RATE_HEADING_DEG, acc.PERCEPTION_RATE_HZ),
+            acc._table_config(acc.LOW_RATE_DURATION_S, acc.LOW_RATE_HEADING_DEG),
+        ]
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+        spec.loader.exec_module(workloads)
+        bench = []
+        for w in workloads.WORKLOADS.values():
+            if isinstance(w, workloads.SparseCsv):
+                w = replace(w, duration=2.0, rate=20.0)  # its ground truth only; the config is the same
+            work = tmp_path / w.name
+            work.mkdir()
+            made = w.setup(work, 3)
+            made = getattr(made, "config", made)
+            bench.append(made if isinstance(made, ExperimentConfig) else load_config(made))
+        assert len(bench) == 3
+        for cfg in table + bench:
+            assert config_from_dict(config_to_dict(cfg)) == cfg
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_config(tmp_path / "nope.json")
@@ -331,6 +361,46 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="raw_rate"):
             synthetic_config(raw_rate=0.0)
 
+    # Every number field: where it sits in the config objects, its path in
+    # the JSON document (perception's noise fields are written inline), and
+    # whether it takes whole numbers only.  Sweep grid entries are not here:
+    # SweepGrid stores them as floats, so no bool stays in them.
+    NUMBER_FIELDS = [
+        *((("input", "synthetic", n), f"input.synthetic.{n}", False) for n in ("duration", "rate", "speed", "gap")),
+        (("input", "synthetic", "seed"), "input.synthetic.seed", True),
+        (("sync", "offset_seconds"), "sync.offset_seconds", False),
+        *((("raw_noise", n), f"raw_noise.{n}", False) for n in ("sigma_trans", "gamma_yaw")),
+        *((("perception", "noise", n), f"perception.{n}", False) for n in ("sigma_trans", "gamma_yaw")),
+        *((("perception", n), f"perception.{n}", False) for n in ("gate_threshold", "output_rate")),
+        (("raw_rate",), "raw_rate", False),
+        *((("ekf", f.name), f"ekf.{f.name}", False) for f in fields(EkfSettings)),
+        (("eval", "max_dt"), "eval.max_dt", False),
+        (("seeds",), "seeds entry", True),
+    ]
+
+    @staticmethod
+    def with_value(section, where, value):
+        name, *rest = where
+        return replace(section, **{name: TestConfigValidation.with_value(getattr(section, name), rest, value) if rest else value})
+
+    @pytest.mark.parametrize("where, path, whole", NUMBER_FIELDS, ids=[path for _, path, _ in NUMBER_FIELDS])
+    def test_bool_in_a_number_field_is_rejected(self, where, path, whole):
+        # a config holding True would write JSON its own reader rejects
+        value = (3, True) if path == "seeds entry" else True
+        with pytest.raises(ValueError) as raised:
+            self.with_value(full_config(), where, value)
+        text = f"{path} must be {'an integer' if whole else 'a number'}, got True"
+        assert str(raised.value) == text
+        # the reader gives the same text for the same value at that JSON path
+        doc = d = config_to_dict(full_config())
+        *sections, key = path.removesuffix(" entry").split(".")
+        for section in sections:
+            d = d[section]
+        d[key] = list(value) if isinstance(value, tuple) else value
+        with pytest.raises(ValueError) as read:
+            config_from_dict(doc)
+        assert str(read.value) == text
+
 
 # ---------------------------------------------------------------------------
 # Single runs
@@ -359,10 +429,10 @@ class TestExecuteRun:
         def recording(node, event):
             out = step(node, event)
             if event.kind is MeasurementKind.ODOMETRY_DIFFERENTIAL:
-                d = node.state.P.diagonal().tolist()
+                (x,), (P,) = node.x, node.P
+                d = P.diagonal().tolist()
                 sd = [math.sqrt(v) if v > 0.0 else 0.0 for v in (d[0], d[1], d[2], d[5])]
-                s = node.state
-                pose = Pose(s.timestamp, s.x[:3], Quaternion.from_euler(*s.x[3:6].tolist()), WORLD, BODY_ADAS)
+                pose = Pose(node.timestamp, x[:3], Quaternion.from_euler(*x[3:6].tolist()), WORLD, BODY_ADAS)
                 recorded.setdefault(id(node), []).append((pose, sd))
             return out
 
@@ -527,8 +597,7 @@ class TestBlockSchedule:
                     node.node2_step(channel[j])
                     j += 1
                 node.node2_step(event)
-                s = node.state
-                rows.append((s.timestamp, s.x, s.P.diagonal()))
+                rows.append((node.timestamp, node.x[0], node.P[0].diagonal()))
             for event in channel[j:]:
                 node.node2_step(event)
             return estimate_track(*(np.array(column) for column in zip(*rows)))

@@ -29,8 +29,6 @@ from coloc.ekf import (
     FilterNodeConfig,
     MeasurementEvent,
     MeasurementKind,
-    ProcessModel,
-    StateEstimate,
     _finish,
     _Workspace,
     _predict_kernel,
@@ -268,7 +266,7 @@ def assert_symmetric_psd(P):
 
 def node_at(x, P, t):
     """A one-member node at state (x, P) and stamp t: an event at t is one update alone."""
-    return EkfNode(FilterNodeConfig(StateEstimate(x, P, t), default_process_noise()))
+    return EkfNode(FilterNodeConfig(t, x, P, default_process_noise()))
 
 
 def twist_pair(r6, dt, step, q0, q1):
@@ -283,7 +281,7 @@ def twist_pair(r6, dt, step, q0, q1):
 def test_absolute_update_keeps_covariance_psd(P, r6, t, q):
     node = node_at(np.zeros(STATE_DIM), P, 1.0)
     node.node2_step(pose_event(MeasurementKind.PERCEPTION_ABSOLUTE, Pose(1.0, t, q, WORLD, BODY_ADAS), r6))
-    assert_symmetric_psd(node.state.P)
+    assert_symmetric_psd(node.P[0])
 
 
 @SETTINGS
@@ -292,7 +290,7 @@ def test_differential_update_keeps_covariance_psd(P, r6, dt, step, q0, q1):
     event = twist_pair(r6, dt, step, q0, q1)
     node = node_at(np.zeros(STATE_DIM), P, event.timestamp)
     node.node2_step(event)
-    assert_symmetric_psd(node.state.P)
+    assert_symmetric_psd(node.P[0])
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +341,13 @@ def joseph_oracle(x, P, lo, z, R, angles):
     return x_new, I_KH @ P @ I_KH.T + K @ R @ K.T
 
 
-def assert_matches_oracle(got, x_want, P_want):
+def assert_matches_oracle(node, x_want, P_want):
     # the angle block is compared on the circle, both results being wrapped
-    dx = got.x - x_want
+    (x,), (P,) = node.x, node.P
+    dx = x - x_want
     dx[3:6] = wrap_angle(dx[3:6])
     assert np.abs(dx).max() <= 1e-9 * max(1.0, np.abs(x_want).max())
-    assert np.abs(got.P - P_want).max() <= 1e-9 * np.abs(P_want).max()
+    assert np.abs(P - P_want).max() <= 1e-9 * np.abs(P_want).max()
 
 
 @SETTINGS
@@ -358,7 +357,7 @@ def test_absolute_update_matches_joseph_oracle(x, P, r6, t, q):
     node = node_at(x, P, 1.0)
     node.node2_step(pose_event(MeasurementKind.PERCEPTION_ABSOLUTE, pose, r6))
     z = [*t, *q.to_euler()]
-    assert_matches_oracle(node.state, *joseph_oracle(x, P, 0, z, r6, True))
+    assert_matches_oracle(node, *joseph_oracle(x, P, 0, z, r6, True))
 
 
 @SETTINGS
@@ -377,7 +376,7 @@ def test_differential_update_matches_joseph_oracle(x, P, r6, dt, step, q0, q1):
     node.node2_step(event)
     # the rows' shared pose covariance propagates to the velocity as (r6 + r6) / dt^2
     (z,) = event.z
-    assert_matches_oracle(node.state, *joseph_oracle(x, P, 6, z, (r6 + r6) / (dt * dt), False))
+    assert_matches_oracle(node, *joseph_oracle(x, P, 6, z, (r6 + r6) / (dt * dt), False))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +384,7 @@ def test_differential_update_matches_joseph_oracle(x, P, r6, dt, step, q0, q1):
 # ---------------------------------------------------------------------------
 
 def batch(seed, size):
-    """``size`` members: states, PSD covariances, positive-definite r6 and pose rows, all different."""
+    """``size`` members: states, exactly symmetric PSD covariances, positive-definite r6 and pose rows, all different."""
     rng = np.random.default_rng(seed)
     members = []
     for _ in range(size):
@@ -394,8 +393,8 @@ def batch(seed, size):
         A = rng.normal(0.0, rng.uniform(0.01, 2.0), (STATE_DIM, rng.integers(1, STATE_DIM + 1)))
         L = rng.normal(0.0, rng.uniform(0.01, 1.0), (6, 6))
         z = np.concatenate((rng.uniform(-5.0, 5.0, 3), rng.uniform([-3.0, -1.2, -3.0], [3.0, 1.2, 3.0])))
-        state = StateEstimate(x, A @ A.T + 1e-6 * np.eye(STATE_DIM), 1.0)
-        members.append((state, L @ L.T + rng.uniform(1e-3, 1.0) * np.eye(6), z))
+        P = A @ A.T + 1e-6 * np.eye(STATE_DIM)
+        members.append(((x, 0.5 * (P + P.T)), L @ L.T + rng.uniform(1e-3, 1.0) * np.eye(6), z))
     return members
 
 
@@ -404,9 +403,9 @@ def finished(result):
     return x, _finish(x, P)
 
 
-def assert_member_is(x, P, want):
-    assert x.tolist() == want.x.tolist()
-    assert np.array_equal(P, want.P)
+def assert_member_is(x, P, want_x, want_P):
+    assert x.tolist() == want_x.tolist()
+    assert np.array_equal(P, want_P)
 
 
 members_of = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7])).map(lambda a: batch(*a))
@@ -415,44 +414,42 @@ members_of = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7])).ma
 @SETTINGS
 @given(members_of, st.floats(0.001, 0.5))
 def test_batched_predict_is_predict_per_member(members, dt):
-    model = ProcessModel(default_process_noise())
+    q = default_process_noise()
     states = [s for s, _, _ in members]
     x, P = finished(_predict_kernel(
-        np.array([s.x for s in states]), np.array([s.P for s in states]), dt, model.q * dt, _Workspace(len(states))
+        np.array([x for x, _ in states]), np.array([P for _, P in states]), dt, q * dt, _Workspace(len(states))
     ))
-    for b, s in enumerate(states):
-        assert_member_is(x[b], P[b], predict(s, model, dt))
+    for b, (x_b, P_b) in enumerate(states):
+        assert_member_is(x[b], P[b], *predict(x_b, P_b, q, dt))
 
 
 @SETTINGS
 @given(members_of)
 def test_batched_absolute_update_is_update_absolute_per_member(members):
-    states = [s for s, _, _ in members]
     r6 = np.array([r for _, r, _ in members])
     x, P = finished(_update_kernel(
-        np.array([s.x for s in states]), np.array([s.P for s in states]), 0, np.array([z for *_, z in members]), r6, True,
-        _Workspace(len(states)),
+        np.array([x for (x, _), _, _ in members]), np.array([P for (_, P), _, _ in members]), 0,
+        np.array([z for *_, z in members]), r6, True, _Workspace(len(members)),
     ))
-    for b, (s, r, z) in enumerate(members):
-        node = node_at(s.x, s.P, s.timestamp)
-        node.node2_step(MeasurementEvent(s.timestamp, MeasurementKind.PERCEPTION_ABSOLUTE, WORLD, z, r))
-        assert_member_is(x[b], P[b], node.state)
+    for b, ((x_b, P_b), r, z) in enumerate(members):
+        node = node_at(x_b, P_b, 1.0)
+        node.node2_step(MeasurementEvent(1.0, MeasurementKind.PERCEPTION_ABSOLUTE, WORLD, z, r))
+        assert_member_is(x[b], P[b], node.x[0], node.P[0])
 
 
 @SETTINGS
 @given(members_of)
 def test_batched_differential_update_is_update_differential_per_member(members):
     # each member's row and covariance stand for its twist and the twist's covariance
-    states = [s for s, _, _ in members]
     r_vel = np.array([r for _, r, _ in members])
     x, P = finished(_update_kernel(
-        np.array([s.x for s in states]), np.array([s.P for s in states]), 6, np.array([z for *_, z in members]), r_vel, False,
-        _Workspace(len(states)),
+        np.array([x for (x, _), _, _ in members]), np.array([P for (_, P), _, _ in members]), 6,
+        np.array([z for *_, z in members]), r_vel, False, _Workspace(len(members)),
     ))
-    for b, (s, r, z) in enumerate(members):
-        node = node_at(s.x, s.P, s.timestamp)
-        node.node2_step(MeasurementEvent(s.timestamp, MeasurementKind.ODOMETRY_DIFFERENTIAL, LOCAL, z, r))
-        assert_member_is(x[b], P[b], node.state)
+    for b, ((x_b, P_b), r, z) in enumerate(members):
+        node = node_at(x_b, P_b, 1.0)
+        node.node2_step(MeasurementEvent(1.0, MeasurementKind.ODOMETRY_DIFFERENTIAL, LOCAL, z, r))
+        assert_member_is(x[b], P[b], node.x[0], node.P[0])
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +527,7 @@ def test_array_update_is_scalar_correction_per_member(seed, size, angles, shared
     rng = np.random.default_rng(seed)
     members = batch(seed, size)
     lo = 0 if angles else 6
-    x = with_special_angles(rng, np.array([s.x for s, _, _ in members]))
+    x = with_special_angles(rng, np.array([x for (x, _), _, _ in members]))
     z = np.array([z for *_, z in members])
     if angles:
         z = with_special_angles(rng, z)
@@ -538,7 +535,7 @@ def test_array_update_is_scalar_correction_per_member(seed, size, angles, shared
     # edge angles to the wrap alone
     agree = rng.random(size) < 0.25
     z[agree] = x[agree, lo:lo + 6]
-    P = np.array([s.P for s, _, _ in members])
+    P = np.array([P for (_, P), _, _ in members])
     r6 = np.array([r for _, r, _ in members])
     if shared_r6:
         r6 = r6[0]
