@@ -395,98 +395,145 @@ def _propagate(x: list[float], dt: float, jacobian=None, state=None, b: int = 0)
 #
 # A kernel takes a batch of B members: their states as a (B, 15) array, their
 # covariances as a (B, 15, 15) array, or as one 15x15 matrix for a single
-# member, and returns both in the same form.  The prediction takes each
-# state row through the scalar motion model; the update corrects every row
-# in one array pass, and the covariances go through one batched product or
-# solve per operation.  Each computes every member's numbers exactly as the
-# same code on that member alone would.
-# _finish checks a result and turns its covariances into the exactly
-# symmetric, read-only array a node holds; a node chains the predict and
-# update kernels of one event and finishes once.
+# member, and returns both in the same form, in the node workspace's x and P
+# buffers.  The prediction takes each state row through the scalar motion
+# model; the update corrects every row in one array pass, and the
+# covariances go through one batched product or solve per operation.  Each
+# computes every member's numbers exactly as the same code on that member
+# alone would.  _finish checks the result in the workspace and copies it
+# into the read-only arrays a node holds, its covariances exactly
+# symmetric; a node chains the predict and update kernels of one event and
+# finishes once.
+#
+# Every operand and result of a kernel's numpy calls is a workspace buffer, a
+# view of one made with the workspace, or an array indexed by a precomputed
+# tuple, and outputs are passed positionally: at one member a step pays each
+# call's fixed cost, not its arithmetic, and an allocation, a view or a
+# keyword argument adds to that cost.
 
-_abs, _matmul, _subtract, _remainder, _negative = np.abs, np.matmul, np.subtract, np.remainder, np.negative
+_abs, _add, _matmul, _subtract, _remainder, _negative = (
+    np.abs, np.add, np.matmul, np.subtract, np.remainder, np.negative
+)
 # 0-d operands: a ufunc converts a Python float operand on every call
 _PI_0D, _TWO_PI_0D = np.array(_PI), np.array(_TWO_PI)
-
-
-def _mm(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """a b, or a b c, for one member's 2-D matrices or member by member of stacks.
-
-    Stacks go through np.matmul, and ``b`` may be one matrix for every
-    member.  2-D matrices go through ndarray.dot: the gemm np.matmul calls,
-    without the gufunc set-up that costs np.matmul about as much again on
-    these small operands.
-    """
-    if a.ndim == 2:
-        p = a.dot(b)
-        return p if c is None else p.dot(c)
-    p = _matmul(a, b)
-    return p if c is None else _matmul(p, c)
-
-
-@lru_cache(maxsize=16)
-def _sum_weights(n: int) -> np.ndarray:
-    # 2^-20: the weighted sum of fewer than 2^20 finite float64s cannot
-    # overflow, and a power of two scales every normal value exactly
-    return np.full(n, 2.0 ** -20)
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of ``a`` is finite.
-
-    A NaN or an infinity makes the weighted sum of the entries non-finite,
-    and the weights keep a sum of finite entries from overflowing, so one
-    dot product settles it at a fraction of the cost of isfinite over every
-    entry; only a non-finite sum is checked entry by entry.
-    """
-    return math.isfinite(a.ravel().dot(_sum_weights(a.size))) or bool(np.isfinite(a).all())
-
-
-def _finish(x: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Check a kernel result; its covariances symmetrized exactly, read-only."""
-    if not (_all_finite(x) and _all_finite(P)):
-        raise NumericError("filter produced non-finite state or covariance")
-    # P^T + P is P + P^T bit for bit; a ufunc takes a strided 15x15 operand
-    # more slowly than a copy of it, here and in the Joseph difference
-    P_sym = P.mT.copy()
-    P_sym += P
-    P_sym *= 0.5
-    P_sym.setflags(write=False)
-    return P_sym
+# The index tuples of the update's 6-state block lo:lo+6, by lo: a state
+# row's columns, a covariance's rows and its diagonal block.
+_BLOCK_INDEX = {
+    block.start: (
+        (slice(None), block),
+        (Ellipsis, block, slice(None)),
+        (Ellipsis, block, block),
+    )
+    for block in (POSE_BLOCK, TWIST_BLOCK)
+}
 
 
 class _Workspace:
-    """A node's kernel buffers: the transition Jacobian, kept transposed, as
-    a (B, 15, 15) stack for ``members`` B or one 15x15 matrix for ``members``
-    None; the B rows of 42 entries :func:`_propagate` packs, with their
-    flat indices in A^T; and the (B, 3) angles of :func:`_wrap`.
+    """A node's kernel buffers, shaped for ``members`` B, or for one
+    member's matrices for ``members`` None.
 
-    Each buffer is filled and read within one kernel call, so a node and
-    its snapshots may share a workspace.
+    - ``x`` (B, 15) and ``P`` (B, 15, 15), or 15x15: every kernel's
+      result, side by side in the flat buffer ``xP``, which one weighted
+      sum with ``weights`` checks;
+    - the prediction's transition Jacobian, kept transposed as ``At`` (its
+      view ``A``), the B rows of 42 entries :func:`_propagate` packs, with
+      their flat indices in A^T, and the product ``AP``;
+    - the update's |z| and its weights, the innovations ``d``, the
+      innovation covariances ``S``, the gains ``Kt`` as the solve returns
+      them (and their view ``K``), ``Kd`` (K d), ``M`` and its copied block
+      columns, ``D`` and the (B, 3) angles of :func:`_wrap`.
+
+    ``mm`` is the layout's product with a positional output: np.dot, the
+    gemm np.matmul calls without the gufunc set-up that costs np.matmul
+    about as much again on one member's matrices, or np.matmul for stacks.
+
+    A buffer may live from the predict kernel to the update kernel within
+    one node step, and no committed or returned array aliases one:
+    :func:`_finish` copies a result out.  A node steps one event at a
+    time, so a node and its snapshots may share a workspace.
     """
 
-    __slots__ = ("A", "At", "flat", "entries", "index", "angles")
+    __slots__ = (
+        "mm", "xP", "x", "P", "weights", "At", "A", "flat", "entries", "index", "AP",
+        "abs_z", "abs_z_flat", "z_weights", "d", "d_angles", "d_vec", "S", "Kt", "K", "Kd", "Kd_rows",
+        "x_angles", "M", "M_columns", "M_block", "D", "angles",
+    )
 
     def __init__(self, members: int | None) -> None:
+        n = members or 1
+        stack = () if members is None else (members,)
+        self.mm = np.dot if members is None else _matmul
+        self.xP = np.empty(n * STATE_DIM * (1 + STATE_DIM))
+        self.x = self.xP[:n * STATE_DIM].reshape(n, STATE_DIM)
+        self.P = self.xP[n * STATE_DIM:].reshape(stack + (STATE_DIM, STATE_DIM))
+        # 2^-20: a weighted sum of fewer than 2^20 finite float64s cannot
+        # overflow, and a power of two scales every normal value exactly
+        self.weights = np.full(self.xP.size, 2.0 ** -20)
         self.At = _EYE_STATE.copy() if members is None else np.tile(_EYE_STATE, (members, 1, 1))
         self.A = self.At.mT
         self.flat = self.At.reshape(-1)
-        self.entries = np.empty((members or 1) * len(_JACOBIAN_T_FLAT_INDEX))
+        self.entries = np.empty(n * len(_JACOBIAN_T_FLAT_INDEX))
         self.index = (np.arange(0, self.At.size, STATE_DIM * STATE_DIM)[:, None] + _JACOBIAN_T_FLAT_INDEX).ravel()
-        self.angles = np.empty((members or 1, 3))
+        self.AP = np.empty(self.P.shape)
+        self.abs_z = np.empty((n, 6))
+        self.abs_z_flat, self.z_weights = self.abs_z.reshape(-1), self.weights[:6 * n]
+        self.d = np.empty((n, 6))
+        self.d_angles = self.d[:, 3:6]
+        self.S = np.empty(stack + (6, 6))
+        self.Kt = np.empty(stack + (6, STATE_DIM))
+        self.K = self.Kt.mT
+        # one member's gain product is a gemv; a stack's is a matmul of columns
+        if members is None:
+            self.d_vec = self.d[0]
+            self.Kd = self.Kd_rows = np.empty(STATE_DIM)
+        else:
+            self.d_vec = self.d[:, :, None]
+            self.Kd = np.empty((members, STATE_DIM, 1))
+            self.Kd_rows = self.Kd[:, :, 0]
+        self.x_angles = self.x[:, ANG]
+        self.M = np.empty(self.P.shape)
+        self.M_columns = {lo: self.M[..., lo:lo + 6] for lo in _BLOCK_INDEX}
+        self.M_block = np.empty(stack + (STATE_DIM, 6))
+        self.D = np.empty(stack + (STATE_DIM, 6))
+        self.angles = np.empty((n, 3))
+
+
+def _finish(work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel result in ``work``'s x and P, checked: read-only copies,
+    the covariances symmetrized exactly."""
+    # A NaN or an infinity makes the weighted sum of x and P non-finite, and
+    # the weights keep a sum of finite entries from overflowing (below 2^20
+    # entries, 4 369 members), so one dot product settles the check at a
+    # fraction of the cost of isfinite over every entry; only a non-finite
+    # sum is checked entry by entry.
+    if not math.isfinite(work.xP.dot(work.weights)) and not np.isfinite(work.xP).all():
+        raise NumericError("filter produced non-finite state or covariance")
+    x, P = work.x.copy(), work.P
+    # P^T + P is P + P^T bit for bit.  A copy of the strided P^T and two
+    # in-place ufuncs cost less than P + P.mT, which takes the strided
+    # operand itself: 1.8 against 2.2 us at one member and 5.2 against 6.3 us
+    # at 12 (timeit minima, 2-vCPU Xeon, numpy 2.4.6).  The margin is
+    # thinner at one member, where a call's fixed cost is most of either.
+    P_sym = P.mT.copy()
+    P_sym += P
+    P_sym *= 0.5
+    x.setflags(write=False)
+    P_sym.setflags(write=False)
+    return x, P_sym
 
 
 def _predict_kernel(
     x: np.ndarray, P: np.ndarray, dt: float, q_dt: np.ndarray, work: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
-    """x <- f(x, dt), P <- A P A^T + Q dt; ``q_dt`` is Q dt, ``work`` the node's buffers."""
-    rows, x = x.tolist(), np.empty(x.shape)
-    entries = work.entries
+    """x <- f(x, dt), P <- A P A^T + Q dt, into ``work``'s x and P, which
+    it returns; ``q_dt`` is Q dt."""
+    rows, x, entries = x.tolist(), work.x, work.entries
     for b, row in enumerate(rows):
         _propagate(row, dt, entries, x, b)
     # every member's Jacobian entries into A^T in one scatter
     work.flat[work.index] = entries
-    P = _mm(work.A, P, work.At)
+    work.mm(work.A, P, work.AP)
+    P = work.mm(work.AP, work.At, work.P)
     P += q_dt
     return x, P
 
@@ -510,43 +557,51 @@ def _wrap(a: np.ndarray, w: np.ndarray) -> None:
 def _update_kernel(
     x: np.ndarray, P: np.ndarray, lo: int, z: np.ndarray, r6: np.ndarray, angles: bool, work: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Joseph-form EKF update where H selects the 6-state block ``lo:lo+6``.
+    """Joseph-form EKF update where H selects the 6-state block ``lo:lo+6``,
+    into ``work``'s x and P, which it returns.
 
-    ``z`` is (B, 6), one row per member, ``r6`` is (6, 6) or, for a stack
-    of B covariances, (B, 6, 6), and ``angles`` says whether the last three
-    columns of ``z`` are angles.  The innovations z - x[:, lo:lo+6] are
-    wrapped on those angles (+179 deg vs -179 deg disagree by 2 degrees,
-    not 358), every row gets its gain times its innovation, and the rows'
-    angles are wrapped.  ``work`` is the node's buffers.
+    ``lo`` is 0 or 6, ``z`` is (B, 6), one row per member, ``r6`` is (6, 6)
+    or, for a stack of B covariances, (B, 6, 6), and ``angles`` says
+    whether the last three columns of ``z`` are angles.  The innovations
+    z - x[:, lo:lo+6] are wrapped on those angles (+179 deg vs -179 deg
+    disagree by 2 degrees, not 358), every row gets its gain times its
+    innovation, and the rows' angles are wrapped.  ``x`` and ``P`` may be
+    ``work``'s own.
     """
+    columns, rows, block = _BLOCK_INDEX[lo]
     # checked on |z|: in a sum of z itself +inf and -inf would meet as NaN,
-    # which numpy warns about
-    if not _all_finite(_abs(z)):
+    # which numpy warns about; the weights are the first 6 B of _finish's
+    _abs(z, work.abs_z)
+    if not math.isfinite(work.abs_z_flat.dot(work.z_weights)) and not np.isfinite(work.abs_z).all():
         raise NumericError("measurement contains non-finite values")
-    P_rows = P[..., lo:lo + 6, :]
+    mm, K, M, D = work.mm, work.K, work.M, work.D
+    P_rows = P[rows]
     # LU solve of S K^T = P_rows: the LAPACK gesv gufunc np.linalg.solve
     # calls, minus its per-call wrapper (its float64 loop is the one the
     # gufunc picks for float arrays).  S is positive definite (PSD P, r6
     # checked positive definite), so the solve succeeds; a broken P that
     # makes it fail gives NaNs, which _finish rejects.
-    Kt = _gesv(P_rows[..., lo:lo + 6] + r6, P_rows)
-    K = Kt.mT
-    d = z - x[:, lo:lo + 6]
+    _gesv(_add(P[block], r6, work.S), P_rows, work.Kt)
+    _subtract(z, x[columns], work.d)
     if angles:
-        _wrap(d[:, 3:6], work.angles)
-    # one member's gain product is the gemv of ndarray.dot; a stack's
-    # np.matmul gives each member those bits
-    x = x + (K.dot(d[0]) if K.ndim == 2 else _matmul(K, d[:, :, None])[:, :, 0])
-    _wrap(x[:, ANG], work.angles)
+        _wrap(work.d_angles, work.angles)
+    mm(K, work.d_vec, work.Kd)
+    x = _add(x, work.Kd_rows, work.x)
+    _wrap(work.x_angles, work.angles)
     # Joseph form (I-KH) P (I-KH)^T + K R K^T with H a selector matrix:
     # M - M H^T K^T + K R K^T, folded into one product; each difference
-    # goes into the product it subtracts.
-    M = _mm(K, P_rows)
-    _subtract(P, M, out=M)
-    D = _mm(K, r6)
-    _subtract(M[..., lo:lo + 6].copy(), D, out=D)
-    P = _mm(D, Kt)
-    return x, _subtract(M, P, out=P)
+    # goes into the product it subtracts, and the last product into P's
+    # buffer, whose input is spent by then.
+    mm(K, P_rows, M)
+    _subtract(P, M, M)
+    mm(K, r6, D)
+    # M's block columns go to a contiguous buffer first: a ufunc takes the
+    # strided view more slowly than the copy and the difference together
+    M_block = work.M_block
+    M_block[...] = work.M_columns[lo]
+    _subtract(M_block, D, D)
+    P = mm(D, work.Kt, work.P)
+    return x, _subtract(M, P, P)
 
 
 def _time_steps(stamps: np.ndarray) -> np.ndarray:
@@ -623,9 +678,9 @@ def predict(x: np.ndarray, P: np.ndarray, q: np.ndarray, dt: float) -> tuple[np.
         raise ValueError(f"dt must be finite and >= 0, got {dt}")
     if dt == 0.0:
         return x, P
-    x, P = _predict_kernel(x[None], P, dt, q * dt, _Workspace(None))
-    P = _finish(x, P)
-    x.setflags(write=False)
+    work = _Workspace(None)
+    _predict_kernel(x[None], P, dt, q * dt, work)
+    x, P = _finish(work)
     return x[0], P
 
 
@@ -648,8 +703,10 @@ class EkfNode:
     read-only (B, 15) array :attr:`x` and their covariances as a read-only
     (B, 15, 15) array :attr:`P` at time :attr:`timestamp`, both replaced at
     every change; a one-member node keeps its 15x15 matrix itself, which
-    the same kernels take with 2-D products.  A node at a given state is
-    built from a :class:`FilterNodeConfig` holding it.
+    the same kernels take with 2-D products.  The harness's node-2 pass
+    reads the held arrays, ``_x`` and ``_P``, after every odometry step,
+    without the view :attr:`P` makes of a one-member node's matrix.  A node
+    at a given state is built from a :class:`FilterNodeConfig` holding it.
     """
 
     # Time steps with a cached Q dt: the float stamps of a fixed-rate log step
@@ -690,10 +747,10 @@ class EkfNode:
         P = self._P
         return P if self._stack else P[None]
 
-    def _commit(self, t: float, x: np.ndarray, P: np.ndarray) -> None:
-        self._P = _finish(x, P)
-        x.setflags(write=False)
-        self._x, self.timestamp = x, t
+    def _commit(self, t: float) -> None:
+        """Hold the kernel result in the workspace as the state at time t."""
+        self._x, self._P = _finish(self._work)
+        self.timestamp = t
 
     def _admit(self, event: MeasurementEvent, frame: Frame, step: str) -> None:
         """Check an event's frame and row count, then its stamp against the filter clock."""
@@ -730,7 +787,8 @@ class EkfNode:
         local->body pose rows, a read-only (B, 6) view of :attr:`x`."""
         self._admit(event, LOCAL, "node1_step")
         x, P = self._predicted(event.timestamp)
-        self._commit(event.timestamp, *_update_kernel(x, P, POSE_BLOCK.start, event.z, event.r6, True, self._work))
+        _update_kernel(x, P, POSE_BLOCK.start, event.z, event.r6, True, self._work)
+        self._commit(event.timestamp)
         return self._x[:, POSE_BLOCK]
 
     def node2_step(self, event: MeasurementEvent) -> None:
@@ -750,7 +808,7 @@ class EkfNode:
             lo = TWIST_BLOCK.start if odometry else POSE_BLOCK.start
             x, P = _update_kernel(x, P, lo, event.z, event.r6, not odometry, self._work)
         if P is not self._P:
-            self._commit(event.timestamp, x, P)
+            self._commit(event.timestamp)
 
     def restricted(self, members: list[int]) -> EkfNode:
         """A node of the given members, in that order, each at its state, bit for bit."""

@@ -20,12 +20,10 @@ on the report object but never written into the JSON document.
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 import math
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from copy import copy
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
@@ -47,6 +45,7 @@ from .dataio import (
     write_estimate_csv,  # re-exported beside the run results it writes
 )
 from .ekf import (
+    STATE_DIM,
     EkfNode,
     FilterNodeConfig,
     MeasurementEvent,
@@ -168,8 +167,12 @@ class SweepGrid:
     gamma_grid: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
-        object.__setattr__(self, "gamma_grid", tuple(float(g) for g in self.gamma_grid))
+        for name in ("sigma_grid", "gamma_grid"):
+            # the reader's number rule, before float() would take a string or a bool
+            grid = getattr(self, name)
+            for v in grid:
+                _check_number(v, f"{name} entry")
+            object.__setattr__(self, name, tuple(float(v) for v in grid))
         if not self.sigma_grid or not self.gamma_grid:
             raise ValueError("sweep grids must be non-empty")
         for v in (*self.sigma_grid, *self.gamma_grid):
@@ -526,10 +529,10 @@ class _Node1Pass:
 
     def step(self, rows: slice) -> list[MeasurementEvent]:
         """Raw odometry ``rows``; node 2's odometry events."""
-        node, raw_r6 = self.node, self.raw_r6
+        step, raw_r6 = self.node.node1_step, self.raw_r6
         stamps = self.stamps[rows]
         smoothed = [
-            node.node1_step(_new(MeasurementEvent, (stamp, _ODOMETRY, LOCAL, z, raw_r6)))
+            step(_new(MeasurementEvent, (stamp, _ODOMETRY, LOCAL, z, raw_r6)))
             for stamp, z in zip(stamps.tolist(), _pose_rows(self.t[:, rows], self.q[:, rows]))
         ]
         if not smoothed:
@@ -594,19 +597,22 @@ class _Node2Pass:
                 _new(MeasurementEvent, (stamp, _PERCEPTION, WORLD, z, r6))
                 for stamp, z in zip(stamps[due_rows].tolist(), _pose_rows(p[:, due_rows], q[:, due_rows]))
             ]
-        j, n_due = 0, len(due)
+        j, n_due, step = 0, len(due), node.node2_step
+        # the committed arrays as the node holds them: a one-member node's
+        # covariance is its 15x15 matrix, which node.P would view as (1, 15, 15)
         x, P = [], []
         for event in events:
             while j < n_due and due[j].timestamp < event.timestamp:
-                node.node2_step(due[j])
+                step(due[j])
                 j += 1
-            node.node2_step(event)
-            x.append(node.x)
-            P.append(node.P)
+            step(event)
+            x.append(node._x)
+            P.append(node._P)
         for event in due[j:]:
-            node.node2_step(event)
+            step(event)
         if events:
-            self.x[rows], self.variances[rows] = np.array(x)[:, :, :6], np.array(P).diagonal(0, 2, 3)[:, :, :6]
+            P = np.array(P).reshape(len(events), node.members, STATE_DIM, STATE_DIM)
+            self.x[rows], self.variances[rows] = np.array(x)[:, :, :6], P.diagonal(0, 2, 3)[:, :, :6]
 
     def restricted(self, members: list[int]) -> _Node2Pass:
         """The pass of the given members only, in that order."""
@@ -849,6 +855,8 @@ def _lockstep_runs(
 
 def derive_run_seed(base_seed: int, sigma_idx: int, gamma_idx: int, rep_idx: int) -> int:
     """Stable per-cell seed: adding grid rows or seeds never moves old cells."""
+    import hashlib  # loads OpenSSL: imported at the first sweep, not with the package
+
     payload = f"sweep:{int(base_seed)}:{int(sigma_idx)}:{int(gamma_idx)}:{int(rep_idx)}"
     return int.from_bytes(hashlib.sha256(payload.encode("ascii")).digest()[:8], "big")
 
@@ -1040,6 +1048,9 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> RunReport:
     if workers == 1:
         outcomes = _run_cells((cfg, cells, _load_ground_truth(cfg)))
     else:
+        # imported where a pool is used, not with every `import coloc`
+        from concurrent.futures import ProcessPoolExecutor
+
         n = min(workers, len(cells))
         groups = [cells[k * len(cells) // n:(k + 1) * len(cells) // n] for k in range(n)]
         # the pool starts all max_workers processes on its first submit

@@ -13,7 +13,6 @@ fixed draw-for-draw.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -25,6 +24,9 @@ _SEED_MASK = (1 << 64) - 1
 
 
 def _seed_sequence(seed: int, label: str) -> np.random.SeedSequence:
+    # imported at the first draw, not with the package: hashlib loads OpenSSL
+    import hashlib
+
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "big") for i in range(0, 16, 4)]
     return np.random.SeedSequence([seed & _SEED_MASK, *words])

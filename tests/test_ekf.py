@@ -35,8 +35,12 @@ from coloc.ekf import (
     MeasurementEvent,
     MeasurementKind,
     _JACOBIAN_T_FLAT_INDEX,
+    _Workspace,
     _checked_r6,
+    _finish,
+    _predict_kernel,
     _propagate,
+    _update_kernel,
     default_process_noise,
     measurement_covariance,
     predict,
@@ -1107,7 +1111,9 @@ class TestNodeWorkspace:
     Node 1 and node 2 stepped alternately, as a run's filter block steps
     them, give the bits of each node stepped alone, at one member and at
     three, and a snapshot, which shares its node's buffers, keeps its
-    estimate while the node steps on.
+    estimate while the node steps on.  No committed or returned array is,
+    or shares memory with, a buffer, so what a caller keeps from a step or
+    from a finished kernel result outlives later calls.
     """
 
     @staticmethod
@@ -1168,6 +1174,57 @@ class TestNodeWorkspace:
             snapshot.node2_step(e)
         assert np.array_equal(snapshot.x, node2.x)
         assert np.array_equal(snapshot.P, node2.P)
+
+    @staticmethod
+    def assert_aliases_no_buffer(arrays, work):
+        buffers = [a for a in (getattr(work, name) for name in work.__slots__) if isinstance(a, np.ndarray)]
+        for a in arrays:
+            for buffer in buffers:
+                assert not np.shares_memory(a, buffer)
+
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_committed_and_returned_arrays_are_not_buffers(self, members):
+        # what a caller keeps from step k, node 1's returned rows included,
+        # outlives the later steps: past row 19 come a twist update, a
+        # perception update, and a 0.13 s gap that node 1 and node 2 predict
+        # across in substeps (max_predict_dt 0.05)
+        node1_events, node2_events = self.events(members)
+        node1, node2 = self.nodes(members)
+        for k, (event, events) in enumerate(zip(node1_events, node2_events)):
+            rows = node1.node1_step(event)
+            for e in events:
+                node2.node2_step(e)
+            held = [node1.x, node1.P, node1._P, rows]
+            self.assert_aliases_no_buffer(held, node1._work)
+            self.assert_aliases_no_buffer([node2.x, node2.P, node2._P], node2._work)
+            if k == 19:
+                kept = [(a, a.copy()) for a in (*held, node2.x, node2.P, node2._P)]
+        assert node2_events[21][-1].kind is PER
+        for a, value in kept:
+            assert a.tobytes() == value.tobytes()
+
+    @pytest.mark.parametrize("members", [None, 3])
+    def test_a_finished_result_outlives_the_next_kernel_calls(self, members):
+        # the kernels return the workspace's x and P; _finish copies them out
+        rng = np.random.default_rng(11)
+        n = members or 1
+        x = np.array([random_state(rng) for _ in range(n)])
+        P = np.array([random_psd(STATE_DIM, rng, 0.1) for _ in range(n)])
+        P = P[0] if members is None else P
+        work = _Workspace(members)
+        assert all(a is b for a, b in zip(
+            _update_kernel(x, P, 0, x[:, :6] + 0.1, PERCEPTION_R6, True, work), (work.x, work.P)
+        ))
+        first = _finish(work)
+        kept = [a.copy() for a in first]
+        self.assert_aliases_no_buffer(first, work)
+        q_dt = default_process_noise() * 0.01
+        _predict_kernel(x, P, 0.01, q_dt if members is None else np.tile(q_dt, (n, 1, 1)), work)
+        _update_kernel(work.x, work.P, 6, x[:, 6:12] - 0.1, SMOOTHED_R6, False, work)
+        second = _finish(work)
+        for a, value in zip(first, kept):
+            assert a.tobytes() == value.tobytes()
+        assert not np.array_equal(second[0], first[0]) and not np.array_equal(second[1], first[1])
 
 
 class TestNodeErrorContracts:

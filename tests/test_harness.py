@@ -7,6 +7,7 @@ output is byte-for-byte unchanged, and the config round trip by comparing
 against the source dataclasses field by field.
 """
 
+import concurrent.futures
 import importlib.util
 import json
 import sys
@@ -364,7 +365,7 @@ class TestConfigValidation:
     # Every number field: where it sits in the config objects, its path in
     # the JSON document (perception's noise fields are written inline), and
     # whether it takes whole numbers only.  Sweep grid entries are not here:
-    # SweepGrid stores them as floats, so no bool stays in them.
+    # SweepGrid checks them itself, and the test after this one pins its text.
     NUMBER_FIELDS = [
         *((("input", "synthetic", n), f"input.synthetic.{n}", False) for n in ("duration", "rate", "speed", "gap")),
         (("input", "synthetic", "seed"), "input.synthetic.seed", True),
@@ -400,6 +401,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError) as read:
             config_from_dict(doc)
         assert str(read.value) == text
+
+    @pytest.mark.parametrize("value", ["0.3", True], ids=["string", "bool"])
+    @pytest.mark.parametrize("grid", ["sigma_grid", "gamma_grid"])
+    def test_string_or_bool_in_a_sweep_grid_is_rejected(self, grid, value):
+        # float() would take either, as 0.3 or 1.0; the reader takes neither
+        grids = {"sigma_grid": (0.3, 0.6), "gamma_grid": (10.0,)}
+        grids[grid] = (*grids[grid], value)
+        with pytest.raises(ValueError) as raised:
+            SweepGrid(**grids)
+        assert str(raised.value) == f"{grid} entry must be a number, got {value!r}"
+        doc = config_to_dict(full_config())
+        doc["sweep"][grid].append(value)
+        with pytest.raises(ValueError) as read:
+            config_from_dict(doc)
+        assert str(read.value) == f"sweep.{grid} entry must be a number, got {value!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -951,10 +967,25 @@ class TestRunSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        # run_sweep imports the pool from its module when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         cfg = sweep_config()
         assert report_json(run_sweep(cfg, workers=8)) == report_json(run_sweep(cfg, workers=1))
         assert sizes == [2]
+
+    def test_importing_the_package_loads_no_pool_or_hash_modules(self):
+        # run_sweep and the seed derivations import them when they need them
+        import subprocess
+
+        src = str(Path(harness.__file__).resolve().parents[1])
+        probe = (
+            "import sys, coloc; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'concurrent', 'multiprocessing', '_hashlib'}))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env={"PYTHONPATH": src}, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_requires_grid(self):
         with pytest.raises(ValueError, match="sweep grid"):

@@ -398,9 +398,11 @@ def batch(seed, size):
     return members
 
 
-def finished(result):
-    x, P = result
-    return x, _finish(x, P)
+def finished(kernel, *args):
+    """The result of ``kernel(*args)`` on a fresh workspace sized by ``args[0]``, finished."""
+    work = _Workspace(len(args[0]))
+    kernel(*args, work)
+    return _finish(work)
 
 
 def assert_member_is(x, P, want_x, want_P):
@@ -416,9 +418,9 @@ members_of = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7])).ma
 def test_batched_predict_is_predict_per_member(members, dt):
     q = default_process_noise()
     states = [s for s, _, _ in members]
-    x, P = finished(_predict_kernel(
-        np.array([x for x, _ in states]), np.array([P for _, P in states]), dt, q * dt, _Workspace(len(states))
-    ))
+    x, P = finished(
+        _predict_kernel, np.array([x for x, _ in states]), np.array([P for _, P in states]), dt, q * dt
+    )
     for b, (x_b, P_b) in enumerate(states):
         assert_member_is(x[b], P[b], *predict(x_b, P_b, q, dt))
 
@@ -427,10 +429,10 @@ def test_batched_predict_is_predict_per_member(members, dt):
 @given(members_of)
 def test_batched_absolute_update_is_update_absolute_per_member(members):
     r6 = np.array([r for _, r, _ in members])
-    x, P = finished(_update_kernel(
-        np.array([x for (x, _), _, _ in members]), np.array([P for (_, P), _, _ in members]), 0,
-        np.array([z for *_, z in members]), r6, True, _Workspace(len(members)),
-    ))
+    x, P = finished(
+        _update_kernel, np.array([x for (x, _), _, _ in members]), np.array([P for (_, P), _, _ in members]), 0,
+        np.array([z for *_, z in members]), r6, True,
+    )
     for b, ((x_b, P_b), r, z) in enumerate(members):
         node = node_at(x_b, P_b, 1.0)
         node.node2_step(MeasurementEvent(1.0, MeasurementKind.PERCEPTION_ABSOLUTE, WORLD, z, r))
@@ -442,10 +444,10 @@ def test_batched_absolute_update_is_update_absolute_per_member(members):
 def test_batched_differential_update_is_update_differential_per_member(members):
     # each member's row and covariance stand for its twist and the twist's covariance
     r_vel = np.array([r for _, r, _ in members])
-    x, P = finished(_update_kernel(
-        np.array([x for (x, _), _, _ in members]), np.array([P for (_, P), _, _ in members]), 6,
-        np.array([z for *_, z in members]), r_vel, False, _Workspace(len(members)),
-    ))
+    x, P = finished(
+        _update_kernel, np.array([x for (x, _), _, _ in members]), np.array([P for (_, P), _, _ in members]), 6,
+        np.array([z for *_, z in members]), r_vel, False,
+    )
     for b, ((x_b, P_b), r, z) in enumerate(members):
         node = node_at(x_b, P_b, 1.0)
         node.node2_step(MeasurementEvent(1.0, MeasurementKind.ODOMETRY_DIFFERENTIAL, LOCAL, z, r))
