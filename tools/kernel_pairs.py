@@ -18,9 +18,10 @@ inputs.  For every member count B it times, in microseconds per call:
   row at each 200 Hz stamp, as a run's node-2 pass does.
 
 A one-member kernel takes one member's 15x15 matrices, as a one-member node
-does.  The blocks alternate between the trees, parent first on even blocks;
-each block makes ``reps`` calls (fewer for the node steps, which each take
-one event), and the table gives each side's median over its blocks.  Before
+does.  After one untimed block per side, the blocks alternate between the
+trees, parent first on even blocks; each block makes ``--calls`` / B calls
+(a quarter of that for the node steps, which each take one event), and the
+table gives each side's median over its blocks.  Before
 timing, every kernel's outputs, and every node step's state and returned
 rows, must be bit-equal between the two trees, or the tool stops.
 
@@ -175,6 +176,8 @@ def check_nodes(ekfs: dict, members: int, n: int) -> None:
 def alternate(blocks: int, calls: dict) -> dict[str, float]:
     """Median microseconds per call of each side's ``calls[side](k)``, which
     makes calls for block k and returns how many."""
+    for side in SIDES:  # one untimed block each, so that lazy set-up is done
+        calls[side](0)
     times = {side: [] for side in SIDES}
     for k in range(blocks):
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
@@ -193,14 +196,19 @@ def repeat(fn, reps: int):
 
 
 def stepping(ekf, members: int, node_kind: int, blocks: int, reps: int):
-    """Blocks of ``reps`` steps of a fresh node, each on the next events."""
-    node = node_at_start(ekf, members)
-    step = node.node1_step if node_kind == 1 else node.node2_step
+    """Blocks of ``reps`` steps of a fresh node, each on the next events.
+
+    The first call, the untimed warm-up, steps block 0's events on a node
+    of its own.
+    """
+    timed, warm = (getattr(node_at_start(ekf, members), f"node{node_kind}_step") for _ in range(2))
+    steps = [timed, warm]
     # node 2 takes two events per stamp
     events = node_events(ekf, members, blocks * reps // node_kind, node_kind)
     per_block = len(events) // blocks
 
     def block(k):
+        step = steps.pop() if len(steps) > 1 else timed
         for e in events[k * per_block:(k + 1) * per_block]:
             step(e)
         return per_block
