@@ -26,7 +26,9 @@ odometry is node 1's rows turned into body-velocity pseudo-measurements:
 :func:`twist_measurements` differences a whole block of consecutive rows in
 one array pass (differential fusion: a constant transform applied to both
 poses of a pair cancels, so node 2 needs no world->local anchor), and each
-odometry event carries one twist row per member.
+odometry event carries one twist row per member.  A step takes finite
+rows: a run checks each block array of rows once (:func:`finite_rows`)
+and refuses the event of the first bad row (:meth:`EkfNode.refuse`).
 
 A node runs B members in lockstep: runs whose events share one stamp
 schedule (the seeds and noise cells of a sweep) step as one filter.  The
@@ -55,6 +57,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NoReturn
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve as _gesv
@@ -197,10 +200,12 @@ class MeasurementEvent(namedtuple("MeasurementEvent", "timestamp kind frame z r6
     6x6 ``r6``; it keeps a read-only (1, 6) copy of the floats.  The
     harness's per-row streams build their events, one or many members, as
     ``tuple.__new__(MeasurementEvent, fields)``, unchecked, from a finite
-    stamp, rows of arrays the caller does not change afterwards (a
-    non-finite row is left for the update to reject), and covariances that
-    passed :func:`_checked_r6` or the twist covariances
-    :func:`twist_measurements` derives from them.
+    stamp, rows of arrays the caller does not change afterwards, and
+    covariances that passed :func:`_checked_r6` or the twist covariances
+    :func:`twist_measurements` derives from them.  The steps do not check
+    the rows: the harness checks a block of them at once
+    (:func:`finite_rows`) and hands the event of a non-finite row to
+    :meth:`EkfNode.refuse`.
     """
 
     __slots__ = ()
@@ -411,9 +416,10 @@ def _propagate(x: list[float], dt: float, jacobian=None, state=None, b: int = 0)
 # call's fixed cost, not its arithmetic, and an allocation, a view or a
 # keyword argument adds to that cost.
 
-_abs, _add, _matmul, _subtract, _remainder, _negative = (
-    np.abs, np.add, np.matmul, np.subtract, np.remainder, np.negative
-)
+_add, _matmul, _subtract, _remainder, _negative = np.add, np.matmul, np.subtract, np.remainder, np.negative
+# np.dot's C function: np.dot itself is a Python-level __array_function__
+# dispatcher, which costs a one-member product about as much again
+_dot = np.dot._implementation
 # 0-d operands: a ufunc converts a Python float operand on every call
 _PI_0D, _TWO_PI_0D = np.array(_PI), np.array(_TWO_PI)
 # The index tuples of the update's 6-state block lo:lo+6, by lo: a state
@@ -438,14 +444,17 @@ class _Workspace:
     - the prediction's transition Jacobian, kept transposed as ``At`` (its
       view ``A``), the B rows of 42 entries :func:`_propagate` packs, with
       their flat indices in A^T, and the product ``AP``;
-    - the update's |z| and its weights, the innovations ``d``, the
-      innovation covariances ``S``, the gains ``Kt`` as the solve returns
-      them (and their view ``K``), ``Kd`` (K d), ``M`` and its copied block
-      columns, ``D`` and the (B, 3) angles of :func:`_wrap`.
+    - the update's innovations ``d``, the innovation covariances ``S``,
+      the gains ``Kt`` as the solve returns them (and their view ``K``),
+      ``Kd`` (K d), ``M`` and its copied block columns, ``D`` and the
+      (B, 3) angles of :func:`_wrap`.
 
-    ``mm`` is the layout's product with a positional output: np.dot, the
-    gemm np.matmul calls without the gufunc set-up that costs np.matmul
-    about as much again on one member's matrices, or np.matmul for stacks.
+    ``mm`` is the layout's product with a positional output: for one
+    member's matrices np.dot's C function, the gemm np.matmul calls
+    without the gufunc set-up that costs np.matmul about as much again,
+    and without np.dot's dispatcher; np.matmul for stacks.  An update does
+    not check its rows: the caller checks a block of them at once
+    (:func:`finite_rows`).
 
     A buffer may live from the predict kernel to the update kernel within
     one node step, and no committed or returned array aliases one:
@@ -455,14 +464,14 @@ class _Workspace:
 
     __slots__ = (
         "mm", "xP", "x", "P", "weights", "At", "A", "flat", "entries", "index", "AP",
-        "abs_z", "abs_z_flat", "z_weights", "d", "d_angles", "d_vec", "S", "Kt", "K", "Kd", "Kd_rows",
+        "d", "d_angles", "d_vec", "S", "Kt", "K", "Kd", "Kd_rows",
         "x_angles", "M", "M_columns", "M_block", "D", "angles",
     )
 
     def __init__(self, members: int | None) -> None:
         n = members or 1
         stack = () if members is None else (members,)
-        self.mm = np.dot if members is None else _matmul
+        self.mm = _dot if members is None else _matmul
         self.xP = np.empty(n * STATE_DIM * (1 + STATE_DIM))
         self.x = self.xP[:n * STATE_DIM].reshape(n, STATE_DIM)
         self.P = self.xP[n * STATE_DIM:].reshape(stack + (STATE_DIM, STATE_DIM))
@@ -475,8 +484,6 @@ class _Workspace:
         self.entries = np.empty(n * len(_JACOBIAN_T_FLAT_INDEX))
         self.index = (np.arange(0, self.At.size, STATE_DIM * STATE_DIM)[:, None] + _JACOBIAN_T_FLAT_INDEX).ravel()
         self.AP = np.empty(self.P.shape)
-        self.abs_z = np.empty((n, 6))
-        self.abs_z_flat, self.z_weights = self.abs_z.reshape(-1), self.weights[:6 * n]
         self.d = np.empty((n, 6))
         self.d_angles = self.d[:, 3:6]
         self.S = np.empty(stack + (6, 6))
@@ -566,14 +573,11 @@ def _update_kernel(
     z - x[:, lo:lo+6] are wrapped on those angles (+179 deg vs -179 deg
     disagree by 2 degrees, not 358), every row gets its gain times its
     innovation, and the rows' angles are wrapped.  ``x`` and ``P`` may be
-    ``work``'s own.
+    ``work``'s own.  ``z`` must be finite, which the caller checks
+    (:func:`finite_rows`): a non-finite row makes x non-finite, which
+    :func:`_finish` rejects.
     """
     columns, rows, block = _BLOCK_INDEX[lo]
-    # checked on |z|: in a sum of z itself +inf and -inf would meet as NaN,
-    # which numpy warns about; the weights are the first 6 B of _finish's
-    _abs(z, work.abs_z)
-    if not math.isfinite(work.abs_z_flat.dot(work.z_weights)) and not np.isfinite(work.abs_z).all():
-        raise NumericError("measurement contains non-finite values")
     mm, K, M, D = work.mm, work.K, work.M, work.D
     P_rows = P[rows]
     # LU solve of S K^T = P_rows: the LAPACK gesv gufunc np.linalg.solve
@@ -621,7 +625,8 @@ def body_twists(rows: np.ndarray, dt: np.ndarray) -> np.ndarray:
     invert(row i) o row i+1 over dt[i]: its translation in row i's body
     frame, and its rotation vector.  A constant transform applied to every
     row cancels.  A non-finite twist (an overflowing difference or a
-    degenerate step) is returned, not warned about, for the update to reject.
+    degenerate step) is returned, not warned about, for
+    :func:`twist_measurements` to stop at.
     """
     with np.errstate(all="ignore"):
         q = euler_to_quaternions(rows[..., 3:])
@@ -643,6 +648,19 @@ def _velocity_covariance(r6: np.ndarray, dt: float) -> np.ndarray:
     return (r6 + r6) / dt2
 
 
+def finite_rows(z: np.ndarray) -> int:
+    """The number of leading rows of ``z`` (n, ...) whose entries are all finite.
+
+    A run checks each block array of measurement rows once with it, exactly
+    (a huge finite row passes), and steps the events before the first bad
+    row; that row's event goes to :meth:`EkfNode.refuse`.
+    """
+    finite = np.isfinite(z)
+    if finite.all():
+        return len(z)
+    return int(finite.reshape(len(z), -1).all(axis=1).argmin())
+
+
 def twist_measurements(stamps: np.ndarray, rows: np.ndarray, r6: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Node 2's odometry measurements along a chain of pose rows.
 
@@ -650,12 +668,16 @@ def twist_measurements(stamps: np.ndarray, rows: np.ndarray, r6: np.ndarray) -> 
     holds B members' pose rows, all with covariance ``r6``.  For each of the
     last n rows: the members' twists from the row before
     (:func:`body_twists`) as a (B, 6) array, and their covariance
-    (r6 + r6) / dt^2, computed once per distinct step.
+    (r6 + r6) / dt^2, computed once per distinct step.  The list ends
+    before the first step whose twists are not all finite
+    (:func:`finite_rows`), so a list of k < n measurements leaves the event
+    at ``stamps[k + 1]`` for the caller to refuse.
     """
     dt = _time_steps(stamps)
     steps = dt.tolist()
     r_vel = {step: _velocity_covariance(r6, step) for step in dict.fromkeys(steps)}
-    return list(zip(body_twists(rows, dt), map(r_vel.__getitem__, steps)))
+    twists = body_twists(rows, dt)
+    return list(zip(twists[:finite_rows(twists)], map(r_vel.__getitem__, steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -809,6 +831,21 @@ class EkfNode:
             x, P = _update_kernel(x, P, lo, event.z, event.r6, not odometry, self._work)
         if P is not self._P:
             self._commit(event.timestamp)
+
+    def refuse(self, event: MeasurementEvent) -> NoReturn:
+        """Meet an event whose rows are not all finite as a step would up to
+        its update, then raise NumericError, the node left as it was.
+
+        The steps do not check their rows.  A run checks a block of rows at
+        once (:func:`finite_rows`), steps the events before the first bad
+        row and refuses that row's event here.  The event is admitted
+        (odometry in the local frame, perception in the world frame) and
+        the state predicted to its stamp, so an out-of-order stamp or a
+        prediction's error is raised first, as a step would raise it.
+        """
+        self._admit(event, LOCAL if event.kind is _ODOMETRY else WORLD, "refuse")
+        self._predicted(event.timestamp)
+        raise NumericError("measurement contains non-finite values")
 
     def restricted(self, members: list[int]) -> EkfNode:
         """A node of the given members, in that order, each at its state, bit for bit."""

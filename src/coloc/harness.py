@@ -51,6 +51,7 @@ from .ekf import (
     MeasurementEvent,
     MeasurementKind,
     default_process_noise,
+    finite_rows,
     measurement_covariance,
     state_from_row,
     twist_measurements,
@@ -515,7 +516,9 @@ class _Node1Pass:
     Each block turns node 1's local->body pose rows, with the smoothed
     channel covariance ``smoothed_r6``, into node 2's odometry events: one
     :func:`twist_measurements` pass over the block's rows, from the last row
-    of the block before.
+    of the block before.  The block's raw rows are checked for finiteness
+    at once (:func:`finite_rows`): node 1 steps the rows before the first
+    bad one and refuses that one.
     """
 
     def __init__(
@@ -527,16 +530,20 @@ class _Node1Pass:
         self.raw_r6, self.smoothed_r6 = raw_r6, smoothed_r6
         self.last = None  # the stamp and (B, 6) pose rows the next twists start from
 
-    def step(self, rows: slice) -> list[MeasurementEvent]:
-        """Raw odometry ``rows``; node 2's odometry events."""
-        step, raw_r6 = self.node.node1_step, self.raw_r6
+    def step(self, rows: slice) -> tuple[list[MeasurementEvent], MeasurementEvent | None]:
+        """Raw odometry ``rows``; node 2's odometry events, and the one
+        after them whose twists are not all finite, or None."""
+        node, raw_r6 = self.node, self.raw_r6
         stamps = self.stamps[rows]
+        t, z = stamps.tolist(), _pose_rows(self.t[:, rows], self.q[:, rows])
+        good, step = finite_rows(z), node.node1_step
         smoothed = [
-            step(_new(MeasurementEvent, (stamp, _ODOMETRY, LOCAL, z, raw_r6)))
-            for stamp, z in zip(stamps.tolist(), _pose_rows(self.t[:, rows], self.q[:, rows]))
+            step(_new(MeasurementEvent, (stamp, _ODOMETRY, LOCAL, row, raw_r6))) for stamp, row in zip(t, z[:good])
         ]
+        if good < len(z):
+            node.refuse(_new(MeasurementEvent, (t[good], _ODOMETRY, LOCAL, z[good], raw_r6)))
         if not smoothed:
-            return []
+            return [], None
         events, smoothed = [], np.array(smoothed)
         if self.last is None:
             # the run's first row only starts node 2's clock
@@ -544,11 +551,17 @@ class _Node1Pass:
         else:
             stamps, smoothed = np.insert(stamps, 0, self.last[0]), np.concatenate((self.last[1][None], smoothed))
         self.last = stamps[-1], smoothed[-1]
+        twists = twist_measurements(stamps, smoothed, self.smoothed_r6)
         events += [
             _new(MeasurementEvent, (stamp, _ODOMETRY, LOCAL, z, r_vel))
-            for stamp, (z, r_vel) in zip(stamps[1:].tolist(), twist_measurements(stamps, smoothed, self.smoothed_r6))
+            for stamp, (z, r_vel) in zip(stamps[1:].tolist(), twists)
         ]
-        return events
+        refused = None
+        if len(twists) < len(stamps) - 1:
+            # the next step's twists are not all finite: node 2 refuses its
+            # event, which needs only its stamp
+            refused = _new(MeasurementEvent, (float(stamps[len(twists) + 1]), _ODOMETRY, LOCAL, None, None))
+        return events, refused
 
     def restricted(self, members: list[int]) -> _Node1Pass:
         """The pass of the given members only, in that order."""
@@ -568,7 +581,8 @@ class _Node2Pass:
     own rows and r6.  The pass keeps what :func:`estimate_track` reads after
     each odometry step, besides its stamp: per member the pose block of the
     node's state and of its covariance diagonal, taken from the block's
-    committed states and covariances at once.
+    committed states and covariances at once.  A block's perception rows are
+    checked for finiteness at once (:func:`finite_rows`).
     """
 
     def __init__(self, cfg: FilterNodeConfig, n: int, members: int, perception: Sequence[PerceptionRows] = ()):
@@ -585,18 +599,29 @@ class _Node2Pass:
         self.due = 0  # row of the next perception event
         self.x, self.variances = np.empty((n, members, 6)), np.empty((n, members, 6))
 
-    def step(self, rows: slice, events: list[MeasurementEvent]) -> None:
-        """Node-2 odometry events of odometry ``rows``; without any, the rest of the perception rows."""
+    def step(self, rows: slice, events: list[MeasurementEvent], refused: MeasurementEvent | None = None) -> None:
+        """Node-2 odometry events of odometry ``rows``; without any, the rest of the perception rows.
+
+        ``refused`` is the odometry event after ``events`` whose twists are
+        not all finite, or None.  The pass steps the events in stamp order
+        up to the first with a row that is not all finite, that event or a
+        perception row before it, and refuses that one.
+        """
         node, due = self.node, []
         if self.perception is not None:
             stamps, p, q, r6 = self.perception
             # every perception row stamped before the block's last odometry event
-            end = int(stamps.searchsorted(events[-1].timestamp)) if events else len(stamps)
+            last = refused if refused is not None else events[-1] if events else None
+            end = len(stamps) if last is None else int(stamps.searchsorted(last.timestamp))
             due_rows, self.due = slice(self.due, end), end
-            due = [
-                _new(MeasurementEvent, (stamp, _PERCEPTION, WORLD, z, r6))
-                for stamp, z in zip(stamps[due_rows].tolist(), _pose_rows(p[:, due_rows], q[:, due_rows]))
-            ]
+            t, z = stamps[due_rows].tolist(), _pose_rows(p[:, due_rows], q[:, due_rows])
+            good = finite_rows(z)
+            due = [_new(MeasurementEvent, (stamp, _PERCEPTION, WORLD, row, r6)) for stamp, row in zip(t, z[:good])]
+            if good < len(z):
+                # before any refused odometry event: the odometry wins a stamp tie,
+                # and the events after the row are never reached
+                refused = _new(MeasurementEvent, (t[good], _PERCEPTION, WORLD, z[good], r6))
+                events = [event for event in events if event.timestamp <= t[good]]
         j, n_due, step = 0, len(due), node.node2_step
         # the committed arrays as the node holds them: a one-member node's
         # covariance is its 15x15 matrix, which node.P would view as (1, 15, 15)
@@ -610,6 +635,8 @@ class _Node2Pass:
             P.append(node._P)
         for event in due[j:]:
             step(event)
+        if refused is not None:
+            node.refuse(refused)
         if events:
             P = np.array(P).reshape(len(events), node.members, STATE_DIM, STATE_DIM)
             self.x[rows], self.variances[rows] = np.array(x)[:, :, :6], P.diagonal(0, 2, 3)[:, :, :6]
@@ -672,9 +699,9 @@ class _Filtered:
 
 def _step(chain: list, rows: slice) -> None:
     """Node 1 and then each node-2 pass of ``chain`` over odometry ``rows``."""
-    smoothed = chain[0].step(rows)
+    events, refused = chain[0].step(rows)
     for node2 in chain[1:]:
-        node2.step(rows, smoothed)
+        node2.step(rows, events, refused)
 
 
 def _failure(chain: list, rows: slice) -> ColocError | None:

@@ -42,6 +42,7 @@ from coloc.ekf import (
     _propagate,
     _update_kernel,
     default_process_noise,
+    finite_rows,
     measurement_covariance,
     predict,
     state_from_row,
@@ -497,6 +498,15 @@ class TestDifferentialVelocity:
             twist_event(a, b)
         with pytest.raises(ValueError):
             twist_event(b, local_event(0.5, [1.0, 0.0, 0.0]))
+
+    def test_measurements_stop_before_a_non_finite_twist(self):
+        # the second step's difference overflows, the third is finite again
+        stamps = np.arange(4.0)
+        rows = np.zeros((4, 2, 6))
+        rows[1:, 1, 0] = [-1e308, 1e308, 1e308]
+        measurements = twist_measurements(stamps, rows, SMOOTHED_R6)
+        assert len(measurements) == 1
+        assert measurements[0][0].tolist() == [[0.0] * 6, [-1e308] + [0.0] * 5]
 
 
 class TestUpdateDifferential:
@@ -1232,17 +1242,36 @@ class TestNodeErrorContracts:
     def stacked_perception(t, rows):
         return tuple.__new__(MeasurementEvent, (t, PER, WORLD, rows, PERCEPTION_R6))
 
-    @pytest.mark.parametrize("bad", [[math.nan], [math.inf], [-math.inf], [math.inf, -math.inf]])
-    def test_non_finite_row_in_a_stack_raises_and_leaves_state(self, bad):
+    def test_refused_event_raises_after_its_prediction_and_leaves_state(self):
+        # the steps do not check their rows; a run refuses a bad row's event
         node = EkfNode(node2_config(), 3)
         rows = np.array([[10.0, -4.0, 0.0, 0.0, 0.0, 0.5]] * 3)
         node.node2_step(self.stacked_perception(0.0, rows))
         x, P = node.x, node.P
         rows = rows.copy()
-        rows[1, 4:4 + len(bad)] = bad
-        with pytest.raises(NumericError, match="measurement contains non-finite values"):
-            node.node2_step(self.stacked_perception(0.01, rows))
+        rows[1, 4] = math.nan
+        with pytest.raises(NumericError, match="^measurement contains non-finite values$"):
+            node.refuse(self.stacked_perception(0.01, rows))
         assert node.x is x and node.P is P and node.timestamp == 0.0
+        # as a step would: an older stamp is rejected and counted first
+        with pytest.raises(OutOfOrderError):
+            node.refuse(self.stacked_perception(-0.01, rows))
+        assert node.rejected_count == 1
+        # and the prediction's error comes before the refusal
+        gimbal = [0.0, 0.0, 0.0, 0.0, math.pi / 2, 0.0]
+        node = EkfNode(node1_config(x0=state_from_row(gimbal)[0]))
+        with pytest.raises(NumericError, match="gimbal"):
+            node.refuse(MeasurementEvent(0.01, ODO, LOCAL, gimbal, RAW_R6))
+
+    def test_finite_rows_counts_the_leading_finite_rows(self):
+        rows = np.zeros((5, 3, 6))
+        assert finite_rows(rows) == 5 and finite_rows(rows[:0]) == 0
+        rows[3, 2, 5] = -math.inf
+        assert finite_rows(rows) == 3
+        rows[1, 0, 0] = math.nan
+        assert finite_rows(rows) == 1
+        # exact: rows whose entries' sum overflows are finite
+        assert finite_rows(np.full((4, 3, 6), 1e307)) == 4
 
     def test_huge_finite_rows_are_fused(self):
         # the rows' sum overflows, while every row is finite

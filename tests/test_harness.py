@@ -10,6 +10,8 @@ against the source dataclasses field by field.
 import concurrent.futures
 import importlib.util
 import json
+import math
+import re
 import sys
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coloc import harness
+from coloc import ekf, harness
 from coloc.dataio import (
     SyncSpec,
     estimate_track,
@@ -855,6 +857,185 @@ class TestLockstep:
         cfg = replace(noisy_config(seeds=(3, 5)), raw_noise=NoiseSpec(1e200, 0.0))
         with pytest.raises(NumericError, match=r"^\[filter\] covariance contains non-finite values$"):
             run_report(cfg)
+
+
+def spoil_rows(monkeypatch, cfg, seed, channel, rows, values):
+    """Write ``values`` over the last columns of rows ``rows`` of the run of
+    ``seed`` in ``channel``: its raw odometry ("raw"), node 2's twists
+    ("twist") or its perception ("perception"), wherever the harness builds
+    them.  The rows are found by their contents, so they are spoiled in any
+    batch and in any block the run steps."""
+    smart, adas = harness._load_ground_truth(cfg)
+    stream = RandomStream(seed)
+    if channel == "twist":
+        # a twist is found by node 1's row at its end, taken from a clean run alone
+        node1_rows, step = [], EkfNode.node1_step
+
+        def recording(node, event):
+            out = step(node, event)
+            node1_rows.append(out[0].copy())
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(EkfNode, "node1_step", recording)
+            harness._lockstep(cfg, [(cfg.perception, seed)], (smart, adas), with_baseline=False)
+        targets, body_twists = [node1_rows[r] for r in rows], ekf.body_twists
+
+        def spoiled_twists(node_rows, dt):
+            twists = body_twists(node_rows, dt)
+            for target in targets:
+                twists[(node_rows[1:] == target).all(axis=-1), -len(values):] = values
+            return twists
+
+        monkeypatch.setattr(ekf, "body_twists", spoiled_twists)
+        return
+    if channel == "raw":
+        p = harness._simulate_raw_odometry(harness._raw_odometry_truth(adas, cfg)[1], cfg, stream)[0]
+    else:
+        p = simulate_perception(smart, adas, cfg.perception, stream.derive("perception"), cfg.ekf.perception_r6_scale).p
+    targets, pose_rows = p[list(rows)], harness._pose_rows
+
+    def spoiled_pose_rows(p, q):
+        out = pose_rows(p, q)
+        for target in targets:
+            out[(p == target).all(axis=-1).T, -len(values):] = values
+        return out
+
+    monkeypatch.setattr(harness, "_pose_rows", spoiled_pose_rows)
+
+
+class TestNonFiniteRows:
+    """A run checks each block array of measurement rows for finiteness
+    once, and a bad row still fails its member's run at its own event."""
+
+    MEASUREMENT_ERROR = "[filter] measurement contains non-finite values"
+
+    @pytest.mark.parametrize("bad", [[math.nan], [math.inf], [-math.inf], [math.inf, -math.inf]])
+    @pytest.mark.parametrize("channel", ["raw", "twist", "perception"])
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_non_finite_row_fails_its_member_alone(self, monkeypatch, members, channel, bad):
+        cfg = noisy_config()
+        ground_truth = harness._load_ground_truth(cfg)
+        seeds = (3, 5, 8) if members == 3 else (5,)
+        alone = {seed: execute_run(cfg, seed, ground_truth) for seed in seeds if seed != 5}
+        spoil_rows(monkeypatch, cfg, 5, channel, [40], bad)
+        if members == 1:
+            with pytest.raises(NumericError, match=f"^{re.escape(self.MEASUREMENT_ERROR)}$"):
+                execute_run(cfg, 5, ground_truth)
+        runs = harness._lockstep_runs(cfg, [(cfg.perception, seed) for seed in seeds], ground_truth)
+        for seed, run in zip(seeds, runs):
+            if seed == 5:
+                assert isinstance(run, NumericError) and str(run) == self.MEASUREMENT_ERROR
+            else:
+                TestLockstep.assert_same_run(run, alone[seed])
+
+    @pytest.mark.parametrize("channel", ["raw", "perception"])
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_huge_finite_rows_are_fused(self, monkeypatch, members, channel):
+        # huge angles, which the update wraps: eight rows' entries sum to
+        # inf, while every row is finite
+        assert sum([1e307] * 24) == math.inf
+        cfg = noisy_config()
+        ground_truth = harness._load_ground_truth(cfg)
+        batch = [(cfg.perception, seed) for seed in ((3, 5, 8) if members == 3 else (5,))]
+        clean = harness._lockstep(cfg, batch, ground_truth)
+        spoil_rows(monkeypatch, cfg, 5, channel, range(40, 48), [1e307] * 3)
+        runs = harness._lockstep(cfg, batch, ground_truth)
+        for (_, seed), run, want in zip(batch, runs, clean):
+            assert isinstance(run, harness._Filtered)
+            # the spoiled member fused its rows; the others are as they were
+            assert np.array_equal(run.fused[0].p, want.fused[0].p) == (seed != 5)
+            assert np.isfinite(run.fused[0].p).all() and np.isfinite(run.fused[1]).all()
+
+    # Odometry at 5 Hz in blocks of 8 rows (member rows 8 B), 20 Hz perception
+    # sharing every odometry stamp and going on after the last one.  Block 2
+    # is odometry rows 16-23 and perception rows 60-91 (3.0-4.55 s, the row
+    # at row 15's stamp included); rows 196-199 (9.8-9.95 s) are the last,
+    # perception-only block.
+    EVENT_ORDER_CASES = [
+        # (channel, row), perception row that trips the filter or None, which error wins
+        (("raw", 0), None, "measurement"),
+        (("raw", 16), None, "measurement"),
+        (("raw", 23), None, "measurement"),
+        (("twist", 8), None, "measurement"),
+        (("twist", 16), None, "measurement"),
+        (("twist", 23), None, "measurement"),
+        (("perception", 60), None, "measurement"),
+        (("perception", 91), None, "measurement"),
+        (("perception", 199), None, "measurement"),
+        # node 1 steps its whole block before node 2 steps any of it
+        (("raw", 23), 60, "measurement"),
+        (("twist", 16), 91, "measurement"),
+        (("twist", 23), 60, "filter"),
+        (("perception", 91), 60, "filter"),
+        (("perception", 199), 197, "filter"),
+    ]
+
+    @staticmethod
+    def logged(monkeypatch, log):
+        """Log the stamp and kind of every event a node is handed, stepped or refused."""
+        for name in ("node1_step", "node2_step", "refuse"):
+            method = getattr(EkfNode, name)
+
+            def logging(node, event, method=method):
+                log.append((event.kind, event.timestamp))
+                return method(node, event)
+
+            monkeypatch.setattr(EkfNode, name, logging)
+
+    @staticmethod
+    def checked_per_event(monkeypatch):
+        """The oracle: no block check finds a bad row, and each step checks
+        its own event's rows after its prediction, as the update once did."""
+        monkeypatch.setattr(harness, "finite_rows", len)
+        monkeypatch.setattr(ekf, "finite_rows", len)
+        for name in ("node1_step", "node2_step"):
+            step = getattr(EkfNode, name)
+
+            def checked(node, event, step=step):
+                if event.z is not None and not np.isfinite(event.z).all():
+                    node._predicted(event.timestamp)
+                    raise NumericError("measurement contains non-finite values")
+                return step(node, event)
+
+            monkeypatch.setattr(EkfNode, name, checked)
+
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("spoiled, trip, wins", EVENT_ORDER_CASES)
+    def test_a_bad_row_fails_at_its_own_event(self, monkeypatch, spoiled, trip, wins, members):
+        cfg = noisy_config(raw_rate=5.0)
+        ground_truth = harness._load_ground_truth(cfg)
+        stamps = harness._raw_odometry_truth(ground_truth[1], cfg)[0]
+        perception = simulate_perception(*ground_truth, cfg.perception, RandomStream(5).derive("perception"))
+        assert perception.t.searchsorted([stamps[15], stamps[23], stamps[-1]]).tolist() == [60, 92, 196]
+        monkeypatch.setattr(harness, "_BLOCK", 8 * members)
+        batch = [(cfg.perception, seed) for seed in ((3, 5, 8) if members == 3 else (5,))]
+        channel, row = spoiled
+        spoil_rows(monkeypatch, cfg, 5, channel, [row], [math.nan])
+        if trip is not None:
+            TestLockstep.fail_on_perception_row(monkeypatch, cfg, 0.3, 5, trip)
+
+        def outcome():
+            log: list = []
+            with monkeypatch.context() as m:
+                self.logged(m, log)
+                runs = harness._lockstep(cfg, batch, ground_truth)
+            results = {seed: str(run) if isinstance(run, NumericError) else run.fused[0].p.tolist()
+                       for (_, seed), run in zip(batch, runs)}
+            return results, log
+
+        got = outcome()
+        with monkeypatch.context() as m:
+            self.checked_per_event(m)
+            want = outcome()
+        assert got == want
+        results = got[0]
+        assert results.pop(5) == {
+            "measurement": self.MEASUREMENT_ERROR,
+            "filter": "[filter] filter produced non-finite state or covariance",
+        }[wins]
+        # the other members' runs go on
+        assert all(isinstance(track, list) for track in results.values())
 
 
 # ---------------------------------------------------------------------------
