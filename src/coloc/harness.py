@@ -599,7 +599,7 @@ class _Node2Pass:
         self.due = 0  # row of the next perception event
         self.x, self.variances = np.empty((n, members, 6)), np.empty((n, members, 6))
 
-    def step(self, rows: slice, events: list[MeasurementEvent], refused: MeasurementEvent | None = None) -> None:
+    def step(self, rows: slice, events: list[MeasurementEvent], refused: MeasurementEvent | None) -> None:
         """Node-2 odometry events of odometry ``rows``; without any, the rest of the perception rows.
 
         ``refused`` is the odometry event after ``events`` whose twists are
