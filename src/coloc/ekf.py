@@ -121,7 +121,8 @@ def measurement_covariance(spec: NoiseSpec, floor: float = 1e-6) -> np.ndarray:
     """
     if not (math.isfinite(floor) and floor > 0.0):
         raise ValueError(f"floor must be finite and > 0, got {floor}")
-    # s * s overflows to inf where ** would raise; the event checks reject inf
+    # s * s overflows to inf where ** would raise.  Harness events are built
+    # unchecked, so a caller checks the result (_checked_r6) before use.
     s2 = max(spec.sigma_trans * spec.sigma_trans, floor)
     g2 = max(spec.gamma_yaw_rad * spec.gamma_yaw_rad, floor)
     return _diag_r6(s2, g2, floor)
@@ -410,28 +411,22 @@ def _propagate(x: list[float], dt: float, jacobian=None, state=None, b: int = 0)
 # symmetric; a node chains the predict and update kernels of one event and
 # finishes once.
 #
-# Every operand and result of a kernel's numpy calls is a workspace buffer, a
-# view of one made with the workspace, or an array indexed by a precomputed
-# tuple, and outputs are passed positionally: at one member a step pays each
-# call's fixed cost, not its arithmetic, and an allocation, a view or a
+# Every operand and result of a kernel's numpy calls is a workspace buffer or
+# a view of one made with the workspace, operands of one ufunc have one shape,
+# and outputs are passed positionally: at one member a step pays each call's
+# fixed cost, not its arithmetic, and an allocation, a view, a broadcast or a
 # keyword argument adds to that cost.
 
-_add, _matmul, _subtract, _remainder, _negative = np.add, np.matmul, np.subtract, np.remainder, np.negative
+_add, _matmul, _multiply, _subtract, _remainder, _negative = (
+    np.add, np.matmul, np.multiply, np.subtract, np.remainder, np.negative
+)
 # np.dot's C function: np.dot itself is a Python-level __array_function__
 # dispatcher, which costs a one-member product about as much again
 _dot = np.dot._implementation
 # 0-d operands: a ufunc converts a Python float operand on every call
-_PI_0D, _TWO_PI_0D = np.array(_PI), np.array(_TWO_PI)
-# The index tuples of the update's 6-state block lo:lo+6, by lo: a state
-# row's columns, a covariance's rows and its diagonal block.
-_BLOCK_INDEX = {
-    block.start: (
-        (slice(None), block),
-        (Ellipsis, block, slice(None)),
-        (Ellipsis, block, block),
-    )
-    for block in (POSE_BLOCK, TWIST_BLOCK)
-}
+_PI_0D, _TWO_PI_0D, _HALF_0D = np.array(_PI), np.array(_TWO_PI), np.array(0.5)
+# The update's 6-state blocks lo:lo+6, by lo
+_BLOCKS = {block.start: block for block in (POSE_BLOCK, TWIST_BLOCK)}
 
 
 class _Workspace:
@@ -446,8 +441,12 @@ class _Workspace:
       their flat indices in A^T, and the product ``AP``;
     - the update's innovations ``d``, the innovation covariances ``S``,
       the gains ``Kt`` as the solve returns them (and their view ``K``),
-      ``Kd`` (K d), ``M`` and its copied block columns, ``D`` and the
-      (B, 3) angles of :func:`_wrap`.
+      ``Kd`` (K d) and its view ``Kd_rows`` shaped as ``x``, ``M``, the
+      copy ``M_block`` of its block columns, ``D`` and the (B, 3) angles of
+      :func:`_wrap`;
+    - ``operands``, by block start ``lo``: the views the update reads, made
+      once here, of ``x``'s block columns, ``P``'s block rows, ``P``'s
+      diagonal block and ``M``'s block columns.
 
     ``mm`` is the layout's product with a positional output: for one
     member's matrices np.dot's C function, the gemm np.matmul calls
@@ -465,7 +464,7 @@ class _Workspace:
     __slots__ = (
         "mm", "xP", "x", "P", "weights", "At", "A", "flat", "entries", "index", "AP",
         "d", "d_angles", "d_vec", "S", "Kt", "K", "Kd", "Kd_rows",
-        "x_angles", "M", "M_columns", "M_block", "D", "angles",
+        "x_angles", "M", "M_block", "D", "angles", "operands",
     )
 
     def __init__(self, members: int | None) -> None:
@@ -492,22 +491,27 @@ class _Workspace:
         # one member's gain product is a gemv; a stack's is a matmul of columns
         if members is None:
             self.d_vec = self.d[0]
-            self.Kd = self.Kd_rows = np.empty(STATE_DIM)
+            self.Kd = np.empty(STATE_DIM)
+            self.Kd_rows = self.Kd[None]
         else:
             self.d_vec = self.d[:, :, None]
             self.Kd = np.empty((members, STATE_DIM, 1))
             self.Kd_rows = self.Kd[:, :, 0]
         self.x_angles = self.x[:, ANG]
         self.M = np.empty(self.P.shape)
-        self.M_columns = {lo: self.M[..., lo:lo + 6] for lo in _BLOCK_INDEX}
         self.M_block = np.empty(stack + (STATE_DIM, 6))
         self.D = np.empty(stack + (STATE_DIM, 6))
         self.angles = np.empty((n, 3))
+        self.operands = {
+            lo: (self.x[:, block], self.P[..., block, :], self.P[..., block, block], self.M[..., block])
+            for lo, block in _BLOCKS.items()
+        }
 
 
 def _finish(work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """The kernel result in ``work``'s x and P, checked: read-only copies,
-    the covariances symmetrized exactly."""
+    the covariances symmetrized exactly, (P^T + P) * 0.5, in a new array
+    by two in-place ufuncs."""
     # A NaN or an infinity makes the weighted sum of x and P non-finite, and
     # the weights keep a sum of finite entries from overflowing (below 2^20
     # entries, 4 369 members), so one dot product settles the check at a
@@ -521,9 +525,11 @@ def _finish(work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     # operand itself: 1.8 against 2.2 us at one member and 5.2 against 6.3 us
     # at 12 (timeit minima, 2-vCPU Xeon, numpy 2.4.6).  The margin is
     # thinner at one member, where a call's fixed cost is most of either.
+    # The ufuncs take their output positionally and the halving a 0-d 0.5:
+    # P_sym *= 0.5 converts the float on every call, 0.59 against 0.35 us.
     P_sym = P.mT.copy()
-    P_sym += P
-    P_sym *= 0.5
+    _add(P_sym, P, P_sym)
+    _multiply(P_sym, _HALF_0D, P_sym)
     x.setflags(write=False)
     P_sym.setflags(write=False)
     return x, P_sym
@@ -572,25 +578,38 @@ def _update_kernel(
     whether the last three columns of ``z`` are angles.  The innovations
     z - x[:, lo:lo+6] are wrapped on those angles (+179 deg vs -179 deg
     disagree by 2 degrees, not 358), every row gets its gain times its
-    innovation, and the rows' angles are wrapped.  ``x`` and ``P`` may be
-    ``work``'s own.  ``z`` must be finite, which the caller checks
-    (:func:`finite_rows`): a non-finite row makes x non-finite, which
-    :func:`_finish` rejects.
+    innovation, and the rows' angles are wrapped.  ``z`` must be finite,
+    which the caller checks (:func:`finite_rows`): a non-finite row makes x
+    non-finite, which :func:`_finish` rejects.
+
+    ``x`` and ``P`` may be ``work``'s own, as after a prediction.  Other
+    arrays, such as a node's held state at an unchanged clock, are copied
+    into them first, so every operand is one of the views ``work`` made at
+    construction: at one member the two copies cost no more than the three
+    views of the held arrays they replace.  S is P's diagonal block copied
+    to its contiguous buffer, then r6 added in place, which costs less than
+    adding the strided block.
     """
-    columns, rows, block = _BLOCK_INDEX[lo]
-    mm, K, M, D = work.mm, work.K, work.M, work.D
-    P_rows = P[rows]
+    if x is not work.x:
+        work.x[...] = x
+    if P is not work.P:
+        work.P[...] = P
+    x, P = work.x, work.P
+    x_block, P_rows, P_block, M_columns = work.operands[lo]
+    mm, K, S, M, D = work.mm, work.K, work.S, work.M, work.D
+    S[...] = P_block
     # LU solve of S K^T = P_rows: the LAPACK gesv gufunc np.linalg.solve
     # calls, minus its per-call wrapper (its float64 loop is the one the
     # gufunc picks for float arrays).  S is positive definite (PSD P, r6
     # checked positive definite), so the solve succeeds; a broken P that
     # makes it fail gives NaNs, which _finish rejects.
-    _gesv(_add(P[block], r6, work.S), P_rows, work.Kt)
-    _subtract(z, x[columns], work.d)
+    _gesv(_add(S, r6, S), P_rows, work.Kt)
+    _subtract(z, x_block, work.d)
     if angles:
         _wrap(work.d_angles, work.angles)
     mm(K, work.d_vec, work.Kd)
-    x = _add(x, work.Kd_rows, work.x)
+    # Kd_rows has x's shape: a broadcast add costs about twice as much
+    _add(x, work.Kd_rows, x)
     _wrap(work.x_angles, work.angles)
     # Joseph form (I-KH) P (I-KH)^T + K R K^T with H a selector matrix:
     # M - M H^T K^T + K R K^T, folded into one product; each difference
@@ -602,9 +621,9 @@ def _update_kernel(
     # M's block columns go to a contiguous buffer first: a ufunc takes the
     # strided view more slowly than the copy and the difference together
     M_block = work.M_block
-    M_block[...] = work.M_columns[lo]
+    M_block[...] = M_columns
     _subtract(M_block, D, D)
-    P = mm(D, work.Kt, work.P)
+    mm(D, work.Kt, P)
     return x, _subtract(M, P, P)
 
 
@@ -640,12 +659,20 @@ def body_twists(rows: np.ndarray, dt: np.ndarray) -> np.ndarray:
 
 
 def _velocity_covariance(r6: np.ndarray, dt: float) -> np.ndarray:
-    """Two pose rows' shared covariance r6 propagated to the velocity: (r6 + r6) / dt^2."""
+    """Two pose rows' shared covariance r6 propagated to the velocity: (r6 + r6) / dt^2.
+
+    A huge finite r6 or a short step can overflow it, which raises
+    NumericError, not a warning.
+    """
     dt2 = dt * dt
     # checked before the division, which would otherwise warn on a degenerate dt
     if not (dt2 > 0.0 and math.isfinite(1.0 / dt2)):
         raise NumericError("measurement contains non-finite values")
-    return (r6 + r6) / dt2
+    with np.errstate(over="ignore"):
+        r_vel = (r6 + r6) / dt2
+    if not np.isfinite(r_vel).all():
+        raise NumericError(f"smoothed odometry velocity covariance overflows at dt={dt}")
+    return r_vel
 
 
 def finite_rows(z: np.ndarray) -> int:
@@ -748,6 +775,7 @@ class EkfNode:
         self._x, self._P, self.timestamp = x, P, config.t0
         self.rejected_count = 0
         self._work = _Workspace(members if stack else None)  # the buffers of every kernel call
+        self._max_predict_dt = config.max_predict_dt  # read on every step
 
         q = config.q  # not self: the cache must not keep the node in a reference cycle
 
@@ -794,11 +822,11 @@ class EkfNode:
         dt = t - self.timestamp
         if dt <= 0.0:
             return x, P
-        n = 1
-        if dt > self.config.max_predict_dt:
-            # A long gap would stretch one linearization too far; split it.
-            n = max(1, math.ceil(dt / self.config.predict_substep))
-            dt /= n
+        if dt <= self._max_predict_dt:
+            return _predict_kernel(x, P, dt, self._q_dt(dt), self._work)
+        # A long gap would stretch one linearization too far; split it.
+        n = max(1, math.ceil(dt / self.config.predict_substep))
+        dt /= n
         q_dt = self._q_dt(dt)
         for _ in range(n):
             x, P = _predict_kernel(x, P, dt, q_dt, self._work)

@@ -50,6 +50,7 @@ from .ekf import (
     FilterNodeConfig,
     MeasurementEvent,
     MeasurementKind,
+    _checked_r6,
     default_process_noise,
     finite_rows,
     measurement_covariance,
@@ -763,10 +764,11 @@ def _lockstep(
         try:
             with _stage("filter"):
                 node1_cfg, node2_cfg = _node_configs(cfg, adas)
+                # checked once here: the events that carry them are built unchecked
                 node1 = _Node1Pass(
                     node1_cfg, stamps, np.array([t for t, _ in raw]), np.array([q for _, q in raw]),
-                    measurement_covariance(cfg.raw_noise),
-                    measurement_covariance(_smoothed_odometry_spec(cfg)),
+                    _checked_r6(measurement_covariance(cfg.raw_noise), "raw odometry r6"),
+                    _checked_r6(measurement_covariance(_smoothed_odometry_spec(cfg)), "smoothed odometry r6"),
                 )
                 del raw
                 n, b = len(stamps), len(live)

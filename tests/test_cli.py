@@ -161,6 +161,25 @@ class TestRun:
         assert err.strip() == message
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "ekf, message",
+        [
+            ({"smoothed_sigma_trans": 1e200}, "error: [filter] smoothed odometry r6 contains non-finite values"),
+            ({"smoothed_gamma_deg": 1e200}, "error: [filter] smoothed odometry r6 contains non-finite values"),
+            # 1e154 squared is finite, and r6 + r6 overflows
+            ({"smoothed_sigma_trans": 1e154},
+             "error: [filter] smoothed odometry velocity covariance overflows at dt=0.1"),
+        ],
+    )
+    def test_overflowing_smoothed_noise_exits_3(self, tmp_path, capsys, ekf, message):
+        # RuntimeWarnings are errors here: the overflow is checked where the
+        # channel covariances are built, before any arithmetic meets it
+        cfg = write_config(tmp_path, ekf=ekf)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == message + "\n"
+        assert not (out / "report.json").exists()
+
     def test_unwritable_report_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         (out / "report.json").mkdir(parents=True)

@@ -1236,6 +1236,39 @@ class TestNodeWorkspace:
             assert a.tobytes() == value.tobytes()
         assert not np.array_equal(second[0], first[0]) and not np.array_equal(second[1], first[1])
 
+    @pytest.mark.parametrize("members", [None, 3])
+    @pytest.mark.parametrize("lo, angles", [(0, True), (0, False), (6, True), (6, False)])
+    def test_an_update_of_a_prediction_in_place_is_the_update_of_held_copies(self, members, lo, angles):
+        # After a prediction the update reads the workspace's own x and P
+        # through the views made with the workspace; at an unchanged clock a
+        # node hands it its held arrays instead.  Both give the same bits.
+        rng = np.random.default_rng(17 + lo)
+        n = members or 1
+        x = np.array([random_state(rng) for _ in range(n)])
+        x[0, ANG] = [3.1, -0.2, -3.1]  # angles on both sides of the wrap
+        P = np.array([random_psd(STATE_DIM, rng, 0.1) for _ in range(n)])
+        q_dt = default_process_noise() * 0.01
+        if members is None:
+            P = P[0]
+        else:
+            q_dt = np.tile(q_dt, (n, 1, 1))
+        work = _Workspace(members)
+        _predict_kernel(x, P, 0.01, q_dt, work)
+        held = work.x.copy(), work.P.copy()
+        for a in held:
+            a.setflags(write=False)
+        z = held[0][:, lo:lo + 6] + rng.normal(0.0, 0.1, (n, 6))
+        z[0, 5] -= 2.0 * math.pi  # an innovation that the innovations' wrap takes back below pi
+        r6 = PERCEPTION_R6 if lo == 0 else SMOOTHED_R6
+        in_place = _update_kernel(work.x, work.P, lo, z, r6, angles, work)
+        other = _Workspace(members)
+        from_held = _update_kernel(*held, lo, z, r6, angles, other)
+        assert in_place[0] is work.x and in_place[1] is work.P
+        assert from_held[0] is other.x and from_held[1] is other.P
+        assert [a.tobytes() for a in in_place] == [a.tobytes() for a in from_held]
+        assert [a.tobytes() for a in _finish(work)] == [a.tobytes() for a in _finish(other)]
+        assert not np.array_equal(in_place[0], held[0])
+
 
 class TestNodeErrorContracts:
     @staticmethod

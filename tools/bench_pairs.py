@@ -12,17 +12,22 @@ tree once per seed, one process at a time, parent first on odd seeds and
 change first on even seeds, then one ``--trace 1`` pass per side and traced
 seed, in the same alternating order.  It refuses trees whose paths differ
 in length, because ``peak_rss_mb`` moves by up to 3 % with the length of the
-directory name alone.  The file keeps every run's result and notes line; per
-workload and end-to-end metric, the pair wins and each side's quartiles; and
-per workload and per-layer metric, each side's median over the traced seeds,
-since one traced pass per side is too noisy to attribute a change of a few
-percent to a layer.
+directory name alone.  It deletes both trees' ``__pycache__`` directories
+before the first run, because a bytecode cache in one tree alone moved
+``setup_s`` by 18 % on identical imports: each side's first run compiles
+its sources, and the later runs of both read their own caches.  The file
+keeps every run's result and notes line; per workload and end-to-end
+metric, the pair wins and each side's quartiles; and per workload and
+per-layer metric, each side's median over the traced seeds, since one
+traced pass per side is too noisy to attribute a change of a few percent
+to a layer.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -118,6 +123,9 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if len(str(trees["parent"])) != len(str(trees["change"])):
         parser.error(f"tree paths differ in length, which moves peak_rss_mb: {trees['parent']} and {trees['change']}")
+    for tree in trees.values():
+        for cache in sorted(tree.rglob("__pycache__")):
+            shutil.rmtree(cache)
     commit = {side: subprocess.run(["git", "-C", str(ROOT), "rev-parse", ref], capture_output=True,
                                    text=True, check=True).stdout.strip()
               for side, ref in zip(("parent", "change"), args.commits)}
@@ -151,7 +159,8 @@ def main(argv=None) -> int:
                 f"numpy {env['numpy']}, scipy {env['scipy']}",
         "method": (
             f"Each side ran from a clean export of its commit, the parent in {args.parent} and the "
-            f"change in {args.change}, resolved paths of {len(str(trees['change']))} characters each. "
+            f"change in {args.change}, resolved paths of {len(str(trees['change']))} characters each; "
+            "every __pycache__ directory of both trees was deleted before the first run. "
             f"Untraced: {len(seeds)} pairs per "
             f"workload on seeds {args.seeds}, one perfbench/run.py process at a time, parent "
             f"first on odd seeds and change first on even seeds. Traced: one pass per side per "

@@ -12,6 +12,10 @@ inputs.  For every member count B it times, in microseconds per call:
 - ``predict``: ``_predict_kernel`` over one 5 ms step;
 - ``update, wraps``: ``_update_kernel`` on the pose block with angle wraps;
 - ``update, no wraps``: ``_update_kernel`` on the twist block;
+- ``predict + update``: ``_predict_kernel`` and then ``_update_kernel``
+  with wraps on the prediction's result in the workspace, the operands a
+  node step's update gets (the update columns above feed held arrays, as
+  an update at an unchanged clock does);
 - ``finish``: ``_finish`` of the update's result;
 - ``node1_step``: an ``EkfNode`` fusing pose rows at 200 Hz;
 - ``node2_step``: an ``EkfNode`` fusing a twist row and then a perception
@@ -48,6 +52,7 @@ import numpy as np
 
 DT = 0.005  # 200 Hz, the acceptance run's rate
 SIDES = ("parent", "change")
+KERNELS = ("predict", "update_wraps", "update_no_wraps", "predict_update")
 
 
 def load(tree: Path, name: str):
@@ -101,6 +106,11 @@ class Kernels:
         d = self.data
         return self.ekf._update_kernel(d["x"], d["P"], 6, d["twist"], d["r6"], False, self.work)
 
+    def predict_update(self):
+        d = self.data
+        x, P = self.predict()
+        return self.ekf._update_kernel(x, P, 0, d["pose"], d["r6"], True, self.work)
+
     def finish_call(self):
         """A call that finishes the update's result, which it computes first."""
         x, P = self.update_wraps()
@@ -150,7 +160,7 @@ def bits(*arrays) -> list[bytes]:
 
 
 def check_kernels(kernels: dict[str, Kernels]) -> None:
-    for name in ("predict", "update_wraps", "update_no_wraps"):
+    for name in KERNELS:
         got = {side: bits(*getattr(k, name)()) for side, k in kernels.items()}
         if got["parent"] != got["change"]:
             raise SystemExit(f"{name}: outputs differ at B={kernels['parent'].members}")
@@ -226,7 +236,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     ekfs = {side: load(getattr(args, side).resolve(), f"coloc_{side}") for side in SIDES}
-    columns = ("predict", "update, wraps", "update, no wraps", "finish", "node1_step", "node2_step")
+    columns = ("predict", "update, wraps", "update, no wraps", "predict + update", "finish",
+               "node1_step", "node2_step")
     print("µs per call, median of", args.blocks, "blocks per side: parent → change (change/parent)")
     print("| B | " + " | ".join(columns) + " |")
     print("|---" * (len(columns) + 1) + "|")
@@ -240,7 +251,7 @@ def main(argv=None) -> int:
             check_nodes(ekfs, members, 50)
             medians = [
                 alternate(args.blocks, {s: repeat(getattr(k, name), reps) for s, k in kernels.items()})
-                for name in ("predict", "update_wraps", "update_no_wraps")
+                for name in KERNELS
             ]
             medians.append(alternate(args.blocks, {s: repeat(k.finish_call(), reps) for s, k in kernels.items()}))
             for node_kind in (1, 2):
