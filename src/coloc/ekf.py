@@ -56,7 +56,7 @@ import struct
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NoReturn
 
 import numpy as np
@@ -302,6 +302,8 @@ _JACOBIAN_BYTES, _STATE_BYTES = 8 * len(_JACOBIAN_T_FLAT_INDEX), 8 * STATE_DIM
 # wrap_angle's scalar path, written out where a call per angle would cost
 # more than the arithmetic: -((-a + _PI) % _TWO_PI - _PI)
 _PI, _TWO_PI = math.pi, 2.0 * math.pi
+# the three angles of one row, read from and written to its float64 buffer
+_ANGLES = struct.Struct("3d")
 
 
 def _propagate(x: list[float], dt: float, jacobian=None, state=None, b: int = 0) -> tuple[float, ...] | None:
@@ -442,8 +444,7 @@ class _Workspace:
     - the update's innovations ``d``, the innovation covariances ``S``,
       the gains ``Kt`` as the solve returns them (and their view ``K``),
       ``Kd`` (K d) and its view ``Kd_rows`` shaped as ``x``, ``M``, the
-      copy ``M_block`` of its block columns, ``D`` and the (B, 3) angles of
-      :func:`_wrap`;
+      copy ``M_block`` of its block columns and ``D``;
     - ``operands``, by block start ``lo``: the views the update reads, made
       once here, of ``x``'s block columns, ``P``'s block rows, ``P``'s
       diagonal block and ``M``'s block columns.
@@ -451,9 +452,12 @@ class _Workspace:
     ``mm`` is the layout's product with a positional output: for one
     member's matrices np.dot's C function, the gemm np.matmul calls
     without the gufunc set-up that costs np.matmul about as much again,
-    and without np.dot's dispatcher; np.matmul for stacks.  An update does
-    not check its rows: the caller checks a block of them at once
-    (:func:`finite_rows`).
+    and without np.dot's dispatcher; np.matmul for stacks.  ``wrap_x`` and
+    ``wrap_d`` are its in-place angle wraps of ``x`` and of the pose
+    innovations ``d``: for one member's matrices :func:`_row_wrap`'s scalar
+    code on the row's bytes, for stacks :func:`_wrap`'s ufuncs on an angle
+    view, through a (B, 3) buffer.  An update does not check its rows: the
+    caller checks a block of them at once (:func:`finite_rows`).
 
     A buffer may live from the predict kernel to the update kernel within
     one node step, and no committed or returned array aliases one:
@@ -463,8 +467,8 @@ class _Workspace:
 
     __slots__ = (
         "mm", "xP", "x", "P", "weights", "At", "A", "flat", "entries", "index", "AP",
-        "d", "d_angles", "d_vec", "S", "Kt", "K", "Kd", "Kd_rows",
-        "x_angles", "M", "M_block", "D", "angles", "operands",
+        "d", "d_vec", "S", "Kt", "K", "Kd", "Kd_rows", "M", "M_block", "D", "operands",
+        "wrap_x", "wrap_d",
     )
 
     def __init__(self, members: int | None) -> None:
@@ -484,7 +488,6 @@ class _Workspace:
         self.index = (np.arange(0, self.At.size, STATE_DIM * STATE_DIM)[:, None] + _JACOBIAN_T_FLAT_INDEX).ravel()
         self.AP = np.empty(self.P.shape)
         self.d = np.empty((n, 6))
-        self.d_angles = self.d[:, 3:6]
         self.S = np.empty(stack + (6, 6))
         self.Kt = np.empty(stack + (6, STATE_DIM))
         self.K = self.Kt.mT
@@ -497,11 +500,15 @@ class _Workspace:
             self.d_vec = self.d[:, :, None]
             self.Kd = np.empty((members, STATE_DIM, 1))
             self.Kd_rows = self.Kd[:, :, 0]
-        self.x_angles = self.x[:, ANG]
         self.M = np.empty(self.P.shape)
         self.M_block = np.empty(stack + (STATE_DIM, 6))
         self.D = np.empty(stack + (STATE_DIM, 6))
-        self.angles = np.empty((n, 3))
+        # an innovation's angles, its last three columns, are at ANG too
+        if members is None:
+            self.wrap_x, self.wrap_d = _row_wrap(self.x), _row_wrap(self.d)
+        else:
+            angles = np.empty((members, 3))
+            self.wrap_x, self.wrap_d = partial(_wrap, self.x[:, ANG], angles), partial(_wrap, self.d[:, ANG], angles)
         self.operands = {
             lo: (self.x[:, block], self.P[..., block, :], self.P[..., block, block], self.M[..., block])
             for lo, block in _BLOCKS.items()
@@ -552,7 +559,8 @@ def _predict_kernel(
 
 
 def _wrap(a: np.ndarray, w: np.ndarray) -> None:
-    """Wrap the angles of the view ``a``, (B, 3), to (-pi, pi] in place.
+    """Wrap the angles of the view ``a``, (B, 3), to (-pi, pi] in place: a
+    stack's wrap.
 
     The scalar form's steps, -((-a + pi) % 2pi - pi), one ufunc each, for
     its bits: np.remainder is Python's float %, and the last negation gives
@@ -567,6 +575,28 @@ def _wrap(a: np.ndarray, w: np.ndarray) -> None:
     _negative(w, a)
 
 
+def _row_wrap(row: np.ndarray):
+    """One member's wrap: a call that wraps the three float64 angles at
+    columns ANG of the C-contiguous one-row array ``row`` to (-pi, pi] in
+    place.
+
+    It reads them as Python floats, applies the scalar form itself and
+    packs them back, where :func:`_wrap`'s four ufuncs cost about three
+    times as much on three floats.  A non-finite angle wraps to NaN, as in
+    :func:`_wrap`, but Python's float % raises no RuntimeWarning on an
+    infinity.
+    """
+    unpack, pack, offset = _ANGLES.unpack_from, _ANGLES.pack_into, 8 * ANG.start
+
+    def wrap() -> None:
+        a0, a1, a2 = unpack(row, offset)
+        pack(
+            row, offset,
+            -((-a0 + _PI) % _TWO_PI - _PI), -((-a1 + _PI) % _TWO_PI - _PI), -((-a2 + _PI) % _TWO_PI - _PI),
+        )
+    return wrap
+
+
 def _update_kernel(
     x: np.ndarray, P: np.ndarray, lo: int, z: np.ndarray, r6: np.ndarray, angles: bool, work: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -578,7 +608,8 @@ def _update_kernel(
     whether the last three columns of ``z`` are angles.  The innovations
     z - x[:, lo:lo+6] are wrapped on those angles (+179 deg vs -179 deg
     disagree by 2 degrees, not 358), every row gets its gain times its
-    innovation, and the rows' angles are wrapped.  ``z`` must be finite,
+    innovation, and the rows' angles are wrapped; ``work`` holds both wraps
+    for its layout, so the kernel does not branch on it.  ``z`` must be finite,
     which the caller checks (:func:`finite_rows`): a non-finite row makes x
     non-finite, which :func:`_finish` rejects.
 
@@ -606,11 +637,11 @@ def _update_kernel(
     _gesv(_add(S, r6, S), P_rows, work.Kt)
     _subtract(z, x_block, work.d)
     if angles:
-        _wrap(work.d_angles, work.angles)
+        work.wrap_d()
     mm(K, work.d_vec, work.Kd)
     # Kd_rows has x's shape: a broadcast add costs about twice as much
     _add(x, work.Kd_rows, x)
-    _wrap(work.x_angles, work.angles)
+    work.wrap_x()
     # Joseph form (I-KH) P (I-KH)^T + K R K^T with H a selector matrix:
     # M - M H^T K^T + K R K^T, folded into one product; each difference
     # goes into the product it subtracts, and the last product into P's

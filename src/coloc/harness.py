@@ -763,12 +763,14 @@ def _lockstep(
 
         try:
             with _stage("filter"):
+                # checked once here: the events that carry them are built
+                # unchecked.  Node 1's initial covariance is built from the
+                # raw noise too, so an overflowing noise is named here first.
+                raw_r6 = _checked_r6(measurement_covariance(cfg.raw_noise), "raw odometry r6")
+                smoothed_r6 = _checked_r6(measurement_covariance(_smoothed_odometry_spec(cfg)), "smoothed odometry r6")
                 node1_cfg, node2_cfg = _node_configs(cfg, adas)
-                # checked once here: the events that carry them are built unchecked
                 node1 = _Node1Pass(
-                    node1_cfg, stamps, np.array([t for t, _ in raw]), np.array([q for _, q in raw]),
-                    _checked_r6(measurement_covariance(cfg.raw_noise), "raw odometry r6"),
-                    _checked_r6(measurement_covariance(_smoothed_odometry_spec(cfg)), "smoothed odometry r6"),
+                    node1_cfg, stamps, np.array([t for t, _ in raw]), np.array([q for _, q in raw]), raw_r6, smoothed_r6
                 )
                 del raw
                 n, b = len(stamps), len(live)

@@ -146,15 +146,21 @@ class TestRun:
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize(
-        "section, message",
+        "section, noise, message",
         [
-            ("raw_noise", "error: [filter] covariance contains non-finite values"),
-            ("perception", "error: [simulate-perception] perception r6 contains non-finite values"),
+            pytest.param("raw_noise", {"sigma_trans": 1e200, "gamma_yaw": 0.0},
+                         "error: [filter] raw odometry r6 contains non-finite values", id="raw_noise"),
+            pytest.param("raw_noise", {"sigma_trans": 2.5, "gamma_yaw": 1e200},
+                         "error: [filter] raw odometry r6 contains non-finite values", id="raw_noise_gamma"),
+            pytest.param("perception", {"sigma_trans": 1e200, "gamma_yaw": 0.0},
+                         "error: [simulate-perception] perception r6 contains non-finite values", id="perception"),
         ],
     )
-    def test_huge_finite_noise_exits_3(self, tmp_path, capsys, section, message):
-        # 1e200 squared overflows to inf, which the covariance checks reject
-        cfg = write_config(tmp_path, **{section: {"sigma_trans": 1e200, "gamma_yaw": 0.0}})
+    def test_huge_finite_noise_exits_3(self, tmp_path, capsys, section, noise, message):
+        # 1e200 squared overflows to inf, which the covariance checks reject;
+        # the raw noise also sizes node 1's initial covariance, and the
+        # channel's own check names it first
+        cfg = write_config(tmp_path, **{section: noise})
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
         err = capsys.readouterr().err
@@ -262,7 +268,9 @@ class TestSweep:
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", workers]) == EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert err.strip() == "error: every sweep cell failed, the first with: [filter] covariance contains non-finite values"
+        assert err.strip() == (
+            "error: every sweep cell failed, the first with: [filter] raw odometry r6 contains non-finite values"
+        )
         assert not (out / "report.json").exists()
 
     def test_unwritable_cell_file_is_data_error(self, tmp_path, capsys):

@@ -853,9 +853,10 @@ class TestLockstep:
         assert 0 < len(calls) - clean <= 3 * clean / blocks
 
     def test_report_of_huge_raw_noise_raises_numeric_error(self):
-        # sigma 1e200 squares to inf: node 1's initial covariance is rejected
+        # sigma 1e200 squares to inf: the raw odometry covariance is rejected,
+        # before node 1's initial covariance, which is built from it too
         cfg = replace(noisy_config(seeds=(3, 5)), raw_noise=NoiseSpec(1e200, 0.0))
-        with pytest.raises(NumericError, match=r"^\[filter\] covariance contains non-finite values$"):
+        with pytest.raises(NumericError, match=r"^\[filter\] raw odometry r6 contains non-finite values$"):
             run_report(cfg)
 
 

@@ -9,8 +9,8 @@ covariance exactly symmetric and PSD, and agree with a textbook Joseph
 update written with ``scipy.linalg.solve``; every member of a batched
 filter kernel equals ``predict`` or a one-member node, bit for bit; the
 array update's state correction equals the scalar correction of each
-member, and its angle wrap the scalar wrap, bit for bit, sign of zero
-included; and report bytes do not depend on the filter's block length.
+member, and its angle wraps (a stack's ufuncs and one member's scalar
+code) the scalar wrap, bit for bit, sign of zero included; and report bytes do not depend on the filter's block length.
 """
 
 import math
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from coloc import harness
 from coloc.ekf import (
+    ANG,
     STATE_DIM,
     EkfNode,
     FilterNodeConfig,
@@ -493,14 +494,39 @@ SPECIAL_ANGLES = [
 ]
 
 
+def row_wraps(values) -> list[list[float]]:
+    """``values`` wrapped three at a time by a one-member workspace's
+    wraps: once as its state row's angles, once as its innovation's."""
+    work = _Workspace(None)
+    padded = [*values, *[0.0] * (-len(values) % 3)]
+    out = []
+    for row, wrap in ((work.x[0], work.wrap_x), (work.d[0], work.wrap_d)):
+        got = []
+        for k in range(0, len(padded), 3):
+            row[ANG] = padded[k:k + 3]
+            wrap()
+            got += row[ANG].tolist()
+        out.append(got[:len(values)])
+    return out
+
+
 def test_array_wrap_is_scalar_wrap_on_its_edges():
     values = np.array(SPECIAL_ANGLES)
     np.testing.assert_array_equal(bits(np.remainder(values, TWO_PI)), bits([v % TWO_PI for v in SPECIAL_ANGLES]))
     wrapped = values.copy()
     _wrap(wrapped, np.empty(len(values)))
-    assert bits(wrapped) == bits([scalar_wrap(v) for v in SPECIAL_ANGLES])
-    # a zero wraps to -0.0, as the scalar form gives it
-    assert bits(wrapped[2:6]) == bits([-0.0] * 4)
+    for got in (wrapped, *row_wraps(SPECIAL_ANGLES)):
+        assert bits(got) == bits([scalar_wrap(v) for v in SPECIAL_ANGLES])
+        # a zero wraps to -0.0, as the scalar form gives it
+        assert bits(got[2:6]) == bits([-0.0] * 4)
+    # a non-finite angle wraps to NaN in both forms; the one-member form
+    # warns of nothing (RuntimeWarnings are errors in this suite)
+    non_finite = [math.nan, math.inf, -math.inf]
+    wrapped = np.array(non_finite)
+    with np.errstate(invalid="ignore"):
+        _wrap(wrapped, np.empty(3))
+    for got in (wrapped.tolist(), *row_wraps(non_finite)):
+        assert all(map(math.isnan, got))
 
 
 @SETTINGS
@@ -509,7 +535,10 @@ def test_array_wrap_is_scalar_wrap(values):
     a = np.array(values)
     assert bits(np.remainder(a, TWO_PI)) == bits([v % TWO_PI for v in values])
     _wrap(a, np.empty(len(values)))
-    assert bits(a) == bits([scalar_wrap(v) for v in values])
+    want = bits([scalar_wrap(v) for v in values])
+    assert bits(a) == want
+    for got in row_wraps(values):
+        assert bits(got) == want
 
 
 def with_special_angles(rng, a):
