@@ -26,10 +26,11 @@ does.  After one untimed block per side, the blocks alternate between the
 trees, parent first on even blocks; each block makes ``--calls`` / B calls
 (a quarter of that for the node steps, which each take one event).  The
 table gives each side's median over its blocks and the number of block
-pairs (block k of each side) the change won, ``12.2 → 10.3 (0.85, 28/30)``:
-a ratio the host's drift alone moved tends to come with about half the
-wins.  Before timing, every kernel's outputs, and every node step's state and returned
-rows, must be bit-equal between the two trees, or the tool stops.
+pairs (block k of each side) the change won, ``12.2 → 10.3 (0.85, 28/30)``,
+which tells a cell that moved in most pairs from one that a few slow
+blocks moved.  Before timing, every kernel's outputs, and every node
+step's state and returned rows, must be bit-equal between the two trees,
+or the tool stops.
 
 Both trees must have the kernel API of ``FilterNodeConfig(t0, x0, P0, q)``
 and ``_update_kernel(x, P, lo, z, r6, angles, work)``.  ``_finish`` may take
